@@ -32,9 +32,13 @@ def _best(fn, repeat: int = 3) -> float:
     return best
 
 
-def _case(scheme: str, lowered: bool):
+#: Benchmarked communication forms: mode name -> pipeline.
+MODES = {"implicit": (), "lowered": ("lower_p2p",)}
+
+
+def _case(scheme: str, pipeline: tuple[str, ...]):
     arts = schedule_artifacts(scheme, DEPTH, MICRO_BATCHES)
-    return arts.schedule_for(lowered), arts.graph_for(lowered)
+    return arts.schedule_for(pipeline), arts.graph_for(pipeline)
 
 
 def run() -> str:
@@ -43,14 +47,13 @@ def run() -> str:
     models = batch_cost_models()
     rows = []
     for scheme in ("chimera", "zb_v"):
-        for lowered in (False, True):
-            schedule, graph = _case(scheme, lowered)
+        for mode, pipeline in MODES.items():
+            schedule, graph = _case(scheme, pipeline)
             event = _best(lambda: simulate(schedule, base, graph=graph))
             fast = _best(lambda: simulate_fast(schedule, base, graph=graph))
             batch = _best(
                 lambda: simulate_batch(schedule, models, graph=graph)
             ) / len(models)
-            mode = "lowered" if lowered else "implicit"
             rows.append(
                 [
                     scheme,

@@ -32,7 +32,7 @@ def figure13_narrative() -> None:
         num_workers=num_workers,
         mini_batch=mini_batch,
         schemes=("chimera",),
-        lowered=False,  # the §3.4 model assumes implicit p2p communication
+        pipeline=(),  # the §3.4 model assumes implicit p2p communication
     )
     simulated = {
         (e.width, e.depth, e.micro_batch, e.recompute): e for e in planned

@@ -33,7 +33,7 @@ def best_per_budget(
     mini_batch: int,
     budgets_gib: tuple[float | None, ...],
     schemes: tuple[str, ...] | None = None,
-    lowered: bool = True,
+    pipeline: str | tuple[str, ...] | None = None,
 ) -> list[tuple[float | None, PlanEntry | None, int]]:
     """Top plan entry and survivor count for each budget (None = infeasible)."""
     out: list[tuple[float | None, PlanEntry | None, int]] = []
@@ -47,7 +47,7 @@ def best_per_budget(
                 mini_batch=mini_batch,
                 memory_budget_bytes=budget,
                 schemes=schemes,
-                lowered=lowered,
+                pipeline=pipeline,
             )
         except ConfigurationError:
             out.append((gib, None, 0))

@@ -14,8 +14,7 @@
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.common.errors import ConfigurationError, ScheduleError
@@ -24,7 +23,7 @@ from repro.bench.workloads import TransformerSpec
 from repro.perf.calibration import calibrate_cost_model, calibrate_memory_model
 from repro.schedules.cache import ScheduleArtifacts, schedule_artifacts
 from repro.schedules.passes.pipeline import (
-    PipelineParts,
+    attempt_pipelines,
     normalize_pipeline,
     split_pipeline,
 )
@@ -46,28 +45,22 @@ class ExperimentConfig:
     mini_batch: int  # B̂
     #: The recompute planning *axis*: ``None`` = auto (use recomputation
     #: only if needed to fit memory — the paper's retry-with-``R``
-    #: procedure), ``False`` = never, ``True`` = always.
+    #: procedure), ``False`` = never, ``True`` = always. Naming
+    #: ``recompute`` in ``pipeline`` pins it on.
     recompute: bool | None = None
-    #: DEPRECATED alias for ``pipeline=("lower_p2p",)`` — simulate with
-    #: explicit SEND/RECV communication (lowering pass), so p2p transfers
-    #: contend for link bandwidth.
-    lowered: bool = False
-    #: DEPRECATED alias for ``pipeline=("lower_p2p", "fuse_comm")`` —
-    #: batch each SEND/RECV pair into one transfer op (fuse_comm pass).
-    fused: bool = False
     #: Optional per-device peak-memory budget in bytes. The memory check
     #: uses ``min(machine.usable_memory_bytes, memory_budget_bytes)`` — a
     #: budget tighter than the device models a reservation (leaving room
     #: for KV caches, fragmentation slack, a co-located service); a looser
     #: one is clamped to the hardware. ``None`` means the device capacity.
     memory_budget_bytes: float | None = None
-    #: THE way to configure schedule transforms: an ordered pipeline spec
-    #: (comma string or sequence of pass names, validated against the
-    #: pass registry; see :mod:`repro.schedules.passes.pipeline`), e.g.
-    #: ``"offload,lower_p2p"``. ``None`` falls back to the deprecated
-    #: ``lowered``/``fused`` booleans. The ``recompute`` axis composes
-    #: on top unless the pipeline itself names ``recompute``.
-    pipeline: str | tuple[str, ...] | None = None
+    #: The base schedule transforms on top of the scheme's defaults: an
+    #: ordered pipeline spec (comma string or sequence of pass names,
+    #: validated against the pass registry; see
+    #: :mod:`repro.schedules.passes.pipeline`), e.g. ``"offload,lower_p2p"``.
+    #: The recompute axis composes on top (see :meth:`attempt_pipelines`);
+    #: offload is on exactly when the pipeline names it.
+    pipeline: str | tuple[str, ...] = ()
     #: Host-tier (CPU RAM) budget for offloaded stashes; the check uses
     #: ``min(machine.host_memory_bytes, host_memory_budget_bytes)``.
     #: ``None`` means the machine's host capacity.
@@ -87,53 +80,24 @@ class ExperimentConfig:
                 f"host memory budget must be positive, got "
                 f"{self.host_memory_budget_bytes}"
             )
-        if self.pipeline is not None:
-            if self.lowered or self.fused:
-                raise ConfigurationError(
-                    "pass transforms either as pipeline= or as the "
-                    "deprecated lowered/fused booleans, not both"
-                )
-            canonical = normalize_pipeline(self.pipeline)
-            if self.recompute is False and split_pipeline(canonical).recompute:
-                raise ConfigurationError(
-                    "pipeline includes 'recompute' but recompute=False "
-                    "disables the recompute axis"
-                )
-            object.__setattr__(self, "pipeline", canonical)
-        elif self.lowered or self.fused:
-            warnings.warn(
-                "ExperimentConfig(lowered=..., fused=...) is deprecated; "
-                "pass pipeline=('lower_p2p',) / "
-                "('lower_p2p', 'fuse_comm') instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.fused and not self.lowered:
-                raise ConfigurationError(
-                    "fused=True requires lowered=True (fuse_comm batches "
-                    "the explicit SEND/RECV pairs the lowering pass creates)"
-                )
+        object.__setattr__(self, "pipeline", normalize_pipeline(self.pipeline))
+        self.attempt_pipelines()  # rejects recompute=False against a named pass
 
     # ------------------------------------------------------------- pipeline
-    def base_parts(self) -> PipelineParts:
-        """The configured transform pipeline, sans the recompute axis."""
-        if self.pipeline is not None:
-            return split_pipeline(self.pipeline)
-        return PipelineParts(lowered=self.lowered, fused=self.fused)
-
     def attempt_pipelines(self) -> tuple[tuple[str, ...], ...]:
         """Pipelines to try in order until one fits memory.
 
-        An explicit ``recompute`` (the boolean axis, or the pass named in
-        ``pipeline``) pins a single attempt; the default ``None`` tries
-        the configured pipeline plain first, then with recomputation.
+        The shared rule of
+        :func:`~repro.schedules.passes.pipeline.attempt_pipelines`, with
+        the offload axis pinned to whether ``pipeline`` names the pass:
+        the default ``recompute=None`` tries the pipeline plain first,
+        then with recomputation.
         """
-        parts = self.base_parts()
-        if parts.recompute or self.recompute is True:
-            return (replace(parts, recompute=True).pipeline(),)
-        if self.recompute is False:
-            return (parts.pipeline(),)
-        return (parts.pipeline(), replace(parts, recompute=True).pipeline())
+        return attempt_pipelines(
+            self.pipeline,
+            recompute=self.recompute,
+            offload=split_pipeline(self.pipeline).offload,
+        )
 
     @property
     def num_workers(self) -> int:
@@ -275,7 +239,6 @@ def run_configuration(cfg: ExperimentConfig) -> ExperimentResult:
             break
 
     assert schedule is not None and report is not None
-    parts = split_pipeline(used)
     cost_model = calibrate_cost_model(
         cfg.machine,
         cfg.workload,
@@ -290,9 +253,9 @@ def run_configuration(cfg: ExperimentConfig) -> ExperimentResult:
     # contention-free and to the event engine otherwise.
     arts = config_artifacts(cfg, used)
     result = simulate_fast(
-        arts.schedule_for(parts.lowered, parts.fused),
+        arts.schedule_for(used),
         cost_model,
-        graph=arts.graph_for(parts.lowered, parts.fused),
+        graph=arts.graph_for(used),
         blocking_sync=(cfg.scheme == "pipedream"),
     )
     if schedule.synchronous:
@@ -307,7 +270,7 @@ def run_configuration(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         config=cfg,
         num_micro_batches=n,
-        recompute=parts.recompute,
+        recompute=split_pipeline(used).recompute,
         oom=oom,
         iteration_time=result.iteration_time,
         throughput=0.0 if oom else throughput,
@@ -347,9 +310,9 @@ def _steady_state_throughput(
         )
         sims.append(
             simulate_fast(
-                arts.schedule_for(parts.lowered, parts.fused),
+                arts.schedule_for(pipeline),
                 cost_model,
-                graph=arts.graph_for(parts.lowered, parts.fused),
+                graph=arts.graph_for(pipeline),
                 blocking_sync=(cfg.scheme == "pipedream"),
             )
         )

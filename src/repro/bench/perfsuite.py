@@ -128,6 +128,17 @@ FAST_MICRO_BATCHES = 16
 
 MODES = ("implicit", "lowered", "fused", "contended", "contended_fused")
 
+#: The pipeline whose schedule form each mode simulates.
+MODE_PIPELINES = {
+    "implicit": (),
+    "lowered": ("lower_p2p",),
+    "fused": ("lower_p2p", "fuse_comm"),
+    "contended": ("lower_p2p",),
+    "contended_fused": ("lower_p2p", "fuse_comm"),
+    "offload": (),
+    "offload_lowered": ("lower_p2p",),
+}
+
 #: Modes evaluated under the contended (nonzero-beta) cost model.
 CONTENDED_MODES = ("contended", "contended_fused")
 
@@ -137,6 +148,11 @@ CONTENDED_MODES = ("contended", "contended_fused")
 #: same host, so it needs no calibration; the checker enforces it on the
 #: current run directly.
 CONTENDED_BATCH_SPEEDUP_FLOOR = 5.0
+
+#: Absolute floor on ``d16_batch_speedup_min``: the batched kernel must
+#: beat the event engine by at least this factor on every D=16, N=64
+#: case, in every mode. Checked like the contended floor.
+BATCH_SPEEDUP_FLOOR = 3.0
 
 #: Absolute floor on the planner load harness's batch speedup:
 #: ``plan_many`` over the full heterogeneous request batch must beat
@@ -394,10 +410,8 @@ def run_case(
     """Measure one case three ways and verify engine/kernel parity."""
     arts = schedule_artifacts(case.scheme, case.depth, case.num_micro_batches)
     contended = case.mode in CONTENDED_MODES
-    lowered = case.mode != "implicit"
-    fused = case.mode in ("fused", "contended_fused")
-    schedule = arts.schedule_for(lowered, fused)
-    graph = arts.graph_for(lowered, fused)
+    schedule = arts.schedule_for(MODE_PIPELINES[case.mode])
+    graph = arts.graph_for(MODE_PIPELINES[case.mode])
     base = contended_suite_model() if contended else suite_cost_model()
     # fast_path_supported is a telemetry hint, not a gate: True means the
     # single-sweep vectorized pass, False means the contended handling.
@@ -561,7 +575,7 @@ def run_planner_qps(
        cache, like ``repro serve`` handlers); per-request latency is its
        batch's completion time, yielding QPS and p50/p99.
     4. **Multiprocess** (schema 7) — the full stream re-planned through
-       ``plan_many(backend="process")`` on a fresh
+       ``plan_many(pool=...)`` on a fresh
        :data:`QPS_MP_WORKERS`-process pool, every outcome asserted
        identical to phase 2's (1e-9 entries, exact error messages) —
        the pooled-parity acceptance check runs on every bench
@@ -715,9 +729,9 @@ def _run_multiprocess_phase(
     from repro.perf.workers import PlannerWorkerPool
 
     with PlannerWorkerPool(QPS_MP_WORKERS, name="bench") as pool:
-        plan_many(distinct, backend="process", pool=pool)  # untimed warm-up
+        plan_many(distinct, pool=pool)  # untimed warm-up
         t0 = time.perf_counter()
-        pooled = plan_many(requests, backend="process", pool=pool)
+        pooled = plan_many(requests, pool=pool)
         mp_wall = (time.perf_counter() - t0) * slowdown
 
     for request, got, want in zip(requests, pooled, outcomes):
@@ -725,7 +739,7 @@ def _run_multiprocess_phase(
             want.error is not None and str(got.error) != str(want.error)
         ):
             raise ScheduleError(
-                f"process-backend error divergence for "
+                f"worker-pool error divergence for "
                 f"{request.machine.name}, B̂={request.mini_batch}: "
                 f"{got.error!r} vs in-process {want.error!r}"
             )
@@ -733,14 +747,14 @@ def _run_multiprocess_phase(
             continue
         if len(got.entries) != len(want.entries):
             raise ScheduleError(
-                f"process-backend shape divergence for "
+                f"worker-pool shape divergence for "
                 f"{request.machine.name}, B̂={request.mini_batch}: "
                 f"{len(got.entries)} entries vs {len(want.entries)}"
             )
         for a, b in zip(got.entries, want.entries):
             if not _entries_close(a, b):
                 raise ScheduleError(
-                    f"process-backend entry diverged from in-process "
+                    f"worker-pool entry diverged from in-process "
                     f"plan_many beyond {MAKESPAN_ATOL:.0e}: {a} vs {b}"
                 )
     return {
@@ -909,9 +923,8 @@ def run_offload_block(
         for depth in depths:
             arts = schedule_artifacts(scheme, depth, n, passes=("offload",))
             for mode in OFFLOAD_MODES:
-                lowered = mode == "offload_lowered"
-                schedule = arts.schedule_for(lowered, False)
-                graph = arts.graph_for(lowered, False)
+                schedule = arts.schedule_for(MODE_PIPELINES[mode])
+                graph = arts.graph_for(MODE_PIPELINES[mode])
                 case_id = f"{scheme}/D{depth}/N{n}/{mode}"
                 # Nonzero stash occupancy: the hint must report the
                 # contended routing, or host copies stopped queueing.
@@ -1139,22 +1152,31 @@ def check_against(
     Makespans must match to :data:`MAKESPAN_ATOL`; normalized throughput
     (ops/sec over the run's own calibration score) must not drop more
     than ``tolerance`` relative to the baseline, per case and per engine.
-    When the run covers the D=16 contended reference point, its batched
-    kernel speedup over the event engine must also clear the absolute
-    :data:`CONTENDED_BATCH_SPEEDUP_FLOOR` — a same-host wall-time ratio,
-    so it is checked unnormalized on the current run. The planner load
-    harness gates the same two ways: ``plan_many_speedup`` against the
-    absolute :data:`PLAN_MANY_SPEEDUP_FLOOR` (same-host ratio), and
-    normalized planner QPS against the baseline's with the shared
-    ``tolerance``.
+    When the run covers the D=16 reference point, its batched kernel
+    speedup over the event engine must also clear the absolute
+    :data:`BATCH_SPEEDUP_FLOOR` on every case and
+    :data:`CONTENDED_BATCH_SPEEDUP_FLOOR` on the contended ones — same-host
+    wall-time ratios, so they are checked unnormalized on the current run.
+    The planner load harness gates the same two ways: ``plan_many_speedup``
+    against the absolute :data:`PLAN_MANY_SPEEDUP_FLOOR` (same-host
+    ratio), and normalized planner QPS against the baseline's with the
+    shared ``tolerance``.
     """
     violations: list[str] = []
-    floor = current.get("summary", {}).get("d16_contended_batch_speedup_min")
-    if floor is not None and floor < CONTENDED_BATCH_SPEEDUP_FLOOR:
-        violations.append(
-            f"d16 contended batch speedup {floor:.2f}x fell below the "
-            f"{CONTENDED_BATCH_SPEEDUP_FLOOR:.0f}x floor"
-        )
+    summary = current.get("summary", {})
+    for key, name, floor in (
+        ("d16_batch_speedup_min", "d16 batch", BATCH_SPEEDUP_FLOOR),
+        (
+            "d16_contended_batch_speedup_min",
+            "d16 contended batch",
+            CONTENDED_BATCH_SPEEDUP_FLOOR,
+        ),
+    ):
+        speedup = summary.get(key)
+        if speedup is not None and speedup < floor:
+            violations.append(
+                f"{name} speedup {speedup:.2f}x fell below the {floor:.0f}x floor"
+            )
     planner = current.get("planner_qps") or {}
     plan_speedup = planner.get("plan_many_speedup")
     if plan_speedup is not None and plan_speedup < PLAN_MANY_SPEEDUP_FLOOR:

@@ -25,11 +25,12 @@ Commands
               write a schema-versioned (v7) ``BENCH_<rev>.json``, and — with
               ``--check-against benchmarks/baseline.json`` — fail on
               makespan mismatches, >20% throughput regressions, a D=16
-              contended batch speedup below its 5x floor, a >20% planner
-              QPS drop (single-process or multiprocess), a plan_many
-              batch speedup below its 5x floor, or multiprocess QPS
-              below 2x single-process at 4 workers on a >=4-core host
-              (the CI gate; see ``docs/benchmarking.md``).
+              batch speedup below its 3x floor (5x on the contended
+              modes), a >20% planner QPS drop (single-process or
+              multiprocess), a plan_many batch speedup below its 5x
+              floor, or multiprocess QPS below 2x single-process at 4
+              workers on a >=4-core host (the CI gate; see
+              ``docs/benchmarking.md``).
 ``serve``     Run the planner as a long-lived HTTP/JSON service
               (``POST /plan``, ``POST /plan_many``, ``GET /stats``; see
               ``docs/serving.md``).
@@ -39,23 +40,23 @@ Commands
 ``figure``    Regenerate one of the paper's tables/figures.
 ``trace``     Export a simulated schedule as Chrome-tracing JSON.
 
-``show``, ``trace`` and ``simulate`` accept ``--lower`` / ``--no-lower``
-(default off) to run the schedule through the communication lowering pass
-first: p2p transfers become explicit SEND/RECV ops that contend for link
-bandwidth, and the Gantt/trace outputs grow per-worker comm lanes.
-``show``/``trace`` take the link model from ``--link-alpha``/``--link-beta``
-(in forward-time units; both default to 0, i.e. free links — set them to
-see transfers on the wire), while ``simulate`` derives it from
-``--machine``.
-
-Schedule transforms are composable passes (:mod:`repro.schedules.passes`):
-``--recompute`` routes through the recompute pass (any scheme),
-``--fuse-comm`` batches each SEND/RECV pair into one transfer (implies
-``--lower``), and ``--passes`` appends an explicit comma-separated
-pipeline (e.g. ``--passes fill_bubbles,lower_p2p,fuse_comm`` or
-``--passes insert_sync:eager``) after the scheme's default pipeline.
-``plan`` exposes the same transforms as planning axes
-(``--recompute``/``--no-recompute``, ``--fuse-comm``).
+Schedule transforms are composable passes (:mod:`repro.schedules.passes`),
+and ``show``, ``trace``, ``simulate`` and ``plan`` all select them with one
+flag: ``--pipeline SPEC``, a comma-separated list of pass names run after
+the scheme's default pipeline (e.g. ``--pipeline lower_p2p`` makes p2p
+transfers explicit SEND/RECV ops that contend for link bandwidth and grow
+per-worker comm lanes in the Gantt/trace outputs; ``--pipeline
+recompute,lower_p2p,fuse_comm`` also recomputes activations and batches
+each SEND/RECV pair into one transfer; ``--pipeline insert_sync:eager``
+passes arguments). ``show``/``trace``/``simulate`` default to no extra
+passes. ``plan`` defaults to ``lower_p2p`` (``--pipeline ''`` ranks with
+implicit communication) and explores the recompute and offload passes as
+planning axes on top (``--recompute``/``--no-recompute``,
+``--offload``/``--no-offload``); a pass named in ``--pipeline`` pins its
+axis on. ``show``/``trace`` take the link model from
+``--link-alpha``/``--link-beta`` (in forward-time units; both default to
+0, i.e. free links — set them to see transfers on the wire), while
+``simulate`` derives it from ``--machine``.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ def _schedule_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheme", choices=available_schemes(), default="chimera")
     parser.add_argument("--depth", "-D", type=int, default=4)
     parser.add_argument("--micro-batches", "-N", type=int, default=4)
-    parser.add_argument("--recompute", action="store_true")
     parser.add_argument(
         "--concat", choices=["direct", "doubling", "halving"], default="direct"
     )
@@ -109,15 +109,7 @@ def _schedule_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="zero-bubble schemes: cap on live activation stashes",
     )
-    parser.add_argument(
-        "--passes",
-        default=None,
-        metavar="SPEC",
-        help="extra schedule passes after the scheme's defaults, comma-"
-        "separated (e.g. 'fill_bubbles,lower_p2p,fuse_comm', "
-        "'insert_sync:eager')",
-    )
-    _lower_arg(parser)
+    _pipeline_arg(parser, default=())
     _link_args(parser)
 
 
@@ -134,31 +126,20 @@ def _pipeline_spec(value: str) -> tuple[str, ...]:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _pipeline_arg(parser: argparse.ArgumentParser) -> None:
+def _pipeline_arg(
+    parser: argparse.ArgumentParser,
+    *,
+    default: tuple[str, ...] | None,
+    help_default: str = "no extra passes",
+) -> None:
     parser.add_argument(
         "--pipeline",
         type=_pipeline_spec,
-        default=None,
+        default=default,
         metavar="SPEC",
-        help="canonical transform pipeline, comma-separated pass names "
-        "(e.g. 'offload,lower_p2p'); replaces --lower/--fuse-comm/"
-        "--passes and pins the transforms exactly",
-    )
-
-
-def _lower_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--lower",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="rewrite p2p communication into explicit SEND/RECV ops "
-        "(link contention, comm lanes)",
-    )
-    parser.add_argument(
-        "--fuse-comm",
-        action="store_true",
-        help="batch each SEND/RECV pair into one transfer op "
-        "(fuse_comm pass; implies --lower)",
+        help="schedule passes after the scheme's defaults, comma-separated "
+        "(e.g. 'lower_p2p', 'offload,lower_p2p,fuse_comm', "
+        f"'insert_sync:eager'; default: {help_default})",
     )
 
 
@@ -214,22 +195,12 @@ def _cost_model(args: argparse.Namespace) -> CostModel:
 
 
 def _build(args: argparse.Namespace):
-    options: dict = {"recompute": args.recompute}
+    options: dict = {"passes": args.pipeline}
     if args.scheme == "chimera":
         options["concat"] = args.concat
         options["num_down_pipelines"] = args.pipelines
     if args.scheme in ("zb_h1", "zb_v") and args.max_in_flight is not None:
         options["max_in_flight"] = args.max_in_flight
-    specs: list[str] = []
-    if args.passes:
-        specs.extend(s for s in args.passes.split(",") if s.strip())
-    explicit = set(specs)
-    if (args.lower or args.fuse_comm) and "lower_p2p" not in explicit:
-        specs.append("lower_p2p")
-    if args.fuse_comm and "fuse_comm" not in explicit:
-        specs.append("fuse_comm")
-    if specs:
-        options["passes"] = ",".join(specs)
     return build_schedule(args.scheme, args.depth, args.micro_batches, **options)
 
 
@@ -246,27 +217,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.pipeline is not None:
-        if args.lower or args.fuse_comm or args.passes:
-            print(
-                "error: --pipeline replaces --lower/--fuse-comm/--passes; "
-                "pass one or the other"
-            )
-            return 2
-        pipeline: tuple[str, ...] = args.pipeline
-    else:
-        # Assemble the legacy flags into the same canonical pipeline spec
-        # the config takes directly (--lower/--fuse-comm/--passes stay as
-        # conveniences; normalize_pipeline orders and dedup-checks them).
-        specs: list[str] = []
-        if args.passes:
-            specs.extend(s.strip() for s in args.passes.split(",") if s.strip())
-        names = {s.partition(":")[0] for s in specs}
-        if (args.lower or args.fuse_comm) and "lower_p2p" not in names:
-            specs.append("lower_p2p")
-        if args.fuse_comm and "fuse_comm" not in names:
-            specs.append("fuse_comm")
-        pipeline = normalize_pipeline(specs)
     cfg = ExperimentConfig(
         scheme=args.scheme,
         machine=MACHINES[args.machine],
@@ -275,8 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         depth=args.depth,
         micro_batch=args.micro_batch,
         mini_batch=args.mini_batch,
-        recompute=True if args.recompute else None,
-        pipeline=pipeline,
+        pipeline=args.pipeline,
         host_memory_budget_bytes=parse_gib(
             args.host_budget_gib, field="host budget"
         ),
@@ -318,8 +267,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         mini_batch=args.mini_batch,
         memory_budget_bytes=parse_gib(args.budget_gib),
         schemes=args.schemes,
-        lowered=args.lower or args.fuse_comm,
-        fused=args.fuse_comm,
         recompute=args.recompute,
         top_k=args.top,
         pipeline=args.pipeline,
@@ -527,26 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--micro-batch", "-B", type=int, default=8)
     p.add_argument("--mini-batch", type=int, default=512)
     p.add_argument(
-        "--recompute",
-        action="store_true",
-        help="force activation recomputation (default: only when needed "
-        "to fit memory)",
-    )
-    p.add_argument(
-        "--passes",
-        default=None,
-        metavar="SPEC",
-        help="extra schedule passes, comma-separated",
-    )
-    p.add_argument(
         "--host-budget-gib",
         type=float,
         default=None,
         help="host-tier (CPU RAM) budget in GiB for offloaded stashes "
         "(default: the machine's host capacity)",
     )
-    _pipeline_arg(p)
-    _lower_arg(p)
+    # Recomputation applies only when needed to fit memory, unless the
+    # pipeline names it.
+    _pipeline_arg(p, default=())
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -580,18 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--top", type=int, default=10, help="rows to print")
     p.add_argument(
-        "--lower",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="rank with explicit SEND/RECV link contention (default on)",
-    )
-    p.add_argument(
-        "--fuse-comm",
-        action="store_true",
-        help="rank with batched transfers (fuse_comm pass; fewer events "
-        "per simulation, identical timing on contention-free links)",
-    )
-    p.add_argument(
         "--recompute",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -614,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="host-tier (CPU RAM) budget in GiB for offloaded stashes "
         "(default: the machine's host capacity)",
     )
-    _pipeline_arg(p)
+    _pipeline_arg(p, default=None, help_default="'lower_p2p', link contention")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser(
@@ -725,8 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="planner worker processes; 0 (default) plans in-process, "
-        "N > 0 starts a spawn-based pool and routes every batch "
-        "through plan_many(backend='process')",
+        "N > 0 starts a spawn-based pool and shards every batch "
+        "across its processes",
     )
     p.add_argument(
         "--coalesce-ms",

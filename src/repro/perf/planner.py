@@ -30,13 +30,16 @@ recomputation through the offload/recompute passes, trying each
 candidate plain, then offloaded (stashes parked in host RAM — backward
 stays at its un-recomputed cost, at the price of PCIe traffic), then
 recomputed, then both — so tight budgets rank all three memory-relief
-strategies against each other at equal device budget. ``recompute`` /
-``offload`` pin an axis (``False`` reproduces the pass-less planner),
-and an explicit ``pipeline`` spec disables the axes entirely and ranks
-exactly that pass composition. ``fused=True`` ranks with batched
-communication (the fuse_comm pass) — identical timing at zero link
-occupancy with roughly a third fewer ops per event simulation, which is
-the fast mode for big lowered grids.
+strategies against each other at equal device budget. The request's
+``pipeline`` is the base every attempt starts from
+(:data:`DEFAULT_PLAN_PIPELINE` when absent); naming ``recompute`` or
+``offload`` in it pins that axis on, and the ``recompute`` /
+``offload`` fields pin an axis on or off (``False`` reproduces the
+pass-less planner).
+``pipeline=()`` ranks with implicit communication; ``"lower_p2p,
+fuse_comm"`` ranks with batched communication — identical timing at
+zero link occupancy with roughly a third fewer ops per event
+simulation, which is the fast mode for big lowered grids.
 
 Every pruning decision and the final ranking go through the same code
 paths as the benchmark harness (:mod:`repro.bench.harness`), so a plan
@@ -74,8 +77,8 @@ from repro.bench.harness import (
     run_configuration,
 )
 from repro.schedules.passes.pipeline import (
+    attempt_pipelines,
     normalize_pipeline,
-    pipeline_from_flags,
     split_pipeline,
 )
 from repro.bench.machines import MachineSpec
@@ -92,6 +95,10 @@ DEFAULT_MAX_MICRO_BATCH = 512
 #: Default bound on the worker pool :func:`plan_many` uses for the
 #: asynchronous schemes' steady-state measurements.
 DEFAULT_PLAN_WORKERS = min(8, os.cpu_count() or 1)
+
+#: The base pipeline of a request that names none: rank with explicit
+#: SEND/RECV communication, so p2p transfers contend for link bandwidth.
+DEFAULT_PLAN_PIPELINE = ("lower_p2p",)
 
 
 @dataclass(frozen=True)
@@ -177,15 +184,13 @@ class PlanRequest:
     schemes: tuple[str, ...] | None = None
     min_depth: int = 2
     max_micro_batch: int = DEFAULT_MAX_MICRO_BATCH
-    lowered: bool = True
-    fused: bool = False
     recompute: bool | None = None
     top_k: int | None = None
-    #: THE way to pin the transform pipeline: an ordered pass spec
-    #: (comma string or sequence, validated against the registry). When
-    #: set, the recompute/offload axes are disabled and every candidate
-    #: ranks under exactly this composition; ``None`` plans over the
-    #: deprecated ``lowered``/``fused`` base plus the axes.
+    #: The base transforms on top of each scheme's defaults: an ordered
+    #: pass spec (comma string or sequence, validated against the
+    #: registry); the recompute/offload axes compose on top. ``None``
+    #: means :data:`DEFAULT_PLAN_PIPELINE`; after construction the field
+    #: holds the canonical tuple.
     pipeline: tuple[str, ...] | None = None
     #: The offload planning axis: ``None`` (default) tries each candidate
     #: without offload, then with it; ``False`` never; ``True`` always.
@@ -197,51 +202,23 @@ class PlanRequest:
     def __post_init__(self) -> None:
         if self.schemes is not None and not isinstance(self.schemes, tuple):
             object.__setattr__(self, "schemes", tuple(self.schemes))
-        if self.fused and not self.lowered:
-            raise ConfigurationError(
-                "fused=True requires lowered=True (fuse_comm batches the "
-                "explicit SEND/RECV pairs the lowering pass creates)"
-            )
-        if self.pipeline is not None:
-            if self.fused or not self.lowered:
-                raise ConfigurationError(
-                    "pass transforms either as pipeline= or as the "
-                    "deprecated lowered/fused booleans, not both"
-                )
-            object.__setattr__(
-                self, "pipeline", normalize_pipeline(self.pipeline)
-            )
-
-    def base_pipeline(self) -> tuple[str, ...]:
-        """The canonical base pipeline (sans the recompute/offload axes)."""
-        if self.pipeline is not None:
-            return self.pipeline
-        return pipeline_from_flags(lowered=self.lowered, fused=self.fused)
+        pipeline = DEFAULT_PLAN_PIPELINE if self.pipeline is None else self.pipeline
+        object.__setattr__(self, "pipeline", normalize_pipeline(pipeline))
+        self.attempt_pipelines()  # rejects an axis pinned off against its pass
 
     def attempt_pipelines(self) -> tuple[tuple[str, ...], ...]:
         """Pipelines to try per candidate, in order, until one fits.
 
-        An explicit ``pipeline`` pins a single attempt. Otherwise the
+        The shared rule of
+        :func:`~repro.schedules.passes.pipeline.attempt_pipelines`: the
         recompute and offload axes span plain → offload → recompute →
         offload+recompute (cheapest relief first: offload keeps backward
-        at its un-recomputed cost), each axis restricted to its pinned
-        value when not ``None``.
+        at its un-recomputed cost) on top of ``pipeline``, each axis
+        pinned on by naming its pass or pinned by a boolean.
         """
-        if self.pipeline is not None:
-            return (self.pipeline,)
-        parts = split_pipeline(self.base_pipeline())
-        r_axis = (False, True) if self.recompute is None else (self.recompute,)
-        o_axis = (False, True) if self.offload is None else (self.offload,)
-        attempts = []
-        for r in (False, True):
-            if r not in r_axis:
-                continue
-            for o in (False, True):
-                if o not in o_axis:
-                    continue
-                base = parts.base + (("offload",) if o else ())
-                attempts.append(replace(parts, base=base, recompute=r).pipeline())
-        return tuple(attempts)
+        return attempt_pipelines(
+            self.pipeline, recompute=self.recompute, offload=self.offload
+        )
 
 
 @dataclass(frozen=True)
@@ -354,8 +331,6 @@ def plan_configurations(
     schemes: Sequence[str] | None = None,
     min_depth: int = 2,
     max_micro_batch: int = DEFAULT_MAX_MICRO_BATCH,
-    lowered: bool = True,
-    fused: bool = False,
     recompute: bool | None = None,
     top_k: int | None = None,
     pipeline: Sequence[str] | str | None = None,
@@ -372,13 +347,6 @@ def plan_configurations(
         device capacity alone.
     schemes:
         Scheme names to consider (default: every registered scheme).
-    lowered:
-        Rank with explicit SEND/RECV communication, so transfers contend
-        for link bandwidth (the event-queue engine's contention model).
-    fused:
-        Rank with batched communication (fuse_comm pass on top of
-        lowering) — fewer events per simulation, identical timing at zero
-        link occupancy. Requires ``lowered=True``.
     recompute:
         The recompute-pass planning axis. ``None`` (default): try each
         candidate without recomputation first, then with it — exactly the
@@ -388,9 +356,12 @@ def plan_configurations(
     top_k:
         Truncate the ranked table; ``None`` returns every survivor.
     pipeline:
-        Explicit transform pipeline (ordered pass names, validated
-        against the registry). Pins every candidate to exactly this
-        composition and disables the recompute/offload axes.
+        Base transform pipeline (ordered pass names, validated against
+        the registry) every attempt starts from; ``None`` means
+        :data:`DEFAULT_PLAN_PIPELINE` (explicit SEND/RECV communication,
+        so transfers contend for link bandwidth). ``()`` ranks with
+        implicit communication; ``"lower_p2p,fuse_comm"`` with batched
+        transfers. Naming ``recompute`` or ``offload`` pins that axis on.
     offload:
         The offload-pass planning axis, same shape as ``recompute``:
         ``None`` tries plain → offload → recompute → offload+recompute
@@ -415,11 +386,9 @@ def plan_configurations(
         schemes=tuple(schemes) if schemes is not None else None,
         min_depth=min_depth,
         max_micro_batch=max_micro_batch,
-        lowered=lowered,
-        fused=fused,
         recompute=recompute,
         top_k=top_k,
-        pipeline=normalize_pipeline(pipeline) if pipeline is not None else None,
+        pipeline=pipeline,
         offload=offload,
         host_memory_budget_bytes=host_memory_budget_bytes,
     )
@@ -430,7 +399,6 @@ def plan_many(
     requests: Iterable[PlanRequest],
     *,
     max_workers: int = DEFAULT_PLAN_WORKERS,
-    backend: str = "thread",
     pool: "object | None" = None,
 ) -> list[PlanOutcome]:
     """Plan a batch of heterogeneous requests as one unit of work.
@@ -445,34 +413,23 @@ def plan_many(
     request ranks through a single
     :func:`~repro.sim.kernel.simulate_batch_many` call (rows sharing a
     dependency graph and cost model are simulated once), and the
-    asynchronous schemes' steady-state measurements fan out over the
-    process pool (sequential when there is at most one measurement or
-    ``max_workers == 1``).
+    asynchronous schemes' steady-state measurements fan out to the
+    shared default *process* pool sized ``max_workers`` (sequential when
+    there is at most one measurement or ``max_workers == 1``).
 
-    ``backend="process"`` escapes the GIL entirely: distinct requests
-    are sharded round-robin across a
-    :class:`~repro.perf.workers.PlannerWorkerPool` (``pool``, or the
-    shared default pool sized ``max_workers``), each worker planning its
-    shard with its own warm caches. Per-request outcomes are independent
-    of their batchmates — cross-request sharing is purely a cost
-    optimization — so results are bit-identical to the thread backend,
-    including exact error messages. Inside a pool worker the process
-    backend degrades to the in-process path: workers never nest pools.
+    Passing ``pool`` (a :class:`~repro.perf.workers.PlannerWorkerPool`)
+    escapes the GIL entirely: distinct requests are sharded round-robin
+    across its worker processes, each planning its shard in-process with
+    its own warm caches. Per-request outcomes are independent of their
+    batchmates — cross-request sharing is purely a cost optimization —
+    so results are bit-identical to in-process planning, including
+    exact error messages.
     """
     requests = list(requests)
-    if backend not in ("thread", "process"):
-        raise ConfigurationError(
-            f"unknown plan_many backend {backend!r}; use 'thread' or 'process'"
-        )
     if max_workers < 1:
         raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
-    if backend == "process":
-        from repro.perf import workers as _workers
-
-        if not _workers.in_worker():
-            if pool is None:
-                pool = _workers.get_default_pool(max_workers)
-            return _plan_many_pooled(requests, pool)
+    if pool is not None:
+        return _plan_many_pooled(requests, pool)
     ctx = _PlanContext()
 
     unique: dict[PlanRequest, _Pruned | ConfigurationError] = {}
@@ -485,7 +442,7 @@ def plan_many(
             unique[request] = err
 
     pruned = [p for p in unique.values() if isinstance(p, _Pruned)]
-    ranked = _rank_all(pruned, max_workers=max_workers, pool=pool)
+    ranked = _rank_all(pruned, max_workers=max_workers)
 
     outcomes: dict[PlanRequest, PlanOutcome] = {}
     for request, state in unique.items():
@@ -509,7 +466,7 @@ def _plan_many_pooled(
     Identical requests collapse before sharding (exactly like the
     in-process dedup), each worker plans one shard with its own warm
     caches, and the per-request outcomes reassemble in submission order.
-    Bit-identical to the thread backend because per-request results
+    Bit-identical to in-process planning because per-request results
     never depend on batchmates.
     """
     if not requests:
@@ -626,7 +583,7 @@ def _prune_request(request: PlanRequest, ctx: _PlanContext) -> _Pruned:
             options = _parameterized_options(
                 request, scheme, width, depth, micro_batch
             )
-        # Transform booleans stay at their defaults here: the per-attempt
+        # The pipeline stays at its default here: the per-attempt
         # pipeline is passed explicitly, and the winning one is pinned on
         # the survivor's config below.
         cfg = ExperimentConfig(
@@ -719,8 +676,6 @@ def _steady_cfg_key(cfg: ExperimentConfig) -> tuple:
         cfg.micro_batch,
         cfg.mini_batch,
         cfg.recompute,
-        cfg.lowered,
-        cfg.fused,
         cfg.pipeline,
         cfg.memory_budget_bytes,
         cfg.host_memory_budget_bytes,
@@ -729,7 +684,7 @@ def _steady_cfg_key(cfg: ExperimentConfig) -> tuple:
 
 
 def _rank_all(
-    pruneds: Sequence[_Pruned], *, max_workers: int, pool=None
+    pruneds: Sequence[_Pruned], *, max_workers: int
 ) -> dict[int, list[PlanEntry]]:
     """Simulate every pruned request's survivors, shared across requests.
 
@@ -745,11 +700,11 @@ def _rank_all(
     Asynchronous schemes keep the steady-state measurement of
     :func:`~repro.bench.harness.run_configuration` (their throughput is a
     marginal rate between two window sizes, not one iteration time),
-    deduplicated and fanned out over the **process pool** (``pool`` or
-    the shared default sized ``max_workers``): the measurements are
-    CPU-bound, so the thread pool this path used to run on bought no
-    speedup under the GIL. A single measurement — or ``max_workers ==
-    1``, or a pool worker evaluating its shard — stays sequential.
+    deduplicated and fanned out over the shared default **process pool**
+    sized ``max_workers``: the measurements are CPU-bound, so a thread
+    pool would buy no speedup under the GIL. A single measurement — or
+    ``max_workers == 1``, or a pool worker evaluating its shard — stays
+    sequential.
 
     Returns ``id(pruned) -> unsorted entries`` for :func:`_finalize`.
     """
@@ -764,9 +719,8 @@ def _rank_all(
                 row_of_survivor[id(survivor)] = _steady_cfg_key(cfg)
                 async_cfgs.setdefault(row_of_survivor[id(survivor)], cfg)
                 continue
-            parts = split_pipeline(cfg.pipeline)
-            schedule = arts.schedule_for(parts.lowered, parts.fused)
-            graph = arts.graph_for(parts.lowered, parts.fused)
+            schedule = arts.schedule_for(cfg.pipeline)
+            graph = arts.graph_for(cfg.pipeline)
             model = calibrate_cost_model(
                 cfg.machine,
                 cfg.workload,
@@ -810,9 +764,7 @@ def _rank_all(
         if _workers.in_worker():
             async_results = dict(map(_steady, items))
         else:
-            steady_pool = (
-                pool if pool is not None else _workers.get_default_pool(max_workers)
-            )
+            steady_pool = _workers.get_default_pool(max_workers)
             futures = [
                 (key, steady_pool.submit_steady(cfg)) for key, cfg in items
             ]
@@ -850,7 +802,7 @@ def _rank_all(
                 continue
             iteration, bubble, sched_n = sync_results[key]
             samples = sched_n * cfg.micro_batch * cfg.width
-            pipeline = cfg.pipeline or ()
+            pipeline = cfg.pipeline
             entries.append(
                 PlanEntry(
                     scheme=cfg.scheme,

@@ -350,9 +350,9 @@ class PlannerWorkerPool:
 
 
 # ---------------------------------------------------------------------------
-# The lazily created process-wide default pool: what `plan_many`'s process
-# backend (and the thread backend's async fan-out) uses when the caller
-# does not manage a pool of its own.
+# The lazily created process-wide default pool: where in-process
+# `plan_many` fans out the asynchronous schemes' steady-state
+# measurements.
 # ---------------------------------------------------------------------------
 
 _default_pool: PlannerWorkerPool | None = None

@@ -31,13 +31,7 @@ from repro.models.transformer import (
 from repro.runtime.executor import PipelineExecutor
 from repro.runtime.optimizers import SGD, Optimizer
 from repro.runtime.stage_module import StageModule
-from repro.schedules.lowering import lower_schedule
-from repro.schedules.passes import FuseCommPass
-from repro.schedules.passes.pipeline import (
-    normalize_pipeline,
-    pipeline_from_flags,
-    split_pipeline,
-)
+from repro.schedules.passes.pipeline import normalize_pipeline, split_pipeline
 from repro.schedules.registry import build_schedule
 from repro.schedules.validate import validate_schedule
 
@@ -45,16 +39,15 @@ from repro.schedules.validate import validate_schedule
 class PipelineTrainer:
     """Train a :class:`TransformerLMConfig` model under any scheme.
 
-    ``pipeline=`` is the canonical way to configure schedule transforms:
-    an ordered pass spec (e.g. ``("offload", "lower_p2p")``) resolved
-    against the pass registry, exactly as the simulator and planner take
-    it. Every composition is numerically identical to the plain path
-    (the parity tests assert it): lowering makes each cross-worker
-    transfer an explicit SEND/RECV step, fuse_comm batches the pairs,
-    recompute rematerializes activations at explicit RECOMPUTE ops, and
-    offload parks the stash in the host tier between OFFLOAD/RELOAD ops
-    — all bit-identical. The ``recompute``/``lowered``/``fused``
-    booleans remain as aliases composed into the same spec.
+    ``pipeline=`` configures the schedule transforms on top of the
+    scheme's defaults: an ordered pass spec (e.g. ``("offload",
+    "lower_p2p")``) resolved against the pass registry, exactly as the
+    simulator and planner take it. Every composition is numerically
+    identical to the plain path (the parity tests assert it): lowering
+    makes each cross-worker transfer an explicit SEND/RECV step,
+    fuse_comm batches the pairs, recompute rematerializes activations at
+    explicit RECOMPUTE ops, and offload parks the stash in the host tier
+    between OFFLOAD/RELOAD ops — all bit-identical.
     """
 
     def __init__(
@@ -66,48 +59,24 @@ class PipelineTrainer:
         num_micro_batches: int,
         width: int = 1,
         optimizer_factory: Callable[[], Optimizer] | None = None,
-        recompute: bool = False,
-        lowered: bool = False,
-        fused: bool = False,
-        pipeline: "str | tuple[str, ...] | None" = None,
+        pipeline: "str | tuple[str, ...]" = (),
         schedule_options: dict | None = None,
     ) -> None:
         if width < 1:
             raise ConfigurationError("width must be >= 1")
-        if pipeline is not None and (recompute or lowered or fused):
-            raise ConfigurationError(
-                "pass transforms either as pipeline= or as the "
-                "recompute/lowered/fused booleans, not both"
-            )
-        if fused and not lowered:
-            raise ConfigurationError(
-                "fused communication requires lowered=True"
-            )
-        parts = split_pipeline(
-            normalize_pipeline(pipeline)
-            if pipeline is not None
-            else pipeline_from_flags(
-                recompute=recompute, lowered=lowered, fused=fused
-            )
-        )
-        recompute = parts.recompute
         self.model_config = model_config
         self.scheme = scheme
         self.depth = depth
         self.width = width
-        self.pipeline = parts.pipeline()
-        options = dict(schedule_options or {})
+        self.pipeline = normalize_pipeline(pipeline)
+        recompute = split_pipeline(self.pipeline).recompute
         self.schedule = build_schedule(
             scheme,
             depth,
             num_micro_batches,
-            **parts.build_options(),
-            **options,
+            passes=self.pipeline,
+            **(schedule_options or {}),
         )
-        if parts.lowered:
-            self.schedule = lower_schedule(self.schedule)
-        if parts.fused:
-            self.schedule = FuseCommPass().run(self.schedule)
         validate_schedule(self.schedule, require_sync_ops=False)
         if scheme == "pipedream" and width != 1:
             raise ConfigurationError(

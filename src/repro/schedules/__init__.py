@@ -22,7 +22,7 @@ emit compute rows; the cross-cutting transforms — gradient-sync
 placement, activation recomputation, bubble filling, communication
 lowering and fusion — are composable passes
 (:mod:`repro.schedules.passes`) that the registry's default pipelines,
-the CLI's ``--passes`` flag, and the schedule cache all share. The
+the CLI's ``--pipeline`` flag, and the schedule cache all share. The
 lowering implementation itself lives in :mod:`repro.schedules.lowering`
 and rewrites any scheme — without per-builder code — into a form with
 explicit ``SEND``/``RECV`` communication ops, enabling link-contention

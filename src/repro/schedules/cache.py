@@ -57,14 +57,15 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.common.errors import ReproError, ScheduleError
+from repro.common.errors import ReproError
 from repro.schedules.dependencies import DependencyGraph, build_dependency_graph
 from repro.schedules.diskcache import DiskCacheStats, DiskScheduleCache
 from repro.schedules.ir import Schedule
 from repro.schedules.lowering import lower_schedule
 from repro.schedules.passes import FuseCommPass, pipeline_signature
+from repro.schedules.passes.pipeline import FUSE_PASS, split_pipeline
 from repro.schedules.registry import build_schedule, builder_fingerprint
 
 #: Default bound on retained entries (LRU eviction beyond it). A cached
@@ -202,28 +203,27 @@ class ScheduleArtifacts:
             self._persist_now()
         return self._fused_graph
 
-    def schedule_for(self, lowered: bool, fused: bool = False) -> Schedule:
-        """The implicit, lowered, or fused schedule, by flags."""
-        if fused:
-            if not lowered:
-                raise ScheduleError(
-                    "fused communication requires a lowered schedule"
-                )
+    def schedule_for(self, pipeline: Sequence[str] = ()) -> Schedule:
+        """The implicit, lowered, or fused schedule ``pipeline`` runs on.
+
+        Only the pipeline's ``lower_p2p``/``fuse_comm`` tail selects the
+        form; its pre-lowering passes are part of this entry's key.
+        """
+        tail = split_pipeline(pipeline).tail
+        if FUSE_PASS in tail:
             return self.fused()
-        return self.lowered() if lowered else self.schedule
+        return self.lowered() if tail else self.schedule
 
-    def graph_for(self, lowered: bool, fused: bool = False) -> DependencyGraph:
-        """The matching dependency graph, by flags."""
-        if fused:
-            if not lowered:
-                raise ScheduleError(
-                    "fused communication requires a lowered schedule"
-                )
+    def graph_for(self, pipeline: Sequence[str] = ()) -> DependencyGraph:
+        """The dependency graph of :meth:`schedule_for`'s form."""
+        tail = split_pipeline(pipeline).tail
+        if FUSE_PASS in tail:
             return self.fused_graph()
-        return self.lowered_graph() if lowered else self.graph()
+        return self.lowered_graph() if tail else self.graph()
 
-    def kernel_for(self, lowered: bool, fused: bool = False):
-        """The matching array kernel (levelization, edge, FIFO tables).
+    def kernel_for(self, pipeline: Sequence[str] = ()):
+        """The array kernel of :meth:`schedule_for`'s form (levelization,
+        edge, FIFO tables).
 
         Kernels attach to their dependency graph
         (:func:`repro.sim.kernel.kernel_of`), so this materializes the
@@ -234,7 +234,7 @@ class ScheduleArtifacts:
         """
         from repro.sim.kernel import kernel_of
 
-        graph = self.graph_for(lowered, fused)
+        graph = self.graph_for(pipeline)
         fresh = getattr(graph, "_kernel", None) is None
         kernel = kernel_of(graph)
         if fresh:

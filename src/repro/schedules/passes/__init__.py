@@ -43,8 +43,8 @@ from repro.schedules.passes.base import (
 )
 from repro.schedules.passes.pipeline import (
     PipelineParts,
+    attempt_pipelines,
     normalize_pipeline,
-    pipeline_from_flags,
     split_pipeline,
 )
 from repro.schedules.passes.bubbles import FillBubblesPass
@@ -78,8 +78,8 @@ __all__ = [
     "OffloadPass",
     "PipelineParts",
     "RecomputePass",
+    "attempt_pipelines",
     "normalize_pipeline",
-    "pipeline_from_flags",
     "pipeline_signature",
     "split_pipeline",
     "register_pass",

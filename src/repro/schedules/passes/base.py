@@ -5,7 +5,7 @@ that used to be a one-off mechanism — gradient-sync placement, p2p
 lowering, activation recomputation — is expressed as a pass, and new
 transforms (communication fusion, bubble filling) slot in beside them.
 Passes compose into a :class:`PassPipeline`, which is the unit the
-registry's default pipelines, the CLI's ``--passes`` flag, and the
+registry's default pipelines, the CLI's ``--pipeline`` flag, and the
 schedule cache all speak.
 
 Ordering is validated with *facts*: each pass declares the facts the input
@@ -28,7 +28,7 @@ bubble filler); the full structural validator
 (:mod:`repro.schedules.validate`) stays the heavyweight backstop.
 
 Extension point: :meth:`PassManager.register` adds a new pass under a
-name, after which it is usable in default pipelines, ``--passes`` specs,
+name, after which it is usable in default pipelines, ``--pipeline`` specs,
 and cache keys without touching any other layer.
 """
 

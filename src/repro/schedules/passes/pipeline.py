@@ -1,12 +1,9 @@
 """Canonical pipeline specs: one ordered list of pass names.
 
-Historically the transform configuration was smeared across three
-booleans — ``recompute``/``lowered``/``fused`` — on
-:class:`~repro.bench.harness.ExperimentConfig`,
-:class:`~repro.perf.planner.PlanRequest`, the CLI, and the serve JSON
-schema. Adding the offload pass would have meant a fourth. Instead, a
-**pipeline spec** is the single way to say which passes run on top of a
-scheme's defaults: a comma-separated string (``"recompute,offload,
+A **pipeline spec** is the single way to say which passes run on top of
+a scheme's defaults — in :class:`~repro.bench.harness.ExperimentConfig`,
+:class:`~repro.perf.planner.PlanRequest`, the trainer, the CLI and the
+serve JSON schema. It is a comma-separated string (``"recompute,offload,
 lower_p2p"``) or a sequence of pass specs, each resolved and validated
 against the :data:`~repro.schedules.passes.base.DEFAULT_PASS_MANAGER`
 registry (unknown names raise with the registered names enumerated,
@@ -23,19 +20,21 @@ mirroring unknown-scheme errors).
 * duplicate pass names are rejected.
 
 :func:`split_pipeline` decomposes a canonical spec into the
-:class:`PipelineParts` the artifact cache consumes — the ``recompute``
-boolean and ``passes`` option of
-:func:`~repro.schedules.cache.schedule_artifacts` plus the
-``lowered``/``fused`` flags of
-:meth:`~repro.schedules.cache.ScheduleArtifacts.schedule_for` — so a
-pipeline-configured run shares cache entries bit-for-bit with the
-equivalent legacy-boolean run. :func:`pipeline_from_flags` is the
-reverse map, used by the deprecated boolean aliases.
+:class:`PipelineParts` the artifact cache consumes: the pre-lowering
+part keys a cache entry (``recompute`` plus the ``passes`` option of
+:func:`~repro.schedules.cache.schedule_artifacts`), and the
+``lower_p2p``/``fuse_comm`` tail selects its derived form.
+
+:func:`attempt_pipelines` is the one rule for the memory-relief axes,
+shared by the harness and the planner: the pipeline is the *base*, a
+pass it names pins that axis on, an axis pinned ``False`` against a
+named pass is a :class:`~repro.common.errors.ConfigurationError`, and a
+``None`` axis is explored (plain → offload → recompute → both).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.common.errors import ConfigurationError
@@ -109,16 +108,15 @@ class PipelineParts:
 
     ``base`` holds the pre-lowering passes other than ``recompute``
     (e.g. ``("offload",)``) — the ``passes=`` option of
-    :func:`~repro.schedules.cache.schedule_artifacts`; ``recompute``,
-    ``lowered`` and ``fused`` are the legacy booleans the cache keys and
-    derived-form accessors already understand, so pipeline-configured
-    and boolean-configured runs share cache entries.
+    :func:`~repro.schedules.cache.schedule_artifacts`. ``recompute``
+    completes the cache key. ``tail`` is the ``lower_p2p``/``fuse_comm``
+    suffix, which selects the entry's derived form rather than keying a
+    new entry.
     """
 
     base: tuple[str, ...] = ()
     recompute: bool = False
-    lowered: bool = False
-    fused: bool = False
+    tail: tuple[str, ...] = ()
 
     @property
     def offload(self) -> bool:
@@ -127,19 +125,15 @@ class PipelineParts:
 
     def pipeline(self) -> tuple[str, ...]:
         """Reassemble the canonical pipeline tuple."""
-        out = ([RECOMPUTE_PASS] if self.recompute else []) + list(self.base)
-        if self.lowered:
-            out.append(LOWER_PASS)
-        if self.fused:
-            out.append(FUSE_PASS)
-        return tuple(out)
+        head = (RECOMPUTE_PASS,) if self.recompute else ()
+        return head + self.base + self.tail
 
     def build_options(self) -> dict[str, object]:
         """Builder/cache options for the pre-lowering part of the spec.
 
         Empty ``passes`` are omitted (not passed as ``passes=()``) so
-        the cache key of a pass-less pipeline is identical to the
-        legacy ``recompute=bool`` key.
+        the cache key of a pass-less pipeline is exactly the
+        ``recompute=bool`` key.
         """
         options: dict[str, object] = {"recompute": self.recompute}
         if self.base:
@@ -149,34 +143,57 @@ class PipelineParts:
 
 def split_pipeline(spec: str | Sequence[str] | None) -> PipelineParts:
     """Decompose a pipeline spec (normalizing it first)."""
-    pipeline = normalize_pipeline(spec)
     recompute = False
-    lowered = False
-    fused = False
     base: list[str] = []
-    for item in pipeline:
+    tail: list[str] = []
+    for item in normalize_pipeline(spec):
         name = _spec_name(item)
         if name == RECOMPUTE_PASS:
             recompute = True
-        elif name == LOWER_PASS:
-            lowered = True
-        elif name == FUSE_PASS:
-            fused = True
+        elif name in (LOWER_PASS, FUSE_PASS):
+            tail.append(item)
         else:
             base.append(item)
-    return PipelineParts(
-        base=tuple(base), recompute=recompute, lowered=lowered, fused=fused
-    )
+    return PipelineParts(base=tuple(base), recompute=recompute, tail=tuple(tail))
 
 
-def pipeline_from_flags(
+def attempt_pipelines(
+    spec: str | Sequence[str] | None,
     *,
-    recompute: bool = False,
-    lowered: bool = False,
-    fused: bool = False,
-    passes: Sequence[str] = (),
-) -> tuple[str, ...]:
-    """The canonical pipeline equivalent of the legacy boolean flags."""
-    return PipelineParts(
-        base=tuple(passes), recompute=recompute, lowered=lowered, fused=fused
-    ).pipeline()
+    recompute: bool | None,
+    offload: bool | None,
+) -> tuple[tuple[str, ...], ...]:
+    """Pipelines to try in order until one fits memory.
+
+    ``spec`` is the base pipeline. Each axis (``recompute``, ``offload``)
+    is pinned on when ``spec`` names its pass; otherwise ``None``
+    explores it (off first, then on) and a boolean pins it. Attempts run
+    plain → offload → recompute → offload+recompute, cheapest relief
+    first (offload keeps backward at its un-recomputed cost).
+
+    Raises :class:`~repro.common.errors.ConfigurationError` when an axis
+    is pinned ``False`` but ``spec`` names its pass.
+    """
+    parts = split_pipeline(spec)
+    axes = []
+    for name, named, pinned in (
+        (RECOMPUTE_PASS, parts.recompute, recompute),
+        (OFFLOAD_PASS, parts.offload, offload),
+    ):
+        if named and pinned is False:
+            raise ConfigurationError(
+                f"pipeline includes {name!r} but {name}=False disables "
+                f"the {name} axis"
+            )
+        if named:
+            axes.append((True,))
+        else:
+            axes.append((False, True) if pinned is None else (pinned,))
+    attempts = []
+    for r in axes[0]:
+        for o in axes[1]:
+            base = parts.base
+            if o and not parts.offload:
+                base += (OFFLOAD_PASS,)
+            attempts.append(replace(parts, base=base, recompute=r).pipeline())
+    return tuple(attempts)

@@ -54,8 +54,6 @@ _REQUEST_FIELDS = {
     "schemes",
     "min_depth",
     "max_micro_batch",
-    "lowered",
-    "fused",
     "recompute",
     "top_k",
     "pipeline",
@@ -139,11 +137,6 @@ def parse_plan_request(payload: object) -> PlanRequest:
             )
         schemes = tuple(schemes)
 
-    for flag in ("lowered", "fused"):
-        if flag in payload and not isinstance(payload[flag], bool):
-            raise ConfigurationError(
-                f"field '{flag}' must be a boolean, got {payload[flag]!r}"
-            )
     for axis in ("recompute", "offload"):
         if payload.get(axis) is not None and not isinstance(
             payload[axis], bool
@@ -182,8 +175,6 @@ def parse_plan_request(payload: object) -> PlanRequest:
         schemes=schemes,
         min_depth=_require_int(payload, "min_depth", default=2),
         max_micro_batch=_require_int(payload, "max_micro_batch", default=512),
-        lowered=payload.get("lowered", True),
-        fused=payload.get("fused", False),
         recompute=payload.get("recompute"),
         top_k=top_k,
         pipeline=pipeline,
@@ -268,8 +259,8 @@ class PlannerService:
     * ``workers > 0`` starts a
       :class:`~repro.perf.workers.PlannerWorkerPool` of that many
       long-lived planner processes and routes every batch through
-      ``plan_many(backend="process")`` — CPU-bound planning escapes the
-      GIL while handler threads stay cheap.
+      ``plan_many(pool=...)`` — CPU-bound planning escapes the GIL while
+      handler threads stay cheap.
     * ``coalesce_ms > 0`` routes single ``/plan`` calls through a
       :class:`~repro.serve.coalesce.RequestCoalescer`: a burst of K
       concurrent clients merges into far fewer than K batched
@@ -425,15 +416,9 @@ class PlannerService:
                 self._inflight += 1
             start = time.perf_counter()
             try:
-                if self._pool is not None:
-                    outcomes = plan_many(
-                        requests,
-                        max_workers=self.plan_workers,
-                        backend="process",
-                        pool=self._pool,
-                    )
-                else:
-                    outcomes = plan_many(requests, max_workers=self.plan_workers)
+                outcomes = plan_many(
+                    requests, max_workers=self.plan_workers, pool=self._pool
+                )
             finally:
                 elapsed = time.perf_counter() - start
                 with self._lock:

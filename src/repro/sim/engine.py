@@ -108,6 +108,9 @@ class TransferRecord:
     occupancy: float
     #: Channel id from the topology, or None when links are free.
     channel: tuple | None
+    #: Position of the issuing SEND/OFFLOAD/RELOAD op in its worker's
+    #: row: with ``src_worker``, the record's structural identity.
+    op_index: int
 
     @property
     def duration(self) -> float:
@@ -141,7 +144,7 @@ class SimulationResult:
         """Outgoing transfers of ``worker``, ordered by wire time."""
         return sorted(
             (t for t in self.transfers if t.src_worker == worker),
-            key=lambda t: (t.start, t.end),
+            key=lambda t: (t.start, t.end, t.dst_worker),
         )
 
     def busy_time(self, worker: int) -> float:
@@ -513,6 +516,7 @@ def simulate(
                     end=arrival,
                     occupancy=occupancy,
                     channel=channel,
+                    op_index=dense.row_pos[oid],
                 )
             )
             recv = transfer_out[oid]
@@ -681,8 +685,12 @@ def _finalize(
         compute_makespan = max(compute_makespan, max(worker_compute_end))
         iteration_time = max(iteration_time, compute_makespan)
 
-    collectives.sort(key=lambda c: (c.start, c.stage))
-    transfers.sort(key=lambda t: (t.start, t.end, t.src_worker, t.dst_worker))
+    # Canonical record order: structural keys that read no float time,
+    # so the engine and the kernel list the same records in the same
+    # order even where their times differ by an ulp. A collective is
+    # unique per (stage, micro-batches), a transfer per issuing op.
+    collectives.sort(key=lambda c: (c.stage, c.micro_batches))
+    transfers.sort(key=lambda t: (t.src_worker, t.op_index))
     return SimulationResult(
         schedule=schedule,
         cost_model=cost_model,

@@ -137,11 +137,11 @@ def render_gantt(
                     lines.append(
                         tag.ljust(tag_width) + "|" + "|".join(row) + "|"
                     )
-    # Synchronization summary line.
+    # Synchronization summary line, in time order (the result lists
+    # collectives structurally).
     if result.collectives:
-        syncs = ", ".join(
-            f"S{c.stage}@[{c.start:g},{c.end:g})" for c in result.collectives[:8]
-        )
+        first = sorted(result.collectives, key=lambda c: (c.start, c.stage))[:8]
+        syncs = ", ".join(f"S{c.stage}@[{c.start:g},{c.end:g})" for c in first)
         more = "" if len(result.collectives) <= 8 else ", ..."
         lines.append(f"allreduce: {syncs}{more}")
     p2p = [t for t in result.transfers if t.payload != "stash"]

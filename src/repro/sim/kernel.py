@@ -1227,6 +1227,7 @@ def _assemble_result(
                 end=ws + float(wire_time[idx]),
                 occupancy=float(occupancy[idx]),
                 channel=channel,
+                op_index=dense.row_pos[oid],
             )
         )
 

@@ -110,7 +110,7 @@ class TestCLI:
         rc = cli_main(
             [
                 "show", "--scheme", "dapple", "-D", "4", "-N", "4",
-                "--recompute", "--fuse-comm",
+                "--pipeline", "recompute,lower_p2p,fuse_comm",
                 "--link-alpha", "0.2", "--link-beta", "0.2",
             ]
         )
@@ -123,25 +123,27 @@ class TestCLI:
         rc = cli_main(
             [
                 "show", "--scheme", "zb_h1", "-D", "4", "-N", "4",
-                "--passes", "fill_bubbles,lower_p2p,fuse_comm",
+                "--pipeline", "fill_bubbles,lower_p2p,fuse_comm",
             ]
         )
         assert rc == 0
         assert "P0" in capsys.readouterr().out
 
-    def test_show_unknown_pass_is_actionable(self):
-        from repro.common.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown schedule pass"):
+    def test_show_unknown_pass_is_actionable(self, capsys):
+        with pytest.raises(SystemExit) as err:
             cli_main(
-                ["show", "--scheme", "dapple", "--passes", "no_such_pass"]
+                ["show", "--scheme", "dapple", "--pipeline", "no_such_pass"]
             )
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "unknown schedule pass" in stderr
+        assert "lower_p2p" in stderr  # registered names enumerated
 
     def test_simulate_fused(self, capsys):
         rc = cli_main(
             [
                 "simulate", "--scheme", "dapple", "-W", "8", "-D", "4",
-                "-B", "8", "--fuse-comm",
+                "-B", "8", "--pipeline", "lower_p2p,fuse_comm",
             ]
         )
         assert rc == 0
@@ -152,7 +154,8 @@ class TestCLI:
             [
                 "plan", "-P", "8", "--mini-batch", "64",
                 "--schemes", "dapple", "zb_vhalf",
-                "--budget-gib", "6", "--fuse-comm", "--recompute",
+                "--budget-gib", "6", "--pipeline", "lower_p2p,fuse_comm",
+                "--recompute",
                 "--top", "3",
             ]
         )
@@ -168,7 +171,7 @@ class TestCLI:
                 "--mini-batch", "64",
                 "--schemes", "dapple", "zb_vhalf",
                 "--budget-gib", "6",
-                "--no-lower",
+                "--pipeline", "",
                 "--top", "5",
             ]
         )
@@ -187,7 +190,7 @@ class TestCLI:
                     "--mini-batch", "64",
                     "--schemes", "dapple",
                     "--budget-gib", "0.25",
-                    "--no-lower",
+                    "--pipeline", "",
                 ]
             )
 

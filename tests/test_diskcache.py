@@ -49,7 +49,8 @@ class TestDiskRoundTrip:
         disk = DiskScheduleCache(tmp_path)
         arts = ScheduleArtifacts(build_schedule("chimera", 4, 8))
         # Materialize everything, including the attached array kernel.
-        kernel = arts.kernel_for(True, True)
+        fused = ("lower_p2p", "fuse_comm")
+        kernel = arts.kernel_for(fused)
         key = ScheduleCache.key("chimera", 4, 8, {})
         assert disk.store(key, arts.snapshot())
 
@@ -60,13 +61,13 @@ class TestDiskRoundTrip:
         with pytest.raises(TypeError):
             restored.schedule.metadata["x"] = 1
         # The kernel came back attached: identical simulation, no rebuild.
-        rk = restored.kernel_for(True, True)
+        rk = restored.kernel_for(fused)
         assert rk.total == kernel.total
         cost = CostModel.practical()
-        a = simulate_fast(arts.schedule_for(True, True), cost,
-                          graph=arts.graph_for(True, True))
-        b = simulate_fast(restored.schedule_for(True, True), cost,
-                          graph=restored.graph_for(True, True))
+        a = simulate_fast(arts.schedule_for(fused), cost,
+                          graph=arts.graph_for(fused))
+        b = simulate_fast(restored.schedule_for(fused), cost,
+                          graph=restored.graph_for(fused))
         assert a.compute_makespan == b.compute_makespan
         assert a.iteration_time == b.iteration_time
 

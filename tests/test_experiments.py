@@ -81,7 +81,7 @@ class TestPlannerTable:
             mini_batch=64,
             budgets_gib=(None, 3.0, 0.25),
             schemes=("dapple", "zb_v", "zb_vhalf", "zb_vmin"),
-            lowered=False,
+            pipeline=(),
         )
         counts = [count for _, _, count in rows]
         assert counts == sorted(counts, reverse=True)

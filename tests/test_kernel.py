@@ -40,6 +40,8 @@ micro_batches = st.integers(min_value=1, max_value=10)
 cost_units = st.floats(
     min_value=0.1, max_value=4.0, allow_nan=False, allow_infinity=False
 )
+#: Implicit and lowered communication.
+pipelines = st.sampled_from([(), ("lower_p2p",)])
 
 
 def contention_free_model(f, b, w, alpha) -> CostModel:
@@ -91,12 +93,12 @@ def assert_results_match(ref, got):
     b=cost_units,
     w=cost_units,
     alpha=st.floats(min_value=0.0, max_value=0.5),
-    lowered=st.booleans(),
+    pipeline=pipelines,
 )
-def test_fast_path_matches_event_engine(scheme, depth, n, f, b, w, alpha, lowered):
+def test_fast_path_matches_event_engine(scheme, depth, n, f, b, w, alpha, pipeline):
     arts = schedule_artifacts(scheme, depth, n)
-    schedule = arts.schedule_for(lowered)
-    graph = arts.graph_for(lowered)
+    schedule = arts.schedule_for(pipeline)
+    graph = arts.graph_for(pipeline)
     cm = contention_free_model(f, b, w, alpha)
     assert fast_path_supported(schedule, cm, graph=graph)
     assert_results_match(
@@ -113,12 +115,12 @@ def test_fast_path_matches_event_engine(scheme, depth, n, f, b, w, alpha, lowere
     f=cost_units,
     b=cost_units,
     w=cost_units,
-    lowered=st.booleans(),
+    pipeline=pipelines,
 )
-def test_batch_matches_event_engine(scheme, depth, n, f, b, w, lowered):
+def test_batch_matches_event_engine(scheme, depth, n, f, b, w, pipeline):
     arts = schedule_artifacts(scheme, depth, n)
-    schedule = arts.schedule_for(lowered)
-    graph = arts.graph_for(lowered)
+    schedule = arts.schedule_for(pipeline)
+    graph = arts.graph_for(pipeline)
     models = [
         contention_free_model(f, b, w, 0.05),
         contention_free_model(2.0 * f, 0.5 * b + 0.1, w, 0.0),
@@ -168,9 +170,9 @@ def test_hierarchical_topology_matches():
         stage_grad_bytes=11.0,
         data_parallel_width=2,
     )
-    for lowered in (False, True):
-        schedule = arts.schedule_for(lowered)
-        graph = arts.graph_for(lowered)
+    for pipeline in ((), ("lower_p2p",)):
+        schedule = arts.schedule_for(pipeline)
+        graph = arts.graph_for(pipeline)
         assert_results_match(
             simulate(schedule, cm, graph=graph),
             simulate_fast(schedule, cm, graph=graph),

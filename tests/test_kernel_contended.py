@@ -48,7 +48,13 @@ cost_units = st.floats(
 alphas = st.floats(min_value=0.0, max_value=0.5)
 betas = st.floats(min_value=0.01, max_value=0.5)
 
-PIPELINES = ("lowered", "fused", "recompute")
+#: The lowered pipeline behind each named battery pipeline.
+PIPELINE_SPECS = {
+    "lowered": ("lower_p2p",),
+    "fused": ("lower_p2p", "fuse_comm"),
+    "recompute": ("recompute", "lower_p2p"),
+}
+PIPELINES = tuple(PIPELINE_SPECS)
 
 
 def make_topology(kind: str, duplex: str, alpha: float, beta: float):
@@ -77,11 +83,11 @@ def contended_model(f, b, w, topology) -> CostModel:
 
 def pipeline_artifacts(scheme: str, depth: int, n: int, pipeline: str):
     """(schedule, graph) for one named pipeline — always lowered."""
+    spec = PIPELINE_SPECS[pipeline]
     arts = schedule_artifacts(
         scheme, depth, n, recompute=(pipeline == "recompute")
     )
-    fused = pipeline == "fused"
-    return arts.schedule_for(True, fused), arts.graph_for(True, fused)
+    return arts.schedule_for(spec), arts.graph_for(spec)
 
 
 def assert_results_match(ref, got):

@@ -415,7 +415,7 @@ class TestRuntimeParity:
             depth=depth, num_micro_batches=4, optimizer_factory=lambda: SGD(0.05)
         )
         a = PipelineTrainer(config, scheme=scheme, **kw)
-        b = PipelineTrainer(config, scheme=scheme, lowered=True, **kw)
+        b = PipelineTrainer(config, scheme=scheme, pipeline="lower_p2p", **kw)
         for it in range(2):
             mbs = make_micro_batches(config, 4, 2, seed=it)
             assert a.train_step(mbs) == b.train_step(mbs)
@@ -426,7 +426,7 @@ class TestRuntimeParity:
     def test_lowered_pipedream_stays_stale_but_identical(self, config):
         kw = dict(depth=4, num_micro_batches=4, optimizer_factory=lambda: SGD(0.05))
         a = PipelineTrainer(config, scheme="pipedream", **kw)
-        b = PipelineTrainer(config, scheme="pipedream", lowered=True, **kw)
+        b = PipelineTrainer(config, scheme="pipedream", pipeline="lower_p2p", **kw)
         for it in range(3):
             mbs = make_micro_batches(config, 4, 2, seed=it)
             assert a.train_step(mbs) == b.train_step(mbs)
@@ -434,7 +434,7 @@ class TestRuntimeParity:
     def test_lowered_executor_message_count_unchanged(self, config):
         kw = dict(depth=4, num_micro_batches=4, optimizer_factory=lambda: SGD(0.05))
         a = PipelineTrainer(config, scheme="dapple", **kw)
-        b = PipelineTrainer(config, scheme="dapple", lowered=True, **kw)
+        b = PipelineTrainer(config, scheme="dapple", pipeline="lower_p2p", **kw)
         mbs = make_micro_batches(config, 4, 2, seed=0)
         a.train_step(mbs)
         b.train_step(mbs)
@@ -448,14 +448,14 @@ class TestCLI:
         from repro.cli import main as cli_main
 
         assert cli_main(["show", "--scheme", "dapple", "-D", "4", "-N", "4",
-                         "--lower"]) == 0
+                         "--pipeline", "lower_p2p"]) == 0
         assert "makespan" in capsys.readouterr().out
 
     def test_show_lowered_with_link_model_renders_lanes(self, capsys):
         from repro.cli import main as cli_main
 
         rc = cli_main(["show", "--scheme", "dapple", "-D", "4", "-N", "4",
-                       "--lower", "--link-alpha", "0.25",
+                       "--pipeline", "lower_p2p", "--link-alpha", "0.25",
                        "--link-beta", "0.25"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -466,7 +466,7 @@ class TestCLI:
         import json
 
         out_file = tmp_path / "t.json"
-        rc = cli_main(["trace", "-D", "4", "-N", "4", "--lower",
+        rc = cli_main(["trace", "-D", "4", "-N", "4", "--pipeline", "lower_p2p",
                        "--link-alpha", "0.1", "--link-beta", "0.1",
                        "-o", str(out_file)])
         assert rc == 0
@@ -479,7 +479,7 @@ class TestCLI:
         import json
 
         out_file = tmp_path / "t.json"
-        rc = cli_main(["trace", "-D", "4", "-N", "4", "--lower",
+        rc = cli_main(["trace", "-D", "4", "-N", "4", "--pipeline", "lower_p2p",
                        "--link-alpha", "0.1", "-o", str(out_file)])
         assert rc == 0
         payload = json.loads(out_file.read_text())
@@ -490,7 +490,7 @@ class TestCLI:
         import json
 
         out_file = tmp_path / "t.json"
-        rc = cli_main(["trace", "-D", "4", "-N", "4", "--lower",
+        rc = cli_main(["trace", "-D", "4", "-N", "4", "--pipeline", "lower_p2p",
                        "-o", str(out_file)])
         assert rc == 0
         payload = json.loads(out_file.read_text())
@@ -500,7 +500,7 @@ class TestCLI:
         from repro.cli import main as cli_main
 
         rc = cli_main(["simulate", "--scheme", "chimera", "-W", "8", "-D", "4",
-                       "-B", "8", "--lower"])
+                       "-B", "8", "--pipeline", "lower_p2p"])
         assert rc == 0
         assert "throughput" in capsys.readouterr().out
 
@@ -514,5 +514,5 @@ class TestCLI:
             width=2, depth=4, micro_batch=8, mini_batch=128,
         )
         r0 = run_configuration(ExperimentConfig(**base))
-        r1 = run_configuration(ExperimentConfig(lowered=True, **base))
+        r1 = run_configuration(ExperimentConfig(pipeline="lower_p2p", **base))
         assert r1.iteration_time >= r0.iteration_time - 1e-9

@@ -182,10 +182,12 @@ def test_cache_keys_on_pipeline_signature():
 def test_cached_fused_artifacts_are_shared():
     cache = ScheduleCache()
     arts = cache.artifacts("dapple", 4, 4)
-    assert arts.schedule_for(True, True) is arts.fused()
+    fused = ("lower_p2p", "fuse_comm")
+    assert arts.schedule_for(fused) is arts.fused()
+    assert arts.graph_for(fused) is arts.fused_graph()
     assert arts.fused().metadata["fused_comm"]
-    with pytest.raises(ScheduleError, match="requires a lowered"):
-        arts.schedule_for(False, True)
+    # Only the comm tail picks the form: pre-lowering passes key the entry.
+    assert arts.schedule_for(("offload", "lower_p2p")) is arts.lowered()
 
 
 # ----------------------------------------------------------- individual passes

@@ -1,15 +1,14 @@
 """The pipeline-spec API: one canonical way to name pass transforms.
 
-``pipeline=("recompute", "offload", "lower_p2p")`` replaces the
-``lowered``/``fused`` booleans everywhere a transform is configured —
+``pipeline=("recompute", "offload", "lower_p2p")`` is the only spelling
+of schedule transforms everywhere one is configured —
 :class:`~repro.bench.harness.ExperimentConfig`,
 :class:`~repro.perf.planner.PlanRequest`, the trainer, the CLI and the
-serve schema. The booleans survive as deprecated aliases that must stay
-bit-identical to their pipeline spelling, and every entry point must
-reject malformed specs with the registered pass names enumerated.
+serve schema — and it means the same thing everywhere: the base
+transforms on top of the scheme's defaults, with the recompute/offload
+axes composing on top by one shared rule. Every entry point must reject
+malformed specs with the registered pass names enumerated.
 """
-
-import warnings
 
 import pytest
 
@@ -19,11 +18,10 @@ from repro.bench.workloads import BERT48
 from repro.cli import main as cli_main
 from repro.common.errors import ConfigurationError
 from repro.common.units import GIB, parse_gib
-from repro.perf.planner import plan_configurations
+from repro.perf.planner import PlanRequest, plan_configurations, plan_many
 from repro.schedules.passes.pipeline import (
     PipelineParts,
     normalize_pipeline,
-    pipeline_from_flags,
     split_pipeline,
 )
 from repro.serve.service import parse_plan_request
@@ -77,7 +75,7 @@ class TestNormalizePipeline:
     def test_split_round_trips(self):
         parts = split_pipeline("fuse_comm,offload,recompute,lower_p2p")
         assert parts == PipelineParts(
-            base=("offload",), recompute=True, lowered=True, fused=True
+            base=("offload",), recompute=True, tail=("lower_p2p", "fuse_comm")
         )
         assert parts.offload
         assert parts.pipeline() == (
@@ -87,16 +85,9 @@ class TestNormalizePipeline:
             "fuse_comm",
         )
 
-    def test_flags_are_the_reverse_map(self):
-        pipe = pipeline_from_flags(recompute=True, lowered=True, fused=True)
-        assert pipe == ("recompute", "lower_p2p", "fuse_comm")
-        assert split_pipeline(pipe) == PipelineParts(
-            recompute=True, lowered=True, fused=True
-        )
-
     def test_build_options_omit_empty_passes(self):
-        """Cache-key compatibility: a pass-less pipeline must produce the
-        exact legacy option dict, no ``passes=()`` key."""
+        """Cache-key stability: a pass-less pipeline must produce the
+        plain ``recompute`` option dict, no ``passes=()`` key."""
         assert split_pipeline("recompute").build_options() == {
             "recompute": True
         }
@@ -125,7 +116,7 @@ class TestParseGib:
             parse_gib(-2, field="host budget")
 
 
-# ------------------------------------------------------- harness aliases
+# ------------------------------------------------------- harness
 CFG = dict(
     scheme="dapple",
     machine=PIZ_DAINT,
@@ -138,41 +129,9 @@ CFG = dict(
 
 
 class TestHarnessPipeline:
-    def test_deprecated_booleans_warn(self):
-        with pytest.warns(DeprecationWarning, match="pipeline="):
-            ExperimentConfig(**CFG, lowered=True)
-        with pytest.warns(DeprecationWarning, match="pipeline="):
-            ExperimentConfig(**CFG, lowered=True, fused=True)
-
-    def test_plain_and_pipeline_configs_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ExperimentConfig(**CFG)
-            ExperimentConfig(**CFG, recompute=True)  # recompute stays an axis
-            ExperimentConfig(**CFG, pipeline=("offload", "lower_p2p"))
-
-    def test_booleans_and_pipeline_conflict(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            ExperimentConfig(**CFG, lowered=True, pipeline=("lower_p2p",))
-
     def test_fused_requires_lowered(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="fused.*lowered"):
-                ExperimentConfig(**CFG, fused=True)
-
-    def test_boolean_alias_parity(self):
-        """The deprecated spelling and the pipeline spelling are the same
-        configuration: identical results, bit for bit."""
-        with pytest.warns(DeprecationWarning):
-            legacy = run_configuration(ExperimentConfig(**CFG, lowered=True))
-        spec = run_configuration(
-            ExperimentConfig(**CFG, pipeline=("lower_p2p",))
-        )
-        assert spec.pipeline == ("lower_p2p",)
-        assert legacy.pipeline == spec.pipeline
-        assert legacy.iteration_time == spec.iteration_time
-        assert legacy.throughput == spec.throughput
-        assert legacy.peak_memory_bytes == spec.peak_memory_bytes
+        with pytest.raises(ConfigurationError, match="fuse_comm.*lower_p2p"):
+            ExperimentConfig(**CFG, pipeline="fuse_comm")
 
     def test_offload_pipeline_reports_host_tier(self):
         result = run_configuration(
@@ -233,17 +192,59 @@ class TestPlannerPipeline:
                 **self.PLAN,
             )
 
-    def test_pipeline_with_booleans_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            plan_configurations(
-                PIZ_DAINT, BERT48, pipeline="offload", lowered=False,
-                **self.PLAN,
-            )
-        with pytest.raises(ConfigurationError, match="not both"):
-            plan_configurations(
-                PIZ_DAINT, BERT48, pipeline="offload", fused=True,
-                **self.PLAN,
-            )
+
+
+# ------------------------------------------------------- the attempt rule
+PLAN = dict(num_workers=8, mini_batch=64, schemes=("dapple", "chimera"))
+
+#: The two configuration surfaces that share the attempt rule, each as
+#: ``(build, rank)``: build one configuration from keyword overrides, and
+#: rank it under a memory budget into result rows carrying ``recompute``
+#: and ``pipeline``.
+SURFACES = {
+    "experiment": (
+        lambda **kw: ExperimentConfig(**CFG, **kw),
+        lambda cfg: [run_configuration(cfg)],
+    ),
+    "request": (
+        lambda **kw: PlanRequest(machine=PIZ_DAINT, workload=BERT48, **PLAN, **kw),
+        lambda request: plan_many([request])[0].raise_or_entries(),
+    ),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(SURFACES))
+class TestAttemptRule:
+    """One rule for both surfaces: the pipeline is the base, a pass it
+    names pins that axis on, and a ``None`` axis is explored."""
+
+    def test_named_pass_pins_its_axis(self, surface):
+        build, _ = SURFACES[surface]
+        named = build(pipeline="offload,recompute,lower_p2p")
+        assert named.attempt_pipelines() == (("recompute", "offload", "lower_p2p"),)
+        offloaded = build(pipeline="offload", recompute=False)
+        assert offloaded.attempt_pipelines() == (("offload",),)
+
+    def test_false_against_a_named_pass_raises(self, surface):
+        build, _ = SURFACES[surface]
+        with pytest.raises(ConfigurationError, match="recompute=False"):
+            build(pipeline="recompute,lower_p2p", recompute=False)
+
+    def test_tight_budget_recomputes_on_top_of_the_pipeline(self, surface):
+        """An explicit pipeline is a base, not a pin: where the plain
+        attempt overshoots the device budget (and a 1-byte host tier
+        rules out offload), the recompute axis still applies."""
+        build, rank = SURFACES[surface]
+        config = build(
+            pipeline="lower_p2p",
+            memory_budget_bytes=3 * GIB,
+            host_memory_budget_bytes=1,
+        )
+        recomputed = [row for row in rank(config) if row.recompute]
+        assert recomputed
+        for row in recomputed:
+            assert row.pipeline == ("recompute", "lower_p2p")
+            assert row.peak_memory_bytes <= 3 * GIB
 
 
 # ------------------------------------------------------- CLI
@@ -272,16 +273,6 @@ class TestCLIPipeline:
         stderr = capsys.readouterr().err
         assert "unknown schedule pass" in stderr
         assert "offload" in stderr  # registered names enumerated
-
-    def test_pipeline_conflicts_with_legacy_flags(self, capsys):
-        rc = cli_main(
-            [
-                "simulate", "--scheme", "dapple", "-W", "8", "-D", "4",
-                "-B", "8", "--pipeline", "lower_p2p", "--lower",
-            ]
-        )
-        assert rc == 2
-        assert "--pipeline replaces" in capsys.readouterr().out
 
     def test_plan_offload_axis(self, capsys):
         rc = cli_main(
@@ -330,6 +321,8 @@ class TestServePipeline:
             ({**GOOD, "offload": "yes"}, "'offload' must be a boolean"),
             ({**GOOD, "host_memory_budget_bytes": "2GiB"},
              "'host_memory_budget_bytes' must be a number"),
+            ({**GOOD, "pipeline": "offload", "offload": False},
+             "offload=False"),
         ],
     )
     def test_rejections_name_the_problem(self, payload, fragment):

@@ -54,10 +54,11 @@ def sequential(req: PlanRequest):
             schemes=req.schemes,
             min_depth=req.min_depth,
             max_micro_batch=req.max_micro_batch,
-            lowered=req.lowered,
-            fused=req.fused,
             recompute=req.recompute,
             top_k=req.top_k,
+            pipeline=req.pipeline,
+            offload=req.offload,
+            host_memory_budget_bytes=req.host_memory_budget_bytes,
         )
     except ConfigurationError as err:
         return err
@@ -71,7 +72,7 @@ class TestParity:
             request(machine=V100_CLUSTER, workload=GPT2_32, num_workers=8),
             request(memory_budget_bytes=6 * GIB),
             request(num_workers=8, schemes=("chimera", "zb_v")),
-            request(fused=True),
+            request(pipeline="lower_p2p,fuse_comm"),
             request(recompute=True),
         ]
         outcomes = plan_many(requests)
@@ -214,6 +215,14 @@ class TestRequestSurface:
         )
         assert req.schemes == ("chimera", "dapple")
         assert hash(req) == hash(request(schemes=("chimera", "dapple")))
+
+    def test_absent_pipeline_is_the_planner_default(self):
+        """``pipeline=None`` means the one planner constant, so both
+        spellings are one request (and dedup to one computation)."""
+        explicit = request(pipeline=planner.DEFAULT_PLAN_PIPELINE)
+        assert request() == explicit
+        assert request().pipeline == ("lower_p2p",)
+        assert request(pipeline=()).pipeline == ()
 
     def test_top_k_truncates_after_ranking(self):
         full = sequential(request())

@@ -16,7 +16,7 @@ from repro.perf.planner import (
 
 #: Small synchronous scenario used throughout: P=8, B̂=64 keeps every
 #: simulation tiny while still admitting several (scheme, W, D, B) cells.
-SMALL = dict(num_workers=8, mini_batch=64, lowered=False)
+SMALL = dict(num_workers=8, mini_batch=64, pipeline=())
 SYNC_SCHEMES = ("dapple", "chimera", "zb_h1", "zb_v", "zb_vhalf", "zb_vmin")
 
 
@@ -67,7 +67,6 @@ class TestRanking:
                 depth=entry.depth,
                 micro_batch=entry.micro_batch,
                 mini_batch=64,
-                lowered=False,
             )
         )
         assert not result.oom
@@ -87,9 +86,9 @@ class TestRanking:
         path — must reproduce ``run_configuration`` exactly, in both
         communication modes.
         """
-        for lowered in (False, True):
+        for pipeline in ((), ("lower_p2p",)):
             entries = small_plan(
-                schemes=("dapple", "zb_v", "pipedream_2bw"), lowered=lowered
+                schemes=("dapple", "zb_v", "pipedream_2bw"), pipeline=pipeline
             )
             assert entries
             assert {e.scheme for e in entries} >= {"dapple", "zb_v"}
@@ -103,7 +102,7 @@ class TestRanking:
                         depth=entry.depth,
                         micro_batch=entry.micro_batch,
                         mini_batch=64,
-                        lowered=lowered,
+                        pipeline=pipeline,
                         recompute=entry.recompute,
                     )
                 )
@@ -271,7 +270,6 @@ class TestPassAxes:
             micro_batch=entry.micro_batch,
             mini_batch=64,
             recompute=True,
-            lowered=False,
         )
         result = run_configuration(cfg)
         assert result.recompute
@@ -281,10 +279,10 @@ class TestPassAxes:
         )
 
     def test_fused_ranking_matches_harness_and_feasible_set(self):
-        """``fused=True`` ranks the same feasible set (fusion never
-        changes memory) and each entry equals its harness outcome."""
-        lowered = small_plan(lowered=True)
-        fused = small_plan(lowered=True, fused=True)
+        """A ``fuse_comm`` pipeline ranks the same feasible set (fusion
+        never changes memory) and each entry equals its harness outcome."""
+        lowered = small_plan(pipeline="lower_p2p")
+        fused = small_plan(pipeline="lower_p2p,fuse_comm")
         assert {e.label() for e in fused} == {e.label() for e in lowered}
         entry = fused[0]
         cfg = ExperimentConfig(
@@ -296,12 +294,11 @@ class TestPassAxes:
             micro_batch=entry.micro_batch,
             mini_batch=64,
             recompute=entry.recompute,
-            lowered=True,
-            fused=True,
+            pipeline=("lower_p2p", "fuse_comm"),
         )
         result = run_configuration(cfg)
         assert result.throughput == pytest.approx(entry.throughput, rel=1e-9)
 
     def test_fused_requires_lowered(self):
-        with pytest.raises(ConfigurationError, match="fused.*lowered"):
-            small_plan(lowered=False, fused=True)
+        with pytest.raises(ConfigurationError, match="fuse_comm.*lower_p2p"):
+            small_plan(pipeline="fuse_comm")

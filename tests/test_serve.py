@@ -55,7 +55,9 @@ class TestParseValidation:
             ({**GOOD, "memory_budget_bytes": "2GiB"}, "'memory_budget_bytes'"),
             ({**GOOD, "schemes": "chimera"}, "'schemes' must be a list"),
             ({**GOOD, "schemes": [1]}, "'schemes' must be a list"),
-            ({**GOOD, "lowered": 1}, "'lowered' must be a boolean"),
+            # Removed transform aliases are unknown fields; the 400 body
+            # lists the accepted ones, ``pipeline`` among them.
+            ({**GOOD, "lowered": True}, "'pipeline'"),
             ({**GOOD, "recompute": "yes"}, "'recompute' must be a boolean"),
             ({**GOOD, "top_k": 1.5}, "'top_k' must be an integer"),
         ],
@@ -158,7 +160,7 @@ class TestPlannerService:
         is held) returns the slot and the gauge on the way out."""
         service = PlannerService(max_inflight=1)
 
-        def boom(requests, max_workers):
+        def boom(requests, max_workers, pool):
             assert service.stats_json()["inflight"] == 1  # gauge is live
             raise RuntimeError("planner crashed mid-batch")
 

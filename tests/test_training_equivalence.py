@@ -84,7 +84,7 @@ def test_chimera_data_parallel_width(tiny_config):
 
 
 def test_chimera_recompute_matches_sgd(tiny_config):
-    trainer, ref, _, _ = run_both(tiny_config, "chimera", recompute=True)
+    trainer, ref, _, _ = run_both(tiny_config, "chimera", pipeline="recompute")
     assert weights_equal(trainer, ref)
 
 
@@ -191,7 +191,7 @@ def test_recompute_pass_bit_identical(tiny_config, scheme):
     (fused, split, bidirectional backwards)."""
     _, _, plain_losses, _ = run_both(tiny_config, scheme, depth=2, n=4)
     _, _, recompute_losses, _ = run_both(
-        tiny_config, scheme, depth=2, n=4, recompute=True
+        tiny_config, scheme, depth=2, n=4, pipeline="recompute"
     )
     assert recompute_losses == plain_losses
 
@@ -202,7 +202,7 @@ def test_fused_comm_bit_identical(tiny_config, scheme):
     explicit SEND/RECV path and the implicit path."""
     _, _, plain_losses, _ = run_both(tiny_config, scheme, depth=2, n=4)
     _, _, fused_losses, _ = run_both(
-        tiny_config, scheme, depth=2, n=4, lowered=True, fused=True
+        tiny_config, scheme, depth=2, n=4, pipeline="lower_p2p,fuse_comm"
     )
     assert fused_losses == plain_losses
 
@@ -217,8 +217,6 @@ def test_pipedream_recompute_and_fusion_preserve_staleness_semantics(tiny_config
         "pipedream",
         depth=2,
         n=4,
-        recompute=True,
-        lowered=True,
-        fused=True,
+        pipeline="recompute,lower_p2p,fuse_comm",
     )
     assert passed_losses == plain_losses

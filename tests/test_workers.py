@@ -1,6 +1,6 @@
 """The multiprocess planner worker pool (``repro.perf.workers``).
 
-The contract mirrors ``plan_many``'s own: the process backend is a
+The contract mirrors ``plan_many``'s own: sharding across a pool is a
 performance feature, so pooled outcomes must match the in-process path
 outcome for outcome — entries field for field, errors message for
 message. On top of that sit the lifecycle guarantees the serving layer
@@ -67,12 +67,12 @@ class TestParity:
             request(mini_batch=32),
             request(machine=V100_CLUSTER, workload=GPT2_32, num_workers=8),
             request(memory_budget_bytes=6 * GIB),
-            request(fused=True),
+            request(pipeline="lower_p2p,fuse_comm"),
             request(recompute=True),
             request(top_k=2),
         ]
         reference = plan_many(requests)
-        pooled = plan_many(requests, backend="process", pool=pool)
+        pooled = plan_many(requests, pool=pool)
         assert [o.request for o in pooled] == requests
         for got, want in zip(pooled, reference):
             assert got.ok == want.ok
@@ -88,7 +88,7 @@ class TestParity:
             request(),  # one good request mixed in
         ]
         reference = plan_many(requests)
-        pooled = plan_many(requests, backend="process", pool=pool)
+        pooled = plan_many(requests, pool=pool)
         assert [o.ok for o in pooled] == [o.ok for o in reference]
         for got, want in zip(pooled, reference):
             if want.error is None:
@@ -98,9 +98,7 @@ class TestParity:
 
     def test_duplicates_collapse_and_fan_back_out(self, pool):
         req = request()
-        pooled = plan_many(
-            [req, req, request(top_k=1), req], backend="process", pool=pool
-        )
+        pooled = plan_many([req, req, request(top_k=1), req], pool=pool)
         assert len(pooled) == 4
         assert pooled[0].entries == pooled[1].entries == pooled[3].entries
         assert pooled[2].entries == pooled[0].entries[:1]
@@ -110,7 +108,7 @@ class TestParity:
         (no nested pools) and still matches the in-process result."""
         req = request(schemes=("pipedream", "chimera"), mini_batch=8)
         [want] = plan_many([req], max_workers=1)
-        [got] = plan_many([req], backend="process", pool=pool)
+        [got] = plan_many([req], pool=pool)
         assert got.ok and want.ok
         assert got.entries == want.entries
 
@@ -139,17 +137,13 @@ class TestParity:
 
 
 class TestBackendRouting:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            plan_many([request()], backend="fork")
-
     def test_default_process_pool_is_created_and_reused(self):
         from repro.perf import workers
 
         workers.stop_default_pool()
         first = workers.get_default_pool(1)
         assert workers.get_default_pool(1) is first
-        outcomes = plan_many([request()], max_workers=1, backend="process")
+        outcomes = plan_many([request()], pool=workers.get_default_pool(1))
         assert outcomes[0].ok
         workers.stop_default_pool()
         assert first.stopped

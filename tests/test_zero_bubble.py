@@ -327,7 +327,7 @@ class TestZeroBubbleTraining:
 
     def test_zb_h1_recompute_matches_sgd(self, tiny_config):
         trainer, ref, _, _ = self.run_pair(
-            tiny_config, "zb_h1", 4, 4, recompute=True
+            tiny_config, "zb_h1", 4, 4, pipeline="recompute"
         )
         assert self.max_weight_diff(trainer, ref) < 1e-10
 
