@@ -75,7 +75,6 @@ it to prove the gate actually fails on a 25% regression.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import os
@@ -86,6 +85,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.common.errors import ScheduleError
+from repro.common.gcpause import collector_paused
 from repro.bench.harness import format_table
 from repro.schedules.cache import schedule_artifacts
 from repro.schedules.registry import available_schemes, scheme_traits
@@ -362,16 +362,11 @@ def _best_wall(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
         raise ValueError(f"timing repeats must be >= 1, got {repeats}")
     result = fn()  # warm-up: dense/kernel caches build here, untimed
     best = float("inf")
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         for _ in range(repeats):
             t0 = time.perf_counter()
             result = fn()
             best = min(best, time.perf_counter() - t0)
-    finally:
-        if was_enabled:
-            gc.enable()
     return best, result
 
 

@@ -432,6 +432,10 @@ def plan_many(
         return _plan_many_pooled(requests, pool)
     ctx = _PlanContext()
 
+    # Captured errors drop their tracebacks: a traceback holds this frame,
+    # whose locals hold the error again, and that cycle would keep ``ctx``
+    # (every pinned artifact and memory report) alive until a full
+    # collection for as long as a caller keeps the outcome.
     unique: dict[PlanRequest, _Pruned | ConfigurationError] = {}
     for request in requests:
         if request in unique:
@@ -439,7 +443,7 @@ def plan_many(
         try:
             unique[request] = _prune_request(request, ctx)
         except ConfigurationError as err:
-            unique[request] = err
+            unique[request] = err.with_traceback(None)
 
     pruned = [p for p in unique.values() if isinstance(p, _Pruned)]
     ranked = _rank_all(pruned, max_workers=max_workers)
@@ -452,7 +456,9 @@ def plan_many(
         try:
             entries = _finalize(state, ranked[id(state)])
         except ConfigurationError as err:
-            outcomes[request] = PlanOutcome(request=request, error=err)
+            outcomes[request] = PlanOutcome(
+                request=request, error=err.with_traceback(None)
+            )
             continue
         outcomes[request] = PlanOutcome(request=request, entries=tuple(entries))
     return [outcomes[request] for request in requests]

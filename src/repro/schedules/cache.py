@@ -43,12 +43,18 @@ Disk tier
 ---------
 Beneath the LRU sits a persistent, content-addressed store
 (:mod:`repro.schedules.diskcache`): a memory miss consults the disk before
-building, and every derived form is written through as it materializes —
-including the dependency graphs with their dense/kernel attachments — so
-a restarted process (a fresh ``repro plan``, a redeployed ``repro serve``)
-resumes at warm-cache speed. The disk key is exactly the LRU key, the
-format is versioned, and corrupt entries are evicted on load, never
-propagated.
+building, and every derived schedule and dependency graph is written
+through as it materializes, so a restarted process (a fresh ``repro
+plan``, a redeployed ``repro serve``) skips schedule builds, passes and
+graph construction. Graphs are stored without the engine's dense form and
+the array kernel: a process rebuilds each kernel once, on first use. The
+disk key is exactly the LRU key, the format is versioned, and corrupt
+entries are evicted on load, never propagated.
+
+Builds and disk loads run with CPython's cyclic collector paused
+(:mod:`repro.common.gcpause`): the artifacts are immutable and acyclic,
+so there is nothing for a mid-build collection to reclaim, and each full
+collection would rescan every artifact already cached.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from types import MappingProxyType
 from typing import Callable, Sequence
 
 from repro.common.errors import ReproError
+from repro.common.gcpause import collector_paused
 from repro.schedules.dependencies import DependencyGraph, build_dependency_graph
 from repro.schedules.diskcache import DiskCacheStats, DiskScheduleCache
 from repro.schedules.ir import Schedule
@@ -126,11 +133,6 @@ class ScheduleArtifacts:
         self._lock = threading.Lock()
         self._persist = persist
 
-    def _persist_now(self) -> None:
-        """Write-through hook, fired after a derived form materializes."""
-        if self._persist is not None:
-            self._persist(self)
-
     def snapshot(self) -> dict:
         """Every materialized form, keyed by slot name (disk payload)."""
         out: dict = {"schedule": self.schedule}
@@ -155,53 +157,65 @@ class ScheduleArtifacts:
                 setattr(arts, attr, value)
         return arts
 
+    def _derive(self, attr: str, build: Callable[[], object], persist: bool):
+        """Slot ``attr``, built on first use (first insert wins).
+
+        ``persist`` writes the entry through to the disk tier once the
+        slot is set. The build and the write-through run with the cyclic
+        collector paused: they allocate only immutable, acyclic
+        structures, so a collection triggered mid-build could only rescan
+        the artifacts already cached.
+        """
+        value = getattr(self, attr)
+        if value is None:
+            with collector_paused():
+                built = build()
+                with self._lock:
+                    value = getattr(self, attr)
+                    if value is None:
+                        value = built
+                        setattr(self, attr, built)
+                if persist and self._persist is not None:
+                    self._persist(self)
+        return value
+
     def graph(self) -> DependencyGraph:
         """Dependency graph of the (implicit-communication) schedule."""
-        if self._graph is None:
-            graph = build_dependency_graph(self.schedule)
-            with self._lock:
-                if self._graph is None:
-                    self._graph = graph
-            self._persist_now()
-        return self._graph
+        return self._derive(
+            "_graph", lambda: build_dependency_graph(self.schedule), persist=True
+        )
 
     def lowered(self) -> Schedule:
         """The schedule with explicit SEND/RECV communication ops."""
-        if self._lowered is None:
-            lowered = _freeze(lower_schedule(self.schedule, graph=self.graph()))
-            with self._lock:
-                if self._lowered is None:
-                    self._lowered = lowered
-        return self._lowered
+        return self._derive(
+            "_lowered",
+            lambda: _freeze(lower_schedule(self.schedule, graph=self.graph())),
+            persist=False,
+        )
 
     def lowered_graph(self) -> DependencyGraph:
         """Dependency graph of the lowered schedule."""
-        if self._lowered_graph is None:
-            graph = build_dependency_graph(self.lowered())
-            with self._lock:
-                if self._lowered_graph is None:
-                    self._lowered_graph = graph
-            self._persist_now()
-        return self._lowered_graph
+        return self._derive(
+            "_lowered_graph",
+            lambda: build_dependency_graph(self.lowered()),
+            persist=True,
+        )
 
     def fused(self) -> Schedule:
         """The lowered schedule with SEND/RECV pairs batched (fuse_comm)."""
-        if self._fused is None:
-            fused = _freeze(FuseCommPass().run(self.lowered()))
-            with self._lock:
-                if self._fused is None:
-                    self._fused = fused
-        return self._fused
+        return self._derive(
+            "_fused",
+            lambda: _freeze(FuseCommPass().run(self.lowered())),
+            persist=False,
+        )
 
     def fused_graph(self) -> DependencyGraph:
         """Dependency graph of the fused schedule."""
-        if self._fused_graph is None:
-            graph = build_dependency_graph(self.fused())
-            with self._lock:
-                if self._fused_graph is None:
-                    self._fused_graph = graph
-            self._persist_now()
-        return self._fused_graph
+        return self._derive(
+            "_fused_graph",
+            lambda: build_dependency_graph(self.fused()),
+            persist=True,
+        )
 
     def schedule_for(self, pipeline: Sequence[str] = ()) -> Schedule:
         """The implicit, lowered, or fused schedule ``pipeline`` runs on.
@@ -227,21 +241,15 @@ class ScheduleArtifacts:
 
         Kernels attach to their dependency graph
         (:func:`repro.sim.kernel.kernel_of`), so this materializes the
-        graph and its kernel exactly once per cache entry — planner
+        graph and its kernel once per cache entry and process — planner
         ranking and the bench suite reuse the same arrays across every
-        cost model they evaluate. Imported lazily to keep the schedule
-        layer importable without the simulation stack.
+        cost model they evaluate. The disk tier stores graphs without
+        their kernel. Imported lazily to keep the schedule layer
+        importable without the simulation stack.
         """
         from repro.sim.kernel import kernel_of
 
-        graph = self.graph_for(pipeline)
-        fresh = getattr(graph, "_kernel", None) is None
-        kernel = kernel_of(graph)
-        if fresh:
-            # The kernel rides on the graph in the pickled payload; persist
-            # again so a warm process skips levelization too.
-            self._persist_now()
-        return kernel
+        return kernel_of(self.graph_for(pipeline))
 
 
 @dataclass(frozen=True)
@@ -338,12 +346,17 @@ class ScheduleCache:
     def artifacts(
         self, scheme: str, depth: int, num_micro_batches: int, **options: object
     ) -> ScheduleArtifacts:
-        """The cached artifacts for one builder invocation (LRU-updated)."""
+        """The cached artifacts for one builder invocation (LRU-updated).
+
+        A miss loads or builds with the cyclic collector paused (see
+        :meth:`ScheduleArtifacts._derive`).
+        """
         key = self.key(scheme, depth, num_micro_batches, options)
         if key is None:  # unhashable options: build fresh, don't retain
-            return ScheduleArtifacts(
-                build_schedule(scheme, depth, num_micro_batches, **options)
-            )
+            with collector_paused():
+                return ScheduleArtifacts(
+                    build_schedule(scheme, depth, num_micro_batches, **options)
+                )
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -354,7 +367,8 @@ class ScheduleCache:
         # Build (or load from disk) outside the lock: builders can take
         # seconds at depth 32, and a concurrent duplicate is harmless
         # (first insert wins).
-        entry = self._load_or_build(key, scheme, depth, num_micro_batches, options)
+        with collector_paused():
+            entry = self._load_or_build(key, scheme, depth, num_micro_batches, options)
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:

@@ -29,11 +29,15 @@ instead of failing the caller. Set ``REPRO_CACHE_DISABLE=1`` to turn the
 tier off entirely (every lookup misses, nothing is written).
 
 Serialized payloads include every *materialized* derived form — the
-dependency graphs with their attached dense forms and array kernels — so
-a warm process skips not just ``build_schedule`` but graph construction
-and kernel levelization too. Frozen schedule metadata
-(:class:`types.MappingProxyType`) pickles through a custom dispatch-table
-entry and is re-frozen on load.
+lowered and fused schedules and their dependency graphs — so a warm
+process skips ``build_schedule``, the passes and graph construction. The
+payload layout does not depend on call order: a dependency graph pickles
+as its three fields only, never with the engine's dense form or the array
+kernel that may be attached to it, so a process rebuilds each kernel once
+(on the end-to-end benchmark's planning stream, pickling the kernels too
+would grow the stored lowered-graph bytes 2.4x, 28.5 -> 68 MB).
+Frozen schedule metadata (:class:`types.MappingProxyType`) pickles
+through a custom dispatch-table entry and is re-frozen on load.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ import pickle
 import threading
 from dataclasses import dataclass
 from types import MappingProxyType
+
+from repro.schedules.dependencies import DependencyGraph
 
 #: Bumped whenever the serialized layout or the pickled classes change
 #: incompatibly. Part of the content address, so old-format entries are
@@ -97,10 +103,15 @@ def _rebuild_proxy(mapping: dict) -> MappingProxyType:
 
 
 class _ArtifactPickler(pickle.Pickler):
-    """Pickler that knows how to serialize frozen schedule metadata."""
+    """Pickler for artifact payloads: re-freezes schedule metadata and
+    strips process-local attachments (dense form, kernel) from graphs."""
 
     dispatch_table = copyreg.dispatch_table.copy()
     dispatch_table[MappingProxyType] = lambda mp: (_rebuild_proxy, (dict(mp),))
+    dispatch_table[DependencyGraph] = lambda g: (
+        DependencyGraph,
+        (g.schedule, g.location, g.deps),
+    )
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.common.errors import KernelConvergenceError, ScheduleError
+from repro.common.gcpause import collector_paused
 from repro.schedules.dependencies import DependencyGraph, build_dependency_graph
 from repro.schedules.ir import Operation, Schedule
 from repro.sim.cost import CostModel
@@ -824,10 +825,15 @@ class _BlockingAux:
 
 
 def kernel_of(graph: DependencyGraph) -> ScheduleKernel:
-    """The graph's array kernel, built once and cached on the graph."""
+    """The graph's array kernel, built once and cached on the graph.
+
+    Kernels are never persisted with their graph, so a process rebuilds
+    each one once; the build runs with the cyclic collector paused.
+    """
     kernel = getattr(graph, "_kernel", None)
     if kernel is None:
-        kernel = ScheduleKernel(graph)
+        with collector_paused():
+            kernel = ScheduleKernel(graph)
         graph._kernel = kernel  # type: ignore[attr-defined]
     return kernel
 

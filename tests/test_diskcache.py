@@ -1,7 +1,7 @@
 """The persistent disk tier of the schedule-artifact cache.
 
-Covers the serialization round-trip (including attached kernels and
-frozen metadata), corruption tolerance (bad entries are evicted, never
+Covers the serialization round-trip (frozen metadata, graphs stored
+without their kernels), corruption tolerance (bad entries are evicted, never
 raised), the concurrent hammer the ISSUE demands (threads × mixed
 hits/misses/LRU evictions over a shared disk tier), a multi-*process*
 hammer (N processes store/load/vandalize one cache directory — the tier
@@ -46,26 +46,40 @@ def fresh_cache(tmp_path, max_entries: int = 128) -> ScheduleCache:
 
 class TestDiskRoundTrip:
     def test_snapshot_restores_all_forms_and_kernel(self, tmp_path):
+        """Every materialized form round-trips; graphs come back without
+        the process-local kernel and dense form, and the rebuilt kernel
+        simulates identically."""
         disk = DiskScheduleCache(tmp_path)
         arts = ScheduleArtifacts(build_schedule("chimera", 4, 8))
-        # Materialize everything, including the attached array kernel.
+        # Materialize everything, including the attached array kernel and
+        # (through simulation) the engine's dense form.
         fused = ("lower_p2p", "fuse_comm")
+        arts.lowered_graph()
         kernel = arts.kernel_for(fused)
+        cost = CostModel.practical()
+        a = simulate_fast(arts.schedule_for(fused), cost,
+                          graph=arts.graph_for(fused))
+        assert hasattr(arts.graph_for(fused), "_dense")
         key = ScheduleCache.key("chimera", 4, 8, {})
         assert disk.store(key, arts.snapshot())
 
         restored = ScheduleArtifacts.from_snapshot(disk.load(key))
         assert restored.schedule.worker_ops == arts.schedule.worker_ops
+        for name, attr in ScheduleArtifacts._SLOTS:
+            assert getattr(restored, attr) is not None, name
         # Frozen metadata survives the custom pickling.
         assert dict(restored.schedule.metadata) == dict(arts.schedule.metadata)
         with pytest.raises(TypeError):
             restored.schedule.metadata["x"] = 1
-        # The kernel came back attached: identical simulation, no rebuild.
+        # One payload layout: no graph carries a kernel or dense form.
+        for graph in (restored.graph(), restored.lowered_graph(),
+                      restored.fused_graph()):
+            assert not hasattr(graph, "_kernel")
+            assert not hasattr(graph, "_dense")
+        assert restored.graph_for(fused).schedule is restored.fused()
+        # The kernel rebuilds on first use and simulates identically.
         rk = restored.kernel_for(fused)
-        assert rk.total == kernel.total
-        cost = CostModel.practical()
-        a = simulate_fast(arts.schedule_for(fused), cost,
-                          graph=arts.graph_for(fused))
+        assert rk is not kernel and rk.total == kernel.total
         b = simulate_fast(restored.schedule_for(fused), cost,
                           graph=restored.graph_for(fused))
         assert a.compute_makespan == b.compute_makespan

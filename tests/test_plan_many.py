@@ -10,6 +10,8 @@ dedup/bookkeeping seams on small grids.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.bench.machines import PIZ_DAINT, V100_CLUSTER
@@ -151,6 +153,32 @@ class TestErrors:
     def test_max_workers_validated(self):
         with pytest.raises(ConfigurationError, match="max_workers"):
             plan_many([request()], max_workers=0)
+
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            (dict(num_workers=1), "at least two workers"),  # prune step
+            (dict(memory_budget_bytes=0.05 * GIB), "0.05 GiB"),  # finalize step
+        ],
+    )
+    def test_captured_error_does_not_pin_the_call_context(self, overrides, fragment):
+        """A captured error carries no traceback, so dropping the outcome
+        frees the call's context (and every artifact it pinned) by
+        reference counting alone, without a cyclic collection."""
+        req = request(**overrides)
+        gc.collect()
+        gc.disable()
+        try:
+            [outcome] = plan_many([req], max_workers=1)
+            assert not outcome.ok
+            assert outcome.error.__traceback__ is None
+            with pytest.raises(ConfigurationError, match=fragment):
+                outcome.raise_or_entries()
+            del outcome
+            live = [o for o in gc.get_objects() if isinstance(o, planner._PlanContext)]
+            assert live == []
+        finally:
+            gc.enable()
 
 
 class TestDedup:
