@@ -41,17 +41,10 @@ occupancy makes the host FIFOs genuinely queue. Engine/kernel parity is
 asserted per case and the section is **gated** like the engine cases:
 exact makespans, normalized throughput within tolerance.
 
-The ``planner_qps`` section (schema 4) is the planner-as-a-service load
-harness: a heterogeneous request stream is planned per-request
-(sequential reference), as one :func:`repro.perf.planner.plan_many`
-batch (verified 1e-9-identical, wall-clock gated against
-:data:`PLAN_MANY_SPEEDUP_FLOOR`), and through concurrent client threads
-(QPS + p50/p99 latency + cache hit rates) — see :func:`run_planner_qps`.
-Schema 7 adds a multiprocess phase (the stream through a
-:data:`QPS_MP_WORKERS`-process ``PlannerWorkerPool``, parity asserted
-against the in-process run, ``mp_speedup`` floor-gated against
-:data:`MP_QPS_FLOOR` on hosts with that many cores) and a coalescing
-burst phase (K single-request clients must merge into < K dispatches).
+The suite times simulators only. Planning and ``/plan`` serving are
+measured end to end, from fresh processes and with a per-layer trace, by
+the ``benchmarks/e2e`` workloads (``plan_cold``, ``plan_warm``,
+``serve_hot``).
 
 Regression gating
 -----------------
@@ -61,7 +54,7 @@ Regression gating
 * any makespan difference beyond 1e-9 (correctness — deterministic, zero
   tolerance),
 * any case whose throughput fell more than ``tolerance`` (default 20%)
-  below the baseline — planner QPS is gated the same normalized way.
+  below the baseline.
 
 Raw ops/sec depends on the host, so the throughput gate compares
 *normalized* scores: each measurement is divided by a calibration score —
@@ -99,9 +92,8 @@ from repro.sim.network import FlatTopology, HostChannel, LinkSpec
 #: mode cases and the fused-speedup summary keys. 3: added the
 #: ``contended``/``contended_fused`` modes (nonzero-beta cost model) and
 #: the contended-speedup summary keys with their absolute floor. 4: added
-#: the ``planner_qps`` load-harness section (QPS, p50/p99 latency,
-#: plan_many batch speedup with its absolute floor, cache hit rates) and
-#: the non-gating ``schedule_cache`` metadata block. 5: added the
+#: the planner load-harness section and the non-gating
+#: ``schedule_cache`` metadata block. 5: added the
 #: non-gating ``synthesize`` section (search-vs-built-ins comparison);
 #: the engine case grid is unchanged (cost-parameterized schemes are
 #: excluded from it by construction), so a v4 baseline stays valid after
@@ -109,14 +101,12 @@ from repro.sim.network import FlatTopology, HostChannel, LinkSpec
 #: ``offload`` section — offloaded (and offloaded+lowered) schedules
 #: timed under the host-channel model, engine/kernel parity asserted and
 #: normalized throughput regression-gated like the engine cases. 7: the
-#: ``planner_qps`` section gains a **multiprocess phase** (the full
-#: stream re-planned through a 4-process ``PlannerWorkerPool``, parity
-#: asserted against the in-process outcomes; ``mp_qps`` normalized-gated
-#: against the baseline, ``mp_speedup`` floor-gated on >=4-core hosts)
-#: and a **coalescing burst phase** (K concurrent single-request clients
-#: through a coalescing ``PlannerService``; in-run assertion that they
-#: merge into fewer than K ``plan_many`` dispatches).
-SCHEMA_VERSION = 7
+#: planner section gained multiprocess and coalescing phases. 8: dropped
+#: the planner section and its ``planner_*`` summary keys — planning and
+#: serving are measured end to end by the ``benchmarks/e2e`` workloads;
+#: the engine and offload grids are unchanged, so a v7 baseline stays
+#: valid after deleting the section and bumping ``schema_version``.
+SCHEMA_VERSION = 8
 
 #: Full-suite grid: every registered scheme at these depths, N=64 — the
 #: acceptance grid of the array kernel (D=16, N=64 is the reference point).
@@ -153,47 +143,6 @@ CONTENDED_BATCH_SPEEDUP_FLOOR = 5.0
 #: beat the event engine by at least this factor on every D=16, N=64
 #: case, in every mode. Checked like the contended floor.
 BATCH_SPEEDUP_FLOOR = 3.0
-
-#: Absolute floor on the planner load harness's batch speedup:
-#: ``plan_many`` over the full heterogeneous request batch must beat
-#: per-request ``plan_configurations`` wall-clock by at least this factor
-#: (same-host wall-time ratio, checked unnormalized like the contended
-#: floor). The full suite's scenario covers D=16 cells (P=16 grid).
-PLAN_MANY_SPEEDUP_FLOOR = 5.0
-
-#: Load-harness scenario: total requests hammered through ``plan_many``
-#: and the concurrent client phase; the distinct-request working set they
-#: cycle over is machines × budgets × mini-batches (12 full / 8 fast).
-QPS_REQUESTS = 1000
-QPS_FAST_REQUESTS = 64
-#: Concurrent client threads and per-client batch size in the QPS phase.
-QPS_CLIENTS = 8
-QPS_BATCH = 25
-QPS_FAST_BATCH = 8
-#: Synchronous schemes only: the async schemes' steady-state measurement
-#: is seconds per cell at P=16, which would turn the load harness into an
-#: async-scheme benchmark instead of a planner-throughput one.
-QPS_SCHEMES = ("chimera", "dapple", "zb_h1", "zb_v")
-QPS_FAST_SCHEMES = ("chimera", "dapple")
-
-#: Worker-process count of the multiprocess phase (schema 7). The
-#: :data:`MP_QPS_FLOOR` is only meaningful when the host actually has
-#: that many cores — the floor check is conditioned on the recorded
-#: ``cpu_count``, so single-core baseline refreshes still record the
-#: phase without tripping an impossible gate.
-QPS_MP_WORKERS = 4
-
-#: Absolute floor on ``mp_speedup``: multiprocess QPS over the
-#: single-process concurrent phase's QPS at :data:`QPS_MP_WORKERS`
-#: workers. A same-host, same-run ratio (both phases plan the identical
-#: stream), so it needs no calibration; enforced on the current run when
-#: ``cpu_count >= QPS_MP_WORKERS``.
-MP_QPS_FLOOR = 2.0
-
-#: Coalescing burst phase (schema 7): window and client count for the
-#: K-client single-request burst against a coalescing
-#: :class:`~repro.serve.service.PlannerService`.
-QPS_COALESCE_MS = 50.0
 
 #: Cost models evaluated by the batch-path measurement: the base model
 #: plus f/b/w variations, so each batch row exercises a distinct duration
@@ -483,354 +432,6 @@ def makespan_checksum(cases: Iterable[dict]) -> str:
     return digest.hexdigest()
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, int(q * len(sorted_values))))
-    return sorted_values[rank]
-
-
-def planner_qps_requests(*, fast: bool = False) -> list:
-    """The load-harness request stream (heterogeneous, cycled).
-
-    Distinct cells: both machine models × memory budgets (uncapped plus
-    two tight ones that exercise the recompute-retry axis) × two
-    mini-batch sizes, all at one worker count whose grid covers the D=16
-    reference depth (P=8 in fast mode). Requests cycle over the distinct
-    set up to the total count, the way production traffic repeats a small
-    set of hot configurations.
-    """
-    from repro.bench.machines import PIZ_DAINT, V100_CLUSTER
-    from repro.bench.workloads import BERT48
-    from repro.common.units import GIB
-    from repro.perf.planner import PlanRequest
-
-    schemes = QPS_FAST_SCHEMES if fast else QPS_SCHEMES
-    workers = 8 if fast else 16
-    budgets = (None, 6 * GIB) if fast else (None, 6 * GIB, 3 * GIB)
-    minis = (16, 32) if fast else (32, 64)
-    total = QPS_FAST_REQUESTS if fast else QPS_REQUESTS
-    distinct = [
-        PlanRequest(
-            machine=machine,
-            workload=BERT48,
-            num_workers=workers,
-            mini_batch=mini,
-            memory_budget_bytes=budget,
-            schemes=schemes,
-        )
-        for machine in (PIZ_DAINT, V100_CLUSTER)
-        for budget in budgets
-        for mini in minis
-    ]
-    return [distinct[i % len(distinct)] for i in range(total)]
-
-
-def _entries_close(a, b) -> bool:
-    """1e-9 agreement between two :class:`PlanEntry` rows."""
-    return (
-        (a.scheme, a.width, a.depth, a.micro_batch, a.num_micro_batches,
-         a.recompute)
-        == (b.scheme, b.width, b.depth, b.micro_batch, b.num_micro_batches,
-            b.recompute)
-        and abs(a.iteration_time - b.iteration_time) <= MAKESPAN_ATOL
-        and abs(a.throughput - b.throughput)
-        <= MAKESPAN_ATOL * max(1.0, abs(b.throughput))
-        and abs(a.bubble_ratio - b.bubble_ratio) <= MAKESPAN_ATOL
-        and abs(a.peak_memory_bytes - b.peak_memory_bytes)
-        <= MAKESPAN_ATOL * max(1.0, abs(b.peak_memory_bytes))
-    )
-
-
-def run_planner_qps(
-    *,
-    fast: bool = False,
-    slowdown: float = 1.0,
-    concurrent: bool = True,
-    multiprocess: bool = True,
-) -> dict:
-    """The planner-as-a-service load harness (one ``planner_qps`` run).
-
-    Five phases over one heterogeneous request stream:
-
-    1. **Sequential reference** — per-request ``plan_configurations``
-       over the distinct cells, once each; the full-stream sequential
-       wall extrapolates per-request cost by multiplicity (a duplicated
-       sequential call re-ranks from scratch, so per-request cost is
-       constant — the extrapolation is exact up to timing noise, and
-       measuring it directly would take minutes by construction).
-    2. **One batch** — a single ``plan_many`` over the whole stream,
-       verified 1e-9-identical to the sequential reference per entry;
-       its wall against the sequential wall is ``plan_many_speedup``,
-       gated against :data:`PLAN_MANY_SPEEDUP_FLOOR`.
-    3. **Concurrent clients** — the stream split into batches of
-       :data:`QPS_BATCH`, all submitted at t=0 to :data:`QPS_CLIENTS`
-       client threads (concurrent ``plan_many`` calls share the process
-       cache, like ``repro serve`` handlers); per-request latency is its
-       batch's completion time, yielding QPS and p50/p99.
-    4. **Multiprocess** (schema 7) — the full stream re-planned through
-       ``plan_many(pool=...)`` on a fresh
-       :data:`QPS_MP_WORKERS`-process pool, every outcome asserted
-       identical to phase 2's (1e-9 entries, exact error messages) —
-       the pooled-parity acceptance check runs on every bench
-       invocation. ``mp_qps`` is normalized-gated against the baseline;
-       ``mp_speedup = mp_qps / qps`` is floor-gated against
-       :data:`MP_QPS_FLOOR` when the recorded ``cpu_count`` can
-       physically sustain it.
-    5. **Coalescing burst** (schema 7) — :data:`QPS_CLIENTS` threads
-       each post one single-request ``/plan`` payload to a transport-
-       free coalescing :class:`~repro.serve.service.PlannerService`;
-       the run *asserts* they merge into fewer than K ``plan_many``
-       dispatches and records the coalescing counters.
-
-    ``slowdown`` scales every measured planner wall (the injected-
-    regression hook), so QPS — including ``mp_qps`` — drops under
-    injection and the normalized gates in :func:`check_against` trip
-    (``mp_speedup`` is a same-run ratio of two equally scaled walls, so
-    the *floor* is deliberately injection-invariant). ``concurrent=False``
-    skips phases 3 and 5 (tests asserting only parity and the
-    batch-speedup floor); ``multiprocess=False`` skips phase 4 (pool
-    spawn is seconds of overhead single-core test runs can't amortize).
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.perf.planner import plan_configurations, plan_many
-    from repro.schedules.cache import disk_cache_stats, schedule_cache_stats
-
-    requests = planner_qps_requests(fast=fast)
-    distinct = list(dict.fromkeys(requests))
-
-    plan_many(distinct)  # warm-up: artifact caches build here, untimed
-
-    mem0, disk0 = schedule_cache_stats(), disk_cache_stats()
-
-    t0 = time.perf_counter()
-    reference: dict[object, object] = {}
-    for request in distinct:
-        try:
-            reference[request] = plan_configurations(
-                request.machine,
-                request.workload,
-                num_workers=request.num_workers,
-                mini_batch=request.mini_batch,
-                memory_budget_bytes=request.memory_budget_bytes,
-                schemes=request.schemes,
-            )
-        except ScheduleError:
-            raise
-        except Exception as err:  # ConfigurationError: empty search space
-            reference[request] = err
-    sequential_distinct_wall = (time.perf_counter() - t0) * slowdown
-    sequential_wall = sequential_distinct_wall * (len(requests) / len(distinct))
-
-    t0 = time.perf_counter()
-    outcomes = plan_many(requests)
-    batch_wall = (time.perf_counter() - t0) * slowdown
-
-    for request, outcome in zip(requests, outcomes):
-        expected = reference[request]
-        if isinstance(expected, Exception):
-            if outcome.error is None or str(outcome.error) != str(expected):
-                raise ScheduleError(
-                    f"plan_many/plan_configurations error divergence for "
-                    f"{request.machine.name}, B̂={request.mini_batch}: "
-                    f"{outcome.error!r} vs {expected!r}"
-                )
-            continue
-        if outcome.error is not None or len(outcome.entries) != len(expected):
-            raise ScheduleError(
-                f"plan_many/plan_configurations shape divergence for "
-                f"{request.machine.name}, B̂={request.mini_batch}"
-            )
-        for got, want in zip(outcome.entries, expected):
-            if not _entries_close(got, want):
-                raise ScheduleError(
-                    f"plan_many entry diverged from plan_configurations "
-                    f"beyond {MAKESPAN_ATOL:.0e}: {got} vs {want}"
-                )
-
-    section = {
-        "requests": len(requests),
-        "distinct_requests": len(distinct),
-        "sequential_wall_s": sequential_wall,
-        "sequential_distinct_wall_s": sequential_distinct_wall,
-        "plan_many_wall_s": batch_wall,
-        "plan_many_speedup": sequential_wall / batch_wall,
-    }
-    if concurrent:
-        qps_batch = QPS_FAST_BATCH if fast else QPS_BATCH
-        batches = [
-            requests[i : i + qps_batch]
-            for i in range(0, len(requests), qps_batch)
-        ]
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=QPS_CLIENTS) as pool:
-
-            def _client(batch: list) -> tuple[int, float]:
-                plan_many(batch)
-                return len(batch), time.perf_counter() - t0
-
-            completions = list(pool.map(_client, batches))
-        concurrent_wall = (time.perf_counter() - t0) * slowdown
-        latencies = sorted(
-            done * slowdown for count, done in completions for _ in range(count)
-        )
-        section.update(
-            clients=QPS_CLIENTS,
-            client_batch=qps_batch,
-            qps=len(requests) / concurrent_wall,
-            p50_ms=_percentile(latencies, 0.50) * 1e3,
-            p99_ms=_percentile(latencies, 0.99) * 1e3,
-            concurrent_wall_s=concurrent_wall,
-        )
-
-    if multiprocess:
-        section.update(
-            _run_multiprocess_phase(
-                requests, distinct, outcomes, slowdown=slowdown
-            )
-        )
-        if concurrent:
-            section["mp_speedup"] = section["mp_qps"] / section["qps"]
-
-    if concurrent:
-        section.update(_run_coalesce_burst(distinct))
-
-    mem1, disk1 = schedule_cache_stats(), disk_cache_stats()
-    mem_lookups = mem1.lookups - mem0.lookups
-    section["schedule_cache_hit_rate"] = (
-        (mem1.hits - mem0.hits) / mem_lookups if mem_lookups else 1.0
-    )
-    if disk0 is not None and disk1 is not None:
-        lookups = disk1.lookups - disk0.lookups
-        section["disk_cache_hit_rate"] = (
-            (disk1.hits - disk0.hits) / lookups if lookups else 1.0
-        )
-    return section
-
-
-def _run_multiprocess_phase(
-    requests: list, distinct: list, outcomes: list, *, slowdown: float
-) -> dict:
-    """Phase 4: the stream through a fresh 4-process pool, parity-checked.
-
-    The warm-up pass is untimed for the same reason the in-process one
-    is: each worker builds its own in-process ``ScheduleCache`` on first
-    contact (the disk tier is shared with the parent), and steady-state
-    serving — not cold start — is what the QPS number claims.
-    """
-    from repro.perf.planner import plan_many
-    from repro.perf.workers import PlannerWorkerPool
-
-    with PlannerWorkerPool(QPS_MP_WORKERS, name="bench") as pool:
-        plan_many(distinct, pool=pool)  # untimed warm-up
-        t0 = time.perf_counter()
-        pooled = plan_many(requests, pool=pool)
-        mp_wall = (time.perf_counter() - t0) * slowdown
-
-    for request, got, want in zip(requests, pooled, outcomes):
-        if (got.error is None) != (want.error is None) or (
-            want.error is not None and str(got.error) != str(want.error)
-        ):
-            raise ScheduleError(
-                f"worker-pool error divergence for "
-                f"{request.machine.name}, B̂={request.mini_batch}: "
-                f"{got.error!r} vs in-process {want.error!r}"
-            )
-        if want.error is not None:
-            continue
-        if len(got.entries) != len(want.entries):
-            raise ScheduleError(
-                f"worker-pool shape divergence for "
-                f"{request.machine.name}, B̂={request.mini_batch}: "
-                f"{len(got.entries)} entries vs {len(want.entries)}"
-            )
-        for a, b in zip(got.entries, want.entries):
-            if not _entries_close(a, b):
-                raise ScheduleError(
-                    f"worker-pool entry diverged from in-process "
-                    f"plan_many beyond {MAKESPAN_ATOL:.0e}: {a} vs {b}"
-                )
-    return {
-        "mp_workers": QPS_MP_WORKERS,
-        "cpu_count": os.cpu_count() or 1,
-        "mp_wall_s": mp_wall,
-        "mp_qps": len(requests) / mp_wall,
-    }
-
-
-def _run_coalesce_burst(distinct: list) -> dict:
-    """Phase 5: K single-request clients must merge into < K dispatches.
-
-    Transport-free on purpose — the HTTP layer adds nothing to the claim
-    being measured (the serve smoke test covers it over sockets). The
-    in-run assertion is the acceptance criterion itself, so a coalescer
-    that stops batching fails the bench outright rather than silently
-    recording K batches.
-    """
-    import threading
-
-    from repro.bench.machines import MACHINES
-    from repro.bench.workloads import WORKLOADS
-    from repro.serve.service import PlannerService
-
-    machine_names = {id(m): name for name, m in MACHINES.items()}
-    workload_names = {id(w): name for name, w in WORKLOADS.items()}
-    payloads = []
-    for i in range(QPS_CLIENTS):
-        request = distinct[i % len(distinct)]
-        payloads.append(
-            {
-                "machine": machine_names[id(request.machine)],
-                "workload": workload_names[id(request.workload)],
-                "num_workers": request.num_workers,
-                "mini_batch": request.mini_batch,
-                "memory_budget_bytes": request.memory_budget_bytes,
-                "schemes": list(request.schemes),
-            }
-        )
-
-    service = PlannerService(coalesce_ms=QPS_COALESCE_MS)
-    barrier = threading.Barrier(len(payloads))
-    failures: list[BaseException] = []
-
-    def _client(payload: dict) -> None:
-        barrier.wait()
-        try:
-            service.plan(payload)
-        except BaseException as err:  # noqa: BLE001 - surfaced below
-            failures.append(err)
-
-    threads = [
-        threading.Thread(target=_client, args=(p,)) for p in payloads
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    stats = service.stats_json()
-    service.close()
-    if failures:
-        raise ScheduleError(
-            f"coalescing burst client failed: {failures[0]!r}"
-        ) from failures[0]
-    co = stats["coalesce"]
-    if co["batches"] >= len(payloads):
-        raise ScheduleError(
-            f"coalescing failed: {len(payloads)} single-request clients "
-            f"executed in {co['batches']} plan_many dispatches (expected "
-            f"fewer)"
-        )
-    return {
-        "coalesce_clients": len(payloads),
-        "coalesce_window_ms": QPS_COALESCE_MS,
-        "coalesce_batches": co["batches"],
-        "coalesce_dispatched": co["dispatched"],
-        "coalesced_requests": co["coalesced_requests"],
-    }
-
-
 def run_synthesize_block(*, fast: bool = False) -> dict:
     """The non-gating ``synthesize`` section: search vs every built-in.
 
@@ -986,14 +587,8 @@ def run_suite(
     repeats: int = 3,
     batch_size: int = BATCH_VARIANTS,
     inject_slowdown: float | None = None,
-    planner: bool = True,
 ) -> dict:
-    """Run the suite and assemble the ``BENCH_*.json`` payload.
-
-    ``planner=False`` drops the :func:`run_planner_qps` phase — for
-    focused engine measurements (a payload without the section cannot be
-    used as a CI baseline gate for planner QPS).
-    """
+    """Run the suite and assemble the ``BENCH_*.json`` payload."""
     slowdown = _resolve_slowdown(inject_slowdown)
     cases = suite_cases(fast=fast, depths=depths, schemes=schemes)
     results = [
@@ -1033,18 +628,9 @@ def run_suite(
         fast=fast, repeats=repeats, slowdown=slowdown
     )
     summary["offload_fast_speedup_min"] = offload_section["fast_speedup_min"]
-    planner_section = run_planner_qps(fast=fast, slowdown=slowdown) if planner else None
-    if planner_section is not None:
-        summary["planner_qps"] = planner_section["qps"]
-        summary["planner_plan_many_speedup"] = planner_section["plan_many_speedup"]
-        if "mp_qps" in planner_section:
-            summary["planner_mp_qps"] = planner_section["mp_qps"]
-        if "mp_speedup" in planner_section:
-            summary["planner_mp_speedup"] = planner_section["mp_speedup"]
 
     # Non-gating cache-efficacy metadata: cumulative process-wide counters
-    # after the whole run (the planner section additionally records its
-    # own phase-local hit rates).
+    # after the whole run.
     from repro.schedules.cache import disk_cache_stats, schedule_cache_stats
 
     mem = schedule_cache_stats()
@@ -1065,7 +651,7 @@ def run_suite(
             "total_bytes": disk.total_bytes,
             "hit_rate": disk.hit_rate,
         }
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "suite": "fast" if fast else "full",
         "revision": current_revision(),
@@ -1077,9 +663,6 @@ def run_suite(
         "offload": offload_section,
         "synthesize": run_synthesize_block(fast=fast),
     }
-    if planner_section is not None:
-        payload["planner_qps"] = planner_section
-    return payload
 
 
 def _group_by_scheme_depth(results: Sequence[dict]) -> dict[tuple, dict[str, dict]]:
@@ -1152,10 +735,7 @@ def check_against(
     :data:`BATCH_SPEEDUP_FLOOR` on every case and
     :data:`CONTENDED_BATCH_SPEEDUP_FLOOR` on the contended ones — same-host
     wall-time ratios, so they are checked unnormalized on the current run.
-    The planner load harness gates the same two ways: ``plan_many_speedup``
-    against the absolute :data:`PLAN_MANY_SPEEDUP_FLOOR` (same-host
-    ratio), and normalized planner QPS against the baseline's with the
-    shared ``tolerance``.
+    The offload cases are gated like the engine cases.
     """
     violations: list[str] = []
     summary = current.get("summary", {})
@@ -1172,29 +752,6 @@ def check_against(
             violations.append(
                 f"{name} speedup {speedup:.2f}x fell below the {floor:.0f}x floor"
             )
-    planner = current.get("planner_qps") or {}
-    plan_speedup = planner.get("plan_many_speedup")
-    if plan_speedup is not None and plan_speedup < PLAN_MANY_SPEEDUP_FLOOR:
-        violations.append(
-            f"plan_many batch speedup {plan_speedup:.2f}x fell below the "
-            f"{PLAN_MANY_SPEEDUP_FLOOR:.0f}x floor"
-        )
-    # The multiprocess floor is a same-run ratio like the other absolute
-    # floors, but only physically attainable when the host has at least
-    # as many cores as the pool has workers — a single-core refresh
-    # records the phase without being gated on an impossible speedup.
-    mp_speedup = planner.get("mp_speedup")
-    if (
-        mp_speedup is not None
-        and planner.get("cpu_count", 0) >= QPS_MP_WORKERS
-        and planner.get("mp_workers", 0) >= QPS_MP_WORKERS
-        and mp_speedup < MP_QPS_FLOOR
-    ):
-        violations.append(
-            f"planner_qps: multiprocess QPS {mp_speedup:.2f}x the "
-            f"single-process phase fell below the {MP_QPS_FLOOR:.0f}x "
-            f"floor at {planner['mp_workers']} workers"
-        )
     if current.get("schema_version") != baseline.get("schema_version"):
         return [
             f"schema version mismatch: current "
@@ -1206,111 +763,86 @@ def check_against(
             f"suite mismatch: current {current.get('suite')!r} vs baseline "
             f"{baseline.get('suite')!r} — compare like with like"
         ]
-    cur_cases = {c["id"]: c for c in current.get("cases", ())}
-    base_cases = {c["id"]: c for c in baseline.get("cases", ())}
-    for missing in sorted(set(base_cases) - set(cur_cases)):
-        violations.append(f"case disappeared from the suite: {missing}")
-    for extra in sorted(set(cur_cases) - set(base_cases)):
-        violations.append(f"case not in baseline: {extra} — refresh the baseline")
-
     cur_cal = float(current.get("calibration_score", 0.0))
     base_cal = float(baseline.get("calibration_score", 0.0))
     if cur_cal <= 0 or base_cal <= 0:
         violations.append("missing calibration score; cannot normalize throughput")
         return violations
+    calibration = (cur_cal, base_cal)
 
-    for case_id in sorted(set(cur_cases) & set(base_cases)):
-        cur, base = cur_cases[case_id], base_cases[case_id]
-        for field in ("compute_makespan", "iteration_time"):
-            drift = abs(cur[field] - base[field])
-            if drift > MAKESPAN_ATOL:
-                violations.append(
-                    f"{case_id}: {field} mismatch "
-                    f"({cur[field]!r} vs baseline {base[field]!r})"
-                )
-        for engine in ("event", "fast", "batch"):
-            cur_norm = cur[engine]["ops_per_sec"] / cur_cal
-            base_norm = base[engine]["ops_per_sec"] / base_cal
-            if cur_norm < base_norm * (1.0 - tolerance):
-                drop = 1.0 - cur_norm / base_norm
-                violations.append(
-                    f"{case_id}: {engine} throughput regressed "
-                    f"{drop * 100:.1f}% (> {tolerance * 100:.0f}% allowed; "
-                    f"normalized {cur_norm:.3f} vs baseline {base_norm:.3f})"
-                )
-
-    # The offload section gates identically to the engine cases: exact
-    # makespans, normalized event/fast throughput within tolerance.
-    cur_off = {
-        c["id"]: c for c in (current.get("offload") or {}).get("cases", ())
-    }
-    base_off = {
-        c["id"]: c for c in (baseline.get("offload") or {}).get("cases", ())
-    }
+    violations += _gate_cases(
+        current.get("cases", ()),
+        baseline.get("cases", ()),
+        ("event", "fast", "batch"),
+        calibration=calibration,
+        tolerance=tolerance,
+    )
+    # The offload section gates identically to the engine cases, over the
+    # two engines it times.
+    cur_off = (current.get("offload") or {}).get("cases", ())
+    base_off = (baseline.get("offload") or {}).get("cases", ())
     if base_off and not cur_off:
         violations.append(
             "offload section disappeared from the run — refresh or "
             "investigate"
         )
-    for missing in sorted(set(base_off) - set(cur_off)):
-        violations.append(f"offload case disappeared from the suite: {missing}")
-    for extra in sorted(set(cur_off) - set(base_off)):
-        violations.append(
-            f"offload case not in baseline: {extra} — refresh the baseline"
-        )
-    for case_id in sorted(set(cur_off) & set(base_off)):
-        cur, base = cur_off[case_id], base_off[case_id]
+    violations += _gate_cases(
+        cur_off,
+        base_off,
+        ("event", "fast"),
+        calibration=calibration,
+        tolerance=tolerance,
+        prefix="offload ",
+    )
+    return violations
+
+
+def _gate_cases(
+    current: Iterable[dict],
+    baseline: Iterable[dict],
+    engines: Sequence[str],
+    *,
+    calibration: tuple[float, float],
+    tolerance: float,
+    prefix: str = "",
+) -> list[str]:
+    """Violations of one gated case list against its baseline cases.
+
+    Reports cases that disappeared or are not in the baseline, makespan
+    drift beyond :data:`MAKESPAN_ATOL`, and per-engine throughput that
+    fell more than ``tolerance`` after normalizing by the ``(current,
+    baseline)`` scores in ``calibration``. Every message starts
+    with ``prefix``, so a report names the section that tripped.
+    """
+    cur_cases = {c["id"]: c for c in current}
+    base_cases = {c["id"]: c for c in baseline}
+    cur_cal, base_cal = calibration
+    violations = [
+        f"{prefix}case disappeared from the suite: {missing}"
+        for missing in sorted(set(base_cases) - set(cur_cases))
+    ]
+    violations += [
+        f"{prefix}case not in baseline: {extra} — refresh the baseline"
+        for extra in sorted(set(cur_cases) - set(base_cases))
+    ]
+    for case_id in sorted(set(cur_cases) & set(base_cases)):
+        cur, base = cur_cases[case_id], base_cases[case_id]
         for field in ("compute_makespan", "iteration_time"):
-            drift = abs(cur[field] - base[field])
-            if drift > MAKESPAN_ATOL:
+            if abs(cur[field] - base[field]) > MAKESPAN_ATOL:
                 violations.append(
-                    f"offload {case_id}: {field} mismatch "
+                    f"{prefix}{case_id}: {field} mismatch "
                     f"({cur[field]!r} vs baseline {base[field]!r})"
                 )
-        for engine in ("event", "fast"):
+        for engine in engines:
             cur_norm = cur[engine]["ops_per_sec"] / cur_cal
             base_norm = base[engine]["ops_per_sec"] / base_cal
             if cur_norm < base_norm * (1.0 - tolerance):
                 drop = 1.0 - cur_norm / base_norm
                 violations.append(
-                    f"offload {case_id}: {engine} throughput regressed "
+                    f"{prefix}{case_id}: {engine} throughput regressed "
                     f"{drop * 100:.1f}% (> {tolerance * 100:.0f}% allowed; "
                     f"normalized {cur_norm:.3f} vs baseline {base_norm:.3f})"
                 )
-
-    base_planner = baseline.get("planner_qps") or {}
-    if base_planner and not planner:
-        violations.append(
-            "planner_qps section disappeared from the run — refresh or "
-            "investigate"
-        )
-    cur_qps, base_qps = planner.get("qps"), base_planner.get("qps")
-    if cur_qps is not None and base_qps is not None:
-        cur_norm = cur_qps / cur_cal
-        base_norm = base_qps / base_cal
-        if cur_norm < base_norm * (1.0 - tolerance):
-            drop = 1.0 - cur_norm / base_norm
-            violations.append(
-                f"planner_qps: QPS regressed {drop * 100:.1f}% "
-                f"(> {tolerance * 100:.0f}% allowed; normalized "
-                f"{cur_norm:.6f} vs baseline {base_norm:.6f})"
-            )
-    cur_mp, base_mp = planner.get("mp_qps"), base_planner.get("mp_qps")
-    if base_mp is not None and cur_mp is None:
-        violations.append(
-            "planner_qps: multiprocess phase disappeared from the run — "
-            "refresh or investigate"
-        )
-    if cur_mp is not None and base_mp is not None:
-        cur_norm = cur_mp / cur_cal
-        base_norm = base_mp / base_cal
-        if cur_norm < base_norm * (1.0 - tolerance):
-            drop = 1.0 - cur_norm / base_norm
-            violations.append(
-                f"planner_qps: multiprocess QPS regressed {drop * 100:.1f}% "
-                f"(> {tolerance * 100:.0f}% allowed; normalized "
-                f"{cur_norm:.6f} vs baseline {base_norm:.6f})"
-            )
     return violations
 
 
@@ -1355,31 +887,6 @@ def format_suite(payload: dict) -> str:
             f"min contended speedup: batch "
             f"{summary['contended_batch_speedup_min']:.1f}x "
             f"(floor {CONTENDED_BATCH_SPEEDUP_FLOOR:.0f}x at D=16)"
-        )
-    planner = payload.get("planner_qps")
-    if planner and "qps" in planner:
-        lines.append(
-            f"planner: {planner['qps']:.1f} req/s over "
-            f"{planner['requests']} requests "
-            f"(p50 {planner['p50_ms']:.0f} ms, p99 {planner['p99_ms']:.0f} ms), "
-            f"plan_many {planner['plan_many_speedup']:.1f}x sequential "
-            f"(floor {PLAN_MANY_SPEEDUP_FLOOR:.0f}x)"
-        )
-    if planner and "mp_qps" in planner:
-        speedup = planner.get("mp_speedup")
-        shown = f"{speedup:.2f}x single-process" if speedup else "n/a"
-        lines.append(
-            f"planner multiprocess: {planner['mp_qps']:.1f} req/s at "
-            f"{planner['mp_workers']} workers ({shown}; floor "
-            f"{MP_QPS_FLOOR:.0f}x on >={QPS_MP_WORKERS}-core hosts, "
-            f"host has {planner['cpu_count']})"
-        )
-    if planner and "coalesce_batches" in planner:
-        lines.append(
-            f"coalesce: {planner['coalesce_clients']} clients -> "
-            f"{planner['coalesce_batches']} dispatches "
-            f"({planner['coalesced_requests']} coalesced, "
-            f"{planner['coalesce_window_ms']:.0f} ms window)"
         )
     offload = payload.get("offload")
     if offload and offload.get("cases"):

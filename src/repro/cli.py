@@ -20,17 +20,15 @@ Commands
               kernel's fast/batch paths over every registered scheme ×
               {implicit, lowered, fused, contended, contended_fused} —
               the contended modes use a nonzero-beta link model, so
-              transfers queue per channel — plus the ``planner_qps``
-              load harness and the non-gating ``synthesize`` comparison),
-              write a schema-versioned (v7) ``BENCH_<rev>.json``, and — with
-              ``--check-against benchmarks/baseline.json`` — fail on
-              makespan mismatches, >20% throughput regressions, a D=16
-              batch speedup below its 3x floor (5x on the contended
-              modes), a >20% planner QPS drop (single-process or
-              multiprocess), a plan_many batch speedup below its 5x
-              floor, or multiprocess QPS below 2x single-process at 4
-              workers on a >=4-core host (the CI gate; see
-              ``docs/benchmarking.md``).
+              transfers queue per channel — plus the gated host-channel
+              ``offload`` cases and the non-gating ``synthesize``
+              comparison), write a schema-versioned ``BENCH_<rev>.json``,
+              and — with ``--check-against benchmarks/baseline.json`` —
+              fail on makespan mismatches, >20% throughput regressions,
+              or a D=16 batch speedup below its 3x floor (5x on the
+              contended modes) — the CI gate; see
+              ``docs/benchmarking.md``. Planning and serving are
+              benchmarked end to end by ``benchmarks/e2e/run.py``.
 ``serve``     Run the planner as a long-lived HTTP/JSON service
               (``POST /plan``, ``POST /plan_many``, ``GET /stats``; see
               ``docs/serving.md``).
@@ -584,8 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="run the engine perf suite (incl. contended modes, the gated "
-        "offload block, and the non-gating synthesize block, schema v6) / "
-        "check the CI gate",
+        "offload block, and the non-gating synthesize block) / check the "
+        "CI gate",
     )
     p.add_argument(
         "--output",

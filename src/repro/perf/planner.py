@@ -49,8 +49,9 @@ Batch planning (planner-as-a-service)
 -------------------------------------
 :func:`plan_many` evaluates a whole batch of heterogeneous
 :class:`PlanRequest` queries as one unit of work — the primitive behind
-``repro serve`` and the ``planner_qps`` load harness. It deduplicates at
-three levels: identical requests collapse to one computation; memory
+``repro serve`` and ``repro plan``, and what the ``benchmarks/e2e``
+planning workloads measure. It deduplicates at three levels: identical
+requests collapse to one computation; memory
 reports are memoized on the schedule-cache key (``W`` and ``B`` vary far
 more often than the underlying ``(scheme, D, N)`` schedule); and every
 synchronous survivor of every request feeds **one**

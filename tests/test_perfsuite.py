@@ -74,6 +74,10 @@ def test_payload_schema(small_payload):
         assert case["compute_makespan"] > 0
         for engine in ("event", "fast"):
             assert case[engine]["ops_per_sec"] > 0
+    # The cache metadata block rides along on every payload.
+    cache = payload["schedule_cache"]
+    assert cache["hits"] + cache["misses"] > 0
+    assert 0.0 <= cache["hit_rate"] <= 1.0
     # JSON-serializable end to end.
     json.loads(json.dumps(payload))
 
@@ -121,6 +125,14 @@ def test_injected_slowdown_in_offload_block_fails_gate(small_payload):
     assert any(
         gone["id"] in v and "disappeared" in v for v in violations
     )
+
+    # The whole section dropped is named as such, on top of every case.
+    del dropped["offload"]
+    violations = perfsuite.check_against(dropped, small_payload)
+    assert any("offload section disappeared" in v for v in violations)
+    assert all(v.startswith("offload ") for v in violations)
+    cases = len(small_payload["offload"]["cases"])
+    assert sum("offload case disappeared" in v for v in violations) == cases
 
 
 def test_makespan_mismatch_fails_gate(small_payload):
@@ -208,9 +220,8 @@ def test_acceptance_batch_speedup_at_d16():
     *contended* cases, where the event engine pays per-event channel
     bookkeeping while the kernel's FIFO serialization stays in one
     vectorized sweep. Makespan parity is enforced inside ``run_case``
-    (it raises beyond 1e-9), fused-vs-lowered parity in ``run_suite``.
-    The planner load harness has its own acceptance test below."""
-    payload = perfsuite.run_suite(depths=(16,), repeats=2, planner=False)
+    (it raises beyond 1e-9), fused-vs-lowered parity in ``run_suite``."""
+    payload = perfsuite.run_suite(depths=(16,), repeats=2)
     assert len(payload["cases"]) == len(SUITE_SCHEMES) * 5
     worst = payload["summary"]["d16_batch_speedup_min"]
     assert worst >= perfsuite.BATCH_SPEEDUP_FLOOR, (
@@ -235,161 +246,6 @@ def test_contended_floor_trips_checker(small_payload):
         slow["summary"][key] = speedup
         violations = perfsuite.check_against(slow, slow)
         assert any("below" in v and "floor" in v for v in violations), key
-
-
-class TestPlannerSection:
-    """The schema-4 ``planner_qps`` load-harness section and its gates."""
-
-    def test_payload_carries_planner_section(self, small_payload):
-        planner = small_payload["planner_qps"]
-        assert planner["requests"] == perfsuite.QPS_FAST_REQUESTS
-        assert planner["distinct_requests"] < planner["requests"]
-        assert planner["plan_many_wall_s"] > 0
-        assert planner["plan_many_speedup"] > 1.0
-        assert planner["clients"] == perfsuite.QPS_CLIENTS
-        assert planner["client_batch"] == perfsuite.QPS_FAST_BATCH
-        assert planner["qps"] > 0
-        assert 0 < planner["p50_ms"] <= planner["p99_ms"]
-        assert 0.0 <= planner["schedule_cache_hit_rate"] <= 1.0
-        summary = small_payload["summary"]
-        assert summary["planner_qps"] == planner["qps"]
-        assert (
-            summary["planner_plan_many_speedup"]
-            == planner["plan_many_speedup"]
-        )
-        # The cache metadata block rides along on every payload.
-        cache = small_payload["schedule_cache"]
-        assert cache["hits"] + cache["misses"] > 0
-        assert 0.0 <= cache["hit_rate"] <= 1.0
-
-    def test_planner_false_drops_the_section(self):
-        payload = perfsuite.run_suite(**SMALL, planner=False)
-        assert "planner_qps" not in payload
-        assert "planner_qps" not in payload["summary"]
-
-    def test_plan_many_floor_trips_checker(self, small_payload):
-        """Like the contended floor: absolute, so an equally slow baseline
-        does not excuse it."""
-        slow = copy.deepcopy(small_payload)
-        slow["planner_qps"]["plan_many_speedup"] = (
-            perfsuite.PLAN_MANY_SPEEDUP_FLOOR - 0.1
-        )
-        violations = perfsuite.check_against(slow, slow)
-        assert any(
-            "plan_many" in v and "floor" in v for v in violations
-        ), violations
-
-    def test_qps_regression_trips_checker(self, small_payload):
-        slowed = copy.deepcopy(small_payload)
-        slowed["planner_qps"]["qps"] *= 0.7
-        violations = perfsuite.check_against(slowed, small_payload)
-        assert any("planner_qps: QPS regressed" in v for v in violations)
-        # 30% is invisible at a 40% tolerance.
-        assert not any(
-            "QPS regressed" in v
-            for v in perfsuite.check_against(
-                slowed, small_payload, tolerance=0.40
-            )
-        )
-
-    def test_missing_section_against_planner_baseline_trips(self, small_payload):
-        current = copy.deepcopy(small_payload)
-        del current["planner_qps"]
-        violations = perfsuite.check_against(current, small_payload)
-        assert any(
-            "planner_qps section disappeared" in v for v in violations
-        )
-        # ... but a planner-less baseline doesn't demand one.
-        baseline = copy.deepcopy(small_payload)
-        del baseline["planner_qps"]
-        assert perfsuite.check_against(baseline, baseline) == []
-
-    def test_injected_slowdown_drops_qps(self, small_payload):
-        """The CI self-test path: injection scales the planner walls, so
-        the measured QPS sinks and the normalized gate trips."""
-        slowed = perfsuite.run_planner_qps(
-            fast=True, slowdown=3.0, multiprocess=False
-        )
-        clean = small_payload["planner_qps"]
-        assert slowed["plan_many_wall_s"] > 0
-        assert slowed["qps"] < clean["qps"]
-
-    def test_payload_carries_multiprocess_phase(self, small_payload):
-        planner = small_payload["planner_qps"]
-        assert planner["mp_workers"] == perfsuite.QPS_MP_WORKERS
-        assert planner["cpu_count"] >= 1
-        assert planner["mp_wall_s"] > 0
-        assert planner["mp_qps"] > 0
-        assert planner["mp_speedup"] > 0
-        summary = small_payload["summary"]
-        assert summary["planner_mp_qps"] == planner["mp_qps"]
-        assert summary["planner_mp_speedup"] == planner["mp_speedup"]
-
-    def test_payload_carries_coalesce_phase(self, small_payload):
-        planner = small_payload["planner_qps"]
-        assert planner["coalesce_clients"] == perfsuite.QPS_CLIENTS
-        assert planner["coalesce_window_ms"] == perfsuite.QPS_COALESCE_MS
-        # The whole point: K concurrent clients, fewer than K dispatches.
-        assert planner["coalesce_batches"] < planner["coalesce_clients"]
-        assert planner["coalesced_requests"] > 0
-        assert planner["coalesce_dispatched"] == planner["coalesce_clients"]
-
-    def test_mp_floor_trips_checker_on_big_hosts_only(self, small_payload):
-        """The 2x floor is conditioned on the recorded host: a 4-worker
-        pool on a >= 4-core box must clear it, while a 1-core CI runner
-        records the phase without being judged by it."""
-        slow = copy.deepcopy(small_payload)
-        planner = slow["planner_qps"]
-        planner["mp_speedup"] = 1.0
-        planner["cpu_count"] = 8
-        planner["mp_workers"] = perfsuite.QPS_MP_WORKERS
-        violations = perfsuite.check_against(slow, slow)
-        assert any(
-            "multiprocess QPS" in v and "floor" in v for v in violations
-        ), violations
-        planner["cpu_count"] = 1  # same ratio, small host: no judgement
-        assert not any(
-            "floor" in v and "multiprocess" in v
-            for v in perfsuite.check_against(slow, slow)
-        )
-
-    def test_mp_qps_regression_trips_checker(self, small_payload):
-        slowed = copy.deepcopy(small_payload)
-        slowed["planner_qps"]["mp_qps"] *= 0.5
-        violations = perfsuite.check_against(slowed, small_payload)
-        assert any(
-            "planner_qps: multiprocess QPS regressed" in v
-            for v in violations
-        ), violations
-
-    def test_mp_phase_disappearing_trips_checker(self, small_payload):
-        current = copy.deepcopy(small_payload)
-        del current["planner_qps"]["mp_qps"]
-        violations = perfsuite.check_against(current, small_payload)
-        assert any(
-            "multiprocess phase disappeared" in v for v in violations
-        ), violations
-
-
-def test_acceptance_plan_many_speedup_at_d16():
-    """Planner-service acceptance: the full 1000-request heterogeneous
-    stream (D=16-capable grids on both machine models), planned as one
-    ``plan_many`` batch, at least 5x
-    (:data:`perfsuite.PLAN_MANY_SPEEDUP_FLOOR`) faster than per-request
-    ``plan_configurations`` — with every entry verified 1e-9-identical to
-    the sequential reference inside ``run_planner_qps`` (it raises on any
-    divergence). The concurrent-client phase is skipped: QPS needs a
-    baseline to gate against, while this floor is absolute."""
-    section = perfsuite.run_planner_qps(
-        fast=False, concurrent=False, multiprocess=False
-    )
-    assert section["requests"] == perfsuite.QPS_REQUESTS
-    speedup = section["plan_many_speedup"]
-    assert speedup >= perfsuite.PLAN_MANY_SPEEDUP_FLOOR, (
-        f"plan_many only {speedup:.1f}x sequential planning "
-        f"(sequential {section['sequential_wall_s']:.1f}s extrapolated, "
-        f"batch {section['plan_many_wall_s']:.1f}s)"
-    )
 
 
 def test_default_output_name(small_payload):

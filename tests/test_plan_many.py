@@ -3,9 +3,9 @@
 The contract under test is exact behavioural parity — the batch path is
 a performance feature, so every outcome (entries *and* errors, field for
 field and message for message) must match planning each request alone.
-The heavyweight 1000-request speed-floor measurement lives in the
-perfsuite acceptance test; this module covers correctness and the
-dedup/bookkeeping seams on small grids.
+Planning speed is measured end to end by the ``benchmarks/e2e`` planning
+workloads; this module covers correctness and the dedup/bookkeeping
+seams on small grids.
 """
 
 from __future__ import annotations
@@ -73,6 +73,9 @@ class TestParity:
             request(mini_batch=32),
             request(machine=V100_CLUSTER, workload=GPT2_32, num_workers=8),
             request(memory_budget_bytes=6 * GIB),
+            # Tight budget with the offload axis off: the recompute retry
+            # admits candidates the plain attempt prunes.
+            request(memory_budget_bytes=3 * GIB, offload=False),
             request(num_workers=8, schemes=("chimera", "zb_v")),
             request(pipeline="lower_p2p,fuse_comm"),
             request(recompute=True),
