@@ -17,7 +17,7 @@ from repro.bench.harness import format_table
 from repro.bench.perfsuite import batch_cost_models, suite_cost_model
 from repro.schedules.cache import schedule_artifacts
 from repro.sim.engine import simulate
-from repro.sim.kernel import simulate_batch, simulate_fast
+from repro.sim.kernel import kernel_of, simulate_batch, simulate_fast
 
 DEPTH, MICRO_BATCHES = 16, 64
 
@@ -49,10 +49,11 @@ def run() -> str:
     for scheme in ("chimera", "zb_v"):
         for mode, pipeline in MODES.items():
             schedule, graph = _case(scheme, pipeline)
+            kernel = kernel_of(graph)
             event = _best(lambda: simulate(schedule, base, graph=graph))
-            fast = _best(lambda: simulate_fast(schedule, base, graph=graph))
+            fast = _best(lambda: simulate_fast(schedule, base, kernel=kernel))
             batch = _best(
-                lambda: simulate_batch(schedule, models, graph=graph)
+                lambda: simulate_batch(schedule, models, kernel=kernel)
             ) / len(models)
             rows.append(
                 [
@@ -72,11 +73,12 @@ def run() -> str:
 def test_batch_path_beats_event_engine(benchmark, report):
     """Tentpole check: batch evaluation >= 3x the event engine per model."""
     schedule, graph = _case("chimera", False)
+    kernel = kernel_of(graph)
     base = suite_cost_model()
     models = batch_cost_models()
-    result = benchmark(simulate_batch, schedule, models, graph=graph)
+    result = benchmark(simulate_batch, schedule, models, kernel=kernel)
     event = _best(lambda: simulate(schedule, base, graph=graph))
-    batch = _best(lambda: simulate_batch(schedule, models, graph=graph))
+    batch = _best(lambda: simulate_batch(schedule, models, kernel=kernel))
     per_model = batch / len(models)
     assert result.iteration_time[0] > 0
     assert event / per_model >= 3.0, (

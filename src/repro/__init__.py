@@ -67,7 +67,7 @@ schedule; ``repro bench`` gates its throughput in CI)::
     arts = schedule_artifacts("chimera", 8, 16)
     batch = simulate_batch(arts.schedule, [CostModel.practical(),
                                            CostModel.unit()],
-                           graph=arts.graph())
+                           kernel=arts.kernel_for())
 """
 
 from repro.schedules import (

@@ -249,13 +249,13 @@ def run_configuration(cfg: ExperimentConfig) -> ExperimentResult:
     # PipeDream's per-micro-batch synchronization sits on the critical path
     # (the immediately following update feeds the next forward), so its
     # collectives block; all other schemes launch non-blocking (§3.2).
-    # ``simulate_fast`` dispatches to the array kernel when the model is
-    # contention-free and to the event engine otherwise.
+    # ``simulate_fast`` runs on the array kernel for every model: one sweep
+    # when contention-free, the fixed-point relaxation otherwise.
     arts = config_artifacts(cfg, used)
     result = simulate_fast(
         arts.schedule_for(used),
         cost_model,
-        graph=arts.graph_for(used),
+        kernel=arts.kernel_for(used),
         blocking_sync=(cfg.scheme == "pipedream"),
     )
     if schedule.synchronous:
@@ -312,7 +312,7 @@ def _steady_state_throughput(
             simulate_fast(
                 arts.schedule_for(pipeline),
                 cost_model,
-                graph=arts.graph_for(pipeline),
+                kernel=arts.kernel_for(pipeline),
                 blocking_sync=(cfg.scheme == "pipedream"),
             )
         )

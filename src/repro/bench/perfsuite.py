@@ -84,7 +84,12 @@ from repro.schedules.cache import schedule_artifacts
 from repro.schedules.registry import available_schemes, scheme_traits
 from repro.sim.cost import CostModel
 from repro.sim.engine import simulate
-from repro.sim.kernel import fast_path_supported, simulate_batch, simulate_fast
+from repro.sim.kernel import (
+    fast_path_supported,
+    kernel_of,
+    simulate_batch,
+    simulate_fast,
+)
 from repro.sim.network import FlatTopology, HostChannel, LinkSpec
 
 #: Bumped whenever the JSON layout or the suite contents change; the
@@ -356,12 +361,13 @@ def run_case(
     contended = case.mode in CONTENDED_MODES
     schedule = arts.schedule_for(MODE_PIPELINES[case.mode])
     graph = arts.graph_for(MODE_PIPELINES[case.mode])
+    kernel = kernel_of(graph)
     base = contended_suite_model() if contended else suite_cost_model()
     # fast_path_supported is a telemetry hint, not a gate: True means the
     # single-sweep vectorized pass, False means the contended handling.
     # Either way the case runs on the kernel; assert the hint matches the
     # regime so a routing regression fails loudly here.
-    hint = fast_path_supported(schedule, base, graph=graph)
+    hint = fast_path_supported(schedule, base, kernel=kernel)
     if hint == contended:
         raise ScheduleError(
             f"kernel path hint mismatch on {case.case_id}: expected "
@@ -373,10 +379,10 @@ def run_case(
         lambda: simulate(schedule, base, graph=graph), repeats
     )
     fast_wall, fast = _best_wall(
-        lambda: simulate_fast(schedule, base, graph=graph), repeats
+        lambda: simulate_fast(schedule, base, kernel=kernel), repeats
     )
     batch_wall, batch = _best_wall(
-        lambda: simulate_batch(schedule, models, graph=graph), repeats
+        lambda: simulate_batch(schedule, models, kernel=kernel), repeats
     )
 
     mk_fast = abs(event.compute_makespan - fast.compute_makespan)
@@ -521,10 +527,11 @@ def run_offload_block(
             for mode in OFFLOAD_MODES:
                 schedule = arts.schedule_for(MODE_PIPELINES[mode])
                 graph = arts.graph_for(MODE_PIPELINES[mode])
+                kernel = kernel_of(graph)
                 case_id = f"{scheme}/D{depth}/N{n}/{mode}"
                 # Nonzero stash occupancy: the hint must report the
                 # contended routing, or host copies stopped queueing.
-                if fast_path_supported(schedule, model, graph=graph):
+                if fast_path_supported(schedule, model, kernel=kernel):
                     raise ScheduleError(
                         f"kernel path hint mismatch on {case_id}: expected "
                         f"host-channel contended routing"
@@ -533,7 +540,7 @@ def run_offload_block(
                     lambda: simulate(schedule, model, graph=graph), repeats
                 )
                 fast_wall, fast_result = _best_wall(
-                    lambda: simulate_fast(schedule, model, graph=graph),
+                    lambda: simulate_fast(schedule, model, kernel=kernel),
                     repeats,
                 )
                 worst = max(

@@ -13,11 +13,19 @@ becomes a genuine search problem over ``(scheme, W, D, B)``:
    bidirectional placements, ``2D`` model chunks for the V-shaped family)
    and every power-of-two micro-batch size ``B`` dividing the per-group
    share of the mini-batch.
-2. **Prune.** Run :func:`repro.sim.memory.analyze_memory` on the real
-   schedule and drop candidates whose peak exceeds
-   ``min(machine.usable_memory_bytes, memory_budget_bytes)`` — retrying
-   once with activation recomputation, exactly like the experiment
-   harness.
+2. **Prune** against ``min(machine.usable_memory_bytes,
+   memory_budget_bytes)``, in two steps. First, before anything is
+   built, :func:`repro.sim.memory.device_floor` bounds each point's
+   device peak from its stage placement (the scheme's ``placement``
+   trait): weights plus one full activation stash on the fullest worker.
+   No pipeline attempt fits below it, so a point whose floor fails the
+   budget is skipped. Then :func:`repro.sim.memory.analyze_memory` runs
+   on the real schedule of every other point, trying each attempt
+   pipeline in turn until one fits, exactly like the experiment harness
+   (``synthesize`` has no placement trait and always takes this step).
+   Skipped points are built only when nothing fits, to name the closest
+   candidate in the error: in floor order, until no remaining floor can
+   beat the closest exact overshoot.
 3. **Rank.** Simulate every survivor in one batched array-kernel call
    (:func:`repro.sim.kernel.simulate_batch_many`) — lowered by default,
    so p2p transfers contend for link bandwidth, with the kernel's
@@ -56,7 +64,7 @@ reports are memoized on the schedule-cache key (``W`` and ``B`` vary far
 more often than the underlying ``(scheme, D, N)`` schedule); and every
 synchronous survivor of every request feeds **one**
 :func:`repro.sim.kernel.simulate_batch_many` call, with rows that share a
-``(dependency graph, cost model)`` pair simulated once. Asynchronous
+``(kernel, cost model)`` pair simulated once. Asynchronous
 schemes keep their steady-state measurement, fanned out over a bounded
 worker pool. Artifacts are pinned for the duration of the call, so a
 batch whose distinct-cell working set exceeds the LRU bound never
@@ -74,6 +82,7 @@ from repro.common.errors import ConfigurationError, ScheduleError
 from repro.bench.harness import (
     ExperimentConfig,
     config_artifacts,
+    config_label,
     format_table,
     run_configuration,
 )
@@ -88,7 +97,7 @@ from repro.perf.calibration import calibrate_cost_model, calibrate_memory_model
 from repro.schedules.cache import ScheduleArtifacts, ScheduleCache
 from repro.schedules.registry import available_schemes, scheme_traits
 from repro.sim.kernel import simulate_batch_many
-from repro.sim.memory import MemoryReport, analyze_memory
+from repro.sim.memory import MemoryReport, analyze_memory, device_floor, exceeds
 
 #: Largest micro-batch size the enumeration considers (power-of-two scan).
 DEFAULT_MAX_MICRO_BATCH = 512
@@ -318,8 +327,15 @@ class _Pruned:
     """A validated, pruned request awaiting ranking."""
 
     request: PlanRequest
+    attempts: tuple[tuple[str, ...], ...] = ()
     survivors: list[_Survivor] = field(default_factory=list)
-    closest: tuple[float, str] | None = None  # (peak overshoot, label)
+    #: The closest built rejection: (overshoot bytes, grid index, label).
+    closest: tuple[float, int, str] | None = None
+    #: Points the device floor rejected unbuilt:
+    #: (floor overshoot bytes, grid index, config).
+    skipped: list[tuple[float, int, ExperimentConfig]] = field(
+        default_factory=list
+    )
 
 
 def plan_configurations(
@@ -413,7 +429,7 @@ def plan_many(
     reports memoize across requests, every synchronous survivor of every
     request ranks through a single
     :func:`~repro.sim.kernel.simulate_batch_many` call (rows sharing a
-    dependency graph and cost model are simulated once), and the
+    kernel and cost model are simulated once), and the
     asynchronous schemes' steady-state measurements fan out to the
     shared default *process* pool sized ``max_workers`` (sequential when
     there is at most one measurement or ``max_workers == 1``).
@@ -455,7 +471,7 @@ def plan_many(
             outcomes[request] = PlanOutcome(request=request, error=state)
             continue
         try:
-            entries = _finalize(state, ranked[id(state)])
+            entries = _finalize(state, ranked[id(state)], ctx)
         except ConfigurationError as err:
             outcomes[request] = PlanOutcome(
                 request=request, error=err.with_traceback(None)
@@ -581,10 +597,8 @@ def _prune_request(request: PlanRequest, ctx: _PlanContext) -> _Pruned:
             f"count or min_depth"
         )
 
-    attempts = request.attempt_pipelines()
-
-    pruned = _Pruned(request=request)
-    for scheme, width, depth, micro_batch in grid:
+    pruned = _Pruned(request=request, attempts=request.attempt_pipelines())
+    for index, (scheme, width, depth, micro_batch) in enumerate(grid):
         options: dict[str, object] = {}
         if scheme_traits(scheme).cost_parameterized:
             options = _parameterized_options(
@@ -605,42 +619,93 @@ def _prune_request(request: PlanRequest, ctx: _PlanContext) -> _Pruned:
             host_memory_budget_bytes=request.host_memory_budget_bytes,
             options=options,
         )
+        # Prune before building: a point whose weights plus one full
+        # activation stash already overshoot the device fails every
+        # attempt, so it waits for _closest instead of being built.
+        floor = _device_floor(cfg)
+        if floor is not None and exceeds(floor, cfg.capacity_bytes):
+            pruned.skipped.append((floor - cfg.capacity_bytes, index, cfg))
+            continue
         # Prune before ranking: the memory verdict needs no simulation, so
         # OOM candidates never pay the simulation cost.
         try:
-            fits: tuple[tuple[str, ...], ScheduleArtifacts] | None = None
-            for attempt in attempts:
-                arts, report = ctx.memory_report(cfg, attempt)
-                if report.fits(cfg.capacity_bytes, cfg.host_capacity_bytes):
-                    fits = (attempt, arts)
-                    break
-            if fits is None:
-                parts = split_pipeline(attempt)
-                r = ", R" if parts.recompute else ""
-                o = ", O" if parts.offload else ""
-                overshoot = max(
-                    report.peak_bytes - cfg.capacity_bytes,
-                    report.host_peak_bytes - cfg.host_capacity_bytes,
-                )
-                if pruned.closest is None or overshoot < pruned.closest[0]:
-                    pruned.closest = (
-                        overshoot,
-                        f"{scheme}(W={width}, D={depth}, B={micro_batch}{r}{o})",
-                    )
-                continue
+            attempt, arts, report, fits = _first_fit(cfg, pruned.attempts, ctx)
         except (ConfigurationError, ScheduleError):
             continue  # structurally invalid corner (e.g. N < 1)
+        if not fits:
+            rejected = _rejection(cfg, index, attempt, report)
+            pruned.closest = _nearer(pruned.closest, rejected)
+            continue
         pruned.survivors.append(
-            _Survivor(
-                cfg=replace(cfg, pipeline=fits[0]),
-                report=report,
-                arts=fits[1],
-            )
+            _Survivor(cfg=replace(cfg, pipeline=attempt), report=report, arts=arts)
         )
     return pruned
 
 
-def _finalize(pruned: _Pruned, entries: list[PlanEntry]) -> list[PlanEntry]:
+def _device_floor(cfg: ExperimentConfig) -> float | None:
+    """:func:`~repro.sim.memory.device_floor` of one grid point, or
+    ``None`` when its placement is only known after building."""
+    placement = scheme_traits(cfg.scheme).placement
+    if placement is None:
+        return None
+    layout = placement(cfg.depth)
+    model = calibrate_memory_model(
+        cfg.machine, cfg.workload, depth=layout.num_stages, micro_batch=cfg.micro_batch
+    )
+    return device_floor(cfg.scheme, layout, model, cfg.num_micro_batches())
+
+
+def _first_fit(
+    cfg: ExperimentConfig, attempts: Sequence[tuple[str, ...]], ctx: _PlanContext
+) -> tuple[tuple[str, ...], ScheduleArtifacts, MemoryReport, bool]:
+    """The first attempt whose memory fits, else the last one tried."""
+    for attempt in attempts:
+        arts, report = ctx.memory_report(cfg, attempt)
+        if report.fits(cfg.capacity_bytes, cfg.host_capacity_bytes):
+            return attempt, arts, report, True
+    return attempt, arts, report, False
+
+
+def _rejection(
+    cfg: ExperimentConfig, index: int, attempt: tuple[str, ...], report: MemoryReport
+) -> tuple[float, int, str]:
+    """``(overshoot bytes, grid index, label)`` of a point no attempt fits,
+    as its last attempt (``report``) misses the device or host budget."""
+    overshoot = max(
+        report.peak_bytes - cfg.capacity_bytes,
+        report.host_peak_bytes - cfg.host_capacity_bytes,
+    )
+    label = config_label(cfg, split_pipeline(attempt).recompute, attempt)
+    return overshoot, index, label
+
+
+def _nearer(best, rejected):
+    """The closer of two rejections; the earlier grid point on a tie."""
+    return rejected if best is None or rejected[:2] < best[:2] else best
+
+
+def _closest(pruned: _Pruned, ctx: _PlanContext) -> tuple[float, int, str] | None:
+    """The rejected candidate with the smallest overshoot (earliest on ties).
+
+    Points the floor skipped build here, in ``(floor overshoot, grid
+    index)`` order, only while one could still beat the best exact
+    overshoot: a point's exact overshoot is never below its floor's.
+    """
+    best = pruned.closest
+    for bound, index, cfg in sorted(pruned.skipped, key=lambda t: t[:2]):
+        if best is not None and bound > best[0]:
+            break
+        try:
+            attempt, _, report, _ = _first_fit(cfg, pruned.attempts, ctx)
+        except (ConfigurationError, ScheduleError):
+            continue
+        best = _nearer(best, _rejection(cfg, index, attempt, report))
+    return best
+
+
+def _finalize(
+    pruned: _Pruned, entries: list[PlanEntry], ctx: _PlanContext
+) -> list[PlanEntry]:
     """Sort/truncate one request's entries, raising if nothing survived."""
     request = pruned.request
     if not entries:
@@ -649,10 +714,11 @@ def _finalize(pruned: _Pruned, entries: list[PlanEntry]) -> list[PlanEntry]:
             if request.memory_budget_bytes is not None
             else request.machine.usable_memory_bytes
         ) / 2**30
+        closest = _closest(pruned, ctx)
         detail = (
-            f"; closest candidate {pruned.closest[1]} overshoots by "
-            f"{pruned.closest[0] / 2**30:.2f} GiB"
-            if pruned.closest
+            f"; closest candidate {closest[2]} overshoots by "
+            f"{closest[0] / 2**30:.2f} GiB"
+            if closest
             else ""
         )
         raise ConfigurationError(
@@ -697,10 +763,11 @@ def _rank_all(
 
     Synchronous schemes rank through **one**
     :func:`repro.sim.kernel.simulate_batch_many` call covering all
-    requests: every distinct ``(dependency graph, cost model)`` pair is a
-    row, rows carry heterogeneous shapes — ``(scheme, D, N, recompute,
-    pipeline)`` as well as ``(W, B)``/topology — and rows sharing a
-    cached dependency graph vectorize together inside the kernel. The
+    requests: every distinct ``(kernel, cost model)`` pair is a row, rows
+    carry heterogeneous shapes — ``(scheme, D, N, recompute, pipeline)``
+    as well as ``(W, B)``/topology — and rows sharing a cached kernel
+    (:meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for`)
+    vectorize together. The
     default lowered ranking models link contention; the kernel computes
     per-channel FIFO serialization itself, so contended rows stay on the
     array path and nothing falls back to per-model event simulation.
@@ -716,7 +783,7 @@ def _rank_all(
     Returns ``id(pruned) -> unsorted entries`` for :func:`_finalize`.
     """
     # ---- collect distinct work items across every request ---------------
-    sync_rows: dict[tuple, tuple] = {}  # row key -> (schedule, model, graph)
+    sync_rows: dict[tuple, tuple] = {}  # row key -> (schedule, model, kernel)
     async_cfgs: dict[tuple, ExperimentConfig] = {}
     row_of_survivor: dict[int, tuple] = {}
     for pruned in pruneds:
@@ -727,7 +794,7 @@ def _rank_all(
                 async_cfgs.setdefault(row_of_survivor[id(survivor)], cfg)
                 continue
             schedule = arts.schedule_for(cfg.pipeline)
-            graph = arts.graph_for(cfg.pipeline)
+            kernel = arts.kernel_for(cfg.pipeline)
             model = calibrate_cost_model(
                 cfg.machine,
                 cfg.workload,
@@ -735,8 +802,8 @@ def _rank_all(
                 micro_batch=cfg.micro_batch,
                 data_parallel_width=cfg.width,
             )
-            row_key = (id(graph), model)
-            sync_rows.setdefault(row_key, (schedule, model, graph))
+            row_key = (id(kernel), model)
+            sync_rows.setdefault(row_key, (schedule, model, kernel))
             row_of_survivor[id(survivor)] = row_key
 
     # ---- one batched kernel call for every synchronous row --------------
@@ -745,7 +812,7 @@ def _rank_all(
         keys = list(sync_rows)
         batch = simulate_batch_many(
             [(s, m) for s, m, _ in sync_rows.values()],
-            graphs=[g for _, _, g in sync_rows.values()],
+            kernels=[k for _, _, k in sync_rows.values()],
         )
         for k, key in enumerate(keys):
             sync_results[key] = (

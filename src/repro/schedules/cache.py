@@ -2,22 +2,25 @@
 
 Everything downstream of a schedule builder is a pure function of the
 builder's inputs: ``build_schedule(scheme, D, N, **options)`` fully
-determines the schedule, its dependency graph, the lowered schedule, and
-the lowered schedule's graph. Yet before this module existed every planner
-sweep, experiment grid, and benchmark case re-derived the whole chain from
-scratch — at D=32 a single ZB-V build costs ~2 s while simulating it costs
-~40 ms, so configuration searches over ``(scheme, W, D, B)`` grids were
-dominated by rebuilding identical schedules (``W`` and ``B`` only change
-the cost model, never the schedule, which depends on ``N = B̂ / (W * B)``).
+determines the schedule, its dependency graph, the lowered schedule, the
+lowered schedule's graph, and each graph's array kernel. Yet before this
+module existed every planner sweep, experiment grid, and benchmark case
+re-derived the whole chain from scratch — at D=32 a single ZB-V build
+costs ~2 s while simulating it costs ~40 ms, so configuration searches
+over ``(scheme, W, D, B)`` grids were dominated by rebuilding identical
+schedules (``W`` and ``B`` only change the cost model, never the
+schedule, which depends on ``N = B̂ / (W * B)``).
 
 :func:`schedule_artifacts` is the single entry point: it returns a
 :class:`ScheduleArtifacts` handle whose derived forms (graph, lowered
-schedule, lowered graph, fused schedule, fused graph) materialize lazily,
-each exactly once per process. The cache is a bounded LRU keyed on
-``(scheme, depth, num_micro_batches, sorted(options))`` — the options map
-covers chunking/variant knobs such as ``recompute``, Chimera's ``concat``
-and ``num_down_pipelines``, and the zero-bubble ``max_in_flight``. A
-``passes`` option (extra pipeline stages, see
+schedule, lowered graph, fused schedule, fused graph, and a kernel per
+form) materialize lazily. What stays resident is schedules and kernels:
+once a form's kernel exists the entry releases its dict dependency
+graphs, which the disk tier keeps (see below). The cache is a bounded
+LRU keyed on ``(scheme, depth, num_micro_batches, sorted(options))`` —
+the options map covers chunking/variant knobs such as ``recompute``,
+Chimera's ``concat`` and ``num_down_pipelines``, and the zero-bubble
+``max_in_flight``. A ``passes`` option (extra pipeline stages, see
 :mod:`repro.schedules.passes`) is normalized to the pipeline's stable
 *signature* before entering the key, so equivalent spec spellings — a
 comma string, a list, pre-built pass objects — share one entry, and two
@@ -47,7 +50,9 @@ building, and every derived schedule and dependency graph is written
 through as it materializes, so a restarted process (a fresh ``repro
 plan``, a redeployed ``repro serve``) skips schedule builds, passes and
 graph construction. Graphs are stored without the engine's dense form and
-the array kernel: a process rebuilds each kernel once, on first use. The
+the array kernel: a process rebuilds each kernel once, on first use, and
+then drops the graphs; a later write-through copies the released graphs
+over from the stored payload, so the disk tier never loses a slot. The
 disk key is exactly the LRU key, the format is versioned, and corrupt
 entries are evicted on load, never propagated.
 
@@ -76,9 +81,9 @@ from repro.schedules.passes.pipeline import FUSE_PASS, split_pipeline
 from repro.schedules.registry import build_schedule, builder_fingerprint
 
 #: Default bound on retained entries (LRU eviction beyond it). A cached
-#: entry holds the schedule plus up to three derived structures; bounding
-#: the count keeps long planner sessions from accumulating every grid
-#: point ever touched.
+#: entry holds its schedule forms plus their kernels (or, until a kernel
+#: exists, dict graphs); bounding the count keeps long planner sessions
+#: from accumulating every grid point ever touched.
 DEFAULT_MAX_ENTRIES = 128
 
 
@@ -92,9 +97,15 @@ def _freeze(schedule: Schedule) -> Schedule:
 class ScheduleArtifacts:
     """One cache entry: a schedule plus its lazily derived forms.
 
-    All four artifacts are built at most once per entry; accessors are
-    idempotent and safe under concurrent use (a rare race builds a
-    duplicate which is immediately discarded in favour of the first).
+    Each derived form is built at most once per entry while it is held;
+    accessors are idempotent and safe under concurrent use (a rare race
+    builds a duplicate which is immediately discarded in favour of the
+    first).
+
+    The resident simulation form is the array kernel: once
+    :meth:`kernel_for` has built a kernel, the entry drops its dict
+    dependency graphs (:attr:`released` names them). The disk tier keeps
+    storing them, and :meth:`graph_for` rebuilds one on demand.
     """
 
     __slots__ = (
@@ -104,6 +115,8 @@ class ScheduleArtifacts:
         "_lowered_graph",
         "_fused",
         "_fused_graph",
+        "_kernels",
+        "released",
         "_lock",
         "_persist",
     )
@@ -119,6 +132,9 @@ class ScheduleArtifacts:
         ("fused_graph", "_fused_graph"),
     )
 
+    #: The dict-graph slots :meth:`kernel_for` releases.
+    _GRAPH_SLOTS = ("graph", "lowered_graph", "fused_graph")
+
     def __init__(
         self,
         schedule: Schedule,
@@ -130,11 +146,16 @@ class ScheduleArtifacts:
         self._lowered_graph: DependencyGraph | None = None
         self._fused: Schedule | None = None
         self._fused_graph: DependencyGraph | None = None
+        #: Graph accessor name -> memoized kernel of that form.
+        self._kernels: dict[str, object] = {}
+        #: Snapshot slot names of the graphs dropped for their kernels.
+        self.released: frozenset[str] = frozenset()
         self._lock = threading.Lock()
         self._persist = persist
 
     def snapshot(self) -> dict:
-        """Every materialized form, keyed by slot name (disk payload)."""
+        """Every form the entry holds, keyed by slot name (disk payload;
+        released graphs are not held)."""
         out: dict = {"schedule": self.schedule}
         with self._lock:
             for name, attr in self._SLOTS:
@@ -228,28 +249,49 @@ class ScheduleArtifacts:
             return self.fused()
         return self.lowered() if tail else self.schedule
 
-    def graph_for(self, pipeline: Sequence[str] = ()) -> DependencyGraph:
-        """The dependency graph of :meth:`schedule_for`'s form."""
+    @staticmethod
+    def _graph_slot(pipeline: Sequence[str]) -> str:
+        """Name of the graph accessor (and snapshot slot) of a form."""
         tail = split_pipeline(pipeline).tail
         if FUSE_PASS in tail:
-            return self.fused_graph()
-        return self.lowered_graph() if tail else self.graph()
+            return "fused_graph"
+        return "lowered_graph" if tail else "graph"
+
+    def graph_for(self, pipeline: Sequence[str] = ()) -> DependencyGraph:
+        """The dependency graph of :meth:`schedule_for`'s form (rebuilt
+        if :meth:`kernel_for` released it)."""
+        return getattr(self, self._graph_slot(pipeline))()
 
     def kernel_for(self, pipeline: Sequence[str] = ()):
         """The array kernel of :meth:`schedule_for`'s form (levelization,
-        edge, FIFO tables).
+        edge, FIFO tables), built once per entry and process.
 
-        Kernels attach to their dependency graph
-        (:func:`repro.sim.kernel.kernel_of`), so this materializes the
-        graph and its kernel once per cache entry and process — planner
-        ranking and the bench suite reuse the same arrays across every
-        cost model they evaluate. The disk tier stores graphs without
-        their kernel. Imported lazily to keep the schedule layer
-        importable without the simulation stack.
+        Planner ranking, the harness and the bench suite reuse the same
+        arrays across every cost model they evaluate. The kernel holds
+        everything simulation reads, so once it exists the entry releases
+        its dict graphs: they were written through to the disk tier when
+        they materialized, and the disk tier stores graphs without their
+        kernel. Imported lazily to keep the schedule layer importable
+        without the simulation stack.
         """
         from repro.sim.kernel import kernel_of
 
-        return kernel_of(self.graph_for(pipeline))
+        slot = self._graph_slot(pipeline)
+        kernel = self._kernels.get(slot)
+        if kernel is not None:
+            return kernel_of(kernel)  # every kernel lookup passes kernel_of
+        kernel = kernel_of(getattr(self, slot)())
+        with self._lock:
+            kernel = self._kernels.setdefault(slot, kernel)
+            held = {
+                name
+                for name in self._GRAPH_SLOTS
+                if getattr(self, f"_{name}") is not None
+            }
+            for name in held:
+                setattr(self, f"_{name}", None)
+            self.released |= held
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -392,7 +434,14 @@ class ScheduleCache:
             disk = self.disk
 
             def persist(arts: ScheduleArtifacts, _key=key) -> None:
-                disk.store(_key, arts.snapshot())
+                payload = arts.snapshot()
+                # Graphs released for their kernels are on disk already;
+                # carry them over instead of dropping them from the payload.
+                missing = arts.released - payload.keys()
+                if missing:
+                    stored = disk.load(_key) or {}
+                    payload.update((n, stored[n]) for n in missing if n in stored)
+                disk.store(_key, payload)
 
             payload = disk.load(key)
             if payload is not None:

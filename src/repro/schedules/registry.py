@@ -48,6 +48,7 @@ from repro.schedules.ir import Schedule
 from repro.schedules.passes import SchedulePass, resolve_pipeline
 from repro.schedules.pipedream import build_pipedream_schedule
 from repro.schedules.pipedream_2bw import build_pipedream_2bw_schedule
+from repro.schedules.placement import StagePlacement
 from repro.schedules.zero_bubble import (
     build_zb_h1_schedule,
     build_zb_v_schedule,
@@ -102,6 +103,13 @@ class SchemeTraits:
         schedule cache can key on the extra parameters; sweeps that assume
         one schedule per ``(scheme, D, N)`` (paper tables, the perf suite)
         skip them.
+    placement:
+        ``depth -> StagePlacement`` the builder emits at ``depth`` with its
+        default options, or ``None`` when the placement is only known
+        after building (``synthesize``). The planner's memory floor
+        (:func:`repro.sim.memory.device_floor`) needs nothing else, so
+        schemes with a placement skip grid points that cannot fit
+        without building them.
     """
 
     stages_per_worker: int = 1
@@ -109,23 +117,32 @@ class SchemeTraits:
     synchronous: bool = True
     default_passes: tuple[str, ...] = ("insert_sync",)
     cost_parameterized: bool = False
+    placement: Callable[[int], StagePlacement] | None = None
 
     def stage_count(self, depth: int) -> int:
         """Number of model stages a schedule at ``depth`` workers has."""
         return depth * self.stages_per_worker
 
 
+_LINEAR = StagePlacement.linear
+_BIDIRECTIONAL = StagePlacement.bidirectional
+_VSHAPED = StagePlacement.vshaped
+
 _TRAITS: dict[str, SchemeTraits] = {
-    "pipedream": SchemeTraits(synchronous=False, default_passes=()),
-    "pipedream_2bw": SchemeTraits(synchronous=False),
-    "gpipe": SchemeTraits(),
-    "gems": SchemeTraits(requires_even_depth=True),
-    "dapple": SchemeTraits(),
-    "chimera": SchemeTraits(requires_even_depth=True, default_passes=()),
-    "zb_h1": SchemeTraits(),
-    "zb_v": SchemeTraits(stages_per_worker=2),
-    "zb_vhalf": SchemeTraits(stages_per_worker=2),
-    "zb_vmin": SchemeTraits(stages_per_worker=2),
+    "pipedream": SchemeTraits(
+        synchronous=False, default_passes=(), placement=_LINEAR
+    ),
+    "pipedream_2bw": SchemeTraits(synchronous=False, placement=_LINEAR),
+    "gpipe": SchemeTraits(placement=_LINEAR),
+    "gems": SchemeTraits(requires_even_depth=True, placement=_BIDIRECTIONAL),
+    "dapple": SchemeTraits(placement=_LINEAR),
+    "chimera": SchemeTraits(
+        requires_even_depth=True, default_passes=(), placement=_BIDIRECTIONAL
+    ),
+    "zb_h1": SchemeTraits(placement=_LINEAR),
+    "zb_v": SchemeTraits(stages_per_worker=2, placement=_VSHAPED),
+    "zb_vhalf": SchemeTraits(stages_per_worker=2, placement=_VSHAPED),
+    "zb_vmin": SchemeTraits(stages_per_worker=2, placement=_VSHAPED),
 }
 
 assert set(_TRAITS) == set(_BUILDERS), "traits and builders out of sync"

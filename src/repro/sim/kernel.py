@@ -41,7 +41,9 @@ Public surface:
   dependency graph: a numpy structured op table, flattened edge arrays,
   a wave levelization, precomputed per-SEND tables (worker endpoints,
   payload units, row positions), and `reduceat` segment offsets. Built
-  once per graph and cached on it, next to the engine's dense form.
+  once per graph (:func:`kernel_of`); it keeps nothing of the graph or
+  the engine's dense form it came from beyond the per-op lists it reads,
+  so schedule-cache entries keep kernels resident and let graphs go.
 * :func:`simulate_fast` — drop-in :func:`~repro.sim.engine.simulate` for
   a single cost model. One scalar pass when contention-free; the
   fixed-point relaxation when contended or blocking.
@@ -133,13 +135,28 @@ class ScheduleKernel:
     The wave/segment offset arrays (``wave_op_ptr``, ``wave_edge_ptr``,
     ``red_off``, ``red_dst``, ``wave_red_ptr``, ``inc_ptr``) drive the two
     relaxation strategies; see :meth:`relax_scalar` and :meth:`relax`.
+
+    The kernel is self-contained: of the engine's dense form it keeps
+    only the per-op ``ops_flat``, ``op_worker`` and ``row_pos`` lists and
+    the dense ids of each sync group's members (``sync_groups``), so it
+    outlives the dependency graph it was built from.
     """
 
     def __init__(self, graph: DependencyGraph):
         dense = _dense_of(graph)
-        self.dense = dense
         total = dense.total
         self.total = total
+        self.ops_flat = dense.ops_flat
+        self.op_worker = dense.op_worker
+        #: Position of each op in its worker's row (dense ids are
+        #: row-major, so an op's row successor is id + 1).
+        self.row_pos = dense.row_pos
+        #: Sync group key -> dense ids of its ALLREDUCE members, in the
+        #: engine's member order.
+        self.sync_groups: dict[tuple, tuple[int, ...]] = {
+            key: tuple(dense.id_of[op.key()] for _, op in members)
+            for key, members in dense.sync_group_members.items()
+        }
 
         # ---- shape classes (duration memoization across cost models) ----
         shape_id: dict[tuple, int] = {}
@@ -755,8 +772,8 @@ class _BlockingAux:
     """
 
     def __init__(self, kernel: ScheduleKernel):
-        dense = kernel.dense
         total = kernel.total
+        op_worker = kernel.op_worker
         #: Group index of each op's ALLREDUCE membership (-1 otherwise).
         self.member_group = [-1] * total
         #: Groups whose resolution floors this op's start (the op is the
@@ -769,22 +786,19 @@ class _BlockingAux:
         member_lists: list[list[int]] = []
 
         aug_edges: list[tuple[int, int]] = []
-        for group_key, members in dense.sync_group_members.items():
+        for group_key, mids in kernel.sync_groups.items():
             g = len(self.group_keys)
             self.group_keys.append(group_key)
             self.group_stage.append(group_key[0])
-            self.group_workers.append(tuple(w for w, _ in members))
-            mids = [dense.id_of[op.key()] for _, op in members]
+            self.group_workers.append(tuple(op_worker[m] for m in mids))
             member_lists.append(mids)
             self.member_counts.append(len(mids))
             successors = []
             for m in mids:
                 self.member_group[m] = g
-                worker = dense.op_worker[m]
-                pos = dense.row_pos[m]
-                row = dense.row_ids[worker]
-                if pos + 1 < len(row):
-                    successors.append(row[pos + 1])
+                # Dense ids are row-major: the row successor is m + 1.
+                if m + 1 < total and op_worker[m + 1] == op_worker[m]:
+                    successors.append(m + 1)
             for s in successors:
                 held = self.release_groups[s]
                 self.release_groups[s] = (
@@ -824,12 +838,18 @@ class _BlockingAux:
         self.order = order
 
 
-def kernel_of(graph: DependencyGraph) -> ScheduleKernel:
+def kernel_of(graph: DependencyGraph | ScheduleKernel) -> ScheduleKernel:
     """The graph's array kernel, built once and cached on the graph.
 
     Kernels are never persisted with their graph, so a process rebuilds
     each one once; the build runs with the cyclic collector paused.
+    :meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for` keeps the
+    kernel and lets the graph go, and looks its kernel up here again on
+    every later use: given a kernel, this returns it, so every kernel
+    lookup passes through one function.
     """
+    if not isinstance(graph, DependencyGraph):
+        return graph  # already a kernel
     kernel = getattr(graph, "_kernel", None)
     if kernel is None:
         with collector_paused():
@@ -843,7 +863,7 @@ def fast_path_supported(
     cost_model: CostModel,
     *,
     blocking_sync: bool = False,
-    graph: DependencyGraph | None = None,
+    kernel: ScheduleKernel | None = None,
 ) -> bool:
     """Telemetry hint: will the single-sweep path run (True), or the
     iterative contended/blocking relaxation (False)?
@@ -859,16 +879,16 @@ def fast_path_supported(
         return False
     if not schedule.lowered and not schedule.metadata.get("offload"):
         return True
-    if graph is None:
-        graph = build_dependency_graph(schedule)
-    return kernel_of(graph).max_send_occupancy(cost_model) == 0.0
+    if kernel is None:
+        kernel = kernel_of(build_dependency_graph(schedule))
+    return kernel.max_send_occupancy(cost_model) == 0.0
 
 
 def simulate_fast(
     schedule: Schedule,
     cost_model: CostModel,
     *,
-    graph: DependencyGraph | None = None,
+    kernel: ScheduleKernel | None = None,
     blocking_sync: bool = False,
 ) -> SimulationResult:
     """Array-kernel :func:`~repro.sim.engine.simulate`, no fallback.
@@ -877,11 +897,13 @@ def simulate_fast(
     ops, transfers, collectives) identical to the event engine's for
     every registered scheme × pass pipeline × cost model — contended
     lowered schedules and blocking collectives run the fixed-point
-    relaxation instead of falling back to the event engine.
+    relaxation instead of falling back to the event engine. ``kernel``
+    is ``schedule``'s kernel (e.g. from
+    :meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for`); it is
+    built from a fresh dependency graph when absent.
     """
-    if graph is None:
-        graph = build_dependency_graph(schedule)
-    kernel = kernel_of(graph)
+    if kernel is None:
+        kernel = kernel_of(build_dependency_graph(schedule))
     wire, occupancy, chan = kernel.send_tables(cost_model)
     contended = bool(occupancy.size) and bool((occupancy > 0.0).any())
     if not contended and not blocking_sync:
@@ -1015,8 +1037,8 @@ def _blocking_floors(
     s_end = send_end
     s_w = kernel.send_worker
     s_pos = kernel.send_row_pos
-    op_worker = kernel.dense.op_worker
-    row_pos = kernel.dense.row_pos
+    op_worker = kernel.op_worker
+    row_pos = kernel.row_pos
     for g, mids in enumerate(aux.member_ids):
         cutoff = max((end[m], op_worker[m], row_pos[m]) for m in mids)
         ce, cw, cp = cutoff
@@ -1192,19 +1214,17 @@ def _assemble_result(
     blocking_sync: bool,
 ) -> SimulationResult:
     """Build the full result from kernel times via the engine's finalizer."""
-    dense = kernel.dense
-    ops_flat = dense.ops_flat
-    op_worker = dense.op_worker
+    ops_flat = kernel.ops_flat
+    op_worker = kernel.op_worker
     timed = {}
     for oid, op in enumerate(ops_flat):
         timed[op.key()] = TimedOp(op, op_worker[oid], start[oid], end[oid])
 
+    sync_members: dict[tuple, list[tuple[int, Operation]]] = {}
     sync_launches: dict[tuple, dict[int, float]] = {}
-    for group_key, members in dense.sync_group_members.items():
-        launches = {}
-        for worker, op in members:
-            launches[worker] = timed[op.key()].start
-        sync_launches[group_key] = launches
+    for group_key, mids in kernel.sync_groups.items():
+        sync_members[group_key] = [(op_worker[m], ops_flat[m]) for m in mids]
+        sync_launches[group_key] = {op_worker[m]: start[m] for m in mids}
 
     num_workers = kernel.num_workers
     transfers: list[TransferRecord] = []
@@ -1233,7 +1253,7 @@ def _assemble_result(
                 end=ws + float(wire_time[idx]),
                 occupancy=float(occupancy[idx]),
                 channel=channel,
-                op_index=dense.row_pos[oid],
+                op_index=kernel.row_pos[oid],
             )
         )
 
@@ -1245,7 +1265,7 @@ def _assemble_result(
         schedule,
         cost_model,
         timed,
-        dense.sync_group_members,
+        sync_members,
         sync_launches,
         transfers,
         blocking_sync=blocking_sync,
@@ -1340,7 +1360,7 @@ def simulate_batch(
     schedule: Schedule,
     cost_models: Sequence[CostModel],
     *,
-    graph: DependencyGraph | None = None,
+    kernel: ScheduleKernel | None = None,
 ) -> BatchResult:
     """Evaluate many cost models against one cached dense schedule.
 
@@ -1353,9 +1373,8 @@ def simulate_batch(
     """
     if not cost_models:
         raise ValueError("simulate_batch needs at least one cost model")
-    if graph is None:
-        graph = build_dependency_graph(schedule)
-    kernel = kernel_of(graph)
+    if kernel is None:
+        kernel = kernel_of(build_dependency_graph(schedule))
     models = tuple(cost_models)
     makespan, iteration, busy, hints = _batch_rows(kernel, models)
     return BatchResult(
@@ -1371,34 +1390,35 @@ def simulate_batch(
 def simulate_batch_many(
     items: Sequence[tuple[Schedule, CostModel]],
     *,
-    graphs: Sequence[DependencyGraph | None] | None = None,
+    kernels: Sequence[ScheduleKernel | None] | None = None,
 ) -> HeteroBatchResult:
     """Evaluate heterogeneous ``(schedule, cost_model)`` rows in one call.
 
     Rows may differ in schedule shape — depth ``D``, micro-batch count
     ``N``, pass pipeline — as well as in cost model and topology. Rows
-    sharing a dependency graph share one kernel and vectorize together
+    sharing a kernel vectorize together
     (the wave sweep amortizes over them exactly as in
     :func:`simulate_batch`); distinct shapes evaluate against their own
     cached kernels within the same call. This is the planner's ranking
-    primitive: all memory-feasible survivors, one call.
+    primitive: all memory-feasible survivors, one call. ``kernels``
+    aligns with ``items``; a row without one gets its own, built from its
+    schedule.
     """
     if not items:
         raise ValueError("simulate_batch_many needs at least one row")
-    if graphs is None:
-        graphs = [None] * len(items)
-    if len(graphs) != len(items):
-        raise ValueError("graphs must align with items")
-    resolved_graphs: list[DependencyGraph] = []
-    for (schedule, _), graph in zip(items, graphs):
-        resolved_graphs.append(
-            graph if graph is not None else build_dependency_graph(schedule)
-        )
+    if kernels is None:
+        kernels = [None] * len(items)
+    if len(kernels) != len(items):
+        raise ValueError("kernels must align with items")
+    resolved = [
+        kernel if kernel is not None else kernel_of(build_dependency_graph(s))
+        for (s, _), kernel in zip(items, kernels)
+    ]
 
     # Group rows by kernel identity, preserving each row's position.
     group_rows: dict[int, list[int]] = {}
-    for k, graph in enumerate(resolved_graphs):
-        group_rows.setdefault(id(graph), []).append(k)
+    for k, kernel in enumerate(resolved):
+        group_rows.setdefault(id(kernel), []).append(k)
 
     n = len(items)
     makespan = np.zeros(n)
@@ -1406,7 +1426,7 @@ def simulate_batch_many(
     busy: list[np.ndarray | None] = [None] * n
     hints = [True] * n
     for rows in group_rows.values():
-        kernel = kernel_of(resolved_graphs[rows[0]])
+        kernel = resolved[rows[0]]
         models = tuple(items[k][1] for k in rows)
         g_mk, g_it, g_busy, g_hints = _batch_rows(kernel, models)
         for j, k in enumerate(rows):
@@ -1703,13 +1723,13 @@ def _iteration_time(
     penalty extends worker finish times (and with them the compute
     makespan) in the same collective order.
     """
-    dense = kernel.dense
+    op_worker = kernel.op_worker
     pending = []
     ar_cache: dict[tuple, float] = {}
-    for group_key, members in dense.sync_group_members.items():
+    for group_key, mids in kernel.sync_groups.items():
         stage, micro_batches = group_key
-        workers = tuple(w for w, _ in members)
-        ready = max(start[dense_id] for dense_id, _ in _member_ids(dense, members))
+        workers = tuple(op_worker[m] for m in mids)
+        ready = max(start[m] for m in mids)
         ckey = (stage, workers)
         cost = ar_cache.get(ckey)
         if cost is None:
@@ -1746,12 +1766,6 @@ def _iteration_time(
         compute_makespan = max(compute_makespan, slowed)
         iteration = max(iteration, compute_makespan)
     return iteration, compute_makespan
-
-
-def _member_ids(dense, members):
-    """Dense ids of a sync group's member ops (paired with the worker)."""
-    for worker, op in members:
-        yield dense.id_of[op.key()], worker
 
 
 def _worker_compute_end(kernel: ScheduleKernel, end: np.ndarray) -> list[float]:

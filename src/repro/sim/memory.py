@@ -40,6 +40,7 @@ from typing import Sequence
 
 from repro.common.errors import MemoryModelError
 from repro.schedules.ir import OpKind, Schedule
+from repro.schedules.placement import StagePlacement
 
 
 def _per_stage(value: Sequence[float] | float, stage: int, what: str) -> float:
@@ -152,31 +153,78 @@ class MemoryReport:
         same way (``None`` = unlimited host memory, the common case —
         hosts hold orders of magnitude more than devices).
         """
-        slack = 1e-9 * max(abs(capacity_bytes), abs(self.peak_bytes), 1.0)
-        if self.peak_bytes > capacity_bytes + slack:
+        if exceeds(self.peak_bytes, capacity_bytes):
             return False
-        if host_capacity_bytes is not None:
-            host_peak = self.host_peak_bytes
-            host_slack = 1e-9 * max(
-                abs(host_capacity_bytes), abs(host_peak), 1.0
-            )
-            if host_peak > host_capacity_bytes + host_slack:
-                return False
-        return True
+        return host_capacity_bytes is None or not exceeds(
+            self.host_peak_bytes, host_capacity_bytes
+        )
 
 
-def weight_versions(schedule: Schedule, stage: int) -> int:
-    """Stashed weight-version count for ``stage`` under the schedule's scheme.
+def exceeds(peak_bytes: float, capacity_bytes: float) -> bool:
+    """Does ``peak_bytes`` overshoot ``capacity_bytes`` (the OOM test)?
+
+    The one comparison behind :meth:`MemoryReport.fits` and the planner's
+    :func:`device_floor` pruning, with its 1e-9 relative slack.
+    """
+    slack = 1e-9 * max(abs(capacity_bytes), abs(peak_bytes), 1.0)
+    return peak_bytes > capacity_bytes + slack
+
+
+def weight_versions(scheme: str, num_stages: int, stage: int) -> int:
+    """Stashed weight-version count for ``stage`` under ``scheme``.
 
     PipeDream keeps one version per in-flight micro-batch — ``D - s`` at
-    stage ``s`` (up to ``D``, Table 2); PipeDream-2BW double-buffers (2);
-    synchronous schemes keep a single version.
+    stage ``s`` of ``D = num_stages`` (up to ``D``, Table 2);
+    PipeDream-2BW double-buffers (2); synchronous schemes keep a single
+    version.
     """
-    if schedule.scheme == "pipedream":
-        return schedule.num_stages - stage
-    if schedule.scheme == "pipedream_2bw":
+    if scheme == "pipedream":
+        return num_stages - stage
+    if scheme == "pipedream_2bw":
         return 2
     return 1
+
+
+def _weight_bytes(
+    scheme: str, placement: StagePlacement, model: MemoryModel, worker: int
+) -> float:
+    """Bytes of every stage replica ``worker`` hosts, stashed versions
+    included (Table 2's weight column)."""
+    weights = 0.0
+    for _, stage in placement.stages_on_worker(worker):
+        versions = weight_versions(scheme, placement.num_stages, stage)
+        weights += model.weights(stage)
+        weights += (versions - 1) * model.weight_stash(stage)
+    return weights
+
+
+def device_floor(
+    scheme: str,
+    placement: StagePlacement,
+    model: MemoryModel,
+    num_micro_batches: int,
+) -> float:
+    """A lower bound on the device peak of any ``scheme`` schedule on
+    ``placement``, known before the schedule is built.
+
+    Each worker holds its weights (:func:`weight_versions` included) for
+    the whole iteration, and at some point a full activation stash
+    ``act(s)`` of a stage it hosts: a forward stashes it, and the
+    recompute and offload passes only shrink a stash *between* the
+    forward and its backward, which rematerializes or reloads it. Once
+    every replica runs a micro-batch (``N >= replicas``) that is the
+    worker's largest ``act(s)``; below that some replica may stay idle,
+    so only the smallest is certain. The floor is the largest such sum
+    over workers; :func:`analyze_memory`'s ``peak_bytes`` is never below
+    it, for every pass pipeline.
+    """
+    all_replicas_run = num_micro_batches >= placement.num_replicas
+    floor = 0.0
+    for worker in range(placement.num_workers):
+        acts = [model.act(s) for _, s in placement.stages_on_worker(worker)]
+        act = max(acts) if all_replicas_run else min(acts)
+        floor = max(floor, _weight_bytes(scheme, placement, model, worker) + act)
+    return floor
 
 
 def analyze_memory(schedule: Schedule, model: MemoryModel) -> MemoryReport:
@@ -331,15 +379,12 @@ def analyze_memory(schedule: Schedule, model: MemoryModel) -> MemoryReport:
                     live_units -= fraction
                     if remaining_parts[key] <= 1e-9:
                         del remaining_parts[key]
-        weights = 0.0
-        for replica, stage in schedule.replicas_hosted_by(worker):
-            versions = weight_versions(schedule, stage)
-            weights += model.weights(stage)
-            weights += (versions - 1) * model.weight_stash(stage)
         workers.append(
             WorkerMemory(
                 worker=worker,
-                weight_bytes=weights,
+                weight_bytes=_weight_bytes(
+                    schedule.scheme, schedule.placement, model, worker
+                ),
                 activation_peak_bytes=peak_bytes,
                 activation_peak_units=peak_units,
                 host_peak_bytes=host_peak,

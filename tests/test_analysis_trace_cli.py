@@ -194,6 +194,40 @@ class TestCLI:
                 ]
             )
 
+    def test_module_entry_point_reports_repro_errors(self, tmp_path):
+        """``python -m repro`` turns a ReproError into a one-line usage
+        error with exit status 2, not a traceback."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env["REPRO_CACHE_DIR"] = str(tmp_path)
+        out = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "plan",
+                "--machine", "piz-daint", "--workload", "gpt2-64",
+                "-P", "4", "--mini-batch", "64", "--budget-gib", "6",
+                "--schemes", "gpipe", "gems", "dapple", "chimera",
+                "pipedream", "pipedream_2bw",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("repro: error: no micro-batch size fits")
+        assert (
+            "closest candidate gpipe(W=1, D=4, B=1, R, O) overshoots by "
+            "1.54 GiB" in out.stderr
+        )
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+
     def test_figure(self, capsys):
         rc = cli_main(["figure", "table4"])
         assert rc == 0

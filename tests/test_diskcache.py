@@ -35,7 +35,7 @@ from repro.schedules.diskcache import (
 )
 from repro.schedules.registry import build_schedule
 from repro.sim.cost import CostModel
-from repro.sim.kernel import simulate_fast
+from repro.sim.kernel import kernel_of, simulate_fast
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -51,14 +51,13 @@ class TestDiskRoundTrip:
         simulates identically."""
         disk = DiskScheduleCache(tmp_path)
         arts = ScheduleArtifacts(build_schedule("chimera", 4, 8))
-        # Materialize everything, including the attached array kernel and
-        # (through simulation) the engine's dense form.
+        # Materialize everything, including the graph-attached array
+        # kernel and the engine's dense form it is built from.
         fused = ("lower_p2p", "fuse_comm")
         arts.lowered_graph()
-        kernel = arts.kernel_for(fused)
+        kernel = kernel_of(arts.graph_for(fused))
         cost = CostModel.practical()
-        a = simulate_fast(arts.schedule_for(fused), cost,
-                          graph=arts.graph_for(fused))
+        a = simulate_fast(arts.schedule_for(fused), cost, kernel=kernel)
         assert hasattr(arts.graph_for(fused), "_dense")
         key = ScheduleCache.key("chimera", 4, 8, {})
         assert disk.store(key, arts.snapshot())
@@ -80,8 +79,7 @@ class TestDiskRoundTrip:
         # The kernel rebuilds on first use and simulates identically.
         rk = restored.kernel_for(fused)
         assert rk is not kernel and rk.total == kernel.total
-        b = simulate_fast(restored.schedule_for(fused), cost,
-                          graph=restored.graph_for(fused))
+        b = simulate_fast(restored.schedule_for(fused), cost, kernel=rk)
         assert a.compute_makespan == b.compute_makespan
         assert a.iteration_time == b.iteration_time
 

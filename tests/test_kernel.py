@@ -100,10 +100,10 @@ def test_fast_path_matches_event_engine(scheme, depth, n, f, b, w, alpha, pipeli
     schedule = arts.schedule_for(pipeline)
     graph = arts.graph_for(pipeline)
     cm = contention_free_model(f, b, w, alpha)
-    assert fast_path_supported(schedule, cm, graph=graph)
+    assert fast_path_supported(schedule, cm, kernel=kernel_of(graph))
     assert_results_match(
         simulate(schedule, cm, graph=graph),
-        simulate_fast(schedule, cm, graph=graph),
+        simulate_fast(schedule, cm, kernel=kernel_of(graph)),
     )
 
 
@@ -128,7 +128,7 @@ def test_batch_matches_event_engine(scheme, depth, n, f, b, w, pipeline):
             sync_overlap_slowdown=0.25
         ),
     ]
-    batch = simulate_batch(schedule, models, graph=graph)
+    batch = simulate_batch(schedule, models, kernel=kernel_of(graph))
     assert isinstance(batch, BatchResult)
     assert len(batch) == len(models)
     for k, cm in enumerate(models):
@@ -153,7 +153,7 @@ def test_batch_matches_event_engine(scheme, depth, n, f, b, w, pipeline):
 def test_single_model_batch_uses_scalar_pass():
     arts = schedule_artifacts("chimera", 4, 8)
     cm = contention_free_model(1.0, 1.1, 0.9, 0.05)
-    batch = simulate_batch(arts.schedule, [cm], graph=arts.graph())
+    batch = simulate_batch(arts.schedule, [cm], kernel=kernel_of(arts.graph()))
     ref = simulate(arts.schedule, cm, graph=arts.graph())
     assert batch.used_fast_path == (True,)
     assert batch.iteration_time[0] == pytest.approx(ref.iteration_time, abs=ATOL)
@@ -175,7 +175,7 @@ def test_hierarchical_topology_matches():
         graph = arts.graph_for(pipeline)
         assert_results_match(
             simulate(schedule, cm, graph=graph),
-            simulate_fast(schedule, cm, graph=graph),
+            simulate_fast(schedule, cm, kernel=kernel_of(graph)),
         )
 
 
@@ -192,14 +192,14 @@ def test_lowered_contention_runs_contended_kernel_path():
         topology=FlatTopology(LinkSpec(alpha=0.05, beta=0.1)),
         activation_message_bytes=1.0,
     )
-    assert not fast_path_supported(schedule, cm, graph=graph)
+    assert not fast_path_supported(schedule, cm, kernel=kernel_of(graph))
     assert_results_match(
         simulate(schedule, cm, graph=graph),
-        simulate_fast(schedule, cm, graph=graph),
+        simulate_fast(schedule, cm, kernel=kernel_of(graph)),
     )
     # The implicit form routes single-sweep under the same model:
     # contention is a lowered-schedule concept.
-    assert fast_path_supported(arts.schedule, cm, graph=arts.graph())
+    assert fast_path_supported(arts.schedule, cm, kernel=kernel_of(arts.graph()))
 
 
 def test_blocking_sync_runs_contended_kernel_path():
@@ -207,7 +207,9 @@ def test_blocking_sync_runs_contended_kernel_path():
     cm = contention_free_model(1.0, 1.0, 1.0, 0.05)
     assert not fast_path_supported(arts.schedule, cm, blocking_sync=True)
     ref = simulate(arts.schedule, cm, graph=arts.graph(), blocking_sync=True)
-    got = simulate_fast(arts.schedule, cm, graph=arts.graph(), blocking_sync=True)
+    got = simulate_fast(
+        arts.schedule, cm, kernel=kernel_of(arts.graph()), blocking_sync=True
+    )
     assert got.iteration_time == pytest.approx(ref.iteration_time, abs=ATOL)
 
 
@@ -218,7 +220,7 @@ def test_batch_mixed_routing():
     graph = arts.lowered_graph()
     free = contention_free_model(1.0, 1.2, 0.8, 0.05)
     congested = free.with_(topology=FlatTopology(LinkSpec(alpha=0.05, beta=0.2)))
-    batch = simulate_batch(schedule, [free, congested, free], graph=graph)
+    batch = simulate_batch(schedule, [free, congested, free], kernel=kernel_of(graph))
     assert batch.used_fast_path == (True, False, True)
     for k, cm in enumerate([free, congested, free]):
         ref = simulate(schedule, cm, graph=graph)

@@ -138,10 +138,10 @@ def test_contended_matches_event_engine(
     cm = contended_model(f, b, w, make_topology(topo_kind, duplex, alpha, beta))
     # beta > 0 on a lowered schedule: the hint must report contended
     # routing, and the kernel must still be engine-exact.
-    assert not fast_path_supported(schedule, cm, graph=graph)
+    assert not fast_path_supported(schedule, cm, kernel=kernel_of(graph))
     assert_results_match(
         simulate(schedule, cm, graph=graph),
-        simulate_fast(schedule, cm, graph=graph),
+        simulate_fast(schedule, cm, kernel=kernel_of(graph)),
     )
 
 
@@ -166,16 +166,16 @@ def test_contended_blocking_matches_event_engine(scheme, n, f, b, beta, duplex):
     schedule, graph = pipeline_artifacts(scheme, 4, n, "lowered")
     cm = contended_model(f, b, 1.0, make_topology("flat", duplex, 0.05, beta))
     assert not fast_path_supported(
-        schedule, cm, graph=graph, blocking_sync=True
+        schedule, cm, kernel=kernel_of(graph), blocking_sync=True
     )
     try:
         ref = simulate(schedule, cm, graph=graph, blocking_sync=True)
     except ScheduleError:
         with pytest.raises(ScheduleError):
-            simulate_fast(schedule, cm, graph=graph, blocking_sync=True)
+            simulate_fast(schedule, cm, kernel=kernel_of(graph), blocking_sync=True)
         return
     assert_results_match(
-        ref, simulate_fast(schedule, cm, graph=graph, blocking_sync=True)
+        ref, simulate_fast(schedule, cm, kernel=kernel_of(graph), blocking_sync=True)
     )
 
 
@@ -190,7 +190,7 @@ def test_contended_batch_matches_event_engine():
         contended_model(0.8, 1.0, 1.0, make_topology("flat", "full", 0.05, 0.0)),
         contended_model(1.0, 1.0, 1.0, make_topology("flat", "half", 0.0, 0.4)),
     ]
-    batch = simulate_batch(schedule, models, graph=graph)
+    batch = simulate_batch(schedule, models, kernel=kernel_of(graph))
     assert batch.used_fast_path == (False, False, True, False)
     for k, cm in enumerate(models):
         ref = simulate(schedule, cm, graph=graph)
@@ -217,7 +217,7 @@ def test_batch_many_heterogeneous_shapes():
         schedule, graph = pipeline_artifacts(scheme, depth, n, pipeline)
         items.append((schedule, contended_model(1.0, 1.1, 0.9, topo)))
         graphs.append(graph)
-    batch = simulate_batch_many(items, graphs=graphs)
+    batch = simulate_batch_many(items, kernels=[kernel_of(g) for g in graphs])
     assert len(batch) == len(rows)
     assert batch.used_fast_path == (False, True, False, False, False, False)
     for k, (schedule, cm) in enumerate(items):
@@ -280,7 +280,7 @@ def test_simulated_transfers_never_overlap_a_channel():
     """End-to-end FIFO: per channel, occupancy intervals are disjoint."""
     arts = schedule_artifacts("gpipe", 4, 8)
     cm = contended_model(1.0, 1.0, 1.0, make_topology("flat", "half", 0.05, 0.4))
-    result = simulate_fast(arts.lowered(), cm, graph=arts.lowered_graph())
+    result = simulate_fast(arts.lowered(), cm, kernel=kernel_of(arts.lowered_graph()))
     by_channel: dict[tuple, list] = {}
     for t in result.transfers:
         assert t.channel is not None
@@ -303,11 +303,11 @@ def test_sweep_cap_raises_distinguished_error(monkeypatch):
     # Sanity: the real cap converges and matches the engine.
     assert_results_match(
         simulate(schedule, cm, graph=graph),
-        simulate_fast(schedule, cm, graph=graph),
+        simulate_fast(schedule, cm, kernel=kernel_of(graph)),
     )
     monkeypatch.setattr(kernel_mod, "MAX_RELAXATION_SWEEPS", 1)
     with pytest.raises(KernelConvergenceError) as err:
-        simulate_fast(schedule, cm, graph=graph)
+        simulate_fast(schedule, cm, kernel=kernel_of(graph))
     assert "1 sweep" in str(err.value)
 
 
@@ -318,7 +318,7 @@ def test_sweep_cap_raises_in_batch_path(monkeypatch):
     with pytest.raises(KernelConvergenceError):
         simulate_batch(
             arts.lowered(), [cm, cm.with_(forward_time=1.5)],
-            graph=arts.lowered_graph(),
+            kernel=kernel_of(arts.lowered_graph()),
         )
 
 
@@ -342,7 +342,7 @@ def test_max_send_occupancy_reads_precomputed_table():
         dense.send_info = None
         dense.ops_flat = None
         assert kernel.max_send_occupancy(cm) == expected
-        assert not fast_path_supported(arts.lowered(), cm, graph=graph)
+        assert not fast_path_supported(arts.lowered(), cm, kernel=kernel_of(graph))
     finally:
         dense.send_info = saved_send_info
         dense.ops_flat = saved_ops_flat

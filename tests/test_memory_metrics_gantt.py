@@ -43,12 +43,15 @@ class TestMemoryModel:
         assert report.workers[1].weight_bytes == 1.0
 
     def test_weight_versions_per_scheme(self):
-        pd = build_schedule("pipedream", 4, 4)
-        bw = build_schedule("pipedream_2bw", 4, 4)
-        sync = build_schedule("dapple", 4, 4)
-        assert weight_versions(pd, 0) == 4 and weight_versions(pd, 3) == 1
-        assert weight_versions(bw, 0) == 2
-        assert weight_versions(sync, 0) == 1
+        assert weight_versions("pipedream", 4, 0) == 4
+        assert weight_versions("pipedream", 4, 3) == 1
+        assert weight_versions("pipedream_2bw", 4, 0) == 2
+        assert weight_versions("dapple", 4, 0) == 1
+        # analyze_memory charges exactly those versions.
+        mm = MemoryModel(activation_bytes=0.0, weight_bytes=1.0,
+                         weight_stash_bytes=0.5)
+        report = analyze_memory(build_schedule("pipedream", 4, 4), mm)
+        assert [w.weight_bytes for w in report.workers] == [2.5, 2.0, 1.5, 1.0]
 
     def test_imbalance_and_fits(self):
         report = analyze_memory(

@@ -23,7 +23,12 @@ from repro.schedules.cache import schedule_artifacts
 from repro.schedules.registry import available_schemes, build_schedule
 from repro.sim.cost import CostModel
 from repro.sim.engine import simulate
-from repro.sim.kernel import fast_path_supported, simulate_batch, simulate_fast
+from repro.sim.kernel import (
+    fast_path_supported,
+    kernel_of,
+    simulate_batch,
+    simulate_fast,
+)
 from repro.sim.memory import MemoryModel, analyze_memory
 from repro.sim.network import HostChannel, LinkSpec
 from tests.test_kernel_contended import (
@@ -145,10 +150,10 @@ def test_offloaded_implicit_matches_event_engine(
     # (Tiny N can leave every stash adjacent to its backward, in which
     # case the pass inserts nothing and the single sweep still applies.)
     offloaded = any(op.is_offload for _, op in schedule.all_ops())
-    assert fast_path_supported(schedule, cm, graph=graph) == (not offloaded)
+    assert fast_path_supported(schedule, cm, kernel=kernel_of(graph)) == (not offloaded)
     assert_results_match(
         simulate(schedule, cm, graph=graph),
-        simulate_fast(schedule, cm, graph=graph),
+        simulate_fast(schedule, cm, kernel=kernel_of(graph)),
     )
 
 
@@ -182,10 +187,10 @@ def test_offloaded_lowered_matches_event_engine(
         ),
         offload_message_bytes=2.0,
     )
-    assert not fast_path_supported(schedule, cm, graph=graph)
+    assert not fast_path_supported(schedule, cm, kernel=kernel_of(graph))
     assert_results_match(
         simulate(schedule, cm, graph=graph),
-        simulate_fast(schedule, cm, graph=graph),
+        simulate_fast(schedule, cm, kernel=kernel_of(graph)),
     )
 
 
@@ -198,10 +203,10 @@ def test_latency_only_host_channel_keeps_the_single_sweep():
         host_channel=HostChannel(LinkSpec(alpha=0.3, beta=0.0)),
         offload_message_bytes=2.0,
     )
-    assert fast_path_supported(schedule, cm, graph=graph)
+    assert fast_path_supported(schedule, cm, kernel=kernel_of(graph))
     assert_results_match(
         simulate(schedule, cm, graph=graph),
-        simulate_fast(schedule, cm, graph=graph),
+        simulate_fast(schedule, cm, kernel=kernel_of(graph)),
     )
 
 
@@ -227,7 +232,7 @@ def test_offloaded_batch_rows_are_engine_exact():
             offload_message_bytes=2.0,
         ),
     ]
-    batch = simulate_batch(schedule, models, graph=graph)
+    batch = simulate_batch(schedule, models, kernel=kernel_of(graph))
     assert batch.used_fast_path == (True, True, False, False)
     for k, cm in enumerate(models):
         ref = simulate(schedule, cm, graph=graph)
