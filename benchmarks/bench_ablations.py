@@ -17,7 +17,7 @@ from repro.perf.calibration import calibrate_cost_model
 from repro.perf.planner import greedy_micro_batch
 from repro.schedules.chimera import build_chimera_schedule
 from repro.sim.cost import CostModel
-from repro.sim.engine import simulate
+from repro.sim.kernel import simulate_fast
 from repro.sim.metrics import bubble_ratio
 
 
@@ -32,7 +32,7 @@ def _allreduce_ablation(fast: bool) -> str:
             data_parallel_width=8,
             allreduce_algorithm=algo,
         )
-        result = simulate(build_chimera_schedule(4, 8), cost)
+        result = simulate_fast(build_chimera_schedule(4, 8), cost)
         rows.append([algo, f"{result.iteration_time:.3f}s", f"{result.sync_tail():.3f}s"])
     return "Allreduce algorithm ablation (Bert-48, W=8, D=4, B=8)\n" + format_table(
         rows, headers=["algorithm", "iteration", "sync tail"]
@@ -85,7 +85,7 @@ def _backward_ratio_ablation(fast: bool) -> str:
     rows = []
     for ratio, label in ((1.0, "B = F (ideal)"), (2.0, "B = 2F"), (3.0, "B = 3F (recompute)")):
         cost = CostModel(forward_time=1.0, backward_ratio=ratio)
-        result = simulate(build_chimera_schedule(8, 8), cost)
+        result = simulate_fast(build_chimera_schedule(8, 8), cost)
         rows.append([label, f"{bubble_ratio(result):.3f}"])
     return "Backward/forward ratio vs Chimera bubble ratio (D=N=8)\n" + format_table(
         rows, headers=["workload model", "bubble ratio"]
@@ -105,7 +105,7 @@ def _sync_mode_ablation(fast: bool) -> str:
         )
         times = {}
         for mode in ("lazy", "eager", "eager_opt"):
-            result = simulate(
+            result = simulate_fast(
                 build_chimera_schedule(depth, depth, sync_mode=mode), cost
             )
             times[mode] = result.iteration_time

@@ -2,8 +2,8 @@
 
 Times the D=16, N=64 acceptance grid of the kernel — chimera and ZB-V,
 implicit and lowered — through :func:`repro.sim.kernel.simulate_fast`
-(full-result drop-in) and :func:`repro.sim.kernel.simulate_batch` (eight
-cost models against one cached dense schedule), asserting the tentpole
+(full result) and :func:`repro.sim.kernel.simulate_batch_many` (eight
+cost models against one cached kernel), asserting the tentpole
 speedup: the batch path at least 3x the event engine per model evaluated.
 
 Doubles as a plain script::
@@ -17,7 +17,7 @@ from repro.bench.harness import format_table
 from repro.bench.perfsuite import batch_cost_models, suite_cost_model
 from repro.schedules.cache import schedule_artifacts
 from repro.sim.engine import simulate
-from repro.sim.kernel import kernel_of, simulate_batch, simulate_fast
+from repro.sim.kernel import kernel_of, simulate_batch_many, simulate_fast
 
 DEPTH, MICRO_BATCHES = 16, 64
 
@@ -50,10 +50,12 @@ def run() -> str:
         for mode, pipeline in MODES.items():
             schedule, graph = _case(scheme, pipeline)
             kernel = kernel_of(graph)
+            batch_rows = [(schedule, model) for model in models]
+            kernels = [kernel] * len(models)
             event = _best(lambda: simulate(schedule, base, graph=graph))
             fast = _best(lambda: simulate_fast(schedule, base, kernel=kernel))
             batch = _best(
-                lambda: simulate_batch(schedule, models, kernel=kernel)
+                lambda: simulate_batch_many(batch_rows, kernels=kernels)
             ) / len(models)
             rows.append(
                 [
@@ -76,9 +78,11 @@ def test_batch_path_beats_event_engine(benchmark, report):
     kernel = kernel_of(graph)
     base = suite_cost_model()
     models = batch_cost_models()
-    result = benchmark(simulate_batch, schedule, models, kernel=kernel)
+    batch_rows = [(schedule, model) for model in models]
+    kernels = [kernel] * len(models)
+    result = benchmark(simulate_batch_many, batch_rows, kernels=kernels)
     event = _best(lambda: simulate(schedule, base, graph=graph))
-    batch = _best(lambda: simulate_batch(schedule, models, kernel=kernel))
+    batch = _best(lambda: simulate_batch_many(batch_rows, kernels=kernels))
     per_model = batch / len(models)
     assert result.iteration_time[0] > 0
     assert event / per_model >= 3.0, (

@@ -1,11 +1,11 @@
 """Micro-benchmarks of the library itself: schedule construction, the
-discrete-event engine, and the schedule timelines of Figures 2/3/7/8."""
+simulator, and the schedule timelines of Figures 2/3/7/8."""
 
 from repro.schedules.chimera import build_chimera_schedule
 from repro.schedules.registry import build_schedule
 from repro.sim.cost import CostModel
-from repro.sim.engine import simulate
 from repro.sim.gantt import render_gantt
+from repro.sim.kernel import simulate_fast
 
 
 def test_build_chimera_d32(benchmark):
@@ -29,7 +29,7 @@ def test_build_chimera_four_pipelines(benchmark):
 
 def test_simulate_chimera_d32(benchmark):
     schedule = build_chimera_schedule(32, 32)
-    result = benchmark(simulate, schedule, CostModel.practical())
+    result = benchmark(simulate_fast, schedule, CostModel.practical())
     assert result.compute_makespan > 0
 
 

@@ -60,14 +60,16 @@ by batched simulation against cached dense schedules)::
                                 mini_batch=512,
                                 memory_budget_bytes=8 * GIB)
 
-Batch simulation (the array kernel: many cost models against one cached
-schedule; ``repro bench`` gates its throughput in CI)::
+Batch simulation (many ``(schedule, cost_model)`` rows in one call on
+the array kernel; rows sharing a cached kernel vectorize together, and
+``repro bench`` gates its throughput in CI)::
 
-    from repro import schedule_artifacts, simulate_batch
+    from repro import schedule_artifacts, simulate_batch_many
     arts = schedule_artifacts("chimera", 8, 16)
-    batch = simulate_batch(arts.schedule, [CostModel.practical(),
-                                           CostModel.unit()],
-                           kernel=arts.kernel_for())
+    kernel = arts.kernel_for()
+    models = [CostModel.practical(), CostModel.unit()]
+    batch = simulate_batch_many([(arts.schedule, m) for m in models],
+                                kernels=[kernel] * len(models))
 """
 
 from repro.schedules import (
@@ -116,8 +118,7 @@ from repro.sim import (
     bubble_ratio,
     render_gantt,
     simulate,
-    simulate_batch,
-    simulate_fast,
+    simulate_batch_many,
 )
 from repro.perf import (
     PlanEntry,
@@ -175,8 +176,7 @@ __all__ = [
     "bubble_ratio",
     "render_gantt",
     "simulate",
-    "simulate_batch",
-    "simulate_fast",
+    "simulate_batch_many",
     "PlanEntry",
     "plan_configurations",
     "predict_closed_form",

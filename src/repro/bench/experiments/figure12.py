@@ -16,7 +16,7 @@ from repro.bench.machines import PIZ_DAINT
 from repro.bench.workloads import BERT48
 from repro.perf.calibration import calibrate_cost_model
 from repro.schedules.chimera import build_chimera_schedule
-from repro.sim.engine import simulate
+from repro.sim.kernel import simulate_fast
 
 DEPTH = 4
 MICRO_BATCH = 8
@@ -41,7 +41,7 @@ def throughputs(num_workers: int, mini_batch: int) -> dict[str, float]:
     out = {}
     for mode in ("lazy", "eager", "eager_opt"):
         schedule = build_chimera_schedule(DEPTH, n, sync_mode=mode)
-        result = simulate(schedule, cost)
+        result = simulate_fast(schedule, cost)
         out[mode] = mini_batch / result.iteration_time
     return out
 

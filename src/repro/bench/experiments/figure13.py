@@ -17,7 +17,7 @@ from repro.perf.calibration import calibrate_cost_model
 from repro.perf.model import predict_iteration_time
 from repro.perf.planner import greedy_micro_batch
 from repro.schedules.registry import build_schedule
-from repro.sim.engine import simulate
+from repro.sim.kernel import simulate_fast
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def evaluate(
         )
         prediction = predict_iteration_time(depth, n, cost, recompute=recompute)
         schedule = build_schedule("chimera", depth, n, recompute=recompute)
-        practice = simulate(schedule, cost)
+        practice = simulate_fast(schedule, cost)
         out.append(
             ModelVsPractice(
                 width=width,

@@ -13,7 +13,7 @@ from repro.bench.harness import format_table
 from repro.schedules.analysis import bubble_ratio_formula
 from repro.schedules.registry import available_schemes, build_schedule, scheme_traits
 from repro.sim.cost import CostModel
-from repro.sim.engine import simulate
+from repro.sim.kernel import simulate_fast
 from repro.sim.memory import MemoryModel, analyze_memory
 from repro.sim.metrics import bubble_ratio
 
@@ -53,7 +53,7 @@ def rows(depth: int = 8, n: int = 8) -> list[Table2Row]:
         if scheme_traits(scheme).cost_parameterized:
             continue  # no single Table-2 row: output depends on the cost model
         schedule = build_schedule(scheme, depth, n)
-        result = simulate(schedule, cost)
+        result = simulate_fast(schedule, cost)
         report = analyze_memory(schedule, memory)
         units = [w.activation_peak_units for w in report.workers]
         out.append(

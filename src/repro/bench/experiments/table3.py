@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.bench.harness import format_table
 from repro.schedules.chimera import build_chimera_schedule
 from repro.sim.cost import CostModel
-from repro.sim.engine import simulate
+from repro.sim.kernel import simulate_fast
 from repro.sim.memory import MemoryModel, analyze_memory
 from repro.sim.metrics import bubble_ratio
 
@@ -43,7 +43,7 @@ def rows(depth: int = 8) -> list[Table3Row]:
         schedule = build_chimera_schedule(
             depth, n, num_down_pipelines=f, slot_model="unit"
         )
-        result = simulate(schedule, cost)
+        result = simulate_fast(schedule, cost)
         report = analyze_memory(schedule, memory)
         units = [w.activation_peak_units for w in report.workers]
         out.append(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.bench.harness import format_table
 from repro.schedules.registry import build_schedule
 from repro.sim.cost import CostModel
-from repro.sim.engine import simulate
+from repro.sim.kernel import simulate_fast
 from repro.sim.memory import MemoryModel, analyze_memory
 from repro.sim.metrics import bubble_ratio
 
@@ -39,7 +39,7 @@ class ZeroBubbleRow:
 def rows(shapes: list[tuple[int, int]]) -> list[ZeroBubbleRow]:
     out: list[ZeroBubbleRow] = []
     for depth, n in shapes:
-        baseline = simulate(
+        baseline = simulate_fast(
             build_schedule("dapple", depth, n), CostModel.practical()
         )
         for scheme in SCHEMES:
@@ -49,7 +49,7 @@ def rows(shapes: list[tuple[int, int]]) -> list[ZeroBubbleRow]:
             # activations; scaling keeps total model work and memory
             # identical across rows (fair head-to-head makespans).
             scale = depth / schedule.num_stages
-            result = simulate(
+            result = simulate_fast(
                 schedule, CostModel.practical().with_(forward_time=scale)
             )
             report = analyze_memory(

@@ -7,8 +7,8 @@ lowered, fused, contended, contended_fused}) three ways per case:
 
 * the PR-2 **event**-queue engine (:func:`repro.sim.engine.simulate`),
 * the array-kernel **fast** path (:func:`repro.sim.kernel.simulate_fast`),
-* the **batch** API (:func:`repro.sim.kernel.simulate_batch`, several cost
-  models amortized over one cached dense schedule),
+* the **batch** API (:func:`repro.sim.kernel.simulate_batch_many`,
+  several cost models amortized over one cached kernel),
 
 checks that all three report identical makespans to 1e-9 (the kernel is
 engine-exact in *every* regime — there is no event-engine fallback), and
@@ -84,12 +84,7 @@ from repro.schedules.cache import schedule_artifacts
 from repro.schedules.registry import available_schemes, scheme_traits
 from repro.sim.cost import CostModel
 from repro.sim.engine import simulate
-from repro.sim.kernel import (
-    fast_path_supported,
-    kernel_of,
-    simulate_batch,
-    simulate_fast,
-)
+from repro.sim.kernel import kernel_of, simulate_batch_many, simulate_fast
 from repro.sim.network import FlatTopology, HostChannel, LinkSpec
 
 #: Bumped whenever the JSON layout or the suite contents change; the
@@ -363,17 +358,9 @@ def run_case(
     graph = arts.graph_for(MODE_PIPELINES[case.mode])
     kernel = kernel_of(graph)
     base = contended_suite_model() if contended else suite_cost_model()
-    # fast_path_supported is a telemetry hint, not a gate: True means the
-    # single-sweep vectorized pass, False means the contended handling.
-    # Either way the case runs on the kernel; assert the hint matches the
-    # regime so a routing regression fails loudly here.
-    hint = fast_path_supported(schedule, base, kernel=kernel)
-    if hint == contended:
-        raise ScheduleError(
-            f"kernel path hint mismatch on {case.case_id}: expected "
-            f"{'contended' if contended else 'single-sweep'} routing"
-        )
     models = batch_cost_models(batch_size, base=base)
+    rows = [(schedule, model) for model in models]
+    kernels = [kernel] * len(models)
 
     event_wall, event = _best_wall(
         lambda: simulate(schedule, base, graph=graph), repeats
@@ -382,8 +369,15 @@ def run_case(
         lambda: simulate_fast(schedule, base, kernel=kernel), repeats
     )
     batch_wall, batch = _best_wall(
-        lambda: simulate_batch(schedule, models, kernel=kernel), repeats
+        lambda: simulate_batch_many(rows, kernels=kernels), repeats
     )
+    # Every case runs on the kernel either way; the base row's routing
+    # must match the regime so a routing regression fails loudly here.
+    if batch.used_fast_path[0] == contended:
+        raise ScheduleError(
+            f"kernel routing mismatch on {case.case_id}: expected "
+            f"{'contended' if contended else 'single-sweep'} routing"
+        )
 
     mk_fast = abs(event.compute_makespan - fast.compute_makespan)
     it_fast = abs(event.iteration_time - fast.iteration_time)
@@ -529,13 +523,6 @@ def run_offload_block(
                 graph = arts.graph_for(MODE_PIPELINES[mode])
                 kernel = kernel_of(graph)
                 case_id = f"{scheme}/D{depth}/N{n}/{mode}"
-                # Nonzero stash occupancy: the hint must report the
-                # contended routing, or host copies stopped queueing.
-                if fast_path_supported(schedule, model, kernel=kernel):
-                    raise ScheduleError(
-                        f"kernel path hint mismatch on {case_id}: expected "
-                        f"host-channel contended routing"
-                    )
                 event_wall, event = _best_wall(
                     lambda: simulate(schedule, model, graph=graph), repeats
                 )
@@ -552,12 +539,17 @@ def run_offload_block(
                         f"engine/kernel makespan divergence on {case_id}: "
                         f"{worst:.3e} exceeds {MAKESPAN_ATOL:.0e}"
                     )
+                # Stash copies must occupy their host channel, or they
+                # stopped queueing and the section times the wrong regime.
+                stash = [t for t in fast_result.transfers if t.payload == "stash"]
+                if not stash or not all(t.occupancy > 0.0 for t in stash):
+                    raise ScheduleError(
+                        f"no host-channel occupancy on {case_id}: expected "
+                        f"queueing stash copies"
+                    )
                 event_wall *= slowdown
                 fast_wall *= slowdown
                 ops = sum(len(row) for row in schedule.worker_ops)
-                stash = sum(
-                    1 for t in event.transfers if t.payload == "stash"
-                )
                 cases.append(
                     {
                         "id": case_id,
@@ -566,7 +558,7 @@ def run_offload_block(
                         "num_micro_batches": n,
                         "mode": mode,
                         "ops": ops,
-                        "host_copies": stash,
+                        "host_copies": len(stash),
                         "compute_makespan": event.compute_makespan,
                         "iteration_time": event.iteration_time,
                         "event": {

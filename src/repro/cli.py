@@ -83,8 +83,8 @@ from repro.perf.planner import select_configuration
 from repro.schedules.passes.pipeline import normalize_pipeline
 from repro.schedules.registry import available_schemes, build_schedule
 from repro.sim.cost import CostModel
-from repro.sim.engine import simulate
 from repro.sim.gantt import render_gantt
+from repro.sim.kernel import simulate_fast
 from repro.sim.network import FlatTopology, HostChannel, LinkSpec
 from repro.sim.trace import write_chrome_trace
 FIGURES = {
@@ -208,7 +208,7 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    result = simulate(_build(args), _cost_model(args))
+    result = simulate_fast(_build(args), _cost_model(args))
     write_chrome_trace(result, args.output)
     print(f"wrote {args.output} (open in chrome://tracing or Perfetto)")
     return 0

@@ -8,10 +8,10 @@
   (W, D) split) and the scheme-agnostic generalization (enumerate
   ``(scheme, W, D, B)`` over every registered scheme, prune by the memory
   model against a peak-memory budget, and rank the survivors with the
-  contention-aware event-queue simulation, with schedule passes —
+  contention-aware batched simulation, with schedule passes —
   recomputation, communication fusion — as planning axes), plus the
   batched :func:`~repro.perf.planner.plan_many` entry point behind
-  ``repro serve`` and the bench suite's planner load harness.
+  ``repro serve``.
 * :mod:`repro.perf.calibration` — build cost/memory models from a machine
   spec and a workload spec (the stand-in for the paper's micro-benchmarks).
 """

@@ -8,7 +8,7 @@ path (Figure 6: ``C_f = 6``, ``C_b = 10`` for ``N = D = 6``). For Chimera's
 merged bidirectional schedule they close to ``C_f = N`` and
 ``C_b = N + D - 2`` — consistent with the practical makespan
 ``F_t*N + B_t*(N + D - 2)`` = ``3N + 2(D-2)`` forward-units at ``B = 2F``,
-which our discrete-event engine reproduces exactly at ``N = D``.
+which the simulator reproduces exactly at ``N = D``.
 
 The communication-overlap term (Figure 6's free regions) is evaluated by
 timing the *homogeneous* schedule (balanced stages, constant p2p) and
@@ -25,7 +25,7 @@ from repro.common.errors import ConfigurationError
 from repro.schedules.chimera import ConcatStrategy, build_chimera_schedule
 from repro.schedules.passes import RecomputePass
 from repro.sim.cost import CostModel
-from repro.sim.engine import simulate
+from repro.sim.kernel import simulate_fast
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def predict_iteration_time(
     )
     if recompute:
         schedule = RecomputePass().run(schedule)
-    result = simulate(schedule, homogeneous)
+    result = simulate_fast(schedule, homogeneous)
     c_f, c_b = chimera_critical_path(depth, num_micro_batches)
     ratio = (
         cost_model.recompute_backward_ratio

@@ -1,4 +1,4 @@
-"""Discrete-event simulation of pipeline schedules on modelled clusters.
+"""Simulation of pipeline schedules on modelled clusters.
 
 The simulator executes a :class:`~repro.schedules.ir.Schedule` against a
 :class:`~repro.sim.cost.CostModel` — per-op compute durations, alpha-beta
@@ -10,20 +10,23 @@ quantity the paper reports (bubble ratio, throughput, peak memory, the
 performance-model error) is a deterministic function of the schedule
 structure and these cost models.
 
-The engine is a heap-based event queue (:func:`~repro.sim.engine.simulate`;
-the seed's polling loop survives as
-:func:`~repro.sim.engine.simulate_polling` for differential testing). For
-*lowered* schedules (:mod:`repro.schedules.lowering`) it additionally
-models per-link channel contention: explicit SEND/RECV transfers occupy
-link bandwidth, queue FIFO per channel, contend with collectives, and
-overlap with compute (:class:`~repro.sim.engine.TransferRecord`).
+The simulator users reach is the array-backed kernel
+(:mod:`repro.sim.kernel`): :func:`simulate` (the kernel's
+:func:`~repro.sim.kernel.simulate_fast`) times every registered scheme ×
+pass pipeline × cost model, contended or not. For *lowered* schedules
+(:mod:`repro.schedules.lowering`) it models per-link channel contention:
+explicit SEND/RECV transfers occupy link bandwidth, queue FIFO per
+channel, contend with collectives, and overlap with compute
+(:class:`~repro.sim.engine.TransferRecord`); offloaded schedules queue
+their stash copies on per-worker host channels.
+:func:`~repro.sim.kernel.simulate_batch_many` evaluates many
+``(schedule, cost_model)`` rows in one call for planner-scale sweeps.
 
-The contention-free regimes — implicit schedules under any cost model,
-lowered schedules on zero-occupancy links — additionally run on the
-array-backed kernel (:mod:`repro.sim.kernel`):
-:func:`~repro.sim.kernel.simulate_fast` is an engine-exact drop-in, and
-:func:`~repro.sim.kernel.simulate_batch` evaluates many cost models
-against one cached dense schedule for planner-scale sweeps.
+The heap-based event queue (:func:`repro.sim.engine.simulate`) defines
+the same timing model one event at a time. It is the oracle the kernel's
+differential batteries compare against to 1e-9, not a user path; the
+seed's polling loop (:func:`repro.sim.engine.simulate_polling`) is in
+turn the engine's independent check.
 """
 
 from repro.sim.cost import CostModel
@@ -39,16 +42,13 @@ from repro.sim.engine import (
     SimulationResult,
     TimedOp,
     TransferRecord,
-    simulate,
-    simulate_polling,
 )
 from repro.sim.kernel import (
     BatchResult,
     ScheduleKernel,
-    fast_path_supported,
     kernel_of,
-    simulate_batch,
-    simulate_fast,
+    simulate_batch_many,
+    simulate_fast as simulate,
 )
 from repro.sim.memory import MemoryModel, MemoryReport, WorkerMemory, analyze_memory
 from repro.sim.metrics import bubble_ratio, throughput_samples_per_sec, worker_busy_times
@@ -69,13 +69,10 @@ __all__ = [
     "CollectiveRecord",
     "TransferRecord",
     "simulate",
-    "simulate_polling",
     "BatchResult",
     "ScheduleKernel",
-    "fast_path_supported",
     "kernel_of",
-    "simulate_batch",
-    "simulate_fast",
+    "simulate_batch_many",
     "MemoryModel",
     "MemoryReport",
     "WorkerMemory",

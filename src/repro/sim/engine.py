@@ -36,11 +36,16 @@ Engine
 ``simulate`` is a heap-based event-queue simulator: every operation
 completion (and collective resolution) is one event, and each event does
 O(out-degree) work plus a heap push/pop — O(E log E) overall for a
-schedule with E dependency edges. The seed's round-robin polling loop is
-preserved as :func:`simulate_polling` (a reference implementation for
-differential tests and the ``bench_sim_engine`` baseline); it re-scans
-every worker per round, O(workers x rounds), which the event queue
-replaces for large schedules.
+schedule with E dependency edges. It is the **oracle**, not a user path:
+:func:`repro.simulate` is the array kernel's
+:func:`~repro.sim.kernel.simulate_fast`, and the kernel's differential
+batteries compare against this engine to 1e-9. Only tests, the ``event``
+baseline that ``repro bench`` times, and the kernel/engine benchmark
+scripts call it. The seed's round-robin polling loop is preserved as
+:func:`simulate_polling`, the engine's own check: it reads
+``graph.deps`` directly instead of the ``_DenseSchedule`` that both the
+engine and the kernel are built from, so it independently checks that
+translation. It re-scans every worker per round, O(workers x rounds).
 """
 
 from __future__ import annotations

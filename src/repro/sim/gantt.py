@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from repro.schedules.ir import OpKind, Schedule
 from repro.sim.cost import CostModel
-from repro.sim.engine import SimulationResult, simulate
+from repro.sim.engine import SimulationResult
+from repro.sim.kernel import simulate_fast
 
 
 def render_gantt(
@@ -61,7 +62,7 @@ def render_gantt(
     if isinstance(source, SimulationResult):
         result = source
     else:
-        result = simulate(source, cost_model or CostModel.practical())
+        result = simulate_fast(source, cost_model or CostModel.practical())
 
     compute = [t for t in result.timed.values() if t.op.is_compute]
     if not compute:

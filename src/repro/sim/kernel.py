@@ -44,19 +44,18 @@ Public surface:
   once per graph (:func:`kernel_of`); it keeps nothing of the graph or
   the engine's dense form it came from beyond the per-op lists it reads,
   so schedule-cache entries keep kernels resident and let graphs go.
-* :func:`simulate_fast` — drop-in :func:`~repro.sim.engine.simulate` for
-  a single cost model. One scalar pass when contention-free; the
-  fixed-point relaxation when contended or blocking.
-* :func:`simulate_batch` — evaluates *many* cost models against one
-  cached kernel; contention-free rows share one wave-vectorized sweep,
-  contended rows share wave-vectorized fixed-point sweeps.
-* :func:`simulate_batch_many` — the heterogeneous batch API: rows may
-  differ in schedule shape ``(D, N)`` and pass pipeline, not just in
-  cost model/topology. Rows sharing a kernel vectorize together, so the
-  planner ranks *all* its survivors in a single call.
-* :func:`fast_path_supported` — a fast/slow **telemetry hint** (will the
-  single-sweep path run, or the iterative contended one?). It gates
-  nothing: every input runs on the kernel.
+* :func:`simulate_fast` — the simulator users reach (exported as
+  :func:`repro.simulate`): a full :class:`~repro.sim.engine.SimulationResult`
+  for one cost model. One scalar pass when contention-free; inline FIFO
+  serialization or the fixed-point relaxation when contended or
+  blocking.
+* :func:`simulate_batch_many` — the batch API: ``(schedule, cost_model)``
+  rows that may differ in schedule shape ``(D, N)`` and pass pipeline as
+  well as in cost model and topology, returning iteration-level
+  quantities only (:class:`BatchResult`). Rows sharing a kernel
+  vectorize together, so the planner ranks *all* its survivors in a
+  single call; ``used_fast_path`` records, per row, whether the
+  single-sweep pass ran or the contended handling did.
 
 Both paths end in the engine's own ``_finalize`` semantics for
 collective resolution and overlap accounting, so results match the event
@@ -236,7 +235,7 @@ class ScheduleKernel:
 
         # ---- the per-kernel SEND table ----------------------------------
         # Everything per-cost-model send evaluation needs, in array form:
-        # max_send_occupancy and the FIFO serialization never loop over
+        # send_tables and the FIFO serialization never loop over
         # dense.send_info again.
         self.send_oid = np.array(send_oid, dtype=np.int64)
         self.send_worker = np.array(
@@ -494,13 +493,6 @@ class ScheduleKernel:
                 + code
             )
         return wire, occupancy, chan
-
-    def max_send_occupancy(self, cost_model: CostModel) -> float:
-        """Largest link occupancy any SEND would claim under this model."""
-        if not len(self.send_oid):
-            return 0.0
-        _, occupancy, _ = self.send_tables(cost_model)
-        return float(occupancy.max())
 
     # ------------------------------------------------------- blocking aux
     def blocking_aux(self) -> "_BlockingAux":
@@ -858,32 +850,6 @@ def kernel_of(graph: DependencyGraph | ScheduleKernel) -> ScheduleKernel:
     return kernel
 
 
-def fast_path_supported(
-    schedule: Schedule,
-    cost_model: CostModel,
-    *,
-    blocking_sync: bool = False,
-    kernel: ScheduleKernel | None = None,
-) -> bool:
-    """Telemetry hint: will the single-sweep path run (True), or the
-    iterative contended/blocking relaxation (False)?
-
-    This gates **nothing** — every schedule × cost model runs on the
-    array kernel and matches the event engine to 1e-9 either way. False
-    means the kernel will iterate (lowered schedule with nonzero channel
-    occupancy, or blocking collectives), which costs a small integer
-    multiple of one sweep; callers can use the hint for perf accounting,
-    as the bench suite does to label its contended cases.
-    """
-    if blocking_sync:
-        return False
-    if not schedule.lowered and not schedule.metadata.get("offload"):
-        return True
-    if kernel is None:
-        kernel = kernel_of(build_dependency_graph(schedule))
-    return kernel.max_send_occupancy(cost_model) == 0.0
-
-
 def simulate_fast(
     schedule: Schedule,
     cost_model: CostModel,
@@ -891,7 +857,7 @@ def simulate_fast(
     kernel: ScheduleKernel | None = None,
     blocking_sync: bool = False,
 ) -> SimulationResult:
-    """Array-kernel :func:`~repro.sim.engine.simulate`, no fallback.
+    """Simulate one iteration on the array kernel (:func:`repro.simulate`).
 
     Produces a full :class:`~repro.sim.engine.SimulationResult` (timed
     ops, transfers, collectives) identical to the event engine's for
@@ -1276,54 +1242,13 @@ def _assemble_result(
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Per-model iteration quantities from one :func:`simulate_batch`.
-
-    All arrays are indexed by the position of the cost model in the input
-    sequence. ``used_fast_path[k]`` is the same telemetry hint
-    :func:`fast_path_supported` reports: True for rows evaluated by the
-    single-sweep vectorized pass, False for rows that ran the iterative
-    contended relaxation. Every row is kernel-computed and engine-exact
-    either way.
-    """
-
-    schedule: Schedule
-    cost_models: tuple[CostModel, ...]
-    compute_makespan: np.ndarray
-    iteration_time: np.ndarray
-    worker_busy: np.ndarray
-    used_fast_path: tuple[bool, ...]
-
-    def __len__(self) -> int:
-        return len(self.cost_models)
-
-    def bubble_ratio(self, k: int) -> float:
-        """Mean idle fraction against the compute makespan (sync schemes)."""
-        makespan = float(self.compute_makespan[k])
-        if makespan <= 0:
-            return 0.0
-        ratios = [
-            max(0.0, 1.0 - busy / makespan)
-            for busy in self.worker_busy[k].tolist()
-        ]
-        return sum(ratios) / len(ratios) if ratios else 0.0
-
-    def throughput(self, k: int, *, micro_batch: int, width: int = 1) -> float:
-        """Samples/second under model ``k`` (mirrors the metrics module)."""
-        iteration = float(self.iteration_time[k])
-        if iteration <= 0:
-            return float("inf")
-        samples = self.schedule.num_micro_batches * micro_batch * width
-        return samples / iteration
-
-
-@dataclass(frozen=True)
-class HeteroBatchResult:
     """Row-indexed results from one :func:`simulate_batch_many` call.
 
-    Unlike :class:`BatchResult`, rows may come from *different schedules*
-    (heterogeneous ``(D, N)`` shapes and pass pipelines), so the
-    per-worker busy arrays are a tuple of per-row vectors instead of one
-    rectangular matrix.
+    Rows may come from *different schedules* (heterogeneous ``(D, N)``
+    shapes and pass pipelines), so the per-worker busy arrays are a tuple
+    of per-row vectors. ``used_fast_path[k]`` is True when row ``k`` ran
+    the single-sweep pass and False when it ran the contended handling
+    (nonzero channel occupancy); every row is engine-exact either way.
     """
 
     schedules: tuple[Schedule, ...]
@@ -1356,50 +1281,22 @@ class HeteroBatchResult:
         return samples / iteration
 
 
-def simulate_batch(
-    schedule: Schedule,
-    cost_models: Sequence[CostModel],
-    *,
-    kernel: ScheduleKernel | None = None,
-) -> BatchResult:
-    """Evaluate many cost models against one cached dense schedule.
-
-    The batch path never materializes per-op ``TimedOp`` dictionaries —
-    it returns exactly the iteration-level quantities ranking needs
-    (makespan, iteration time, per-worker busy seconds). Contention-free
-    rows share one wave-vectorized relaxation; contended rows share
-    wave-vectorized fixed-point sweeps (per-row FIFO serialization
-    between sweeps). Every row is engine-exact.
-    """
-    if not cost_models:
-        raise ValueError("simulate_batch needs at least one cost model")
-    if kernel is None:
-        kernel = kernel_of(build_dependency_graph(schedule))
-    models = tuple(cost_models)
-    makespan, iteration, busy, hints = _batch_rows(kernel, models)
-    return BatchResult(
-        schedule=schedule,
-        cost_models=models,
-        compute_makespan=makespan,
-        iteration_time=iteration,
-        worker_busy=busy,
-        used_fast_path=hints,
-    )
-
-
 def simulate_batch_many(
     items: Sequence[tuple[Schedule, CostModel]],
     *,
     kernels: Sequence[ScheduleKernel | None] | None = None,
-) -> HeteroBatchResult:
+) -> BatchResult:
     """Evaluate heterogeneous ``(schedule, cost_model)`` rows in one call.
 
     Rows may differ in schedule shape — depth ``D``, micro-batch count
-    ``N``, pass pipeline — as well as in cost model and topology. Rows
-    sharing a kernel vectorize together
-    (the wave sweep amortizes over them exactly as in
-    :func:`simulate_batch`); distinct shapes evaluate against their own
-    cached kernels within the same call. This is the planner's ranking
+    ``N``, pass pipeline — as well as in cost model and topology. The
+    batch path never materializes per-op ``TimedOp`` dictionaries; it
+    returns the iteration-level quantities ranking needs (makespan,
+    iteration time, per-worker busy seconds). Rows sharing a kernel
+    vectorize together: contention-free rows share one wave-vectorized
+    sweep, contended rows share wave-vectorized fixed-point sweeps.
+    Distinct shapes evaluate against their own cached kernels within the
+    same call. This is the planner's ranking
     primitive: all memory-feasible survivors, one call. ``kernels``
     aligns with ``items``; a row without one gets its own, built from its
     schedule.
@@ -1434,7 +1331,7 @@ def simulate_batch_many(
             iteration[k] = g_it[j]
             busy[k] = g_busy[j]
             hints[k] = g_hints[j]
-    return HeteroBatchResult(
+    return BatchResult(
         schedules=tuple(schedule for schedule, _ in items),
         cost_models=tuple(model for _, model in items),
         compute_makespan=makespan,

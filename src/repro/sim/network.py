@@ -10,7 +10,7 @@ compute nodes") and a hierarchical topology for the V100 cluster
 
 Channels and contention
 -----------------------
-For *lowered* schedules (explicit SEND/RECV ops) the event-queue simulator
+For *lowered* schedules (explicit SEND/RECV ops) the simulator
 treats each link as a serially reusable **channel**: a transfer occupies
 its channel for the bandwidth term ``beta * L`` (the serialization time on
 the wire) while the latency term ``alpha`` pipelines — two messages can be

@@ -2,7 +2,7 @@
 
 The kernel (:mod:`repro.sim.kernel`) is a faster evaluator of the event
 engine's model, never a second model — so every test here is a comparison:
-``simulate_fast`` and ``simulate_batch`` must reproduce ``simulate`` to
+``simulate_fast`` and ``simulate_batch_many`` must reproduce ``simulate`` to
 1e-9 for all registered schemes, implicit and lowered, under arbitrary
 f/b/w cost ratios. The schedule cache (:mod:`repro.schedules.cache`) is
 covered alongside: shared artifacts must be immune to caller mutation.
@@ -23,9 +23,8 @@ from repro.sim.cost import CostModel
 from repro.sim.engine import simulate
 from repro.sim.kernel import (
     BatchResult,
-    fast_path_supported,
     kernel_of,
-    simulate_batch,
+    simulate_batch_many,
     simulate_fast,
 )
 from repro.sim.metrics import bubble_ratio, throughput_samples_per_sec
@@ -100,7 +99,9 @@ def test_fast_path_matches_event_engine(scheme, depth, n, f, b, w, alpha, pipeli
     schedule = arts.schedule_for(pipeline)
     graph = arts.graph_for(pipeline)
     cm = contention_free_model(f, b, w, alpha)
-    assert fast_path_supported(schedule, cm, kernel=kernel_of(graph))
+    assert simulate_batch_many(
+        [(schedule, cm)], kernels=[kernel_of(graph)]
+    ).used_fast_path[0]
     assert_results_match(
         simulate(schedule, cm, graph=graph),
         simulate_fast(schedule, cm, kernel=kernel_of(graph)),
@@ -128,7 +129,9 @@ def test_batch_matches_event_engine(scheme, depth, n, f, b, w, pipeline):
             sync_overlap_slowdown=0.25
         ),
     ]
-    batch = simulate_batch(schedule, models, kernel=kernel_of(graph))
+    batch = simulate_batch_many(
+        [(schedule, cm) for cm in models], kernels=[kernel_of(graph)] * len(models)
+    )
     assert isinstance(batch, BatchResult)
     assert len(batch) == len(models)
     for k, cm in enumerate(models):
@@ -153,7 +156,9 @@ def test_batch_matches_event_engine(scheme, depth, n, f, b, w, pipeline):
 def test_single_model_batch_uses_scalar_pass():
     arts = schedule_artifacts("chimera", 4, 8)
     cm = contention_free_model(1.0, 1.1, 0.9, 0.05)
-    batch = simulate_batch(arts.schedule, [cm], kernel=kernel_of(arts.graph()))
+    batch = simulate_batch_many(
+        [(arts.schedule, cm)], kernels=[kernel_of(arts.graph())]
+    )
     ref = simulate(arts.schedule, cm, graph=arts.graph())
     assert batch.used_fast_path == (True,)
     assert batch.iteration_time[0] == pytest.approx(ref.iteration_time, abs=ATOL)
@@ -180,8 +185,8 @@ def test_hierarchical_topology_matches():
 
 
 # ----------------------------------------------------- contended routing
-# fast_path_supported is a telemetry hint (single-sweep vs contended
-# handling), not an eligibility gate: every regime runs on the kernel.
+# A batch row's used_fast_path records single-sweep vs contended
+# handling; it gates nothing: every regime runs on the kernel.
 def test_lowered_contention_runs_contended_kernel_path():
     """beta > 0 on a lowered schedule: contended routing, results exact."""
     arts = schedule_artifacts("dapple", 4, 6)
@@ -192,20 +197,23 @@ def test_lowered_contention_runs_contended_kernel_path():
         topology=FlatTopology(LinkSpec(alpha=0.05, beta=0.1)),
         activation_message_bytes=1.0,
     )
-    assert not fast_path_supported(schedule, cm, kernel=kernel_of(graph))
+    assert not simulate_batch_many(
+        [(schedule, cm)], kernels=[kernel_of(graph)]
+    ).used_fast_path[0]
     assert_results_match(
         simulate(schedule, cm, graph=graph),
         simulate_fast(schedule, cm, kernel=kernel_of(graph)),
     )
     # The implicit form routes single-sweep under the same model:
     # contention is a lowered-schedule concept.
-    assert fast_path_supported(arts.schedule, cm, kernel=kernel_of(arts.graph()))
+    assert simulate_batch_many(
+        [(arts.schedule, cm)], kernels=[kernel_of(arts.graph())]
+    ).used_fast_path[0]
 
 
 def test_blocking_sync_runs_contended_kernel_path():
     arts = schedule_artifacts("pipedream", 4, 8)
     cm = contention_free_model(1.0, 1.0, 1.0, 0.05)
-    assert not fast_path_supported(arts.schedule, cm, blocking_sync=True)
     ref = simulate(arts.schedule, cm, graph=arts.graph(), blocking_sync=True)
     got = simulate_fast(
         arts.schedule, cm, kernel=kernel_of(arts.graph()), blocking_sync=True
@@ -220,9 +228,12 @@ def test_batch_mixed_routing():
     graph = arts.lowered_graph()
     free = contention_free_model(1.0, 1.2, 0.8, 0.05)
     congested = free.with_(topology=FlatTopology(LinkSpec(alpha=0.05, beta=0.2)))
-    batch = simulate_batch(schedule, [free, congested, free], kernel=kernel_of(graph))
+    models = [free, congested, free]
+    batch = simulate_batch_many(
+        [(schedule, cm) for cm in models], kernels=[kernel_of(graph)] * 3
+    )
     assert batch.used_fast_path == (True, False, True)
-    for k, cm in enumerate([free, congested, free]):
+    for k, cm in enumerate(models):
         ref = simulate(schedule, cm, graph=graph)
         assert batch.iteration_time[k] == pytest.approx(ref.iteration_time, abs=ATOL)
     # The congested row really is slower: occupancy queues transfers.
@@ -230,9 +241,8 @@ def test_batch_mixed_routing():
 
 
 def test_batch_rejects_empty_model_list():
-    arts = schedule_artifacts("gpipe", 2, 2)
     with pytest.raises(ValueError):
-        simulate_batch(arts.schedule, [])
+        simulate_batch_many([])
 
 
 def test_kernel_cached_on_graph():

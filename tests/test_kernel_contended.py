@@ -10,7 +10,7 @@ topologies in both duplex modes, and the {lowered, fused, recompute}
 pipelines — plus the structural properties that make the contended paths
 trustworthy: per-channel FIFO ordering, a distinguished error on
 non-convergence, and the precomputed SEND table behind
-``max_send_occupancy``.
+``send_tables``.
 """
 
 import numpy as np
@@ -25,9 +25,7 @@ from repro.sim.cost import CostModel
 from repro.sim.engine import _dense_of, simulate
 from repro.sim.kernel import (
     _serialize_channels,
-    fast_path_supported,
     kernel_of,
-    simulate_batch,
     simulate_batch_many,
     simulate_fast,
 )
@@ -136,9 +134,11 @@ def test_contended_matches_event_engine(
 ):
     schedule, graph = pipeline_artifacts(scheme, 4, n, pipeline)
     cm = contended_model(f, b, w, make_topology(topo_kind, duplex, alpha, beta))
-    # beta > 0 on a lowered schedule: the hint must report contended
+    # beta > 0 on a lowered schedule: the batch row must report contended
     # routing, and the kernel must still be engine-exact.
-    assert not fast_path_supported(schedule, cm, kernel=kernel_of(graph))
+    assert not simulate_batch_many(
+        [(schedule, cm)], kernels=[kernel_of(graph)]
+    ).used_fast_path[0]
     assert_results_match(
         simulate(schedule, cm, graph=graph),
         simulate_fast(schedule, cm, kernel=kernel_of(graph)),
@@ -165,9 +165,9 @@ def test_contended_blocking_matches_event_engine(scheme, n, f, b, beta, duplex):
     """
     schedule, graph = pipeline_artifacts(scheme, 4, n, "lowered")
     cm = contended_model(f, b, 1.0, make_topology("flat", duplex, 0.05, beta))
-    assert not fast_path_supported(
-        schedule, cm, kernel=kernel_of(graph), blocking_sync=True
-    )
+    assert not simulate_batch_many(
+        [(schedule, cm)], kernels=[kernel_of(graph)]
+    ).used_fast_path[0]
     try:
         ref = simulate(schedule, cm, graph=graph, blocking_sync=True)
     except ScheduleError:
@@ -180,7 +180,7 @@ def test_contended_blocking_matches_event_engine(scheme, n, f, b, beta, duplex):
 
 
 def test_contended_batch_matches_event_engine():
-    """simulate_batch mixes contended and free rows, all engine-exact."""
+    """simulate_batch_many mixes contended and free rows, all engine-exact."""
     arts = schedule_artifacts("chimera", 4, 6)
     schedule = arts.lowered()
     graph = arts.lowered_graph()
@@ -190,7 +190,9 @@ def test_contended_batch_matches_event_engine():
         contended_model(0.8, 1.0, 1.0, make_topology("flat", "full", 0.05, 0.0)),
         contended_model(1.0, 1.0, 1.0, make_topology("flat", "half", 0.0, 0.4)),
     ]
-    batch = simulate_batch(schedule, models, kernel=kernel_of(graph))
+    batch = simulate_batch_many(
+        [(schedule, cm) for cm in models], kernels=[kernel_of(graph)] * len(models)
+    )
     assert batch.used_fast_path == (False, False, True, False)
     for k, cm in enumerate(models):
         ref = simulate(schedule, cm, graph=graph)
@@ -316,9 +318,9 @@ def test_sweep_cap_raises_in_batch_path(monkeypatch):
     cm = contended_model(1.0, 1.0, 1.0, make_topology("flat", "half", 0.05, 0.4))
     monkeypatch.setattr(kernel_mod, "MAX_RELAXATION_SWEEPS", 1)
     with pytest.raises(KernelConvergenceError):
-        simulate_batch(
-            arts.lowered(), [cm, cm.with_(forward_time=1.5)],
-            kernel=kernel_of(arts.lowered_graph()),
+        simulate_batch_many(
+            [(arts.lowered(), cm), (arts.lowered(), cm.with_(forward_time=1.5))],
+            kernels=[kernel_of(arts.lowered_graph())] * 2,
         )
 
 
@@ -330,10 +332,8 @@ def test_max_send_occupancy_reads_precomputed_table():
     graph = arts.lowered_graph()
     kernel = kernel_of(graph)
     cm = contended_model(1.0, 1.0, 1.0, make_topology("flat", "full", 0.05, 0.2))
-    _, occupancy, _ = kernel.send_tables(cm)
-    expected = float(occupancy.max())
-    assert expected > 0.0
-    assert kernel.max_send_occupancy(cm) == expected
+    expected = kernel.send_tables(cm)[1].copy()
+    assert expected.max() > 0.0
     # Poison the per-op scan sources after the kernel is built: a
     # rescanning implementation would crash or change its answer.
     dense = _dense_of(graph)
@@ -341,13 +341,15 @@ def test_max_send_occupancy_reads_precomputed_table():
     try:
         dense.send_info = None
         dense.ops_flat = None
-        assert kernel.max_send_occupancy(cm) == expected
-        assert not fast_path_supported(arts.lowered(), cm, kernel=kernel_of(graph))
+        assert np.array_equal(kernel.send_tables(cm)[1], expected)
+        assert not simulate_batch_many(
+            [(arts.lowered(), cm)], kernels=[kernel_of(graph)]
+        ).used_fast_path[0]
     finally:
         dense.send_info = saved_send_info
         dense.ops_flat = saved_ops_flat
-    # Zero-beta links report zero occupancy (the single-sweep hint).
+    # Zero-beta links report zero occupancy (single-sweep routing).
     free = contended_model(
         1.0, 1.0, 1.0, make_topology("flat", "full", 0.05, 0.0)
     )
-    assert kernel.max_send_occupancy(free) == 0.0
+    assert not kernel.send_tables(free)[1].any()

@@ -23,12 +23,7 @@ from repro.schedules.cache import schedule_artifacts
 from repro.schedules.registry import available_schemes, build_schedule
 from repro.sim.cost import CostModel
 from repro.sim.engine import simulate
-from repro.sim.kernel import (
-    fast_path_supported,
-    kernel_of,
-    simulate_batch,
-    simulate_fast,
-)
+from repro.sim.kernel import kernel_of, simulate_batch_many, simulate_fast
 from repro.sim.memory import MemoryModel, analyze_memory
 from repro.sim.network import HostChannel, LinkSpec
 from tests.test_kernel_contended import (
@@ -146,11 +141,13 @@ def test_offloaded_implicit_matches_event_engine(
         offload_message_bytes=2.0,
     )
     # Nonzero stash occupancy: the kernel's contended path, not a
-    # fallback — the hint must say so and the result must be exact.
+    # fallback — the batch row must say so and the result must be exact.
     # (Tiny N can leave every stash adjacent to its backward, in which
     # case the pass inserts nothing and the single sweep still applies.)
     offloaded = any(op.is_offload for _, op in schedule.all_ops())
-    assert fast_path_supported(schedule, cm, kernel=kernel_of(graph)) == (not offloaded)
+    assert simulate_batch_many(
+        [(schedule, cm)], kernels=[kernel_of(graph)]
+    ).used_fast_path[0] == (not offloaded)
     assert_results_match(
         simulate(schedule, cm, graph=graph),
         simulate_fast(schedule, cm, kernel=kernel_of(graph)),
@@ -187,7 +184,9 @@ def test_offloaded_lowered_matches_event_engine(
         ),
         offload_message_bytes=2.0,
     )
-    assert not fast_path_supported(schedule, cm, kernel=kernel_of(graph))
+    assert not simulate_batch_many(
+        [(schedule, cm)], kernels=[kernel_of(graph)]
+    ).used_fast_path[0]
     assert_results_match(
         simulate(schedule, cm, graph=graph),
         simulate_fast(schedule, cm, kernel=kernel_of(graph)),
@@ -203,7 +202,9 @@ def test_latency_only_host_channel_keeps_the_single_sweep():
         host_channel=HostChannel(LinkSpec(alpha=0.3, beta=0.0)),
         offload_message_bytes=2.0,
     )
-    assert fast_path_supported(schedule, cm, kernel=kernel_of(graph))
+    assert simulate_batch_many(
+        [(schedule, cm)], kernels=[kernel_of(graph)]
+    ).used_fast_path[0]
     assert_results_match(
         simulate(schedule, cm, graph=graph),
         simulate_fast(schedule, cm, kernel=kernel_of(graph)),
@@ -211,7 +212,7 @@ def test_latency_only_host_channel_keeps_the_single_sweep():
 
 
 def test_offloaded_batch_rows_are_engine_exact():
-    """simulate_batch mixes free, latency-only, and contended host
+    """simulate_batch_many mixes free, latency-only, and contended host
     channels over one offloaded schedule; every row is engine-exact and
     the fast-path telemetry distinguishes them."""
     schedule, graph = offload_artifacts("chimera", DEPTH, 4)
@@ -232,7 +233,9 @@ def test_offloaded_batch_rows_are_engine_exact():
             offload_message_bytes=2.0,
         ),
     ]
-    batch = simulate_batch(schedule, models, kernel=kernel_of(graph))
+    batch = simulate_batch_many(
+        [(schedule, cm) for cm in models], kernels=[kernel_of(graph)] * len(models)
+    )
     assert batch.used_fast_path == (True, True, False, False)
     for k, cm in enumerate(models):
         ref = simulate(schedule, cm, graph=graph)

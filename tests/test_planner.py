@@ -82,7 +82,7 @@ class TestRanking:
         """The batch-simulation ranking path is the harness, not a model.
 
         Every entry — synchronous schemes grouped through
-        ``simulate_batch``, asynchronous ones through the steady-state
+        ``simulate_batch_many``, asynchronous ones through the steady-state
         path — must reproduce ``run_configuration`` exactly, in both
         communication modes.
         """

@@ -1,4 +1,11 @@
-"""Discrete-event engine: timing semantics, p2p delays, sync overlap."""
+"""Discrete-event engine: timing semantics, p2p delays, sync overlap.
+
+The engine is the oracle the array kernel is checked against, not a user
+path: :class:`TestEngineIsTheOracle` keeps library code off it.
+"""
+
+import ast
+import pathlib
 
 import pytest
 
@@ -290,3 +297,45 @@ class TestBlockingSyncAblation:
             max(r.compute_makespan, max(c.end for c in r.collectives))
         )
         assert last_launch <= r.iteration_time
+
+
+class TestEngineIsTheOracle:
+    #: The one library module that still runs the engine: the bench
+    #: suite times it as the ``event`` baseline the kernel is gated on.
+    ALLOWED = {"bench/perfsuite.py"}
+
+    @staticmethod
+    def _engine_simulators(path: pathlib.Path, package: list[str]) -> set[str]:
+        """Names ``path`` imports from ``repro.sim.engine`` that simulate."""
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                base = package[: len(package) - node.level + 1]
+                module = ".".join(base + ([node.module] if node.module else []))
+            else:
+                module = node.module or ""
+            if module == "repro.sim.engine":
+                found |= {
+                    alias.name
+                    for alias in node.names
+                    if alias.name in ("simulate", "simulate_polling")
+                }
+        return found
+
+    def test_only_perfsuite_imports_the_engine_simulators(self):
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        offenders = {}
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root)
+            package = ["repro", *rel.parent.parts]
+            names = self._engine_simulators(path, package)
+            if names and rel.as_posix() not in self.ALLOWED:
+                offenders[rel.as_posix()] = sorted(names)
+        assert offenders == {}, (
+            "user paths simulate on repro.sim.kernel.simulate_fast; the event "
+            f"engine is the test oracle: {offenders}"
+        )
