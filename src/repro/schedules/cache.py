@@ -15,8 +15,8 @@ schedule, which depends on ``N = B̂ / (W * B)``).
 :class:`ScheduleArtifacts` handle whose derived forms (graph, lowered
 schedule, lowered graph, fused schedule, fused graph, and a kernel per
 form) materialize lazily. What stays resident is schedules and kernels:
-once a form's kernel exists the entry releases its dict dependency
-graphs, which the disk tier keeps (see below). The cache is a bounded
+dict dependency graphs are transient build inputs, dropped once a
+form's kernel exists and rebuilt on demand. The cache is a bounded
 LRU keyed on ``(scheme, depth, num_micro_batches, sorted(options))`` —
 the options map covers chunking/variant knobs such as ``recompute``,
 Chimera's ``concat`` and ``num_down_pipelines``, and the zero-bubble
@@ -46,15 +46,16 @@ Disk tier
 ---------
 Beneath the LRU sits a persistent, content-addressed store
 (:mod:`repro.schedules.diskcache`): a memory miss consults the disk before
-building, and every derived schedule and dependency graph is written
-through as it materializes, so a restarted process (a fresh ``repro
-plan``, a redeployed ``repro serve``) skips schedule builds, passes and
-graph construction. Graphs are stored without the engine's dense form and
-the array kernel: a process rebuilds each kernel once, on first use, and
-then drops the graphs; a later write-through copies the released graphs
-over from the stored payload, so the disk tier never loses a slot. The
-disk key is exactly the LRU key, the format is versioned, and corrupt
-entries are evicted on load, never propagated.
+building, a built schedule is written through at once, and every array
+kernel is written through (with the schedule forms) as it is built, so a
+restarted process (a fresh ``repro plan``, a redeployed ``repro serve``)
+skips schedule builds, passes, graph construction and kernel
+construction. The disk tier stores no dict graph: each payload holds the
+schedule forms and a ``kernels`` map keyed by form, and a stored kernel
+that is not a :class:`~repro.sim.kernel.ScheduleKernel` is dropped on
+load, so that form's kernel rebuilds from its schedule. The disk key is
+exactly the LRU key, the format is versioned, and corrupt entries are
+evicted on load, never propagated.
 
 Builds and disk loads run with CPython's cyclic collector paused
 (:mod:`repro.common.gcpause`): the artifacts are immutable and acyclic,
@@ -81,9 +82,10 @@ from repro.schedules.passes.pipeline import FUSE_PASS, split_pipeline
 from repro.schedules.registry import build_schedule, builder_fingerprint
 
 #: Default bound on retained entries (LRU eviction beyond it). A cached
-#: entry holds its schedule forms plus their kernels (or, until a kernel
-#: exists, dict graphs); bounding the count keeps long planner sessions
-#: from accumulating every grid point ever touched.
+#: entry holds its schedule forms plus their kernels (and, until a
+#: kernel exists, the dict graphs it is built from); bounding the count
+#: keeps long planner sessions from accumulating every grid point ever
+#: touched.
 DEFAULT_MAX_ENTRIES = 128
 
 
@@ -102,10 +104,12 @@ class ScheduleArtifacts:
     builds a duplicate which is immediately discarded in favour of the
     first).
 
-    The resident simulation form is the array kernel: once
-    :meth:`kernel_for` has built a kernel, the entry drops its dict
-    dependency graphs (:attr:`released` names them). The disk tier keeps
-    storing them, and :meth:`graph_for` rebuilds one on demand.
+    The resident and persisted simulation form is the array kernel. Dict
+    dependency graphs are transient: lowering and kernel construction
+    build them, :meth:`kernel_for` drops them once its kernel exists, and
+    :meth:`graph_for` rebuilds one on demand. The disk payload
+    (:meth:`snapshot`) is the schedule forms plus the kernels, keyed by
+    form; building a kernel writes the entry through.
     """
 
     __slots__ = (
@@ -116,24 +120,14 @@ class ScheduleArtifacts:
         "_fused",
         "_fused_graph",
         "_kernels",
-        "released",
         "_lock",
         "_persist",
     )
 
-    #: Serialized artifact slots, in materialization order. ``snapshot``
-    #: and ``from_snapshot`` iterate this list, so the disk payload layout
-    #: has one source of truth.
-    _SLOTS = (
-        ("graph", "_graph"),
-        ("lowered", "_lowered"),
-        ("lowered_graph", "_lowered_graph"),
-        ("fused", "_fused"),
-        ("fused_graph", "_fused_graph"),
-    )
-
-    #: The dict-graph slots :meth:`kernel_for` releases.
-    _GRAPH_SLOTS = ("graph", "lowered_graph", "fused_graph")
+    #: Schedule form -> the accessor of its dependency graph. The form
+    #: names are also the disk payload's slot names and the keys of its
+    #: ``kernels`` map.
+    _FORMS = {"schedule": "graph", "lowered": "lowered_graph", "fused": "fused_graph"}
 
     def __init__(
         self,
@@ -146,22 +140,24 @@ class ScheduleArtifacts:
         self._lowered_graph: DependencyGraph | None = None
         self._fused: Schedule | None = None
         self._fused_graph: DependencyGraph | None = None
-        #: Graph accessor name -> memoized kernel of that form.
+        #: Form name -> memoized kernel of that form.
         self._kernels: dict[str, object] = {}
-        #: Snapshot slot names of the graphs dropped for their kernels.
-        self.released: frozenset[str] = frozenset()
         self._lock = threading.Lock()
         self._persist = persist
 
     def snapshot(self) -> dict:
-        """Every form the entry holds, keyed by slot name (disk payload;
-        released graphs are not held)."""
+        """The disk payload: every schedule form the entry holds, keyed by
+        form name, plus ``kernels`` (form name -> kernel) once any exist.
+        Kernels are sorted by form, so the layout does not depend on the
+        order they were built in."""
         out: dict = {"schedule": self.schedule}
         with self._lock:
-            for name, attr in self._SLOTS:
-                value = getattr(self, attr)
-                if value is not None:
-                    out[name] = value
+            if self._lowered is not None:
+                out["lowered"] = self._lowered
+            if self._fused is not None:
+                out["fused"] = self._fused
+            if self._kernels:
+                out["kernels"] = dict(sorted(self._kernels.items()))
         return out
 
     @classmethod
@@ -170,22 +166,32 @@ class ScheduleArtifacts:
         payload: dict,
         persist: "Callable[[ScheduleArtifacts], None] | None" = None,
     ) -> "ScheduleArtifacts":
-        """Rehydrate an entry from a disk payload (missing slots stay lazy)."""
+        """Rehydrate an entry from a disk payload (missing forms stay lazy).
+
+        A stored kernel that is not a
+        :class:`~repro.sim.kernel.ScheduleKernel` is dropped:
+        :meth:`kernel_for` rebuilds it from the schedule.
+        """
+        from repro.sim.kernel import ScheduleKernel
+
         arts = cls(payload["schedule"], persist=persist)
-        for name, attr in cls._SLOTS:
-            value = payload.get(name)
-            if value is not None:
-                setattr(arts, attr, value)
+        arts._lowered = payload.get("lowered")
+        arts._fused = payload.get("fused")
+        kernels = payload.get("kernels")
+        if isinstance(kernels, dict):
+            arts._kernels = {
+                form: kernel
+                for form, kernel in kernels.items()
+                if isinstance(kernel, ScheduleKernel)
+            }
         return arts
 
-    def _derive(self, attr: str, build: Callable[[], object], persist: bool):
+    def _derive(self, attr: str, build: Callable[[], object]):
         """Slot ``attr``, built on first use (first insert wins).
 
-        ``persist`` writes the entry through to the disk tier once the
-        slot is set. The build and the write-through run with the cyclic
-        collector paused: they allocate only immutable, acyclic
-        structures, so a collection triggered mid-build could only rescan
-        the artifacts already cached.
+        The build runs with the cyclic collector paused: it allocates only
+        immutable, acyclic structures, so a collection triggered mid-build
+        could only rescan the artifacts already cached.
         """
         value = getattr(self, attr)
         if value is None:
@@ -196,101 +202,84 @@ class ScheduleArtifacts:
                     if value is None:
                         value = built
                         setattr(self, attr, built)
-                if persist and self._persist is not None:
-                    self._persist(self)
         return value
 
     def graph(self) -> DependencyGraph:
         """Dependency graph of the (implicit-communication) schedule."""
-        return self._derive(
-            "_graph", lambda: build_dependency_graph(self.schedule), persist=True
-        )
+        return self._derive("_graph", lambda: build_dependency_graph(self.schedule))
 
     def lowered(self) -> Schedule:
         """The schedule with explicit SEND/RECV communication ops."""
         return self._derive(
             "_lowered",
             lambda: _freeze(lower_schedule(self.schedule, graph=self.graph())),
-            persist=False,
         )
 
     def lowered_graph(self) -> DependencyGraph:
         """Dependency graph of the lowered schedule."""
         return self._derive(
-            "_lowered_graph",
-            lambda: build_dependency_graph(self.lowered()),
-            persist=True,
+            "_lowered_graph", lambda: build_dependency_graph(self.lowered())
         )
 
     def fused(self) -> Schedule:
         """The lowered schedule with SEND/RECV pairs batched (fuse_comm)."""
         return self._derive(
-            "_fused",
-            lambda: _freeze(FuseCommPass().run(self.lowered())),
-            persist=False,
+            "_fused", lambda: _freeze(FuseCommPass().run(self.lowered()))
         )
 
     def fused_graph(self) -> DependencyGraph:
         """Dependency graph of the fused schedule."""
         return self._derive(
-            "_fused_graph",
-            lambda: build_dependency_graph(self.fused()),
-            persist=True,
+            "_fused_graph", lambda: build_dependency_graph(self.fused())
         )
 
-    def schedule_for(self, pipeline: Sequence[str] = ()) -> Schedule:
-        """The implicit, lowered, or fused schedule ``pipeline`` runs on.
+    @staticmethod
+    def _form(pipeline: Sequence[str]) -> str:
+        """Name of the schedule form ``pipeline`` runs on.
 
         Only the pipeline's ``lower_p2p``/``fuse_comm`` tail selects the
-        form; its pre-lowering passes are part of this entry's key.
+        form; its pre-lowering passes are part of the entry's key.
         """
         tail = split_pipeline(pipeline).tail
         if FUSE_PASS in tail:
-            return self.fused()
-        return self.lowered() if tail else self.schedule
+            return "fused"
+        return "lowered" if tail else "schedule"
 
-    @staticmethod
-    def _graph_slot(pipeline: Sequence[str]) -> str:
-        """Name of the graph accessor (and snapshot slot) of a form."""
-        tail = split_pipeline(pipeline).tail
-        if FUSE_PASS in tail:
-            return "fused_graph"
-        return "lowered_graph" if tail else "graph"
+    def schedule_for(self, pipeline: Sequence[str] = ()) -> Schedule:
+        """The implicit, lowered, or fused schedule ``pipeline`` runs on."""
+        form = self._form(pipeline)
+        return self.schedule if form == "schedule" else getattr(self, form)()
 
     def graph_for(self, pipeline: Sequence[str] = ()) -> DependencyGraph:
         """The dependency graph of :meth:`schedule_for`'s form (rebuilt
-        if :meth:`kernel_for` released it)."""
-        return getattr(self, self._graph_slot(pipeline))()
+        if :meth:`kernel_for` dropped it)."""
+        return getattr(self, self._FORMS[self._form(pipeline)])()
 
     def kernel_for(self, pipeline: Sequence[str] = ()):
         """The array kernel of :meth:`schedule_for`'s form (levelization,
-        edge, FIFO tables), built once per entry and process.
+        edge, FIFO tables), built once per entry, restored from the disk
+        tier when stored there.
 
         Planner ranking, the harness and the bench suite reuse the same
         arrays across every cost model they evaluate. The kernel holds
-        everything simulation reads, so once it exists the entry releases
-        its dict graphs: they were written through to the disk tier when
-        they materialized, and the disk tier stores graphs without their
-        kernel. Imported lazily to keep the schedule layer importable
-        without the simulation stack.
+        everything simulation reads, so once it exists the entry drops
+        its dict graphs and writes itself through to the disk tier.
+        Imported lazily to keep the schedule layer importable without the
+        simulation stack.
         """
         from repro.sim.kernel import kernel_of
 
-        slot = self._graph_slot(pipeline)
-        kernel = self._kernels.get(slot)
+        form = self._form(pipeline)
+        kernel = self._kernels.get(form)
         if kernel is not None:
             return kernel_of(kernel)  # every kernel lookup passes kernel_of
-        kernel = kernel_of(getattr(self, slot)())
-        with self._lock:
-            kernel = self._kernels.setdefault(slot, kernel)
-            held = {
-                name
-                for name in self._GRAPH_SLOTS
-                if getattr(self, f"_{name}") is not None
-            }
-            for name in held:
-                setattr(self, f"_{name}", None)
-            self.released |= held
+        with collector_paused():
+            built = kernel_of(self.graph_for(pipeline))
+            with self._lock:
+                kernel = self._kernels.setdefault(form, built)
+                self._graph = self._lowered_graph = self._fused_graph = None
+            if kernel is built and self._persist is not None:
+                self._persist(self)
         return kernel
 
 
@@ -433,15 +422,8 @@ class ScheduleCache:
         if self.disk is not None:
             disk = self.disk
 
-            def persist(arts: ScheduleArtifacts, _key=key) -> None:
-                payload = arts.snapshot()
-                # Graphs released for their kernels are on disk already;
-                # carry them over instead of dropping them from the payload.
-                missing = arts.released - payload.keys()
-                if missing:
-                    stored = disk.load(_key) or {}
-                    payload.update((n, stored[n]) for n in missing if n in stored)
-                disk.store(_key, payload)
+            def persist(arts: ScheduleArtifacts) -> None:
+                disk.store(key, arts.snapshot())
 
             payload = disk.load(key)
             if payload is not None:

@@ -28,16 +28,20 @@ unwritable or full cache directory degrades to the in-memory behaviour
 instead of failing the caller. Set ``REPRO_CACHE_DISABLE=1`` to turn the
 tier off entirely (every lookup misses, nothing is written).
 
-Serialized payloads include every *materialized* derived form — the
-lowered and fused schedules and their dependency graphs — so a warm
-process skips ``build_schedule``, the passes and graph construction. The
-payload layout does not depend on call order: a dependency graph pickles
-as its three fields only, never with the engine's dense form or the array
-kernel that may be attached to it, so a process rebuilds each kernel once
-(on the end-to-end benchmark's planning stream, pickling the kernels too
-would grow the stored lowered-graph bytes 2.4x, 28.5 -> 68 MB).
-Frozen schedule metadata (:class:`types.MappingProxyType`) pickles
-through a custom dispatch-table entry and is re-frozen on load.
+Serialized payloads hold every *materialized* schedule form (the
+lowered and fused schedules) and the array kernel of each form that has
+one, so a warm process skips ``build_schedule``, the passes, graph
+construction and kernel construction. Dict dependency graphs are never
+stored: the kernels are what the planner reads, and their numpy tables
+and flat int lists unpickle into few container objects. A kernel shares
+its ``Operation`` objects with the schedule form it was built from, and
+both pickle in one payload, so no op is stored twice. On the end-to-end
+benchmark's ``plan_cold`` stream this stores 41 MB in 372 writes, where
+storing dict graphs instead stored 65 MB in 538 writes. The payload
+bytes do not depend on call order (see
+:meth:`repro.sim.kernel.ScheduleKernel.__getstate__`). Frozen schedule
+metadata (:class:`types.MappingProxyType`) pickles through a custom
+dispatch-table entry and is re-frozen on load.
 """
 
 from __future__ import annotations
@@ -52,14 +56,16 @@ import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from repro.schedules.dependencies import DependencyGraph
-
 #: Bumped whenever the serialized layout or the pickled classes change
 #: incompatibly. Part of the content address, so old-format entries are
 #: simply never found (and are swept by ``clear``), not misread.
 #: v2: host-memory tier — kernels carry per-op host-channel direction
 #: tables (``send_host_dir``) and schedules may contain OFFLOAD/RELOAD.
-FORMAT_VERSION = 2
+#: v3: payloads store array kernels (``kernels``) instead of dict
+#: dependency graphs. Any change to the attributes of
+#: :class:`~repro.sim.kernel.ScheduleKernel` needs a bump too (a test in
+#: ``tests/test_diskcache.py`` pins the pair).
+FORMAT_VERSION = 3
 
 #: First bytes of every entry file; a cheap pre-pickle sanity check that
 #: rejects foreign files dropped into the cache directory.
@@ -103,15 +109,10 @@ def _rebuild_proxy(mapping: dict) -> MappingProxyType:
 
 
 class _ArtifactPickler(pickle.Pickler):
-    """Pickler for artifact payloads: re-freezes schedule metadata and
-    strips process-local attachments (dense form, kernel) from graphs."""
+    """Pickler for artifact payloads: re-freezes schedule metadata."""
 
     dispatch_table = copyreg.dispatch_table.copy()
     dispatch_table[MappingProxyType] = lambda mp: (_rebuild_proxy, (dict(mp),))
-    dispatch_table[DependencyGraph] = lambda g: (
-        DependencyGraph,
-        (g.schedule, g.location, g.deps),
-    )
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,8 @@ Public surface:
   payload units, row positions), and `reduceat` segment offsets. Built
   once per graph (:func:`kernel_of`); it keeps nothing of the graph or
   the engine's dense form it came from beyond the per-op lists it reads,
-  so schedule-cache entries keep kernels resident and let graphs go.
+  so schedule-cache entries keep kernels resident, let graphs go, and
+  store kernels (not graphs) in the disk tier.
 * :func:`simulate_fast` — the simulator users reach (exported as
   :func:`repro.simulate`): a full :class:`~repro.sim.engine.SimulationResult`
   for one cost model. One scalar pass when contention-free; inline FIFO
@@ -417,6 +418,12 @@ class ScheduleKernel:
             comp_worker[by_worker], np.arange(self.num_workers + 1)
         )
         self._blocking: _BlockingAux | None = None
+
+    def __getstate__(self) -> dict:
+        """Pickled state without the lazily built blocking aux, so a
+        stored kernel's bytes do not depend on whether a blocking
+        simulation ran before the write (it rebuilds on first use)."""
+        return {**vars(self), "_blocking": None}
 
     # ------------------------------------------------------------ per-model
     def durations(self, cost_model: CostModel) -> np.ndarray:
@@ -833,11 +840,11 @@ class _BlockingAux:
 def kernel_of(graph: DependencyGraph | ScheduleKernel) -> ScheduleKernel:
     """The graph's array kernel, built once and cached on the graph.
 
-    Kernels are never persisted with their graph, so a process rebuilds
-    each one once; the build runs with the cyclic collector paused.
+    The build runs with the cyclic collector paused.
     :meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for` keeps the
-    kernel and lets the graph go, and looks its kernel up here again on
-    every later use: given a kernel, this returns it, so every kernel
+    kernel, lets the graph go and writes the kernel to the disk tier, so
+    a restarted process restores it instead of building it. Given a
+    kernel (a kept or restored one), this returns it, so every kernel
     lookup passes through one function.
     """
     if not isinstance(graph, DependencyGraph):

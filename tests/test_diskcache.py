@@ -1,14 +1,14 @@
 """The persistent disk tier of the schedule-artifact cache.
 
-Covers the serialization round-trip (frozen metadata, graphs stored
-without their kernels), corruption tolerance (bad entries are evicted, never
-raised), the concurrent hammer the ISSUE demands (threads × mixed
-hits/misses/LRU evictions over a shared disk tier), a multi-*process*
-hammer (N processes store/load/vandalize one cache directory — the tier
-multiprocess planner workers share), eviction accounting under racing
-removals, and the cold-start acceptance: a fresh process with a warm
-disk cache plans without a single ``build_schedule`` call and at least
-2x faster end to end.
+Covers the serialization round-trip (frozen metadata, kernels stored
+instead of dependency graphs and restored without a rebuild), corruption
+tolerance (bad entries are evicted, never raised), a concurrent hammer
+(threads × mixed hits/misses/LRU evictions over a shared disk tier), a
+multi-*process* hammer (N processes store/load/vandalize one cache
+directory — the tier multiprocess planner workers share), eviction
+accounting under racing removals, and the cold-start acceptance: a fresh
+process with a warm disk cache plans without a single ``build_schedule``
+call and at least 2x faster end to end.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.schedules.cache import ScheduleArtifacts, ScheduleCache
 from repro.schedules.diskcache import (
     ENV_DIR,
     ENV_DISABLE,
+    FORMAT_VERSION,
     MAGIC,
     DiskScheduleCache,
     _ArtifactPickler,
@@ -35,7 +36,8 @@ from repro.schedules.diskcache import (
 )
 from repro.schedules.registry import build_schedule
 from repro.sim.cost import CostModel
-from repro.sim.kernel import kernel_of, simulate_fast
+from repro.sim.kernel import ScheduleKernel, simulate_fast
+from repro.sim.network import FlatTopology, LinkSpec
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -46,39 +48,41 @@ def fresh_cache(tmp_path, max_entries: int = 128) -> ScheduleCache:
 
 class TestDiskRoundTrip:
     def test_snapshot_restores_all_forms_and_kernel(self, tmp_path):
-        """Every materialized form round-trips; graphs come back without
-        the process-local kernel and dense form, and the rebuilt kernel
+        """Every materialized schedule form and kernel round-trips, the
+        payload holds no dependency graph, and the restored kernel
         simulates identically."""
         disk = DiskScheduleCache(tmp_path)
         arts = ScheduleArtifacts(build_schedule("chimera", 4, 8))
-        # Materialize everything, including the graph-attached array
-        # kernel and the engine's dense form it is built from.
         fused = ("lower_p2p", "fuse_comm")
-        arts.lowered_graph()
-        kernel = kernel_of(arts.graph_for(fused))
+        arts.kernel_for(("lower_p2p",))
+        kernel = arts.kernel_for(fused)
         cost = CostModel.practical()
         a = simulate_fast(arts.schedule_for(fused), cost, kernel=kernel)
-        assert hasattr(arts.graph_for(fused), "_dense")
         key = ScheduleCache.key("chimera", 4, 8, {})
-        assert disk.store(key, arts.snapshot())
+        payload = arts.snapshot()
+        assert set(payload) == {"schedule", "lowered", "fused", "kernels"}
+        assert set(payload["kernels"]) == {"lowered", "fused"}
+        assert disk.store(key, payload)
+        # No graph (nor its OpKey -> Edge dicts) is pickled.
+        assert b"repro.schedules.dependencies" not in (
+            disk.entry_path(key).read_bytes()
+        )
 
         restored = ScheduleArtifacts.from_snapshot(disk.load(key))
         assert restored.schedule.worker_ops == arts.schedule.worker_ops
-        for name, attr in ScheduleArtifacts._SLOTS:
-            assert getattr(restored, attr) is not None, name
+        assert restored.lowered().worker_ops == arts.lowered().worker_ops
+        assert restored.fused().worker_ops == arts.fused().worker_ops
+        assert restored._graph is restored._lowered_graph is None
+        assert restored._fused_graph is None
         # Frozen metadata survives the custom pickling.
         assert dict(restored.schedule.metadata) == dict(arts.schedule.metadata)
         with pytest.raises(TypeError):
             restored.schedule.metadata["x"] = 1
-        # One payload layout: no graph carries a kernel or dense form.
-        for graph in (restored.graph(), restored.lowered_graph(),
-                      restored.fused_graph()):
-            assert not hasattr(graph, "_kernel")
-            assert not hasattr(graph, "_dense")
-        assert restored.graph_for(fused).schedule is restored.fused()
-        # The kernel rebuilds on first use and simulates identically.
+        # The kernel comes back restored, not rebuilt, and simulates
+        # identically.
         rk = restored.kernel_for(fused)
         assert rk is not kernel and rk.total == kernel.total
+        assert restored._fused_graph is None
         b = simulate_fast(restored.schedule_for(fused), cost, kernel=rk)
         assert a.compute_makespan == b.compute_makespan
         assert a.iteration_time == b.iteration_time
@@ -104,6 +108,153 @@ class TestDiskRoundTrip:
         assert default_cache_dir() == tmp_path / "a"
         monkeypatch.setenv(ENV_DIR, str(tmp_path / "b"))
         assert DiskScheduleCache().root == tmp_path / "b"
+
+
+#: A lowered pipeline (its kernel carries the SEND/RECV tables) under a
+#: contended half-duplex link, so restored kernels are checked on the
+#: FIFO relaxation as well as the plain sweep.
+PIPELINE = ("lower_p2p",)
+CONTENDED = CostModel(
+    forward_time=1.0,
+    topology=FlatTopology(LinkSpec(0.05, 0.4), duplex="half"),
+    activation_message_bytes=2.0,
+    stage_grad_bytes=3.0,
+    data_parallel_width=2,
+)
+
+
+def assert_same_result(a, b):
+    """Bitwise-equal simulation results: timed ops, transfers, collectives."""
+    assert a.timed == b.timed
+    assert a.transfers == b.transfers
+    assert a.collectives == b.collectives
+    assert a.compute_makespan == b.compute_makespan
+    assert a.iteration_time == b.iteration_time
+
+
+class TestKernelPersistence:
+    """The disk tier stores array kernels, so a restarted process
+    restores them instead of building them."""
+
+    @pytest.fixture
+    def cold(self, tmp_path):
+        """A populated disk tier: the cold entry and its built kernel."""
+        arts = fresh_cache(tmp_path).artifacts("chimera", 4, 8)
+        return arts, arts.kernel_for(PIPELINE)
+
+    @pytest.fixture
+    def count_kernel_builds(self, monkeypatch):
+        built: list[object] = []
+        init = ScheduleKernel.__init__
+
+        def counting(self, graph):
+            built.append(graph)
+            init(self, graph)
+
+        monkeypatch.setattr(ScheduleKernel, "__init__", counting)
+        return built
+
+    def test_warm_entry_builds_no_kernel(self, tmp_path, cold, count_kernel_builds):
+        warm = fresh_cache(tmp_path).artifacts("chimera", 4, 8)
+        kernel = warm.kernel_for(PIPELINE)
+        assert isinstance(kernel, ScheduleKernel)
+        assert kernel is warm.kernel_for(PIPELINE)
+        assert count_kernel_builds == []
+        assert warm._graph is warm._lowered_graph is None
+
+    @pytest.mark.parametrize("blocking_sync", [False, True])
+    @pytest.mark.parametrize(
+        "cost", [CostModel.practical(), CONTENDED], ids=["practical", "contended"]
+    )
+    def test_restored_kernel_simulates_identically(
+        self, tmp_path, cold, cost, blocking_sync
+    ):
+        arts, kernel = cold
+        warm = fresh_cache(tmp_path).artifacts("chimera", 4, 8)
+        a = simulate_fast(
+            arts.lowered(), cost, kernel=kernel, blocking_sync=blocking_sync
+        )
+        b = simulate_fast(
+            warm.lowered(),
+            cost,
+            kernel=warm.kernel_for(PIPELINE),
+            blocking_sync=blocking_sync,
+        )
+        assert_same_result(a, b)
+        if cost is CONTENDED:
+            assert a.transfers and any(t.occupancy > 0 for t in a.transfers)
+
+    def test_restored_kernel_shares_the_schedules_ops(self, tmp_path, cold):
+        """The payload stores each op once: the kernel's ops are the
+        restored schedule form's own objects."""
+        warm = fresh_cache(tmp_path).artifacts("chimera", 4, 8)
+        kernel = warm.kernel_for(PIPELINE)
+        rows = warm.lowered().worker_ops
+        assert len(kernel.ops_flat) == sum(len(row) for row in rows)
+        for i, op in enumerate(kernel.ops_flat):
+            assert op is rows[kernel.op_worker[i]][kernel.row_pos[i]]
+
+    def test_kernel_layout_is_pinned_to_the_format_version(self, cold):
+        """Tripwire: a stored kernel unpickles into whatever the class
+        now is, so any edit to its attributes must bump FORMAT_VERSION
+        (and then this pin)."""
+        _, kernel = cold
+        assert (FORMAT_VERSION, sorted(vars(kernel))) == (
+            3,
+            [
+                "_blocking", "_edge_cls_list", "_edge_send_list",
+                "_edge_src_list", "_esrc_fifo_list", "_inc_ptr",
+                "_indeg_list", "_order_list", "_pos_of", "_send_chan_list",
+                "_send_of_op", "compute_by_worker", "compute_ids",
+                "delay_classes", "edge_cls", "edge_dst", "edge_src",
+                "has_host_sends", "num_channels", "num_waves", "num_workers",
+                "op_worker", "ops", "ops_flat", "order", "red_dst",
+                "red_off", "row_pos", "send_by_wave", "send_chan_idx",
+                "send_cls", "send_dst_w", "send_host_dir", "send_ids",
+                "send_oid", "send_row_pos", "send_units", "send_worker",
+                "shape_reps", "sync_groups", "total", "tr_edge_pos",
+                "tr_edge_send", "wave_edge_ptr", "wave_op_ptr",
+                "wave_red_ptr", "wave_send_ptr", "wave_sweep_profitable",
+                "wave_tr_ptr", "worker_ptr",
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "kernels",
+        [{"lowered": "not a kernel"}, {"lowered": {"total": 1}}, ["lowered"]],
+        ids=["str", "dict", "not-a-map"],
+    )
+    def test_malformed_stored_kernel_is_rebuilt(
+        self, tmp_path, cold, count_kernel_builds, kernels
+    ):
+        arts, kernel = cold
+        key = ScheduleCache.key("chimera", 4, 8, {})
+        disk = DiskScheduleCache(tmp_path / "disk")
+        assert disk.store(key, {**arts.snapshot(), "kernels": kernels})
+
+        warm = fresh_cache(tmp_path).artifacts("chimera", 4, 8)
+        rebuilt = warm.kernel_for(PIPELINE)
+        assert isinstance(rebuilt, ScheduleKernel)
+        assert len(count_kernel_builds) == 1
+        assert_same_result(
+            simulate_fast(arts.lowered(), CONTENDED, kernel=kernel),
+            simulate_fast(warm.lowered(), CONTENDED, kernel=rebuilt),
+        )
+        # The rebuild wrote a well-formed kernel back.
+        assert isinstance(disk.load(key)["kernels"]["lowered"], ScheduleKernel)
+
+    def test_payload_bytes_ignore_the_blocking_aux(self, tmp_path, cold):
+        """A blocking simulation between two writes of one entry leaves
+        the stored bytes unchanged: the lazily built aux is not pickled."""
+        arts, kernel = cold
+        key = ScheduleCache.key("chimera", 4, 8, {})
+        disk = DiskScheduleCache(tmp_path / "other")
+        assert disk.store(key, arts.snapshot())
+        before = disk.entry_path(key).read_bytes()
+        simulate_fast(arts.lowered(), CONTENDED, kernel=kernel, blocking_sync=True)
+        assert kernel._blocking is not None
+        assert disk.store(key, arts.snapshot())
+        assert disk.entry_path(key).read_bytes() == before
 
 
 class TestCorruptionTolerance:
@@ -186,9 +337,9 @@ class TestConcurrentHammer:
                     arts = cache.artifacts(scheme, depth, n)
                     assert arts.schedule.num_stages == depth
                     assert arts.schedule.num_micro_batches == n
-                    # Touch a derived form so persist callbacks fire
+                    # Build a kernel so persist callbacks fire
                     # concurrently with loads.
-                    arts.graph()
+                    arts.kernel_for()
             except BaseException as err:  # noqa: BLE001 - collected for the assert
                 errors.append(err)
 

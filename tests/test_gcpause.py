@@ -100,20 +100,23 @@ def test_loads_and_builds_run_with_the_collector_paused(tmp_path, monkeypatch):
         "build_dependency_graph",
         probe("graph", cache_mod.build_dependency_graph),
     )
-    monkeypatch.setattr(
-        kernel_mod, "ScheduleKernel", probe("kernel", kernel_mod.ScheduleKernel)
-    )
+    # Probe the constructor, not the module name: the disk tier pickles
+    # kernels, and pickle resolves their class through that name.
+    kernel_cls = kernel_mod.ScheduleKernel
+    monkeypatch.setattr(kernel_cls, "__init__", probe("kernel", kernel_cls.__init__))
 
     disk = DiskScheduleCache(tmp_path)
-    ScheduleCache(disk=disk).artifacts("dapple", 2, 4).lowered_graph()
+    ScheduleCache(disk=disk).artifacts("dapple", 2, 4).kernel_for(["lower_p2p"])
     assert gc.isenabled()
     seen.clear()
 
     arts = ScheduleCache(disk=disk).artifacts("dapple", 2, 4)  # disk load
     assert gc.isenabled()
+    assert kernel_of(arts.kernel_for(["lower_p2p"]))  # restored, not built
+    assert gc.isenabled()
     arts.fused_graph()  # not in the stored payload: built here
     assert gc.isenabled()
-    kernel_of(arts.lowered_graph())  # loaded without a kernel
+    arts.kernel_for(["lower_p2p", "fuse_comm"])  # built and written through
     assert gc.isenabled()
 
     assert [name for name, _ in seen] == ["load", "graph", "kernel"]

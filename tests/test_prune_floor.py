@@ -160,7 +160,8 @@ def test_equal_overshoots_name_the_earlier_grid_point(gpipe_twin, first):
 
 
 class TestResidency:
-    """Ranked cache entries hold kernels; dict graphs live on disk."""
+    """Ranked cache entries hold kernels and no dict graphs; the disk tier
+    stores the kernels."""
 
     @pytest.fixture
     def ranked(self, tmp_path, monkeypatch):
@@ -190,7 +191,6 @@ class TestResidency:
         _, _, arts, pipeline = ranked
         assert arts.kernel_for(pipeline) is arts.kernel_for(pipeline)
         assert arts._graph is arts._lowered_graph is arts._fused_graph is None
-        assert arts.released == {"graph", "lowered_graph"}
 
     def test_kernel_references_no_dense_schedule(self, ranked):
         _, _, arts, pipeline = ranked
@@ -207,9 +207,12 @@ class TestResidency:
 
     def test_disk_keeps_every_graph_slot(self, ranked):
         cache, key, arts, _ = ranked
-        slots = {"schedule", "graph", "lowered", "lowered_graph"}
-        assert set(cache.disk.load(key)) == slots
-        # A form derived after the release writes through without
-        # dropping the released graphs from the payload.
-        arts.fused_graph()
-        assert set(cache.disk.load(key)) == slots | {"fused", "fused_graph"}
+        stored = cache.disk.load(key)
+        assert set(stored) == {"schedule", "lowered", "kernels"}
+        assert set(stored["kernels"]) == {"lowered"}
+        # A form derived later writes its kernel through without
+        # dropping the earlier ones.
+        arts.kernel_for(("lower_p2p", "fuse_comm"))
+        stored = cache.disk.load(key)
+        assert set(stored) == {"schedule", "lowered", "fused", "kernels"}
+        assert set(stored["kernels"]) == {"lowered", "fused"}
