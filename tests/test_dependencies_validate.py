@@ -1,5 +1,7 @@
 """Dependency extraction and structural validation."""
 
+import re
+
 import pytest
 
 from repro.common.errors import ValidationError
@@ -132,3 +134,170 @@ class TestValidator:
         s = toy([[F(0, 0), B(0, 0)], [F(0, 1), B(0, 1)]])
         with pytest.raises(ValidationError, match="synchronization"):
             validate_schedule(s, require_sync_ops=True)
+
+
+def _op(kind, mbs, stage, replica=0, part=(0, 1), payload=""):
+    return Operation(
+        kind, replica, stage, micro_batches=tuple(mbs), part=part, payload=payload
+    )
+
+
+def Fm(mbs, stage):
+    return _op(OpKind.FORWARD, mbs, stage)
+
+
+def Bm(mbs, stage):
+    return _op(OpKind.BACKWARD, mbs, stage)
+
+
+def W(mbs, stage):
+    return _op(OpKind.BACKWARD_WEIGHT, mbs, stage)
+
+
+def R(mbs, stage):
+    return _op(OpKind.RECOMPUTE, mbs, stage)
+
+
+def Tx(mbs, stage, payload="act"):
+    return _op(OpKind.SEND, mbs, stage, payload=payload)
+
+
+def Rx(mbs, stage, payload="act"):
+    return _op(OpKind.RECV, mbs, stage, payload=payload)
+
+
+def Ho(mbs, stage=0):
+    return _op(OpKind.OFFLOAD, mbs, stage, payload="stash")
+
+
+def Hr(mbs, stage=0):
+    return _op(OpKind.RELOAD, mbs, stage, payload="stash")
+
+
+#: One hand-built schedule per ``raise ValidationError`` site of
+#: ``build_dependency_graph``, in source order, with the full message.
+BUILDER_ERRORS = [
+    (
+        "scheduled_twice",
+        [[F(0, 0), F(0, 0)], []],
+        "operation F0 (replica 0, stage 0) scheduled twice",
+    ),
+    (
+        "two_forwards",
+        [[Fm((0, 1), 0), F(0, 0)], []],
+        "micro-batch 0 has two forwards at stage 0 of replica 0",
+    ),
+    (
+        "two_backwards",
+        [[F(0, 0), Bm((0, 1), 0), B(0, 0)], []],
+        "micro-batch 0 part (0, 1) has two backwards at stage 0 of replica 0",
+    ),
+    (
+        "two_weight_grad_producers",
+        [[F(0, 0), B(0, 0), W((0,), 0)], []],
+        "micro-batch 0 part (0, 1) has two weight-gradient producers at "
+        "stage 0 of replica 0",
+    ),
+    (
+        "two_recomputes",
+        [[F(0, 0), R((0, 1), 0), R((0,), 0)], []],
+        "micro-batch 0 has two RECOMPUTE ops at stage 0 of replica 0",
+    ),
+    (
+        "two_receives",
+        [[F(0, 0)], [Rx((0, 1), 1), Rx((0,), 1)]],
+        "micro-batch 0 has two act receives at stage 1 of replica 0",
+    ),
+    (
+        "two_offloads",
+        [[F(0, 0), Ho((0, 1)), Ho((0,))], []],
+        "micro-batch 0 has two OFFLOAD ops at stage 0 of replica 0",
+    ),
+    (
+        "two_reloads",
+        [[F(0, 0), Hr((0, 1)), Hr((0,))], []],
+        "micro-batch 0 has two RELOAD ops at stage 0 of replica 0",
+    ),
+    (
+        "offload_without_reload",
+        [[F(0, 0), Ho((0,)), B(0, 0)], []],
+        "OFFLOAD of micro-batch 0 at stage 0 (replica 0) has no matching RELOAD",
+    ),
+    (
+        "offload_reload_coverage",
+        [[Fm((0, 1), 0), Ho((0, 1)), Hr((0,)), Hr((1,)), Bm((0, 1), 0)], []],
+        "OFFLOAD Ho0,1s0 and RELOAD Hr0s0 cover different micro-batches "
+        "(replica 0, stage 0)",
+    ),
+    (
+        "reload_without_consumer",
+        [[F(0, 0), Ho((0,)), Hr((0,))], []],
+        "RELOAD Hr0s0 (replica 0) has no consuming backward or RECOMPUTE "
+        "after it on worker 0",
+    ),
+    (
+        "forward_without_producer",
+        [[], [F(0, 1), B(0, 1)]],
+        "forward of micro-batch 0 at stage 1 (replica 0) has no stage-0 producer",
+    ),
+    (
+        "backward_without_forward",
+        [[B(0, 0)], []],
+        "backward of micro-batch 0 at stage 0 (replica 0) has no matching forward",
+    ),
+    (
+        "backward_without_gradient",
+        [[F(0, 0), B(0, 0)], [F(0, 1)]],
+        "backward of micro-batch 0 part (0, 1) at stage 0 (replica 0) has no "
+        "stage-1 gradient producer",
+    ),
+    (
+        "recompute_without_forward",
+        [[R((0,), 0)], []],
+        "RECOMPUTE of micro-batch 0 at stage 0 (replica 0) has no matching forward",
+    ),
+    (
+        "weight_grad_without_bi",
+        [[F(0, 0), W((0,), 0)], []],
+        "weight gradient of micro-batch 0 part (0, 1) at stage 0 (replica 0) "
+        "has no matching input-gradient (Bi) producer",
+    ),
+    (
+        "send_without_producer",
+        [[Tx((0,), 0)], []],
+        "Tx[act]0s0 (replica 0) has no local act producer for micro-batch 0",
+    ),
+    (
+        "recv_without_send",
+        [[F(0, 0)], [Rx((0,), 1), F(0, 1)]],
+        "Rx[act]0s1 (replica 0) has no matching SEND at stage 0",
+    ),
+    (
+        "offload_without_forward",
+        [[Ho((0,)), Hr((0,)), B(0, 0)], []],
+        "OFFLOAD of micro-batch 0 at stage 0 (replica 0) has no matching forward",
+    ),
+    (
+        "reload_without_offload",
+        [[F(0, 0), Hr((0,)), B(0, 0)], []],
+        "RELOAD of micro-batch 0 at stage 0 (replica 0) has no matching OFFLOAD",
+    ),
+]
+
+
+class TestBuilderErrors:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [pytest.param(rows, msg, id=name) for name, rows, msg in BUILDER_ERRORS],
+    )
+    def test_each_builder_check_fires_with_its_message(self, rows, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build_dependency_graph(toy(rows))
+
+    def test_every_raise_site_is_covered(self):
+        import inspect
+
+        from repro.schedules import dependencies
+
+        source = inspect.getsource(dependencies)
+        assert source.count("raise ValidationError") == len(BUILDER_ERRORS)
