@@ -45,12 +45,27 @@ Worker-order dependencies (op ``i+1`` on a worker starts after op ``i``) are
 *not* materialized here; the simulator and the runtime both respect the list
 order directly. The validator combines both edge sets for its acyclicity
 check.
+
+Representation
+--------------
+The graph *is* a set of int-id tables. Ops are numbered row-major
+(worker 0's ops first, in program order), so an op's row successor is
+``id + 1`` and sorting by id sorts by ``(worker, position)``. Incoming
+edges are CSR tables over destination ids (``dep_ptr``, ``dep_src``,
+``dep_kind``, ``dep_units``). The builder hashes each op's key once, for
+the uniqueness check; everything else indexes by id. Lowering, the
+engine's dense form (and through it the array kernel) and the
+validator's acyclicity check read the tables. The ``OpKey``-keyed
+``location``/``deps`` dicts and the :class:`Edge` iterators are views,
+built on first use, for the readers that think in op keys: the
+bubble-filling pass, the polling simulator and the tests.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from repro.common.errors import ValidationError
@@ -109,26 +124,69 @@ class Edge:
         return self.kind is EdgeKind.TRANSFER
 
 
+#: Edge-kind codes of :attr:`DependencyGraph.dep_kind` index this tuple.
+EDGE_KINDS: tuple[EdgeKind, ...] = tuple(EdgeKind)
+_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
+ACTIVATION = _CODE[EdgeKind.ACTIVATION]
+GRADIENT = _CODE[EdgeKind.GRADIENT]
+STASH = _CODE[EdgeKind.STASH]
+DEFERRAL = _CODE[EdgeKind.DEFERRAL]
+SYNC = _CODE[EdgeKind.SYNC]
+ENQUEUE = _CODE[EdgeKind.ENQUEUE]
+TRANSFER = _CODE[EdgeKind.TRANSFER]
+DELIVERY = _CODE[EdgeKind.DELIVERY]
+
+
 @dataclass
 class DependencyGraph:
-    """The schedule's data-dependency DAG plus fast lookups.
+    """The schedule's data-dependency DAG as int-id tables.
 
     Attributes
     ----------
     schedule:
         The schedule the graph was built from.
-    location:
-        ``op.key() -> (worker, position)`` for every operation.
-    deps:
-        ``op.key() -> tuple of incoming edges`` (possibly empty).
+    ops_flat / op_worker / row_pos:
+        The op table: op id ``i`` is ``ops_flat[i]``, running at position
+        ``row_pos[i]`` of worker ``op_worker[i]``. Ids are row-major.
+    dep_ptr / dep_src / dep_kind / dep_units:
+        Incoming edges in CSR form: op ``i``'s edges are slots
+        ``dep_ptr[i]:dep_ptr[i + 1]``, each with its source id, its kind
+        (an index into :data:`EDGE_KINDS`) and its payload units.
+
+    ``==`` compares the tables. :attr:`location`, :attr:`deps`,
+    :meth:`edges`, :meth:`p2p_edges` and :meth:`transfer_edges` are
+    ``OpKey``-keyed views, built on first use.
     """
 
     schedule: Schedule
-    location: dict[OpKey, tuple[int, int]]
-    deps: dict[OpKey, tuple[Edge, ...]]
+    ops_flat: list[Operation]
+    op_worker: list[int]
+    row_pos: list[int]
+    dep_ptr: list[int]
+    dep_src: list[int]
+    dep_kind: list[int]
+    dep_units: list[float]
 
-    def worker_of_key(self, key: OpKey) -> int:
-        return self.location[key][0]
+    @cached_property
+    def location(self) -> dict[OpKey, tuple[int, int]]:
+        """``op.key() -> (worker, position)`` for every operation."""
+        return {
+            op.key(): (worker, pos)
+            for op, worker, pos in zip(self.ops_flat, self.op_worker, self.row_pos)
+        }
+
+    @cached_property
+    def deps(self) -> dict[OpKey, tuple[Edge, ...]]:
+        """``op.key() -> tuple of incoming edges`` (possibly empty)."""
+        keys = list(self.location)
+        ptr, src, kind, units = self.dep_ptr, self.dep_src, self.dep_kind, self.dep_units
+        return {
+            dst: tuple(
+                Edge(keys[src[e]], dst, EDGE_KINDS[kind[e]], units[e])
+                for e in range(ptr[i], ptr[i + 1])
+            )
+            for i, dst in enumerate(keys)
+        }
 
     def edges(self) -> Iterator[Edge]:
         for incoming in self.deps.values():
@@ -140,10 +198,11 @@ class DependencyGraph:
         These are exactly the edges the lowering pass rewrites; on a fully
         lowered schedule this yields nothing (see :meth:`transfer_edges`).
         """
+        location = self.location
         for edge in self.edges():
-            if not edge.is_p2p_candidate:
-                continue
-            if self.worker_of_key(edge.src) != self.worker_of_key(edge.dst):
+            if edge.is_p2p_candidate and (
+                location[edge.src][0] != location[edge.dst][0]
+            ):
                 yield edge
 
     def transfer_edges(self) -> Iterator[Edge]:
@@ -155,7 +214,10 @@ class DependencyGraph:
 
 def _payload_between(src: Operation, dst: Operation) -> float:
     """Micro-batch units moved along a producer -> consumer edge."""
-    shared = len(set(src.micro_batches) & set(dst.micro_batches))
+    if src.micro_batches == dst.micro_batches:
+        shared = len(dst.micro_batches)
+    else:
+        shared = len(set(src.micro_batches) & set(dst.micro_batches))
     return shared / dst.part[1]
 
 
@@ -169,121 +231,140 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
         backward whose forward was never scheduled, or a ``RECV`` with no
         matching ``SEND``) or an operation appears twice.
     """
-    location: dict[OpKey, tuple[int, int]] = {}
-    # Per-micro-batch producer indexes. Forward doubling means several
-    # micro-batches can share one forward op, hence the per-mb map. Input-
-    # gradient producers (fused B or split Bi) and weight-gradient producers
-    # (fused B or split W) are indexed separately so split and fused
-    # backwards compose through the same lookups.
-    fwd_by_mb: dict[tuple[int, int, int], Operation] = {}  # (replica, stage, mb)
-    grad_by_mb: dict[tuple[int, int, int, tuple[int, int]], Operation] = {}
-    wgrad_by_mb: dict[tuple[int, int, int, tuple[int, int]], Operation] = {}
+    ops_flat: list[Operation] = []
+    op_worker: list[int] = []
+    row_pos: list[int] = []
+    keys: set[OpKey] = set()
+    # Per-micro-batch producer indexes, op key fields -> op id. Forward
+    # doubling means several micro-batches can share one forward op, hence
+    # the per-mb map. Input-gradient producers (fused B or split Bi) and
+    # weight-gradient producers (fused B or split W) are indexed separately
+    # so split and fused backwards compose through the same lookups.
+    fwd_by_mb: dict[tuple[int, int, int], int] = {}  # (replica, stage, mb)
+    grad_by_mb: dict[tuple[int, int, int, tuple[int, int]], int] = {}
+    wgrad_by_mb: dict[tuple[int, int, int, tuple[int, int]], int] = {}
+    # The ALLREDUCE wiring's inputs: each stage replica's weight-gradient
+    # producers as (mb, id) in schedule order, and each replica's forward
+    # micro-batches.
+    wgrad_of_stage: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    fwd_mbs: dict[int, set[int]] = {}
     # Comm-op indexes (lowered schedules only). Sends are looked up by their
     # full identity when wiring a RECV's TRANSFER edge; recvs are looked up
     # per micro-batch when redirecting a consumer's cross-worker edge, and
     # sends per destination micro-batch for fused schedules (the consumer
     # takes the TRANSFER edge itself when no RECV exists).
-    send_index: dict[tuple, Operation] = {}
-    send_by_dst_mb: dict[tuple[int, int, int, tuple[int, int], str], Operation] = {}
-    recv_by_mb: dict[tuple[int, int, int, tuple[int, int], str], Operation] = {}
-    remat_by_mb: dict[tuple[int, int, int], Operation] = {}
+    send_index: dict[tuple, int] = {}
+    send_by_dst_mb: dict[tuple[int, int, int, tuple[int, int], str], int] = {}
+    recv_by_mb: dict[tuple[int, int, int, tuple[int, int], str], int] = {}
+    remat_mbs: set[tuple[int, int, int]] = set()
     # Host-tier transfer indexes (offloaded schedules only). Offloads and
     # reloads pair 1:1 on (replica, stage, micro_batches): the OFFLOAD's
     # device→host copy feeds exactly one RELOAD's host→device copy, which
     # in turn delivers to exactly one consuming backward/RECOMPUTE — the
     # single-valued wiring the simulator's transfer tables rely on.
-    offload_by_mb: dict[tuple[int, int, int], Operation] = {}
-    reload_by_mb: dict[tuple[int, int, int], Operation] = {}
+    offload_by_mb: dict[tuple[int, int, int], int] = {}
+    reload_by_mb: dict[tuple[int, int, int], int] = {}
+    reloads: list[int] = []
+    row_end: list[int] = []
 
-    for worker, ops in enumerate(schedule.worker_ops):
-        for pos, op in enumerate(ops):
-            key = op.key()
-            if key in location:
+    for worker, row in enumerate(schedule.worker_ops):
+        for pos, op in enumerate(row):
+            oid = len(ops_flat)
+            keys.add(op.key())
+            if len(keys) == oid:
                 raise ValidationError(
                     f"operation {op.short()} (replica {op.replica}, stage "
                     f"{op.stage}) scheduled twice"
                 )
-            location[key] = (worker, pos)
-            if op.is_forward:
-                for mb in op.micro_batches:
-                    fwd_key = (op.replica, op.stage, mb)
-                    if fwd_key in fwd_by_mb:
+            ops_flat.append(op)
+            op_worker.append(worker)
+            row_pos.append(pos)
+            kind = op.kind
+            replica, stage, mbs = op.replica, op.stage, op.micro_batches
+            if kind is OpKind.FORWARD:
+                for mb in mbs:
+                    fkey = (replica, stage, mb)
+                    if fkey in fwd_by_mb:
                         raise ValidationError(
                             f"micro-batch {mb} has two forwards at stage "
-                            f"{op.stage} of replica {op.replica}"
+                            f"{stage} of replica {replica}"
                         )
-                    fwd_by_mb[fwd_key] = op
-            if op.is_backward:
-                for mb in op.micro_batches:
-                    bkey = (op.replica, op.stage, mb, op.part)
+                    fwd_by_mb[fkey] = oid
+                fwd_mbs.setdefault(replica, set()).update(mbs)
+            elif kind is OpKind.BACKWARD or kind is OpKind.BACKWARD_INPUT:
+                for mb in mbs:
+                    bkey = (replica, stage, mb, op.part)
                     if bkey in grad_by_mb:
                         raise ValidationError(
                             f"micro-batch {mb} part {op.part} has two "
-                            f"backwards at stage {op.stage} of replica {op.replica}"
+                            f"backwards at stage {stage} of replica {replica}"
                         )
-                    grad_by_mb[bkey] = op
-            if op.produces_weight_grads:
-                for mb in op.micro_batches:
-                    bkey = (op.replica, op.stage, mb, op.part)
+                    grad_by_mb[bkey] = oid
+            if kind is OpKind.BACKWARD or kind is OpKind.BACKWARD_WEIGHT:
+                producers = wgrad_of_stage.setdefault((replica, stage), [])
+                for mb in mbs:
+                    bkey = (replica, stage, mb, op.part)
                     if bkey in wgrad_by_mb:
                         raise ValidationError(
                             f"micro-batch {mb} part {op.part} has two "
-                            f"weight-gradient producers at stage {op.stage} "
-                            f"of replica {op.replica}"
+                            f"weight-gradient producers at stage {stage} "
+                            f"of replica {replica}"
                         )
-                    wgrad_by_mb[bkey] = op
-            if op.kind is OpKind.RECOMPUTE:
-                for mb in op.micro_batches:
-                    rkey = (op.replica, op.stage, mb)
-                    if rkey in remat_by_mb:
+                    wgrad_by_mb[bkey] = oid
+                    producers.append((mb, oid))
+            elif kind is OpKind.RECOMPUTE:
+                for mb in mbs:
+                    rkey = (replica, stage, mb)
+                    if rkey in remat_mbs:
                         raise ValidationError(
                             f"micro-batch {mb} has two RECOMPUTE ops at stage "
-                            f"{op.stage} of replica {op.replica}"
+                            f"{stage} of replica {replica}"
                         )
-                    remat_by_mb[rkey] = op
-            if op.kind is OpKind.SEND:
-                send_index[
-                    (op.replica, op.stage, op.micro_batches, op.part, op.payload)
-                ] = op
-                for mb in op.micro_batches:
+                    remat_mbs.add(rkey)
+            elif kind is OpKind.SEND:
+                send_index[(replica, stage, mbs, op.part, op.payload)] = oid
+                for mb in mbs:
                     send_by_dst_mb[
-                        (op.replica, op.peer_stage, mb, op.part, op.payload)
-                    ] = op
-            if op.kind is OpKind.RECV:
-                for mb in op.micro_batches:
-                    rkey = (op.replica, op.stage, mb, op.part, op.payload)
+                        (replica, op.peer_stage, mb, op.part, op.payload)
+                    ] = oid
+            elif kind is OpKind.RECV:
+                for mb in mbs:
+                    rkey = (replica, stage, mb, op.part, op.payload)
                     if rkey in recv_by_mb:
                         raise ValidationError(
                             f"micro-batch {mb} has two {op.payload} receives "
-                            f"at stage {op.stage} of replica {op.replica}"
+                            f"at stage {stage} of replica {replica}"
                         )
-                    recv_by_mb[rkey] = op
-            if op.kind is OpKind.OFFLOAD:
-                for mb in op.micro_batches:
-                    okey = (op.replica, op.stage, mb)
+                    recv_by_mb[rkey] = oid
+            elif kind is OpKind.OFFLOAD:
+                for mb in mbs:
+                    okey = (replica, stage, mb)
                     if okey in offload_by_mb:
                         raise ValidationError(
                             f"micro-batch {mb} has two OFFLOAD ops at stage "
-                            f"{op.stage} of replica {op.replica}"
+                            f"{stage} of replica {replica}"
                         )
-                    offload_by_mb[okey] = op
-            if op.kind is OpKind.RELOAD:
-                for mb in op.micro_batches:
-                    okey = (op.replica, op.stage, mb)
+                    offload_by_mb[okey] = oid
+            elif kind is OpKind.RELOAD:
+                for mb in mbs:
+                    okey = (replica, stage, mb)
                     if okey in reload_by_mb:
                         raise ValidationError(
                             f"micro-batch {mb} has two RELOAD ops at stage "
-                            f"{op.stage} of replica {op.replica}"
+                            f"{stage} of replica {replica}"
                         )
-                    reload_by_mb[okey] = op
+                    reload_by_mb[okey] = oid
+                reloads.append(oid)
+        row_end.append(len(ops_flat))
 
-    for okey, off in offload_by_mb.items():
-        reload = reload_by_mb.get(okey)
-        if reload is None:
+    for okey, off_id in offload_by_mb.items():
+        reload_id = reload_by_mb.get(okey)
+        if reload_id is None:
             raise ValidationError(
                 f"OFFLOAD of micro-batch {okey[2]} at stage {okey[1]} "
                 f"(replica {okey[0]}) has no matching RELOAD"
             )
+        off, reload = ops_flat[off_id], ops_flat[reload_id]
         if reload.micro_batches != off.micro_batches:
             raise ValidationError(
                 f"OFFLOAD {off.short()} and RELOAD {reload.short()} cover "
@@ -293,227 +374,175 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
     # RECOMPUTE) that follows it on its worker; later consumers are held
     # behind that one by program order. The consumer holds the host-wire
     # TRANSFER edge directly, like a fused transfer.
-    consumer_reloads: dict[OpKey, list[Operation]] = {}
-    for worker, ops in enumerate(schedule.worker_ops):
-        for pos, op in enumerate(ops):
-            if op.kind is not OpKind.RELOAD:
-                continue
-            needed = set(op.micro_batches)
-            consumer = None
-            for later in ops[pos + 1 :]:
-                if (
-                    (later.is_backward or later.is_recompute)
-                    and later.replica == op.replica
-                    and later.stage == op.stage
-                    and needed & set(later.micro_batches)
-                ):
-                    consumer = later
-                    break
-            if consumer is None:
-                raise ValidationError(
-                    f"RELOAD {op.short()} (replica {op.replica}) has no "
-                    f"consuming backward or RECOMPUTE after it on worker "
-                    f"{worker}"
-                )
-            consumer_reloads.setdefault(consumer.key(), []).append(op)
+    consumer_reloads: dict[int, list[int]] = {}
+    for reload_id in reloads:
+        op = ops_flat[reload_id]
+        worker = op_worker[reload_id]
+        needed = set(op.micro_batches)
+        for later_id in range(reload_id + 1, row_end[worker]):
+            later = ops_flat[later_id]
+            if (
+                (later.is_backward or later.kind is OpKind.RECOMPUTE)
+                and later.replica == op.replica
+                and later.stage == op.stage
+                and not needed.isdisjoint(later.micro_batches)
+            ):
+                consumer_reloads.setdefault(later_id, []).append(reload_id)
+                break
+        else:
+            raise ValidationError(
+                f"RELOAD {op.short()} (replica {op.replica}) has no "
+                f"consuming backward or RECOMPUTE after it on worker "
+                f"{worker}"
+            )
+
+    def stage_edge(producer: int, kind: int, flow: tuple, op: Operation) -> tuple:
+        """The edge that brings ``flow`` to ``op`` from the neighbouring
+        stage: from its RECV when lowered, straight from its batched SEND
+        when fused, else the implicit ``kind`` edge from ``producer``."""
+        recv = recv_by_mb.get(flow)
+        if recv is not None:
+            return (recv, DELIVERY, 0.0)
+        send = send_by_dst_mb.get(flow)
+        if send is not None:
+            return (send, TRANSFER, _payload_between(ops_flat[send], op))
+        return (producer, kind, _payload_between(ops_flat[producer], op))
 
     depth = schedule.num_stages
-    deps: dict[OpKey, tuple[Edge, ...]] = {}
+    dep_ptr = [0]
+    dep_src: list[int] = []
+    dep_kind: list[int] = []
+    dep_units: list[float] = []
 
-    for worker, ops in enumerate(schedule.worker_ops):
-        for op in ops:
-            incoming: list[Edge] = []
-            if op.is_forward and op.stage > 0:
-                for mb in op.micro_batches:
-                    producer = fwd_by_mb.get((op.replica, op.stage - 1, mb))
+    for oid, op in enumerate(ops_flat):
+        kind = op.kind
+        replica, stage, mbs = op.replica, op.stage, op.micro_batches
+        # (src id, kind code, payload units), deduplicated below.
+        incoming: list[tuple[int, int, float]] = []
+        if kind is OpKind.FORWARD:
+            if stage > 0:
+                for mb in mbs:
+                    producer = fwd_by_mb.get((replica, stage - 1, mb))
                     if producer is None:
                         raise ValidationError(
-                            f"forward of micro-batch {mb} at stage {op.stage} "
-                            f"(replica {op.replica}) has no stage-{op.stage - 1} producer"
+                            f"forward of micro-batch {mb} at stage {stage} "
+                            f"(replica {replica}) has no stage-{stage - 1} producer"
                         )
-                    recv = recv_by_mb.get((op.replica, op.stage, mb, op.part, "act"))
-                    send = send_by_dst_mb.get(
-                        (op.replica, op.stage, mb, op.part, "act")
-                    )
-                    if recv is not None:
-                        incoming.append(
-                            Edge(recv.key(), op.key(), EdgeKind.DELIVERY)
-                        )
-                    elif send is not None:
-                        # Fused schedule: the batched transfer delivers
-                        # straight to the consumer.
-                        incoming.append(
-                            Edge(
-                                send.key(),
-                                op.key(),
-                                EdgeKind.TRANSFER,
-                                _payload_between(send, op),
-                            )
-                        )
-                    else:
-                        incoming.append(
-                            Edge(
-                                producer.key(),
-                                op.key(),
-                                EdgeKind.ACTIVATION,
-                                _payload_between(producer, op),
-                            )
-                        )
-            elif op.is_backward:
-                for mb in op.micro_batches:
-                    fwd = fwd_by_mb.get((op.replica, op.stage, mb))
-                    if fwd is None:
-                        raise ValidationError(
-                            f"backward of micro-batch {mb} at stage {op.stage} "
-                            f"(replica {op.replica}) has no matching forward"
-                        )
-                    incoming.append(Edge(fwd.key(), op.key(), EdgeKind.STASH))
-                    if op.stage < depth - 1:
-                        producer = grad_by_mb.get(
-                            (op.replica, op.stage + 1, mb, op.part)
-                        )
-                        if producer is None:
-                            raise ValidationError(
-                                f"backward of micro-batch {mb} part {op.part} at "
-                                f"stage {op.stage} (replica {op.replica}) has no "
-                                f"stage-{op.stage + 1} gradient producer"
-                            )
-                        recv = recv_by_mb.get(
-                            (op.replica, op.stage, mb, op.part, "grad")
-                        )
-                        send = send_by_dst_mb.get(
-                            (op.replica, op.stage, mb, op.part, "grad")
-                        )
-                        if recv is not None:
-                            incoming.append(
-                                Edge(recv.key(), op.key(), EdgeKind.DELIVERY)
-                            )
-                        elif send is not None:
-                            incoming.append(
-                                Edge(
-                                    send.key(),
-                                    op.key(),
-                                    EdgeKind.TRANSFER,
-                                    _payload_between(send, op),
-                                )
-                            )
-                        else:
-                            incoming.append(
-                                Edge(
-                                    producer.key(),
-                                    op.key(),
-                                    EdgeKind.GRADIENT,
-                                    _payload_between(producer, op),
-                                )
-                            )
-            elif op.is_recompute:
-                for mb in op.micro_batches:
-                    fwd = fwd_by_mb.get((op.replica, op.stage, mb))
-                    if fwd is None:
-                        raise ValidationError(
-                            f"RECOMPUTE of micro-batch {mb} at stage "
-                            f"{op.stage} (replica {op.replica}) has no "
-                            f"matching forward"
-                        )
-                    incoming.append(Edge(fwd.key(), op.key(), EdgeKind.STASH))
-            elif op.is_backward_weight:
-                for mb in op.micro_batches:
-                    producer = grad_by_mb.get((op.replica, op.stage, mb, op.part))
-                    if producer is None or producer.kind is not OpKind.BACKWARD_INPUT:
-                        raise ValidationError(
-                            f"weight gradient of micro-batch {mb} part {op.part} "
-                            f"at stage {op.stage} (replica {op.replica}) has no "
-                            f"matching input-gradient (Bi) producer"
-                        )
-                    incoming.append(
-                        Edge(producer.key(), op.key(), EdgeKind.DEFERRAL)
-                    )
-            elif op.kind is OpKind.SEND:
-                for mb in op.micro_batches:
-                    if op.payload == "act":
-                        producer = fwd_by_mb.get((op.replica, op.stage, mb))
-                    else:
-                        producer = grad_by_mb.get(
-                            (op.replica, op.stage, mb, op.part)
-                        )
-                    if producer is None:
-                        raise ValidationError(
-                            f"{op.short()} (replica {op.replica}) has no local "
-                            f"{op.payload} producer for micro-batch {mb}"
-                        )
-                    incoming.append(
-                        Edge(producer.key(), op.key(), EdgeKind.ENQUEUE)
-                    )
-            elif op.kind is OpKind.RECV:
-                src_stage = op.peer_stage
-                send = send_index.get(
-                    (op.replica, src_stage, op.micro_batches, op.part, op.payload)
-                )
-                if send is None:
+                    flow = (replica, stage, mb, op.part, "act")
+                    incoming.append(stage_edge(producer, ACTIVATION, flow, op))
+        elif kind is OpKind.BACKWARD or kind is OpKind.BACKWARD_INPUT:
+            for mb in mbs:
+                fwd = fwd_by_mb.get((replica, stage, mb))
+                if fwd is None:
                     raise ValidationError(
-                        f"{op.short()} (replica {op.replica}) has no matching "
-                        f"SEND at stage {src_stage}"
+                        f"backward of micro-batch {mb} at stage {stage} "
+                        f"(replica {replica}) has no matching forward"
                     )
-                incoming.append(
-                    Edge(
-                        send.key(),
-                        op.key(),
-                        EdgeKind.TRANSFER,
-                        len(op.micro_batches) / op.part[1],
-                    )
-                )
-            elif op.kind is OpKind.OFFLOAD:
-                for mb in op.micro_batches:
-                    fwd = fwd_by_mb.get((op.replica, op.stage, mb))
-                    if fwd is None:
+                incoming.append((fwd, STASH, 0.0))
+                if stage < depth - 1:
+                    producer = grad_by_mb.get((replica, stage + 1, mb, op.part))
+                    if producer is None:
                         raise ValidationError(
-                            f"OFFLOAD of micro-batch {mb} at stage {op.stage} "
-                            f"(replica {op.replica}) has no matching forward"
+                            f"backward of micro-batch {mb} part {op.part} at "
+                            f"stage {stage} (replica {replica}) has no "
+                            f"stage-{stage + 1} gradient producer"
                         )
-                    incoming.append(Edge(fwd.key(), op.key(), EdgeKind.ENQUEUE))
-            elif op.kind is OpKind.RELOAD:
-                for mb in op.micro_batches:
-                    off = offload_by_mb.get((op.replica, op.stage, mb))
-                    if off is None:
-                        raise ValidationError(
-                            f"RELOAD of micro-batch {mb} at stage {op.stage} "
-                            f"(replica {op.replica}) has no matching OFFLOAD"
-                        )
-                    incoming.append(
-                        Edge(
-                            off.key(),
-                            op.key(),
-                            EdgeKind.TRANSFER,
-                            _payload_between(off, op),
-                        )
+                    flow = (replica, stage, mb, op.part, "grad")
+                    incoming.append(stage_edge(producer, GRADIENT, flow, op))
+        elif kind is OpKind.RECOMPUTE:
+            for mb in mbs:
+                fwd = fwd_by_mb.get((replica, stage, mb))
+                if fwd is None:
+                    raise ValidationError(
+                        f"RECOMPUTE of micro-batch {mb} at stage "
+                        f"{stage} (replica {replica}) has no "
+                        f"matching forward"
                     )
-            elif op.kind is OpKind.ALLREDUCE:
-                targets = op.micro_batches or schedule.micro_batches_of_replica(
-                    op.replica
-                )
-                for bkey, producer in wgrad_by_mb.items():
-                    replica, stage, mb, _part = bkey
-                    if replica != op.replica or stage != op.stage:
-                        continue
-                    if mb not in targets:
-                        continue
-                    if location[producer.key()][0] != worker:
-                        continue
-                    incoming.append(Edge(producer.key(), op.key(), EdgeKind.SYNC))
-            # The first stash consumer after each RELOAD waits for the
-            # host→device copy to arrive (host-wire TRANSFER edge).
-            for reload in consumer_reloads.get(op.key(), ()):
-                incoming.append(
-                    Edge(
-                        reload.key(),
-                        op.key(),
-                        EdgeKind.TRANSFER,
-                        len(reload.micro_batches) / reload.part[1],
+                incoming.append((fwd, STASH, 0.0))
+        elif kind is OpKind.BACKWARD_WEIGHT:
+            for mb in mbs:
+                producer = grad_by_mb.get((replica, stage, mb, op.part))
+                if (
+                    producer is None
+                    or ops_flat[producer].kind is not OpKind.BACKWARD_INPUT
+                ):
+                    raise ValidationError(
+                        f"weight gradient of micro-batch {mb} part {op.part} "
+                        f"at stage {stage} (replica {replica}) has no "
+                        f"matching input-gradient (Bi) producer"
                     )
+                incoming.append((producer, DEFERRAL, 0.0))
+        elif kind is OpKind.SEND:
+            for mb in mbs:
+                if op.payload == "act":
+                    producer = fwd_by_mb.get((replica, stage, mb))
+                else:
+                    producer = grad_by_mb.get((replica, stage, mb, op.part))
+                if producer is None:
+                    raise ValidationError(
+                        f"{op.short()} (replica {replica}) has no local "
+                        f"{op.payload} producer for micro-batch {mb}"
+                    )
+                incoming.append((producer, ENQUEUE, 0.0))
+        elif kind is OpKind.RECV:
+            src_stage = op.peer_stage
+            send = send_index.get((replica, src_stage, mbs, op.part, op.payload))
+            if send is None:
+                raise ValidationError(
+                    f"{op.short()} (replica {replica}) has no matching "
+                    f"SEND at stage {src_stage}"
                 )
-            # Deduplicate (forward doubling can produce the same edge twice
-            # when both micro-batches of a chunk share one producer chunk).
-            unique: dict[tuple, Edge] = {(e.src, e.kind): e for e in incoming}
-            deps[op.key()] = tuple(unique.values())
+            incoming.append((send, TRANSFER, len(mbs) / op.part[1]))
+        elif kind is OpKind.OFFLOAD:
+            for mb in mbs:
+                fwd = fwd_by_mb.get((replica, stage, mb))
+                if fwd is None:
+                    raise ValidationError(
+                        f"OFFLOAD of micro-batch {mb} at stage {stage} "
+                        f"(replica {replica}) has no matching forward"
+                    )
+                incoming.append((fwd, ENQUEUE, 0.0))
+        elif kind is OpKind.RELOAD:
+            for mb in mbs:
+                off = offload_by_mb.get((replica, stage, mb))
+                if off is None:
+                    raise ValidationError(
+                        f"RELOAD of micro-batch {mb} at stage {stage} "
+                        f"(replica {replica}) has no matching OFFLOAD"
+                    )
+                incoming.append((off, TRANSFER, _payload_between(ops_flat[off], op)))
+        elif kind is OpKind.ALLREDUCE:
+            targets = mbs or fwd_mbs.get(replica, ())
+            worker = op_worker[oid]
+            for mb, producer in wgrad_of_stage.get((replica, stage), ()):
+                if mb in targets and op_worker[producer] == worker:
+                    incoming.append((producer, SYNC, 0.0))
+        # The first stash consumer after each RELOAD waits for the
+        # host→device copy to arrive (host-wire TRANSFER edge).
+        for reload_id in consumer_reloads.get(oid, ()):
+            reload = ops_flat[reload_id]
+            incoming.append(
+                (reload_id, TRANSFER, len(reload.micro_batches) / reload.part[1])
+            )
+        # Deduplicate on (src, kind), keeping the first edge (forward
+        # doubling can produce the same edge twice when both micro-batches
+        # of a chunk share one producer chunk).
+        unique: dict[tuple[int, int], float] = {}
+        for src, code, units in incoming:
+            unique.setdefault((src, code), units)
+        for (src, code), units in unique.items():
+            dep_src.append(src)
+            dep_kind.append(code)
+            dep_units.append(units)
+        dep_ptr.append(len(dep_src))
 
-    return DependencyGraph(schedule=schedule, location=location, deps=deps)
+    return DependencyGraph(
+        schedule=schedule,
+        ops_flat=ops_flat,
+        op_worker=op_worker,
+        row_pos=row_pos,
+        dep_ptr=dep_ptr,
+        dep_src=dep_src,
+        dep_kind=dep_kind,
+        dep_units=dep_units,
+    )

@@ -28,8 +28,9 @@ Edges between stages that share a worker (e.g. the fold of the ZB-V
 placement, or Chimera replicas crossing on one worker) are *not* lowered —
 there is no link to occupy.
 
-The pass consumes only the :class:`~repro.schedules.dependencies.
-DependencyGraph`, never builder internals, so every registered scheme —
+The pass reads only the :class:`~repro.schedules.dependencies.
+DependencyGraph`'s int-id tables (its op table and CSR edge tables),
+never builder internals and never op keys, so every registered scheme —
 and any future builder — lowers without per-scheme code.
 """
 
@@ -39,8 +40,9 @@ from dataclasses import replace
 
 from repro.common.errors import ScheduleError
 from repro.schedules.dependencies import (
+    ACTIVATION,
+    GRADIENT,
     DependencyGraph,
-    EdgeKind,
     build_dependency_graph,
 )
 from repro.schedules.ir import Operation, OpKind, Schedule, freeze_worker_ops
@@ -83,24 +85,30 @@ def lower_schedule(
     if graph is None:
         graph = build_dependency_graph(schedule)
 
-    producers: dict[tuple, Operation] = {
-        op.key(): op for _, op in schedule.all_ops()
-    }
+    ops_flat, op_worker = graph.ops_flat, graph.op_worker
+    ptr, dep_src, dep_kind = graph.dep_ptr, graph.dep_src, graph.dep_kind
 
-    # One (SEND, RECV) pair per cross-worker message edge. Sort edges by
-    # (src worker, src position, dst worker, dst position) so multiple
+    # One (SEND, RECV) pair per cross-worker message edge. Ids are
+    # row-major, so sorting edges by (src id, dst id) orders them by
+    # (src worker, src position, dst worker, dst position): multiple
     # sends hanging off one producer launch in the order their consumers
     # run — eager FIFO matches consumption order.
-    edges = sorted(
-        graph.p2p_edges(),
-        key=lambda e: graph.location[e.src] + graph.location[e.dst],
-    )
-    sends_after: dict[tuple, list[Operation]] = {}
-    recvs_before: dict[tuple, list[Operation]] = {}
-    for edge in edges:
-        src_op = producers[edge.src]
-        dst_op = producers[edge.dst]
-        payload = "act" if edge.kind is EdgeKind.ACTIVATION else "grad"
+    edges: list[tuple[int, int, int]] = []
+    for dst in range(len(ops_flat)):
+        for e in range(ptr[dst], ptr[dst + 1]):
+            kind = dep_kind[e]
+            src = dep_src[e]
+            if (kind == ACTIVATION or kind == GRADIENT) and (
+                op_worker[src] != op_worker[dst]
+            ):
+                edges.append((src, dst, kind))
+    edges.sort()
+    sends_after: dict[int, list[Operation]] = {}
+    recvs_before: dict[int, list[Operation]] = {}
+    for src, dst, kind in edges:
+        src_op = ops_flat[src]
+        dst_op = ops_flat[dst]
+        payload = "act" if kind == ACTIVATION else "grad"
         shared = tuple(
             sorted(set(src_op.micro_batches) & set(dst_op.micro_batches))
         )
@@ -120,17 +128,15 @@ def lower_schedule(
             part=dst_op.part,
             payload=payload,
         )
-        sends_after.setdefault(edge.src, []).append(send)
-        recvs_before.setdefault(edge.dst, []).append(recv)
+        sends_after.setdefault(src, []).append(send)
+        recvs_before.setdefault(dst, []).append(recv)
 
-    rows: list[list[Operation]] = []
-    for ops in schedule.worker_ops:
-        row: list[Operation] = []
-        for op in ops:
-            row.extend(recvs_before.get(op.key(), ()))
-            row.append(op)
-            row.extend(sends_after.get(op.key(), ()))
-        rows.append(row)
+    rows: list[list[Operation]] = [[] for _ in schedule.worker_ops]
+    for oid, op in enumerate(ops_flat):
+        row = rows[op_worker[oid]]
+        row.extend(recvs_before.get(oid, ()))
+        row.append(op)
+        row.extend(sends_after.get(oid, ()))
 
     return replace(
         schedule,

@@ -372,35 +372,37 @@ def _check_offload(schedule: Schedule) -> None:
 
 
 def _check_acyclic(graph: DependencyGraph) -> None:
-    """Kahn's algorithm over data edges plus per-worker program order."""
-    schedule = graph.schedule
-    indegree: dict[tuple, int] = {key: 0 for key in graph.location}
-    out: dict[tuple, list[tuple]] = defaultdict(list)
+    """Kahn's algorithm over data edges plus per-worker program order.
 
-    def add_edge(src: tuple, dst: tuple) -> None:
-        out[src].append(dst)
-        indegree[dst] += 1
+    Runs on the graph's op ids: program order is ``id -> id + 1`` within
+    a worker's row (ids are row-major).
+    """
+    ops_flat, op_worker = graph.ops_flat, graph.op_worker
+    ptr, dep_src = graph.dep_ptr, graph.dep_src
+    total = len(ops_flat)
+    indegree = [ptr[i + 1] - ptr[i] for i in range(total)]
+    out: list[list[int]] = [[] for _ in range(total)]
+    for dst in range(total):
+        for e in range(ptr[dst], ptr[dst + 1]):
+            out[dep_src[e]].append(dst)
+    for oid in range(total - 1):
+        if op_worker[oid] == op_worker[oid + 1]:
+            out[oid].append(oid + 1)
+            indegree[oid + 1] += 1
 
-    for key, incoming in graph.deps.items():
-        for edge in incoming:
-            add_edge(edge.src, key)
-    for ops in schedule.worker_ops:
-        for prev, nxt in zip(ops, ops[1:]):
-            add_edge(prev.key(), nxt.key())
-
-    ready = deque(key for key, deg in indegree.items() if deg == 0)
+    ready = deque(oid for oid in range(total) if indegree[oid] == 0)
     visited = 0
     while ready:
-        key = ready.popleft()
+        oid = ready.popleft()
         visited += 1
-        for succ in out[key]:
+        for succ in out[oid]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 ready.append(succ)
-    if visited != len(indegree):
-        stuck = [key for key, deg in indegree.items() if deg > 0][:8]
+    if visited != total:
+        stuck = [ops_flat[o].key() for o in range(total) if indegree[o] > 0][:8]
         raise ValidationError(
-            f"schedule has a dependency cycle / deadlock; {len(indegree) - visited} "
+            f"schedule has a dependency cycle / deadlock; {total - visited} "
             f"operations can never run, e.g. {stuck}"
         )
 

@@ -42,9 +42,10 @@ schedule with E dependency edges. It is the **oracle**, not a user path:
 batteries compare against this engine to 1e-9. Only tests, the ``event``
 baseline that ``repro bench`` times, and the kernel/engine benchmark
 scripts call it. The seed's round-robin polling loop is preserved as
-:func:`simulate_polling`, the engine's own check: it reads
-``graph.deps`` directly instead of the ``_DenseSchedule`` that both the
-engine and the kernel are built from, so it independently checks that
+:func:`simulate_polling`, the engine's own check: it reads the graph's
+``OpKey``-keyed ``deps``/``location`` views instead of the
+``_DenseSchedule`` that both the engine and the kernel are built from
+(which read the graph's int-id tables), so it independently checks that
 translation. It re-scans every worker per round, O(workers x rounds).
 """
 
@@ -56,8 +57,10 @@ from dataclasses import dataclass
 
 from repro.common.errors import ScheduleError
 from repro.schedules.dependencies import (
+    ACTIVATION,
+    GRADIENT,
+    TRANSFER,
     DependencyGraph,
-    EdgeKind,
     OpKey,
     build_dependency_graph,
 )
@@ -199,39 +202,30 @@ _PLAIN, _ALLREDUCE, _SEND, _RECV = 0, 1, 2, 3
 class _DenseSchedule:
     """Cost-model-independent dense form of a dependency graph.
 
-    Assigns every operation an integer id and flattens the op lists and
-    edge lists into parallel arrays, so the event loop branches on ints
-    and indexes lists instead of hashing ``op.key()`` tuples. Built once
-    per graph and cached on it — repeated simulations of one schedule
-    under many cost models (calibration sweeps, ablations) pay only the
-    per-cost-model arrays.
+    Reads the graph's int-id tables (row-major op ids, CSR incoming
+    edges) and splits its edges by how the event loop consumes them, so
+    the loop branches on ints and indexes lists instead of hashing
+    ``op.key()`` tuples. Built once per graph and cached on it —
+    repeated simulations of one schedule under many cost models
+    (calibration sweeps, ablations) pay only the per-cost-model arrays.
     """
 
     def __init__(self, graph: DependencyGraph):
         schedule = graph.schedule
-        self.ops_flat: list[Operation] = []
-        self.op_worker: list[int] = []
-        self.row_ids: list[list[int]] = []
+        self.ops_flat: list[Operation] = graph.ops_flat
+        self.op_worker: list[int] = graph.op_worker
         #: Position of each op within its worker's row. Together with
         #: ``(end, worker)`` this reconstructs the event loop's pop order:
         #: the heap orders events by ``(end, worker)``, and a worker's own
         #: ties resolve in program order because its next event is only
         #: pushed after the previous one pops. The array kernel's FIFO
         #: serialization sorts transfers by exactly this key.
-        self.row_pos: list[int] = []
-        #: ``op.key() -> dense id`` (the array kernel indexes through it).
-        self.id_of: dict[OpKey, int] = {}
-        id_of = self.id_of
-        for worker, row in enumerate(schedule.worker_ops):
-            ids = []
-            for pos, op in enumerate(row):
-                oid = len(self.ops_flat)
-                id_of[op.key()] = oid
-                self.ops_flat.append(op)
-                self.op_worker.append(worker)
-                self.row_pos.append(pos)
-                ids.append(oid)
-            self.row_ids.append(ids)
+        self.row_pos: list[int] = graph.row_pos
+        self.row_ids: list[range] = []
+        start = 0
+        for row in schedule.worker_ops:
+            self.row_ids.append(range(start, start + len(row)))
+            start += len(row)
         total = len(self.ops_flat)
         self.total = total
 
@@ -244,22 +238,37 @@ class _DenseSchedule:
         self.host_dir = [-1] * total
         #: Duration-memoization key: everything compute_time() reads.
         self.shape: list[tuple] = [()] * total
+        self.group_of: dict[int, tuple] = {}
+        self.sync_group_members: dict[tuple, list[tuple[int, Operation]]] = (
+            defaultdict(list)
+        )
+        #: Sync group key -> dense ids of its members, in member order.
+        self.sync_group_ids: dict[tuple, list[int]] = defaultdict(list)
         for oid, op in enumerate(self.ops_flat):
-            if op.kind is OpKind.ALLREDUCE:
+            kind = op.kind
+            if kind is OpKind.ALLREDUCE:
                 self.kind_code[oid] = _ALLREDUCE
-            elif op.kind is OpKind.SEND:
+                group_key = (op.stage, op.micro_batches)
+                self.sync_group_members[group_key].append(
+                    (self.op_worker[oid], op)
+                )
+                self.sync_group_ids[group_key].append(oid)
+                self.group_of[oid] = group_key
+            elif kind is OpKind.SEND:
                 self.kind_code[oid] = _SEND
-            elif op.kind is OpKind.RECV:
+            elif kind is OpKind.RECV:
                 self.kind_code[oid] = _RECV
-            elif op.kind is OpKind.OFFLOAD:
+            elif kind is OpKind.OFFLOAD:
                 self.kind_code[oid] = _SEND
                 self.host_dir[oid] = 0
-            elif op.kind is OpKind.RELOAD:
+            elif kind is OpKind.RELOAD:
                 self.kind_code[oid] = _SEND
                 self.host_dir[oid] = 1
-            self.shape[oid] = (op.kind, op.stage, op.work_units, op.recompute)
+            self.shape[oid] = (kind, op.stage, op.work_units, op.recompute)
 
-        self.in_count = [0] * total
+        ptr = graph.dep_ptr
+        dep_src, dep_kind, dep_units = graph.dep_src, graph.dep_kind, graph.dep_units
+        self.in_count = [ptr[i + 1] - ptr[i] for i in range(total)]
         #: Local edges: satisfied at the producer's end time.
         self.out_local: list[list[int]] = [[] for _ in range(total)]
         #: Implicit cross-worker edges: (dst, src_worker, dst_worker, units).
@@ -270,38 +279,25 @@ class _DenseSchedule:
         self.transfer_out = [-1] * total
         #: SEND id -> (dst_worker, payload units) for the wire. Filled from
         #: the TRANSFER edge so the payload size has exactly one source of
-        #: truth: Edge.payload_units, precomputed at graph build.
+        #: truth: the graph's ``dep_units``, precomputed at graph build.
         self.send_info: dict[int, tuple[int, float]] = {}
-        for key, incoming in graph.deps.items():
-            dst = id_of[key]
-            self.in_count[dst] = len(incoming)
-            dst_worker = self.op_worker[dst]
-            for edge in incoming:
-                src = id_of[edge.src]
-                kind = edge.kind
-                if kind is EdgeKind.TRANSFER:
+        op_worker = self.op_worker
+        for dst in range(total):
+            dst_worker = op_worker[dst]
+            for e in range(ptr[dst], ptr[dst + 1]):
+                src = dep_src[e]
+                kind = dep_kind[e]
+                if kind == TRANSFER:
                     self.transfer_out[src] = dst
-                    self.send_info[src] = (dst_worker, edge.payload_units)
+                    self.send_info[src] = (dst_worker, dep_units[e])
                 elif (
-                    kind is EdgeKind.ACTIVATION or kind is EdgeKind.GRADIENT
-                ) and self.op_worker[src] != dst_worker:
+                    kind == ACTIVATION or kind == GRADIENT
+                ) and op_worker[src] != dst_worker:
                     self.out_remote[src].append(
-                        (dst, self.op_worker[src], dst_worker, edge.payload_units)
+                        (dst, op_worker[src], dst_worker, dep_units[e])
                     )
                 else:
                     self.out_local[src].append(dst)
-
-        self.group_of: dict[int, tuple] = {}
-        self.sync_group_members: dict[tuple, list[tuple[int, Operation]]] = (
-            defaultdict(list)
-        )
-        for oid, op in enumerate(self.ops_flat):
-            if op.kind is OpKind.ALLREDUCE:
-                group_key = (op.stage, op.micro_batches)
-                self.sync_group_members[group_key].append(
-                    (self.op_worker[oid], op)
-                )
-                self.group_of[oid] = group_key
 
 
 def _dense_of(graph: DependencyGraph) -> _DenseSchedule:

@@ -115,7 +115,8 @@ OP_DTYPE = np.dtype(
 class ScheduleKernel:
     """Cost-model-independent array form of one dependency graph.
 
-    Parallel arrays, all indexed by the engine's dense op ids:
+    Parallel arrays, all indexed by the graph's row-major op ids (the
+    engine's dense ids):
 
     ``ops``
         The :data:`OP_DTYPE` structured table.
@@ -154,8 +155,7 @@ class ScheduleKernel:
         #: Sync group key -> dense ids of its ALLREDUCE members, in the
         #: engine's member order.
         self.sync_groups: dict[tuple, tuple[int, ...]] = {
-            key: tuple(dense.id_of[op.key()] for _, op in members)
-            for key, members in dense.sync_group_members.items()
+            key: tuple(ids) for key, ids in dense.sync_group_ids.items()
         }
 
         # ---- shape classes (duration memoization across cost models) ----

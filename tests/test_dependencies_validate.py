@@ -301,3 +301,28 @@ class TestBuilderErrors:
 
         source = inspect.getsource(dependencies)
         assert source.count("raise ValidationError") == len(BUILDER_ERRORS)
+
+
+class TestBuilderCost:
+    @pytest.mark.parametrize("scheme", ["pipedream", "chimera"])
+    def test_one_key_per_op_and_no_replica_rescans(self, scheme, monkeypatch):
+        # pipedream synchronizes per micro-batch, chimera per stage: both
+        # ALLREDUCE wirings must read indexes built in the first pass.
+        schedule = build_schedule(scheme, 8, 16)
+        calls = {"key": 0, "rescan": 0}
+        key = Operation.key
+
+        def counted_key(op):
+            calls["key"] += 1
+            return key(op)
+
+        def rescan(self, replica):
+            calls["rescan"] += 1
+            return ()
+
+        monkeypatch.setattr(Operation, "key", counted_key)
+        monkeypatch.setattr(Schedule, "micro_batches_of_replica", rescan)
+        build_dependency_graph(schedule)
+        num_ops = sum(len(row) for row in schedule.worker_ops)
+        assert calls["rescan"] == 0
+        assert calls["key"] <= num_ops
