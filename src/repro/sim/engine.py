@@ -264,7 +264,13 @@ class _DenseSchedule:
             elif kind is OpKind.RELOAD:
                 self.kind_code[oid] = _SEND
                 self.host_dir[oid] = 1
-            self.shape[oid] = (kind, op.stage, op.work_units, op.recompute)
+            # Inlined op.work_units: 0 for every non-_PLAIN (non-compute) op.
+            units = (
+                len(op.micro_batches) / op.part[1]
+                if self.kind_code[oid] == _PLAIN
+                else 0.0
+            )
+            self.shape[oid] = (kind, op.stage, units, op.recompute)
 
         ptr = graph.dep_ptr
         dep_src, dep_kind, dep_units = graph.dep_src, graph.dep_kind, graph.dep_units
