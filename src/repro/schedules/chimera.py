@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.errors import ScheduleError
-from repro.schedules._sync import SYNC_MODES, insert_eager_sync
 from repro.schedules.ir import Operation, Schedule, freeze_worker_ops
 from repro.schedules.onefb import expanded_onefb_stage_order, onefb_stage_order
+from repro.schedules.passes.sync import SYNC_MODES, insert_eager_sync
 from repro.schedules.placement import StagePlacement
 
 
