@@ -124,17 +124,12 @@ class Edge:
         return self.kind is EdgeKind.TRANSFER
 
 
-#: Edge-kind codes of :attr:`DependencyGraph.dep_kind` index this tuple.
+#: Edge-kind codes of :attr:`DependencyGraph.dep_kind` index this tuple;
+#: the code constants below follow :class:`EdgeKind`'s declaration order.
 EDGE_KINDS: tuple[EdgeKind, ...] = tuple(EdgeKind)
-_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
-ACTIVATION = _CODE[EdgeKind.ACTIVATION]
-GRADIENT = _CODE[EdgeKind.GRADIENT]
-STASH = _CODE[EdgeKind.STASH]
-DEFERRAL = _CODE[EdgeKind.DEFERRAL]
-SYNC = _CODE[EdgeKind.SYNC]
-ENQUEUE = _CODE[EdgeKind.ENQUEUE]
-TRANSFER = _CODE[EdgeKind.TRANSFER]
-DELIVERY = _CODE[EdgeKind.DELIVERY]
+ACTIVATION, GRADIENT, STASH, DEFERRAL, SYNC, ENQUEUE, TRANSFER, DELIVERY = range(
+    len(EDGE_KINDS)
+)
 
 
 @dataclass
@@ -271,7 +266,7 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
         for pos, op in enumerate(row):
             oid = len(ops_flat)
             keys.add(op.key())
-            if len(keys) == oid:
+            if len(keys) == oid:  # the key was already there
                 raise ValidationError(
                     f"operation {op.short()} (replica {op.replica}, stage "
                     f"{op.stage}) scheduled twice"

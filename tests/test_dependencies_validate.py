@@ -5,7 +5,19 @@ import re
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.schedules.dependencies import EdgeKind, build_dependency_graph
+from repro.schedules.dependencies import (
+    ACTIVATION,
+    DEFERRAL,
+    DELIVERY,
+    EDGE_KINDS,
+    ENQUEUE,
+    GRADIENT,
+    STASH,
+    SYNC,
+    TRANSFER,
+    EdgeKind,
+    build_dependency_graph,
+)
 from repro.schedules.ir import Operation, OpKind, Schedule, freeze_worker_ops
 from repro.schedules.placement import StagePlacement
 from repro.schedules.registry import available_schemes, build_schedule
@@ -73,6 +85,19 @@ class TestDependencyGraph:
         s = toy([[F(0, 0), F(0, 0)], []])
         with pytest.raises(ValidationError):
             build_dependency_graph(s)
+
+    def test_kind_codes_index_edge_kinds(self):
+        codes = (ACTIVATION, GRADIENT, STASH, DEFERRAL, SYNC, ENQUEUE, TRANSFER, DELIVERY)
+        assert [EDGE_KINDS[c] for c in codes] == [
+            EdgeKind.ACTIVATION,
+            EdgeKind.GRADIENT,
+            EdgeKind.STASH,
+            EdgeKind.DEFERRAL,
+            EdgeKind.SYNC,
+            EdgeKind.ENQUEUE,
+            EdgeKind.TRANSFER,
+            EdgeKind.DELIVERY,
+        ]
 
     def test_part_splits_resolve_per_part(self):
         rows = [
