@@ -30,7 +30,9 @@ becomes a genuine search problem over ``(scheme, W, D, B)``:
    (:func:`repro.sim.kernel.simulate_batch_many`) — lowered by default,
    so p2p transfers contend for link bandwidth, with the kernel's
    per-channel FIFO serialization matching the event engine to 1e-9 —
-   and sort by simulated end-to-end throughput.
+   and sort by simulated end-to-end throughput. Throughputs within 1e-9
+   relative of each other rank as tied and are ordered by label, so
+   float drift between backends never swaps two configurations.
 
 Schedule-transform passes (:mod:`repro.schedules.passes`) are planning
 *axes*: the pruning step enumerates activation offload and
@@ -703,6 +705,35 @@ def _closest(pruned: _Pruned, ctx: _PlanContext) -> tuple[float, int, str] | Non
     return best
 
 
+#: Throughputs within this relative distance of a tie cluster's leader
+#: rank as tied. Backends and summation orders drift by a few ulps
+#: (about 1e-16 relative), far below any real difference between
+#: configurations.
+_TIE_RTOL = 1e-9
+
+
+def _rank_entries(entries: Sequence[PlanEntry]) -> list[PlanEntry]:
+    """Order entries by throughput, best first, immune to float ties.
+
+    Adjacent entries within :data:`_TIE_RTOL` of their cluster's leader
+    (its fastest entry) form one cluster, ordered by :meth:`PlanEntry.label`,
+    so 1-ulp drift in a throughput never swaps two configurations.
+    """
+    by_speed = sorted(entries, key=lambda e: -e.throughput)
+    ranked: list[PlanEntry] = []
+    cluster: list[PlanEntry] = []
+    for entry in by_speed:
+        if cluster and (
+            cluster[0].throughput - entry.throughput
+            > _TIE_RTOL * cluster[0].throughput
+        ):
+            ranked.extend(sorted(cluster, key=PlanEntry.label))
+            cluster = []
+        cluster.append(entry)
+    ranked.extend(sorted(cluster, key=PlanEntry.label))
+    return ranked
+
+
 def _finalize(
     pruned: _Pruned, entries: list[PlanEntry], ctx: _PlanContext
 ) -> list[PlanEntry]:
@@ -727,7 +758,7 @@ def _finalize(
             f"{request.machine.name}{detail} — raise the budget, add "
             f"workers, or allow deeper pipelines"
         )
-    entries.sort(key=lambda e: (-e.throughput, e.iteration_time, e.label()))
+    entries = _rank_entries(entries)
     if request.top_k is not None:
         entries = entries[: request.top_k]
     return entries

@@ -1,5 +1,8 @@
 """Scheme-agnostic planner: ranking, budget pruning, and failure modes."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.harness import ExperimentConfig, run_configuration
@@ -9,6 +12,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.units import GIB
 from repro.perf.planner import (
     PlanEntry,
+    _rank_entries,
     candidate_grid,
     format_plan,
     plan_configurations,
@@ -155,6 +159,32 @@ class TestRanking:
             num_workers=16, mini_batch=128, memory_budget_bytes=3 * GIB
         )
         assert offloaded[0].throughput >= tight[0].throughput
+
+    def test_one_ulp_nudge_leaves_the_ranking_unchanged(self):
+        entries = small_plan()
+        labels = [e.label() for e in entries]
+        assert labels == [e.label() for e in _rank_entries(entries[::-1])]
+        for i, entry in enumerate(entries):
+            for direction in (math.inf, -math.inf):
+                nudged = list(entries)
+                nudged[i] = replace(
+                    entry, throughput=math.nextafter(entry.throughput, direction)
+                )
+                assert [e.label() for e in _rank_entries(nudged)] == labels
+
+    def test_near_ties_rank_by_label(self):
+        entry = small_plan(top_k=1)[0]
+        # dapple vs gpipe 4.3e-16 apart: whichever is a few ulps faster,
+        # the label decides; a real gap still ranks by throughput.
+        for fast, slow in (("gpipe", "dapple"), ("dapple", "gpipe")):
+            ranked = _rank_entries(
+                [
+                    replace(entry, scheme=slow, throughput=1.0),
+                    replace(entry, scheme=fast, throughput=1.0 + 4.3e-16),
+                    replace(entry, scheme="gems", throughput=1.0 + 1e-6),
+                ]
+            )
+            assert [e.scheme for e in ranked] == ["gems", "dapple", "gpipe"]
 
     def test_format_plan_renders_every_entry(self):
         entries = small_plan(top_k=4)
