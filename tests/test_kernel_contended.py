@@ -29,7 +29,12 @@ from repro.sim.kernel import (
     simulate_batch_many,
     simulate_fast,
 )
-from repro.sim.network import FlatTopology, HierarchicalTopology, LinkSpec
+from repro.sim.network import (
+    FlatTopology,
+    HierarchicalTopology,
+    HostChannel,
+    LinkSpec,
+)
 
 ATOL = 1e-9
 
@@ -353,3 +358,64 @@ def test_max_send_occupancy_reads_precomputed_table():
         1.0, 1.0, 1.0, make_topology("flat", "full", 0.05, 0.0)
     )
     assert not kernel.send_tables(free)[1].any()
+
+
+# ------------------------------------------------ batch == simulate_fast
+#: (f, b, w, alpha, beta) of the three rows sharing one kernel.
+BITWISE_ROWS = (
+    (1.0, 1.2, 0.8, 0.05, 0.2),
+    (1.3, 0.9, 1.1, 0.1, 0.3),
+    (0.8, 1.0, 1.0, 0.02, 0.4),
+)
+
+
+def bitwise_model(regime: str, f, b, w, alpha, beta) -> CostModel:
+    if regime == "free":
+        return contended_model(f, b, w, make_topology("flat", "full", alpha, 0.0))
+    if regime == "full":
+        return contended_model(f, b, w, make_topology("hier", "full", alpha, beta))
+    if regime == "half":
+        return contended_model(f, b, w, make_topology("flat", "half", alpha, beta))
+    return contended_model(
+        f, b, w, make_topology("flat", "full", alpha, beta)
+    ).with_(
+        host_channel=HostChannel(LinkSpec(alpha, beta), duplex="half"),
+        offload_message_bytes=2.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "regime, form",
+    [
+        ("free", "lowered"),
+        ("full", "lowered"),
+        ("half", "lowered"),
+        ("offload", "lowered"),
+        ("offload", "implicit"),
+    ],
+)
+@pytest.mark.parametrize(
+    "scheme, depth, n, profitable",
+    [("chimera", 8, 32, True), ("gems", 4, 8, False)],
+)
+def test_batch_rows_equal_simulate_fast_bitwise(
+    scheme, depth, n, profitable, regime, form
+):
+    """Every batch row reproduces simulate_fast's iteration time and
+    compute makespan exactly (``==``), whichever regime the rows share
+    and whether or not the kernel's wave sweep is profitable."""
+    passes = ("offload",) if regime == "offload" else ()
+    arts = schedule_artifacts(scheme, depth, n, passes=passes)
+    spec = ("lower_p2p",) if form == "lowered" else ()
+    schedule, kernel = arts.schedule_for(spec), kernel_of(arts.graph_for(spec))
+    assert kernel.wave_sweep_profitable is profitable
+    models = [bitwise_model(regime, *row) for row in BITWISE_ROWS]
+    batch = simulate_batch_many(
+        [(schedule, cm) for cm in models], kernels=[kernel] * len(models)
+    )
+    for k, cm in enumerate(models):
+        fast = simulate_fast(schedule, cm, kernel=kernel)
+        assert batch.iteration_time[k] == fast.iteration_time
+        assert batch.compute_makespan[k] == fast.compute_makespan
+        contended = bool(kernel.send_tables(cm)[1].any())
+        assert batch.used_fast_path[k] == (not contended)
