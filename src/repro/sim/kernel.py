@@ -53,10 +53,13 @@ Public surface:
 * :func:`simulate_batch_many` — the batch API: ``(schedule, cost_model)``
   rows that may differ in schedule shape ``(D, N)`` and pass pipeline as
   well as in cost model and topology, returning iteration-level
-  quantities only (:class:`BatchResult`). Rows sharing a kernel
-  vectorize together, so the planner ranks *all* its survivors in a
-  single call; ``used_fast_path`` records, per row, whether the
-  single-sweep pass ran or the contended handling did.
+  quantities only (:class:`BatchResult`), so the planner ranks *all*
+  its survivors in a single call. Rows sharing a kernel vectorize in
+  two wave sweeps, one over the contention-free rows and one over the
+  inline-FIFO contended rows; every other row (fixed-point rows
+  included) runs alone through :func:`_solve_row`, the per-row solver
+  :func:`simulate_fast` uses. ``used_fast_path`` records, per row,
+  whether the single-sweep pass ran or the contended handling did.
 
 Both paths end in the engine's own ``_finalize`` semantics for
 collective resolution and overlap accounting, so results match the event
@@ -648,30 +651,20 @@ class ScheduleKernel:
         return start, end[:total], np.asarray(end[total:])
 
     def relax(
-        self,
-        durations: np.ndarray,
-        delays: np.ndarray | None = None,
-        *,
-        edge_delays: np.ndarray | None = None,
+        self, durations: np.ndarray, delays: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched longest-path pass over ``K`` models at once.
+        """Batched longest-path pass over ``K`` contention-free models.
 
-        ``durations`` is ``(K, total)``; delays come either as a per-class
-        table ``delays`` of shape ``(K, classes+1)`` or as a precomputed
-        per-edge matrix ``edge_delays`` of shape ``(K, edges)`` (the
-        contended fixed point, where transfer edges carry per-row
-        queueing delays). Returns ``(start, end)`` as ``(K, total)``
-        arrays. Each wave is a handful of vectorized operations
-        regardless of ``K``, which is where the batch API's throughput
-        comes from.
+        ``durations`` is ``(K, total)`` and ``delays`` the per-class
+        tables, ``(K, classes+1)``. Returns ``(start, end)`` as
+        ``(K, total)`` arrays. Each wave is a handful of vectorized
+        operations regardless of ``K``, which is where the batch API's
+        throughput comes from.
         """
         k = durations.shape[0]
         start = np.zeros((k, self.total))
         end = np.zeros((k, self.total))
-        if edge_delays is None:
-            if delays is None:
-                raise ValueError("relax needs either delays or edge_delays")
-            edge_delays = delays[:, self.edge_cls]
+        edge_delays = delays[:, self.edge_cls]
         esrc = self.edge_src
         order = self.order
         wop = self.wave_op_ptr
@@ -869,38 +862,20 @@ def simulate_fast(
     Produces a full :class:`~repro.sim.engine.SimulationResult` (timed
     ops, transfers, collectives) identical to the event engine's for
     every registered scheme × pass pipeline × cost model — contended
-    lowered schedules and blocking collectives run the fixed-point
-    relaxation instead of falling back to the event engine. ``kernel``
+    lowered schedules and blocking collectives stay on the kernel
+    (:func:`_solve_row` picks the row's sweep) instead of falling back
+    to the event engine. ``kernel``
     is ``schedule``'s kernel (e.g. from
     :meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for`); it is
     built from a fresh dependency graph when absent.
     """
     if kernel is None:
         kernel = kernel_of(build_dependency_graph(schedule))
-    wire, occupancy, chan = kernel.send_tables(cost_model)
-    contended = bool(occupancy.size) and bool((occupancy > 0.0).any())
-    if not contended and not blocking_sync:
-        start, end = kernel.relax_scalar(
-            kernel.durations(cost_model), kernel.class_delays(cost_model)
-        )
-        wire_start = (
-            np.asarray(end)[kernel.send_oid]
-            if len(kernel.send_oid)
-            else np.zeros(0)
-        )
-        resolved = None
-    elif not blocking_sync and _inline_fifo_ok(kernel, cost_model):
-        start, end, wire_start = kernel.relax_scalar_fifo(
-            kernel.durations(cost_model),
-            kernel.class_delays(cost_model),
-            wire,
-            occupancy,
-        )
-        resolved = None
-    else:
-        start, end, wire_start, resolved = _solve_scalar(
-            kernel, cost_model, occupancy, chan, blocking_sync
-        )
+    tables = kernel.send_tables(cost_model)
+    start, end, wire_start, resolved = _solve_row(
+        kernel, cost_model, kernel.durations(cost_model), tables, blocking_sync
+    )
+    wire, occupancy, chan = tables
     return _assemble_result(
         kernel,
         schedule,
@@ -916,15 +891,33 @@ def simulate_fast(
     )
 
 
-def _full_duplex(cost_model: CostModel) -> bool:
-    """Whether the model's channels are single-source (static FIFO order).
+def _solve_row(
+    kernel: ScheduleKernel,
+    cost_model: CostModel,
+    durations: np.ndarray,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    blocking_sync: bool = False,
+) -> tuple[list[float], list[float], np.ndarray, dict | None]:
+    """One row's ``(start, end, wire_start, resolved)`` under its regime.
 
-    Full-duplex channels carry exactly one worker's sends, whose end
-    times are monotone in program order — the inline one-sweep FIFO paths
-    apply. Half-duplex channels interleave two senders by completion
-    time, which is timing-dependent: those rows take the fixed point.
+    The one place a row's regime is chosen: one scalar sweep when no
+    transfer queues, the inline-FIFO sweep when transfers queue on
+    channels whose order is static (:func:`_inline_fifo_ok`), and the
+    fixed point (:func:`_solve_scalar`) for half-duplex channels or
+    blocking collectives. ``tables`` is :meth:`ScheduleKernel.send_tables`
+    under ``cost_model``.
     """
-    return getattr(cost_model.topology, "duplex", "full") == "full"
+    wire, occupancy, chan = tables
+    contended = bool((occupancy > 0.0).any())
+    if not contended and not blocking_sync:
+        start, end = kernel.relax_scalar(durations, kernel.class_delays(cost_model))
+        return start, end, np.asarray(end)[kernel.send_oid], None
+    if not blocking_sync and _inline_fifo_ok(kernel, cost_model):
+        start, end, wire_start = kernel.relax_scalar_fifo(
+            durations, kernel.class_delays(cost_model), wire, occupancy
+        )
+        return start, end, wire_start, None
+    return _solve_scalar(kernel, cost_model, durations, occupancy, chan, blocking_sync)
 
 
 def _inline_fifo_ok(kernel: ScheduleKernel, cost_model: CostModel) -> bool:
@@ -1096,6 +1089,7 @@ def _sweep_blocking(
 def _solve_scalar(
     kernel: ScheduleKernel,
     cost_model: CostModel,
+    durations: np.ndarray,
     occupancy: np.ndarray,
     chan: np.ndarray,
     blocking_sync: bool,
@@ -1107,7 +1101,7 @@ def _solve_scalar(
     exactly stable, then returns ``(start, end, wire_start, resolved)``.
     Raises :class:`KernelConvergenceError` at the sweep cap.
     """
-    dur = kernel.durations(cost_model).tolist()
+    dur = durations.tolist()
     base_edge = kernel.class_delays(cost_model)[kernel.edge_cls]
     tr_pos = kernel.tr_edge_pos
     tr_send = kernel.tr_edge_send
@@ -1300,11 +1294,13 @@ def simulate_batch_many(
     batch path never materializes per-op ``TimedOp`` dictionaries; it
     returns the iteration-level quantities ranking needs (makespan,
     iteration time, per-worker busy seconds). Rows sharing a kernel
-    vectorize together: contention-free rows share one wave-vectorized
-    sweep, contended rows share wave-vectorized fixed-point sweeps.
-    Distinct shapes evaluate against their own cached kernels within the
-    same call. This is the planner's ranking
-    primitive: all memory-feasible survivors, one call. ``kernels``
+    vectorize together where the kernel's levelization pays for it:
+    contention-free rows share one wave-vectorized sweep, and contended
+    rows on full-duplex channels share one inline-FIFO wave sweep.
+    Fixed-point rows (half-duplex channels) run one at a time, exactly as
+    :func:`simulate_fast` runs them. Distinct shapes evaluate against
+    their own cached kernels within the same call. This is the planner's
+    ranking primitive: all memory-feasible survivors, one call. ``kernels``
     aligns with ``items``; a row without one gets its own, built from its
     schedule.
     """
@@ -1351,31 +1347,32 @@ def simulate_batch_many(
 def _batch_rows(
     kernel: ScheduleKernel, models: tuple[CostModel, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[bool, ...]]:
-    """Shared batch core: (makespan, iteration, busy, fast-path hints)."""
+    """Shared batch core: (makespan, iteration, busy, fast-path hints).
+
+    Two wave sweeps vectorize across rows: :meth:`ScheduleKernel.relax`
+    over the contention-free rows and :meth:`ScheduleKernel.relax_fifo`
+    over the inline-FIFO contended ones, each when it has at least two
+    rows and the levelization is wide enough to amortize per-wave numpy
+    dispatch (``wave_sweep_profitable``). Every other row — a lone row,
+    a nearly-serial levelization, any fixed-point row — is solved on its
+    own by :func:`_solve_row`, the path :func:`simulate_fast` takes.
+    """
     k_total = len(models)
     tables = [kernel.send_tables(cm) for cm in models]
-    contended = [
-        bool(occ.size) and bool((occ > 0.0).any()) for _, occ, _ in tables
-    ]
+    contended = [bool((occ > 0.0).any()) for _, occ, _ in tables]
+    durations = np.stack([kernel.durations(cm) for cm in models])
 
     makespan = np.zeros(k_total)
     iteration = np.zeros(k_total)
     busy = np.zeros((k_total, kernel.num_workers))
-    #: Per-row wire starts (contended rows only), for the NIC intervals
-    #: the finalizer's collective-contention rule reads.
-    wire_starts: dict[int, np.ndarray] = {}
+    #: Per-row wire starts, for the NIC intervals the finalizer's
+    #: collective-contention rule reads (contended rows only).
+    wire_starts: list[np.ndarray | None] = [None] * k_total
 
-    def _fill(
-        rows: list[int],
-        start: "np.ndarray | list",
-        end: np.ndarray,
-        durations: np.ndarray | None = None,
-    ) -> None:
-        # ``start`` is only ever indexed per row, so the scalar branches
+    def _fill(rows: list[int], start: "np.ndarray | list", end: np.ndarray) -> None:
+        # ``start`` is only ever indexed per row, so the per-row solves
         # pass their Python lists straight through (row lists also index
         # faster than ndarrays in _iteration_time's genexprs).
-        if durations is None:
-            durations = np.stack([kernel.durations(models[k]) for k in rows])
         comp = kernel.compute_ids
         makespan_rows = (
             end[:, comp].max(axis=1) if comp.size else np.zeros(len(rows))
@@ -1384,7 +1381,7 @@ def _batch_rows(
         cbw = kernel.compute_by_worker
         wptr = kernel.worker_ptr
         csum = np.zeros((len(rows), cbw.size + 1))
-        np.cumsum(durations[:, cbw], axis=1, out=csum[:, 1:])
+        np.cumsum(durations[rows][:, cbw], axis=1, out=csum[:, 1:])
         busy_rows = csum[:, wptr[1:]] - csum[:, wptr[:-1]]
         for row, k in enumerate(rows):
             busy[k] = busy_rows[row]
@@ -1400,138 +1397,45 @@ def _batch_rows(
                 nic_busy=nic,
             )
 
-    # Per-row scalar passes when the wave sweep can't amortize: a single
-    # model, or a degenerate (nearly-serial) levelization where per-wave
-    # numpy dispatch dominates.
-    fast_rows = [k for k in range(k_total) if not contended[k]]
-    if fast_rows:
-        durations = np.stack([kernel.durations(models[k]) for k in fast_rows])
-        if len(fast_rows) == 1 or not kernel.wave_sweep_profitable:
-            rows = [
-                kernel.relax_scalar(
-                    durations[j], kernel.class_delays(models[k])
-                )
-                for j, k in enumerate(fast_rows)
-            ]
-            start = [s for s, _ in rows]
-            end = np.asarray([e for _, e in rows])
-        else:
-            delays = np.stack(
-                [kernel.class_delays(models[k]) for k in fast_rows]
-            )
-            start, end = kernel.relax(durations, delays)
-        _fill(fast_rows, start, end, durations)
+    def _delays(rows: list[int]) -> np.ndarray:
+        return np.stack([kernel.class_delays(models[k]) for k in rows])
 
-    fifo_rows = [
-        k
-        for k in range(k_total)
-        if contended[k] and _inline_fifo_ok(kernel, models[k])
-    ]
-    if fifo_rows:
-        durations = np.stack([kernel.durations(models[k]) for k in fifo_rows])
-        if len(fifo_rows) == 1 or not kernel.wave_sweep_profitable:
-            starts, ends = [], []
-            for j, k in enumerate(fifo_rows):
-                wire_tbl, occ, _ = tables[k]
-                s_row, e_row, ws = kernel.relax_scalar_fifo(
-                    durations[j],
-                    kernel.class_delays(models[k]),
-                    wire_tbl,
-                    occ,
-                )
-                starts.append(s_row)
-                ends.append(e_row)
-                wire_starts[k] = ws
-            start = starts
-            end = np.asarray(ends)
-        else:
-            delays = np.stack(
-                [kernel.class_delays(models[k]) for k in fifo_rows]
-            )
-            wire_tbl = np.stack([tables[k][0] for k in fifo_rows])
-            occ_tbl = np.stack([tables[k][1] for k in fifo_rows])
+    swept: set[int] = set()
+    if kernel.wave_sweep_profitable:
+        free_rows = [k for k in range(k_total) if not contended[k]]
+        if len(free_rows) >= 2:
+            start, end = kernel.relax(durations[free_rows], _delays(free_rows))
+            _fill(free_rows, start, end)
+            swept.update(free_rows)
+        fifo_rows = [
+            k
+            for k in range(k_total)
+            if contended[k] and _inline_fifo_ok(kernel, models[k])
+        ]
+        if len(fifo_rows) >= 2:
             start, end, ws = kernel.relax_fifo(
-                durations, delays, wire_tbl, occ_tbl
+                durations[fifo_rows],
+                _delays(fifo_rows),
+                np.stack([tables[k][0] for k in fifo_rows]),
+                np.stack([tables[k][1] for k in fifo_rows]),
             )
             for j, k in enumerate(fifo_rows):
                 wire_starts[k] = ws[j]
-        _fill(fifo_rows, start, end, durations)
+            _fill(fifo_rows, start, end)
+            swept.update(fifo_rows)
 
-    iter_rows = [
-        k
-        for k in range(k_total)
-        if contended[k] and not _inline_fifo_ok(kernel, models[k])
-    ]
-    if iter_rows:
-        if len(iter_rows) == 1 or not kernel.wave_sweep_profitable:
-            starts, ends = [], []
-            for k in iter_rows:
-                _, occ, chan = tables[k]
-                s_row, e_row, wire, _ = _solve_scalar(
-                    kernel, models[k], occ, chan, blocking_sync=False
-                )
-                starts.append(s_row)
-                ends.append(e_row)
-                wire_starts[k] = wire
-            start = np.asarray(starts)
-            end = np.asarray(ends)
-        else:
-            start, end, wires = _relax_contended_batch(
-                kernel,
-                [models[k] for k in iter_rows],
-                [tables[k] for k in iter_rows],
+    solo_rows = [k for k in range(k_total) if k not in swept]
+    if solo_rows:
+        starts, ends = [], []
+        for k in solo_rows:
+            s_row, e_row, wire_starts[k], _ = _solve_row(
+                kernel, models[k], durations[k], tables[k]
             )
-            for j, k in enumerate(iter_rows):
-                wire_starts[k] = wires[j]
-        _fill(iter_rows, start, end)
+            starts.append(s_row)
+            ends.append(e_row)
+        _fill(solo_rows, starts, np.asarray(ends))
 
     return makespan, iteration, busy, tuple(not c for c in contended)
-
-
-def _relax_contended_batch(
-    kernel: ScheduleKernel,
-    models: Sequence[CostModel],
-    tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Wave-vectorized fixed point over ``K`` contended rows at once.
-
-    Each sweep relaxes every row in one wave pass (per-row edge-delay
-    matrices carry the queueing delays); serialization runs per row
-    between sweeps. Iterates until every row's delays are exactly stable
-    — converged rows are idempotent under further sweeps, so a shared
-    iteration count is safe.
-    """
-    k_total = len(models)
-    durations = np.stack([kernel.durations(m) for m in models])
-    base_edges = np.stack(
-        [kernel.class_delays(m)[kernel.edge_cls] for m in models]
-    )
-    tr_pos = kernel.tr_edge_pos
-    tr_send = kernel.tr_edge_send
-    n_send = len(kernel.send_oid)
-    extras = np.zeros((k_total, n_send))
-    for _ in range(MAX_RELAXATION_SWEEPS):
-        edge_delays = base_edges.copy()
-        edge_delays[:, tr_pos] += extras[:, tr_send]
-        start, end = kernel.relax(durations, edge_delays=edge_delays)
-        send_end = end[:, kernel.send_oid]
-        wire = np.stack(
-            [
-                _serialize_channels(
-                    kernel, send_end[k], tables[k][1], tables[k][2]
-                )
-                for k in range(k_total)
-            ]
-        )
-        new_extras = wire - send_end
-        if np.array_equal(new_extras, extras):
-            return start, end, wire
-        extras = new_extras
-    raise KernelConvergenceError(
-        f"batched fixed-point relaxation did not converge within "
-        f"{MAX_RELAXATION_SWEEPS} sweeps ({kernel.total} ops x "
-        f"{k_total} models)"
-    )
 
 
 def _nic_intervals(
