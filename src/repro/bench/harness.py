@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from repro.common.errors import ConfigurationError, ScheduleError
 from repro.bench.machines import MachineSpec
@@ -346,12 +346,42 @@ def sweep(configs: Iterable[ExperimentConfig]) -> list[ExperimentResult]:
     return results
 
 
+#: Throughputs within this relative distance of a tie cluster's leader
+#: rank as tied. Backends and summation orders drift by a few ulps
+#: (about 1e-16 relative), far below any real difference between
+#: configurations.
+TIE_RTOL = 1e-9
+
+_Ranked = TypeVar("_Ranked")
+
+
+def rank_by_throughput(items: Sequence[_Ranked]) -> list[_Ranked]:
+    """Order results or plan entries by throughput, best first.
+
+    Immune to float ties: adjacent items within :data:`TIE_RTOL` of
+    their cluster's leader (its fastest item) form one cluster, ordered
+    by ``label()``, so 1-ulp drift in a throughput never swaps two
+    configurations.
+    """
+    by_speed = sorted(items, key=lambda r: -r.throughput)
+    ranked: list[_Ranked] = []
+    cluster: list[_Ranked] = []
+    for item in by_speed:
+        if cluster and (
+            cluster[0].throughput - item.throughput
+            > TIE_RTOL * cluster[0].throughput
+        ):
+            ranked.extend(sorted(cluster, key=lambda r: r.label()))
+            cluster = []
+        cluster.append(item)
+    ranked.extend(sorted(cluster, key=lambda r: r.label()))
+    return ranked
+
+
 def best_result(results: Sequence[ExperimentResult]) -> ExperimentResult | None:
-    """Highest-throughput non-OOM result, or None."""
-    feasible = [r for r in results if not r.oom]
-    if not feasible:
-        return None
-    return max(feasible, key=lambda r: r.throughput)
+    """Highest-throughput non-OOM result (near-ties by label), or None."""
+    ranked = rank_by_throughput([r for r in results if not r.oom])
+    return ranked[0] if ranked else None
 
 
 def format_table(

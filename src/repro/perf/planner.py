@@ -86,6 +86,7 @@ from repro.bench.harness import (
     config_artifacts,
     config_label,
     format_table,
+    rank_by_throughput,
     run_configuration,
 )
 from repro.schedules.passes.pipeline import (
@@ -705,35 +706,6 @@ def _closest(pruned: _Pruned, ctx: _PlanContext) -> tuple[float, int, str] | Non
     return best
 
 
-#: Throughputs within this relative distance of a tie cluster's leader
-#: rank as tied. Backends and summation orders drift by a few ulps
-#: (about 1e-16 relative), far below any real difference between
-#: configurations.
-_TIE_RTOL = 1e-9
-
-
-def _rank_entries(entries: Sequence[PlanEntry]) -> list[PlanEntry]:
-    """Order entries by throughput, best first, immune to float ties.
-
-    Adjacent entries within :data:`_TIE_RTOL` of their cluster's leader
-    (its fastest entry) form one cluster, ordered by :meth:`PlanEntry.label`,
-    so 1-ulp drift in a throughput never swaps two configurations.
-    """
-    by_speed = sorted(entries, key=lambda e: -e.throughput)
-    ranked: list[PlanEntry] = []
-    cluster: list[PlanEntry] = []
-    for entry in by_speed:
-        if cluster and (
-            cluster[0].throughput - entry.throughput
-            > _TIE_RTOL * cluster[0].throughput
-        ):
-            ranked.extend(sorted(cluster, key=PlanEntry.label))
-            cluster = []
-        cluster.append(entry)
-    ranked.extend(sorted(cluster, key=PlanEntry.label))
-    return ranked
-
-
 def _finalize(
     pruned: _Pruned, entries: list[PlanEntry], ctx: _PlanContext
 ) -> list[PlanEntry]:
@@ -758,7 +730,7 @@ def _finalize(
             f"{request.machine.name}{detail} — raise the budget, add "
             f"workers, or allow deeper pipelines"
         )
-    entries = _rank_entries(entries)
+    entries = rank_by_throughput(entries)
     if request.top_k is not None:
         entries = entries[: request.top_k]
     return entries

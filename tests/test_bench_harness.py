@@ -1,5 +1,8 @@
 """Machines, workloads, and the experiment harness."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.harness import (
@@ -123,6 +126,22 @@ class TestHarness:
         best = best_result(results)
         assert best is not None
         assert best.throughput == max(r.throughput for r in results)
+
+    def test_best_result_ignores_one_ulp_and_input_order(self):
+        """Near-tied results rank by label: a 1-ulp throughput nudge in
+        either direction, in either input order, keeps the same best."""
+        result = run_configuration(self._cfg())
+        dapple = replace(result, config=self._cfg(scheme="dapple"))
+        for nudge in (math.inf, -math.inf):
+            pair = [
+                replace(dapple, throughput=1.0),
+                replace(result, throughput=math.nextafter(1.0, nudge)),
+            ]
+            for ordered in (pair, pair[::-1]):
+                assert best_result(ordered).config.scheme == "chimera"
+        # A real gap still wins on throughput.
+        gap = [replace(result, throughput=1.0), replace(dapple, throughput=1.1)]
+        assert best_result(gap).config.scheme == "dapple"
 
     def test_chimera_options_forwarded(self):
         r = run_configuration(

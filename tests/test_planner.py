@@ -5,14 +5,17 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.harness import ExperimentConfig, run_configuration
+from repro.bench.harness import (
+    ExperimentConfig,
+    rank_by_throughput,
+    run_configuration,
+)
 from repro.bench.machines import PIZ_DAINT, V100_CLUSTER
 from repro.bench.workloads import BERT48
 from repro.common.errors import ConfigurationError
 from repro.common.units import GIB
 from repro.perf.planner import (
     PlanEntry,
-    _rank_entries,
     candidate_grid,
     format_plan,
     plan_configurations,
@@ -163,21 +166,21 @@ class TestRanking:
     def test_one_ulp_nudge_leaves_the_ranking_unchanged(self):
         entries = small_plan()
         labels = [e.label() for e in entries]
-        assert labels == [e.label() for e in _rank_entries(entries[::-1])]
+        assert labels == [e.label() for e in rank_by_throughput(entries[::-1])]
         for i, entry in enumerate(entries):
             for direction in (math.inf, -math.inf):
                 nudged = list(entries)
                 nudged[i] = replace(
                     entry, throughput=math.nextafter(entry.throughput, direction)
                 )
-                assert [e.label() for e in _rank_entries(nudged)] == labels
+                assert [e.label() for e in rank_by_throughput(nudged)] == labels
 
     def test_near_ties_rank_by_label(self):
         entry = small_plan(top_k=1)[0]
         # dapple vs gpipe 4.3e-16 apart: whichever is a few ulps faster,
         # the label decides; a real gap still ranks by throughput.
         for fast, slow in (("gpipe", "dapple"), ("dapple", "gpipe")):
-            ranked = _rank_entries(
+            ranked = rank_by_throughput(
                 [
                     replace(entry, scheme=slow, throughput=1.0),
                     replace(entry, scheme=fast, throughput=1.0 + 4.3e-16),
