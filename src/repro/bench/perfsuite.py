@@ -61,9 +61,9 @@ Raw ops/sec depends on the host, so the throughput gate compares
 the throughput of a fixed pure-Python relaxation-shaped loop timed in the
 same process — which cancels machine speed to first order. Raw numbers
 are recorded alongside for inspection. A synthetic slowdown can be
-injected (``--inject-slowdown`` / ``REPRO_BENCH_INJECT_SLOWDOWN``) to
-scale the measured wall times without touching the calibration; CI uses
-it to prove the gate actually fails on a 25% regression.
+injected (``--inject-slowdown``) to scale the measured wall times
+without touching the calibration; CI uses it to prove the gate actually
+fails on a 25% regression.
 """
 
 from __future__ import annotations
@@ -173,8 +173,6 @@ MAKESPAN_ATOL = 1e-9
 
 #: Default allowed relative throughput drop before the gate fails.
 DEFAULT_TOLERANCE = 0.20
-
-_INJECT_ENV = "REPRO_BENCH_INJECT_SLOWDOWN"
 
 
 @dataclass(frozen=True)
@@ -336,12 +334,6 @@ def current_revision() -> str:
         return "local"
     rev = out.stdout.strip()
     return rev if out.returncode == 0 and rev else "local"
-
-
-def _resolve_slowdown(inject_slowdown: float | None) -> float:
-    if inject_slowdown is not None:
-        return inject_slowdown
-    return float(os.environ.get(_INJECT_ENV, "1.0"))
 
 
 def run_case(
@@ -585,13 +577,12 @@ def run_suite(
     schemes: Sequence[str] | None = None,
     repeats: int = 3,
     batch_size: int = BATCH_VARIANTS,
-    inject_slowdown: float | None = None,
+    inject_slowdown: float = 1.0,
 ) -> dict:
     """Run the suite and assemble the ``BENCH_*.json`` payload."""
-    slowdown = _resolve_slowdown(inject_slowdown)
     cases = suite_cases(fast=fast, depths=depths, schemes=schemes)
     results = [
-        run_case(case, repeats=repeats, batch_size=batch_size, slowdown=slowdown)
+        run_case(case, repeats=repeats, batch_size=batch_size, slowdown=inject_slowdown)
         for case in cases
     ]
     _check_fused_parity(results)
@@ -624,7 +615,7 @@ def run_suite(
                 c["batch"]["speedup"] for c in d16_contended
             )
     offload_section = run_offload_block(
-        fast=fast, repeats=repeats, slowdown=slowdown
+        fast=fast, repeats=repeats, slowdown=inject_slowdown
     )
     summary["offload_fast_speedup_min"] = offload_section["fast_speedup_min"]
 
@@ -655,7 +646,7 @@ def run_suite(
         "suite": "fast" if fast else "full",
         "revision": current_revision(),
         "calibration_score": calibration_score(),
-        "inject_slowdown": slowdown,
+        "inject_slowdown": inject_slowdown,
         "cases": results,
         "schedule_cache": cache_meta,
         "summary": summary,
