@@ -62,14 +62,3 @@ class SequentialTrainer:
                 g /= n
         self.optimizer.step(self.layers)
         return total_loss / n
-
-    def loss_only(self, micro_batches: list[tuple[np.ndarray, np.ndarray]]) -> float:
-        """Evaluate the mean loss without touching gradients or weights."""
-        total = 0.0
-        for tokens, targets in micro_batches:
-            x = tokens
-            for layer in self.layers:
-                x, _ = layer.forward(x)
-            loss, _ = softmax_cross_entropy(x, targets)
-            total += loss
-        return total / len(micro_batches)

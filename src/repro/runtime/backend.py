@@ -49,9 +49,6 @@ class InProcessBackend:
     def can_recv(self, key: tuple) -> bool:
         return key in self._mail
 
-    def pending_messages(self) -> int:
-        return len(self._mail)
-
     # ----------------------------------------------------------- collectives
     def allreduce_contribute(
         self,

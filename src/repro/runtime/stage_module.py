@@ -70,10 +70,6 @@ class StageModule:
     def is_in_flight(self, mb: int) -> bool:
         return mb in self._pending
 
-    def host_resident(self) -> int:
-        """Number of micro-batch stashes currently parked in the host tier."""
-        return len(self._host)
-
     # ------------------------------------------------------------- snapshots
     def snapshot_params(self) -> list[np.ndarray]:
         """Copy of all parameters (PipeDream weight-version stash)."""
