@@ -14,6 +14,7 @@ from repro.models.transformer import (
     build_transformer_layers,
     partition_layers,
 )
+from repro.runtime.optimizers import SGD
 from tests.conftest import numeric_grad
 
 RNG = np.random.default_rng(42)
@@ -46,6 +47,66 @@ def check_param_grads(layer, x, atol=1e-5):
         expected = numeric_grad(loss, param)
         np.testing.assert_allclose(
             layer.grads[name], expected, atol=atol, err_msg=name
+        )
+
+
+def _composite(kind):
+    rng = np.random.default_rng(5)
+    if kind == "attention":
+        return CausalSelfAttention(4, 2, rng=rng)
+    if kind == "block":
+        return TransformerBlock(4, 2, mlp_ratio=2, rng=rng)
+    if kind == "head":
+        return LMHead(4, 7, rng=rng)
+    return Sequential([Linear(4, 3, rng=rng), GELU(), LayerNorm(3)])
+
+
+def _child(layer, name):
+    if isinstance(layer, Sequential):
+        return layer.layers[int(name)]
+    return getattr(layer, name)
+
+
+ATTN_KEYS = ["qkv.W", "qkv.b", "proj.W", "proj.b"]
+COMPOSITE_KEYS = {
+    "attention": ATTN_KEYS,
+    "block": ["ln1.gamma", "ln1.beta"]
+    + [f"attn.{k}" for k in ATTN_KEYS]
+    + ["ln2.gamma", "ln2.beta", "fc1.W", "fc1.b", "fc2.W", "fc2.b"],
+    "head": ["ln.gamma", "ln.beta", "out.W", "out.b"],
+    "sequential": ["0.W", "0.b", "2.gamma", "2.beta"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMPOSITE_KEYS))
+def test_composite_parameter_views(kind):
+    """A composite's params/grads are its children's arrays, in child order."""
+    layer = _composite(kind)
+    assert list(layer.params) == COMPOSITE_KEYS[kind]
+    assert list(layer.grads) == COMPOSITE_KEYS[kind]
+    for key in COMPOSITE_KEYS[kind]:
+        name, rest = key.split(".", 1)
+        child = _child(layer, name)
+        assert layer.params[key] is child.params[rest]
+        assert layer.grads[key] is child.grads[rest]
+
+    for key in COMPOSITE_KEYS[kind]:
+        name, rest = key.split(".", 1)
+        _child(layer, name).grads[rest][...] = 1.0
+    layer.zero_grads()
+    assert all(not g.any() for g in layer.grads.values())
+
+    rng = np.random.default_rng(6)
+    grads = {}
+    for key, g in layer.grads.items():
+        g[...] = rng.standard_normal(g.shape)
+        grads[key] = g.copy()
+    before = {key: p.copy() for key, p in layer.params.items()}
+    SGD(0.1).step([layer])
+    for key in COMPOSITE_KEYS[kind]:
+        name, rest = key.split(".", 1)
+        np.testing.assert_array_equal(
+            _child(layer, name).params[rest], before[key] - 0.1 * grads[key]
         )
 
 
