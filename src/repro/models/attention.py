@@ -27,35 +27,7 @@ class CausalSelfAttention(Layer):
         self.head_dim = dim // heads
         self.qkv = Linear(dim, 3 * dim, rng=rng, dtype=dtype)
         self.proj = Linear(dim, dim, rng=rng, dtype=dtype)
-
-    # Parameter/grad views delegate to the two Linears.
-    @property
-    def params(self):  # type: ignore[override]
-        return {
-            **{f"qkv.{k}": v for k, v in self.qkv.params.items()},
-            **{f"proj.{k}": v for k, v in self.proj.params.items()},
-        }
-
-    @params.setter
-    def params(self, value):  # pragma: no cover - Layer.__init__ assigns {}
-        if value:
-            raise AttributeError("attention params are derived from projections")
-
-    @property
-    def grads(self):  # type: ignore[override]
-        return {
-            **{f"qkv.{k}": v for k, v in self.qkv.grads.items()},
-            **{f"proj.{k}": v for k, v in self.proj.grads.items()},
-        }
-
-    @grads.setter
-    def grads(self, value):  # pragma: no cover
-        if value:
-            raise AttributeError("attention grads are derived from projections")
-
-    def zero_grads(self) -> None:
-        self.qkv.zero_grads()
-        self.proj.zero_grads()
+        self.adopt({"qkv": self.qkv, "proj": self.proj})
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         b, s, _ = x.shape

@@ -13,6 +13,11 @@ Conventions
 * Parameters and gradients are plain dicts of arrays; optimizers and the
   communication backend operate on those dicts directly (mpi4py-style
   buffer passing, no framework indirection).
+* A composite layer owns no arrays of its own: it calls :meth:`Layer.adopt`
+  once at the end of ``__init__``, which lists each child's arrays in the
+  composite's dicts under ``"<child>.<key>"``, in child order. Every update,
+  accumulation and zeroing is in place, so the composite's dicts and its
+  children's stay the same arrays.
 """
 
 from __future__ import annotations
@@ -40,6 +45,13 @@ class Layer:
     def register(self, name: str, value: np.ndarray) -> None:
         self.params[name] = value
         self.grads[name] = np.zeros_like(value)
+
+    def adopt(self, children: dict[str, Layer]) -> None:
+        """Expose the children's arrays as this layer's, under ``name.key``."""
+        for name, child in children.items():
+            for key, value in child.params.items():
+                self.params[f"{name}.{key}"] = value
+                self.grads[f"{name}.{key}"] = child.grads[key]
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -147,44 +159,14 @@ class Embedding(Layer):
 class Sequential(Layer):
     """A fused chain of layers behaving as a single layer.
 
-    Used for transformer blocks (LN -> attention -> residual -> LN -> MLP ->
-    residual are fused inside :class:`TransformerBlock` instead) and by
-    tests composing small models.
+    Tests use it to compose small models; the transformer stages fuse
+    their chains by hand (:class:`~repro.models.transformer.TransformerBlock`).
     """
 
     def __init__(self, layers: Sequence[Layer]) -> None:
         super().__init__()
         self.layers = list(layers)
-
-    @property
-    def params(self):  # type: ignore[override]
-        merged = {}
-        for i, layer in enumerate(self.layers):
-            for name, value in layer.params.items():
-                merged[f"{i}.{name}"] = value
-        return merged
-
-    @params.setter
-    def params(self, value):  # pragma: no cover - Layer.__init__ assigns {}
-        if value:
-            raise AttributeError("Sequential params are derived from children")
-
-    @property
-    def grads(self):  # type: ignore[override]
-        merged = {}
-        for i, layer in enumerate(self.layers):
-            for name, value in layer.grads.items():
-                merged[f"{i}.{name}"] = value
-        return merged
-
-    @grads.setter
-    def grads(self, value):  # pragma: no cover
-        if value:
-            raise AttributeError("Sequential grads are derived from children")
-
-    def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.zero_grads()
+        self.adopt({str(i): layer for i, layer in enumerate(self.layers)})
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         caches = []

@@ -30,44 +30,16 @@ class TransformerBlock(Layer):
         self.fc1 = Linear(dim, mlp_ratio * dim, rng=rng, dtype=dtype)
         self.act = GELU()
         self.fc2 = Linear(mlp_ratio * dim, dim, rng=rng, dtype=dtype)
-        self._children = {
-            "ln1": self.ln1,
-            "attn": self.attn,
-            "ln2": self.ln2,
-            "fc1": self.fc1,
-            "act": self.act,
-            "fc2": self.fc2,
-        }
-
-    @property
-    def params(self):  # type: ignore[override]
-        return {
-            f"{cname}.{k}": v
-            for cname, child in self._children.items()
-            for k, v in child.params.items()
-        }
-
-    @params.setter
-    def params(self, value):  # pragma: no cover - Layer.__init__ assigns {}
-        if value:
-            raise AttributeError("block params are derived from children")
-
-    @property
-    def grads(self):  # type: ignore[override]
-        return {
-            f"{cname}.{k}": v
-            for cname, child in self._children.items()
-            for k, v in child.grads.items()
-        }
-
-    @grads.setter
-    def grads(self, value):  # pragma: no cover
-        if value:
-            raise AttributeError("block grads are derived from children")
-
-    def zero_grads(self) -> None:
-        for child in self._children.values():
-            child.zero_grads()
+        self.adopt(
+            {
+                "ln1": self.ln1,
+                "attn": self.attn,
+                "ln2": self.ln2,
+                "fc1": self.fc1,
+                "act": self.act,
+                "fc2": self.fc2,
+            }
+        )
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         h1, c_ln1 = self.ln1.forward(x)
@@ -100,37 +72,7 @@ class LMHead(Layer):
         super().__init__()
         self.ln = LayerNorm(dim, dtype=dtype)
         self.out = Linear(dim, vocab, rng=rng, dtype=dtype)
-        self._children = {"ln": self.ln, "out": self.out}
-
-    @property
-    def params(self):  # type: ignore[override]
-        return {
-            f"{cname}.{k}": v
-            for cname, child in self._children.items()
-            for k, v in child.params.items()
-        }
-
-    @params.setter
-    def params(self, value):  # pragma: no cover
-        if value:
-            raise AttributeError("head params are derived from children")
-
-    @property
-    def grads(self):  # type: ignore[override]
-        return {
-            f"{cname}.{k}": v
-            for cname, child in self._children.items()
-            for k, v in child.grads.items()
-        }
-
-    @grads.setter
-    def grads(self, value):  # pragma: no cover
-        if value:
-            raise AttributeError("head grads are derived from children")
-
-    def zero_grads(self) -> None:
-        self.ln.zero_grads()
-        self.out.zero_grads()
+        self.adopt({"ln": self.ln, "out": self.out})
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         h, c_ln = self.ln.forward(x)

@@ -62,10 +62,8 @@ _REQUEST_FIELDS = {
 }
 
 
-def _require_int(payload: dict, key: str, *, default: object = None) -> object:
-    value = payload.get(key, default)
-    if value is default and default is not None:
-        return default
+def _require_int(payload: dict, key: str) -> object:
+    value = payload.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigurationError(
             f"field '{key}' must be an integer, got {value!r}"
@@ -166,6 +164,12 @@ def parse_plan_request(payload: object) -> PlanRequest:
             # pass names; prefix the offending field for the 400 body.
             raise ConfigurationError(f"field 'pipeline': {err}") from None
 
+    # Absent search bounds take PlanRequest's own defaults.
+    bounds = {
+        key: _require_int(payload, key)
+        for key in ("min_depth", "max_micro_batch")
+        if key in payload
+    }
     return PlanRequest(
         machine=machine,
         workload=workload,
@@ -173,8 +177,7 @@ def parse_plan_request(payload: object) -> PlanRequest:
         mini_batch=mini_batch,
         memory_budget_bytes=budgets["memory_budget_bytes"],
         schemes=schemes,
-        min_depth=_require_int(payload, "min_depth", default=2),
-        max_micro_batch=_require_int(payload, "max_micro_batch", default=512),
+        **bounds,
         recompute=payload.get("recompute"),
         top_k=top_k,
         pipeline=pipeline,

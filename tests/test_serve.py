@@ -18,7 +18,7 @@ import urllib.request
 import pytest
 
 from repro.common.errors import ConfigurationError, ServiceOverloadError
-from repro.perf.planner import plan_configurations
+from repro.perf.planner import PlanRequest, plan_configurations
 from repro.bench.machines import PIZ_DAINT
 from repro.bench.workloads import BERT48
 from repro.serve import PlannerHTTPServer, PlannerService
@@ -40,6 +40,13 @@ class TestParseValidation:
         assert req.workload is BERT48
         assert req.schemes == ("chimera", "dapple")
         assert req.min_depth == 2 and req.max_micro_batch == 512
+        assert req == PlanRequest(
+            machine=PIZ_DAINT,
+            workload=BERT48,
+            num_workers=4,
+            mini_batch=16,
+            schemes=("chimera", "dapple"),
+        )
 
     @pytest.mark.parametrize(
         "payload, fragment",
