@@ -9,12 +9,14 @@ summaries.
 """
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
 from repro.bench import perfsuite
 from repro.cli import main
+from repro.common.errors import ScheduleError
 from repro.schedules.registry import available_schemes, scheme_traits
 
 #: The fixed-grid suite covers every scheme with a cost-independent
@@ -246,6 +248,71 @@ def test_contended_floor_trips_checker(small_payload):
         slow["summary"][key] = speedup
         violations = perfsuite.check_against(slow, slow)
         assert any("below" in v and "floor" in v for v in violations), key
+
+
+#: One cheap case per check: the suite's own runner, not a re-spelling.
+GPIPE_FAST = dict(fast=True, schemes=("gpipe",), repeats=1, batch_size=2)
+
+
+def test_engine_divergence_raises(monkeypatch):
+    """An event engine that drifts 1e-6 from the kernel fails the case."""
+    real = perfsuite.simulate
+
+    def drifting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.compute_makespan += 1e-6
+        return result
+
+    monkeypatch.setattr(perfsuite, "simulate", drifting)
+    case = perfsuite.BenchCase("gpipe", 8, 16, "implicit")
+    with pytest.raises(ScheduleError, match="makespan divergence on gpipe/D8/N16/"):
+        perfsuite.run_case(case, repeats=1, batch_size=2)
+
+
+def test_batch_routing_mismatch_raises(monkeypatch):
+    """A batch row routed against its regime fails the case."""
+    real = perfsuite.simulate_batch_many
+
+    def misrouted(*args, **kwargs):
+        batch = real(*args, **kwargs)
+        flipped = tuple(not used for used in batch.used_fast_path)
+        return dataclasses.replace(batch, used_fast_path=flipped)
+
+    monkeypatch.setattr(perfsuite, "simulate_batch_many", misrouted)
+    case = perfsuite.BenchCase("gpipe", 8, 16, "contended")
+    with pytest.raises(ScheduleError, match="routing mismatch on gpipe/D8/N16/"):
+        perfsuite.run_case(case, repeats=1, batch_size=2)
+
+
+def test_fused_parity_violation_raises(monkeypatch):
+    """A fused case whose makespan leaves the lowered one fails the suite."""
+    real = perfsuite.run_case
+
+    def planted(case, **kwargs):
+        result = real(case, **kwargs)
+        if case.mode == "fused":
+            result["compute_makespan"] += 1e-6
+        return result
+
+    monkeypatch.setattr(perfsuite, "run_case", planted)
+    with pytest.raises(ScheduleError, match="fuse_comm parity violation on gpipe/D8"):
+        perfsuite.run_suite(**GPIPE_FAST)
+
+
+def test_missing_host_channel_occupancy_raises(monkeypatch):
+    """An offload case whose stash copies hold no host channel fails."""
+    real = perfsuite.simulate_fast
+
+    def no_stash(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.transfers = tuple(t for t in result.transfers if t.payload != "stash")
+        return result
+
+    monkeypatch.setattr(perfsuite, "simulate_fast", no_stash)
+    with pytest.raises(
+        ScheduleError, match="no host-channel occupancy on gpipe/D8/N16/offload"
+    ):
+        perfsuite.run_suite(**GPIPE_FAST)
 
 
 def test_default_output_name(small_payload):
