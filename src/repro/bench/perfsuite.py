@@ -37,9 +37,11 @@ contended schedules at the D=16, N=64 reference point
 The ``offload`` section (schema 6) times offloaded schedules — the
 activation-offload pass's OFFLOAD/RELOAD ops moving stash bytes over
 per-worker host channels — under :func:`offload_suite_model`, whose copy
-occupancy makes the host FIFOs genuinely queue. Engine/kernel parity is
-asserted per case and the section is **gated** like the engine cases:
-exact makespans, normalized throughput within tolerance.
+occupancy makes the host FIFOs genuinely queue. Its cases run through
+the same :func:`run_case` as the engine grid (event engine and fast
+path; no batch path), with engine/kernel parity asserted per case, and
+the section is **gated** like the engine cases: exact makespans,
+normalized throughput within tolerance.
 
 The suite times simulators only. Planning and ``/plan`` serving are
 measured end to end, from fresh processes and with a per-layer trace, by
@@ -49,7 +51,8 @@ the ``benchmarks/e2e`` workloads (``plan_cold``, ``plan_warm``,
 Regression gating
 -----------------
 :func:`check_against` compares a fresh run to a committed baseline
-(``benchmarks/baseline.json``) and reports violations for
+(``benchmarks/baseline.json``), over every case list in
+:data:`GATED_SECTIONS`, and reports violations for
 
 * any makespan difference beyond 1e-9 (correctness — deterministic, zero
   tolerance),
@@ -68,6 +71,7 @@ fails on a 25% regression.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -105,8 +109,12 @@ from repro.sim.network import FlatTopology, HostChannel, LinkSpec
 #: the planner section and its ``planner_*`` summary keys — planning and
 #: serving are measured end to end by the ``benchmarks/e2e`` workloads;
 #: the engine and offload grids are unchanged, so a v7 baseline stays
-#: valid after deleting the section and bumping ``schema_version``.
-SCHEMA_VERSION = 8
+#: valid after deleting the section and bumping ``schema_version``. 9:
+#: dropped the non-gating ``synthesize`` and ``schedule_cache`` blocks
+#: (``repro synthesize`` and ``repro cache stats`` report the same); the
+#: grids are unchanged, so a v8 baseline stays valid after deleting both
+#: and bumping ``schema_version``.
+SCHEMA_VERSION = 9
 
 #: Full-suite grid: every registered scheme at these depths, N=64 — the
 #: acceptance grid of the array kernel (D=16, N=64 is the reference point).
@@ -117,20 +125,6 @@ FAST_DEPTHS = (8,)
 FAST_MICRO_BATCHES = 16
 
 MODES = ("implicit", "lowered", "fused", "contended", "contended_fused")
-
-#: The pipeline whose schedule form each mode simulates.
-MODE_PIPELINES = {
-    "implicit": (),
-    "lowered": ("lower_p2p",),
-    "fused": ("lower_p2p", "fuse_comm"),
-    "contended": ("lower_p2p",),
-    "contended_fused": ("lower_p2p", "fuse_comm"),
-    "offload": (),
-    "offload_lowered": ("lower_p2p",),
-}
-
-#: Modes evaluated under the contended (nonzero-beta) cost model.
-CONTENDED_MODES = ("contended", "contended_fused")
 
 #: Absolute floor on ``d16_contended_batch_speedup_min``: the batched
 #: kernel must beat the event engine by at least this factor on lowered
@@ -153,19 +147,21 @@ BATCH_VARIANTS = 8
 #: of these schemes, with and without explicit lowering, timed under
 #: :func:`offload_suite_model`. A deliberate spread — linear-stash
 #: (gpipe), 1F1B (dapple), bidirectional (chimera) — at the engine
-#: grid's reference depths.
+#: grid's reference depths. Offload modes build their artifacts with the
+#: activation-offload pass.
 OFFLOAD_SCHEMES = ("gpipe", "dapple", "chimera")
 OFFLOAD_DEPTHS = (8, 16)
 OFFLOAD_FAST_DEPTHS = (8,)
 OFFLOAD_MODES = ("offload", "offload_lowered")
 
-#: Grid points of the non-gating ``synthesize`` section: (depth, N).
-SYNTHESIZE_POINTS = ((4, 16), (8, 16))
-SYNTHESIZE_FAST_POINTS = ((4, 8),)
-#: Split-backward costs the section synthesizes under — deliberately
-#: asymmetric (b != w) so the search has something the hand-written
-#: recipes were not tuned for.
-SYNTHESIZE_COSTS = (1.0, 1.1, 0.9, 0.05)  # (f, b, w, comm)
+#: The case lists :func:`check_against` gates, one row each: the payload
+#: key of the section holding the ``cases`` (None: the top-level engine
+#: grid), the engines each case times, and the prefix that starts every
+#: violation message, so a report names the section that tripped.
+GATED_SECTIONS = (
+    (None, ("event", "fast", "batch"), ""),
+    ("offload", ("event", "fast"), "offload "),
+)
 
 #: Makespan agreement required between the engines, and between a run and
 #: its baseline.
@@ -177,12 +173,12 @@ DEFAULT_TOLERANCE = 0.20
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One suite point: a scheme at a depth, implicit or lowered."""
+    """One suite point: a scheme at a depth in one mode."""
 
     scheme: str
     depth: int
     num_micro_batches: int
-    mode: str  # "implicit" | "lowered"
+    mode: str  # a key of MODE_PIPELINES
 
     @property
     def case_id(self) -> str:
@@ -201,8 +197,8 @@ def suite_cases(
     n = FAST_MICRO_BATCHES if fast else SUITE_MICRO_BATCHES
     if schemes is None:
         # Cost-parameterized builders (synthesize) have no single schedule
-        # per (scheme, D, N), so they cannot be engine-suite cases; they
-        # get their own non-gating section (run_synthesize_block).
+        # per (scheme, D, N), so they cannot be suite cases; `repro
+        # synthesize` compares them against the built-ins instead.
         schemes = tuple(
             s for s in available_schemes() if not scheme_traits(s).cost_parameterized
         )
@@ -211,6 +207,17 @@ def suite_cases(
         for scheme in schemes
         for depth in depths
         for mode in MODES
+    ]
+
+
+def offload_cases(*, fast: bool = False) -> list[BenchCase]:
+    """The gated ``offload`` grid (reduced with ``fast=True``)."""
+    n = FAST_MICRO_BATCHES if fast else SUITE_MICRO_BATCHES
+    return [
+        BenchCase(scheme, depth, n, mode)
+        for scheme in OFFLOAD_SCHEMES
+        for depth in (OFFLOAD_FAST_DEPTHS if fast else OFFLOAD_DEPTHS)
+        for mode in OFFLOAD_MODES
     ]
 
 
@@ -253,6 +260,29 @@ def contended_suite_model() -> CostModel:
         topology=FlatTopology(LinkSpec(alpha=0.05, beta=0.25)),
         activation_message_bytes=8.0,
     )
+
+
+#: The pipeline whose schedule form each mode simulates.
+MODE_PIPELINES = {
+    "implicit": (),
+    "lowered": ("lower_p2p",),
+    "fused": ("lower_p2p", "fuse_comm"),
+    "contended": ("lower_p2p",),
+    "contended_fused": ("lower_p2p", "fuse_comm"),
+    "offload": (),
+    "offload_lowered": ("lower_p2p",),
+}
+
+#: The cost model each mode is timed under.
+MODE_MODELS = {
+    "implicit": suite_cost_model,
+    "lowered": suite_cost_model,
+    "fused": suite_cost_model,
+    "contended": contended_suite_model,
+    "contended_fused": contended_suite_model,
+    "offload": offload_suite_model,
+    "offload_lowered": offload_suite_model,
+}
 
 
 def batch_cost_models(
@@ -343,16 +373,23 @@ def run_case(
     batch_size: int = BATCH_VARIANTS,
     slowdown: float = 1.0,
 ) -> dict:
-    """Measure one case three ways and verify engine/kernel parity."""
-    arts = schedule_artifacts(case.scheme, case.depth, case.num_micro_batches)
-    contended = case.mode in CONTENDED_MODES
+    """Measure one case and verify engine/kernel parity.
+
+    Every case is timed on the event engine and the kernel's fast path
+    under its mode's cost model. Engine-grid cases are also timed on the
+    batch path; offload cases instead record their stash copies.
+    """
+    offload = case.mode in OFFLOAD_MODES
+    arts = schedule_artifacts(
+        case.scheme,
+        case.depth,
+        case.num_micro_batches,
+        **({"passes": ("offload",)} if offload else {}),
+    )
     schedule = arts.schedule_for(MODE_PIPELINES[case.mode])
     graph = arts.graph_for(MODE_PIPELINES[case.mode])
     kernel = kernel_of(graph)
-    base = contended_suite_model() if contended else suite_cost_model()
-    models = batch_cost_models(batch_size, base=base)
-    rows = [(schedule, model) for model in models]
-    kernels = [kernel] * len(models)
+    base = MODE_MODELS[case.mode]()
 
     event_wall, event = _best_wall(
         lambda: simulate(schedule, base, graph=graph), repeats
@@ -360,22 +397,30 @@ def run_case(
     fast_wall, fast = _best_wall(
         lambda: simulate_fast(schedule, base, kernel=kernel), repeats
     )
-    batch_wall, batch = _best_wall(
-        lambda: simulate_batch_many(rows, kernels=kernels), repeats
-    )
-    # Every case runs on the kernel either way; the base row's routing
-    # must match the regime so a routing regression fails loudly here.
-    if batch.used_fast_path[0] == contended:
-        raise ScheduleError(
-            f"kernel routing mismatch on {case.case_id}: expected "
-            f"{'contended' if contended else 'single-sweep'} routing"
+    kernel_times = [(fast.compute_makespan, fast.iteration_time)]
+    if not offload:
+        models = batch_cost_models(batch_size, base=base)
+        rows = [(schedule, model) for model in models]
+        kernels = [kernel] * len(models)
+        batch_wall, batch = _best_wall(
+            lambda: simulate_batch_many(rows, kernels=kernels), repeats
+        )
+        # Every case runs on the kernel either way; the base row's routing
+        # must match the regime so a routing regression fails loudly here.
+        contended = MODE_MODELS[case.mode] is contended_suite_model
+        if batch.used_fast_path[0] == contended:
+            raise ScheduleError(
+                f"kernel routing mismatch on {case.case_id}: expected "
+                f"{'contended' if contended else 'single-sweep'} routing"
+            )
+        kernel_times.append(
+            (float(batch.compute_makespan[0]), float(batch.iteration_time[0]))
         )
 
-    mk_fast = abs(event.compute_makespan - fast.compute_makespan)
-    it_fast = abs(event.iteration_time - fast.iteration_time)
-    mk_batch = abs(event.compute_makespan - float(batch.compute_makespan[0]))
-    it_batch = abs(event.iteration_time - float(batch.iteration_time[0]))
-    worst = max(mk_fast, it_fast, mk_batch, it_batch)
+    worst = max(
+        max(abs(event.compute_makespan - makespan), abs(event.iteration_time - it))
+        for makespan, it in kernel_times
+    )
     if worst > MAKESPAN_ATOL:
         raise ScheduleError(
             f"engine/kernel makespan divergence on {case.case_id}: "
@@ -384,10 +429,8 @@ def run_case(
 
     event_wall *= slowdown
     fast_wall *= slowdown
-    batch_wall *= slowdown
-    batch_per_model = batch_wall / len(models)
     ops = sum(len(row) for row in schedule.worker_ops)
-    return {
+    result = {
         "id": case.case_id,
         "scheme": case.scheme,
         "depth": case.depth,
@@ -402,13 +445,26 @@ def run_case(
             "ops_per_sec": ops / fast_wall,
             "speedup": event_wall / fast_wall,
         },
-        "batch": {
+    }
+    if offload:
+        # Stash copies must occupy their host channel, or they stopped
+        # queueing and the case times the wrong regime.
+        stash = [t for t in fast.transfers if t.payload == "stash"]
+        if not stash or not all(t.occupancy > 0.0 for t in stash):
+            raise ScheduleError(
+                f"no host-channel occupancy on {case.case_id}: expected "
+                f"queueing stash copies"
+            )
+        result["host_copies"] = len(stash)
+    else:
+        batch_per_model = batch_wall * slowdown / len(models)
+        result["batch"] = {
             "models": len(models),
             "wall_s_per_model": batch_per_model,
             "ops_per_sec": ops / batch_per_model,
             "speedup": event_wall / batch_per_model,
-        },
-    }
+        }
+    return result
 
 
 def makespan_checksum(cases: Iterable[dict]) -> str:
@@ -424,152 +480,6 @@ def makespan_checksum(cases: Iterable[dict]) -> str:
     return digest.hexdigest()
 
 
-def run_synthesize_block(*, fast: bool = False) -> dict:
-    """The non-gating ``synthesize`` section: search vs every built-in.
-
-    For each grid point, measures every non-parameterized scheme's
-    compute makespan and peak activation under the fixed
-    :data:`SYNTHESIZE_COSTS` model (one ``simulate_batch_many`` call),
-    then synthesizes a schedule with the *best* scheme's peak as its
-    memory budget and records how the search compares — speedup over the
-    best built-in, build wall time, the winning seed. Informational only:
-    ``check_against`` never gates on it (build time is search work, not
-    kernel work, and the match-or-beat property is pinned by the test
-    suite's acceptance battery instead).
-    """
-    from repro.schedules.cache import cached_build_schedule
-    from repro.schedules.registry import build_schedule
-    from repro.schedules.synthesize import peak_stash_units, synthesis_cost_model
-    from repro.sim.kernel import simulate_batch_many
-
-    f, b, w, comm = SYNTHESIZE_COSTS
-    model = synthesis_cost_model(f, b, w, comm)
-    schemes = [
-        s for s in available_schemes() if not scheme_traits(s).cost_parameterized
-    ]
-    points = []
-    for depth, n in (SYNTHESIZE_FAST_POINTS if fast else SYNTHESIZE_POINTS):
-        built, names = [], []
-        for scheme in schemes:
-            try:
-                built.append(cached_build_schedule(scheme, depth, n))
-                names.append(scheme)
-            except ScheduleError:
-                continue  # scheme structurally invalid at this (D, N)
-        batch = simulate_batch_many([(s, model) for s in built])
-        makespans = [float(m) for m in batch.compute_makespan]
-        best_k = min(range(len(names)), key=lambda k: makespans[k])
-        budget = peak_stash_units(built[best_k])
-        start = time.perf_counter()
-        synthesized = build_schedule(
-            "synthesize",
-            depth,
-            n,
-            f_time=f,
-            b_time=b,
-            w_time=w,
-            comm_time=comm,
-            memory_budget_units=budget,
-        )
-        build_s = time.perf_counter() - start
-        meta = synthesized.metadata
-        points.append(
-            {
-                "depth": depth,
-                "num_micro_batches": n,
-                "budget_units": budget,
-                "best_scheme": names[best_k],
-                "best_makespan": makespans[best_k],
-                "synthesize_makespan": float(meta["makespan"]),
-                "synthesize_peak_units": float(meta["peak_units"]),
-                "seed": meta["seed"],
-                "speedup_vs_best": makespans[best_k] / float(meta["makespan"]),
-                "build_wall_s": build_s,
-            }
-        )
-    return {"costs": list(SYNTHESIZE_COSTS), "points": points}
-
-
-def run_offload_block(
-    *, fast: bool = False, repeats: int = 3, slowdown: float = 1.0
-) -> dict:
-    """The gated ``offload`` section (schema 6): host-channel timing.
-
-    Runs each :data:`OFFLOAD_SCHEMES` × depth × {offload,
-    offload_lowered} schedule through the event engine and the array
-    kernel under :func:`offload_suite_model`, asserts the two agree to
-    :data:`MAKESPAN_ATOL` (host-channel FIFOs are kernel code paths, not
-    a fallback), and records wall times the checker gates exactly like
-    the engine cases — makespans at zero tolerance, normalized
-    throughput against the baseline.
-    """
-    depths = OFFLOAD_FAST_DEPTHS if fast else OFFLOAD_DEPTHS
-    n = FAST_MICRO_BATCHES if fast else SUITE_MICRO_BATCHES
-    model = offload_suite_model()
-    cases: list[dict] = []
-    for scheme in OFFLOAD_SCHEMES:
-        for depth in depths:
-            arts = schedule_artifacts(scheme, depth, n, passes=("offload",))
-            for mode in OFFLOAD_MODES:
-                schedule = arts.schedule_for(MODE_PIPELINES[mode])
-                graph = arts.graph_for(MODE_PIPELINES[mode])
-                kernel = kernel_of(graph)
-                case_id = f"{scheme}/D{depth}/N{n}/{mode}"
-                event_wall, event = _best_wall(
-                    lambda: simulate(schedule, model, graph=graph), repeats
-                )
-                fast_wall, fast_result = _best_wall(
-                    lambda: simulate_fast(schedule, model, kernel=kernel),
-                    repeats,
-                )
-                worst = max(
-                    abs(event.compute_makespan - fast_result.compute_makespan),
-                    abs(event.iteration_time - fast_result.iteration_time),
-                )
-                if worst > MAKESPAN_ATOL:
-                    raise ScheduleError(
-                        f"engine/kernel makespan divergence on {case_id}: "
-                        f"{worst:.3e} exceeds {MAKESPAN_ATOL:.0e}"
-                    )
-                # Stash copies must occupy their host channel, or they
-                # stopped queueing and the section times the wrong regime.
-                stash = [t for t in fast_result.transfers if t.payload == "stash"]
-                if not stash or not all(t.occupancy > 0.0 for t in stash):
-                    raise ScheduleError(
-                        f"no host-channel occupancy on {case_id}: expected "
-                        f"queueing stash copies"
-                    )
-                event_wall *= slowdown
-                fast_wall *= slowdown
-                ops = sum(len(row) for row in schedule.worker_ops)
-                cases.append(
-                    {
-                        "id": case_id,
-                        "scheme": scheme,
-                        "depth": depth,
-                        "num_micro_batches": n,
-                        "mode": mode,
-                        "ops": ops,
-                        "host_copies": len(stash),
-                        "compute_makespan": event.compute_makespan,
-                        "iteration_time": event.iteration_time,
-                        "event": {
-                            "wall_s": event_wall,
-                            "ops_per_sec": ops / event_wall,
-                        },
-                        "fast": {
-                            "wall_s": fast_wall,
-                            "ops_per_sec": ops / fast_wall,
-                            "speedup": event_wall / fast_wall,
-                        },
-                    }
-                )
-    return {
-        "cases": cases,
-        "fast_speedup_min": min(c["fast"]["speedup"] for c in cases),
-    }
-
-
 def run_suite(
     *,
     fast: bool = False,
@@ -579,12 +489,16 @@ def run_suite(
     batch_size: int = BATCH_VARIANTS,
     inject_slowdown: float = 1.0,
 ) -> dict:
-    """Run the suite and assemble the ``BENCH_*.json`` payload."""
+    """Run the suite and assemble the ``BENCH_*.json`` payload.
+
+    The engine grid and the ``offload`` grid, every case measured by
+    :func:`run_case`, fill the case lists of :data:`GATED_SECTIONS`.
+    """
+    run = functools.partial(
+        run_case, repeats=repeats, batch_size=batch_size, slowdown=inject_slowdown
+    )
     cases = suite_cases(fast=fast, depths=depths, schemes=schemes)
-    results = [
-        run_case(case, repeats=repeats, batch_size=batch_size, slowdown=inject_slowdown)
-        for case in cases
-    ]
+    results = [run(case) for case in cases]
     _check_fused_parity(results)
     d16 = [c for c in results if c["depth"] == 16]
     summary = {
@@ -614,33 +528,8 @@ def run_suite(
             summary["d16_contended_batch_speedup_min"] = min(
                 c["batch"]["speedup"] for c in d16_contended
             )
-    offload_section = run_offload_block(
-        fast=fast, repeats=repeats, slowdown=inject_slowdown
-    )
-    summary["offload_fast_speedup_min"] = offload_section["fast_speedup_min"]
-
-    # Non-gating cache-efficacy metadata: cumulative process-wide counters
-    # after the whole run.
-    from repro.schedules.cache import disk_cache_stats, schedule_cache_stats
-
-    mem = schedule_cache_stats()
-    cache_meta = {
-        "hits": mem.hits,
-        "misses": mem.misses,
-        "entries": mem.entries,
-        "hit_rate": mem.hit_rate,
-    }
-    disk = disk_cache_stats()
-    if disk is not None:
-        cache_meta["disk"] = {
-            "hits": disk.hits,
-            "misses": disk.misses,
-            "stores": disk.stores,
-            "evictions": disk.evictions,
-            "entries": disk.entries,
-            "total_bytes": disk.total_bytes,
-            "hit_rate": disk.hit_rate,
-        }
+    offload = [run(case) for case in offload_cases(fast=fast)]
+    summary["offload_fast_speedup_min"] = min(c["fast"]["speedup"] for c in offload)
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": "fast" if fast else "full",
@@ -648,10 +537,11 @@ def run_suite(
         "calibration_score": calibration_score(),
         "inject_slowdown": inject_slowdown,
         "cases": results,
-        "schedule_cache": cache_meta,
         "summary": summary,
-        "offload": offload_section,
-        "synthesize": run_synthesize_block(fast=fast),
+        "offload": {
+            "cases": offload,
+            "fast_speedup_min": summary["offload_fast_speedup_min"],
+        },
     }
 
 
@@ -719,13 +609,13 @@ def check_against(
 
     Makespans must match to :data:`MAKESPAN_ATOL`; normalized throughput
     (ops/sec over the run's own calibration score) must not drop more
-    than ``tolerance`` relative to the baseline, per case and per engine.
-    When the run covers the D=16 reference point, its batched kernel
-    speedup over the event engine must also clear the absolute
-    :data:`BATCH_SPEEDUP_FLOOR` on every case and
-    :data:`CONTENDED_BATCH_SPEEDUP_FLOOR` on the contended ones — same-host
-    wall-time ratios, so they are checked unnormalized on the current run.
-    The offload cases are gated like the engine cases.
+    than ``tolerance`` relative to the baseline, per case and per engine,
+    in every section of :data:`GATED_SECTIONS`. When the run covers the
+    D=16 reference point, its batched kernel speedup over the event
+    engine must also clear the absolute :data:`BATCH_SPEEDUP_FLOOR` on
+    every case and :data:`CONTENDED_BATCH_SPEEDUP_FLOOR` on the contended
+    ones — same-host wall-time ratios, so they are checked unnormalized
+    on the current run, and reported even when the baseline is refused.
     """
     violations: list[str] = []
     summary = current.get("summary", {})
@@ -743,13 +633,13 @@ def check_against(
                 f"{name} speedup {speedup:.2f}x fell below the {floor:.0f}x floor"
             )
     if current.get("schema_version") != baseline.get("schema_version"):
-        return [
+        return violations + [
             f"schema version mismatch: current "
             f"{current.get('schema_version')} vs baseline "
             f"{baseline.get('schema_version')} — refresh the baseline"
         ]
     if current.get("suite") != baseline.get("suite"):
-        return [
+        return violations + [
             f"suite mismatch: current {current.get('suite')!r} vs baseline "
             f"{baseline.get('suite')!r} — compare like with like"
         ]
@@ -758,56 +648,48 @@ def check_against(
     if cur_cal <= 0 or base_cal <= 0:
         violations.append("missing calibration score; cannot normalize throughput")
         return violations
-    calibration = (cur_cal, base_cal)
-
-    violations += _gate_cases(
-        current.get("cases", ()),
-        baseline.get("cases", ()),
-        ("event", "fast", "batch"),
-        calibration=calibration,
-        tolerance=tolerance,
-    )
-    # The offload section gates identically to the engine cases, over the
-    # two engines it times.
-    cur_off = (current.get("offload") or {}).get("cases", ())
-    base_off = (baseline.get("offload") or {}).get("cases", ())
-    if base_off and not cur_off:
-        violations.append(
-            "offload section disappeared from the run — refresh or "
-            "investigate"
+    for section in GATED_SECTIONS:
+        violations += _gate_section(
+            current,
+            baseline,
+            *section,
+            calibration=(cur_cal, base_cal),
+            tolerance=tolerance,
         )
-    violations += _gate_cases(
-        cur_off,
-        base_off,
-        ("event", "fast"),
-        calibration=calibration,
-        tolerance=tolerance,
-        prefix="offload ",
-    )
     return violations
 
 
-def _gate_cases(
-    current: Iterable[dict],
-    baseline: Iterable[dict],
+def _gate_section(
+    current: dict,
+    baseline: dict,
+    key: str | None,
     engines: Sequence[str],
+    prefix: str,
     *,
     calibration: tuple[float, float],
     tolerance: float,
-    prefix: str = "",
 ) -> list[str]:
-    """Violations of one gated case list against its baseline cases.
+    """Violations of one :data:`GATED_SECTIONS` row against the baseline.
 
-    Reports cases that disappeared or are not in the baseline, makespan
-    drift beyond :data:`MAKESPAN_ATOL`, and per-engine throughput that
-    fell more than ``tolerance`` after normalizing by the ``(current,
-    baseline)`` scores in ``calibration``. Every message starts
-    with ``prefix``, so a report names the section that tripped.
+    Reports a keyed section missing from the run, cases that disappeared
+    or are not in the baseline, makespan drift beyond
+    :data:`MAKESPAN_ATOL`, and per-engine throughput that fell more than
+    ``tolerance`` after normalizing by the ``(current, baseline)`` scores
+    in ``calibration``. Every message starts with ``prefix``.
     """
-    cur_cases = {c["id"]: c for c in current}
-    base_cases = {c["id"]: c for c in baseline}
+
+    def cases(payload: dict) -> dict[str, dict]:
+        section = payload if key is None else payload.get(key) or {}
+        return {c["id"]: c for c in section.get("cases", ())}
+
+    cur_cases, base_cases = cases(current), cases(baseline)
     cur_cal, base_cal = calibration
-    violations = [
+    violations = []
+    if key is not None and base_cases and not cur_cases:
+        violations.append(
+            f"{prefix}section disappeared from the run — refresh or investigate"
+        )
+    violations += [
         f"{prefix}case disappeared from the suite: {missing}"
         for missing in sorted(set(base_cases) - set(cur_cases))
     ]
@@ -886,15 +768,5 @@ def format_suite(payload: dict) -> str:
             f"min fast speedup {offload['fast_speedup_min']:.1f}x "
             f"(host-channel model, gated)"
         )
-    synthesize = payload.get("synthesize")
-    if synthesize:
-        for point in synthesize["points"]:
-            lines.append(
-                f"synthesize D={point['depth']} N={point['num_micro_batches']}: "
-                f"{point['speedup_vs_best']:.2f}x vs {point['best_scheme']} "
-                f"at {point['synthesize_peak_units']:g}/{point['budget_units']:g} "
-                f"Ma budget (seed {point['seed']}, "
-                f"built in {point['build_wall_s'] * 1e3:.0f} ms; non-gating)"
-            )
     lines.append(f"makespan checksum {summary['makespan_checksum'][:16]}…")
     return "\n".join(lines)

@@ -21,9 +21,9 @@ Commands
               {implicit, lowered, fused, contended, contended_fused} —
               the contended modes use a nonzero-beta link model, so
               transfers queue per channel — plus the gated host-channel
-              ``offload`` cases and the non-gating ``synthesize``
-              comparison), write a schema-versioned ``BENCH_<rev>.json``,
-              and — with ``--check-against benchmarks/baseline.json`` —
+              ``offload`` cases), write a schema-versioned
+              ``BENCH_<rev>.json``, and — with ``--check-against
+              benchmarks/baseline.json`` —
               fail on makespan mismatches, >20% throughput regressions,
               or a D=16 batch speedup below its 3x floor (5x on the
               contended modes) — the CI gate; see

@@ -20,8 +20,8 @@ from repro.common.errors import ScheduleError
 from repro.schedules.registry import available_schemes, scheme_traits
 
 #: The fixed-grid suite covers every scheme with a cost-independent
-#: canonical build; cost-parameterized schemes (synthesize) get their own
-#: non-gating block instead.
+#: canonical build; cost-parameterized schemes (synthesize) are compared
+#: against the built-ins by `repro synthesize` instead.
 SUITE_SCHEMES = tuple(
     s for s in available_schemes() if not scheme_traits(s).cost_parameterized
 )
@@ -76,10 +76,7 @@ def test_payload_schema(small_payload):
         assert case["compute_makespan"] > 0
         for engine in ("event", "fast"):
             assert case[engine]["ops_per_sec"] > 0
-    # The cache metadata block rides along on every payload.
-    cache = payload["schedule_cache"]
-    assert cache["hits"] + cache["misses"] > 0
-    assert 0.0 <= cache["hit_rate"] <= 1.0
+    assert "synthesize" not in payload and "schedule_cache" not in payload
     # JSON-serializable end to end.
     json.loads(json.dumps(payload))
 
@@ -313,6 +310,19 @@ def test_missing_host_channel_occupancy_raises(monkeypatch):
         ScheduleError, match="no host-channel occupancy on gpipe/D8/N16/offload"
     ):
         perfsuite.run_suite(**GPIPE_FAST)
+
+
+def test_floors_survive_a_refused_baseline(small_payload):
+    """The D=16 floors read only the current run, so a schema mismatch
+    that refuses the baseline must not drop their verdict."""
+    slow = copy.deepcopy(small_payload)
+    slow["summary"]["d16_batch_speedup_min"] = 2.9
+    slow["schema_version"] = perfsuite.SCHEMA_VERSION + 1
+    violations = perfsuite.check_against(slow, small_payload)
+    assert any(
+        "d16 batch speedup 2.90x fell below the 3x floor" in v for v in violations
+    )
+    assert any("schema version mismatch" in v for v in violations)
 
 
 def test_default_output_name(small_payload):
