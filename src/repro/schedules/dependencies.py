@@ -149,8 +149,8 @@ class DependencyGraph:
         (an index into :data:`EDGE_KINDS`) and its payload units.
 
     ``==`` compares the tables. :attr:`location`, :attr:`deps`,
-    :meth:`edges`, :meth:`p2p_edges` and :meth:`transfer_edges` are
-    ``OpKey``-keyed views, built on first use.
+    :meth:`edges` and :meth:`transfer_edges` are ``OpKey``-keyed views,
+    built on first use.
     """
 
     schedule: Schedule
@@ -186,19 +186,6 @@ class DependencyGraph:
     def edges(self) -> Iterator[Edge]:
         for incoming in self.deps.values():
             yield from incoming
-
-    def p2p_edges(self) -> Iterator[Edge]:
-        """Implicit dependency edges that cross a worker boundary.
-
-        These are exactly the edges the lowering pass rewrites; on a fully
-        lowered schedule this yields nothing (see :meth:`transfer_edges`).
-        """
-        location = self.location
-        for edge in self.edges():
-            if edge.is_p2p_candidate and (
-                location[edge.src][0] != location[edge.dst][0]
-            ):
-                yield edge
 
     def transfer_edges(self) -> Iterator[Edge]:
         """The explicit ``SEND -> RECV`` wire edges of a lowered schedule."""

@@ -386,14 +386,6 @@ class Schedule:
         """Total number of operations of ``kind`` in the schedule."""
         return sum(1 for _, op in self.all_ops() if op.kind is kind)
 
-    def micro_batches_of_replica(self, replica: int) -> tuple[int, ...]:
-        """Sorted micro-batch ids whose forward pass runs on ``replica``."""
-        seen: set[int] = set()
-        for _, op in self.all_ops():
-            if op.is_forward and op.replica == replica:
-                seen.update(op.micro_batches)
-        return tuple(sorted(seen))
-
     def work_units_on(self, worker: int) -> float:
         """Total compute work (micro-batch equivalents, F + B) on a worker."""
         return sum(op.work_units for op in self.worker_ops[worker])

@@ -63,7 +63,13 @@ class TestDependencyGraph:
     def test_p2p_edges_cross_workers_only(self):
         s = toy([[F(0, 0), B(0, 0)], [F(0, 1), B(0, 1)]])
         g = build_dependency_graph(s)
-        p2p = list(g.p2p_edges())
+        p2p = [
+            (g.dep_src[e], dst)
+            for dst in range(len(g.ops_flat))
+            for e in range(g.dep_ptr[dst], g.dep_ptr[dst + 1])
+            if g.dep_kind[e] in (ACTIVATION, GRADIENT)
+            and g.op_worker[g.dep_src[e]] != g.op_worker[dst]
+        ]
         assert len(p2p) == 2  # one activation, one gradient
 
     def test_allreduce_depends_on_local_backwards(self):
@@ -334,20 +340,14 @@ class TestBuilderCost:
         # pipedream synchronizes per micro-batch, chimera per stage: both
         # ALLREDUCE wirings must read indexes built in the first pass.
         schedule = build_schedule(scheme, 8, 16)
-        calls = {"key": 0, "rescan": 0}
+        calls = {"key": 0}
         key = Operation.key
 
         def counted_key(op):
             calls["key"] += 1
             return key(op)
 
-        def rescan(self, replica):
-            calls["rescan"] += 1
-            return ()
-
         monkeypatch.setattr(Operation, "key", counted_key)
-        monkeypatch.setattr(Schedule, "micro_batches_of_replica", rescan)
         build_dependency_graph(schedule)
         num_ops = sum(len(row) for row in schedule.worker_ops)
-        assert calls["rescan"] == 0
         assert calls["key"] <= num_ops

@@ -87,9 +87,6 @@ class TestSchedule:
         assert s.count(OpKind.BACKWARD) == 2
         assert s.work_units_on(0) == 2.0
 
-    def test_micro_batches_of_replica(self):
-        assert self._schedule().micro_batches_of_replica(0) == (0,)
-
     def test_worker_count_mismatch_rejected(self):
         placement = StagePlacement.linear(2)
         with pytest.raises(ScheduleError):
