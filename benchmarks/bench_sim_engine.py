@@ -40,8 +40,8 @@ def _cases(scheme: str):
     """(label, engine, schedule, graph) benchmark variants for a scheme."""
     schedule = build_schedule(scheme, DEPTH, MICRO_BATCHES)
     graph = build_dependency_graph(schedule)
-    lowered = lower_schedule(schedule, graph=graph)
-    lowered_graph = build_dependency_graph(lowered)
+    lowered_graph = lower_schedule(schedule, graph=graph)
+    lowered = lowered_graph.schedule
     return [
         ("event", simulate, schedule, graph),
         ("event+lowered", simulate, lowered, lowered_graph),
@@ -105,8 +105,8 @@ def test_simulate_zb_v_lowered(benchmark, report):
     """Lowered ZB-V under finite links: contention may only add time."""
     schedule = build_schedule("zb_v", DEPTH, MICRO_BATCHES)
     graph = build_dependency_graph(schedule)
-    lowered = lower_schedule(schedule, graph=graph)
-    lowered_graph = build_dependency_graph(lowered)
+    lowered_graph = lower_schedule(schedule, graph=graph)
+    lowered = lowered_graph.schedule
     cm = _cost_model()
     result = benchmark(simulate, lowered, cm, graph=lowered_graph)
     baseline = simulate(schedule, cm, graph=graph)

@@ -23,7 +23,7 @@ Explicit communication (lowering pass: SEND/RECV ops, link contention,
 comm lanes in the Gantt/trace output)::
 
     from repro import lower_schedule
-    lowered = lower_schedule(sched)
+    lowered = lower_schedule(sched).schedule
     contended = simulate(lowered, CostModel.practical())
 
 Composable schedule passes (``docs/passes.md``): recomputation,

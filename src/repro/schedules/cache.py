@@ -104,9 +104,11 @@ class ScheduleArtifacts:
     builds a duplicate which is immediately discarded in favour of the
     first).
 
-    The resident and persisted simulation form is the array kernel. Dict
-    dependency graphs are transient: lowering and kernel construction
-    build them, :meth:`kernel_for` drops them once its kernel exists, and
+    The resident and persisted simulation form is the array kernel.
+    Dependency graphs are transient: lowering and kernel construction
+    read them (lowering returns the lowered graph with the lowered
+    schedule, so a lowered entry builds one graph, not two),
+    :meth:`kernel_for` drops them once its kernel exists, and
     :meth:`graph_for` rebuilds one on demand. The disk payload
     (:meth:`snapshot`) is the schedule forms plus the kernels, keyed by
     form; building a kernel writes the entry through.
@@ -210,16 +212,27 @@ class ScheduleArtifacts:
 
     def lowered(self) -> Schedule:
         """The schedule with explicit SEND/RECV communication ops."""
-        return self._derive(
-            "_lowered",
-            lambda: _freeze(lower_schedule(self.schedule, graph=self.graph())),
-        )
+        if self._lowered is None:
+            self.lowered_graph()
+        return self._lowered
 
     def lowered_graph(self) -> DependencyGraph:
-        """Dependency graph of the lowered schedule."""
-        return self._derive(
-            "_lowered_graph", lambda: build_dependency_graph(self.lowered())
-        )
+        """Dependency graph of the lowered schedule: the one lowering
+        returns, or rebuilt from a lowered schedule the entry kept or
+        restored without its graph."""
+        if self._lowered is not None:
+            return self._derive(
+                "_lowered_graph", lambda: build_dependency_graph(self._lowered)
+            )
+        graph = self._derive("_lowered_graph", self._lower)
+        with self._lock:
+            if self._lowered is None:
+                self._lowered = graph.schedule
+        return graph
+
+    def _lower(self) -> DependencyGraph:
+        graph = lower_schedule(self.schedule, graph=self.graph())
+        return replace(graph, schedule=_freeze(graph.schedule))
 
     def fused(self) -> Schedule:
         """The lowered schedule with SEND/RECV pairs batched (fuse_comm)."""

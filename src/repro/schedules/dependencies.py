@@ -53,9 +53,11 @@ The graph *is* a set of int-id tables. Ops are numbered row-major
 ``id + 1`` and sorting by id sorts by ``(worker, position)``. Incoming
 edges are CSR tables over destination ids (``dep_ptr``, ``dep_src``,
 ``dep_kind``, ``dep_units``). The builder hashes each op's key once, for
-the uniqueness check; everything else indexes by id. Lowering, the
-engine's dense form (and through it the array kernel) and the
-validator's acyclicity check read the tables. The ``OpKey``-keyed
+the uniqueness check; everything else indexes by id. Lowering (which
+splices its lowered graph's tables from them instead of rebuilding),
+the engine's dense form, the array kernel and the validator's
+acyclicity check read the tables; this builder stays the reference
+that the splice is tested against. The ``OpKey``-keyed
 ``location``/``deps`` dicts and the :class:`Edge` iterators are views,
 built on first use, for the readers that think in op keys: the
 bubble-filling pass, the polling simulator and the tests.

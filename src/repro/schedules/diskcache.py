@@ -65,7 +65,9 @@ from types import MappingProxyType
 #: dependency graphs. Any change to the attributes of
 #: :class:`~repro.sim.kernel.ScheduleKernel` needs a bump too (a test in
 #: ``tests/test_diskcache.py`` pins the pair).
-FORMAT_VERSION = 3
+#: v4: kernels built from the graph's tables drop the unread
+#: ``send_cls``, ``send_ids``, ``_edge_cls_list`` and ``_edge_send_list``.
+FORMAT_VERSION = 4
 
 #: First bytes of every entry file; a cheap pre-pickle sanity check that
 #: rejects foreign files dropped into the cache directory.

@@ -32,16 +32,33 @@ The pass reads only the :class:`~repro.schedules.dependencies.
 DependencyGraph`'s int-id tables (its op table and CSR edge tables),
 never builder internals and never op keys, so every registered scheme —
 and any future builder — lowers without per-scheme code.
+
+Lowering returns the lowered schedule's dependency graph, not only the
+schedule: it splices each SEND/RECV pair into the implicit graph's CSR
+tables instead of leaving a second graph build to the caller. Each
+rewritten cross-worker edge becomes the consumer's ``DELIVERY`` edge
+from its RECV, the RECV takes the ``TRANSFER`` edge from its SEND, and
+the SEND takes an ``ENQUEUE`` edge from the producer; every other edge
+keeps its kind and units, with its source renumbered. The result equals
+:func:`~repro.schedules.dependencies.build_dependency_graph` of the
+lowered schedule table for table (``tests/test_dependency_parity.py``
+pins it), so the builder stays the reference and lowering reuses its
+own edge scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from repro.common.errors import ScheduleError
 from repro.schedules.dependencies import (
     ACTIVATION,
+    DELIVERY,
+    ENQUEUE,
     GRADIENT,
+    TRANSFER,
     DependencyGraph,
     build_dependency_graph,
 )
@@ -55,7 +72,7 @@ def is_lowered(schedule: Schedule) -> bool:
 
 def lower_schedule(
     schedule: Schedule, *, graph: DependencyGraph | None = None
-) -> Schedule:
+) -> DependencyGraph:
     """Rewrite implicit cross-worker edges into explicit SEND/RECV pairs.
 
     Parameters
@@ -68,8 +85,9 @@ def lower_schedule(
 
     Returns
     -------
-    Schedule
-        A new schedule with the same compute ops in the same order, comm
+    DependencyGraph
+        The lowered schedule's dependency graph. Its ``schedule`` is the
+        lowered schedule: the same compute ops in the same order, comm
         ops inserted, and ``metadata["lowered"] = True``.
 
     Raises
@@ -85,61 +103,127 @@ def lower_schedule(
     if graph is None:
         graph = build_dependency_graph(schedule)
 
-    ops_flat, op_worker = graph.ops_flat, graph.op_worker
-    ptr, dep_src, dep_kind = graph.dep_ptr, graph.dep_src, graph.dep_kind
+    ops_flat = graph.ops_flat
+    total = len(ops_flat)
+    ptr = np.asarray(graph.dep_ptr, dtype=np.int64)
+    src = np.asarray(graph.dep_src, dtype=np.int64)
+    kind = np.asarray(graph.dep_kind, dtype=np.int64)
+    worker = np.asarray(graph.op_worker, dtype=np.int64)
+    dst = np.repeat(np.arange(total), np.diff(ptr))
 
     # One (SEND, RECV) pair per cross-worker message edge. Ids are
     # row-major, so sorting edges by (src id, dst id) orders them by
     # (src worker, src position, dst worker, dst position): multiple
     # sends hanging off one producer launch in the order their consumers
     # run — eager FIFO matches consumption order.
-    edges: list[tuple[int, int, int]] = []
-    for dst in range(len(ops_flat)):
-        for e in range(ptr[dst], ptr[dst + 1]):
-            kind = dep_kind[e]
-            src = dep_src[e]
-            if (kind == ACTIVATION or kind == GRADIENT) and (
-                op_worker[src] != op_worker[dst]
-            ):
-                edges.append((src, dst, kind))
-    edges.sort()
-    sends_after: dict[int, list[Operation]] = {}
-    recvs_before: dict[int, list[Operation]] = {}
-    for src, dst, kind in edges:
-        src_op = ops_flat[src]
-        dst_op = ops_flat[dst]
-        payload = "act" if kind == ACTIVATION else "grad"
-        shared = tuple(
-            sorted(set(src_op.micro_batches) & set(dst_op.micro_batches))
-        )
-        send = Operation(
-            OpKind.SEND,
-            dst_op.replica,
-            src_op.stage,
-            micro_batches=shared,
-            part=dst_op.part,
-            payload=payload,
-        )
-        recv = Operation(
-            OpKind.RECV,
-            dst_op.replica,
-            dst_op.stage,
-            micro_batches=shared,
-            part=dst_op.part,
-            payload=payload,
-        )
-        sends_after.setdefault(src, []).append(send)
-        recvs_before.setdefault(dst, []).append(recv)
+    cross = np.flatnonzero(
+        ((kind == ACTIVATION) | (kind == GRADIENT)) & (worker[src] != worker[dst])
+    )
+    cross = cross[np.lexsort((kind[cross], dst[cross], src[cross]))]
+    c_src, c_dst = src[cross], dst[cross]
+    num = len(cross)
 
-    rows: list[list[Operation]] = [[] for _ in schedule.worker_ops]
-    for oid, op in enumerate(ops_flat):
-        row = rows[op_worker[oid]]
-        row.extend(recvs_before.get(oid, ()))
-        row.append(op)
-        row.extend(sends_after.get(oid, ()))
+    # Renumbering: each op's RECVs sit just before it and its SENDs just
+    # after it, so an op moves up by every comm op inserted before it.
+    num_sends = np.bincount(c_src, minlength=total)
+    num_recvs = np.bincount(c_dst, minlength=total)
+    inserted = num_sends + num_recvs
+    new_id = np.arange(total) + np.cumsum(inserted) - inserted + num_recvs
+    rank = np.arange(num)
+    send_id = new_id[c_src] + 1 + rank - np.searchsorted(c_src, c_src)
+    by_dst = np.argsort(c_dst, kind="stable")
+    recv_rank = np.empty(num, dtype=np.int64)
+    recv_rank[by_dst] = rank - np.searchsorted(c_dst[by_dst], c_dst[by_dst])
+    recv_id = new_id[c_dst] - num_recvs[c_dst] + recv_rank
 
-    return replace(
+    sends: list[Operation] = []
+    recvs: list[Operation] = []
+    recv_units: list[float] = []
+    for s, d, k in zip(c_src.tolist(), c_dst.tolist(), kind[cross].tolist()):
+        src_op = ops_flat[s]
+        dst_op = ops_flat[d]
+        payload = "act" if k == ACTIVATION else "grad"
+        shared = dst_op.micro_batches
+        if len(shared) > 1 or shared != src_op.micro_batches:
+            shared = tuple(sorted(set(src_op.micro_batches) & set(shared)))
+        sends.append(
+            Operation(
+                OpKind.SEND,
+                dst_op.replica,
+                src_op.stage,
+                micro_batches=shared,
+                part=dst_op.part,
+                payload=payload,
+            )
+        )
+        recvs.append(
+            Operation(
+                OpKind.RECV,
+                dst_op.replica,
+                dst_op.stage,
+                micro_batches=shared,
+                part=dst_op.part,
+                payload=payload,
+            )
+        )
+        recv_units.append(len(shared) / dst_op.part[1])
+
+    # The lowered op table.
+    size = total + 2 * num
+    ops = np.empty(size, dtype=object)
+    ops[new_id] = ops_flat
+    ops[send_id] = sends
+    ops[recv_id] = recvs
+    op_worker = np.empty(size, dtype=np.int64)
+    op_worker[new_id] = worker
+    op_worker[send_id] = worker[c_src]
+    op_worker[recv_id] = worker[c_dst]
+    row_len = np.bincount(op_worker, minlength=schedule.num_workers)
+    row_end = np.cumsum(row_len)
+    row_pos = np.arange(size) - (row_end - row_len)[op_worker]
+
+    # The lowered CSR tables: every op keeps its edge slots in order (a
+    # cross-worker edge turns into the DELIVERY from its RECV), each SEND
+    # holds one ENQUEUE slot and each RECV one TRANSFER slot.
+    counts = np.ones(size, dtype=np.int64)
+    counts[new_id] = np.diff(ptr)
+    new_ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_ptr[1:])
+    slot = new_ptr[new_id[dst]] + np.arange(len(src)) - ptr[dst]
+    edges = len(src) + 2 * num
+    new_src = np.empty(edges, dtype=np.int64)
+    new_kind = np.empty(edges, dtype=np.int64)
+    new_units = np.empty(edges, dtype=np.float64)
+    new_src[slot] = new_id[src]
+    new_kind[slot] = kind
+    new_units[slot] = graph.dep_units
+    delivered = slot[cross]
+    new_src[delivered] = recv_id
+    new_kind[delivered] = DELIVERY
+    new_units[delivered] = 0.0
+    enqueued = new_ptr[send_id]
+    new_src[enqueued] = new_id[c_src]
+    new_kind[enqueued] = ENQUEUE
+    new_units[enqueued] = 0.0
+    wired = new_ptr[recv_id]
+    new_src[wired] = send_id
+    new_kind[wired] = TRANSFER
+    new_units[wired] = recv_units
+
+    ops_list = ops.tolist()
+    bounds = zip((row_end - row_len).tolist(), row_end.tolist())
+    lowered = replace(
         schedule,
-        worker_ops=freeze_worker_ops(rows),
+        worker_ops=freeze_worker_ops([ops_list[a:b] for a, b in bounds]),
         metadata={**dict(schedule.metadata), "lowered": True},
+    )
+    return DependencyGraph(
+        schedule=lowered,
+        ops_flat=ops_list,
+        op_worker=op_worker.tolist(),
+        row_pos=row_pos.tolist(),
+        dep_ptr=new_ptr.tolist(),
+        dep_src=new_src.tolist(),
+        dep_kind=new_kind.tolist(),
+        dep_units=new_units.tolist(),
     )

@@ -1,8 +1,9 @@
 """The communication-lowering transform as a pass.
 
 ``lower_p2p`` is :func:`repro.schedules.lowering.lower_schedule` behind the
-pass interface: every cross-worker activation/gradient dependency becomes
-an explicit eager ``SEND`` / just-in-time ``RECV`` pair. The heavy lifting
+pass interface (it keeps the lowered schedule and lets lowering's graph
+go): every cross-worker activation/gradient dependency becomes an
+explicit eager ``SEND`` / just-in-time ``RECV`` pair. The heavy lifting
 stays in :mod:`repro.schedules.lowering` (the cache's lazily-derived
 artifacts call it directly); this wrapper contributes the ordering facts —
 it provides ``lowered`` and refuses to run twice — and the postcondition
@@ -25,7 +26,7 @@ class LowerP2PPass(SchedulePass):
     provides = frozenset({LOWERED})
 
     def run(self, schedule: Schedule) -> Schedule:
-        return lower_schedule(schedule)
+        return lower_schedule(schedule).schedule
 
     def check(self, before: Schedule, after: Schedule) -> None:
         kept = [op for _, op in after.all_ops() if not op.is_comm]

@@ -43,10 +43,10 @@ batteries compare against this engine to 1e-9. Only tests, the ``event``
 baseline that ``repro bench`` times, and the kernel/engine benchmark
 scripts call it. The seed's round-robin polling loop is preserved as
 :func:`simulate_polling`, the engine's own check: it reads the graph's
-``OpKey``-keyed ``deps``/``location`` views instead of the
-``_DenseSchedule`` that both the engine and the kernel are built from
-(which read the graph's int-id tables), so it independently checks that
-translation. It re-scans every worker per round, O(workers x rounds).
+``OpKey``-keyed ``deps``/``location`` views instead of the graph's
+int-id tables that the engine's ``_DenseSchedule`` and the array kernel
+are built from, so it independently checks that translation. It re-scans
+every worker per round, O(workers x rounds).
 """
 
 from __future__ import annotations
@@ -199,8 +199,48 @@ def _clear_of_transfers(
 _PLAIN, _ALLREDUCE, _SEND, _RECV = 0, 1, 2, 3
 
 
+def _classify_ops(
+    ops_flat: list[Operation],
+) -> tuple[list[int], list[int], list[tuple]]:
+    """Per-op kind code, host-transfer direction and duration shape.
+
+    The one op classification the engine's dense form and the array
+    kernel share. Host ops reuse the ``_SEND`` machinery (both launch a
+    transfer that occupies a channel); the host direction (-1 for network
+    sends and non-sends, 0 for an OFFLOAD's device→host copy, 1 for a
+    RELOAD's host→device copy) tells the wire-parameter setup to price
+    them on the worker's host channel instead of a link. The shape is the
+    duration-memoization key: everything ``compute_time()`` reads.
+    """
+    kind_code: list[int] = []
+    host_dir: list[int] = []
+    shapes: list[tuple] = []
+    for op in ops_flat:
+        # The member's value string hashes in C; the member itself hashes
+        # its name in Python, which dominates a loop this tight.
+        kind = op.kind._value_
+        code, direction = _KIND_CODES.get(kind, _PLAIN_CODES)
+        kind_code.append(code)
+        host_dir.append(direction)
+        # Inlined op.work_units: 0 for every non-_PLAIN (non-compute) op.
+        units = len(op.micro_batches) / op.part[1] if code == _PLAIN else 0.0
+        shapes.append((kind, op.stage, units, op.recompute))
+    return kind_code, host_dir, shapes
+
+
+#: OpKind value -> (kind code, host direction) of every non-``_PLAIN`` kind.
+_KIND_CODES = {
+    OpKind.ALLREDUCE.value: (_ALLREDUCE, -1),
+    OpKind.SEND.value: (_SEND, -1),
+    OpKind.RECV.value: (_RECV, -1),
+    OpKind.OFFLOAD.value: (_SEND, 0),
+    OpKind.RELOAD.value: (_SEND, 1),
+}
+_PLAIN_CODES = (_PLAIN, -1)
+
+
 class _DenseSchedule:
-    """Cost-model-independent dense form of a dependency graph.
+    """The event engine's dense form of a dependency graph.
 
     Reads the graph's int-id tables (row-major op ids, CSR incoming
     edges) and splits its edges by how the event loop consumes them, so
@@ -208,6 +248,8 @@ class _DenseSchedule:
     ``op.key()`` tuples. Built once per graph and cached on it —
     repeated simulations of one schedule under many cost models
     (calibration sweeps, ablations) pay only the per-cost-model arrays.
+    Only the engine reads it; the array kernel builds its own arrays
+    from the same tables.
     """
 
     def __init__(self, graph: DependencyGraph):
@@ -229,48 +271,19 @@ class _DenseSchedule:
         total = len(self.ops_flat)
         self.total = total
 
-        self.kind_code = [_PLAIN] * total
-        #: Host-transfer direction: -1 for network sends, 0 for an
-        #: OFFLOAD's device→host copy, 1 for a RELOAD's host→device copy.
-        #: Host ops reuse the _SEND machinery (both launch a transfer that
-        #: occupies a channel); this array tells the wire-parameter setup
-        #: to price them on the worker's host channel instead of a link.
-        self.host_dir = [-1] * total
-        #: Duration-memoization key: everything compute_time() reads.
-        self.shape: list[tuple] = [()] * total
+        self.kind_code, self.host_dir, self.shape = _classify_ops(self.ops_flat)
         self.group_of: dict[int, tuple] = {}
         self.sync_group_members: dict[tuple, list[tuple[int, Operation]]] = (
             defaultdict(list)
         )
-        #: Sync group key -> dense ids of its members, in member order.
-        self.sync_group_ids: dict[tuple, list[int]] = defaultdict(list)
-        for oid, op in enumerate(self.ops_flat):
-            kind = op.kind
-            if kind is OpKind.ALLREDUCE:
-                self.kind_code[oid] = _ALLREDUCE
+        for oid, code in enumerate(self.kind_code):
+            if code == _ALLREDUCE:
+                op = self.ops_flat[oid]
                 group_key = (op.stage, op.micro_batches)
                 self.sync_group_members[group_key].append(
                     (self.op_worker[oid], op)
                 )
-                self.sync_group_ids[group_key].append(oid)
                 self.group_of[oid] = group_key
-            elif kind is OpKind.SEND:
-                self.kind_code[oid] = _SEND
-            elif kind is OpKind.RECV:
-                self.kind_code[oid] = _RECV
-            elif kind is OpKind.OFFLOAD:
-                self.kind_code[oid] = _SEND
-                self.host_dir[oid] = 0
-            elif kind is OpKind.RELOAD:
-                self.kind_code[oid] = _SEND
-                self.host_dir[oid] = 1
-            # Inlined op.work_units: 0 for every non-_PLAIN (non-compute) op.
-            units = (
-                len(op.micro_batches) / op.part[1]
-                if self.kind_code[oid] == _PLAIN
-                else 0.0
-            )
-            self.shape[oid] = (kind, op.stage, units, op.recompute)
 
         ptr = graph.dep_ptr
         dep_src, dep_kind, dep_units = graph.dep_src, graph.dep_kind, graph.dep_units

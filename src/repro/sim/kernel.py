@@ -41,10 +41,11 @@ Public surface:
   dependency graph: a numpy structured op table, flattened edge arrays,
   a wave levelization, precomputed per-SEND tables (worker endpoints,
   payload units, row positions), and `reduceat` segment offsets. Built
-  once per graph (:func:`kernel_of`); it keeps nothing of the graph or
-  the engine's dense form it came from beyond the per-op lists it reads,
-  so schedule-cache entries keep kernels resident, let graphs go, and
-  store kernels (not graphs) in the disk tier.
+  once per graph (:func:`kernel_of`) straight from the graph's op table
+  and CSR edge tables, never from the engine's dense form; it keeps
+  nothing of the graph beyond the per-op lists it reads, so
+  schedule-cache entries keep kernels resident, let graphs go, and store
+  kernels (not graphs) in the disk tier.
 * :func:`simulate_fast` — the simulator users reach (exported as
   :func:`repro.simulate`): a full :class:`~repro.sim.engine.SimulationResult`
   for one cost model. One scalar pass when contention-free; inline FIFO
@@ -78,7 +79,13 @@ import numpy as np
 
 from repro.common.errors import KernelConvergenceError, ScheduleError
 from repro.common.gcpause import collector_paused
-from repro.schedules.dependencies import DependencyGraph, build_dependency_graph
+from repro.schedules.dependencies import (
+    ACTIVATION,
+    GRADIENT,
+    TRANSFER,
+    DependencyGraph,
+    build_dependency_graph,
+)
 from repro.schedules.ir import Operation, Schedule
 from repro.sim.cost import CostModel
 from repro.sim.engine import (
@@ -89,8 +96,8 @@ from repro.sim.engine import (
     SimulationResult,
     TimedOp,
     TransferRecord,
+    _classify_ops,
     _clear_of_transfers,
-    _dense_of,
     _finalize,
 )
 
@@ -115,11 +122,29 @@ OP_DTYPE = np.dtype(
 )
 
 
+def _first_seen(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of the key columns by first appearance.
+
+    Returns each row's id and, per id, the index of its first row.
+    """
+    order = np.lexsort(keys[::-1])  # stable: equal rows keep row order
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    first = order[new]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, np.sort(first)
+
+
 class ScheduleKernel:
     """Cost-model-independent array form of one dependency graph.
 
-    Parallel arrays, all indexed by the graph's row-major op ids (the
-    engine's dense ids):
+    Parallel arrays, all indexed by the graph's row-major op ids:
 
     ``ops``
         The :data:`OP_DTYPE` structured table.
@@ -133,134 +158,116 @@ class ScheduleKernel:
     ``send_oid`` / ``send_worker`` / ``send_dst_w`` / ``send_units`` /
     ``send_row_pos``
         The per-SEND table, built once: everything the FIFO serialization
-        and the occupancy hint need, with no per-call scan of the dense
-        form.
+        and the occupancy hint need, with no per-call scan of the graph.
 
     The wave/segment offset arrays (``wave_op_ptr``, ``wave_edge_ptr``,
     ``red_off``, ``red_dst``, ``wave_red_ptr``, ``inc_ptr``) drive the two
     relaxation strategies; see :meth:`relax_scalar` and :meth:`relax`.
 
-    The kernel is self-contained: of the engine's dense form it keeps
-    only the per-op ``ops_flat``, ``op_worker`` and ``row_pos`` lists and
-    the dense ids of each sync group's members (``sync_groups``), so it
-    outlives the dependency graph it was built from.
+    The kernel reads the graph's op table and CSR edge tables directly
+    and keeps nothing of the graph or the engine's dense form: only the
+    per-op ``ops_flat``, ``op_worker`` and ``row_pos`` lists and the ids
+    of each sync group's members (``sync_groups``), so it outlives the
+    dependency graph it was built from.
     """
 
     def __init__(self, graph: DependencyGraph):
-        dense = _dense_of(graph)
-        total = dense.total
+        ops_flat = graph.ops_flat
+        total = len(ops_flat)
         self.total = total
-        self.ops_flat = dense.ops_flat
-        self.op_worker = dense.op_worker
-        #: Position of each op in its worker's row (dense ids are
-        #: row-major, so an op's row successor is id + 1).
-        self.row_pos = dense.row_pos
-        #: Sync group key -> dense ids of its ALLREDUCE members, in the
-        #: engine's member order.
+        self.ops_flat = ops_flat
+        self.op_worker = graph.op_worker
+        #: Position of each op in its worker's row (ids are row-major, so
+        #: an op's row successor is id + 1).
+        self.row_pos = graph.row_pos
+        kind_code, host_dir, shapes = _classify_ops(ops_flat)
+        code = np.array(kind_code, dtype=np.int8)
+        #: Sync group key -> ids of its ALLREDUCE members, in the engine's
+        #: member order (id order).
+        groups: dict[tuple, list[int]] = {}
+        for oid in np.flatnonzero(code == _ALLREDUCE).tolist():
+            op = ops_flat[oid]
+            groups.setdefault((op.stage, op.micro_batches), []).append(oid)
         self.sync_groups: dict[tuple, tuple[int, ...]] = {
-            key: tuple(ids) for key, ids in dense.sync_group_ids.items()
+            key: tuple(ids) for key, ids in groups.items()
         }
 
         # ---- shape classes (duration memoization across cost models) ----
         shape_id: dict[tuple, int] = {}
-        self.shape_reps: list[tuple[int, Operation]] = []
-        op_shape = np.zeros(total, dtype=np.int32)
-        for oid, op in enumerate(dense.ops_flat):
-            shape = dense.shape[oid]
-            sid = shape_id.get(shape)
-            if sid is None:
-                sid = len(self.shape_reps)
-                shape_id[shape] = sid
-                self.shape_reps.append((dense.kind_code[oid], op))
-            op_shape[oid] = sid
+        op_shape = [shape_id.setdefault(shape, len(shape_id)) for shape in shapes]
+        first = np.unique(op_shape, return_index=True)[1].tolist()
+        self.shape_reps: list[tuple[int, Operation]] = [
+            (kind_code[oid], ops_flat[oid]) for oid in first
+        ]
 
         # ---- combined edge list -----------------------------------------
+        # Worker-order chains first, then the graph's edges ordered by
+        # (source, group, CSR slot). Group 0 is a local edge (no delay),
+        # group 1 an implicit cross-worker p2p edge, group 2 a SEND's wire
+        # (TRANSFER) edge; the engine's dense form keeps only a SEND's
+        # last TRANSFER edge, and so does the kernel (group -1 drops).
+        worker = np.asarray(graph.op_worker, dtype=np.int64)
+        ptr = np.asarray(graph.dep_ptr, dtype=np.int64)
+        src = np.asarray(graph.dep_src, dtype=np.int64)
+        kind = np.asarray(graph.dep_kind, dtype=np.int64)
+        dst = np.repeat(np.arange(total), np.diff(ptr))
+        group = (
+            ((kind == ACTIVATION) | (kind == GRADIENT)) & (worker[src] != worker[dst])
+        ).astype(np.int64)
+        wire = np.flatnonzero(kind == TRANSFER)[::-1]
+        group[wire] = -1
+        group[wire[np.unique(src[wire], return_index=True)[1]]] = 2
+        keep = np.flatnonzero(group >= 0)
+        keep = keep[np.lexsort((keep, group[keep], src[keep]))]
+        d_src, d_dst, d_group = src[keep], dst[keep], group[keep]
+        d_units = np.asarray(graph.dep_units, dtype=np.float64)[keep]
+        chain = np.flatnonzero(worker[1:] == worker[:-1])
+        esrc = np.concatenate((chain, d_src))
+        edst = np.concatenate((chain + 1, d_dst))
+        num_edges = len(esrc)
+
         # Delay classes: distinct (src_worker, dst_worker, payload_units,
-        # host_dir) tuples actually present on delay-carrying edges.
+        # host_dir) tuples on delay-carrying edges, numbered in edge order.
         # host_dir is -1 for network edges and the transfer direction for
         # host-channel (OFFLOAD/RELOAD) wire edges, which are priced on
         # the cost model's host link instead of the topology. Class 0 is
         # the zero-delay class shared by program-order and local edges.
-        cls_id: dict[tuple[int, int, float, int], int] = {}
-        self.delay_classes: list[tuple[int, int, float, int]] = []
-
-        def _cls(src_w: int, dst_w: int, units: float, host_dir: int = -1) -> int:
-            key = (src_w, dst_w, units, host_dir)
-            cid = cls_id.get(key)
-            if cid is None:
-                cid = len(self.delay_classes) + 1
-                cls_id[key] = cid
-                self.delay_classes.append(key)
-            return cid
-
-        esrc: list[int] = []
-        edst: list[int] = []
-        ecls: list[int] = []
-        #: Per-edge send-table index (-1 for non-TRANSFER edges); the
-        #: contended sweeps add each SEND's queueing delay to its wire
-        #: edge through this mapping.
-        etr: list[int] = []
-        op_worker = dense.op_worker
-        for ids in dense.row_ids:
-            for a, b in zip(ids, ids[1:]):
-                esrc.append(a)
-                edst.append(b)
-                ecls.append(0)
-                etr.append(-1)
-        #: SEND op id -> delay class of its wire edge.
-        self.send_cls: dict[int, int] = {}
-        send_oid: list[int] = []
-        send_dst_w: list[int] = []
-        send_units: list[float] = []
-        for src in range(total):
-            for dst in dense.out_local[src]:
-                esrc.append(src)
-                edst.append(dst)
-                ecls.append(0)
-                etr.append(-1)
-            for dst, src_w, dst_w, units in dense.out_remote[src]:
-                esrc.append(src)
-                edst.append(dst)
-                ecls.append(_cls(src_w, dst_w, units))
-                etr.append(-1)
-            recv = dense.transfer_out[src]
-            if recv >= 0:
-                dst_w, units = dense.send_info[src]
-                cid = _cls(op_worker[src], dst_w, units, dense.host_dir[src])
-                self.send_cls[src] = cid
-                esrc.append(src)
-                edst.append(recv)
-                ecls.append(cid)
-                etr.append(len(send_oid))
-                send_oid.append(src)
-                send_dst_w.append(dst_w)
-                send_units.append(units)
-        num_edges = len(esrc)
+        host = np.asarray(host_dir, dtype=np.int64)
+        delayed = np.flatnonzero(d_group > 0)
+        keys = (
+            worker[d_src[delayed]],
+            worker[d_dst[delayed]],
+            d_units[delayed],
+            np.where(d_group[delayed] == 2, host[d_src[delayed]], -1),
+        )
+        cls, first = _first_seen(*keys)
+        self.delay_classes: list[tuple[int, int, float, int]] = list(
+            zip(*(key[first].tolist() for key in keys))
+        )
+        ecls = np.zeros(num_edges, dtype=np.int64)
+        ecls[len(chain) + delayed] = cls + 1
 
         # ---- the per-kernel SEND table ----------------------------------
         # Everything per-cost-model send evaluation needs, in array form:
-        # send_tables and the FIFO serialization never loop over
-        # dense.send_info again.
-        self.send_oid = np.array(send_oid, dtype=np.int64)
-        self.send_worker = np.array(
-            [op_worker[o] for o in send_oid], dtype=np.int64
-        )
-        self.send_dst_w = np.array(send_dst_w, dtype=np.int64)
-        self.send_units = np.array(send_units, dtype=np.float64)
-        self.send_row_pos = np.array(
-            [dense.row_pos[o] for o in send_oid], dtype=np.int64
-        )
+        # send_tables and the FIFO serialization never rescan the graph.
+        wired = np.flatnonzero(d_group == 2)
+        self.send_oid = d_src[wired]
+        self.send_worker = worker[self.send_oid]
+        self.send_dst_w = worker[d_dst[wired]]
+        self.send_units = d_units[wired]
+        self.send_row_pos = np.asarray(graph.row_pos, dtype=np.int64)[self.send_oid]
         #: Host-transfer direction per send (-1 network, 0 d2h, 1 h2d).
-        self.send_host_dir = np.array(
-            [dense.host_dir[o] for o in send_oid], dtype=np.int64
-        )
+        self.send_host_dir = host[self.send_oid]
         self.has_host_sends = bool((self.send_host_dir >= 0).any())
-        self.send_ids = send_oid
+        #: Per-edge send-table index (-1 for non-TRANSFER edges); the
+        #: contended sweeps add each SEND's queueing delay to its wire
+        #: edge through this mapping.
+        etr = np.full(num_edges, -1, dtype=np.int64)
+        etr[len(chain) + wired] = np.arange(len(wired))
         #: Op id -> send-table index (-1 for non-SEND ops).
-        send_of_op = [-1] * total
-        for i, oid in enumerate(send_oid):
-            send_of_op[oid] = i
-        self._send_of_op = send_of_op
+        send_of_op = np.full(total, -1, dtype=np.int64)
+        send_of_op[self.send_oid] = np.arange(len(wired))
+        self._send_of_op = send_of_op.tolist()
         # Full-duplex channels are single-source (channel (a, b) only ever
         # carries worker a's sends, whose end times are monotone in row
         # order), so the FIFO order per channel is static and contended
@@ -284,7 +291,7 @@ class ScheduleKernel:
             )
         uniq, inverse = (
             np.unique(chan_full, return_inverse=True)
-            if len(send_oid)
+            if len(wired)
             else (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         )
         self.send_chan_idx = inverse
@@ -292,24 +299,23 @@ class ScheduleKernel:
         self._send_chan_list = inverse.tolist()
 
         # ---- wave levelization (Kahn over the combined DAG) -------------
-        indeg = [0] * total
-        out: list[list[int]] = [[] for _ in range(total)]
-        for e in range(num_edges):
-            indeg[edst[e]] += 1
-            out[esrc[e]].append(edst[e])
+        by_src = np.argsort(esrc, kind="stable")
+        out_dst = edst[by_src].tolist()
+        out_ptr = np.searchsorted(esrc[by_src], np.arange(total + 1)).tolist()
+        indeg = np.bincount(edst, minlength=total).tolist()
         wave = [0] * total
-        frontier = [o for o in range(total) if indeg[o] == 0]
+        frontier = [o for o, n in enumerate(indeg) if not n]
         level = 0
         seen = 0
         while frontier:
             nxt: list[int] = []
             for o in frontier:
                 wave[o] = level
-                seen += 1
-                for d in out[o]:
+                for d in out_dst[out_ptr[o] : out_ptr[o + 1]]:
                     indeg[d] -= 1
-                    if indeg[d] == 0:
+                    if not indeg[d]:
                         nxt.append(d)
+            seen += len(frontier)
             frontier = nxt
             level += 1
         if seen != total:
@@ -328,32 +334,33 @@ class ScheduleKernel:
         #: batched sweep by 2x+; the batch paths route on this flag.
         self.wave_sweep_profitable = total >= 6 * max(1, level)
 
-        order = sorted(range(total), key=lambda o: (wave[o], o))
-        pos_of = [0] * total
-        for pos, oid in enumerate(order):
-            pos_of[oid] = pos
-
         # ---- structured op table ----------------------------------------
         ops = np.zeros(total, dtype=OP_DTYPE)
-        ops["kind"] = dense.kind_code
-        ops["worker"] = op_worker
+        ops["kind"] = code
+        ops["worker"] = worker
         ops["shape"] = op_shape
         ops["wave"] = wave
         self.ops = ops
 
-        # Edges sorted by the destination's topological position, so one
-        # sorted array serves both the scalar pass (per-op CSR slices) and
-        # the wave pass (per-wave slices + reduceat segments).
-        eorder = sorted(range(num_edges), key=lambda e: pos_of[edst[e]])
-        self.edge_src = np.array([esrc[e] for e in eorder], dtype=np.int64)
-        self.edge_dst = np.array([edst[e] for e in eorder], dtype=np.int64)
-        self.edge_cls = np.array([ecls[e] for e in eorder], dtype=np.int64)
-        edge_send = np.array([etr[e] for e in eorder], dtype=np.int64)
+        # Topological order: wave-major, id-minor.
+        order = np.argsort(ops["wave"], kind="stable")
+        pos_of = np.empty(total, dtype=np.int64)
+        pos_of[order] = np.arange(total)
+
+        # Edges sorted by the destination's topological position (ties in
+        # edge-list order), so one sorted array serves both the scalar
+        # pass (per-op CSR slices) and the wave pass (per-wave slices +
+        # reduceat segments).
+        edge_pos = pos_of[edst]
+        eorder = np.argsort(edge_pos, kind="stable")
+        self.edge_src = esrc[eorder]
+        self.edge_dst = edst[eorder]
+        self.edge_cls = ecls[eorder]
+        edge_send = etr[eorder]
         #: Positions (in the sorted edge arrays) of the TRANSFER edges and
         #: the send-table index each one belongs to.
         self.tr_edge_pos = np.flatnonzero(edge_send >= 0)
         self.tr_edge_send = edge_send[self.tr_edge_pos]
-        self._edge_send_list = edge_send.tolist()
         # edge_src with TRANSFER edges remapped to virtual wire slots
         # (total + send index): the scalar FIFO sweep extends its end
         # list with one slot per SEND holding that SEND's wire start, so
@@ -365,23 +372,16 @@ class ScheduleKernel:
         # Scalar-path views (python lists index ~3x faster than ndarrays
         # in a tight interpreter loop).
         self._edge_src_list = self.edge_src.tolist()
-        self._edge_cls_list = self.edge_cls.tolist()
-        self._order_list = order
-        self._pos_of = pos_of
-        inc_ptr = [0] * (total + 1)
-        for e in range(num_edges):
-            inc_ptr[pos_of[edst[e]] + 1] += 1
-        for i in range(total):
-            inc_ptr[i + 1] += inc_ptr[i]
-        self._inc_ptr = inc_ptr
+        self._order_list = order.tolist()
+        self._pos_of = pos_of.tolist()
+        indeg_by_pos = np.bincount(edge_pos, minlength=total)
+        self._inc_ptr = [0] + np.cumsum(indeg_by_pos).tolist()
         #: Per-op in-degree, aligned with ``order``. The scalar sweeps
         #: dispatch on it (straight-line bodies for the dominant degree-
         #: 1/2/3 ops instead of a ``range`` loop per op).
-        self._indeg_list = [
-            inc_ptr[i + 1] - inc_ptr[i] for i in range(total)
-        ]
+        self._indeg_list = indeg_by_pos.tolist()
 
-        self.order = np.array(order, dtype=np.int64)
+        self.order = order
         wave_of_op = ops["wave"].astype(np.int64)
         waves = np.arange(self.num_waves + 1)
         self.wave_op_ptr = np.searchsorted(wave_of_op[self.order], waves)
@@ -1195,7 +1195,7 @@ def _assemble_result(
 
     num_workers = kernel.num_workers
     transfers: list[TransferRecord] = []
-    for idx, oid in enumerate(kernel.send_ids):
+    for idx, oid in enumerate(kernel.send_oid.tolist()):
         op = ops_flat[oid]
         ws = float(wire_start[idx])
         cid = int(chan[idx])

@@ -4,10 +4,10 @@ Each case pins two sha256 digests (first 16 hex digits each):
 
 * the graph column: ``list(graph.location.items())``, every
   ``graph.deps`` edge as ``(src, dst, kind, payload_units)`` in ``deps``
-  order, and, for schedules that are not lowered yet,
-  ``lower_schedule(...).worker_ops``. Recorded from the dict-of-``OpKey``
-  graph builder, so any change to op numbering, edge order, edge
-  payloads or lowered op order fails here;
+  order, and, for schedules that are not lowered yet, the lowered
+  schedule's ``worker_ops``. Recorded from the dict-of-``OpKey`` graph
+  builder, so any change to op numbering, edge order, edge payloads or
+  lowered op order fails here;
 * the kernel column: the :class:`~repro.sim.kernel.ScheduleKernel`
   arrays of the same graph (dtype, shape and bytes of each array in
   :data:`KERNEL_ARRAYS`, plus the delay classes, ``inc_ptr`` offsets,
@@ -185,7 +185,8 @@ def _digest(graph) -> str:
         for e in incoming:
             h.update(repr((e.src, e.dst, e.kind, e.payload_units)).encode())
     if not schedule.lowered:
-        h.update(repr(lower_schedule(schedule, graph=graph).worker_ops).encode())
+        lowered = lower_schedule(schedule, graph=graph).schedule
+        h.update(repr(lowered.worker_ops).encode())
     return h.hexdigest()[:16]
 
 
@@ -239,3 +240,33 @@ def test_graph_and_lowering_match_recorded_digest(case):
 @pytest.mark.parametrize("case", CASES)
 def test_kernel_matches_recorded_digest(case):
     assert _kernel_digest(_graph(case)) == EXPECTED[case][1]
+
+
+#: Pre-lowering forms of the table's pipelines (``lower_p2p`` runs on
+#: each), plus the extra Chimera variants and a deeper shape.
+LOWERING_CASES = [
+    (scheme, d, n, passes, {})
+    for scheme in available_schemes()
+    for d, n in (*SHAPES, (8, 16))
+    for passes in (None, "offload", "recompute")
+] + [("chimera", d, n, None, {"concat": "doubling"}) for d, n in (*SHAPES, (8, 16))]
+
+
+@pytest.mark.parametrize(
+    "scheme,d,n,passes,options",
+    LOWERING_CASES,
+    ids=[
+        f"{scheme}-{d}x{n}-{passes or 'implicit'}{'-doubling' if options else ''}"
+        for scheme, d, n, passes, options in LOWERING_CASES
+    ],
+)
+def test_lowering_graph_equals_rebuilt_graph(scheme, d, n, passes, options):
+    """The graph lowering splices equals the builder's graph of the
+    lowered schedule, table for table, and its kernel is the recorded
+    one."""
+    schedule = build_schedule(scheme, d, n, passes=passes, **options)
+    graph = lower_schedule(schedule)
+    assert graph == build_dependency_graph(graph.schedule)
+    case = f"{scheme}-{d}x{n}-{passes + ',' if passes else ''}lower_p2p"
+    if case in EXPECTED and not options:
+        assert _kernel_digest(graph) == EXPECTED[case][1]

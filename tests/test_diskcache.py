@@ -200,17 +200,16 @@ class TestKernelPersistence:
         (and then this pin)."""
         _, kernel = cold
         assert (FORMAT_VERSION, sorted(vars(kernel))) == (
-            3,
+            4,
             [
-                "_blocking", "_edge_cls_list", "_edge_send_list",
-                "_edge_src_list", "_esrc_fifo_list", "_inc_ptr",
+                "_blocking", "_edge_src_list", "_esrc_fifo_list", "_inc_ptr",
                 "_indeg_list", "_order_list", "_pos_of", "_send_chan_list",
                 "_send_of_op", "compute_by_worker", "compute_ids",
                 "delay_classes", "edge_cls", "edge_dst", "edge_src",
                 "has_host_sends", "num_channels", "num_waves", "num_workers",
                 "op_worker", "ops", "ops_flat", "order", "red_dst",
                 "red_off", "row_pos", "send_by_wave", "send_chan_idx",
-                "send_cls", "send_dst_w", "send_host_dir", "send_ids",
+                "send_dst_w", "send_host_dir",
                 "send_oid", "send_row_pos", "send_units", "send_worker",
                 "shape_reps", "sync_groups", "total", "tr_edge_pos",
                 "tr_edge_send", "wave_edge_ptr", "wave_op_ptr",

@@ -61,7 +61,7 @@ def _cross_worker_messages(graph) -> int:
 
 class TestLoweringStructure:
     def test_marks_metadata(self):
-        low = lower_schedule(build_schedule("dapple", 4, 4))
+        low = lower_schedule(build_schedule("dapple", 4, 4)).schedule
         assert low.lowered and is_lowered(low)
         assert not is_lowered(build_schedule("dapple", 4, 4))
 
@@ -69,19 +69,19 @@ class TestLoweringStructure:
         s = build_schedule("chimera", 4, 4)
         edges = _cross_worker_messages(build_dependency_graph(s))
         assert edges > 0
-        low = lower_schedule(s)
+        low = lower_schedule(s).schedule
         assert low.count(OpKind.SEND) == edges
         assert low.count(OpKind.RECV) == edges
 
     def test_lowered_graph_has_no_implicit_p2p(self):
-        low = lower_schedule(build_schedule("chimera", 4, 4))
+        low = lower_schedule(build_schedule("chimera", 4, 4)).schedule
         g = build_dependency_graph(low)
         assert _cross_worker_messages(g) == 0
         assert sum(1 for _ in g.transfer_edges()) == low.count(OpKind.SEND)
 
     def test_eager_send_sits_after_producer(self):
         """Every SEND directly follows an op that produced its payload."""
-        low = lower_schedule(build_schedule("dapple", 4, 4))
+        low = lower_schedule(build_schedule("dapple", 4, 4)).schedule
         for ops in low.worker_ops:
             for prev, op in zip(ops, ops[1:]):
                 if op.kind is OpKind.SEND:
@@ -94,7 +94,7 @@ class TestLoweringStructure:
                     assert anchor.is_forward or anchor.is_backward
 
     def test_recv_sits_before_consumer(self):
-        low = lower_schedule(build_schedule("dapple", 4, 4))
+        low = lower_schedule(build_schedule("dapple", 4, 4)).schedule
         for ops in low.worker_ops:
             for op, nxt in zip(ops, ops[1:]):
                 if op.kind is OpKind.RECV:
@@ -105,7 +105,7 @@ class TestLoweringStructure:
 
     def test_compute_order_preserved(self):
         s = build_schedule("chimera", 4, 4)
-        low = lower_schedule(s)
+        low = lower_schedule(s).schedule
         for worker in range(s.num_workers):
             original = [op for op in s.ops_on(worker)]
             kept = [op for op in low.ops_on(worker) if not op.is_comm]
@@ -113,7 +113,7 @@ class TestLoweringStructure:
 
     def test_local_hops_not_lowered(self):
         """ZB-V folds chunks p-1 and p onto one worker: no comm ops there."""
-        low = lower_schedule(build_schedule("zb_v", 4, 4))
+        low = lower_schedule(build_schedule("zb_v", 4, 4)).schedule
         p = 4
         step = {"act": 1, "grad": -1}
         for _, op in low.comm_ops():
@@ -124,20 +124,21 @@ class TestLoweringStructure:
             assert {src, dst} != {p - 1, p}, f"fold hop lowered: {op.short()}"
 
     def test_double_lowering_rejected(self):
-        low = lower_schedule(build_schedule("dapple", 4, 4))
+        low = lower_schedule(build_schedule("dapple", 4, 4)).schedule
         with pytest.raises(ScheduleError):
-            lower_schedule(low)
+            lower_schedule(low).schedule
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_all_schemes_validate_lowered(self, scheme):
-        validate_schedule(lower_schedule(build_schedule(scheme, 4, 8)))
+        validate_schedule(lower_schedule(build_schedule(scheme, 4, 8)).schedule)
 
     @pytest.mark.parametrize(
         "options",
         [{"concat": "doubling"}, {"concat": "halving"}, {"num_down_pipelines": 2}],
     )
     def test_chimera_variants_lower(self, options):
-        validate_schedule(lower_schedule(build_schedule("chimera", 8, 8, **options)))
+        schedule = build_schedule("chimera", 8, 8, **options)
+        validate_schedule(lower_schedule(schedule).schedule)
 
 
 class TestLoweringValidation:
@@ -158,12 +159,14 @@ class TestLoweringValidation:
         return replace(schedule, worker_ops=freeze_worker_ops(rows))
 
     def test_missing_send_rejected(self):
-        low = self._strip(lower_schedule(build_schedule("dapple", 2, 2)), OpKind.SEND)
+        low = lower_schedule(build_schedule("dapple", 2, 2)).schedule
+        low = self._strip(low, OpKind.SEND)
         with pytest.raises(ValidationError):
             validate_schedule(low)
 
     def test_missing_recv_rejected(self):
-        low = self._strip(lower_schedule(build_schedule("dapple", 2, 2)), OpKind.RECV)
+        low = lower_schedule(build_schedule("dapple", 2, 2)).schedule
+        low = self._strip(low, OpKind.RECV)
         with pytest.raises(ValidationError):
             validate_schedule(low)
 
@@ -172,7 +175,8 @@ class TestLoweringValidation:
         must fail validation, not crash the executor later."""
         from dataclasses import replace
 
-        low = lower_schedule(build_schedule("chimera", 4, 8, concat="doubling"))
+        schedule = build_schedule("chimera", 4, 8, concat="doubling")
+        low = lower_schedule(schedule).schedule
         donor = next(
             op
             for _, op in low.comm_ops()
@@ -189,7 +193,7 @@ class TestLoweringValidation:
     def test_comm_ops_without_lowered_flag_rejected(self):
         from dataclasses import replace
 
-        low = lower_schedule(build_schedule("dapple", 2, 2))
+        low = lower_schedule(build_schedule("dapple", 2, 2)).schedule
         unmarked = replace(low, metadata={})
         with pytest.raises(ValidationError):
             validate_schedule(unmarked)
@@ -215,7 +219,7 @@ class TestTimingParity:
     def test_contention_free_parity(self, scheme):
         """Infinite bandwidth, zero occupancy: lowering is timing-neutral."""
         s = build_schedule(scheme, 4, 8)
-        low = lower_schedule(s)
+        low = lower_schedule(s).schedule
         cm = contention_free()
         a, b = simulate(s, cm), simulate(low, cm)
         assert b.iteration_time == pytest.approx(a.iteration_time, abs=1e-9)
@@ -224,7 +228,7 @@ class TestTimingParity:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_finite_links_only_add_time(self, scheme):
         s = build_schedule(scheme, 4, 8)
-        low = lower_schedule(s)
+        low = lower_schedule(s).schedule
         cm = finite_links()
         assert (
             simulate(low, cm).iteration_time
@@ -234,7 +238,7 @@ class TestTimingParity:
     def test_no_topology_parity(self):
         s = build_schedule("chimera", 4, 4)
         cm = CostModel.practical()
-        assert simulate(lower_schedule(s), cm).iteration_time == pytest.approx(
+        assert simulate(lower_schedule(s).schedule, cm).iteration_time == pytest.approx(
             simulate(s, cm).iteration_time
         )
 
@@ -242,7 +246,7 @@ class TestTimingParity:
         s = build_schedule("chimera", 4, 4)
         cm = contention_free()
         a = simulate(s, cm, blocking_sync=True)
-        b = simulate(lower_schedule(s), cm, blocking_sync=True)
+        b = simulate(lower_schedule(s).schedule, cm, blocking_sync=True)
         assert b.iteration_time == pytest.approx(a.iteration_time, abs=1e-9)
 
 
@@ -253,7 +257,7 @@ class TestLinkContention:
             topology=FlatTopology(LinkSpec(alpha=0.0, beta=1.0)),
             activation_message_bytes=1.0,
         )
-        low = lower_schedule(build_schedule("dapple", 2, 4))
+        low = lower_schedule(build_schedule("dapple", 2, 4)).schedule
         result = simulate(low, cm)
         by_channel: dict = {}
         for t in result.transfers:
@@ -271,7 +275,7 @@ class TestLinkContention:
             topology=FlatTopology(LinkSpec(alpha=0.0, beta=1.0)),
             activation_message_bytes=1.0,
         )
-        low = lower_schedule(build_schedule("dapple", 2, 4))
+        low = lower_schedule(build_schedule("dapple", 2, 4)).schedule
         result = simulate(low, cm)
         acts = [t for t in result.transfers if t.payload == "act"]
         acts.sort(key=lambda t: t.start)
@@ -289,14 +293,14 @@ class TestLinkContention:
                 activation_message_bytes=1.0,
             )
 
-        low = lower_schedule(build_schedule("chimera", 2, 2))
+        low = lower_schedule(build_schedule("chimera", 2, 2)).schedule
         full = simulate(low, cm("full"))
         half = simulate(low, cm("half"))
         assert half.compute_makespan > full.compute_makespan
 
     def test_transfers_overlap_compute(self):
         cm = finite_links()
-        low = lower_schedule(build_schedule("dapple", 4, 8))
+        low = lower_schedule(build_schedule("dapple", 4, 8)).schedule
         result = simulate(low, cm)
         overlapped = 0
         for t in result.transfers:
@@ -314,7 +318,7 @@ class TestLinkContention:
             stage_grad_bytes=10.0,
             data_parallel_width=2,
         )
-        low = lower_schedule(build_schedule("dapple", 2, 2))
+        low = lower_schedule(build_schedule("dapple", 2, 2)).schedule
         result = simulate(low, cm)
         assert result.collectives
         for c in result.collectives:
@@ -340,7 +344,7 @@ class TestLinkContention:
             stage_grad_bytes=50.0,
             data_parallel_width=2,
         )
-        low = lower_schedule(build_schedule(scheme, 4, 4))
+        low = lower_schedule(build_schedule(scheme, 4, 4)).schedule
         r = simulate(low, cm, blocking_sync=True)
         assert r.collectives
         for c in r.collectives:
@@ -363,7 +367,7 @@ class TestLinkContention:
                     )
 
     def test_comm_launch_overhead_charged_to_worker(self):
-        low = lower_schedule(build_schedule("dapple", 4, 4))
+        low = lower_schedule(build_schedule("dapple", 4, 4)).schedule
         base = simulate(low, contention_free())
         heavy = simulate(low, contention_free().with_(comm_launch_overhead=0.25))
         assert heavy.compute_makespan > base.compute_makespan
@@ -377,7 +381,7 @@ class TestLinkContention:
                 gpus_per_node=gpus,
             )
 
-        low = lower_schedule(build_schedule("dapple", 4, 4))
+        low = lower_schedule(build_schedule("dapple", 4, 4)).schedule
         inside = simulate(
             low,
             CostModel(
@@ -395,19 +399,19 @@ class TestLinkContention:
 
 class TestRendering:
     def test_gantt_comm_lanes_for_lowered(self):
-        low = lower_schedule(build_schedule("dapple", 4, 4))
+        low = lower_schedule(build_schedule("dapple", 4, 4)).schedule
         out = render_gantt(low, cost_model=finite_links(), time_step=0.5)
         assert "P0>" in out
         assert "a0>1" in out
         assert "p2p transfers:" in out
 
     def test_gantt_no_comm_lanes_without_wire_time(self):
-        low = lower_schedule(build_schedule("dapple", 4, 4))
+        low = lower_schedule(build_schedule("dapple", 4, 4)).schedule
         out = render_gantt(low, cost_model=CostModel.practical())
         assert "P0>" not in out
 
     def test_trace_exports_p2p_lane(self):
-        low = lower_schedule(build_schedule("dapple", 4, 4))
+        low = lower_schedule(build_schedule("dapple", 4, 4)).schedule
         events = to_chrome_trace(simulate(low, finite_links()))
         p2p = [e for e in events if e["cat"] == "p2p"]
         assert len(p2p) == low.count(OpKind.SEND)
@@ -415,7 +419,7 @@ class TestRendering:
         assert {"payload", "dst_worker", "occupancy"} <= set(p2p[0]["args"])
 
     def test_trace_skips_comm_launch_ops(self):
-        low = lower_schedule(build_schedule("dapple", 2, 2))
+        low = lower_schedule(build_schedule("dapple", 2, 2)).schedule
         events = to_chrome_trace(simulate(low, finite_links()))
         compute = [e for e in events if e["cat"] in ("forward", "backward")]
         assert len(compute) == sum(1 for _ in low.compute_ops())

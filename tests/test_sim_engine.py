@@ -190,7 +190,7 @@ class TestEventQueueMatchesPolling:
                 assert timed.start == pytest.approx(b.timed[key].start, abs=1e-12)
 
     def test_polling_rejects_lowered_schedules(self):
-        low = lower_schedule(build_schedule("dapple", 2, 2))
+        low = lower_schedule(build_schedule("dapple", 2, 2)).schedule
         with pytest.raises(ScheduleError):
             simulate_polling(low, CostModel.practical())
 

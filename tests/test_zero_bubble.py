@@ -184,7 +184,7 @@ class TestMemoryControllable:
         D in {2, 4, 8}."""
         schedule = build_schedule(scheme, depth, 2 * depth)
         validate_schedule(schedule, require_sync_ops=True)
-        lowered = lower_schedule(schedule)
+        lowered = lower_schedule(schedule).schedule
         validate_schedule(lowered)
         for s in (schedule, lowered):
             result = simulate(s, CostModel.practical())
