@@ -195,30 +195,26 @@ class ScheduleKernel:
         # ---- shape classes (duration memoization across cost models) ----
         shape_id: dict[tuple, int] = {}
         op_shape = [shape_id.setdefault(shape, len(shape_id)) for shape in shapes]
-        first = np.unique(op_shape, return_index=True)[1].tolist()
+        reps = np.unique(op_shape, return_index=True)[1].tolist()
         self.shape_reps: list[tuple[int, Operation]] = [
-            (kind_code[oid], ops_flat[oid]) for oid in first
+            (kind_code[oid], ops_flat[oid]) for oid in reps
         ]
 
         # ---- combined edge list -----------------------------------------
         # Worker-order chains first, then the graph's edges ordered by
         # (source, group, CSR slot). Group 0 is a local edge (no delay),
         # group 1 an implicit cross-worker p2p edge, group 2 a SEND's wire
-        # (TRANSFER) edge; the engine's dense form keeps only a SEND's
-        # last TRANSFER edge, and so does the kernel (group -1 drops).
+        # (TRANSFER) edge; the graph builder gives each SEND one.
         worker = np.asarray(graph.op_worker, dtype=np.int64)
         ptr = np.asarray(graph.dep_ptr, dtype=np.int64)
         src = np.asarray(graph.dep_src, dtype=np.int64)
         kind = np.asarray(graph.dep_kind, dtype=np.int64)
         dst = np.repeat(np.arange(total), np.diff(ptr))
-        group = (
-            ((kind == ACTIVATION) | (kind == GRADIENT)) & (worker[src] != worker[dst])
-        ).astype(np.int64)
-        wire = np.flatnonzero(kind == TRANSFER)[::-1]
-        group[wire] = -1
-        group[wire[np.unique(src[wire], return_index=True)[1]]] = 2
-        keep = np.flatnonzero(group >= 0)
-        keep = keep[np.lexsort((keep, group[keep], src[keep]))]
+        remote = ((kind == ACTIVATION) | (kind == GRADIENT)) & (
+            worker[src] != worker[dst]
+        )
+        group = np.where(kind == TRANSFER, 2, remote.astype(np.int64))
+        keep = np.lexsort((group, src))  # stable: ties keep CSR slot order
         d_src, d_dst, d_group = src[keep], dst[keep], group[keep]
         d_units = np.asarray(graph.dep_units, dtype=np.float64)[keep]
         chain = np.flatnonzero(worker[1:] == worker[:-1])
@@ -232,13 +228,13 @@ class ScheduleKernel:
         # host-channel (OFFLOAD/RELOAD) wire edges, which are priced on
         # the cost model's host link instead of the topology. Class 0 is
         # the zero-delay class shared by program-order and local edges.
-        host = np.asarray(host_dir, dtype=np.int64)
+        op_host_dir = np.asarray(host_dir, dtype=np.int64)
         delayed = np.flatnonzero(d_group > 0)
         keys = (
             worker[d_src[delayed]],
             worker[d_dst[delayed]],
             d_units[delayed],
-            np.where(d_group[delayed] == 2, host[d_src[delayed]], -1),
+            np.where(d_group[delayed] == 2, op_host_dir[d_src[delayed]], -1),
         )
         cls, first = _first_seen(*keys)
         self.delay_classes: list[tuple[int, int, float, int]] = list(
@@ -257,7 +253,7 @@ class ScheduleKernel:
         self.send_units = d_units[wired]
         self.send_row_pos = np.asarray(graph.row_pos, dtype=np.int64)[self.send_oid]
         #: Host-transfer direction per send (-1 network, 0 d2h, 1 h2d).
-        self.send_host_dir = host[self.send_oid]
+        self.send_host_dir = op_host_dir[self.send_oid]
         self.has_host_sends = bool((self.send_host_dir >= 0).any())
         #: Per-edge send-table index (-1 for non-TRANSFER edges); the
         #: contended sweeps add each SEND's queueing delay to its wire
