@@ -231,6 +231,7 @@ class ScheduleArtifacts:
         return graph
 
     def _lower(self) -> DependencyGraph:
+        """Lowering's graph, carrying the frozen lowered schedule."""
         graph = lower_schedule(self.schedule, graph=self.graph())
         return replace(graph, schedule=_freeze(graph.schedule))
 
