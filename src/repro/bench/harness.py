@@ -210,7 +210,8 @@ def memory_report(cfg: ExperimentConfig, pipeline: tuple[str, ...]):
     fits/OOM verdict (the planner's enumerate-and-prune step) can skip
     the simulation entirely.
     """
-    schedule = config_artifacts(cfg, pipeline).schedule
+    arts = config_artifacts(cfg, pipeline)
+    schedule = arts.schedule
     # Calibrate per the schedule's own stage count: ZB-V splits the model
     # into 2D chunks over D workers, so each chunk is half a stage.
     memory_model = calibrate_memory_model(
@@ -219,7 +220,7 @@ def memory_report(cfg: ExperimentConfig, pipeline: tuple[str, ...]):
         depth=schedule.num_stages,
         micro_batch=cfg.micro_batch,
     )
-    return schedule, analyze_memory(schedule, memory_model)
+    return schedule, analyze_memory(arts.memory_profile(), memory_model)
 
 
 def run_configuration(cfg: ExperimentConfig) -> ExperimentResult:

@@ -581,9 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run the engine perf suite (incl. contended modes, the gated "
-        "offload block, and the non-gating synthesize block) / check the "
-        "CI gate",
+        help="run the simulator perf suite (every scheme x D in {8,16,32} "
+        "x implicit/lowered/fused/contended modes, plus the gated offload "
+        "block) / check the CI gate",
     )
     p.add_argument(
         "--output",

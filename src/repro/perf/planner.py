@@ -63,7 +63,10 @@ Batch planning (planner-as-a-service)
 planning workloads measure. It deduplicates at three levels: identical
 requests collapse to one computation; memory
 reports are memoized on the schedule-cache key (``W`` and ``B`` vary far
-more often than the underlying ``(scheme, D, N)`` schedule); and every
+more often than the underlying ``(scheme, D, N)`` schedule), and each
+report prices the cache entry's resident
+:class:`~repro.sim.memory.MemoryProfile`, so later calls do not walk the
+schedule again either; and every
 synchronous survivor of every request feeds **one**
 :func:`repro.sim.kernel.simulate_batch_many` call, with rows that share a
 ``(kernel, cost model)`` pair simulated once. Asynchronous
@@ -310,7 +313,7 @@ class _PlanContext:
             depth=schedule.num_stages,
             micro_batch=cfg.micro_batch,
         )
-        report = analyze_memory(schedule, memory_model)
+        report = analyze_memory(arts.memory_profile(), memory_model)
         if rkey is not None:
             self.reports[rkey] = report
         return arts, report

@@ -14,9 +14,11 @@ schedule, which depends on ``N = B̂ / (W * B)``).
 :func:`schedule_artifacts` is the single entry point: it returns a
 :class:`ScheduleArtifacts` handle whose derived forms (graph, lowered
 schedule, lowered graph, fused schedule, fused graph, and a kernel per
-form) materialize lazily. What stays resident is schedules and kernels:
-dict dependency graphs are transient build inputs, dropped once a
-form's kernel exists and rebuilt on demand. The cache is a bounded
+form) materialize lazily. What stays resident is schedules, kernels and
+the schedule's memory profile (:meth:`ScheduleArtifacts.memory_profile`,
+which every memory model the entry is analyzed under prices): dict
+dependency graphs are transient build inputs, dropped once a form's
+kernel exists and rebuilt on demand. The cache is a bounded
 LRU keyed on ``(scheme, depth, num_micro_batches, sorted(options))`` —
 the options map covers chunking/variant knobs such as ``recompute``,
 Chimera's ``concat`` and ``num_down_pipelines``, and the zero-bubble
@@ -50,12 +52,14 @@ building, a built schedule is written through at once, and every array
 kernel is written through (with the schedule forms) as it is built, so a
 restarted process (a fresh ``repro plan``, a redeployed ``repro serve``)
 skips schedule builds, passes, graph construction and kernel
-construction. The disk tier stores no dict graph: each payload holds the
-schedule forms and a ``kernels`` map keyed by form, and a stored kernel
-that is not a :class:`~repro.sim.kernel.ScheduleKernel` is dropped on
-load, so that form's kernel rebuilds from its schedule. The disk key is
-exactly the LRU key, the format is versioned, and corrupt entries are
-evicted on load, never propagated.
+construction. The disk tier stores no dict graph and no memory profile
+(a restarted process recompiles a profile, one walk of the schedule, on
+first use): each payload holds the schedule forms and a ``kernels`` map
+keyed by form, and a stored kernel that is not a
+:class:`~repro.sim.kernel.ScheduleKernel` is dropped on load, so that
+form's kernel rebuilds from its schedule. The disk key is exactly the
+LRU key, the format is versioned, and corrupt entries are evicted on
+load, never propagated.
 
 Builds and disk loads run with CPython's cyclic collector paused
 (:mod:`repro.common.gcpause`): the artifacts are immutable and acyclic,
@@ -104,10 +108,12 @@ class ScheduleArtifacts:
     builds a duplicate which is immediately discarded in favour of the
     first).
 
-    The resident and persisted simulation form is the array kernel.
-    Dependency graphs are transient: lowering and kernel construction
-    read them (lowering returns the lowered graph with the lowered
-    schedule, so a lowered entry builds one graph, not two),
+    The resident and persisted simulation form is the array kernel. The
+    memory profile (:meth:`memory_profile`) is resident only: compiled
+    on first use, never written to the disk tier, dropped with the
+    entry. Dependency graphs are transient: lowering and kernel
+    construction read them (lowering returns the lowered graph with the
+    lowered schedule, so a lowered entry builds one graph, not two),
     :meth:`kernel_for` drops them once its kernel exists, and
     :meth:`graph_for` rebuilds one on demand. The disk payload
     (:meth:`snapshot`) is the schedule forms plus the kernels, keyed by
@@ -122,6 +128,7 @@ class ScheduleArtifacts:
         "_fused",
         "_fused_graph",
         "_kernels",
+        "_memory_profile",
         "_lock",
         "_persist",
     )
@@ -144,6 +151,7 @@ class ScheduleArtifacts:
         self._fused_graph: DependencyGraph | None = None
         #: Form name -> memoized kernel of that form.
         self._kernels: dict[str, object] = {}
+        self._memory_profile = None
         self._lock = threading.Lock()
         self._persist = persist
 
@@ -245,6 +253,19 @@ class ScheduleArtifacts:
         """Dependency graph of the fused schedule."""
         return self._derive(
             "_fused_graph", lambda: build_dependency_graph(self.fused())
+        )
+
+    def memory_profile(self):
+        """The schedule's :class:`~repro.sim.memory.MemoryProfile`, compiled
+        once per entry: every memory model the entry is analyzed under
+        (one per machine, workload and micro-batch size sharing the
+        schedule) prices the same profile. Resident only, never written
+        to the disk tier — it dies with the entry. Imported lazily like
+        :meth:`kernel_for`."""
+        from repro.sim.memory import compile_memory_profile
+
+        return self._derive(
+            "_memory_profile", lambda: compile_memory_profile(self.schedule)
         )
 
     @staticmethod

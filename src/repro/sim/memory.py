@@ -28,6 +28,21 @@ excludes host-resident stashes and each worker additionally reports its
 host-tier peak (:attr:`WorkerMemory.host_peak_bytes`), budgeted
 separately by :meth:`MemoryReport.fits`.
 
+The analysis runs in two steps. :func:`compile_memory_profile` walks a
+schedule once into a :class:`MemoryProfile`: per-worker event tables
+naming, for every change to the live set, a stage, which per-stage byte
+value moves (full activations, stage input, promoted stash, promotion
+increment) and a signed coefficient, plus the model-free peak in
+micro-batch units. All structural errors (:class:`MemoryModelError` for
+an op without the stash it needs) are raised there.
+:func:`analyze_memory` prices a profile under a :class:`MemoryModel` with
+a few numpy operations (a row-wise ``cumsum`` adds in op order, so every
+peak is bitwise the float a running total over the ops reaches). The
+machine, workload and micro-batch size change only the model, never the
+profile, so the schedule cache keeps one profile per entry
+(:meth:`repro.schedules.cache.ScheduleArtifacts.memory_profile`): resident
+only, never written to the disk tier.
+
 The schemes' qualitative signatures (GPipe ~ N x Ma; DAPPLE/2BW first-worker
 peak; Chimera balanced in [(D/2+1) Ma, D Ma]; GEMS minimal) all emerge from
 this accounting — Figure 9 is regenerated from it.
@@ -37,6 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from repro.common.errors import MemoryModelError
 from repro.schedules.ir import OpKind, Schedule
@@ -227,13 +244,129 @@ def device_floor(
     return floor
 
 
-def analyze_memory(schedule: Schedule, model: MemoryModel) -> MemoryReport:
-    """Compute the per-worker memory report for ``schedule``.
+# Value codes of a profile's event tables: which per-stage byte value an
+# event moves. Each is a row of the table :func:`_value_table` builds.
+_NONE = 0  # nothing (padding)
+_ACT = 1  # full activations, act(s)
+_STASH = 2  # stage input only, stash(s)
+_PROMOTED = 3  # a stash after a recompute promotion: act(s) if larger
+_INCREMENT = 4  # that promotion's growth: act(s) - stash(s) if positive
+_WEIGHTS = 5  # one weight copy, weights(s)
+_WEIGHT_STASH = 6  # one stashed weight version, weight_stash(s)
 
-    Walks each worker's operation order tracking live activation stashes;
-    the walk order is exactly the execution order, so the peak is the true
-    runtime peak for any cost model (liveness only changes at this worker's
-    own operations).
+_BACKWARDS = (OpKind.BACKWARD, OpKind.BACKWARD_INPUT)
+
+
+@dataclass(frozen=True, eq=False)
+class _EventTable:
+    """One tier's events, one zero-padded row per worker.
+
+    Event ``j`` of worker ``w`` adds ``value[code[w, j], stage[w, j]] *
+    coef[w, j]`` bytes (a release carries a negative coefficient);
+    ``check[w, j]`` marks the events after which the peak is taken.
+    """
+
+    stage: np.ndarray  # int16 [W, L]
+    code: np.ndarray  # int8 [W, L]
+    coef: np.ndarray  # float64 [W, L]
+    check: np.ndarray  # bool [W, L]
+
+    def live(self, table: np.ndarray) -> np.ndarray:
+        """Live bytes after every event. A row-wise ``cumsum`` adds in
+        event order, so each partial sum is the running total's float."""
+        return np.cumsum(table[self.code, self.stage] * self.coef, axis=1)
+
+    def peaks(self, live: np.ndarray) -> np.ndarray:
+        """Each worker's largest checked live value (``-inf``: none)."""
+        return np.where(self.check, live, -np.inf).max(axis=1, initial=-np.inf)
+
+
+class _Events:
+    """An :class:`_EventTable` under construction: flat columns, appended
+    worker by worker (call :meth:`next_worker` before each)."""
+
+    def __init__(self) -> None:
+        self.stage: list[int] = []
+        self.code: list[int] = []
+        self.coef: list[float] = []
+        #: Flat indices of the checked events.
+        self.checked: list[int] = []
+        #: Flat index of each worker's first event.
+        self.starts: list[int] = []
+
+    def next_worker(self) -> None:
+        self.starts.append(len(self.stage))
+
+    def add(self, stage: int, code: int, coef: float) -> None:
+        self.stage.append(stage)
+        self.code.append(code)
+        self.coef.append(coef)
+
+    def table(self) -> _EventTable:
+        starts = np.array(self.starts, np.intp)
+        lengths = np.diff(starts, append=len(self.stage))
+        rows = np.repeat(np.arange(len(starts)), lengths)
+        at = (rows, np.arange(len(self.stage)) - starts[rows])
+        shape = (len(starts), int(lengths.max(initial=0)))
+        stage = np.zeros(shape, np.int16)
+        code = np.zeros(shape, np.int8)
+        coef = np.zeros(shape, np.float64)
+        check = np.zeros(shape, bool)
+        stage[at] = self.stage
+        code[at] = self.code
+        coef[at] = self.coef
+        check[at[0][self.checked], at[1][self.checked]] = True
+        return _EventTable(stage, code, coef, check)
+
+
+@dataclass(frozen=True, eq=False)
+class MemoryProfile:
+    """A schedule's memory accounting with the byte sizes left symbolic.
+
+    :func:`compile_memory_profile` builds it in one walk of the schedule:
+    every change to a worker's live set becomes an event naming a stage,
+    which per-stage byte value it moves, and a signed coefficient (a
+    forward stashes ``+1`` of its value, a backward releases ``-1/parts``,
+    an offload moves the ``remaining`` parts). :func:`analyze_memory`
+    prices the events under a :class:`MemoryModel` with a few array
+    operations. Nothing here depends on a model, so one profile serves
+    every machine, workload and micro-batch size that shares the
+    schedule.
+    """
+
+    #: Device-tier events.
+    device: _EventTable
+    #: Host-tier events; ``None`` for schedules without OFFLOAD/RELOAD.
+    host: _EventTable | None
+    #: Recompute transients, one row per recomputing backward: its
+    #: worker, the device event it follows (a column of that worker's
+    #: row), and the terms ``act(s) - value[code, s]`` it rematerializes
+    #: (code :data:`_NONE` pads).
+    transient_worker: np.ndarray  # intp [T]
+    transient_after: np.ndarray  # intp [T]
+    transient_stage: np.ndarray  # int16 [T, M]
+    transient_code: np.ndarray  # int8 [T, M]
+    #: Each worker's weight terms, in :func:`_weight_bytes`' order.
+    weights: _EventTable
+    #: Peak live stashes per worker in micro-batch units (model-free).
+    activation_peak_units: tuple[float, ...]
+    #: Stages the schedule places; the weight fields must cover them all.
+    num_stages: int
+    #: Stages the accounting reads ``activation_bytes`` /
+    #: ``stash_input_bytes`` at: a shorter sequence raises only when it
+    #: misses a stage that is read.
+    act_stages: int
+    stash_stages: int
+
+
+def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
+    """Walk ``schedule`` once into its :class:`MemoryProfile`.
+
+    The walk follows each worker's operation order, which is its
+    execution order, so the peaks are the true runtime peaks for any
+    cost model (liveness only changes at the worker's own operations).
+    Raises :class:`~repro.common.errors.MemoryModelError` when an op
+    needs a stash its worker does not hold.
     """
     # Which (replica, stage, mb) triples recompute. Two sources: the
     # legacy flag on backward ops (rematerialization transient charged at
@@ -243,151 +376,282 @@ def analyze_memory(schedule: Schedule, model: MemoryModel) -> MemoryReport:
     recompute: set[tuple[int, int, int]] = set()
     explicit: set[tuple[int, int, int]] = set()
     for _, op in schedule.all_ops():
-        if op.is_backward and op.recompute:
-            for mb in op.micro_batches:
-                recompute.add((op.replica, op.stage, mb))
-        elif op.is_recompute:
-            for mb in op.micro_batches:
-                explicit.add((op.replica, op.stage, mb))
+        if op.kind in _BACKWARDS and op.recompute:
+            recompute.update((op.replica, op.stage, mb) for mb in op.micro_batches)
+        elif op.kind is OpKind.RECOMPUTE:
+            explicit.update((op.replica, op.stage, mb) for mb in op.micro_batches)
     stash_only = recompute | explicit
 
-    workers: list[WorkerMemory] = []
+    device = _Events()
+    host = _Events()
+    transients: list[tuple[int, int, list[tuple[int, int]]]] = []
+    units: list[float] = []
+    # Stages whose act(s) / stash(s) the accounting reads.
+    act_read: set[int] = set()
+    stash_read: set[int] = set()
+    # The device columns, bound locally: the hot loop appends to them.
+    stages, codes, coefs, checked = (
+        device.stage,
+        device.code,
+        device.coef,
+        device.checked,
+    )
     for worker in range(schedule.num_workers):
-        live_bytes = 0.0
+        device.next_worker()
+        host.next_worker()
+        start = len(stages)
         live_units = 0.0
-        peak_bytes = 0.0
         peak_units = 0.0
-        host_live = 0.0
-        host_peak = 0.0
         remaining_parts: dict[tuple[int, int, int], float] = {}
-        stash_of: dict[tuple[int, int, int], float] = {}
+        code_of: dict[tuple[int, int, int], int] = {}
         on_host: set[tuple[int, int, int]] = set()
         for op in schedule.worker_ops[worker]:
-            if op.is_host_comm:
+            kind = op.kind
+            stage = op.stage
+            if kind is OpKind.FORWARD:
+                for mb in op.micro_batches:
+                    key = (op.replica, stage, mb)
+                    if key in stash_only:
+                        code = _STASH
+                        stash_read.add(stage)
+                    else:
+                        code = _ACT
+                        act_read.add(stage)
+                    code_of[key] = code
+                    remaining_parts[key] = 1.0
+                    stages.append(stage)
+                    codes.append(code)
+                    coefs.append(1.0)
+                    live_units += 1.0
+                checked.append(len(stages) - 1)
+                peak_units = max(peak_units, live_units)
+            elif kind is OpKind.BACKWARD or kind is OpKind.BACKWARD_WEIGHT:
+                # Fused backward or split weight gradient: releases this
+                # part's share of the stash once it completes.
+                fraction = 1.0 / op.part[1]
+                terms = []
+                for mb in op.micro_batches:
+                    key = (op.replica, stage, mb)
+                    if key not in remaining_parts:
+                        raise MemoryModelError(
+                            f"backward of micro-batch {mb} at stage {stage} "
+                            f"without a live forward stash on worker {worker}"
+                        )
+                    if kind is OpKind.BACKWARD and key in recompute:
+                        # Rematerialized activations live only during this op.
+                        terms.append((stage, code_of[key]))
+                        act_read.add(stage)
+                if terms:
+                    transients.append((worker, len(stages) - 1 - start, terms))
+                else:
+                    checked.append(len(stages) - 1)
+                for mb in op.micro_batches:
+                    key = (op.replica, stage, mb)
+                    remaining_parts[key] -= fraction
+                    stages.append(stage)
+                    codes.append(code_of[key])
+                    coefs.append(-fraction)
+                    live_units -= fraction
+                    if remaining_parts[key] <= 1e-9:
+                        del remaining_parts[key]
+            elif kind is OpKind.RECOMPUTE or kind is OpKind.BACKWARD_INPUT:
+                # Explicit rematerialization promotes the stashed stage
+                # input to the full activations; the releasing backward(s)
+                # free the promoted stash. A split input gradient consumes
+                # the stash without releasing it (the weight-gradient half
+                # still needs the layer inputs), and activations it
+                # rematerializes must survive to W too.
+                explicit_op = kind is OpKind.RECOMPUTE
+                for mb in op.micro_batches:
+                    key = (op.replica, stage, mb)
+                    if key not in remaining_parts:
+                        what = "RECOMPUTE" if explicit_op else "input gradient"
+                        raise MemoryModelError(
+                            f"{what} of micro-batch {mb} at stage {stage} "
+                            f"without a live forward stash on worker {worker}"
+                        )
+                    act_read.add(stage)
+                    if code_of[key] == _STASH and (explicit_op or key in recompute):
+                        device.add(stage, _INCREMENT, remaining_parts[key])
+                        code_of[key] = _PROMOTED
+                checked.append(len(stages) - 1)
+            elif kind is OpKind.OFFLOAD or kind is OpKind.RELOAD:
                 # Two-tier accounting: an OFFLOAD moves the stash's bytes
                 # out of the device's live set and into the host tier; the
                 # matching RELOAD moves them back. The stash keeps its
-                # identity (remaining_parts/stash_of untouched) so the
+                # identity (remaining_parts/code_of untouched) so the
                 # releasing backward frees it exactly as without offload.
                 for mb in op.micro_batches:
-                    key = (op.replica, op.stage, mb)
-                    if op.is_offload:
-                        if key not in remaining_parts:
+                    key = (op.replica, stage, mb)
+                    parts = remaining_parts.get(key)
+                    if kind is OpKind.OFFLOAD:
+                        if parts is None:
                             raise MemoryModelError(
                                 f"OFFLOAD of micro-batch {mb} at stage "
-                                f"{op.stage} without a live forward stash "
+                                f"{stage} without a live forward stash "
                                 f"on worker {worker}"
                             )
                         if key in on_host:
                             raise MemoryModelError(
-                                f"micro-batch {mb} at stage {op.stage} "
+                                f"micro-batch {mb} at stage {stage} "
                                 f"offloaded twice on worker {worker}"
                             )
-                        moved = stash_of[key] * remaining_parts[key]
-                        live_bytes -= moved
-                        live_units -= remaining_parts[key]
-                        host_live += moved
+                        device.add(stage, code_of[key], -parts)
+                        live_units -= parts
+                        host.checked.append(len(host.stage))
+                        host.add(stage, code_of[key], parts)
                         on_host.add(key)
-                        host_peak = max(host_peak, host_live)
                     else:
                         if key not in on_host:
                             raise MemoryModelError(
                                 f"RELOAD of micro-batch {mb} at stage "
-                                f"{op.stage} without an offloaded stash "
+                                f"{stage} without an offloaded stash "
                                 f"on worker {worker}"
                             )
-                        moved = stash_of[key] * remaining_parts[key]
-                        host_live -= moved
-                        live_bytes += moved
-                        live_units += remaining_parts[key]
+                        host.add(stage, code_of[key], -parts)
+                        checked.append(len(stages))
+                        device.add(stage, code_of[key], parts)
+                        live_units += parts
                         on_host.discard(key)
-                        peak_bytes = max(peak_bytes, live_bytes)
                         peak_units = max(peak_units, live_units)
-                continue
             # Collectives and explicit SEND/RECV (lowered schedules) neither
             # create nor release activation stashes.
-            if not op.is_compute:
-                continue
-            if op.is_forward:
-                for mb in op.micro_batches:
-                    key = (op.replica, op.stage, mb)
-                    stored = (
-                        model.stash(op.stage)
-                        if key in stash_only
-                        else model.act(op.stage)
-                    )
-                    stash_of[key] = stored
-                    remaining_parts[key] = 1.0
-                    live_bytes += stored
-                    live_units += 1.0
-                peak_bytes = max(peak_bytes, live_bytes)
-                peak_units = max(peak_units, live_units)
-            elif op.is_recompute:
-                # Explicit rematerialization: promote the stashed stage
-                # input to the full activations; the releasing backward(s)
-                # free the promoted stash.
-                for mb in op.micro_batches:
-                    key = (op.replica, op.stage, mb)
-                    if key not in remaining_parts:
-                        raise MemoryModelError(
-                            f"RECOMPUTE of micro-batch {mb} at stage "
-                            f"{op.stage} without a live forward stash on "
-                            f"worker {worker}"
-                        )
-                    full = model.act(op.stage)
-                    if stash_of[key] < full:
-                        live_bytes += (full - stash_of[key]) * remaining_parts[key]
-                        stash_of[key] = full
-                peak_bytes = max(peak_bytes, live_bytes)
-            elif op.is_backward_input:
-                # Split input gradient: consumes the stash but does not
-                # release it (the weight-gradient half still needs the layer
-                # inputs). Rematerialized activations must survive to W too.
-                for mb in op.micro_batches:
-                    key = (op.replica, op.stage, mb)
-                    if key not in remaining_parts:
-                        raise MemoryModelError(
-                            f"input gradient of micro-batch {mb} at stage "
-                            f"{op.stage} without a live forward stash on "
-                            f"worker {worker}"
-                        )
-                    full = model.act(op.stage)
-                    if key in recompute and stash_of[key] < full:
-                        live_bytes += (full - stash_of[key]) * remaining_parts[key]
-                        stash_of[key] = full
-                peak_bytes = max(peak_bytes, live_bytes)
-            else:
-                # Fused backward or split weight gradient: releases this
-                # part's share of the stash once it completes.
-                fraction = 1.0 / op.part[1]
-                transient = 0.0
-                for mb in op.micro_batches:
-                    key = (op.replica, op.stage, mb)
-                    if key not in remaining_parts:
-                        raise MemoryModelError(
-                            f"backward of micro-batch {mb} at stage {op.stage} "
-                            f"without a live forward stash on worker {worker}"
-                        )
-                    if op.kind is OpKind.BACKWARD and key in recompute:
-                        # Rematerialized activations live only during this op.
-                        transient += model.act(op.stage) - stash_of[key]
-                peak_bytes = max(peak_bytes, live_bytes + max(0.0, transient))
-                for mb in op.micro_batches:
-                    key = (op.replica, op.stage, mb)
-                    remaining_parts[key] -= fraction
-                    live_bytes -= stash_of[key] * fraction
-                    live_units -= fraction
-                    if remaining_parts[key] <= 1e-9:
-                        del remaining_parts[key]
-        workers.append(
-            WorkerMemory(
-                worker=worker,
-                weight_bytes=_weight_bytes(
-                    schedule.scheme, schedule.placement, model, worker
-                ),
-                activation_peak_bytes=peak_bytes,
-                activation_peak_units=peak_units,
-                host_peak_bytes=host_peak,
-            )
+        units.append(peak_units)
+
+    width = max((len(terms) for _, _, terms in transients), default=0)
+    transient_stage = np.zeros((len(transients), width), np.int16)
+    transient_code = np.zeros((len(transients), width), np.int8)
+    for i, (_, _, terms) in enumerate(transients):
+        transient_stage[i, : len(terms)], transient_code[i, : len(terms)] = zip(*terms)
+
+    placement = schedule.placement
+    weights = _Events()
+    for worker in range(schedule.num_workers):
+        weights.next_worker()
+        for _, stage in placement.stages_on_worker(worker):
+            versions = weight_versions(schedule.scheme, placement.num_stages, stage)
+            weights.add(stage, _WEIGHTS, 1.0)
+            weights.add(stage, _WEIGHT_STASH, versions - 1)
+
+    return MemoryProfile(
+        device=device.table(),
+        host=host.table() if host.stage else None,
+        transient_worker=np.array([t[0] for t in transients], np.intp),
+        transient_after=np.array([t[1] for t in transients], np.intp),
+        transient_stage=transient_stage,
+        transient_code=transient_code,
+        weights=weights.table(),
+        activation_peak_units=tuple(units),
+        num_stages=placement.num_stages,
+        act_stages=max(act_read, default=-1) + 1,
+        stash_stages=max(stash_read, default=-1) + 1,
+    )
+
+
+def _stage_values(
+    value: Sequence[float] | float, num_stages: int, needed: int, what: str
+) -> np.ndarray:
+    """``value`` per stage as a length-``num_stages`` array. Only the
+    first ``needed`` stages are read, so a sequence may stop there (the
+    rest stay zero)."""
+    if isinstance(value, (int, float)):
+        return np.full(num_stages, float(value))
+    if len(value) < needed:
+        raise MemoryModelError(
+            f"{what} has {len(value)} entries but stage {needed - 1} was requested"
         )
-    return MemoryReport(workers=tuple(workers))
+    out = np.zeros(num_stages)
+    head = value[:num_stages]
+    out[: len(head)] = head
+    return out
+
+
+def _value_table(profile: MemoryProfile, model: MemoryModel) -> np.ndarray:
+    """``model``'s per-stage byte values, one row per value code."""
+    num_stages = max(profile.num_stages, profile.act_stages, profile.stash_stages)
+    act = _stage_values(
+        model.activation_bytes, num_stages, profile.act_stages, "activation_bytes"
+    )
+    stash = _stage_values(
+        model.stash_input_bytes, num_stages, profile.stash_stages, "stash_input_bytes"
+    )
+    promotes = stash < act
+    return np.stack(
+        [
+            np.zeros(num_stages),
+            act,
+            stash,
+            np.where(promotes, act, stash),
+            np.where(promotes, act - stash, 0.0),
+            _stage_values(
+                model.weight_bytes, num_stages, profile.num_stages, "weight_bytes"
+            ),
+            _stage_values(
+                model.weight_stash_bytes,
+                num_stages,
+                profile.num_stages,
+                "weight_stash_bytes",
+            ),
+        ]
+    )
+
+
+def _peaks(values: np.ndarray) -> list[float]:
+    """Peaks as floats: ``0.0`` unless a live value exceeded zero (the
+    running max starts at ``0.0``)."""
+    return [p if p > 0.0 else 0.0 for p in values.tolist()]
+
+
+def analyze_memory(
+    schedule: Schedule | MemoryProfile, model: MemoryModel
+) -> MemoryReport:
+    """Compute the per-worker memory report of a schedule under ``model``.
+
+    Given a :class:`~repro.schedules.ir.Schedule`, compiles its
+    :class:`MemoryProfile` first; given a profile, only prices it — the
+    way :func:`repro.sim.kernel.kernel_of` accepts a graph or a kernel.
+    Callers that analyze one schedule under many models (the planner,
+    across the machines, workloads and micro-batch sizes of its
+    requests) pass the profile their cache entry holds
+    (:meth:`repro.schedules.cache.ScheduleArtifacts.memory_profile`).
+    Each live sum adds the same floats in the same order as a running
+    total over the worker's ops, so reports are exact, not approximate.
+    """
+    profile = (
+        schedule
+        if isinstance(schedule, MemoryProfile)
+        else compile_memory_profile(schedule)
+    )
+    table = _value_table(profile, model)
+
+    live = profile.device.live(table)
+    device = profile.device.peaks(live)
+    if len(profile.transient_worker):
+        stages = profile.transient_stage
+        codes = profile.transient_code
+        terms = np.where(
+            codes != _NONE, table[_ACT, stages] - table[codes, stages], 0.0
+        )
+        transient = np.cumsum(terms, axis=1)[:, -1]
+        before = live[profile.transient_worker, profile.transient_after]
+        np.maximum.at(
+            device, profile.transient_worker, before + np.maximum(transient, 0.0)
+        )
+    if profile.host is not None:
+        host = _peaks(profile.host.peaks(profile.host.live(table)))
+    else:
+        host = [0.0] * len(profile.activation_peak_units)
+    weights = profile.weights.live(table)[:, -1].tolist()
+
+    return MemoryReport(
+        workers=tuple(
+            WorkerMemory(
+                worker=w,
+                weight_bytes=weights[w],
+                activation_peak_bytes=peak,
+                activation_peak_units=profile.activation_peak_units[w],
+                host_peak_bytes=host[w],
+            )
+            for w, peak in enumerate(_peaks(device))
+        )
+    )

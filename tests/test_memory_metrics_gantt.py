@@ -14,7 +14,13 @@ from repro.schedules.registry import available_schemes, build_schedule
 from repro.sim.cost import CostModel
 from repro.sim.engine import simulate
 from repro.sim.gantt import render_gantt
-from repro.sim.memory import MemoryModel, analyze_memory, weight_versions
+from repro.schedules.cache import ScheduleArtifacts
+from repro.sim.memory import (
+    MemoryModel,
+    analyze_memory,
+    compile_memory_profile,
+    weight_versions,
+)
 from repro.sim.metrics import (
     bubble_ratio,
     parallel_efficiency,
@@ -162,6 +168,57 @@ def test_liveness_error_names_the_op(ops, message):
     with pytest.raises(MemoryModelError) as err:
         analyze_memory(_toy(*ops), MemoryModel())
     assert str(err.value) == message
+    # Raised by the compile step, before any memory model is involved.
+    with pytest.raises(MemoryModelError, match=message):
+        compile_memory_profile(_toy(*ops))
+
+
+class TestMemoryProfile:
+    def test_short_sequence_raises_when_pricing_a_profile(self):
+        profile = compile_memory_profile(build_schedule("dapple", 2, 2))
+        for field in (
+            "activation_bytes",
+            "weight_bytes",
+            "weight_stash_bytes",
+        ):
+            with pytest.raises(MemoryModelError, match=field):
+                analyze_memory(profile, MemoryModel(**{field: (1.0,)}))
+
+    def test_unread_stages_may_be_missing(self):
+        """Without recomputation no stage input is stashed, so a short
+        ``stash_input_bytes`` prices as before; with it, it raises."""
+        model = MemoryModel(stash_input_bytes=(0.25,))
+        plain = analyze_memory(build_schedule("dapple", 2, 2), model)
+        assert plain.peak_bytes == analyze_memory(
+            build_schedule("dapple", 2, 2), MemoryModel()
+        ).peak_bytes
+        with pytest.raises(MemoryModelError, match="stage 1 was requested"):
+            analyze_memory(build_schedule("dapple", 2, 2, recompute=True), model)
+
+    def test_compact_tables_and_no_host_tier_without_offload(self):
+        plain = compile_memory_profile(build_schedule("chimera", 4, 8))
+        assert plain.host is None
+        assert plain.device.stage.dtype.name == "int16"
+        assert plain.device.code.dtype.name == "int8"
+        offloaded = compile_memory_profile(
+            build_schedule("chimera", 4, 8, passes="offload")
+        )
+        assert offloaded.host is not None
+        assert analyze_memory(offloaded, MemoryModel()).host_peak_bytes > 0.0
+
+    def test_artifacts_compile_the_profile_once_and_never_persist_it(self):
+        arts = ScheduleArtifacts(build_schedule("zb_h1", 4, 8, passes="recompute"))
+        profile = arts.memory_profile()
+        assert arts.memory_profile() is profile
+        model = MemoryModel(activation_bytes=1.0, stash_input_bytes=0.1)
+        assert analyze_memory(profile, model) == analyze_memory(arts.schedule, model)
+        snapshot = arts.snapshot()
+        assert all(value is not profile for value in snapshot.values())
+        restored = ScheduleArtifacts.from_snapshot(snapshot)
+        assert restored.memory_profile() is not profile
+        assert analyze_memory(restored.memory_profile(), model) == analyze_memory(
+            profile, model
+        )
 
 
 
@@ -255,11 +312,17 @@ def _report_digest(report) -> str:
 
 
 def _parity_digests(case: str) -> tuple[str, ...]:
+    """One digest per model, every model pricing one compiled profile;
+    analyzing the schedule directly must give the same reports."""
     schedule = _parity_schedule(case)
-    return tuple(
-        _report_digest(analyze_memory(schedule, model(schedule.num_stages)))
-        for model in PARITY_MODELS.values()
-    )
+    profile = compile_memory_profile(schedule)
+    digests = []
+    for model in PARITY_MODELS.values():
+        memory = model(schedule.num_stages)
+        report = analyze_memory(profile, memory)
+        assert analyze_memory(schedule, memory) == report
+        digests.append(_report_digest(report))
+    return tuple(digests)
 
 
 #: Case -> one digest per :data:`PARITY_MODELS` entry, in order.

@@ -18,6 +18,8 @@ from repro.bench.machines import PIZ_DAINT, V100_CLUSTER
 from repro.bench.workloads import BERT48, GPT2_32
 from repro.common.errors import ConfigurationError
 from repro.perf import planner
+from repro.sim import memory
+from repro.sim.memory import MemoryProfile
 from repro.perf.planner import (
     PlanOutcome,
     PlanRequest,
@@ -233,6 +235,35 @@ class TestDedup:
         assert seen[0] == solo_rows  # ... with no duplicated rows
         assert outcomes[0].ok and outcomes[1].ok
         assert outcomes[1].entries == outcomes[0].entries[:1]
+
+    def test_memory_profiles_compile_once_per_cache_entry(self, monkeypatch):
+        """Memory reports are memoized per call only, so a later call
+        prices them again, but on the cache entries' resident profiles:
+        the schedules are not walked again, whatever the machine."""
+        compiled = []
+        priced = []
+        compile_profile = memory.compile_memory_profile
+        analyze = planner.analyze_memory
+
+        def counting_compile(schedule):
+            compiled.append(schedule)
+            return compile_profile(schedule)
+
+        def counting_analyze(profile, model):
+            priced.append(profile)
+            return analyze(profile, model)
+
+        monkeypatch.setattr(memory, "compile_memory_profile", counting_compile)
+        monkeypatch.setattr(planner, "analyze_memory", counting_analyze)
+        [first] = plan_many([request(mini_batch=64)])
+        assert priced and all(isinstance(p, MemoryProfile) for p in priced)
+        del compiled[:], priced[:]
+        again, v100 = plan_many(
+            [request(mini_batch=64), request(machine=V100_CLUSTER, mini_batch=64)]
+        )
+        assert again.entries == first.entries and v100.ok
+        assert priced and not compiled
+
 
 
 class TestRequestSurface:
