@@ -50,14 +50,7 @@ from repro.sim.kernel import (
     simulate_batch_many,
     simulate_fast as simulate,
 )
-from repro.sim.memory import (
-    MemoryModel,
-    MemoryProfile,
-    MemoryReport,
-    WorkerMemory,
-    analyze_memory,
-    compile_memory_profile,
-)
+from repro.sim.memory import MemoryModel, MemoryReport, WorkerMemory, analyze_memory
 from repro.sim.metrics import bubble_ratio, throughput_samples_per_sec, worker_busy_times
 from repro.sim.gantt import render_gantt
 from repro.sim.trace import to_chrome_trace, write_chrome_trace
@@ -81,11 +74,9 @@ __all__ = [
     "kernel_of",
     "simulate_batch_many",
     "MemoryModel",
-    "MemoryProfile",
     "MemoryReport",
     "WorkerMemory",
     "analyze_memory",
-    "compile_memory_profile",
     "bubble_ratio",
     "throughput_samples_per_sec",
     "worker_busy_times",

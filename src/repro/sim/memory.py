@@ -254,8 +254,6 @@ _INCREMENT = 4  # that promotion's growth: act(s) - stash(s) if positive
 _WEIGHTS = 5  # one weight copy, weights(s)
 _WEIGHT_STASH = 6  # one stashed weight version, weight_stash(s)
 
-_BACKWARDS = (OpKind.BACKWARD, OpKind.BACKWARD_INPUT)
-
 
 @dataclass(frozen=True, eq=False)
 class _EventTable:
@@ -350,13 +348,8 @@ class MemoryProfile:
     weights: _EventTable
     #: Peak live stashes per worker in micro-batch units (model-free).
     activation_peak_units: tuple[float, ...]
-    #: Stages the schedule places; the weight fields must cover them all.
+    #: Stages the schedule places: every per-stage model field covers them.
     num_stages: int
-    #: Stages the accounting reads ``activation_bytes`` /
-    #: ``stash_input_bytes`` at: a shorter sequence raises only when it
-    #: misses a stage that is read.
-    act_stages: int
-    stash_stages: int
 
 
 def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
@@ -376,7 +369,7 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
     recompute: set[tuple[int, int, int]] = set()
     explicit: set[tuple[int, int, int]] = set()
     for _, op in schedule.all_ops():
-        if op.kind in _BACKWARDS and op.recompute:
+        if op.recompute and op.is_backward:
             recompute.update((op.replica, op.stage, mb) for mb in op.micro_batches)
         elif op.kind is OpKind.RECOMPUTE:
             explicit.update((op.replica, op.stage, mb) for mb in op.micro_batches)
@@ -386,9 +379,6 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
     host = _Events()
     transients: list[tuple[int, int, list[tuple[int, int]]]] = []
     units: list[float] = []
-    # Stages whose act(s) / stash(s) the accounting reads.
-    act_read: set[int] = set()
-    stash_read: set[int] = set()
     # The device columns, bound locally: the hot loop appends to them.
     stages, codes, coefs, checked = (
         device.stage,
@@ -411,12 +401,7 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
             if kind is OpKind.FORWARD:
                 for mb in op.micro_batches:
                     key = (op.replica, stage, mb)
-                    if key in stash_only:
-                        code = _STASH
-                        stash_read.add(stage)
-                    else:
-                        code = _ACT
-                        act_read.add(stage)
+                    code = _STASH if key in stash_only else _ACT
                     code_of[key] = code
                     remaining_parts[key] = 1.0
                     stages.append(stage)
@@ -440,7 +425,6 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
                     if kind is OpKind.BACKWARD and key in recompute:
                         # Rematerialized activations live only during this op.
                         terms.append((stage, code_of[key]))
-                        act_read.add(stage)
                 if terms:
                     transients.append((worker, len(stages) - 1 - start, terms))
                 else:
@@ -470,7 +454,6 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
                             f"{what} of micro-batch {mb} at stage {stage} "
                             f"without a live forward stash on worker {worker}"
                         )
-                    act_read.add(stage)
                     if code_of[key] == _STASH and (explicit_op or key in recompute):
                         device.add(stage, _INCREMENT, remaining_parts[key])
                         code_of[key] = _PROMOTED
@@ -543,55 +526,38 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
         weights=weights.table(),
         activation_peak_units=tuple(units),
         num_stages=placement.num_stages,
-        act_stages=max(act_read, default=-1) + 1,
-        stash_stages=max(stash_read, default=-1) + 1,
     )
 
 
 def _stage_values(
-    value: Sequence[float] | float, num_stages: int, needed: int, what: str
+    value: Sequence[float] | float, num_stages: int, what: str
 ) -> np.ndarray:
-    """``value`` per stage as a length-``num_stages`` array. Only the
-    first ``needed`` stages are read, so a sequence may stop there (the
-    rest stay zero)."""
+    """``value`` for each of ``num_stages`` stages, as an array."""
     if isinstance(value, (int, float)):
         return np.full(num_stages, float(value))
-    if len(value) < needed:
+    if len(value) < num_stages:
         raise MemoryModelError(
-            f"{what} has {len(value)} entries but stage {needed - 1} was requested"
+            f"{what} has {len(value)} entries but the schedule has "
+            f"{num_stages} stages"
         )
-    out = np.zeros(num_stages)
-    head = value[:num_stages]
-    out[: len(head)] = head
-    return out
+    return np.array(value[:num_stages], np.float64)
 
 
 def _value_table(profile: MemoryProfile, model: MemoryModel) -> np.ndarray:
     """``model``'s per-stage byte values, one row per value code."""
-    num_stages = max(profile.num_stages, profile.act_stages, profile.stash_stages)
-    act = _stage_values(
-        model.activation_bytes, num_stages, profile.act_stages, "activation_bytes"
-    )
-    stash = _stage_values(
-        model.stash_input_bytes, num_stages, profile.stash_stages, "stash_input_bytes"
-    )
+    s = profile.num_stages
+    act = _stage_values(model.activation_bytes, s, "activation_bytes")
+    stash = _stage_values(model.stash_input_bytes, s, "stash_input_bytes")
     promotes = stash < act
     return np.stack(
         [
-            np.zeros(num_stages),
+            np.zeros(s),
             act,
             stash,
             np.where(promotes, act, stash),
             np.where(promotes, act - stash, 0.0),
-            _stage_values(
-                model.weight_bytes, num_stages, profile.num_stages, "weight_bytes"
-            ),
-            _stage_values(
-                model.weight_stash_bytes,
-                num_stages,
-                profile.num_stages,
-                "weight_stash_bytes",
-            ),
+            _stage_values(model.weight_bytes, s, "weight_bytes"),
+            _stage_values(model.weight_stash_bytes, s, "weight_stash_bytes"),
         ]
     )
 

@@ -1,8 +1,10 @@
 """Memory model, metrics, and the Gantt renderer."""
 
+import functools
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import MemoryModelError
 from repro.schedules.ir import Operation, OpKind, Schedule, freeze_worker_ops
@@ -178,22 +180,12 @@ class TestMemoryProfile:
         profile = compile_memory_profile(build_schedule("dapple", 2, 2))
         for field in (
             "activation_bytes",
+            "stash_input_bytes",
             "weight_bytes",
             "weight_stash_bytes",
         ):
             with pytest.raises(MemoryModelError, match=field):
                 analyze_memory(profile, MemoryModel(**{field: (1.0,)}))
-
-    def test_unread_stages_may_be_missing(self):
-        """Without recomputation no stage input is stashed, so a short
-        ``stash_input_bytes`` prices as before; with it, it raises."""
-        model = MemoryModel(stash_input_bytes=(0.25,))
-        plain = analyze_memory(build_schedule("dapple", 2, 2), model)
-        assert plain.peak_bytes == analyze_memory(
-            build_schedule("dapple", 2, 2), MemoryModel()
-        ).peak_bytes
-        with pytest.raises(MemoryModelError, match="stage 1 was requested"):
-            analyze_memory(build_schedule("dapple", 2, 2, recompute=True), model)
 
     def test_compact_tables_and_no_host_tier_without_offload(self):
         plain = compile_memory_profile(build_schedule("chimera", 4, 8))
@@ -697,6 +689,126 @@ def test_parity_table_covers_every_registered_scheme():
 @pytest.mark.parametrize("case", PARITY_CASES)
 def test_memory_report_matches_recorded_digest(case):
     assert _parity_digests(case) == tuple(PARITY_EXPECTED[case].split())
+
+
+
+def _reference_walk(schedule: Schedule, model: MemoryModel) -> list[tuple]:
+    """The per-op liveness walk the compiled analysis replaced, as the
+    test reference: each worker's ``(weight, activation peak, peak units,
+    host peak)`` from running totals over its ops (schedules are assumed
+    valid; the error paths are tested above)."""
+    recompute, explicit = set(), set()
+    for _, op in schedule.all_ops():
+        keys = {(op.replica, op.stage, mb) for mb in op.micro_batches}
+        if op.is_backward and op.recompute:
+            recompute |= keys
+        elif op.is_recompute:
+            explicit |= keys
+    stash_only = recompute | explicit
+    out = []
+    for worker in range(schedule.num_workers):
+        live = units = peak = peak_units = host = host_peak = 0.0
+        parts, stash_of = {}, {}
+        for op in schedule.worker_ops[worker]:
+            keys = [(op.replica, op.stage, mb) for mb in op.micro_batches]
+            full = model.act(op.stage) if op.is_compute else 0.0
+            if op.is_offload or op.is_reload:
+                sign = -1.0 if op.is_offload else 1.0
+                for key in keys:
+                    moved = stash_of[key] * parts[key]
+                    live += sign * moved
+                    units += sign * parts[key]
+                    host -= sign * moved
+                    if op.is_offload:
+                        host_peak = max(host_peak, host)
+                    else:
+                        peak = max(peak, live)
+                        peak_units = max(peak_units, units)
+            elif op.is_forward:
+                for key in keys:
+                    stored = model.stash(op.stage) if key in stash_only else full
+                    stash_of[key], parts[key] = stored, 1.0
+                    live += stored
+                    units += 1.0
+                peak = max(peak, live)
+                peak_units = max(peak_units, units)
+            elif op.is_recompute or op.is_backward_input:
+                for key in keys:
+                    promotes = op.is_recompute or key in recompute
+                    if promotes and stash_of[key] < full:
+                        live += (full - stash_of[key]) * parts[key]
+                        stash_of[key] = full
+                peak = max(peak, live)
+            elif op.is_compute:
+                transient = 0.0
+                for key in keys:
+                    if op.kind is OpKind.BACKWARD and key in recompute:
+                        transient += full - stash_of[key]
+                peak = max(peak, live + max(0.0, transient))
+                for key in keys:
+                    parts[key] -= 1.0 / op.part[1]
+                    live -= stash_of[key] * (1.0 / op.part[1])
+                    units -= 1.0 / op.part[1]
+        weights = 0.0
+        for _, stage in schedule.placement.stages_on_worker(worker):
+            versions = weight_versions(
+                schedule.scheme, schedule.placement.num_stages, stage
+            )
+            weights += model.weights(stage)
+            weights += (versions - 1) * model.weight_stash(stage)
+        out.append((weights, peak, peak_units, host_peak))
+    return out
+
+
+#: Schedules covering every event kind: promotions by RECOMPUTE ops and
+#: by flagged input gradients, flagged transients on doubled forwards,
+#: backward halving, split backwards, and both tiers.
+REFERENCE_SCHEDULES = {
+    "chimera-doubling": ("chimera", 4, 8, {"concat": "doubling"}),
+    "chimera-recompute=True": ("chimera", 4, 8, {"recompute": True}),
+    "zb_h1-offload,recompute": ("zb_h1", 4, 8, {"passes": "offload,recompute"}),
+    "zb_v-recompute=True": ("zb_v", 4, 8, {"recompute": True}),
+    "pipedream-offload": ("pipedream", 4, 8, {"passes": "offload"}),
+    "gems-recompute": ("gems", 4, 4, {"passes": "recompute"}),
+}
+_BYTES = st.floats(min_value=0.0, max_value=1e3, allow_subnormal=False)
+
+
+@functools.cache
+def _reference_case(name: str):
+    """A reference schedule and its profile, compiled once per test run."""
+    scheme, d, n, options = REFERENCE_SCHEDULES[name]
+    schedule = build_schedule(scheme, d, n, **options)
+    return schedule, compile_memory_profile(schedule)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCHEDULES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_compiled_profile_equals_the_reference_walk(name, data):
+    """Bitwise equality with the running-total walk under arbitrary
+    per-stage sizes (stash below, equal to or above act), for one
+    profile priced under many models."""
+    schedule, profile = _reference_case(name)
+    sizes = st.lists(
+        _BYTES, min_size=schedule.num_stages, max_size=schedule.num_stages
+    ).map(tuple)
+    model = MemoryModel(
+        activation_bytes=data.draw(sizes),
+        stash_input_bytes=data.draw(st.one_of(_BYTES, sizes)),
+        weight_bytes=data.draw(sizes),
+        weight_stash_bytes=data.draw(st.one_of(_BYTES, sizes)),
+    )
+    report = analyze_memory(profile, model)
+    assert [
+        (
+            w.weight_bytes,
+            w.activation_peak_bytes,
+            w.activation_peak_units,
+            w.host_peak_bytes,
+        )
+        for w in report.workers
+    ] == _reference_walk(schedule, model)
 
 
 class TestMetrics:
