@@ -213,13 +213,12 @@ class TestMemoryProfile:
         )
 
 
-
 # --------------------------------------------------------------------------
 # Memory-report parity: every digest below was recorded from the per-op
-# liveness walk, so any other implementation of analyze_memory must
-# reproduce each report bitwise. If a change to a builder or pass is meant
-# to reshape schedules, regenerate the table with ``_report_digest`` and
-# review the diff.
+# running-total walk (``_reference_walk`` further down), so the compiled
+# analysis must reproduce each report bitwise. If a change to a builder or
+# pass is meant to reshape schedules, regenerate the table with
+# ``_parity_digests`` and review the diff.
 
 PARITY_SHAPES = ((4, 4), (4, 8), (8, 16))
 #: Pipeline column: pass spec, or ``"recompute=True"`` for the builders'
