@@ -60,7 +60,7 @@ by batched simulation against cached dense schedules)::
                                 mini_batch=512,
                                 memory_budget_bytes=8 * GIB)
 
-Batch simulation (many ``(schedule, cost_model)`` rows in one call on
+Batch simulation (many ``(kernel, cost_model)`` rows in one call on
 the array kernel; rows sharing a cached kernel vectorize together, and
 ``repro bench`` gates its throughput in CI)::
 
@@ -68,8 +68,7 @@ the array kernel; rows sharing a cached kernel vectorize together, and
     arts = schedule_artifacts("chimera", 8, 16)
     kernel = arts.kernel_for()
     models = [CostModel.practical(), CostModel.unit()]
-    batch = simulate_batch_many([(arts.schedule, m) for m in models],
-                                kernels=[kernel] * len(models))
+    batch = simulate_batch_many([(kernel, m) for m in models])
 """
 
 from repro.schedules import (

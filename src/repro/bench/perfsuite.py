@@ -400,11 +400,8 @@ def run_case(
     kernel_times = [(fast.compute_makespan, fast.iteration_time)]
     if not offload:
         models = batch_cost_models(batch_size, base=base)
-        rows = [(schedule, model) for model in models]
-        kernels = [kernel] * len(models)
-        batch_wall, batch = _best_wall(
-            lambda: simulate_batch_many(rows, kernels=kernels), repeats
-        )
+        rows = [(kernel, model) for model in models]
+        batch_wall, batch = _best_wall(lambda: simulate_batch_many(rows), repeats)
         # Every case runs on the kernel either way; the base row's routing
         # must match the regime so a routing regression fails loudly here.
         contended = MODE_MODELS[case.mode] is contended_suite_model

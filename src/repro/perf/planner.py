@@ -306,14 +306,14 @@ class _PlanContext:
             hit = self.reports.get(rkey)
             if hit is not None:
                 return arts, hit
-        schedule = arts.schedule
+        profile = arts.memory_profile()
         memory_model = calibrate_memory_model(
             cfg.machine,
             cfg.workload,
-            depth=schedule.num_stages,
+            depth=profile.num_stages,
             micro_batch=cfg.micro_batch,
         )
-        report = analyze_memory(arts.memory_profile(), memory_model)
+        report = analyze_memory(profile, memory_model)
         if rkey is not None:
             self.reports[rkey] = report
         return arts, report
@@ -773,8 +773,10 @@ def _rank_all(
     carry heterogeneous shapes — ``(scheme, D, N, recompute, pipeline)``
     as well as ``(W, B)``/topology — and rows sharing a cached kernel
     (:meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for`)
-    vectorize together. The
-    default lowered ranking models link contention; the kernel computes
+    vectorize together. A row is calibrated from its kernel's stage count
+    and reads nothing of the schedule, so an entry restored from the disk
+    tier ranks without unpickling its schedule forms. The default
+    lowered ranking models link contention; the kernel computes
     per-channel FIFO serialization itself, so contended rows stay on the
     array path and nothing falls back to per-model event simulation.
     Asynchronous schemes keep the steady-state measurement of
@@ -789,7 +791,7 @@ def _rank_all(
     Returns ``id(pruned) -> unsorted entries`` for :func:`_finalize`.
     """
     # ---- collect distinct work items across every request ---------------
-    sync_rows: dict[tuple, tuple] = {}  # row key -> (schedule, model, kernel)
+    sync_rows: dict[tuple, tuple] = {}  # row key -> (kernel, model)
     async_cfgs: dict[tuple, ExperimentConfig] = {}
     row_of_survivor: dict[int, tuple] = {}
     for pruned in pruneds:
@@ -799,32 +801,28 @@ def _rank_all(
                 row_of_survivor[id(survivor)] = _steady_cfg_key(cfg)
                 async_cfgs.setdefault(row_of_survivor[id(survivor)], cfg)
                 continue
-            schedule = arts.schedule_for(cfg.pipeline)
             kernel = arts.kernel_for(cfg.pipeline)
             model = calibrate_cost_model(
                 cfg.machine,
                 cfg.workload,
-                depth=schedule.num_stages,
+                depth=kernel.num_stages,
                 micro_batch=cfg.micro_batch,
                 data_parallel_width=cfg.width,
             )
             row_key = (id(kernel), model)
-            sync_rows.setdefault(row_key, (schedule, model, kernel))
+            sync_rows.setdefault(row_key, (kernel, model))
             row_of_survivor[id(survivor)] = row_key
 
     # ---- one batched kernel call for every synchronous row --------------
     sync_results: dict[tuple, tuple[float, float, float]] = {}
     if sync_rows:
         keys = list(sync_rows)
-        batch = simulate_batch_many(
-            [(s, m) for s, m, _ in sync_rows.values()],
-            kernels=[k for _, _, k in sync_rows.values()],
-        )
+        batch = simulate_batch_many(list(sync_rows.values()))
         for k, key in enumerate(keys):
             sync_results[key] = (
                 float(batch.iteration_time[k]),
                 batch.bubble_ratio(k),
-                float(batch.schedules[k].num_micro_batches),
+                float(batch.num_micro_batches[k]),
             )
 
     # ---- process-pool fan-out for the async steady-state paths ----------

@@ -48,14 +48,17 @@ Disk tier
 ---------
 Beneath the LRU sits a persistent, content-addressed store
 (:mod:`repro.schedules.diskcache`): a memory miss consults the disk before
-building, a built schedule is written through at once, and every array
-kernel is written through (with the schedule forms) as it is built, so a
-restarted process (a fresh ``repro plan``, a redeployed ``repro serve``)
-skips schedule builds, passes, graph construction and kernel
-construction. The disk tier stores no dict graph and no memory profile
-(a restarted process recompiles a profile, one walk of the schedule, on
-first use): each payload holds the schedule forms and a ``kernels`` map
-keyed by form, and a stored kernel that is not a
+building, a built schedule is written through at once (with its memory
+profile), and every array kernel is written through as it is built, so
+a restarted process (a fresh ``repro plan``, a redeployed ``repro
+serve``) skips schedule builds, passes, graph construction, kernel
+construction and the memory walk. The disk tier stores no dict graph:
+each payload holds one pickled blob of the schedule forms, a
+``kernels`` map keyed by form and the
+:class:`~repro.sim.memory.MemoryProfile`. A restored entry keeps the
+blob as bytes until a schedule form is asked for, so synchronous
+planning, which reads only kernels and profiles, never unpickles an
+``Operation``. A stored kernel that is not a
 :class:`~repro.sim.kernel.ScheduleKernel` is dropped on load, so that
 form's kernel rebuilds from its schedule. The disk key is exactly the
 LRU key, the format is versioned, and corrupt entries are evicted on
@@ -69,6 +72,7 @@ collection would rescan every artifact already cached.
 
 from __future__ import annotations
 
+import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -78,7 +82,7 @@ from typing import Callable, Sequence
 from repro.common.errors import ReproError
 from repro.common.gcpause import collector_paused
 from repro.schedules.dependencies import DependencyGraph, build_dependency_graph
-from repro.schedules.diskcache import DiskCacheStats, DiskScheduleCache
+from repro.schedules.diskcache import DiskCacheStats, DiskScheduleCache, dumps
 from repro.schedules.ir import Schedule
 from repro.schedules.lowering import lower_schedule
 from repro.schedules.passes import FuseCommPass, pipeline_signature
@@ -108,24 +112,25 @@ class ScheduleArtifacts:
     builds a duplicate which is immediately discarded in favour of the
     first).
 
-    The resident and persisted simulation form is the array kernel. The
-    memory profile (:meth:`memory_profile`) is resident only: compiled
-    on first use, never written to the disk tier, dropped with the
-    entry. Dependency graphs are transient: lowering and kernel
-    construction read them (lowering returns the lowered graph with the
-    lowered schedule, so a lowered entry builds one graph, not two),
-    :meth:`kernel_for` drops them once its kernel exists, and
-    :meth:`graph_for` rebuilds one on demand. The disk payload
-    (:meth:`snapshot`) is the schedule forms plus the kernels, keyed by
-    form; building a kernel writes the entry through.
+    The resident and persisted forms are the schedule forms, the array
+    kernels and the memory profile (:meth:`memory_profile`). Dependency
+    graphs are transient: lowering and kernel construction read them
+    (lowering returns the lowered graph with the lowered schedule, so a
+    lowered entry builds one graph, not two), :meth:`kernel_for` drops
+    them once its kernel exists, and :meth:`graph_for` rebuilds one on
+    demand. The disk payload (:meth:`snapshot`) is one pickled blob of
+    the schedule forms, the kernels keyed by form, and the profile;
+    building a kernel writes the entry through. An entry restored from
+    disk (:meth:`from_snapshot`) keeps the blob as bytes and unpickles
+    it on the first use of a schedule form, so ranking from kernels and
+    profiles never unpickles an ``Operation``.
     """
 
     __slots__ = (
-        "schedule",
+        "_forms",
+        "_blob",
         "_graph",
-        "_lowered",
         "_lowered_graph",
-        "_fused",
         "_fused_graph",
         "_kernels",
         "_memory_profile",
@@ -134,20 +139,23 @@ class ScheduleArtifacts:
     )
 
     #: Schedule form -> the accessor of its dependency graph. The form
-    #: names are also the disk payload's slot names and the keys of its
-    #: ``kernels`` map.
+    #: names are also the keys of the pickled forms blob and of the
+    #: payload's ``kernels`` map.
     _FORMS = {"schedule": "graph", "lowered": "lowered_graph", "fused": "fused_graph"}
 
     def __init__(
         self,
-        schedule: Schedule,
+        schedule: Schedule | None,
         persist: "Callable[[ScheduleArtifacts], None] | None" = None,
     ):
-        self.schedule = _freeze(schedule)
+        #: Form name -> schedule; None while a restored entry holds only
+        #: the pickled ``_blob`` of its forms.
+        self._forms: dict[str, Schedule] | None = (
+            {"schedule": _freeze(schedule)} if schedule is not None else None
+        )
+        self._blob: bytes | None = None
         self._graph: DependencyGraph | None = None
-        self._lowered: Schedule | None = None
         self._lowered_graph: DependencyGraph | None = None
-        self._fused: Schedule | None = None
         self._fused_graph: DependencyGraph | None = None
         #: Form name -> memoized kernel of that form.
         self._kernels: dict[str, object] = {}
@@ -156,18 +164,25 @@ class ScheduleArtifacts:
         self._persist = persist
 
     def snapshot(self) -> dict:
-        """The disk payload: every schedule form the entry holds, keyed by
-        form name, plus ``kernels`` (form name -> kernel) once any exist.
-        Kernels are sorted by form, so the layout does not depend on the
-        order they were built in."""
-        out: dict = {"schedule": self.schedule}
+        """The disk payload: ``forms``, one pickle of every schedule form
+        the entry holds (keyed by form name, so ops the forms share are
+        stored once), plus ``memory_profile`` once compiled and
+        ``kernels`` (form name -> kernel) once any exist. A restored
+        entry whose forms were never unpickled reuses its blob. Kernels
+        are sorted by form, so the layout does not depend on the order
+        they were built in."""
         with self._lock:
-            if self._lowered is not None:
-                out["lowered"] = self._lowered
-            if self._fused is not None:
-                out["fused"] = self._fused
-            if self._kernels:
-                out["kernels"] = dict(sorted(self._kernels.items()))
+            blob = self._blob
+            forms = dict(self._forms) if blob is None else None
+            profile = self._memory_profile
+            kernels = dict(sorted(self._kernels.items()))
+        if blob is None:
+            blob = dumps({name: forms[name] for name in self._FORMS if name in forms})
+        out: dict = {"forms": blob}
+        if profile is not None:
+            out["memory_profile"] = profile
+        if kernels:
+            out["kernels"] = kernels
         return out
 
     @classmethod
@@ -178,15 +193,21 @@ class ScheduleArtifacts:
     ) -> "ScheduleArtifacts":
         """Rehydrate an entry from a disk payload (missing forms stay lazy).
 
+        The forms blob stays pickled until a schedule form is asked for.
         A stored kernel that is not a
-        :class:`~repro.sim.kernel.ScheduleKernel` is dropped:
-        :meth:`kernel_for` rebuilds it from the schedule.
+        :class:`~repro.sim.kernel.ScheduleKernel` is dropped, and so is a
+        stored profile that is not a
+        :class:`~repro.sim.memory.MemoryProfile`: :meth:`kernel_for` and
+        :meth:`memory_profile` rebuild them from the schedule.
         """
         from repro.sim.kernel import ScheduleKernel
+        from repro.sim.memory import MemoryProfile
 
-        arts = cls(payload["schedule"], persist=persist)
-        arts._lowered = payload.get("lowered")
-        arts._fused = payload.get("fused")
+        blob = payload["forms"]
+        if not isinstance(blob, bytes):
+            raise TypeError("the schedule forms must be one pickled blob")
+        arts = cls(None, persist=persist)
+        arts._blob = blob
         kernels = payload.get("kernels")
         if isinstance(kernels, dict):
             arts._kernels = {
@@ -194,7 +215,33 @@ class ScheduleArtifacts:
                 for form, kernel in kernels.items()
                 if isinstance(kernel, ScheduleKernel)
             }
+        profile = payload.get("memory_profile")
+        if isinstance(profile, MemoryProfile):
+            arts._memory_profile = profile
         return arts
+
+    def _held_forms(self) -> dict[str, Schedule]:
+        """Form name -> schedule for every form the entry holds; a
+        restored entry unpickles its blob here, all forms at once."""
+        forms = self._forms
+        if forms is None:
+            with self._lock:
+                if self._forms is None:
+                    with collector_paused():
+                        self._forms = pickle.loads(self._blob)
+                    self._blob = None
+                forms = self._forms
+        return forms
+
+    def _add_form(self, name: str, schedule: Schedule) -> Schedule:
+        """Keep ``schedule`` as form ``name`` (first insert wins)."""
+        with self._lock:
+            return self._forms.setdefault(name, schedule)
+
+    @property
+    def schedule(self) -> Schedule:
+        """The (implicit-communication) schedule."""
+        return self._held_forms()["schedule"]
 
     def _derive(self, attr: str, build: Callable[[], object]):
         """Slot ``attr``, built on first use (first insert wins).
@@ -220,22 +267,21 @@ class ScheduleArtifacts:
 
     def lowered(self) -> Schedule:
         """The schedule with explicit SEND/RECV communication ops."""
-        if self._lowered is None:
+        if "lowered" not in self._held_forms():
             self.lowered_graph()
-        return self._lowered
+        return self._forms["lowered"]
 
     def lowered_graph(self) -> DependencyGraph:
         """Dependency graph of the lowered schedule: the one lowering
         returns, or rebuilt from a lowered schedule the entry kept or
         restored without its graph."""
-        if self._lowered is not None:
+        lowered = self._held_forms().get("lowered")
+        if lowered is not None:
             return self._derive(
-                "_lowered_graph", lambda: build_dependency_graph(self._lowered)
+                "_lowered_graph", lambda: build_dependency_graph(lowered)
             )
         graph = self._derive("_lowered_graph", self._lower)
-        with self._lock:
-            if self._lowered is None:
-                self._lowered = graph.schedule
+        self._add_form("lowered", graph.schedule)
         return graph
 
     def _lower(self) -> DependencyGraph:
@@ -245,9 +291,12 @@ class ScheduleArtifacts:
 
     def fused(self) -> Schedule:
         """The lowered schedule with SEND/RECV pairs batched (fuse_comm)."""
-        return self._derive(
-            "_fused", lambda: _freeze(FuseCommPass().run(self.lowered()))
-        )
+        fused = self._held_forms().get("fused")
+        if fused is None:
+            with collector_paused():
+                built = _freeze(FuseCommPass().run(self.lowered()))
+            fused = self._add_form("fused", built)
+        return fused
 
     def fused_graph(self) -> DependencyGraph:
         """Dependency graph of the fused schedule."""
@@ -259,9 +308,9 @@ class ScheduleArtifacts:
         """The schedule's :class:`~repro.sim.memory.MemoryProfile`, compiled
         once per entry: every memory model the entry is analyzed under
         (one per machine, workload and micro-batch size sharing the
-        schedule) prices the same profile. Resident only, never written
-        to the disk tier — it dies with the entry. Imported lazily like
-        :meth:`kernel_for`."""
+        schedule) prices the same profile. A built entry's first disk
+        write carries it, so a restored entry does not walk its schedule
+        again. Imported lazily like :meth:`kernel_for`."""
         from repro.sim.memory import compile_memory_profile
 
         return self._derive(
@@ -471,6 +520,12 @@ class ScheduleCache:
             persist=persist,
         )
         if persist is not None:
+            # The first write carries the profile, so a restarted process
+            # never walks this schedule for memory again.
+            try:
+                entry.memory_profile()
+            except ReproError:
+                pass  # raised again when the profile is asked for
             persist(entry)
         return entry
 

@@ -17,9 +17,9 @@ Format and corruption tolerance
 Each entry is one file named by the SHA-256 of its key (two-level fan-out
 directories keep listings fast). The payload is a pickle of a *versioned
 wrapper*: ``{"format": FORMAT_VERSION, "library": repro.__version__,
-"key": key, "artifacts": {...}}``. A load only succeeds when the magic
-prefix, format version, library version, and stored key all match; any
-mismatch — or any exception while unpickling, including truncated or
+"key": key, "forms_sha256": ..., "artifacts": {...}}``. A load only succeeds when the magic
+prefix, format version, library version, stored key and the forms
+blob's digest all match; any mismatch — or any exception while unpickling, including truncated or
 bit-flipped files — **evicts the entry and returns a miss**. A bad disk
 entry can cost a rebuild, never a crash or a wrong plan.
 
@@ -28,20 +28,28 @@ unwritable or full cache directory degrades to the in-memory behaviour
 instead of failing the caller. Set ``REPRO_CACHE_DISABLE=1`` to turn the
 tier off entirely (every lookup misses, nothing is written).
 
-Serialized payloads hold every *materialized* schedule form (the
-lowered and fused schedules) and the array kernel of each form that has
-one, so a warm process skips ``build_schedule``, the passes, graph
-construction and kernel construction. Dict dependency graphs are never
-stored: the kernels are what the planner reads, and their numpy tables
-and flat int lists unpickle into few container objects. A kernel shares
-its ``Operation`` objects with the schedule form it was built from, and
-both pickle in one payload, so no op is stored twice. On the end-to-end
-benchmark's ``plan_cold`` stream this stores 41 MB in 372 writes, where
-storing dict graphs instead stored 65 MB in 538 writes. The payload
-bytes do not depend on call order (see
-:meth:`repro.sim.kernel.ScheduleKernel.__getstate__`). Frozen schedule
-metadata (:class:`types.MappingProxyType`) pickles through a custom
-dispatch-table entry and is re-frozen on load.
+Each payload holds three things: ``forms``, one pickled blob of every
+*materialized* schedule form (the implicit schedule and, once derived,
+the lowered and fused ones); ``kernels``, the array kernel of each form
+that has one; and ``memory_profile``, the schedule's compiled
+:class:`~repro.sim.memory.MemoryProfile`. So a warm process skips
+``build_schedule``, the passes, graph construction, kernel construction
+and the memory walk. The forms are one blob, not one pickle per form,
+so the ops the implicit and lowered forms share are stored once. The
+blob is unpickled only when something asks for a schedule form
+(:class:`~repro.schedules.cache.ScheduleArtifacts` restores it lazily):
+synchronous planning ranks from kernels and profiles alone, and
+unpickling ``Operation`` objects was most of a warm load. Because the
+blob is opaque bytes until then, the wrapper records its SHA-256
+(``forms_sha256``) and :meth:`DiskScheduleCache.load` checks it, so bit
+rot inside the blob still evicts at load time. Dict dependency graphs
+are never stored. On the end-to-end benchmark's ``plan_cold`` stream
+this stores 40.7 MB in 372 writes and leaves 206 entries (36.4 MB):
+8.6 MB of forms blobs (10.9 MB when each form is pickled apart), 26.1 MB
+of kernels and 1.8 MB of profiles. The payload bytes do not depend on
+call order (see :meth:`repro.sim.kernel.ScheduleKernel.__getstate__`).
+Frozen schedule metadata (:class:`types.MappingProxyType`) pickles
+through a custom dispatch-table entry and is re-frozen on load.
 """
 
 from __future__ import annotations
@@ -67,7 +75,11 @@ from types import MappingProxyType
 #: ``tests/test_diskcache.py`` pins the pair).
 #: v4: kernels built from the graph's tables drop the unread
 #: ``send_cls``, ``send_ids``, ``_edge_cls_list`` and ``_edge_send_list``.
-FORMAT_VERSION = 4
+#: v5: the schedule forms are one pickled blob (``forms``, checked by
+#: ``forms_sha256``), the payload carries the memory profile, and
+#: kernels drop ``ops_flat`` and record ``num_stages`` and
+#: ``num_micro_batches``.
+FORMAT_VERSION = 5
 
 #: First bytes of every entry file; a cheap pre-pickle sanity check that
 #: rejects foreign files dropped into the cache directory.
@@ -115,6 +127,14 @@ class _ArtifactPickler(pickle.Pickler):
 
     dispatch_table = copyreg.dispatch_table.copy()
     dispatch_table[MappingProxyType] = lambda mp: (_rebuild_proxy, (dict(mp),))
+
+
+def dumps(obj: object) -> bytes:
+    """``obj`` pickled the way payloads are (frozen metadata included);
+    ``pickle.loads`` reverses it."""
+    buf = io.BytesIO()
+    _ArtifactPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -203,8 +223,9 @@ class DiskScheduleCache:
             ):
                 raise ValueError("stale or mismatched entry")
             payload = wrapper["artifacts"]
-            if not isinstance(payload, dict) or "schedule" not in payload:
-                raise ValueError("payload missing the schedule")
+            forms = payload["forms"]
+            if hashlib.sha256(forms).hexdigest() != wrapper["forms_sha256"]:
+                raise ValueError("forms blob does not match its digest")
         except Exception:
             # Never let a bad disk entry crash a plan: evict and rebuild.
             self._evict(path)
@@ -218,6 +239,9 @@ class DiskScheduleCache:
     def store(self, key: tuple, artifacts: dict) -> bool:
         """Atomically persist ``artifacts`` under ``key`` (best-effort).
 
+        ``artifacts`` is a :meth:`~repro.schedules.cache.ScheduleArtifacts.snapshot`
+        payload; the wrapper records the digest of its ``forms`` blob.
+
         Returns False without raising when the tier is disabled or the
         directory is unwritable — disk caching is an accelerator, not a
         dependency.
@@ -229,15 +253,14 @@ class DiskScheduleCache:
             "format": FORMAT_VERSION,
             "library": _library_version(),
             "key": key,
+            "forms_sha256": hashlib.sha256(artifacts["forms"]).hexdigest(),
             "artifacts": artifacts,
         }
-        buf = io.BytesIO()
-        buf.write(MAGIC)
-        _ArtifactPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(wrapper)
+        data = MAGIC + dumps(wrapper)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(buf.getvalue())
+            tmp.write_bytes(data)
             os.replace(tmp, path)
         except OSError:
             try:

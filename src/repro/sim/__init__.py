@@ -20,7 +20,7 @@ channel, contend with collectives, and overlap with compute
 (:class:`~repro.sim.engine.TransferRecord`); offloaded schedules queue
 their stash copies on per-worker host channels.
 :func:`~repro.sim.kernel.simulate_batch_many` evaluates many
-``(schedule, cost_model)`` rows in one call for planner-scale sweeps.
+``(kernel, cost_model)`` rows in one call for planner-scale sweeps.
 
 The heap-based event queue (:func:`repro.sim.engine.simulate`) defines
 the same timing model one event at a time. It is the oracle the kernel's

@@ -51,7 +51,7 @@ Public surface:
   for one cost model. One scalar pass when contention-free; inline FIFO
   serialization or the fixed-point relaxation when contended or
   blocking.
-* :func:`simulate_batch_many` — the batch API: ``(schedule, cost_model)``
+* :func:`simulate_batch_many` — the batch API: ``(kernel, cost_model)``
   rows that may differ in schedule shape ``(D, N)`` and pass pipeline as
   well as in cost model and topology, returning iteration-level
   quantities only (:class:`BatchResult`), so the planner ranks *all*
@@ -166,16 +166,19 @@ class ScheduleKernel:
 
     The kernel reads the graph's op table and CSR edge tables directly
     and keeps nothing of the graph or the engine's dense form: only the
-    per-op ``ops_flat``, ``op_worker`` and ``row_pos`` lists and the ids
-    of each sync group's members (``sync_groups``), so it outlives the
-    dependency graph it was built from.
+    per-op ``op_worker`` and ``row_pos`` lists, the ids of each sync
+    group's members (``sync_groups``), one representative op per
+    duration shape (``shape_reps``), and the schedule's stage and
+    micro-batch counts, so it outlives the dependency graph it was built
+    from and ranking reads nothing of the schedule.
     """
 
     def __init__(self, graph: DependencyGraph):
         ops_flat = graph.ops_flat
         total = len(ops_flat)
         self.total = total
-        self.ops_flat = ops_flat
+        self.num_stages = graph.schedule.num_stages
+        self.num_micro_batches = graph.schedule.num_micro_batches
         self.op_worker = graph.op_worker
         #: Position of each op in its worker's row (ids are row-major, so
         #: an op's row successor is id + 1).
@@ -1177,7 +1180,8 @@ def _assemble_result(
     blocking_sync: bool,
 ) -> SimulationResult:
     """Build the full result from kernel times via the engine's finalizer."""
-    ops_flat = kernel.ops_flat
+    # Op ids are row-major: id order is the schedule's worker rows in turn.
+    ops_flat = [op for row in schedule.worker_ops for op in row]
     op_worker = kernel.op_worker
     timed = {}
     for oid, op in enumerate(ops_flat):
@@ -1243,12 +1247,14 @@ class BatchResult:
 
     Rows may come from *different schedules* (heterogeneous ``(D, N)``
     shapes and pass pipelines), so the per-worker busy arrays are a tuple
-    of per-row vectors. ``used_fast_path[k]`` is True when row ``k`` ran
-    the single-sweep pass and False when it ran the contended handling
-    (nonzero channel occupancy); every row is engine-exact either way.
+    of per-row vectors. ``num_micro_batches[k]`` is row ``k``'s
+    micro-batch count, read from its kernel. ``used_fast_path[k]`` is
+    True when row ``k`` ran the single-sweep pass and False when it ran
+    the contended handling (nonzero channel occupancy); every row is
+    engine-exact either way.
     """
 
-    schedules: tuple[Schedule, ...]
+    num_micro_batches: tuple[int, ...]
     cost_models: tuple[CostModel, ...]
     compute_makespan: np.ndarray
     iteration_time: np.ndarray
@@ -1274,41 +1280,39 @@ class BatchResult:
         iteration = float(self.iteration_time[k])
         if iteration <= 0:
             return float("inf")
-        samples = self.schedules[k].num_micro_batches * micro_batch * width
+        samples = self.num_micro_batches[k] * micro_batch * width
         return samples / iteration
 
 
 def simulate_batch_many(
-    items: Sequence[tuple[Schedule, CostModel]],
-    *,
-    kernels: Sequence[ScheduleKernel | None] | None = None,
+    rows: Sequence[tuple[Schedule | ScheduleKernel, CostModel]],
 ) -> BatchResult:
-    """Evaluate heterogeneous ``(schedule, cost_model)`` rows in one call.
+    """Evaluate heterogeneous ``(kernel, cost_model)`` rows in one call.
 
-    Rows may differ in schedule shape — depth ``D``, micro-batch count
-    ``N``, pass pipeline — as well as in cost model and topology. The
-    batch path never materializes per-op ``TimedOp`` dictionaries; it
-    returns the iteration-level quantities ranking needs (makespan,
-    iteration time, per-worker busy seconds). Rows sharing a kernel
-    vectorize together where the kernel's levelization pays for it:
-    contention-free rows share one wave-vectorized sweep, and contended
-    rows on full-duplex channels share one inline-FIFO wave sweep.
-    Fixed-point rows (half-duplex channels) run one at a time, exactly as
-    :func:`simulate_fast` runs them. Distinct shapes evaluate against
-    their own cached kernels within the same call. This is the planner's
-    ranking primitive: all memory-feasible survivors, one call. ``kernels``
-    aligns with ``items``; a row without one gets its own, built from its
-    schedule.
+    A row names its schedule by its kernel (e.g. from
+    :meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for`), or by
+    the schedule itself, whose kernel is then built from a fresh
+    dependency graph. Rows may differ in schedule shape — depth ``D``,
+    micro-batch count ``N``, pass pipeline — as well as in cost model and
+    topology. The batch path never materializes per-op ``TimedOp``
+    dictionaries; it returns the iteration-level quantities ranking needs
+    (makespan, iteration time, per-worker busy seconds and micro-batch
+    counts), so a kernel row reads nothing of its schedule. Rows sharing
+    a kernel vectorize together where the kernel's levelization pays for
+    it: contention-free rows share one wave-vectorized sweep, and
+    contended rows on full-duplex channels share one inline-FIFO wave
+    sweep. Fixed-point rows (half-duplex channels) run one at a time,
+    exactly as :func:`simulate_fast` runs them. Distinct shapes evaluate
+    against their own cached kernels within the same call. This is the
+    planner's ranking primitive: all memory-feasible survivors, one call.
     """
-    if not items:
+    if not rows:
         raise ValueError("simulate_batch_many needs at least one row")
-    if kernels is None:
-        kernels = [None] * len(items)
-    if len(kernels) != len(items):
-        raise ValueError("kernels must align with items")
     resolved = [
-        kernel if kernel is not None else kernel_of(build_dependency_graph(s))
-        for (s, _), kernel in zip(items, kernels)
+        source
+        if isinstance(source, ScheduleKernel)
+        else kernel_of(build_dependency_graph(source))
+        for source, _ in rows
     ]
 
     # Group rows by kernel identity, preserving each row's position.
@@ -1316,23 +1320,23 @@ def simulate_batch_many(
     for k, kernel in enumerate(resolved):
         group_rows.setdefault(id(kernel), []).append(k)
 
-    n = len(items)
+    n = len(rows)
     makespan = np.zeros(n)
     iteration = np.zeros(n)
     busy: list[np.ndarray | None] = [None] * n
     hints = [True] * n
-    for rows in group_rows.values():
-        kernel = resolved[rows[0]]
-        models = tuple(items[k][1] for k in rows)
+    for group in group_rows.values():
+        kernel = resolved[group[0]]
+        models = tuple(rows[k][1] for k in group)
         g_mk, g_it, g_busy, g_hints = _batch_rows(kernel, models)
-        for j, k in enumerate(rows):
+        for j, k in enumerate(group):
             makespan[k] = g_mk[j]
             iteration[k] = g_it[j]
             busy[k] = g_busy[j]
             hints[k] = g_hints[j]
     return BatchResult(
-        schedules=tuple(schedule for schedule, _ in items),
-        cost_models=tuple(model for _, model in items),
+        num_micro_batches=tuple(kernel.num_micro_batches for kernel in resolved),
+        cost_models=tuple(model for _, model in rows),
         compute_makespan=makespan,
         iteration_time=iteration,
         worker_busy=tuple(busy),  # type: ignore[arg-type]

@@ -24,6 +24,10 @@ import threading
 
 import pytest
 
+import repro.schedules.cache as cache_module
+from repro.bench.machines import PIZ_DAINT
+from repro.bench.workloads import BERT48
+from repro.perf.planner import PlanRequest, plan_many
 from repro.schedules.cache import ScheduleArtifacts, ScheduleCache
 from repro.schedules.diskcache import (
     ENV_DIR,
@@ -33,10 +37,14 @@ from repro.schedules.diskcache import (
     DiskScheduleCache,
     _ArtifactPickler,
     default_cache_dir,
+    dumps,
 )
+from repro.schedules.ir import Operation
 from repro.schedules.registry import build_schedule
 from repro.sim.cost import CostModel
+from repro.sim import memory
 from repro.sim.kernel import ScheduleKernel, simulate_fast
+from repro.sim.memory import MemoryModel, analyze_memory
 from repro.sim.network import FlatTopology, LinkSpec
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -48,19 +56,22 @@ def fresh_cache(tmp_path, max_entries: int = 128) -> ScheduleCache:
 
 class TestDiskRoundTrip:
     def test_snapshot_restores_all_forms_and_kernel(self, tmp_path):
-        """Every materialized schedule form and kernel round-trips, the
-        payload holds no dependency graph, and the restored kernel
-        simulates identically."""
+        """Every materialized schedule form, kernel and the memory profile
+        round-trip, the payload holds no dependency graph, the forms stay
+        one pickled blob until a form is asked for, and the restored
+        kernel simulates identically."""
         disk = DiskScheduleCache(tmp_path)
         arts = ScheduleArtifacts(build_schedule("chimera", 4, 8))
         fused = ("lower_p2p", "fuse_comm")
         arts.kernel_for(("lower_p2p",))
         kernel = arts.kernel_for(fused)
+        profile = arts.memory_profile()
         cost = CostModel.practical()
         a = simulate_fast(arts.schedule_for(fused), cost, kernel=kernel)
         key = ScheduleCache.key("chimera", 4, 8, {})
         payload = arts.snapshot()
-        assert set(payload) == {"schedule", "lowered", "fused", "kernels"}
+        assert set(payload) == {"forms", "kernels", "memory_profile"}
+        assert list(pickle.loads(payload["forms"])) == ["schedule", "lowered", "fused"]
         assert set(payload["kernels"]) == {"lowered", "fused"}
         assert disk.store(key, payload)
         # No graph (nor its OpKey -> Edge dicts) is pickled.
@@ -69,6 +80,13 @@ class TestDiskRoundTrip:
         )
 
         restored = ScheduleArtifacts.from_snapshot(disk.load(key))
+        assert restored._forms is None
+        assert restored.memory_profile() is not profile
+        model = MemoryModel(activation_bytes=1.0, stash_input_bytes=0.1)
+        assert analyze_memory(restored.memory_profile(), model) == analyze_memory(
+            profile, model
+        )
+        assert restored._forms is None  # the profile needs no schedule form
         assert restored.schedule.worker_ops == arts.schedule.worker_ops
         assert restored.lowered().worker_ops == arts.lowered().worker_ops
         assert restored.fused().worker_ops == arts.fused().worker_ops
@@ -99,7 +117,8 @@ class TestDiskRoundTrip:
         monkeypatch.setenv(ENV_DISABLE, "1")
         disk = DiskScheduleCache(tmp_path)
         key = ScheduleCache.key("gpipe", 2, 4, {})
-        assert not disk.store(key, {"schedule": build_schedule("gpipe", 2, 4)})
+        snapshot = ScheduleArtifacts(build_schedule("gpipe", 2, 4)).snapshot()
+        assert not disk.store(key, snapshot)
         assert disk.load(key) is None
         assert disk.stats().entries == 0
 
@@ -185,14 +204,26 @@ class TestKernelPersistence:
             assert a.transfers and any(t.occupancy > 0 for t in a.transfers)
 
     def test_restored_kernel_shares_the_schedules_ops(self, tmp_path, cold):
-        """The payload stores each op once: the kernel's ops are the
-        restored schedule form's own objects."""
+        """The payload stores each op once: the kernel holds no op list,
+        and the one forms blob stores the ops the implicit and lowered
+        forms share once, so they come back as shared objects."""
         warm = fresh_cache(tmp_path).artifacts("chimera", 4, 8)
         kernel = warm.kernel_for(PIPELINE)
-        rows = warm.lowered().worker_ops
-        assert len(kernel.ops_flat) == sum(len(row) for row in rows)
-        for i, op in enumerate(kernel.ops_flat):
-            assert op is rows[kernel.op_worker[i]][kernel.row_pos[i]]
+        assert not any(
+            isinstance(value, (list, tuple)) and len(value) == kernel.total
+            and any(isinstance(item, Operation) for item in value)
+            for value in vars(kernel).values()
+        )
+        assert len(kernel.shape_reps) < kernel.total
+        blob = warm.snapshot()["forms"]
+        implicit = {op.key(): op for _, op in warm.schedule.all_ops()}
+        shared = [
+            op for _, op in warm.lowered().all_ops() if op.key() in implicit
+        ]
+        assert len(shared) == len(implicit)
+        assert all(op is implicit[op.key()] for op in shared)
+        apart = len(dumps(warm.schedule)) + len(dumps(warm.lowered()))
+        assert len(blob) < apart
 
     def test_kernel_layout_is_pinned_to_the_format_version(self, cold):
         """Tripwire: a stored kernel unpickles into whatever the class
@@ -200,14 +231,15 @@ class TestKernelPersistence:
         (and then this pin)."""
         _, kernel = cold
         assert (FORMAT_VERSION, sorted(vars(kernel))) == (
-            4,
+            5,
             [
                 "_blocking", "_edge_src_list", "_esrc_fifo_list", "_inc_ptr",
                 "_indeg_list", "_order_list", "_pos_of", "_send_chan_list",
                 "_send_of_op", "compute_by_worker", "compute_ids",
                 "delay_classes", "edge_cls", "edge_dst", "edge_src",
-                "has_host_sends", "num_channels", "num_waves", "num_workers",
-                "op_worker", "ops", "ops_flat", "order", "red_dst",
+                "has_host_sends", "num_channels", "num_micro_batches",
+                "num_stages", "num_waves", "num_workers",
+                "op_worker", "ops", "order", "red_dst",
                 "red_off", "row_pos", "send_by_wave", "send_chan_idx",
                 "send_dst_w", "send_host_dir",
                 "send_oid", "send_row_pos", "send_units", "send_worker",
@@ -256,6 +288,14 @@ class TestKernelPersistence:
         assert disk.entry_path(key).read_bytes() == before
 
 
+def _rot_forms_blob(data: bytes) -> bytes:
+    """Flip 7 bytes in the middle of the entry's pickled forms blob: the
+    outer pickle still loads, only the blob's digest can tell."""
+    forms = pickle.loads(data[len(MAGIC) :])["artifacts"]["forms"]
+    mid = data.index(forms) + len(forms) // 2
+    return data[:mid] + bytes(b ^ 0xFF for b in data[mid : mid + 7]) + data[mid + 7 :]
+
+
 class TestCorruptionTolerance:
     """A bad disk entry may cost a rebuild, never a crash or a wrong plan."""
 
@@ -266,8 +306,9 @@ class TestCorruptionTolerance:
             lambda blob: blob[: len(blob) // 2],  # truncated
             lambda blob: MAGIC + b"\x80\x04garbage.",
             lambda blob: blob[:-7] + bytes(7),  # bit rot in the tail
+            lambda blob: _rot_forms_blob(blob),
         ],
-        ids=["foreign", "truncated", "bad-pickle", "tail-rot"],
+        ids=["foreign", "truncated", "bad-pickle", "tail-rot", "mid-blob-rot"],
     )
     def test_corrupt_entry_evicted_and_rebuilt(self, tmp_path, mangle):
         cache = fresh_cache(tmp_path)
@@ -416,7 +457,7 @@ class TestEvictionAccounting:
 
 
 MP_HAMMER_SCRIPT = """
-import json, pathlib, random, sys
+import json, pathlib, pickle, random, sys
 from repro.schedules.cache import ScheduleArtifacts, ScheduleCache
 from repro.schedules.diskcache import DiskScheduleCache
 from repro.schedules.registry import build_schedule
@@ -436,7 +477,10 @@ for i in range(60):
     elif roll < 0.8:
         payload = disk.load(key)
         if payload is not None:
-            assert "schedule" in payload, "structurally wrong payload served"
+            schedule = pickle.loads(payload["forms"])["schedule"]
+            assert (schedule.scheme, schedule.num_stages, schedule.num_micro_batches) == cell, (
+                "structurally wrong payload served"
+            )
             loaded += 1
     else:
         try:
@@ -491,6 +535,89 @@ class TestMultiProcessHammer:
             assert disk.store(key, arts.snapshot())
             restored = ScheduleArtifacts.from_snapshot(disk.load(key))
             assert restored.schedule.worker_ops == arts.schedule.worker_ops
+
+
+class TestWarmPlanning:
+    """A restarted planner ranks synchronous survivors from kernels and
+    memory profiles alone: it walks no schedule for memory and unpickles
+    no entry's schedule forms."""
+
+    @pytest.fixture
+    def restart(self, tmp_path, monkeypatch):
+        """Start a fresh process-wide cache over one shared disk tier."""
+
+        def fresh() -> ScheduleCache:
+            cache = fresh_cache(tmp_path)
+            monkeypatch.setattr(cache_module, "SCHEDULE_CACHE", cache)
+            return cache
+
+        return fresh
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Schedules walked into memory profiles, and entries whose forms
+        blob was unpickled."""
+        compiled: list[object] = []
+        unpickled: list[ScheduleArtifacts] = []
+        compile_profile = memory.compile_memory_profile
+        held = ScheduleArtifacts._held_forms
+
+        def counting_compile(schedule):
+            compiled.append(schedule)
+            return compile_profile(schedule)
+
+        def counting_held(arts):
+            if arts._forms is None:
+                unpickled.append(arts)
+            return held(arts)
+
+        monkeypatch.setattr(memory, "compile_memory_profile", counting_compile)
+        monkeypatch.setattr(ScheduleArtifacts, "_held_forms", counting_held)
+        return compiled, unpickled
+
+    def test_warm_sync_plan_reads_no_schedule(self, restart, walks):
+        compiled, unpickled = walks
+        request = PlanRequest(
+            machine=PIZ_DAINT,
+            workload=BERT48,
+            num_workers=8,
+            mini_batch=32,
+            schemes=("chimera", "dapple"),
+            # Rejects some attempts; their entries build no kernel, so
+            # the build's own write is the only one to carry a profile.
+            memory_budget_bytes=6 * 2**30,
+        )
+        restart()
+        [cold] = plan_many([request], max_workers=1)
+        assert cold.ok and compiled
+        del compiled[:], unpickled[:]
+
+        warm_cache = restart()
+        [warm] = plan_many([request], max_workers=1)
+        assert warm_cache.disk.stats().hits == warm_cache.stats().misses > 0
+        assert compiled == [] and unpickled == []
+        assert warm == cold
+
+    def test_warm_async_plan_restores_forms_lazily(self, restart, walks):
+        _, unpickled = walks
+        request = PlanRequest(
+            machine=PIZ_DAINT,
+            workload=BERT48,
+            num_workers=4,
+            mini_batch=32,
+            schemes=("pipedream", "dapple"),
+        )
+        restart()
+        [cold] = plan_many([request], max_workers=1)
+        assert cold.ok
+        del unpickled[:]
+
+        restart()
+        [warm] = plan_many([request], max_workers=1)
+        assert unpickled and all(
+            arts.schedule.scheme == "pipedream" for arts in unpickled
+        )
+        assert warm == cold
 
 
 COLD_START_SCRIPT = """

@@ -100,7 +100,7 @@ def test_fast_path_matches_event_engine(scheme, depth, n, f, b, w, alpha, pipeli
     graph = arts.graph_for(pipeline)
     cm = contention_free_model(f, b, w, alpha)
     assert simulate_batch_many(
-        [(schedule, cm)], kernels=[kernel_of(graph)]
+        [(kernel_of(graph), cm)]
     ).used_fast_path[0]
     assert_results_match(
         simulate(schedule, cm, graph=graph),
@@ -130,7 +130,7 @@ def test_batch_matches_event_engine(scheme, depth, n, f, b, w, pipeline):
         ),
     ]
     batch = simulate_batch_many(
-        [(schedule, cm) for cm in models], kernels=[kernel_of(graph)] * len(models)
+        [(kernel_of(graph), cm) for cm in models]
     )
     assert isinstance(batch, BatchResult)
     assert len(batch) == len(models)
@@ -157,7 +157,7 @@ def test_single_model_batch_uses_scalar_pass():
     arts = schedule_artifacts("chimera", 4, 8)
     cm = contention_free_model(1.0, 1.1, 0.9, 0.05)
     batch = simulate_batch_many(
-        [(arts.schedule, cm)], kernels=[kernel_of(arts.graph())]
+        [(kernel_of(arts.graph()), cm)]
     )
     ref = simulate(arts.schedule, cm, graph=arts.graph())
     assert batch.used_fast_path == (True,)
@@ -198,7 +198,7 @@ def test_lowered_contention_runs_contended_kernel_path():
         activation_message_bytes=1.0,
     )
     assert not simulate_batch_many(
-        [(schedule, cm)], kernels=[kernel_of(graph)]
+        [(kernel_of(graph), cm)]
     ).used_fast_path[0]
     assert_results_match(
         simulate(schedule, cm, graph=graph),
@@ -207,7 +207,7 @@ def test_lowered_contention_runs_contended_kernel_path():
     # The implicit form routes single-sweep under the same model:
     # contention is a lowered-schedule concept.
     assert simulate_batch_many(
-        [(arts.schedule, cm)], kernels=[kernel_of(arts.graph())]
+        [(kernel_of(arts.graph()), cm)]
     ).used_fast_path[0]
 
 
@@ -230,7 +230,7 @@ def test_batch_mixed_routing():
     congested = free.with_(topology=FlatTopology(LinkSpec(alpha=0.05, beta=0.2)))
     models = [free, congested, free]
     batch = simulate_batch_many(
-        [(schedule, cm) for cm in models], kernels=[kernel_of(graph)] * 3
+        [(kernel_of(graph), cm) for cm in models]
     )
     assert batch.used_fast_path == (True, False, True)
     for k, cm in enumerate(models):

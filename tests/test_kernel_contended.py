@@ -142,7 +142,7 @@ def test_contended_matches_event_engine(
     # beta > 0 on a lowered schedule: the batch row must report contended
     # routing, and the kernel must still be engine-exact.
     assert not simulate_batch_many(
-        [(schedule, cm)], kernels=[kernel_of(graph)]
+        [(kernel_of(graph), cm)]
     ).used_fast_path[0]
     assert_results_match(
         simulate(schedule, cm, graph=graph),
@@ -171,7 +171,7 @@ def test_contended_blocking_matches_event_engine(scheme, n, f, b, beta, duplex):
     schedule, graph = pipeline_artifacts(scheme, 4, n, "lowered")
     cm = contended_model(f, b, 1.0, make_topology("flat", duplex, 0.05, beta))
     assert not simulate_batch_many(
-        [(schedule, cm)], kernels=[kernel_of(graph)]
+        [(kernel_of(graph), cm)]
     ).used_fast_path[0]
     try:
         ref = simulate(schedule, cm, graph=graph, blocking_sync=True)
@@ -196,7 +196,7 @@ def test_contended_batch_matches_event_engine():
         contended_model(1.0, 1.0, 1.0, make_topology("flat", "half", 0.0, 0.4)),
     ]
     batch = simulate_batch_many(
-        [(schedule, cm) for cm in models], kernels=[kernel_of(graph)] * len(models)
+        [(kernel_of(graph), cm) for cm in models]
     )
     assert batch.used_fast_path == (False, False, True, False)
     for k, cm in enumerate(models):
@@ -224,12 +224,14 @@ def test_batch_many_heterogeneous_shapes():
         schedule, graph = pipeline_artifacts(scheme, depth, n, pipeline)
         items.append((schedule, contended_model(1.0, 1.1, 0.9, topo)))
         graphs.append(graph)
-    batch = simulate_batch_many(items, kernels=[kernel_of(g) for g in graphs])
+    batch = simulate_batch_many(
+        [(kernel_of(g), cm) for g, (_, cm) in zip(graphs, items)]
+    )
     assert len(batch) == len(rows)
     assert batch.used_fast_path == (False, True, False, False, False, False)
     for k, (schedule, cm) in enumerate(items):
         ref = simulate(schedule, cm, graph=graphs[k])
-        assert batch.schedules[k] is schedule
+        assert batch.num_micro_batches[k] == schedule.num_micro_batches
         assert batch.compute_makespan[k] == pytest.approx(
             ref.compute_makespan, abs=ATOL
         )
@@ -323,10 +325,8 @@ def test_sweep_cap_raises_in_batch_path(monkeypatch):
     cm = contended_model(1.0, 1.0, 1.0, make_topology("flat", "half", 0.05, 0.4))
     monkeypatch.setattr(kernel_mod, "MAX_RELAXATION_SWEEPS", 1)
     with pytest.raises(KernelConvergenceError):
-        simulate_batch_many(
-            [(arts.lowered(), cm), (arts.lowered(), cm.with_(forward_time=1.5))],
-            kernels=[kernel_of(arts.lowered_graph())] * 2,
-        )
+        kernel = kernel_of(arts.lowered_graph())
+        simulate_batch_many([(kernel, cm), (kernel, cm.with_(forward_time=1.5))])
 
 
 # ----------------------------------------------------- SEND-table telemetry
@@ -348,7 +348,7 @@ def test_max_send_occupancy_reads_precomputed_table():
         dense.ops_flat = None
         assert np.array_equal(kernel.send_tables(cm)[1], expected)
         assert not simulate_batch_many(
-            [(arts.lowered(), cm)], kernels=[kernel_of(graph)]
+            [(kernel_of(graph), cm)]
         ).used_fast_path[0]
     finally:
         dense.send_info = saved_send_info
@@ -411,7 +411,7 @@ def test_batch_rows_equal_simulate_fast_bitwise(
     assert kernel.wave_sweep_profitable is profitable
     models = [bitwise_model(regime, *row) for row in BITWISE_ROWS]
     batch = simulate_batch_many(
-        [(schedule, cm) for cm in models], kernels=[kernel] * len(models)
+        [(kernel, cm) for cm in models]
     )
     for k, cm in enumerate(models):
         fast = simulate_fast(schedule, cm, kernel=kernel)

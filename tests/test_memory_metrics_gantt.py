@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from repro.sim.cost import CostModel
 from repro.sim.engine import simulate
 from repro.sim.gantt import render_gantt
 from repro.schedules.cache import ScheduleArtifacts
+from repro.schedules.diskcache import dumps
 from repro.sim.memory import (
     MemoryModel,
     analyze_memory,
@@ -198,27 +200,30 @@ class TestMemoryProfile:
         assert offloaded.host is not None
         assert analyze_memory(offloaded, MemoryModel()).host_peak_bytes > 0.0
 
-    def test_artifacts_compile_the_profile_once_and_never_persist_it(self):
+    def test_artifacts_compile_the_profile_once_and_persist_it(self):
         arts = ScheduleArtifacts(build_schedule("zb_h1", 4, 8, passes="recompute"))
         profile = arts.memory_profile()
         assert arts.memory_profile() is profile
         model = MemoryModel(activation_bytes=1.0, stash_input_bytes=0.1)
         assert analyze_memory(profile, model) == analyze_memory(arts.schedule, model)
-        snapshot = arts.snapshot()
-        assert all(value is not profile for value in snapshot.values())
-        restored = ScheduleArtifacts.from_snapshot(snapshot)
+        restored = ScheduleArtifacts.from_snapshot(
+            pickle.loads(dumps(arts.snapshot()))
+        )
         assert restored.memory_profile() is not profile
         assert analyze_memory(restored.memory_profile(), model) == analyze_memory(
             profile, model
         )
+        # Restored, not recompiled: no schedule form was unpickled.
+        assert restored._forms is None
 
 
 # --------------------------------------------------------------------------
 # Memory-report parity: every digest below was recorded from the per-op
 # running-total walk (``_reference_walk`` further down), so the compiled
-# analysis must reproduce each report bitwise. If a change to a builder or
-# pass is meant to reshape schedules, regenerate the table with
-# ``_parity_digests`` and review the diff.
+# analysis must reproduce each report bitwise, before and after the
+# profile's disk round trip. If a change to a builder or pass is meant to
+# reshape schedules, regenerate the table with ``_parity_digests(case)[0]``
+# and review the diff.
 
 PARITY_SHAPES = ((4, 4), (4, 8), (8, 16))
 #: Pipeline column: pass spec, or ``"recompute=True"`` for the builders'
@@ -302,18 +307,33 @@ def _report_digest(report) -> str:
     return h.hexdigest()[:16]
 
 
-def _parity_digests(case: str) -> tuple[str, ...]:
-    """One digest per model, every model pricing one compiled profile;
-    analyzing the schedule directly must give the same reports."""
+def _round_trip(arts: ScheduleArtifacts):
+    """The entry's profile as a restarted process reads it: snapshotted,
+    pickled like a disk payload and restored, not recompiled."""
+    restored = ScheduleArtifacts.from_snapshot(
+        pickle.loads(dumps(arts.snapshot()))
+    )
+    profile = restored.memory_profile()
+    assert restored._forms is None  # no schedule form was unpickled
+    return profile
+
+
+def _parity_digests(case: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """One digest per model, every model pricing one compiled profile,
+    then the same profile after its disk round trip; analyzing the
+    schedule directly must give the compiled profile's reports."""
     schedule = _parity_schedule(case)
-    profile = compile_memory_profile(schedule)
-    digests = []
+    arts = ScheduleArtifacts(schedule)
+    profile = arts.memory_profile()
+    restored = _round_trip(arts)
+    compiled, round_tripped = [], []
     for model in PARITY_MODELS.values():
         memory = model(schedule.num_stages)
         report = analyze_memory(profile, memory)
         assert analyze_memory(schedule, memory) == report
-        digests.append(_report_digest(report))
-    return tuple(digests)
+        compiled.append(_report_digest(report))
+        round_tripped.append(_report_digest(analyze_memory(restored, memory)))
+    return tuple(compiled), tuple(round_tripped)
 
 
 #: Case -> one digest per :data:`PARITY_MODELS` entry, in order.
@@ -687,7 +707,10 @@ def test_parity_table_covers_every_registered_scheme():
 
 @pytest.mark.parametrize("case", PARITY_CASES)
 def test_memory_report_matches_recorded_digest(case):
-    assert _parity_digests(case) == tuple(PARITY_EXPECTED[case].split())
+    expected = tuple(PARITY_EXPECTED[case].split())
+    compiled, round_tripped = _parity_digests(case)
+    assert compiled == expected
+    assert round_tripped == expected
 
 
 

@@ -146,7 +146,7 @@ def test_offloaded_implicit_matches_event_engine(
     # case the pass inserts nothing and the single sweep still applies.)
     offloaded = any(op.is_offload for _, op in schedule.all_ops())
     assert simulate_batch_many(
-        [(schedule, cm)], kernels=[kernel_of(graph)]
+        [(kernel_of(graph), cm)]
     ).used_fast_path[0] == (not offloaded)
     assert_results_match(
         simulate(schedule, cm, graph=graph),
@@ -185,7 +185,7 @@ def test_offloaded_lowered_matches_event_engine(
         offload_message_bytes=2.0,
     )
     assert not simulate_batch_many(
-        [(schedule, cm)], kernels=[kernel_of(graph)]
+        [(kernel_of(graph), cm)]
     ).used_fast_path[0]
     assert_results_match(
         simulate(schedule, cm, graph=graph),
@@ -203,7 +203,7 @@ def test_latency_only_host_channel_keeps_the_single_sweep():
         offload_message_bytes=2.0,
     )
     assert simulate_batch_many(
-        [(schedule, cm)], kernels=[kernel_of(graph)]
+        [(kernel_of(graph), cm)]
     ).used_fast_path[0]
     assert_results_match(
         simulate(schedule, cm, graph=graph),
@@ -234,7 +234,7 @@ def test_offloaded_batch_rows_are_engine_exact():
         ),
     ]
     batch = simulate_batch_many(
-        [(schedule, cm) for cm in models], kernels=[kernel_of(graph)] * len(models)
+        [(kernel_of(graph), cm) for cm in models]
     )
     assert batch.used_fast_path == (True, True, False, False)
     for k, cm in enumerate(models):

@@ -8,6 +8,7 @@ and release their dict dependency graphs to the disk tier.
 """
 
 import gc
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -208,11 +209,13 @@ class TestResidency:
     def test_disk_keeps_every_graph_slot(self, ranked):
         cache, key, arts, _ = ranked
         stored = cache.disk.load(key)
-        assert set(stored) == {"schedule", "lowered", "kernels"}
+        assert set(stored) == {"forms", "kernels", "memory_profile"}
+        assert list(pickle.loads(stored["forms"])) == ["schedule", "lowered"]
         assert set(stored["kernels"]) == {"lowered"}
         # A form derived later writes its kernel through without
         # dropping the earlier ones.
         arts.kernel_for(("lower_p2p", "fuse_comm"))
         stored = cache.disk.load(key)
-        assert set(stored) == {"schedule", "lowered", "fused", "kernels"}
+        assert set(stored) == {"forms", "kernels", "memory_profile"}
+        assert list(pickle.loads(stored["forms"])) == ["schedule", "lowered", "fused"]
         assert set(stored["kernels"]) == {"lowered", "fused"}
