@@ -331,7 +331,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     from repro.schedules.registry import scheme_traits
     from repro.schedules.synthesize import peak_stash_units, synthesis_cost_model
     from repro.schedules.validate import validate_synthesized_schedule
-    from repro.sim.kernel import simulate_batch_many
+    from repro.schedules.dependencies import build_dependency_graph
+    from repro.sim.kernel import kernel_of, simulate_batch_many
 
     options: dict = {
         "f_time": args.f_time,
@@ -374,7 +375,9 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         except Exception:
             continue  # scheme structurally invalid at this (D, N)
         rows.append((scheme, other, peak_stash_units(other)))
-    batch = simulate_batch_many([(s, model) for _, s, _ in rows])
+    batch = simulate_batch_many(
+        [(kernel_of(build_dependency_graph(s)), model) for _, s, _ in rows]
+    )
     print(f"\n{'scheme':<14} {'makespan':>10} {'peak Ma':>8}   vs synthesized")
     for k, (scheme, _, peak) in enumerate(rows):
         makespan = float(batch.compute_makespan[k])

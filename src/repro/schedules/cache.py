@@ -57,12 +57,14 @@ each payload holds one pickled blob of the schedule forms, a
 ``kernels`` map keyed by form and the
 :class:`~repro.sim.memory.MemoryProfile`. A restored entry keeps the
 blob as bytes until a schedule form is asked for, so synchronous
-planning, which reads only kernels and profiles, never unpickles an
-``Operation``. A stored kernel that is not a
+planning, which reads only kernels and profiles, unpickles no
+schedule form. A stored kernel that is not a
 :class:`~repro.sim.kernel.ScheduleKernel` is dropped on load, so that
 form's kernel rebuilds from its schedule. The disk key is exactly the
 LRU key, the format is versioned, and corrupt entries are evicted on
-load, never propagated.
+load, never propagated; a forms blob that fails to unpickle when first
+used is rebuilt from the builder inputs and written back. With the
+tier absent or disabled an entry never snapshots itself.
 
 Builds and disk loads run with CPython's cyclic collector paused
 (:mod:`repro.common.gcpause`): the artifacts are immutable and acyclic,
@@ -123,7 +125,7 @@ class ScheduleArtifacts:
     building a kernel writes the entry through. An entry restored from
     disk (:meth:`from_snapshot`) keeps the blob as bytes and unpickles
     it on the first use of a schedule form, so ranking from kernels and
-    profiles never unpickles an ``Operation``.
+    profiles unpickles no schedule form.
     """
 
     __slots__ = (
@@ -136,6 +138,7 @@ class ScheduleArtifacts:
         "_memory_profile",
         "_lock",
         "_persist",
+        "_rebuild",
     )
 
     #: Schedule form -> the accessor of its dependency graph. The form
@@ -147,6 +150,7 @@ class ScheduleArtifacts:
         self,
         schedule: Schedule | None,
         persist: "Callable[[ScheduleArtifacts], None] | None" = None,
+        rebuild: Callable[[], Schedule] | None = None,
     ):
         #: Form name -> schedule; None while a restored entry holds only
         #: the pickled ``_blob`` of its forms.
@@ -162,6 +166,9 @@ class ScheduleArtifacts:
         self._memory_profile = None
         self._lock = threading.Lock()
         self._persist = persist
+        #: Builds the implicit schedule again when a restored blob does
+        #: not unpickle.
+        self._rebuild = rebuild
 
     def snapshot(self) -> dict:
         """The disk payload: ``forms``, one pickle of every schedule form
@@ -190,10 +197,14 @@ class ScheduleArtifacts:
         cls,
         payload: dict,
         persist: "Callable[[ScheduleArtifacts], None] | None" = None,
+        rebuild: Callable[[], Schedule] | None = None,
     ) -> "ScheduleArtifacts":
         """Rehydrate an entry from a disk payload (missing forms stay lazy).
 
-        The forms blob stays pickled until a schedule form is asked for.
+        The forms blob stays pickled until a schedule form is asked for;
+        if it then fails to unpickle (say, a pickled class moved),
+        ``rebuild`` builds the implicit schedule again, the other forms
+        are derived anew, and ``persist`` overwrites the bad entry.
         A stored kernel that is not a
         :class:`~repro.sim.kernel.ScheduleKernel` is dropped, and so is a
         stored profile that is not a
@@ -206,7 +217,7 @@ class ScheduleArtifacts:
         blob = payload["forms"]
         if not isinstance(blob, bytes):
             raise TypeError("the schedule forms must be one pickled blob")
-        arts = cls(None, persist=persist)
+        arts = cls(None, persist=persist, rebuild=rebuild)
         arts._blob = blob
         kernels = payload.get("kernels")
         if isinstance(kernels, dict):
@@ -222,15 +233,27 @@ class ScheduleArtifacts:
 
     def _held_forms(self) -> dict[str, Schedule]:
         """Form name -> schedule for every form the entry holds; a
-        restored entry unpickles its blob here, all forms at once."""
+        restored entry unpickles its blob here, all forms at once (or
+        rebuilds its schedule when the blob does not unpickle)."""
         forms = self._forms
         if forms is None:
-            with self._lock:
+            repaired = False
+            with self._lock, collector_paused():
                 if self._forms is None:
-                    with collector_paused():
-                        self._forms = pickle.loads(self._blob)
+                    try:
+                        forms = pickle.loads(self._blob)
+                        if not isinstance(forms.get("schedule"), Schedule):
+                            raise TypeError("the forms blob holds no schedule")
+                    except Exception:
+                        if self._rebuild is None:
+                            raise
+                        forms = {"schedule": _freeze(self._rebuild())}
+                        repaired = True
+                    self._forms = forms
                     self._blob = None
                 forms = self._forms
+            if repaired and self._persist is not None:
+                self._persist(self)
         return forms
 
     def _add_form(self, name: str, schedule: Schedule) -> Schedule:
@@ -501,32 +524,39 @@ class ScheduleCache:
         num_micro_batches: int,
         options: dict,
     ) -> ScheduleArtifacts:
-        """Disk-tier lookup, falling back to a fresh build (write-through)."""
-        persist = None
-        if self.disk is not None:
-            disk = self.disk
+        """Disk-tier lookup, falling back to a fresh build (write-through).
 
-            def persist(arts: ScheduleArtifacts) -> None:
-                disk.store(key, arts.snapshot())
+        An entry made while the disk tier is absent or disabled never
+        writes through, so it neither pickles snapshots nor compiles its
+        memory profile ahead of use.
+        """
 
-            payload = disk.load(key)
-            if payload is not None:
-                try:
-                    return ScheduleArtifacts.from_snapshot(payload, persist=persist)
-                except (KeyError, TypeError, AttributeError, ReproError):
-                    pass  # malformed payload: rebuild below
-        entry = ScheduleArtifacts(
-            build_schedule(scheme, depth, num_micro_batches, **options),
-            persist=persist,
-        )
-        if persist is not None:
-            # The first write carries the profile, so a restarted process
-            # never walks this schedule for memory again.
+        def rebuild() -> Schedule:
+            return build_schedule(scheme, depth, num_micro_batches, **options)
+
+        disk = self.disk
+        if disk is None or not disk.enabled:
+            return ScheduleArtifacts(rebuild())
+
+        def persist(arts: ScheduleArtifacts) -> None:
+            disk.store(key, arts.snapshot())
+
+        payload = disk.load(key)
+        if payload is not None:
             try:
-                entry.memory_profile()
-            except ReproError:
-                pass  # raised again when the profile is asked for
-            persist(entry)
+                return ScheduleArtifacts.from_snapshot(
+                    payload, persist=persist, rebuild=rebuild
+                )
+            except (KeyError, TypeError, AttributeError, ReproError):
+                pass  # malformed payload: rebuild below
+        entry = ScheduleArtifacts(rebuild(), persist=persist)
+        # The first write carries the profile, so a restarted process
+        # never walks this schedule for memory again.
+        try:
+            entry.memory_profile()
+        except ReproError:
+            pass  # raised again when the profile is asked for
+        persist(entry)
         return entry
 
     def clear(self) -> None:

@@ -42,8 +42,10 @@ synchronous planning ranks from kernels and profiles alone, and
 unpickling ``Operation`` objects was most of a warm load. Because the
 blob is opaque bytes until then, the wrapper records its SHA-256
 (``forms_sha256``) and :meth:`DiskScheduleCache.load` checks it, so bit
-rot inside the blob still evicts at load time. Dict dependency graphs
-are never stored. On the end-to-end benchmark's ``plan_cold`` stream
+rot inside the blob still evicts at load time. A blob that passes its
+digest but fails to unpickle when first used (say, a pickled class was
+moved) makes the entry rebuild its schedule from the builder inputs and
+overwrite the stored entry. Dict dependency graphs are never stored. On the end-to-end benchmark's ``plan_cold`` stream
 this stores 40.7 MB in 372 writes and leaves 206 entries (36.4 MB):
 8.6 MB of forms blobs (10.9 MB when each form is pickled apart), 26.1 MB
 of kernels and 1.8 MB of profiles. The payload bytes do not depend on
@@ -78,7 +80,11 @@ from types import MappingProxyType
 #: v5: the schedule forms are one pickled blob (``forms``, checked by
 #: ``forms_sha256``), the payload carries the memory profile, and
 #: kernels drop ``ops_flat`` and record ``num_stages`` and
-#: ``num_micro_batches``.
+#: ``num_micro_batches``. A stored profile is priced as stored, so any
+#: change to :class:`~repro.sim.memory.MemoryProfile`'s fields, its
+#: event tables or value codes, or to what
+#: :func:`~repro.sim.memory.compile_memory_profile` emits needs a bump
+#: too (another test in ``tests/test_diskcache.py`` pins that pair).
 FORMAT_VERSION = 5
 
 #: First bytes of every entry file; a cheap pre-pickle sanity check that

@@ -352,11 +352,14 @@ def _derived_candidates(depth: int, num_micro_batches: int) -> list[_Candidate]:
 
 def _score(candidates: Sequence[_Candidate], model: "CostModel") -> None:
     """Fill in each candidate's makespan — one batched kernel call."""
-    from repro.sim.kernel import simulate_batch_many
+    from repro.schedules.dependencies import build_dependency_graph
+    from repro.sim.kernel import kernel_of, simulate_batch_many
 
     if not candidates:
         return
-    batch = simulate_batch_many([(c.schedule, model) for c in candidates])
+    batch = simulate_batch_many(
+        [(kernel_of(build_dependency_graph(c.schedule)), model) for c in candidates]
+    )
     for k, cand in enumerate(candidates):
         cand.makespan = float(batch.compute_makespan[k])
 

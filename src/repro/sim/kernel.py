@@ -1285,19 +1285,19 @@ class BatchResult:
 
 
 def simulate_batch_many(
-    rows: Sequence[tuple[Schedule | ScheduleKernel, CostModel]],
+    rows: Sequence[tuple[ScheduleKernel, CostModel]],
 ) -> BatchResult:
     """Evaluate heterogeneous ``(kernel, cost_model)`` rows in one call.
 
     A row names its schedule by its kernel (e.g. from
-    :meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for`), or by
-    the schedule itself, whose kernel is then built from a fresh
-    dependency graph. Rows may differ in schedule shape — depth ``D``,
+    :meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for`, or
+    ``kernel_of(build_dependency_graph(schedule))`` for an uncached
+    schedule). Rows may differ in schedule shape — depth ``D``,
     micro-batch count ``N``, pass pipeline — as well as in cost model and
     topology. The batch path never materializes per-op ``TimedOp``
     dictionaries; it returns the iteration-level quantities ranking needs
     (makespan, iteration time, per-worker busy seconds and micro-batch
-    counts), so a kernel row reads nothing of its schedule. Rows sharing
+    counts), so a row reads nothing of its schedule. Rows sharing
     a kernel vectorize together where the kernel's levelization pays for
     it: contention-free rows share one wave-vectorized sweep, and
     contended rows on full-duplex channels share one inline-FIFO wave
@@ -1308,16 +1308,11 @@ def simulate_batch_many(
     """
     if not rows:
         raise ValueError("simulate_batch_many needs at least one row")
-    resolved = [
-        source
-        if isinstance(source, ScheduleKernel)
-        else kernel_of(build_dependency_graph(source))
-        for source, _ in rows
-    ]
+    kernels = [kernel for kernel, _ in rows]
 
     # Group rows by kernel identity, preserving each row's position.
     group_rows: dict[int, list[int]] = {}
-    for k, kernel in enumerate(resolved):
+    for k, kernel in enumerate(kernels):
         group_rows.setdefault(id(kernel), []).append(k)
 
     n = len(rows)
@@ -1326,7 +1321,7 @@ def simulate_batch_many(
     busy: list[np.ndarray | None] = [None] * n
     hints = [True] * n
     for group in group_rows.values():
-        kernel = resolved[group[0]]
+        kernel = kernels[group[0]]
         models = tuple(rows[k][1] for k in group)
         g_mk, g_it, g_busy, g_hints = _batch_rows(kernel, models)
         for j, k in enumerate(group):
@@ -1335,7 +1330,7 @@ def simulate_batch_many(
             busy[k] = g_busy[j]
             hints[k] = g_hints[j]
     return BatchResult(
-        num_micro_batches=tuple(kernel.num_micro_batches for kernel in resolved),
+        num_micro_batches=tuple(kernel.num_micro_batches for kernel in kernels),
         cost_models=tuple(model for _, model in rows),
         compute_makespan=makespan,
         iteration_time=iteration,

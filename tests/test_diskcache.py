@@ -13,6 +13,8 @@ call and at least 2x faster end to end.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -22,6 +24,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import repro.schedules.cache as cache_module
@@ -52,6 +55,27 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 def fresh_cache(tmp_path, max_entries: int = 128) -> ScheduleCache:
     return ScheduleCache(max_entries, disk=DiskScheduleCache(tmp_path / "disk"))
+
+
+def _profile_digest(profile: memory.MemoryProfile) -> str:
+    """sha256 prefix over every field of ``profile``: array dtypes, shapes
+    and bytes, and the reprs of the scalar fields."""
+    digest = hashlib.sha256()
+
+    def feed(value: object) -> None:
+        if isinstance(value, memory._EventTable):
+            for field in dataclasses.fields(value):
+                feed(getattr(value, field.name))
+        elif isinstance(value, np.ndarray):
+            digest.update(f"{value.dtype.str}{value.shape}".encode())
+            digest.update(value.tobytes())
+        else:
+            digest.update(repr(value).encode())
+
+    for field in dataclasses.fields(profile):
+        digest.update(field.name.encode())
+        feed(getattr(profile, field.name))
+    return digest.hexdigest()[:16]
 
 
 class TestDiskRoundTrip:
@@ -121,6 +145,68 @@ class TestDiskRoundTrip:
         assert not disk.store(key, snapshot)
         assert disk.load(key) is None
         assert disk.stats().entries == 0
+
+    def test_disabled_tier_pickles_and_compiles_nothing(self, tmp_path, monkeypatch):
+        """With the tier off, neither a build nor a kernel build snapshots
+        the entry, and the profile is not compiled ahead of use."""
+        monkeypatch.setenv(ENV_DISABLE, "1")
+        snapshots: list[ScheduleArtifacts] = []
+        compiled: list[object] = []
+        snapshot = ScheduleArtifacts.snapshot
+        compile_profile = memory.compile_memory_profile
+
+        def counting_snapshot(arts):
+            snapshots.append(arts)
+            return snapshot(arts)
+
+        def counting_compile(schedule):
+            compiled.append(schedule)
+            return compile_profile(schedule)
+
+        monkeypatch.setattr(ScheduleArtifacts, "snapshot", counting_snapshot)
+        monkeypatch.setattr(memory, "compile_memory_profile", counting_compile)
+        cache = fresh_cache(tmp_path)
+        cache.artifacts("chimera", 4, 8).kernel_for(PIPELINE)
+        assert snapshots == [] and compiled == []
+        assert cache.disk.stats().entries == 0
+
+    def test_memory_profile_layout_is_pinned_to_the_format_version(self):
+        """Tripwire: a stored profile unpickles into whatever the classes
+        now are and is priced as today's code reads it, so a change to
+        the profile's fields, its event tables, its value codes or what
+        ``compile_memory_profile`` emits must bump FORMAT_VERSION (and
+        then this pin). The digests cover the host tier, explicit
+        recompute promotions and flagged-recompute transients."""
+        value_codes = [
+            memory._NONE, memory._ACT, memory._STASH, memory._PROMOTED,
+            memory._INCREMENT, memory._WEIGHTS, memory._WEIGHT_STASH,
+        ]
+        digests = [
+            _profile_digest(
+                memory.compile_memory_profile(build_schedule("chimera", 4, 8, **opts))
+            )
+            for opts in (
+                {"passes": "offload,recompute"},
+                {"concat": "doubling", "passes": "offload"},
+            )
+        ]
+        assert (
+            FORMAT_VERSION,
+            [f.name for f in dataclasses.fields(memory.MemoryProfile)],
+            [f.name for f in dataclasses.fields(memory._EventTable)],
+            value_codes,
+            digests,
+        ) == (
+            5,
+            [
+                "device", "host", "transient_worker", "transient_after",
+                "transient_stage", "transient_code", "weights",
+                "activation_peak_units", "num_stages",
+            ],
+            ["stage", "code", "coef", "check"],
+            [0, 1, 2, 3, 4, 5, 6],
+            ["08946302df15f899", "83839213fc5aa326"],
+        )
 
     def test_default_dir_resolves_env_lazily(self, monkeypatch, tmp_path):
         monkeypatch.setenv(ENV_DIR, str(tmp_path / "a"))
@@ -323,6 +409,26 @@ class TestCorruptionTolerance:
         assert stats.evictions == 1 and stats.hits == 0
         # The rebuild wrote a good entry back over the evicted one.
         assert rebuilt.disk.load(ScheduleCache.key("chimera", 4, 8, {}))
+
+    def test_blob_that_fails_to_unpickle_is_rebuilt(self, tmp_path):
+        """A forms blob that passes its digest but does not unpickle (a
+        pickled class moved) costs a rebuild when a form is first used,
+        keeps the stored kernel, and is written back good."""
+        cache = fresh_cache(tmp_path)
+        arts = cache.artifacts("chimera", 4, 8)
+        arts.kernel_for(PIPELINE)
+        key = ScheduleCache.key("chimera", 4, 8, {})
+        payload = cache.disk.load(key)
+        # A GLOBAL opcode naming a module that does not exist.
+        assert cache.disk.store(key, {**payload, "forms": b"cno_such_module\nGone\n."})
+
+        warm = fresh_cache(tmp_path).artifacts("chimera", 4, 8)
+        kernel = warm.kernel_for(PIPELINE)
+        assert warm.schedule.worker_ops == arts.schedule.worker_ops
+        assert warm.lowered().worker_ops == arts.lowered().worker_ops
+        assert warm.kernel_for(PIPELINE) is kernel
+        forms = pickle.loads(cache.disk.load(key)["forms"])
+        assert forms["schedule"].worker_ops == arts.schedule.worker_ops
 
     def test_key_collision_is_rejected(self, tmp_path):
         """An entry whose embedded key disagrees (hash collision, copied

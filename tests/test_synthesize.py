@@ -36,6 +36,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.schedules.cache import ScheduleCache, cached_build_schedule
+from repro.schedules.dependencies import build_dependency_graph
 from repro.schedules.diskcache import DiskScheduleCache
 from repro.schedules.ir import Schedule
 from repro.schedules.registry import available_schemes, build_schedule, scheme_traits
@@ -46,7 +47,7 @@ from repro.schedules.synthesize import (
     synthesize_fingerprint,
 )
 from repro.schedules.validate import validate_synthesized_schedule
-from repro.sim.kernel import simulate_batch_many
+from repro.sim.kernel import kernel_of, simulate_batch_many
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -197,7 +198,9 @@ def test_acceptance_matches_or_beats_every_scheme(depth, n):
             continue
         entries.append((scheme, schedule, peak_stash_units(schedule)))
     assert entries
-    batch = simulate_batch_many([(s, model) for _, s, _ in entries])
+    batch = simulate_batch_many(
+        [(kernel_of(build_dependency_graph(s)), model) for _, s, _ in entries]
+    )
     makespans = {
         scheme: float(batch.compute_makespan[i])
         for i, (scheme, _, _) in enumerate(entries)
