@@ -22,8 +22,9 @@ from repro.schedules.cache import schedule_artifacts
 from repro.schedules.registry import available_schemes
 from repro.sim import kernel as kernel_mod
 from repro.sim.cost import CostModel
-from repro.sim.engine import _dense_of, simulate
+from repro.sim.engine import _clear_of_transfers, _dense_of, simulate
 from repro.sim.kernel import (
+    _blocking_floors,
     _serialize_channels,
     kernel_of,
     simulate_batch_many,
@@ -299,6 +300,105 @@ def test_simulated_transfers_never_overlap_a_channel():
         transfers.sort(key=lambda t: t.start)
         for prev, nxt in zip(transfers, transfers[1:]):
             assert nxt.start >= prev.start + prev.occupancy - ATOL
+
+
+# --------------------------------------------- blocking-collective floors
+def reference_blocking_floors(
+    kernel, aux, start, end, send_end, wire_start, occupancy
+):
+    """The O(groups x transfers) floor scan, kept as the reference.
+
+    Per group: mask every NIC-busy transfer whose engine pop key
+    ``(send_end, worker, row position)`` sorts strictly before the
+    resolving member's own, then push ``max(member launch starts)`` past
+    those transfers' occupancy on the members' interfaces with the
+    engine's linear rescan.
+    """
+    floors = np.zeros(len(aux.group_keys))
+    for g, mids in enumerate(aux.member_ids):
+        ce, cw, cp = max(
+            (end[m], kernel.op_worker[m], kernel.row_pos[m]) for m in mids
+        )
+        s_w = kernel.send_worker
+        visible = (
+            (occupancy > 0.0)
+            & (kernel.send_host_dir < 0)
+            & (
+                (send_end < ce)
+                | ((send_end == ce) & (s_w < cw))
+                | ((send_end == ce) & (s_w == cw) & (kernel.send_row_pos < cp))
+            )
+        )
+        raw = max(start[m] for m in mids)
+        members = set(aux.group_workers[g])
+        nic: dict[int, list[tuple[float, float]]] = {}
+        for i in np.flatnonzero(visible).tolist():
+            interval = (wire_start[i], wire_start[i] + occupancy[i])
+            for w in (int(s_w[i]), int(kernel.send_dst_w[i])):
+                if w in members:
+                    nic.setdefault(w, []).append(interval)
+        floors[g] = _clear_of_transfers(raw, aux.group_workers[g], nic)
+    return floors
+
+
+#: Lowered kernels with blocking groups: single-worker groups
+#: (pipedream), multi-worker groups (chimera's replicated stages) and
+#: host transfers that must never block a collective (offload).
+FLOOR_KERNELS = {
+    "pipedream": lambda: schedule_artifacts("pipedream", 4, 6),
+    "chimera": lambda: schedule_artifacts("chimera", 4, 4),
+    "dapple_offload": lambda: schedule_artifacts(
+        "dapple", 4, 4, passes=("offload",)
+    ),
+}
+
+#: A coarse time grid: equal send ends, equal cutoffs and intervals that
+#: touch exactly are drawn often, so pop-key ties are exercised.
+grid = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(FLOOR_KERNELS)), data=st.data())
+def test_blocking_floors_match_reference_scan(name, data):
+    """The kernel's collective start floors equal the O(G x S) scan
+    bitwise, under drawn times, queueing delays and occupancies."""
+    arts = FLOOR_KERNELS[name]()
+    kernel = kernel_of(arts.lowered_graph())
+    aux = kernel.blocking_aux()
+    total, n_send = kernel.total, len(kernel.send_oid)
+    assert aux.group_keys and n_send
+    ticks = st.lists(
+        st.integers(min_value=0, max_value=8), min_size=total, max_size=total
+    )
+    # Few distinct end times make ties in send_end and in the members'
+    # cutoffs common; equal workers then fall through to row positions.
+    end = [float(t) for t in data.draw(ticks)]
+    start = [
+        e - d
+        for e, d in zip(
+            end,
+            data.draw(
+                st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=total, max_size=total)
+            ),
+        )
+    ]
+    send_end = np.asarray(end)[kernel.send_oid]
+    delay = np.array(data.draw(st.lists(grid, min_size=n_send, max_size=n_send)))
+    wire_start = send_end + delay
+    occupancy = np.array(
+        data.draw(
+            st.lists(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]),
+                min_size=n_send,
+                max_size=n_send,
+            )
+        )
+    )
+    got = _blocking_floors(kernel, aux, start, end, send_end, wire_start, occupancy)
+    ref = reference_blocking_floors(
+        kernel, aux, start, end, send_end, wire_start, occupancy
+    )
+    assert np.array_equal(got, ref)
 
 
 # -------------------------------------------------------- non-convergence
