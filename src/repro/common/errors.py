@@ -53,10 +53,10 @@ class KernelConvergenceError(ReproError):
     The contended fast path iterates [longest-path sweep -> per-channel
     FIFO serialization] until transfer queueing delays (and blocking
     collective release times) are exactly stable. The iteration cap is a
-    safety net far above any observed schedule; hitting it means the
-    relaxation is oscillating and the kernel refuses to return times that
-    are not self-consistent. Carries enough context to reproduce: the
-    sweep cap and the schedule size.
+    safety net; hitting it means the relaxation has not settled, and the
+    kernel refuses to return times that are not self-consistent. The
+    message names the sweep cap, the schedule size and how many queueing
+    delays and collective starts the last sweep still changed.
     """
 
 

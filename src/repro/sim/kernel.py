@@ -33,7 +33,20 @@ are self-consistent and equal the engine's); a cap of
 returning non-converged times. Blocking collectives resolve inside the
 sweep over an augmented topological order (member launches barrier their
 program-order successors), with the transfer-contention push folded into
-the same fixed point.
+the same fixed point: each sweep puts a busy transfer on the wire as its
+SEND completes and pushes a resolving group past the transfers already
+visible to it, so a chain of collectives, each pushed by the one before,
+settles in one sweep instead of one sweep per collective. The exact
+floors after a sweep come from one pass in pop order
+(:func:`_blocking_floors`), and the sweep stops only when they agree.
+
+Collectives never start while a transfer occupies a member's interface
+(NIC). Every clearance in this module reads one structure: per-worker
+merged busy runs, binary-searched by :func:`_clear_sorted`. The
+blocking floors grow them one transfer at a time as transfers become
+visible (:func:`_add_busy`); non-blocking batch rows build them in one
+vectorized pass (:func:`_busy_runs`) from the transfers still busy at
+the row's earliest collective ready time.
 
 Public surface:
 
@@ -71,7 +84,7 @@ model.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,15 +110,18 @@ from repro.sim.engine import (
     TimedOp,
     TransferRecord,
     _classify_ops,
-    _clear_of_transfers,
     _finalize,
 )
 
 #: Cap on fixed-point sweeps before the kernel raises
-#: :class:`~repro.common.errors.KernelConvergenceError`. Real schedules
-#: converge in 2-4 sweeps (the channel order stabilizes after contention
-#: first feeds back into the timeline); the cap is a safety net against
-#: oscillation, far above anything observed.
+#: :class:`~repro.common.errors.KernelConvergenceError`. Queueing delays
+#: settle in a few sweeps once the channel order stabilizes. A chain of
+#: blocking collectives, each pushed by a transfer and pushing the next,
+#: settles in a few sweeps only because each sweep resolves a group
+#: against the transfers it already put on the wire; with floors taken
+#: from the previous sweep alone it takes one sweep per collective
+#: (pipedream at W=2, D=2, N=256, a default-flags ``repro plan -P 4``
+#: candidate, chains 512). The cap is a safety net, not a tuning knob.
 MAX_RELAXATION_SWEEPS = 120
 
 #: Structured layout of the per-operation table. ``shape`` indexes the
@@ -993,40 +1009,104 @@ def _blocking_floors(
     the wire" is a visibility cutoff in event-pop order: only SENDs whose
     ``(end, worker, row position)`` sorts strictly before the resolving
     member's own pop key had entered the channel.
+
+    One pass: the NIC-busy sends are sorted once by pop key and the
+    groups visited in cutoff order, so each send joins the per-worker
+    busy runs (:func:`_add_busy`) once, when it first becomes visible.
     """
-    floors = np.zeros(len(aux.group_keys))
-    if not len(send_end):
-        for g, mids in enumerate(aux.member_ids):
-            floors[g] = max(start[m] for m in mids)
-        return floors
-    s_end = send_end
-    s_w = kernel.send_worker
-    s_pos = kernel.send_row_pos
     op_worker = kernel.op_worker
     row_pos = kernel.row_pos
-    for g, mids in enumerate(aux.member_ids):
-        cutoff = max((end[m], op_worker[m], row_pos[m]) for m in mids)
-        ce, cw, cp = cutoff
-        # Host transfers never block a collective's interface (PCIe, not
-        # the NIC) — same exclusion as the engine's nic_busy bookkeeping.
-        visible = (occupancy > 0.0) & (kernel.send_host_dir < 0) & (
-            (s_end < ce)
-            | ((s_end == ce) & (s_w < cw))
-            | ((s_end == ce) & (s_w == cw) & (s_pos < cp))
+    cutoffs = [
+        max((end[m], op_worker[m], row_pos[m]) for m in mids)
+        for mids in aux.member_ids
+    ]
+    busy = _busy_sends(kernel, occupancy)
+    s_w = kernel.send_worker
+    s_pos = kernel.send_row_pos
+    order = busy[np.lexsort((s_pos[busy], s_w[busy], send_end[busy]))]
+    senders = s_w[order].tolist()
+    keys = list(zip(send_end[order].tolist(), senders, s_pos[order].tolist()))
+    ws = wire_start[order]
+    intervals = list(
+        zip(
+            ws.tolist(),
+            (ws + occupancy[order]).tolist(),
+            senders,
+            kernel.send_dst_w[order].tolist(),
         )
-        raw = max(start[m] for m in mids)
-        workers = aux.group_workers[g]
-        if visible.any():
-            members = set(workers)
-            nic: dict[int, list[tuple[float, float]]] = {}
-            for i in np.flatnonzero(visible).tolist():
-                interval = (wire_start[i], wire_start[i] + occupancy[i])
-                for w in (int(s_w[i]), int(kernel.send_dst_w[i])):
-                    if w in members:
-                        nic.setdefault(w, []).append(interval)
-            raw = _clear_of_transfers(raw, workers, nic)
-        floors[g] = raw
+    )
+    n = len(keys)
+    runs: dict[int, tuple[list[float], list[float]]] = {}
+    floors = np.zeros(len(cutoffs))
+    i = 0
+    for g in sorted(range(len(cutoffs)), key=cutoffs.__getitem__):
+        cutoff = cutoffs[g]
+        while i < n and keys[i] < cutoff:
+            s, e, src, dst = intervals[i]
+            _add_busy(runs, src, s, e)
+            _add_busy(runs, dst, s, e)
+            i += 1
+        raw = max(start[m] for m in aux.member_ids[g])
+        floors[g] = _clear_sorted(raw, aux.group_workers[g], runs)
     return floors
+
+
+class _SweepSends:
+    """What a blocking sweep knows of the NIC-busy transfers.
+
+    The static send table, plus the previous sweep's send ends, wire
+    starts and queueing delays (:meth:`observe`), so a sweep can put each
+    busy transfer on the wire the moment its SEND completes
+    (:func:`_sweep_blocking`). Only workers with a collective collect
+    transfers.
+    """
+
+    def __init__(
+        self, kernel: ScheduleKernel, aux: _BlockingAux, occupancy: np.ndarray
+    ):
+        busy = _busy_sends(kernel, occupancy)
+        #: Send-table index of each op that is a busy SEND (-1 otherwise).
+        self.send_of = [-1] * kernel.total
+        for k, oid in zip(busy.tolist(), kernel.send_oid[busy].tolist()):
+            self.send_of[oid] = k
+        self.worker = kernel.send_worker.tolist()
+        self.dst = kernel.send_dst_w.tolist()
+        self.row_pos = kernel.send_row_pos.tolist()
+        self.occupancy = occupancy.tolist()
+        self.members = {w for workers in aux.group_workers for w in workers}
+        n = len(self.worker)
+        # No sweep yet: no end matches, so every transfer starts unqueued.
+        self.send_end = [float("nan")] * n
+        self.wire_start = [0.0] * n
+        self.extras = [0.0] * n
+
+    def observe(
+        self, send_end: np.ndarray, wire_start: np.ndarray, extras: np.ndarray
+    ) -> None:
+        """Record one sweep's send ends, wire starts and queueing delays."""
+        self.send_end = send_end.tolist()
+        self.wire_start = wire_start.tolist()
+        self.extras = extras.tolist()
+
+    def on_wire(self) -> dict[int, list]:
+        """Empty per-worker transfer lists for a new sweep."""
+        return {w: [] for w in self.members}
+
+    def put_on_wire(self, k: int, end: float, on_wire: dict[int, list]) -> None:
+        """Put busy send ``k``, completed at ``end``, on its endpoints' lists.
+
+        Its wire start is the previous sweep's if ``end`` did not move,
+        so at the fixed point it is the serialized one bitwise; else the
+        previous queueing delay carries over.
+        """
+        if end == self.send_end[k]:
+            ws = self.wire_start[k]
+        else:
+            ws = end + self.extras[k]
+        item = ((end, self.worker[k], self.row_pos[k]), ws, ws + self.occupancy[k])
+        for w in (self.worker[k], self.dst[k]):
+            if w in on_wire:
+                on_wire[w].append(item)
 
 
 def _sweep_blocking(
@@ -1036,6 +1116,7 @@ def _sweep_blocking(
     edge_delay: list[float],
     floors: list[float],
     ar_cost: list[float],
+    sends: _SweepSends | None = None,
 ) -> tuple[
     list[float], list[float], list[float], list[float], list[float]
 ]:
@@ -1046,6 +1127,15 @@ def _sweep_blocking(
     at ``max(max launch start, floor)`` (the floor carries the
     transfer-contention push from the outer fixed point) and its end
     releases the members' successors.
+
+    With ``sends`` (contended rows), each busy SEND the sweep completes
+    goes on the wire at once (:meth:`_SweepSends.put_on_wire`), and a
+    resolving group is also pushed past the transfers already visible to
+    it in pop order (:func:`_clear_on_wire`). A push from one collective
+    then reaches the next in the same sweep instead of one sweep later.
+    At the fixed point those wire starts are the serialized ones and the
+    visible set is a subset of :func:`_blocking_floors`' set, so the push
+    never exceeds the exact floor and the fixed point is unchanged.
     """
     esrc = kernel._edge_src_list
     inc_ptr = kernel._inc_ptr
@@ -1059,6 +1149,10 @@ def _sweep_blocking(
     g_end = [0.0] * g_count
     start = [0.0] * kernel.total
     end = [0.0] * kernel.total
+    send_of = None if sends is None else sends.send_of
+    #: Per member worker: (pop key, wire start, wire end) of the busy
+    #: transfers on its interface that may still push a collective.
+    on_wire: dict[int, list] = {} if sends is None else sends.on_wire()
     for oid in aux.order:
         pos = pos_of[oid]
         ready = 0.0
@@ -1072,7 +1166,10 @@ def _sweep_blocking(
                 if g_end[g] > ready:
                     ready = g_end[g]
         start[oid] = ready
-        end[oid] = ready + dur[oid]
+        finish = ready + dur[oid]
+        end[oid] = finish
+        if send_of is not None and send_of[oid] >= 0:
+            sends.put_on_wire(send_of[oid], finish, on_wire)
         g = member_group[oid]
         if g >= 0:
             if ready > launch_max[g]:
@@ -1080,9 +1177,41 @@ def _sweep_blocking(
             remaining[g] -= 1
             if remaining[g] == 0:
                 s = launch_max[g] if launch_max[g] > floors[g] else floors[g]
+                if send_of is not None:
+                    s = _clear_on_wire(kernel, aux, g, start, end, on_wire, s)
                 g_start[g] = s
                 g_end[g] = s + ar_cost[g]
     return start, end, g_start, g_end, launch_max
+
+
+def _clear_on_wire(
+    kernel: ScheduleKernel,
+    aux: _BlockingAux,
+    g: int,
+    start: list[float],
+    end: list[float],
+    on_wire: dict[int, list],
+    begin: float,
+) -> float:
+    """Push group ``g``'s ``begin`` past the transfers a sweep put on the wire.
+
+    Only transfers whose pop key sorts before the group's cutoff count.
+    A transfer that ends by a member's start can push no collective on
+    that worker from then on, so it leaves the worker's list.
+    """
+    op_worker = kernel.op_worker
+    row_pos = kernel.row_pos
+    mids = aux.member_ids[g]
+    cutoff = max((end[m], op_worker[m], row_pos[m]) for m in mids)
+    runs: dict[int, tuple[list[float], list[float]]] = {}
+    for m in mids:
+        w = op_worker[m]
+        live = [item for item in on_wire[w] if item[2] > start[m]]
+        on_wire[w] = live
+        for key, s, e in live:
+            if key < cutoff and e > begin:
+                _add_busy(runs, w, s, e)
+    return _clear_sorted(begin, aux.group_workers[g], runs)
 
 
 def _solve_scalar(
@@ -1107,12 +1236,16 @@ def _solve_scalar(
     n_send = len(kernel.send_oid)
     extras = np.zeros(n_send)
     aux = kernel.blocking_aux() if blocking_sync else None
+    sends = None
     if aux is not None:
         ar_cost = [
             cost_model.allreduce_time(aux.group_stage[g], aux.group_workers[g])
             for g in range(len(aux.group_keys))
         ]
         floors = np.zeros(len(aux.group_keys))
+        if _busy_sends(kernel, occupancy).size:
+            sends = _SweepSends(kernel, aux, occupancy)
+    moved_starts = 0
     for _ in range(MAX_RELAXATION_SWEEPS):
         edge_delay = base_edge.copy()
         if n_send:
@@ -1120,7 +1253,7 @@ def _solve_scalar(
         edl = edge_delay.tolist()
         if aux is not None:
             start, end, g_start, g_end, launch_max = _sweep_blocking(
-                kernel, aux, dur, edl, floors.tolist(), ar_cost
+                kernel, aux, dur, edl, floors.tolist(), ar_cost, sends
             )
         else:
             start, end = kernel.relax_scalar_delays(dur, edl)
@@ -1133,35 +1266,38 @@ def _solve_scalar(
             send_end = np.zeros(0)
             wire_start = np.zeros(0)
             new_extras = extras
-        stable = np.array_equal(new_extras, extras)
+        moved_delays = int(np.count_nonzero(new_extras != extras))
         if aux is not None and len(aux.group_keys):
             new_floors = _blocking_floors(
                 kernel, aux, start, end, send_end, wire_start, occupancy
             )
             # Stability of the *effective* collective starts, not the raw
-            # floor values: the sweep used max(launch_max, old floor), and
+            # floor values: the sweep started each group at g_start, and
             # it is consistent iff that equals max(launch_max, new floor) —
             # an uncontended floor below max(launches) converges on the
             # first sweep, and a floor that *dropped* is caught too.
-            stable = stable and all(
-                max(new_floors[g], launch_max[g]) == g_start[g]
+            moved_starts = sum(
+                max(new_floors[g], launch_max[g]) != g_start[g]
                 for g in range(len(aux.group_keys))
             )
-            if stable:
+            if not moved_delays and not moved_starts:
                 resolved = {
                     aux.group_keys[g]: (g_start[g], g_end[g])
                     for g in range(len(aux.group_keys))
                 }
                 return start, end, wire_start, resolved
             floors = np.maximum(new_floors, 0.0)
-        elif stable:
+        elif not moved_delays:
             resolved = {} if blocking_sync else None
             return start, end, wire_start, resolved
         extras = new_extras
+        if sends is not None:
+            sends.observe(send_end, wire_start, extras)
     raise KernelConvergenceError(
         f"fixed-point relaxation did not converge within "
         f"{MAX_RELAXATION_SWEEPS} sweeps ({kernel.total} ops, "
-        f"{n_send} transfers) — the channel order is oscillating"
+        f"{n_send} transfers): the last sweep still changed "
+        f"{moved_delays} queueing delays and {moved_starts} collective starts"
     )
 
 
@@ -1360,7 +1496,7 @@ def _batch_rows(
     makespan = np.zeros(k_total)
     iteration = np.zeros(k_total)
     busy = np.zeros((k_total, kernel.num_workers))
-    #: Per-row wire starts, for the NIC intervals the finalizer's
+    #: Per-row wire starts, for the NIC busy runs the finalizer's
     #: collective-contention rule reads (contended rows only).
     wire_starts: list[np.ndarray | None] = [None] * k_total
 
@@ -1380,16 +1516,13 @@ def _batch_rows(
         busy_rows = csum[:, wptr[1:]] - csum[:, wptr[:-1]]
         for row, k in enumerate(rows):
             busy[k] = busy_rows[row]
-            nic = None
-            if contended[k]:
-                nic = _nic_intervals(kernel, wire_starts[k], tables[k][1])
             iteration[k], makespan[k] = _iteration_time(
                 kernel,
                 models[k],
                 start[row],
                 end[row],
                 float(makespan_rows[row]),
-                nic_busy=nic,
+                wire=(wire_starts[k], tables[k][1]) if contended[k] else None,
             )
 
     def _delays(rows: list[int]) -> np.ndarray:
@@ -1433,27 +1566,69 @@ def _batch_rows(
     return makespan, iteration, busy, tuple(not c for c in contended)
 
 
-def _nic_intervals(
-    kernel: ScheduleKernel, wire_start: np.ndarray, occupancy: np.ndarray
-) -> dict[int, tuple[list[float], list[float]]]:
-    """Merged per-worker interface busy intervals from one row's transfers.
+def _busy_sends(kernel: ScheduleKernel, occupancy: np.ndarray) -> np.ndarray:
+    """Indices of the sends that occupy a NIC: nonzero occupancy, no host.
 
-    Sorted and coalesced so :func:`_clear_sorted` can binary-search them —
-    the engine's linear rescans are O(groups x transfers), which dominates
-    for per-micro-batch synchronization (pipedream-family schedules carry
-    hundreds of groups). Host transfers ride PCIe, not the NIC, so they
-    never appear here (the engine's ``nic_busy`` applies the same rule).
+    Host transfers ride PCIe, not the NIC, so they never block a
+    collective (the engine's ``nic_busy`` applies the same rule).
     """
-    busy = np.flatnonzero((occupancy > 0.0) & (kernel.send_host_dir < 0))
-    merged: dict[int, tuple[list[float], list[float]]] = {}
-    if not busy.size:
-        return merged
+    return np.flatnonzero((occupancy > 0.0) & (kernel.send_host_dir < 0))
+
+
+def _add_busy(
+    runs: dict[int, tuple[list[float], list[float]]], w: int, s: float, e: float
+) -> None:
+    """Add interval ``[s, e)`` to worker ``w``'s merged busy runs.
+
+    A worker's runs are two sorted lists (starts, ends) of disjoint runs
+    that do not touch, so :func:`_clear_sorted` can binary-search them;
+    the new interval absorbs every run it overlaps or touches.
+    """
+    run = runs.get(w)
+    if run is None:
+        runs[w] = ([s], [e])
+        return
+    starts, ends = run
+    lo = bisect_left(ends, s)
+    hi = bisect_right(starts, e, lo)
+    if lo == hi:
+        starts.insert(lo, s)
+        ends.insert(lo, e)
+        return
+    if starts[lo] < s:
+        s = starts[lo]
+    if ends[hi - 1] > e:
+        e = ends[hi - 1]
+    starts[lo:hi] = [s]
+    ends[lo:hi] = [e]
+
+
+def _busy_runs(
+    kernel: ScheduleKernel,
+    wire_start: np.ndarray,
+    occupancy: np.ndarray,
+    after: float,
+) -> dict[int, tuple[list[float], list[float]]]:
+    """Per-worker merged busy runs of one row's transfers ending after ``after``.
+
+    The runs :func:`_add_busy` builds one interval at a time, built here
+    in one vectorized pass: a row's transfers are all known up front,
+    and a per-interval Python loop costs about 5x more on per-micro-batch
+    sync schedules, whose transfers mostly stay busy past the first
+    collective. Each transfer occupies both endpoints' interfaces. A
+    transfer that ends at or before ``after`` (the row's earliest
+    collective ready time) can never push a collective, so it is left
+    out.
+    """
+    busy = _busy_sends(kernel, occupancy)
     s_one = wire_start[busy]
     e_one = s_one + occupancy[busy]
-    # Each transfer occupies both endpoints' interfaces.
-    workers = np.concatenate(
-        [kernel.send_worker[busy], kernel.send_dst_w[busy]]
-    )
+    live = e_one > after
+    busy, s_one, e_one = busy[live], s_one[live], e_one[live]
+    runs: dict[int, tuple[list[float], list[float]]] = {}
+    if not busy.size:
+        return runs
+    workers = np.concatenate([kernel.send_worker[busy], kernel.send_dst_w[busy]])
     starts = np.concatenate([s_one, s_one])
     ends = np.concatenate([e_one, e_one])
     order = np.lexsort((starts, workers))
@@ -1474,11 +1649,11 @@ def _nic_intervals(
         head[0] = True
         head[1:] = s[1:] > run_end[:-1]
         first = np.flatnonzero(head)
-        merged[int(workers[lo])] = (
+        runs[int(workers[lo])] = (
             s[first].tolist(),
             np.maximum.reduceat(e, first).tolist(),
         )
-    return merged
+    return runs
 
 
 def _clear_sorted(
@@ -1486,12 +1661,12 @@ def _clear_sorted(
     workers,
     nic: dict[int, tuple[list[float], list[float]]],
 ) -> float:
-    """:func:`repro.sim.engine._clear_of_transfers` over merged intervals.
+    """The least time >= ``start`` clear of every member's busy runs.
 
-    Both compute the least time >= ``start`` not covered by the union of
-    the members' busy intervals (the fixed point is unique, so the scan
-    order cannot matter); this one binary-searches each worker's merged
-    list instead of rescanning every interval per round.
+    The engine's ``_clear_of_transfers`` rescans each transfer interval
+    until none covers ``start``; its answer is the least time not covered
+    by the union of the members' intervals, so binary-searching each
+    worker's merged runs (:func:`_add_busy`) reaches the same value.
     """
     moved = True
     while moved:
@@ -1515,14 +1690,16 @@ def _iteration_time(
     end: np.ndarray,
     compute_makespan: float,
     *,
-    nic_busy: dict[int, tuple[list[float], list[float]]] | None = None,
+    wire: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, float]:
     """(iteration time, compute makespan): the finalizer's collective rules.
 
     Replicates ``_finalize``'s non-blocking path on arrays — collectives
     sharing a worker are serviced serially in ready-time order, each one
     pushed past in-flight transfer occupancy on its members' interfaces
-    (``nic_busy``, present for contended rows), and the overlap-slowdown
+    (``wire``: the row's wire starts and occupancies, present for
+    contended rows; only transfers still busy at the earliest ready time
+    enter the busy runs), and the overlap-slowdown
     penalty extends worker finish times (and with them the compute
     makespan) in the same collective order.
     """
@@ -1544,6 +1721,9 @@ def _iteration_time(
     iteration = compute_makespan
     link_free: dict[int, float] = {}
     spans: list[tuple[float, float, tuple[int, ...]]] = []
+    nic_busy = None
+    if wire is not None and pending:
+        nic_busy = _busy_runs(kernel, *wire, after=pending[0][0])
     for ready, _stage, _mbs, workers, cost in pending:
         begin = ready
         for w in workers:

@@ -17,7 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.machines import MACHINES
+from repro.bench.workloads import WORKLOADS
 from repro.common.errors import KernelConvergenceError, ScheduleError
+from repro.perf.calibration import calibrate_cost_model
 from repro.schedules.cache import schedule_artifacts
 from repro.schedules.registry import available_schemes
 from repro.sim import kernel as kernel_mod
@@ -153,7 +156,9 @@ def test_contended_matches_event_engine(
 
 @BATTERY
 @given(
-    scheme=st.sampled_from(["gpipe", "dapple", "chimera", "zb_h1"]),
+    scheme=st.sampled_from(
+        ["gpipe", "dapple", "chimera", "zb_h1", "pipedream", "pipedream_2bw"]
+    ),
     n=st.integers(min_value=2, max_value=5),
     f=cost_units,
     b=cost_units,
@@ -373,15 +378,10 @@ def test_blocking_floors_match_reference_scan(name, data):
     # Few distinct end times make ties in send_end and in the members'
     # cutoffs common; equal workers then fall through to row positions.
     end = [float(t) for t in data.draw(ticks)]
-    start = [
-        e - d
-        for e, d in zip(
-            end,
-            data.draw(
-                st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=total, max_size=total)
-            ),
-        )
-    ]
+    durations = st.lists(
+        st.sampled_from([0.0, 0.5, 1.0]), min_size=total, max_size=total
+    )
+    start = [e - d for e, d in zip(end, data.draw(durations))]
     send_end = np.asarray(end)[kernel.send_oid]
     delay = np.array(data.draw(st.lists(grid, min_size=n_send, max_size=n_send)))
     wire_start = send_end + delay
@@ -418,6 +418,7 @@ def test_sweep_cap_raises_distinguished_error(monkeypatch):
     with pytest.raises(KernelConvergenceError) as err:
         simulate_fast(schedule, cm, kernel=kernel_of(graph))
     assert "1 sweep" in str(err.value)
+    assert "the last sweep still changed" in str(err.value)
 
 
 def test_sweep_cap_raises_in_batch_path(monkeypatch):
@@ -427,6 +428,35 @@ def test_sweep_cap_raises_in_batch_path(monkeypatch):
     with pytest.raises(KernelConvergenceError):
         kernel = kernel_of(arts.lowered_graph())
         simulate_batch_many([(kernel, cm), (kernel, cm.with_(forward_time=1.5))])
+
+
+def test_chained_blocking_collectives_converge(monkeypatch):
+    """pipedream(W=2, D=2, B=1) at N=256 on piz-daint/bert-48, the
+    candidate ``repro plan -P 4`` ranks at default flags: 512 blocking
+    collectives, each pushed by the gradient send just before it and
+    pushing the next. Resolving each group against the transfers its own
+    sweep put on the wire settles the chain in a few sweeps (it took 257
+    when floors came only from the previous sweep), and the result is
+    the event engine's, bitwise."""
+    cm = calibrate_cost_model(
+        MACHINES["piz-daint"],
+        WORKLOADS["bert-48"],
+        depth=2,
+        micro_batch=1,
+        data_parallel_width=2,
+    )
+    arts = schedule_artifacts("pipedream", 2, 256)
+    spec = ("lower_p2p",)
+    schedule, graph = arts.schedule_for(spec), arts.graph_for(spec)
+    assert len(kernel_of(graph).sync_groups) == 512
+    ref = simulate(schedule, cm, graph=graph, blocking_sync=True)
+    monkeypatch.setattr(kernel_mod, "MAX_RELAXATION_SWEEPS", 4)
+    got = simulate_fast(schedule, cm, kernel=kernel_of(graph), blocking_sync=True)
+    assert got.iteration_time == ref.iteration_time
+    assert [(c.start, c.end) for c in got.collectives] == [
+        (c.start, c.end) for c in ref.collectives
+    ]
+    assert_results_match(ref, got)
 
 
 # ----------------------------------------------------- SEND-table telemetry
