@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.common.errors import ValidationError
+from repro.common.errors import ScheduleError, ValidationError
 from repro.schedules.dependencies import (
     ACTIVATION,
     DEFERRAL,
@@ -165,6 +165,56 @@ class TestValidator:
         s = toy([[F(0, 0), B(0, 0)], [F(0, 1), B(0, 1)]])
         with pytest.raises(ValidationError, match="synchronization"):
             validate_schedule(s, require_sync_ops=True)
+
+
+class TestCycleErrors:
+    """Every levelization reports a cycle with its own exact message."""
+
+    #: Worker 1 runs B(0,1) before the F(0,1) it consumes: B(0,1),
+    #: F(0,1) and the B(0,0) waiting on B(0,1)'s gradient never run.
+    CYCLIC_ROWS = [[F(0, 0), B(0, 0)], [B(0, 1), F(0, 1)]]
+
+    def test_validator_names_count_and_first_stuck_ops(self):
+        stuck = [B(0, 0).key(), B(0, 1).key(), F(0, 1).key()]
+        with pytest.raises(ValidationError) as info:
+            validate_schedule(toy(self.CYCLIC_ROWS))
+        assert str(info.value) == (
+            "schedule has a dependency cycle / deadlock; 3 operations can "
+            f"never run, e.g. {stuck}"
+        )
+
+    def test_kernel_levelization_stuck(self):
+        from repro.sim.kernel import kernel_of
+
+        graph = build_dependency_graph(toy(self.CYCLIC_ROWS))
+        with pytest.raises(ScheduleError) as info:
+            kernel_of(graph)
+        assert str(info.value) == (
+            "kernel levelization stuck: 3 ops sit on a dependency cycle"
+        )
+
+    def test_blocking_collectives_deadlock(self):
+        from dataclasses import replace
+
+        from repro.sim.cost import CostModel
+        from repro.sim.kernel import simulate_fast
+
+        # Chimera D=2 synchronizes stage 1, then stage 0, on both
+        # workers. Worker 1 swapped to stage 0 first: each worker blocks
+        # in a collective the other reaches only after its own.
+        schedule = build_schedule("chimera", 2, 2)
+        rows = [list(row) for row in schedule.worker_ops]
+        assert [op.short() for op in rows[1][-2:]] == ["S1r0", "S0r1"]
+        rows[1][-2:] = rows[1][-1:-3:-1]
+        deadlocked = replace(schedule, worker_ops=freeze_worker_ops(rows))
+        validate_schedule(deadlocked)  # acyclic without the barriers
+        assert simulate_fast(deadlocked, CostModel.unit()).iteration_time > 0
+        with pytest.raises(ScheduleError) as info:
+            simulate_fast(deadlocked, CostModel.unit(), blocking_sync=True)
+        assert str(info.value) == (
+            "blocking collectives deadlock: 2 ops depend on a collective "
+            "that can never resolve"
+        )
 
 
 def _op(kind, mbs, stage, replica=0, part=(0, 1), payload=""):

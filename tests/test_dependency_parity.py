@@ -14,6 +14,9 @@ Each case pins two sha256 digests (first 16 hex digits each):
   shape classes and sync groups), so a kernel built another way must be
   bitwise the one recorded.
 
+The PipeDream cases also pin the visit order of the kernel's blocking-
+collective levelization (:data:`EXPECTED_BLOCKING_ORDER`).
+
 If a change to a *builder* or *pass* is intended to reshape schedules,
 regenerate the table with ``_digest``/``_kernel_digest`` and review the
 diff.
@@ -240,6 +243,47 @@ def test_graph_and_lowering_match_recorded_digest(case):
 @pytest.mark.parametrize("case", CASES)
 def test_kernel_matches_recorded_digest(case):
     assert _kernel_digest(_graph(case)) == EXPECTED[case][1]
+
+
+#: ``blocking_aux().order`` of the schemes the planner simulates with
+#: blocking collectives: the visit order of the levelization over the
+#: kernel's edges plus the collective barriers. The aux is built lazily
+#: and never pickled, so no kernel digest above covers it.
+EXPECTED_BLOCKING_ORDER = {
+    "pipedream-4x4-implicit": "0449fe0dd7a3d361",
+    "pipedream-4x4-lower_p2p": "9cb43d1746359231",
+    "pipedream-4x4-offload,lower_p2p": "eea176f3de225670",
+    "pipedream-4x4-lower_p2p,fuse_comm": "9083a96bfc470567",
+    "pipedream-4x4-recompute": "9f023030692bb592",
+    "pipedream-4x8-implicit": "29d4a5d41cd70dff",
+    "pipedream-4x8-lower_p2p": "06254c90b99bea63",
+    "pipedream-4x8-offload,lower_p2p": "3ba1f6bfe5498bd8",
+    "pipedream-4x8-lower_p2p,fuse_comm": "6f5964d2aefd7ab6",
+    "pipedream-4x8-recompute": "3d9519f0fafa2c98",
+    "pipedream_2bw-4x4-implicit": "c97b1cfdd9032b51",
+    "pipedream_2bw-4x4-lower_p2p": "4e98f5c32362e6ea",
+    "pipedream_2bw-4x4-offload,lower_p2p": "da0b23e10289d1e7",
+    "pipedream_2bw-4x4-lower_p2p,fuse_comm": "560d3f09e634cd44",
+    "pipedream_2bw-4x4-recompute": "2154f3ae1ed9c7f3",
+    "pipedream_2bw-4x8-implicit": "722bec9bb7035f77",
+    "pipedream_2bw-4x8-lower_p2p": "47938d5d49e569d3",
+    "pipedream_2bw-4x8-offload,lower_p2p": "f3c8d85737b97ce7",
+    "pipedream_2bw-4x8-lower_p2p,fuse_comm": "f15515ea9d5a394d",
+    "pipedream_2bw-4x8-recompute": "ee45f073ad734ee7",
+}
+
+
+def test_blocking_table_covers_the_pipedream_cases():
+    assert sorted(EXPECTED_BLOCKING_ORDER) == sorted(
+        case for case in CASES if case.startswith("pipedream")
+    )
+
+
+@pytest.mark.parametrize("case", sorted(EXPECTED_BLOCKING_ORDER))
+def test_blocking_aux_order_matches_recorded_digest(case):
+    order = ScheduleKernel(_graph(case)).blocking_aux().order
+    digest = hashlib.sha256(repr(order).encode()).hexdigest()[:16]
+    assert digest == EXPECTED_BLOCKING_ORDER[case]
 
 
 #: Pre-lowering forms of the table's pipelines (``lower_p2p`` runs on
