@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from repro.common.errors import ConfigurationError, ScheduleError
 from repro.bench.machines import MachineSpec
@@ -28,7 +28,7 @@ from repro.schedules.passes.pipeline import (
     split_pipeline,
 )
 from repro.sim.kernel import simulate_fast
-from repro.sim.memory import analyze_memory
+from repro.sim.memory import MemoryReport, analyze_memory
 from repro.sim.metrics import bubble_ratio, throughput_samples_per_sec
 
 
@@ -170,7 +170,11 @@ class ExperimentResult:
 def config_label(
     cfg: ExperimentConfig, recompute: bool, pipeline: tuple[str, ...] = ()
 ) -> str:
-    """``scheme(W=, D=, B=[, R][, O])`` — the shared result/plan label."""
+    """``scheme(W=, D=, B=[, R][, O])`` — the shared result/plan label.
+
+    ``cfg`` is anything with ``scheme``, ``width``, ``depth`` and
+    ``micro_batch`` attributes: a config, or a planner's ``PlanEntry``.
+    """
     r = ", R" if recompute else ""
     o = ", O" if split_pipeline(pipeline).offload else ""
     return (
@@ -202,44 +206,61 @@ def config_artifacts(
     )
 
 
-def memory_report(cfg: ExperimentConfig, pipeline: tuple[str, ...]):
-    """Build ``cfg``'s schedule and analyze its memory — no simulation.
+def memory_report(
+    cfg: ExperimentConfig,
+    pipeline: tuple[str, ...],
+    arts: ScheduleArtifacts | None = None,
+) -> tuple[ScheduleArtifacts, MemoryReport]:
+    """Analyze the memory of ``cfg``'s schedule under one attempt pipeline.
 
-    Returns ``(schedule, MemoryReport)``. This is the pruning half of
-    :func:`run_configuration`, exposed so callers that only need the
-    fits/OOM verdict (the planner's enumerate-and-prune step) can skip
-    the simulation entirely.
+    Returns ``(artifacts, MemoryReport)`` with no simulation. ``arts``
+    are the attempt's artifacts when the caller already holds them
+    (default: :func:`config_artifacts`). The memory model is calibrated
+    per the entry's memory profile's stage count (ZB-V splits the model
+    into 2D chunks over D workers, so each chunk is half a stage), so an
+    entry restored from the disk tier never unpickles a schedule form.
     """
-    arts = config_artifacts(cfg, pipeline)
-    schedule = arts.schedule
-    # Calibrate per the schedule's own stage count: ZB-V splits the model
-    # into 2D chunks over D workers, so each chunk is half a stage.
+    if arts is None:
+        arts = config_artifacts(cfg, pipeline)
+    profile = arts.memory_profile()
     memory_model = calibrate_memory_model(
         cfg.machine,
         cfg.workload,
-        depth=schedule.num_stages,
+        depth=profile.num_stages,
         micro_batch=cfg.micro_batch,
     )
-    return schedule, analyze_memory(arts.memory_profile(), memory_model)
+    return arts, analyze_memory(profile, memory_model)
+
+
+def first_fit(
+    cfg: ExperimentConfig,
+    attempts: Sequence[tuple[str, ...]],
+    report: Callable[
+        [ExperimentConfig, tuple[str, ...]], tuple[ScheduleArtifacts, MemoryReport]
+    ] = memory_report,
+) -> tuple[tuple[str, ...], ScheduleArtifacts, MemoryReport, bool]:
+    """The paper's retry-with-``R`` rule: the first attempt that fits.
+
+    Tries each attempt pipeline in order against ``cfg``'s device and
+    host budgets and returns ``(attempt, artifacts, report, fits)`` for
+    the first one that fits, else for the last one tried. ``report`` is
+    the per-attempt :func:`memory_report` (the planner passes its
+    memoized one). Every memory-fit decision in the stack runs here:
+    :func:`run_configuration`, the planner's pruning and the §3.4
+    selector's micro-batch choice.
+    """
+    for attempt in attempts:
+        arts, rep = report(cfg, attempt)
+        if rep.fits(cfg.capacity_bytes, cfg.host_capacity_bytes):
+            return attempt, arts, rep, True
+    return attempt, arts, rep, False
 
 
 def run_configuration(cfg: ExperimentConfig) -> ExperimentResult:
     """Simulate one configuration end to end (see module docstring)."""
     n = cfg.num_micro_batches()
-
-    attempts: Sequence[tuple[str, ...]] = cfg.attempt_pipelines()
-    schedule = None
-    report = None
-    used = attempts[-1]
-    oom = True
-    for pipeline in attempts:
-        schedule, report = memory_report(cfg, pipeline)
-        if report.fits(cfg.capacity_bytes, cfg.host_capacity_bytes):
-            used = pipeline
-            oom = False
-            break
-
-    assert schedule is not None and report is not None
+    used, arts, report, fits = first_fit(cfg, cfg.attempt_pipelines())
+    schedule = arts.schedule_for(used)
     cost_model = calibrate_cost_model(
         cfg.machine,
         cfg.workload,
@@ -252,9 +273,8 @@ def run_configuration(cfg: ExperimentConfig) -> ExperimentResult:
     # collectives block; all other schemes launch non-blocking (§3.2).
     # ``simulate_fast`` runs on the array kernel for every model: one sweep
     # when contention-free, the fixed-point relaxation otherwise.
-    arts = config_artifacts(cfg, used)
     result = simulate_fast(
-        arts.schedule_for(used),
+        schedule,
         cost_model,
         kernel=arts.kernel_for(used),
         blocking_sync=(cfg.scheme == "pipedream"),
@@ -272,9 +292,9 @@ def run_configuration(cfg: ExperimentConfig) -> ExperimentResult:
         config=cfg,
         num_micro_batches=n,
         recompute=split_pipeline(used).recompute,
-        oom=oom,
+        oom=not fits,
         iteration_time=result.iteration_time,
-        throughput=0.0 if oom else throughput,
+        throughput=throughput if fits else 0.0,
         bubble_ratio=bubble_ratio(result),
         peak_memory_bytes=report.peak_bytes,
         min_memory_bytes=report.min_bytes,

@@ -402,8 +402,10 @@ def run_case(
         models = batch_cost_models(batch_size, base=base)
         rows = [(kernel, model) for model in models]
         batch_wall, batch = _best_wall(lambda: simulate_batch_many(rows), repeats)
-        # Every case runs on the kernel either way; the base row's routing
-        # must match the regime so a routing regression fails loudly here.
+        # Every case runs on the kernel either way; the base row's
+        # contention flag (``used_fast_path``: zero occupancy on every
+        # channel) must match the regime, so a cost-model or send-table
+        # regression fails loudly here.
         contended = MODE_MODELS[case.mode] is contended_suite_model
         if batch.used_fast_path[0] == contended:
             raise ScheduleError(

@@ -395,17 +395,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.perf.planner import DEFAULT_PLAN_WORKERS
     from repro.serve import PlannerService, serve_forever
 
-    workers = (
-        args.plan_workers
-        if args.plan_workers is not None
-        else DEFAULT_PLAN_WORKERS
-    )
     service = PlannerService(
         max_inflight=args.max_inflight,
-        plan_workers=workers,
         workers=args.workers,
         coalesce_ms=args.coalesce_ms,
     )
@@ -636,13 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="concurrently admitted plan computations before load "
         "shedding (HTTP 503)",
-    )
-    p.add_argument(
-        "--plan-workers",
-        type=int,
-        default=None,
-        help="worker pool bound for async-scheme steady-state paths "
-        "(default: min(8, cores))",
     )
     p.add_argument(
         "--workers",

@@ -21,8 +21,9 @@ becomes a genuine search problem over ``(scheme, W, D, B)``:
    No pipeline attempt fits below it, so a point whose floor fails the
    budget is skipped. Then :func:`repro.sim.memory.analyze_memory` runs
    on the real schedule of every other point, trying each attempt
-   pipeline in turn until one fits, exactly like the experiment harness
-   (``synthesize`` has no placement trait and always takes this step).
+   pipeline in turn until one fits, through the experiment harness's
+   :func:`~repro.bench.harness.first_fit` (``synthesize`` has no
+   placement trait and always takes this step).
    Skipped points are built only when nothing fits, to name the closest
    candidate in the error: in floor order, until no remaining floor can
    beat the closest exact overshoot.
@@ -51,9 +52,15 @@ fuse_comm"`` ranks with batched communication — identical timing at
 zero link occupancy with roughly a third fewer ops per event
 simulation, which is the fast mode for big lowered grids.
 
-Every pruning decision and the final ranking go through the same code
-paths as the benchmark harness (:mod:`repro.bench.harness`), so a plan
-entry is exactly the configuration's ``run_configuration`` outcome.
+Every memory-fit decision is the benchmark harness's own
+(:func:`repro.bench.harness.first_fit` over
+:func:`~repro.bench.harness.memory_report`), so a plan entry's attempt
+and peak memory are the configuration's ``run_configuration`` outcome.
+Asynchronous schemes rank through ``run_configuration`` itself.
+Synchronous rows rank from a batch row instead of a
+:func:`~repro.sim.kernel.simulate_fast` call: their iteration times are
+bitwise equal to it, and the end-to-end plan check agrees with it on
+bubble ratios to 1e-9.
 
 Batch planning (planner-as-a-service)
 -------------------------------------
@@ -86,11 +93,11 @@ from typing import Iterable, Iterator, Sequence
 from repro.common.errors import ConfigurationError, ScheduleError
 from repro.bench.harness import (
     ExperimentConfig,
-    config_artifacts,
     config_label,
+    first_fit,
     format_table,
+    memory_report,
     rank_by_throughput,
-    run_configuration,
 )
 from repro.schedules.passes.pipeline import (
     attempt_pipelines,
@@ -103,7 +110,7 @@ from repro.perf.calibration import calibrate_cost_model, calibrate_memory_model
 from repro.schedules.cache import ScheduleArtifacts, ScheduleCache
 from repro.schedules.registry import available_schemes, scheme_traits
 from repro.sim.kernel import simulate_batch_many
-from repro.sim.memory import MemoryReport, analyze_memory, device_floor, exceeds
+from repro.sim.memory import MemoryReport, device_floor, exceeds
 
 #: Largest micro-batch size the enumeration considers (power-of-two scan).
 DEFAULT_MAX_MICRO_BATCH = 512
@@ -142,12 +149,7 @@ class PlanEntry:
         return split_pipeline(self.pipeline).offload
 
     def label(self) -> str:
-        r = ", R" if self.recompute else ""
-        o = ", O" if self.offload else ""
-        return (
-            f"{self.scheme}(W={self.width}, D={self.depth}, "
-            f"B={self.micro_batch}{r}{o})"
-        )
+        return config_label(self, self.recompute, self.pipeline)
 
 
 def candidate_grid(
@@ -278,43 +280,19 @@ class _PlanContext:
             {**split_pipeline(pipeline).build_options(), **dict(cfg.options)},
         )
 
-    def artifacts_for(
-        self, cfg: ExperimentConfig, pipeline: tuple[str, ...]
-    ) -> ScheduleArtifacts:
-        key = self._akey(cfg, pipeline)
-        if key is not None:
-            hit = self.artifacts.get(key)
-            if hit is not None:
-                return hit
-        arts = config_artifacts(cfg, pipeline)
-        if key is not None:
-            self.artifacts[key] = arts
-        return arts
-
     def memory_report(
         self, cfg: ExperimentConfig, pipeline: tuple[str, ...]
     ) -> tuple[ScheduleArtifacts, MemoryReport]:
-        """Memoized :func:`repro.bench.harness.memory_report` (same math)."""
-        arts = self.artifacts_for(cfg, pipeline)
+        """:func:`repro.bench.harness.memory_report`, memoized and pinned."""
         akey = self._akey(cfg, pipeline)
-        rkey = (
-            (akey, cfg.machine, cfg.workload, cfg.micro_batch)
-            if akey is not None
-            else None
-        )
-        if rkey is not None:
-            hit = self.reports.get(rkey)
-            if hit is not None:
-                return arts, hit
-        profile = arts.memory_profile()
-        memory_model = calibrate_memory_model(
-            cfg.machine,
-            cfg.workload,
-            depth=profile.num_stages,
-            micro_batch=cfg.micro_batch,
-        )
-        report = analyze_memory(profile, memory_model)
-        if rkey is not None:
+        if akey is None:  # unhashable options: nothing to key on
+            return memory_report(cfg, pipeline)
+        rkey = (akey, cfg.machine, cfg.workload, cfg.micro_batch)
+        arts = self.artifacts.get(akey)
+        report = self.reports.get(rkey)
+        if report is None:
+            arts, report = memory_report(cfg, pipeline, arts)
+            self.artifacts[akey] = arts
             self.reports[rkey] = report
         return arts, report
 
@@ -635,7 +613,9 @@ def _prune_request(request: PlanRequest, ctx: _PlanContext) -> _Pruned:
         # Prune before ranking: the memory verdict needs no simulation, so
         # OOM candidates never pay the simulation cost.
         try:
-            attempt, arts, report, fits = _first_fit(cfg, pruned.attempts, ctx)
+            attempt, arts, report, fits = first_fit(
+                cfg, pruned.attempts, ctx.memory_report
+            )
         except (ConfigurationError, ScheduleError):
             continue  # structurally invalid corner (e.g. N < 1)
         if not fits:
@@ -659,17 +639,6 @@ def _device_floor(cfg: ExperimentConfig) -> float | None:
         cfg.machine, cfg.workload, depth=layout.num_stages, micro_batch=cfg.micro_batch
     )
     return device_floor(cfg.scheme, layout, model, cfg.num_micro_batches())
-
-
-def _first_fit(
-    cfg: ExperimentConfig, attempts: Sequence[tuple[str, ...]], ctx: _PlanContext
-) -> tuple[tuple[str, ...], ScheduleArtifacts, MemoryReport, bool]:
-    """The first attempt whose memory fits, else the last one tried."""
-    for attempt in attempts:
-        arts, report = ctx.memory_report(cfg, attempt)
-        if report.fits(cfg.capacity_bytes, cfg.host_capacity_bytes):
-            return attempt, arts, report, True
-    return attempt, arts, report, False
 
 
 def _rejection(
@@ -702,7 +671,9 @@ def _closest(pruned: _Pruned, ctx: _PlanContext) -> tuple[float, int, str] | Non
         if best is not None and bound > best[0]:
             break
         try:
-            attempt, _, report, _ = _first_fit(cfg, pruned.attempts, ctx)
+            attempt, _, report, _ = first_fit(
+                cfg, pruned.attempts, ctx.memory_report
+            )
         except (ConfigurationError, ScheduleError):
             continue
         best = _nearer(best, _rejection(cfg, index, attempt, report))
@@ -785,8 +756,8 @@ def _rank_all(
     deduplicated and fanned out over the shared default **process pool**
     sized ``max_workers``: the measurements are CPU-bound, so a thread
     pool would buy no speedup under the GIL. A single measurement — or
-    ``max_workers == 1``, or a pool worker evaluating its shard — stays
-    sequential.
+    ``max_workers == 1``, which is how a pool worker plans its shard —
+    stays sequential.
 
     Returns ``id(pruned) -> unsorted entries`` for :func:`_finalize`.
     """
@@ -826,29 +797,15 @@ def _rank_all(
             )
 
     # ---- process-pool fan-out for the async steady-state paths ----------
-    async_results: dict[tuple, "object | None"] = {}
-
-    def _steady(item: tuple[tuple, ExperimentConfig]) -> tuple[tuple, object | None]:
-        key, cfg = item
-        try:
-            return key, run_configuration(cfg)
-        except (ConfigurationError, ScheduleError):
-            return key, None
+    from repro.perf.workers import get_default_pool, run_steady
 
     items = list(async_cfgs.items())
     if len(items) > 1 and max_workers > 1:
-        from repro.perf import workers as _workers
-
-        if _workers.in_worker():
-            async_results = dict(map(_steady, items))
-        else:
-            steady_pool = _workers.get_default_pool(max_workers)
-            futures = [
-                (key, steady_pool.submit_steady(cfg)) for key, cfg in items
-            ]
-            async_results = {key: future.result() for key, future in futures}
+        steady_pool = get_default_pool(max_workers)
+        futures = [(key, steady_pool.submit_steady(cfg)) for key, cfg in items]
+        async_results = {key: future.result() for key, future in futures}
     else:
-        async_results = dict(map(_steady, items))
+        async_results = {key: run_steady(cfg) for key, cfg in items}
 
     # ---- assemble per-request entries from the shared results -----------
     out: dict[int, list[PlanEntry]] = {}
@@ -940,30 +897,27 @@ def greedy_micro_batch(
 
     The greedy half of the paper's §3.4 procedure: Chimera's bubbles are
     few enough that the largest fitting micro-batch wins outright.
+    Each ``B`` tries the plain schedule, then recomputation, through
+    :func:`~repro.bench.harness.first_fit` and the schedule cache.
     Returns ``(B, recompute)`` or ``None`` if nothing fits (even ``B = 1``
     with recomputation).
     """
-    from repro.perf.calibration import calibrate_memory_model
-    from repro.schedules.registry import build_schedule
-    from repro.sim.memory import analyze_memory
-
     best: tuple[int, bool] | None = None
     b = 1
     while b <= max_micro_batch and width * b <= mini_batch:
         if mini_batch % (width * b) == 0:
-            n = mini_batch // (width * b)
-            for recompute in (False, True):
-                schedule = build_schedule(
-                    "chimera", depth, n, recompute=recompute
-                )
-                memory = calibrate_memory_model(
-                    machine, workload, depth=depth, micro_batch=b
-                )
-                report = analyze_memory(schedule, memory)
-                if report.fits(machine.usable_memory_bytes):
-                    if best is None or b > best[0] or (b == best[0] and not recompute):
-                        best = (b, recompute)
-                    break
+            cfg = ExperimentConfig(
+                scheme="chimera",
+                machine=machine,
+                workload=workload,
+                width=width,
+                depth=depth,
+                micro_batch=b,
+                mini_batch=mini_batch,
+            )
+            attempt, _, _, fits = first_fit(cfg, cfg.attempt_pipelines())
+            if fits:
+                best = (b, split_pipeline(attempt).recompute)
         b *= 2
     return best
 

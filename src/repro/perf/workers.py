@@ -56,16 +56,6 @@ from repro.common.errors import ConfigurationError
 #: shares the intended cache root.
 _ENV_KEYS = ("REPRO_CACHE_DIR", "REPRO_CACHE_DISABLE")
 
-#: True inside a worker process: the planner checks it to keep workers
-#: from recursively spawning pools of their own.
-_IN_WORKER = False
-
-
-def in_worker() -> bool:
-    """True when the current process is a pool worker."""
-    return _IN_WORKER
-
-
 class WorkerCrashError(RuntimeError):
     """A pool worker died before completing the task."""
 
@@ -79,12 +69,12 @@ def _picklable_error(err: BaseException) -> BaseException:
         return RuntimeError(f"{type(err).__name__}: {err}")
 
 
-def _run_steady(cfg) -> object | None:
-    """One async-scheme steady-state measurement (worker side).
+def run_steady(cfg) -> object | None:
+    """One async-scheme steady-state measurement, in a worker or in process.
 
-    Mirrors the planner's in-process fan-out exactly: structurally
-    invalid corners return ``None`` (the candidate is dropped), anything
-    else propagates.
+    :func:`~repro.bench.harness.run_configuration`, except that a
+    structurally invalid corner returns ``None`` (the planner drops the
+    candidate); anything else propagates.
     """
     from repro.bench.harness import run_configuration
     from repro.common.errors import ConfigurationError, ScheduleError
@@ -103,8 +93,6 @@ def _worker_main(worker_id: int, tasks, results, env: dict) -> None:
             os.environ.pop(key, None)
         else:
             os.environ[key] = value
-    global _IN_WORKER
-    _IN_WORKER = True
     # Warm import: the full planner stack (schedule builders, kernel,
     # calibration) loads before the worker reports ready, so the first
     # task pays planning cost, not import cost.
@@ -122,7 +110,7 @@ def _worker_main(worker_id: int, tasks, results, env: dict) -> None:
             if kind == "plan":
                 out = plan_many(payload, max_workers=1)
             elif kind == "steady":
-                out = _run_steady(payload)
+                out = run_steady(payload)
             else:
                 raise RuntimeError(f"unknown pool task kind {kind!r}")
         except BaseException as err:  # noqa: BLE001 - shipped to the caller
@@ -364,8 +352,8 @@ def get_default_pool(workers: int) -> PlannerWorkerPool:
 
     Subsequent calls reuse the existing pool regardless of ``workers``
     (one warm pool beats perfectly sized cold ones); a stopped pool is
-    replaced. Never call from inside a worker — the planner guards with
-    :func:`in_worker` before routing here.
+    replaced. A worker never reaches it: it plans its shard with
+    ``max_workers=1`` or runs one steady-state measurement.
     """
     global _default_pool
     with _default_pool_lock:

@@ -43,8 +43,8 @@ changes the event count, never the communication semantics.
 
 Worker-order dependencies (op ``i+1`` on a worker starts after op ``i``) are
 *not* materialized here; the simulator and the runtime both respect the list
-order directly. The validator combines both edge sets for its acyclicity
-check.
+order directly. The validator and the array kernel combine both edge sets
+and levelize them with :func:`levelize`.
 
 Representation
 --------------
@@ -68,7 +68,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.schedules.ir import Operation, OpKind, Schedule
@@ -194,6 +196,46 @@ class DependencyGraph:
         for edge in self.edges():
             if edge.is_transfer:
                 yield edge
+
+
+def levelize(
+    src: Sequence[int] | np.ndarray, dst: Sequence[int] | np.ndarray, total: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Kahn's algorithm, level by level, over ``total`` ops and the edges
+    ``src[i] -> dst[i]``.
+
+    Each source's out-list keeps the given edge order. The first frontier
+    is every op without incoming edges, in id order; each next frontier
+    holds the ops the previous one released, in release order. Returns
+    ``(level, order, stuck)``: each op's level (``-1`` if never reached),
+    the visit order, and the ops never reached in id order, which are
+    exactly the ops on a cycle or behind one. The array kernel's waves,
+    its blocking-collective order and the validator's acyclicity check
+    all run this one pass; each caller words its own error.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    by_src = np.argsort(src, kind="stable")
+    out_dst = dst[by_src].tolist()
+    out_ptr = np.searchsorted(src[by_src], np.arange(total + 1)).tolist()
+    indeg = np.bincount(dst, minlength=total).tolist()
+    level = [-1] * total
+    order: list[int] = []
+    frontier = [o for o, n in enumerate(indeg) if not n]
+    depth = 0
+    while frontier:
+        nxt: list[int] = []
+        for o in frontier:
+            level[o] = depth
+            for d in out_dst[out_ptr[o] : out_ptr[o + 1]]:
+                indeg[d] -= 1
+                if not indeg[d]:
+                    nxt.append(d)
+        order.extend(frontier)
+        frontier = nxt
+        depth += 1
+    stuck = [o for o, n in enumerate(indeg) if n]
+    return level, order, stuck
 
 
 def _payload_between(src: Operation, dst: Operation) -> float:

@@ -37,10 +37,16 @@ strict mode. It enforces the invariants that make a schedule executable:
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
+
+import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.schedules.dependencies import DependencyGraph, build_dependency_graph
+from repro.schedules.dependencies import (
+    DependencyGraph,
+    build_dependency_graph,
+    levelize,
+)
 from repro.schedules.ir import OpKind, Schedule
 
 
@@ -372,38 +378,26 @@ def _check_offload(schedule: Schedule) -> None:
 
 
 def _check_acyclic(graph: DependencyGraph) -> None:
-    """Kahn's algorithm over data edges plus per-worker program order.
+    """:func:`~repro.schedules.dependencies.levelize` over data edges plus
+    per-worker program order.
 
     Runs on the graph's op ids: program order is ``id -> id + 1`` within
     a worker's row (ids are row-major).
     """
-    ops_flat, op_worker = graph.ops_flat, graph.op_worker
-    ptr, dep_src = graph.dep_ptr, graph.dep_src
-    total = len(ops_flat)
-    indegree = [ptr[i + 1] - ptr[i] for i in range(total)]
-    out: list[list[int]] = [[] for _ in range(total)]
-    for dst in range(total):
-        for e in range(ptr[dst], ptr[dst + 1]):
-            out[dep_src[e]].append(dst)
-    for oid in range(total - 1):
-        if op_worker[oid] == op_worker[oid + 1]:
-            out[oid].append(oid + 1)
-            indegree[oid + 1] += 1
-
-    ready = deque(oid for oid in range(total) if indegree[oid] == 0)
-    visited = 0
-    while ready:
-        oid = ready.popleft()
-        visited += 1
-        for succ in out[oid]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if visited != total:
-        stuck = [ops_flat[o].key() for o in range(total) if indegree[o] > 0][:8]
+    total = len(graph.ops_flat)
+    worker = np.asarray(graph.op_worker, dtype=np.int64)
+    chain = np.flatnonzero(worker[1:] == worker[:-1])
+    dst = np.repeat(np.arange(total), np.diff(graph.dep_ptr))
+    _, _, stuck = levelize(
+        np.concatenate((np.asarray(graph.dep_src, dtype=np.int64), chain)),
+        np.concatenate((dst, chain + 1)),
+        total,
+    )
+    if stuck:
+        keys = [graph.ops_flat[o].key() for o in stuck[:8]]
         raise ValidationError(
-            f"schedule has a dependency cycle / deadlock; {total - visited} "
-            f"operations can never run, e.g. {stuck}"
+            f"schedule has a dependency cycle / deadlock; {len(stuck)} "
+            f"operations can never run, e.g. {keys}"
         )
 
 

@@ -8,14 +8,15 @@ requests collapse outright; distinct ones share memory reports and one
 kernel call). :class:`RequestCoalescer` closes the gap the way
 production inference servers do (dynamic batching): concurrent callers
 enqueue and block on a per-call future, a single dispatcher thread
-drains up to ``max_batch`` requests once the **oldest** has waited
-``coalesce_ms`` (or the batch is full, or the queue is closing), issues
-one batched dispatch, and fans the per-request results back out.
+drains up to :data:`DEFAULT_COALESCE_BATCH` requests once the **oldest**
+has waited ``coalesce_ms`` (or the batch is full, or the queue is
+closing), issues one batched dispatch, and fans the per-request results
+back out.
 
 The window bounds added latency: a lone request waits at most
 ``coalesce_ms`` beyond its own planning time, and a full batch departs
-immediately. The queue is bounded — beyond ``max_queue`` waiting
-requests, :meth:`RequestCoalescer.submit` sheds load with
+immediately. The queue is bounded — beyond :data:`DEFAULT_MAX_QUEUE`
+waiting requests, :meth:`RequestCoalescer.submit` sheds load with
 :class:`~repro.common.errors.ServiceOverloadError` exactly like the
 admission semaphore, so memory cannot grow without bound under overload.
 
@@ -37,10 +38,10 @@ from typing import Callable, Sequence
 
 from repro.common.errors import ConfigurationError, ServiceOverloadError
 
-#: Default cap on one coalesced dispatch.
+#: Cap on one coalesced dispatch.
 DEFAULT_COALESCE_BATCH = 64
 
-#: Default bound on waiting requests before load shedding.
+#: Bound on waiting requests before load shedding.
 DEFAULT_MAX_QUEUE = 1024
 
 #: Per-request latency samples retained for the p50/p99 gauges.
@@ -86,26 +87,13 @@ class RequestCoalescer:
     concurrency by merging callers into one batched call.
     """
 
-    def __init__(
-        self,
-        dispatch: Callable[[list], list],
-        *,
-        coalesce_ms: float,
-        max_batch: int = DEFAULT_COALESCE_BATCH,
-        max_queue: int = DEFAULT_MAX_QUEUE,
-    ):
+    def __init__(self, dispatch: Callable[[list], list], *, coalesce_ms: float):
         if coalesce_ms < 0:
             raise ConfigurationError(
                 f"coalesce_ms must be >= 0, got {coalesce_ms}"
             )
-        if max_batch < 1:
-            raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_queue < 1:
-            raise ConfigurationError(f"max_queue must be >= 1, got {max_queue}")
         self._dispatch = dispatch
         self._window_s = coalesce_ms / 1e3
-        self._max_batch = max_batch
-        self._max_queue = max_queue
         self._cond = threading.Condition()
         self._queue: deque[tuple[object, Future, float]] = deque()
         self._closed = False
@@ -125,8 +113,8 @@ class RequestCoalescer:
         Raises
         ------
         ServiceOverloadError
-            When the queue is at ``max_queue`` (retry with backoff) or
-            the coalescer is draining for shutdown.
+            When the queue is at :data:`DEFAULT_MAX_QUEUE` (retry with
+            backoff) or the coalescer is draining for shutdown.
         """
         future: Future = Future()
         with self._cond:
@@ -134,9 +122,9 @@ class RequestCoalescer:
                 raise ServiceOverloadError(
                     "service is draining for shutdown; no new requests"
                 )
-            if len(self._queue) >= self._max_queue:
+            if len(self._queue) >= DEFAULT_MAX_QUEUE:
                 raise ServiceOverloadError(
-                    f"coalescing queue full ({self._max_queue} waiting "
+                    f"coalescing queue full ({DEFAULT_MAX_QUEUE} waiting "
                     f"requests); retry with backoff"
                 )
             self._queue.append((item, future, time.monotonic()))
@@ -150,7 +138,8 @@ class RequestCoalescer:
             with self._cond:
                 while True:
                     if self._queue:
-                        if self._closed or len(self._queue) >= self._max_batch:
+                        full = len(self._queue) >= DEFAULT_COALESCE_BATCH
+                        if self._closed or full:
                             break
                         remaining = (
                             self._queue[0][2] + self._window_s - time.monotonic()
@@ -164,7 +153,7 @@ class RequestCoalescer:
                         self._cond.wait()
                 batch = [
                     self._queue.popleft()
-                    for _ in range(min(self._max_batch, len(self._queue)))
+                    for _ in range(min(DEFAULT_COALESCE_BATCH, len(self._queue)))
                 ]
             self._dispatch_batch(batch)
 

@@ -32,7 +32,6 @@ from repro.perf.workers import PlannerWorkerPool
 from repro.schedules.passes.pipeline import normalize_pipeline
 from repro.schedules.registry import available_schemes
 from repro.serve.coalesce import (
-    DEFAULT_COALESCE_BATCH,
     LATENCY_WINDOW,
     RequestCoalescer,
     percentile,
@@ -281,10 +280,8 @@ class PlannerService:
         *,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_batch: int = DEFAULT_MAX_BATCH,
-        plan_workers: int = DEFAULT_PLAN_WORKERS,
         workers: int = 0,
         coalesce_ms: float = 0.0,
-        coalesce_batch: int = DEFAULT_COALESCE_BATCH,
     ):
         if max_inflight < 1:
             raise ConfigurationError(
@@ -300,7 +297,6 @@ class PlannerService:
             )
         self.max_inflight = max_inflight
         self.max_batch = max_batch
-        self.plan_workers = plan_workers
         self._slots = threading.Semaphore(max_inflight)
         self._lock = threading.Lock()
         self._requests = 0
@@ -317,11 +313,7 @@ class PlannerService:
             PlannerWorkerPool(workers, name="serve") if workers > 0 else None
         )
         self._coalescer = (
-            RequestCoalescer(
-                self._dispatch_coalesced,
-                coalesce_ms=coalesce_ms,
-                max_batch=coalesce_batch,
-            )
+            RequestCoalescer(self._dispatch_coalesced, coalesce_ms=coalesce_ms)
             if coalesce_ms > 0
             else None
         )
@@ -420,7 +412,7 @@ class PlannerService:
             start = time.perf_counter()
             try:
                 outcomes = plan_many(
-                    requests, max_workers=self.plan_workers, pool=self._pool
+                    requests, max_workers=DEFAULT_PLAN_WORKERS, pool=self._pool
                 )
             finally:
                 elapsed = time.perf_counter() - start

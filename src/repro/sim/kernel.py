@@ -73,7 +73,8 @@ Public surface:
   inline-FIFO contended rows; every other row (fixed-point rows
   included) runs alone through :func:`_solve_row`, the per-row solver
   :func:`simulate_fast` uses. ``used_fast_path`` records, per row,
-  whether the single-sweep pass ran or the contended handling did.
+  whether the row's own channel occupancy is all zero (not which sweep
+  ran: a contended full-duplex row also takes one sweep).
 
 Both paths end in the engine's own ``_finalize`` semantics for
 collective resolution and overlap accounting, so results match the event
@@ -98,6 +99,7 @@ from repro.schedules.dependencies import (
     TRANSFER,
     DependencyGraph,
     build_dependency_graph,
+    levelize,
 )
 from repro.schedules.ir import Operation, Schedule
 from repro.sim.cost import CostModel
@@ -314,40 +316,22 @@ class ScheduleKernel:
         self._send_chan_list = inverse.tolist()
 
         # ---- wave levelization (Kahn over the combined DAG) -------------
-        by_src = np.argsort(esrc, kind="stable")
-        out_dst = edst[by_src].tolist()
-        out_ptr = np.searchsorted(esrc[by_src], np.arange(total + 1)).tolist()
-        indeg = np.bincount(edst, minlength=total).tolist()
-        wave = [0] * total
-        frontier = [o for o, n in enumerate(indeg) if not n]
-        level = 0
-        seen = 0
-        while frontier:
-            nxt: list[int] = []
-            for o in frontier:
-                wave[o] = level
-                for d in out_dst[out_ptr[o] : out_ptr[o + 1]]:
-                    indeg[d] -= 1
-                    if not indeg[d]:
-                        nxt.append(d)
-            seen += len(frontier)
-            frontier = nxt
-            level += 1
-        if seen != total:
+        wave, _, stuck = levelize(esrc, edst, total)
+        if stuck:
             # The validator guarantees acyclicity for every registered
             # scheme; reaching this means a hand-built schedule has a
             # dependency cycle.
             raise ScheduleError(
-                f"kernel levelization stuck: {total - seen} ops sit on a "
+                f"kernel levelization stuck: {len(stuck)} ops sit on a "
                 f"dependency cycle"
             )
-        self.num_waves = level
+        self.num_waves = max(wave, default=-1) + 1
         #: Whether the wave-vectorized sweeps amortize their per-wave numpy
         #: dispatch. Nearly-serial schedules (GEMS runs ~2 micro-batches in
         #: flight, so its critical chain covers most ops) levelize into
         #: thousands of 1-2 op waves, where a per-row scalar pass beats the
         #: batched sweep by 2x+; the batch paths route on this flag.
-        self.wave_sweep_profitable = total >= 6 * max(1, level)
+        self.wave_sweep_profitable = total >= 6 * max(1, self.num_waves)
 
         # ---- structured op table ----------------------------------------
         ops = np.zeros(total, dtype=OP_DTYPE)
@@ -815,31 +799,17 @@ class _BlockingAux:
                     aug_edges.append((m, s))
         self.member_ids = member_lists
 
-        # Augmented Kahn levelization: base edges + the group barriers.
-        indeg = [0] * total
-        out: list[list[int]] = [[] for _ in range(total)]
-        esrc = kernel._edge_src_list
-        edst = kernel.edge_dst.tolist()
-        for a, b in zip(esrc, edst):
-            indeg[b] += 1
-            out[a].append(b)
-        for a, b in aug_edges:
-            indeg[b] += 1
-            out[a].append(b)
-        frontier = [o for o in range(total) if indeg[o] == 0]
-        order: list[int] = []
-        while frontier:
-            nxt: list[int] = []
-            for o in frontier:
-                order.append(o)
-                for d in out[o]:
-                    indeg[d] -= 1
-                    if indeg[d] == 0:
-                        nxt.append(d)
-            frontier = nxt
-        if len(order) != total:
+        # Levelize the base edges plus the group barriers: per source,
+        # base edges keep the kernel's edge order and barriers follow.
+        aug = np.asarray(aug_edges, dtype=np.int64).reshape(-1, 2)
+        _, order, stuck = levelize(
+            np.concatenate((kernel.edge_src, aug[:, 0])),
+            np.concatenate((kernel.edge_dst, aug[:, 1])),
+            total,
+        )
+        if stuck:
             raise ScheduleError(
-                f"blocking collectives deadlock: {total - len(order)} ops "
+                f"blocking collectives deadlock: {len(stuck)} ops "
                 f"depend on a collective that can never resolve"
             )
         self.order = order
@@ -1385,9 +1355,10 @@ class BatchResult:
     shapes and pass pipelines), so the per-worker busy arrays are a tuple
     of per-row vectors. ``num_micro_batches[k]`` is row ``k``'s
     micro-batch count, read from its kernel. ``used_fast_path[k]`` is
-    True when row ``k`` ran the single-sweep pass and False when it ran
-    the contended handling (nonzero channel occupancy); every row is
-    engine-exact either way.
+    True when row ``k``'s cost model puts zero occupancy on every
+    channel (contention-free) and False otherwise. It does not say which
+    sweep ran: a contended full-duplex row also solves in one sweep.
+    Every row is engine-exact either way.
     """
 
     num_micro_batches: tuple[int, ...]
@@ -1478,7 +1449,7 @@ def simulate_batch_many(
 def _batch_rows(
     kernel: ScheduleKernel, models: tuple[CostModel, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[bool, ...]]:
-    """Shared batch core: (makespan, iteration, busy, fast-path hints).
+    """Shared batch core: (makespan, iteration, busy, contention-free flags).
 
     Two wave sweeps vectorize across rows: :meth:`ScheduleKernel.relax`
     over the contention-free rows and :meth:`ScheduleKernel.relax_fifo`

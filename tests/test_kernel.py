@@ -185,8 +185,9 @@ def test_hierarchical_topology_matches():
 
 
 # ----------------------------------------------------- contended routing
-# A batch row's used_fast_path records single-sweep vs contended
-# handling; it gates nothing: every regime runs on the kernel.
+# A batch row's used_fast_path records whether its occupancy is zero on
+# every channel (not which sweep ran); it gates nothing: every regime
+# runs on the kernel.
 def test_lowered_contention_runs_contended_kernel_path():
     """beta > 0 on a lowered schedule: contended routing, results exact."""
     arts = schedule_artifacts("dapple", 4, 6)

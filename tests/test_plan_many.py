@@ -14,6 +14,7 @@ import gc
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.machines import PIZ_DAINT, V100_CLUSTER
 from repro.bench.workloads import BERT48, GPT2_32
 from repro.common.errors import ConfigurationError
@@ -243,7 +244,7 @@ class TestDedup:
         compiled = []
         priced = []
         compile_profile = memory.compile_memory_profile
-        analyze = planner.analyze_memory
+        analyze = harness.analyze_memory
 
         def counting_compile(schedule):
             compiled.append(schedule)
@@ -254,7 +255,7 @@ class TestDedup:
             return analyze(profile, model)
 
         monkeypatch.setattr(memory, "compile_memory_profile", counting_compile)
-        monkeypatch.setattr(planner, "analyze_memory", counting_analyze)
+        monkeypatch.setattr(harness, "analyze_memory", counting_analyze)
         [first] = plan_many([request(mini_batch=64)])
         assert priced and all(isinstance(p, MemoryProfile) for p in priced)
         del compiled[:], priced[:]
