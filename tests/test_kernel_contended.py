@@ -13,6 +13,8 @@ non-convergence, and the precomputed SEND table behind
 ``send_tables``.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,9 @@ from repro.sim import kernel as kernel_mod
 from repro.sim.cost import CostModel
 from repro.sim.engine import _clear_of_transfers, _dense_of, simulate
 from repro.sim.kernel import (
+    _add_busy,
     _blocking_floors,
+    _busy_runs,
     _serialize_channels,
     kernel_of,
     simulate_batch_many,
@@ -399,6 +403,43 @@ def test_blocking_floors_match_reference_scan(name, data):
         kernel, aux, start, end, send_end, wire_start, occupancy
     )
     assert np.array_equal(got, ref)
+
+
+# ------------------------------------------------------------ busy runs
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_busy_runs_equal_folded_add_busy(data):
+    """``_busy_runs`` builds each worker's merged runs exactly as folding
+    ``_add_busy`` over the same live intervals: host sends and idle
+    sends excluded, intervals ending at or before ``after`` cut,
+    touching, nested and equal-start intervals merged."""
+    n_send = data.draw(st.integers(min_value=0, max_value=24))
+    workers = st.integers(min_value=0, max_value=4)
+
+    def column(strategy):
+        return np.array(
+            data.draw(st.lists(strategy, min_size=n_send, max_size=n_send))
+        )
+
+    src = column(workers).astype(np.int64)
+    dst = column(workers).astype(np.int64)
+    kernel = SimpleNamespace(
+        send_worker=src,
+        send_dst_w=dst,
+        send_host_dir=column(st.sampled_from([-1, -1, -1, 0, 1])).astype(np.int64),
+    )
+    # A coarse grid makes equal starts, touching ends and nesting common.
+    wire_start = column(grid).astype(float)
+    occupancy = column(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5])).astype(float)
+    after = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]))
+
+    folded: dict = {}
+    for i in range(n_send):
+        s, e = float(wire_start[i]), float(wire_start[i] + occupancy[i])
+        if occupancy[i] > 0.0 and kernel.send_host_dir[i] < 0 and e > after:
+            _add_busy(folded, int(src[i]), s, e)
+            _add_busy(folded, int(dst[i]), s, e)
+    assert _busy_runs(kernel, wire_start, occupancy, after) == folded
 
 
 # -------------------------------------------------------- non-convergence
