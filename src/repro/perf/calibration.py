@@ -6,16 +6,28 @@ payload from the boundary tensor size, and the allreduce payload from the
 per-stage gradient bytes. Stage heterogeneity (the embedding-heavy first
 stage) enters the *practice* cost model as a per-stage scale; the
 performance model deliberately homogenizes it (§3.4/§4.2.2).
+
+Both calibrations are memoized per distinct argument set (a bounded LRU,
+so arbitrary request values cannot grow it without bound): their inputs
+are frozen specs and their results are frozen, value-compared models, so
+every caller may share one instance. ``__wrapped__`` is the uncached
+function.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.bench.machines import MachineSpec
 from repro.bench.workloads import TransformerSpec
 from repro.sim.cost import CostModel
 from repro.sim.memory import MemoryModel
 
+#: Distinct argument sets each calibration keeps.
+CALIBRATION_CACHE_SIZE = 1024
 
+
+@lru_cache(maxsize=CALIBRATION_CACHE_SIZE, typed=True)
 def calibrate_cost_model(
     machine: MachineSpec,
     workload: TransformerSpec,
@@ -65,6 +77,7 @@ def calibrate_cost_model(
     )
 
 
+@lru_cache(maxsize=CALIBRATION_CACHE_SIZE, typed=True)
 def calibrate_memory_model(
     machine: MachineSpec,
     workload: TransformerSpec,

@@ -203,6 +203,12 @@ class PassManager:
 
     def __init__(self) -> None:
         self._factories: dict[str, Callable[..., SchedulePass]] = {}
+        #: Pipeline specs already validated against this registry, keyed
+        #: by the spec as given (see
+        #: :func:`~repro.schedules.passes.pipeline.normalize_pipeline`).
+        #: :meth:`register` clears it: a new factory can change which
+        #: specs are valid.
+        self.normalized_specs: dict[object, tuple[str, ...]] = {}
 
     def register(
         self,
@@ -215,6 +221,7 @@ class PassManager:
         if not replace and name in self._factories:
             raise ConfigurationError(f"pass {name!r} is already registered")
         self._factories[name] = factory
+        self.normalized_specs.clear()
 
     def available(self) -> tuple[str, ...]:
         """Registered pass names, sorted."""

@@ -50,6 +50,10 @@ FUSE_PASS = "fuse_comm"
 #: string, or a sequence of pass specs.
 PipelineSpec = "str | Sequence[str] | None"
 
+#: Distinct specs a pass manager's normalization memo keeps before it
+#: starts over.
+SPEC_MEMO_SIZE = 1024
+
 
 def _spec_name(spec: str) -> str:
     return spec.strip().partition(":")[0]
@@ -66,14 +70,30 @@ def normalize_pipeline(
     :class:`~repro.common.errors.ConfigurationError` for unknown pass
     names (enumerating the registered ones), bad pass arguments,
     duplicates, or ``fuse_comm`` without ``lower_p2p``.
+
+    The canonical form of each spec is memoized on ``manager`` (bounded
+    at :data:`SPEC_MEMO_SIZE`); a spec that raises is never memoized.
     """
     manager = manager or DEFAULT_PASS_MANAGER
     if spec is None:
         return ()
+    # Materialize once: a one-shot iterable is both the key and the input.
+    key = spec if isinstance(spec, str) else tuple(str(s) for s in spec)
+    memo = manager.normalized_specs
+    canonical = memo.get(key)
+    if canonical is None:
+        canonical = _normalize(key, manager)
+        if len(memo) >= SPEC_MEMO_SIZE:
+            memo.clear()
+        memo[key] = canonical
+    return canonical
+
+
+def _normalize(spec: str | tuple[str, ...], manager: PassManager) -> tuple[str, ...]:
     if isinstance(spec, str):
         specs = [s.strip() for s in spec.split(",") if s.strip()]
     else:
-        specs = [str(s).strip() for s in spec if str(s).strip()]
+        specs = [s.strip() for s in spec if s.strip()]
     seen: set[str] = set()
     head: list[str] = []
     middle: list[str] = []

@@ -1583,13 +1583,14 @@ def _busy_runs(
     """Per-worker merged busy runs of one row's transfers ending after ``after``.
 
     The runs :func:`_add_busy` builds one interval at a time, built here
-    in one vectorized pass: a row's transfers are all known up front,
-    and a per-interval Python loop costs about 5x more on per-micro-batch
-    sync schedules, whose transfers mostly stay busy past the first
-    collective. Each transfer occupies both endpoints' interfaces. A
-    transfer that ends at or before ``after`` (the row's earliest
-    collective ready time) can never push a collective, so it is left
-    out.
+    from one sorted pass: a row's transfers are all known up front, so
+    a vectorized filter keeps the live ones and a lexsort orders them by
+    (worker, start); one Python pass then coalesces each worker's
+    intervals (a per-worker numpy merge costs more than the few live
+    intervals it merges). Each transfer occupies both endpoints'
+    interfaces. A transfer that ends at or before ``after`` (the row's
+    earliest collective ready time) can never push a collective, so it
+    is left out.
     """
     busy = _busy_sends(kernel, occupancy)
     s_one = wire_start[busy]
@@ -1603,27 +1604,20 @@ def _busy_runs(
     starts = np.concatenate([s_one, s_one])
     ends = np.concatenate([e_one, e_one])
     order = np.lexsort((starts, workers))
-    workers = workers[order]
-    starts = starts[order]
-    ends = ends[order]
-    bounds = np.concatenate(
-        [[0], np.flatnonzero(np.diff(workers)) + 1, [len(workers)]]
-    )
-    for i in range(len(bounds) - 1):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        s = starts[lo:hi]
-        e = ends[lo:hi]
-        # Coalesce: an interval starting at or before the running max end
-        # joins the current merged run (closed intervals, touching merges).
-        run_end = np.maximum.accumulate(e)
-        head = np.empty(hi - lo, dtype=bool)
-        head[0] = True
-        head[1:] = s[1:] > run_end[:-1]
-        first = np.flatnonzero(head)
-        runs[int(workers[lo])] = (
-            s[first].tolist(),
-            np.maximum.reduceat(e, first).tolist(),
-        )
+    current = None
+    for w, s, e in zip(
+        workers[order].tolist(), starts[order].tolist(), ends[order].tolist()
+    ):
+        if w != current:
+            current = w
+            run_starts, run_ends = runs[w] = ([s], [e])
+        # Coalesce: an interval starting at or before the run's end joins
+        # it (closed intervals, touching merges).
+        elif s > run_ends[-1]:
+            run_starts.append(s)
+            run_ends.append(e)
+        elif e > run_ends[-1]:
+            run_ends[-1] = e
     return runs
 
 
@@ -1723,12 +1717,13 @@ def _iteration_time(
 
 
 def _worker_compute_end(kernel: ScheduleKernel, end: np.ndarray) -> list[float]:
-    """Last compute completion per worker from one kernel row."""
-    worker_end = [0.0] * kernel.num_workers
-    cbw = kernel.compute_by_worker
+    """Last compute completion per worker from one kernel row (0.0 for a
+    worker without compute)."""
+    worker_end = np.zeros(kernel.num_workers)
     wptr = kernel.worker_ptr
-    for w in range(kernel.num_workers):
-        seg = cbw[wptr[w] : wptr[w + 1]]
-        if seg.size:
-            worker_end[w] = float(end[seg].max())
-    return worker_end
+    filled = wptr[1:] > wptr[:-1]
+    if filled.any():
+        worker_end[filled] = np.maximum.reduceat(
+            end[kernel.compute_by_worker], wptr[:-1][filled]
+        )
+    return worker_end.tolist()

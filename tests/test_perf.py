@@ -157,6 +157,22 @@ class TestCalibration:
         for stage, p in enumerate(profiles):
             assert cost.grad_bytes(stage) == pytest.approx(4.0 * p.params)
 
+    @pytest.mark.parametrize(
+        "calibrate", [calibrate_cost_model, calibrate_memory_model]
+    )
+    def test_calibration_memoized_per_distinct_input(self, calibrate):
+        """A repeated calibration returns the memoized model, equal to an
+        uncached one; a different input gets its own; the memo is bounded."""
+        first = calibrate(V100_CLUSTER, GPT2_64, depth=8, micro_batch=3)
+        assert calibrate(V100_CLUSTER, GPT2_64, depth=8, micro_batch=3) is first
+        fresh = calibrate.__wrapped__(V100_CLUSTER, GPT2_64, depth=8, micro_batch=3)
+        assert fresh is not first
+        assert fresh == first
+        other = calibrate(V100_CLUSTER, GPT2_64, depth=8, micro_batch=5)
+        assert other != first
+        maxsize = calibrate.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 4096
+
 
 class TestSelectorRemoval:
     def test_deprecated_shim_is_gone(self):

@@ -19,7 +19,9 @@ from repro.cli import main as cli_main
 from repro.common.errors import ConfigurationError
 from repro.common.units import GIB, parse_gib
 from repro.perf.planner import PlanRequest, plan_configurations, plan_many
+from repro.schedules.passes.base import PassManager, SchedulePass
 from repro.schedules.passes.pipeline import (
+    SPEC_MEMO_SIZE,
     PipelineParts,
     normalize_pipeline,
     split_pipeline,
@@ -95,6 +97,60 @@ class TestNormalizePipeline:
             "recompute": True,
             "passes": ("offload",),
         }
+
+
+# ------------------------------------------------------- normalization memo
+class TagPass(SchedulePass):
+    """A pass that takes any arguments (``"tag:x"``)."""
+
+    name = "tag"
+
+    def __init__(self, *args):
+        self.args = args
+
+    def run(self, schedule):
+        return schedule
+
+
+class PlainTagPass(TagPass):
+    """The same pass name, rejecting every argument."""
+
+    def __init__(self):
+        super().__init__()
+
+
+class TestNormalizeMemo:
+    def test_failed_spec_fails_again_with_the_same_message(self):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ConfigurationError) as err:
+                normalize_pipeline("offload,bogus")
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "unknown schedule pass 'bogus'" in messages[0]
+
+    def test_one_shot_iterables_are_read_once(self):
+        for _ in range(2):
+            specs = iter(["lower_p2p", "recompute"])
+            assert normalize_pipeline(specs) == ("recompute", "lower_p2p")
+
+    def test_register_invalidates_the_memo(self):
+        manager = PassManager()
+        with pytest.raises(ConfigurationError, match="unknown schedule pass"):
+            normalize_pipeline("tag:x", manager=manager)
+        manager.register("tag", TagPass)
+        assert normalize_pipeline("tag:x", manager=manager) == ("tag:x",)
+        manager.register("tag", PlainTagPass, replace=True)
+        with pytest.raises(ConfigurationError, match="bad arguments"):
+            normalize_pipeline("tag:x", manager=manager)
+        assert normalize_pipeline("tag", manager=manager) == ("tag",)
+
+    def test_memo_is_bounded(self):
+        manager = PassManager()
+        manager.register("tag", TagPass)
+        for i in range(SPEC_MEMO_SIZE + 10):
+            assert normalize_pipeline(f"tag:{i}", manager=manager) == (f"tag:{i}",)
+        assert len(manager.normalized_specs) <= SPEC_MEMO_SIZE
 
 
 # ------------------------------------------------------- parse_gib
