@@ -81,19 +81,12 @@ def normalize_pipeline(
     key = spec if isinstance(spec, str) else tuple(str(s) for s in spec)
     memo = manager.normalized_specs
     canonical = memo.get(key)
-    if canonical is None:
-        canonical = _normalize(key, manager)
-        if len(memo) >= SPEC_MEMO_SIZE:
-            memo.clear()
-        memo[key] = canonical
-    return canonical
-
-
-def _normalize(spec: str | tuple[str, ...], manager: PassManager) -> tuple[str, ...]:
-    if isinstance(spec, str):
-        specs = [s.strip() for s in spec.split(",") if s.strip()]
+    if canonical is not None:
+        return canonical
+    if isinstance(key, str):
+        specs = [s.strip() for s in key.split(",") if s.strip()]
     else:
-        specs = [s.strip() for s in spec if s.strip()]
+        specs = [s.strip() for s in key if s.strip()]
     seen: set[str] = set()
     head: list[str] = []
     middle: list[str] = []
@@ -119,7 +112,11 @@ def _normalize(spec: str | tuple[str, ...], manager: PassManager) -> tuple[str, 
             f"creates)"
         )
     tail.sort(key=lambda item: _spec_name(item) == FUSE_PASS)
-    return tuple(head + middle + tail)
+    canonical = tuple(head + middle + tail)
+    if len(memo) >= SPEC_MEMO_SIZE:
+        memo.clear()
+    memo[key] = canonical
+    return canonical
 
 
 @dataclass(frozen=True)
