@@ -19,10 +19,13 @@ from repro.cli import main as cli_main
 from repro.common.errors import ConfigurationError
 from repro.common.units import GIB, parse_gib
 from repro.perf.planner import PlanRequest, plan_configurations, plan_many
+from repro.schedules.cache import ScheduleCache, schedule_artifacts
+from repro.schedules.passes import FillBubblesPass, resolve_pipeline
 from repro.schedules.passes.base import PassManager, SchedulePass
 from repro.schedules.passes.pipeline import (
     SPEC_MEMO_SIZE,
     PipelineParts,
+    attempt_pipelines,
     normalize_pipeline,
     split_pipeline,
 )
@@ -151,6 +154,34 @@ class TestNormalizeMemo:
         for i in range(SPEC_MEMO_SIZE + 10):
             assert normalize_pipeline(f"tag:{i}", manager=manager) == (f"tag:{i}",)
         assert len(manager.normalized_specs) <= SPEC_MEMO_SIZE
+
+
+# ------------------------------------------------------- one spelling
+class TestSpecIsTheOnlySpelling:
+    """A transform is named by its spec and nothing else, so the
+    ``passes`` part of a cache key identifies the build completely."""
+
+    @pytest.mark.parametrize(
+        "passes",
+        [lambda: [FillBubblesPass()], lambda: resolve_pipeline("lower_p2p")],
+        ids=["pass-object", "pipeline-object"],
+    )
+    def test_pass_objects_are_rejected(self, passes):
+        with pytest.raises(ConfigurationError, match="comma-separated") as err:
+            schedule_artifacts("zb_v", 2, 4, passes=passes())
+        assert "register_pass" in str(err.value)
+
+    @pytest.mark.parametrize("pipeline", ["", "lower_p2p", "lower_p2p,fuse_comm"])
+    def test_attempt_options_key_their_pre_lowering_spec(self, pipeline):
+        """Every attempt of a recompute-and-offload request keys the cache
+        exactly as the pre-lowering part of its pipeline does."""
+        attempts = attempt_pipelines(pipeline, recompute=None, offload=None)
+        assert len(attempts) == 4
+        for attempt in attempts:
+            pre = tuple(s for s in attempt if s not in ("lower_p2p", "fuse_comm"))
+            assert ScheduleCache.key(
+                "dapple", 4, 8, split_pipeline(attempt).build_options()
+            ) == ScheduleCache.key("dapple", 4, 8, {"passes": pre})
 
 
 # ------------------------------------------------------- parse_gib
