@@ -28,14 +28,14 @@ comm lanes in the Gantt/trace output)::
 
 Composable schedule passes (``docs/passes.md``): recomputation,
 communication fusion, and bubble filling work for every scheme through
-the pass pipeline — ``recompute=`` and ``passes=`` are universal
-``build_schedule`` options::
+the pass pipeline — ``passes=`` takes a pipeline spec for any scheme,
+and the spec is the only way to name a transform::
 
     from repro import build_schedule, resolve_pipeline
-    r = build_schedule("gpipe", 8, 16, recompute=True)
+    r = build_schedule("gpipe", 8, 16, passes="recompute")
     fused = build_schedule("zb_v", 8, 16,
                            passes="fill_bubbles,lower_p2p,fuse_comm")
-    pipeline = resolve_pipeline("lower_p2p,fuse_comm")   # reusable object
+    pipeline = resolve_pipeline("lower_p2p,fuse_comm")   # runs on any schedule
 
 Real training (NumPy transformer through any schedule)::
 

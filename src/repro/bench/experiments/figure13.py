@@ -60,7 +60,9 @@ def evaluate(
             data_parallel_width=width,
         )
         prediction = predict_iteration_time(depth, n, cost, recompute=recompute)
-        schedule = build_schedule("chimera", depth, n, recompute=recompute)
+        schedule = build_schedule(
+            "chimera", depth, n, passes="recompute" if recompute else None
+        )
         practice = simulate_fast(schedule, cost)
         out.append(
             ModelVsPractice(

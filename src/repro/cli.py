@@ -9,7 +9,8 @@ Commands
 ``plan``      Scheme-agnostic planner: enumerate (scheme, W, D, B) over
               every registered scheme, prune by the memory model against
               an optional ``--budget-gib`` peak-memory budget, and rank
-              the survivors with the contention-aware event-queue engine.
+              the survivors in one batched call to the array kernel
+              (contention-aware: transfers queue per link channel).
 ``synthesize``  Search the (F, Bi, W) placement space directly for a
               schedule under an explicit ``(f, b, w, comm)`` cost model
               and peak-memory budget (``--budget-units``, in full-stage

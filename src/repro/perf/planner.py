@@ -187,31 +187,50 @@ def candidate_grid(
 
 @dataclass(frozen=True)
 class PlanRequest:
-    """One planner query, as submitted to :func:`plan_many`.
+    """One planner query, as submitted to :func:`plan_many` (or, as
+    keyword fields after the machine and workload, to
+    :func:`plan_configurations`).
 
-    Field-for-field the keyword surface of :func:`plan_configurations`;
-    hashable, so identical queries in one batch (the common case under
+    Hashable, so identical queries in one batch (the common case under
     service traffic) collapse to a single computation.
     """
 
     machine: MachineSpec
     workload: TransformerSpec
+    #: Total device count ``P = W * D``.
     num_workers: int
+    #: Samples per iteration ``B̂``.
     mini_batch: int
+    #: Per-device peak-memory cap; candidates are pruned against
+    #: ``min(machine.usable_memory_bytes, budget)``. ``None`` uses the
+    #: device capacity alone.
     memory_budget_bytes: float | None = None
+    #: Scheme names to consider (default: every registered scheme).
     schemes: tuple[str, ...] | None = None
+    #: Smallest pipeline depth ``D`` enumerated.
     min_depth: int = 2
+    #: Largest micro-batch size ``B`` enumerated (powers of two).
     max_micro_batch: int = DEFAULT_MAX_MICRO_BATCH
+    #: The recompute-pass planning axis. ``None`` (default): try each
+    #: candidate without recomputation first, then with it — the paper's
+    #: retry-with-``R`` procedure. ``False``: never recompute (tight
+    #: budgets then raise instead of selecting an ``R`` configuration).
+    #: ``True``: always recompute.
     recompute: bool | None = None
+    #: Truncate the ranked table; ``None`` returns every survivor.
     top_k: int | None = None
     #: The base transforms on top of each scheme's defaults: an ordered
     #: pass spec (comma string or sequence, validated against the
-    #: registry); the recompute/offload axes compose on top. ``None``
-    #: means :data:`DEFAULT_PLAN_PIPELINE`; after construction the field
-    #: holds the canonical tuple.
+    #: registry); the recompute/offload axes compose on top, and naming
+    #: ``recompute`` or ``offload`` pins that axis on. ``None`` means
+    #: :data:`DEFAULT_PLAN_PIPELINE` (explicit SEND/RECV communication,
+    #: so transfers contend for link bandwidth); ``()`` ranks with
+    #: implicit communication, ``"lower_p2p,fuse_comm"`` with batched
+    #: transfers. After construction the field holds the canonical tuple.
     pipeline: tuple[str, ...] | None = None
-    #: The offload planning axis: ``None`` (default) tries each candidate
-    #: without offload, then with it; ``False`` never; ``True`` always.
+    #: The offload planning axis, same shape as ``recompute``: ``None``
+    #: (default) tries plain → offload → recompute → offload+recompute
+    #: per candidate; ``False`` never offloads; ``True`` always does.
     offload: bool | None = None
     #: Host-tier (CPU RAM) byte budget for offloaded stashes; candidates
     #: prune against ``min(machine.host_memory_bytes, budget)``.
@@ -323,53 +342,13 @@ class _Pruned:
 
 
 def plan_configurations(
-    machine: MachineSpec,
-    workload: TransformerSpec,
-    *,
-    num_workers: int,
-    mini_batch: int,
-    memory_budget_bytes: float | None = None,
-    schemes: Sequence[str] | None = None,
-    min_depth: int = 2,
-    max_micro_batch: int = DEFAULT_MAX_MICRO_BATCH,
-    recompute: bool | None = None,
-    top_k: int | None = None,
-    pipeline: Sequence[str] | str | None = None,
-    offload: bool | None = None,
-    host_memory_budget_bytes: float | None = None,
+    machine: MachineSpec, workload: TransformerSpec, **fields: object
 ) -> list[PlanEntry]:
     """Rank every feasible ``(scheme, W, D, B)`` under a memory budget.
 
-    Parameters
-    ----------
-    memory_budget_bytes:
-        Per-device peak-memory cap; candidates are pruned against
-        ``min(machine.usable_memory_bytes, budget)``. ``None`` uses the
-        device capacity alone.
-    schemes:
-        Scheme names to consider (default: every registered scheme).
-    recompute:
-        The recompute-pass planning axis. ``None`` (default): try each
-        candidate without recomputation first, then with it — exactly the
-        paper's retry-with-``R`` procedure. ``False``: never recompute
-        (the pass-less planner; tight budgets then raise instead of
-        selecting an ``R`` configuration). ``True``: always recompute.
-    top_k:
-        Truncate the ranked table; ``None`` returns every survivor.
-    pipeline:
-        Base transform pipeline (ordered pass names, validated against
-        the registry) every attempt starts from; ``None`` means
-        :data:`DEFAULT_PLAN_PIPELINE` (explicit SEND/RECV communication,
-        so transfers contend for link bandwidth). ``()`` ranks with
-        implicit communication; ``"lower_p2p,fuse_comm"`` with batched
-        transfers. Naming ``recompute`` or ``offload`` pins that axis on.
-    offload:
-        The offload-pass planning axis, same shape as ``recompute``:
-        ``None`` tries plain → offload → recompute → offload+recompute
-        per candidate; ``False``/``True`` pin it.
-    host_memory_budget_bytes:
-        Host-tier cap for offloaded stashes; candidates prune against
-        ``min(machine.host_memory_bytes, budget)``.
+    ``fields`` are :class:`PlanRequest`'s keyword fields (``num_workers``
+    and ``mini_batch`` are required); an unknown name raises
+    :class:`TypeError`. Returns the request's ranked entries.
 
     Raises
     ------
@@ -378,21 +357,7 @@ def plan_configurations(
         failed step: an empty/unknown scheme list, no valid ``(W, D)``
         factorization, or no micro-batch size fitting the budget.
     """
-    request = PlanRequest(
-        machine=machine,
-        workload=workload,
-        num_workers=num_workers,
-        mini_batch=mini_batch,
-        memory_budget_bytes=memory_budget_bytes,
-        schemes=tuple(schemes) if schemes is not None else None,
-        min_depth=min_depth,
-        max_micro_batch=max_micro_batch,
-        recompute=recompute,
-        top_k=top_k,
-        pipeline=pipeline,
-        offload=offload,
-        host_memory_budget_bytes=host_memory_budget_bytes,
-    )
+    request = PlanRequest(machine, workload, **fields)
     return plan_many([request], max_workers=1)[0].raise_or_entries()
 
 
@@ -785,16 +750,11 @@ def _rank_all(
             row_of_survivor[id(survivor)] = row_key
 
     # ---- one batched kernel call for every synchronous row --------------
-    sync_results: dict[tuple, tuple[float, float, float]] = {}
+    sync_results: dict[tuple, tuple[int, float]] = {}  # row key -> (row, bubble)
     if sync_rows:
-        keys = list(sync_rows)
         batch = simulate_batch_many(list(sync_rows.values()))
-        for k, key in enumerate(keys):
-            sync_results[key] = (
-                float(batch.iteration_time[k]),
-                batch.bubble_ratio(k),
-                float(batch.num_micro_batches[k]),
-            )
+        for k, key in enumerate(sync_rows):
+            sync_results[key] = (k, batch.bubble_ratio(k))
 
     # ---- process-pool fan-out for the async steady-state paths ----------
     from repro.perf.workers import get_default_pool, run_steady
@@ -835,8 +795,7 @@ def _rank_all(
                     )
                 )
                 continue
-            iteration, bubble, sched_n = sync_results[key]
-            samples = sched_n * cfg.micro_batch * cfg.width
+            k, bubble = sync_results[key]
             pipeline = cfg.pipeline
             entries.append(
                 PlanEntry(
@@ -846,10 +805,10 @@ def _rank_all(
                     micro_batch=cfg.micro_batch,
                     num_micro_batches=cfg.num_micro_batches(),
                     recompute=split_pipeline(pipeline).recompute,
-                    iteration_time=iteration,
-                    throughput=samples / iteration
-                    if iteration > 0
-                    else float("inf"),
+                    iteration_time=float(batch.iteration_time[k]),
+                    throughput=batch.throughput(
+                        k, micro_batch=cfg.micro_batch, width=cfg.width
+                    ),
                     bubble_ratio=bubble,
                     peak_memory_bytes=report.peak_bytes,
                     pipeline=pipeline,

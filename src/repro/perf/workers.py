@@ -1,16 +1,18 @@
 """Multiprocess execution tier of the planner: the worker pool.
 
-Everything the serving stack shipped before this module executes in ONE
-Python process: ``ThreadingHTTPServer`` handler threads, the admission
-semaphore, and the async-scheme fan-out over a ``ThreadPoolExecutor``
-are all serialized by the GIL, so planner throughput is capped at about
-one core no matter how many clients arrive. :class:`PlannerWorkerPool`
-is the fix production inference servers use: a small pool of long-lived
-**worker processes**, each with its own warm in-process
+Without a pool the serving stack runs in ONE Python process: the
+``ThreadingHTTPServer`` handler threads and every in-process
+:func:`~repro.perf.planner.plan_many` call are serialized by the GIL, so
+planner throughput is capped at about one core no matter how many
+clients arrive. :class:`PlannerWorkerPool` is the fix production
+inference servers use: a small pool of long-lived **worker processes**,
+each with its own warm in-process
 :class:`~repro.schedules.cache.ScheduleCache`, all sharing the
 content-addressed disk tier (whose atomic tmp + ``os.replace`` stores
 are multi-process safe — workers inherit ``REPRO_CACHE_DIR`` /
-``REPRO_CACHE_DISABLE`` explicitly at start).
+``REPRO_CACHE_DISABLE`` explicitly at start). The planner's own
+async-scheme steady-state measurements fan out over the shared default
+pool (:func:`get_default_pool`) too.
 
 Design notes
 ------------

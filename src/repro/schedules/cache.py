@@ -20,13 +20,16 @@ which every memory model the entry is analyzed under prices): dict
 dependency graphs are transient build inputs, dropped once a form's
 kernel exists and rebuilt on demand. The cache is a bounded
 LRU keyed on ``(scheme, depth, num_micro_batches, sorted(options))`` —
-the options map covers chunking/variant knobs such as ``recompute``,
-Chimera's ``concat`` and ``num_down_pipelines``, and the zero-bubble
-``max_in_flight``. A ``passes`` option (extra pipeline stages, see
-:mod:`repro.schedules.passes`) is normalized to the pipeline's stable
-*signature* before entering the key, so equivalent spec spellings — a
-comma string, a list, pre-built pass objects — share one entry, and two
-processes derive identical keys for identical pipelines.
+the options map covers chunking/variant knobs such as Chimera's
+``concat`` and ``num_down_pipelines`` and the zero-bubble
+``max_in_flight``. The ``passes`` option (a pipeline spec, see
+:mod:`repro.schedules.passes`) is the only way to name a transform such
+as ``recompute``; it is normalized to the pipeline's stable *signature*
+before entering the key, so equivalent spellings — a comma string, a
+list, ``insert_sync`` for ``insert_sync:lazy`` — share one entry, and
+two processes derive identical keys for identical pipelines. A spec
+names a pass's whole configuration, so equal keys build equal
+schedules.
 
 Safety
 ------
@@ -436,15 +439,14 @@ class ScheduleCache:
     ) -> tuple | None:
         """Cache key for one builder invocation, or None if unhashable.
 
-        ``recompute=False`` is normalized away: it is every builder's
-        default, so an explicit-False caller and a no-options caller must
-        share one entry instead of building the same schedule twice. A
-        ``passes`` option is replaced by its resolved pipeline
+        A ``passes`` option is replaced by its resolved pipeline
         *signature* (:func:`repro.schedules.passes.pipeline_signature`) —
         the stable identity the pass manager guarantees — so every
-        spelling of one pipeline maps to one entry. Unknown pass names
-        make the spec unhashable-equivalent (no retention): the build
-        itself will raise the real error.
+        spelling of one pipeline maps to one entry, and an empty
+        pipeline keys the no-options entry. A spec that does not resolve
+        (an unknown pass name, an item that is not a spec string) makes
+        the invocation uncacheable: the build itself raises the real
+        error.
 
         Cost-parameterized schemes (``synthesize``) extend the key with
         their registered ``builder_fingerprint``: the fingerprint
@@ -462,10 +464,7 @@ class ScheduleCache:
             fingerprint = builder_fingerprint(scheme, options)
             normalized = {}
             for k, v in options.items():
-                if k == "recompute":
-                    if v is False:
-                        continue
-                elif k == "passes":
+                if k == "passes":
                     sig = pipeline_signature(v)  # stable, hashable
                     if not sig:
                         continue

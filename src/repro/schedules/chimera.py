@@ -436,7 +436,7 @@ def build_chimera_schedule(
         Strategy for ``N > D`` (ignored when ``N <= D``). Forward doubling
         always recomputes its fused units' backwards (flag-based, part of
         the schedule shape); schedule-wide recomputation is the recompute
-        pass's job — ``build_schedule("chimera", ..., recompute=True)``.
+        pass's job — ``build_schedule("chimera", ..., passes="recompute")``.
     sync_mode:
         ``"lazy"``, ``"eager"``, or ``"eager_opt"`` (default; paper §3.2).
     slot_model:

@@ -10,7 +10,7 @@ activation recomputation (GPipe's usual operating mode at scale — the
 paper's evaluation runs GPipe with recomputation in most configurations)
 are applied by the registry's pass pipeline
 (:mod:`repro.schedules.passes`): ``build_schedule("gpipe", ...,
-recompute=True)``.
+passes="recompute")``.
 """
 
 from __future__ import annotations

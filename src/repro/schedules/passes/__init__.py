@@ -4,7 +4,8 @@ This package turns the transform layer into the system's extension
 point: gradient-sync placement, p2p lowering, activation recomputation,
 communication fusion, and bubble filling are all
 :class:`~repro.schedules.passes.base.SchedulePass` objects
-(``Schedule -> Schedule``) composed into
+(``Schedule -> Schedule``), named by pipeline specs
+(``"recompute,lower_p2p"``) and run as
 :class:`~repro.schedules.passes.base.PassPipeline` pipelines with
 validated ordering and a stable signature the schedule cache keys on.
 

@@ -4,9 +4,11 @@ A *schedule pass* is a pure ``Schedule -> Schedule`` transform. Everything
 that used to be a one-off mechanism — gradient-sync placement, p2p
 lowering, activation recomputation — is expressed as a pass, and new
 transforms (communication fusion, bubble filling) slot in beside them.
-Passes compose into a :class:`PassPipeline`, which is the unit the
-registry's default pipelines, the CLI's ``--pipeline`` flag, and the
-schedule cache all speak.
+Callers name passes with a *pipeline spec* (``"recompute,lower_p2p"``,
+see :func:`spec_items`) — the registry's default pipelines, the CLI's
+``--pipeline`` flag and the schedule cache all speak it — and the
+:class:`PassManager` turns a spec into the :class:`PassPipeline` that
+runs the passes.
 
 Ordering is validated with *facts*: each pass declares the facts the input
 schedule must already have (``requires``), must not have (``forbids``),
@@ -16,10 +18,11 @@ from a schedule itself, so a pipeline is checked against the actual input
 — ``fuse_comm`` before ``lower_p2p`` fails loudly, as does re-lowering.
 
 Every pass has a *signature* — a stable string including its options —
-and a pipeline's signature is the tuple of its pass signatures. The
-signature is a pure function of the pipeline's configuration (never of
-runtime state), which is what lets :mod:`repro.schedules.cache` key
-memoized artifacts on it and guarantees two processes agree on the key.
+and a pipeline's signature is the tuple of its pass signatures. A pass
+is built from its spec string alone, so the signature is a pure function
+of the spec (never of runtime state), which is what lets
+:mod:`repro.schedules.cache` key memoized artifacts on it and guarantees
+two processes agree on the key.
 
 Per-pass ``check`` hooks run after each pass when the pipeline executes
 with validation on: cheap structural postconditions live here (op
@@ -244,22 +247,42 @@ class PassManager:
                 f"bad arguments for pass {name!r} in spec {spec!r}"
             ) from None
 
-    def pipeline(
-        self, specs: str | Sequence[str | SchedulePass] | PassPipeline | None
-    ) -> PassPipeline:
-        """Build a :class:`PassPipeline` from any accepted spec form."""
-        if specs is None:
-            return PassPipeline(())
-        if isinstance(specs, PassPipeline):
-            return specs
-        if isinstance(specs, SchedulePass):
-            specs = [specs]
-        elif isinstance(specs, str):
-            specs = [s for s in specs.split(",") if s.strip()]
-        passes = [
-            s if isinstance(s, SchedulePass) else self.create(s) for s in specs
-        ]
-        return PassPipeline(passes)
+    def pipeline(self, specs: str | Sequence[str] | None) -> PassPipeline:
+        """Build a :class:`PassPipeline` from a pipeline spec."""
+        return PassPipeline([self.create(s) for s in spec_items(specs)])
+
+
+def spec_items(specs: str | Sequence[str] | None) -> tuple[str, ...]:
+    """The pass specs of a pipeline spec, in order, blanks dropped.
+
+    A pipeline spec is ``None``, a comma-separated string or a sequence
+    of pass spec strings: the spec alone identifies the transform, which
+    is what lets it key the schedule cache. Anything else — a pass
+    object, a built :class:`PassPipeline` — raises
+    :class:`~repro.common.errors.ConfigurationError`.
+    """
+    if specs is None:
+        return ()
+    if isinstance(specs, str):
+        items = specs.split(",")
+    else:
+        try:
+            items = list(specs)
+        except TypeError:
+            items = [specs]
+    out = []
+    for item in items:
+        if not isinstance(item, str):
+            raise ConfigurationError(
+                f"a pipeline spec names each pass by its registered spec "
+                f"(a comma-separated string such as 'recompute,lower_p2p', "
+                f"or a sequence of such names), got {item!r}; a custom pass "
+                f"is registered with register_pass and named in the spec"
+            )
+        item = item.strip()
+        if item:
+            out.append(item)
+    return tuple(out)
 
 
 #: The process-wide pass registry (see :class:`PassManager`).
@@ -273,15 +296,11 @@ def register_pass(
     DEFAULT_PASS_MANAGER.register(name, factory, replace=replace)
 
 
-def resolve_pipeline(
-    specs: str | Sequence[str | SchedulePass] | PassPipeline | None,
-) -> PassPipeline:
+def resolve_pipeline(specs: str | Sequence[str] | None) -> PassPipeline:
     """Parse a pipeline spec against the default manager."""
     return DEFAULT_PASS_MANAGER.pipeline(specs)
 
 
-def pipeline_signature(
-    specs: str | Sequence[str | SchedulePass] | PassPipeline | None,
-) -> tuple[str, ...]:
+def pipeline_signature(specs: str | Sequence[str] | None) -> tuple[str, ...]:
     """The stable signature of a pipeline spec (cache-key form)."""
     return resolve_pipeline(specs).signature()

@@ -8,7 +8,7 @@ deferral opportunity on the table.
 
 ``fill_bubbles`` generalizes the ZB-H1 tail-fill into a pass: it replays
 the schedule under a deterministic reference cost model (unit
-``f = b = w`` by default, the assumption of the zero-bubble papers),
+``f = b = w``, the assumption of the zero-bubble papers),
 keeps every non-``W`` op in its original per-worker order, and re-admits
 each worker's ``W`` ops — FIFO, so their relative order is stable —
 exactly when running one is strictly earlier than the worker's next
@@ -35,14 +35,15 @@ from repro.schedules.passes.base import LOWERED, SchedulePass
 from repro.sim.cost import CostModel
 
 
-def _reference_cost_model() -> CostModel:
-    """The zero-bubble planning model: F = Bi = W = 1, fused B = 2."""
-    return CostModel(
-        forward_time=1.0,
-        backward_ratio=2.0,
-        backward_input_ratio=1.0,
-        backward_weight_ratio=1.0,
-    )
+#: The zero-bubble planning model the replay runs under: F = Bi = W = 1,
+#: fused B = 2. It is fixed, so the spec ``fill_bubbles`` names the
+#: pass's whole configuration.
+REFERENCE_COST_MODEL = CostModel(
+    forward_time=1.0,
+    backward_ratio=2.0,
+    backward_input_ratio=1.0,
+    backward_weight_ratio=1.0,
+)
 
 
 class FillBubblesPass(SchedulePass):
@@ -51,21 +52,11 @@ class FillBubblesPass(SchedulePass):
     name = "fill_bubbles"
     forbids = frozenset({LOWERED})
 
-    def __init__(self, cost_model: CostModel | None = None):
-        if cost_model is not None and not isinstance(cost_model, CostModel):
-            # Spec strings ("fill_bubbles:...") must fail at parse time
-            # with an actionable message, not mid-replay.
-            raise ScheduleError(
-                f"fill_bubbles takes no spec arguments (a CostModel can "
-                f"only be passed programmatically), got {cost_model!r}"
-            )
-        self.cost_model = cost_model or _reference_cost_model()
-
     def run(self, schedule: Schedule) -> Schedule:
         if not any(op.is_backward_weight for _, op in schedule.all_ops()):
             return schedule
         graph = build_dependency_graph(schedule)
-        cm = self.cost_model
+        cm = REFERENCE_COST_MODEL
         num_workers = schedule.num_workers
 
         nonw: list[list[Operation]] = []
@@ -162,9 +153,8 @@ class FillBubblesPass(SchedulePass):
                 )
         from repro.sim.kernel import simulate_fast
 
-        ref = self.cost_model
-        was = simulate_fast(before, ref).compute_makespan
-        now = simulate_fast(after, ref).compute_makespan
+        was = simulate_fast(before, REFERENCE_COST_MODEL).compute_makespan
+        now = simulate_fast(after, REFERENCE_COST_MODEL).compute_makespan
         if now > was + 1e-9:
             raise ScheduleError(
                 f"fill_bubbles regressed the reference makespan "

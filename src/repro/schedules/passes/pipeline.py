@@ -21,9 +21,10 @@ mirroring unknown-scheme errors).
 
 :func:`split_pipeline` decomposes a canonical spec into the
 :class:`PipelineParts` the artifact cache consumes: the pre-lowering
-part keys a cache entry (``recompute`` plus the ``passes`` option of
-:func:`~repro.schedules.cache.schedule_artifacts`), and the
-``lower_p2p``/``fuse_comm`` tail selects its derived form.
+part, ``recompute`` included, is the ``passes`` option of
+:func:`~repro.schedules.cache.schedule_artifacts` that keys a cache
+entry, and the ``lower_p2p``/``fuse_comm`` tail selects its derived
+form.
 
 :func:`attempt_pipelines` is the one rule for the memory-relief axes,
 shared by the harness and the planner: the pipeline is the *base*, a
@@ -34,11 +35,15 @@ named pass is a :class:`~repro.common.errors.ConfigurationError`, and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.schedules.passes.base import DEFAULT_PASS_MANAGER, PassManager
+from repro.schedules.passes.base import (
+    DEFAULT_PASS_MANAGER,
+    PassManager,
+    spec_items,
+)
 
 #: Registered names of the passes the canonical ordering special-cases.
 RECOMPUTE_PASS = "recompute"
@@ -67,9 +72,10 @@ def normalize_pipeline(
     Accepts ``None`` (empty pipeline), a comma-separated string, or a
     sequence of pass specs (each a registered name with optional
     colon-separated arguments, e.g. ``"insert_sync:eager"``). Raises
-    :class:`~repro.common.errors.ConfigurationError` for unknown pass
-    names (enumerating the registered ones), bad pass arguments,
-    duplicates, or ``fuse_comm`` without ``lower_p2p``.
+    :class:`~repro.common.errors.ConfigurationError` for an item that
+    is not a spec string, unknown pass names (enumerating the registered
+    ones), bad pass arguments, duplicates, or ``fuse_comm`` without
+    ``lower_p2p``.
 
     The canonical form of each spec is memoized on ``manager`` (bounded
     at :data:`SPEC_MEMO_SIZE`); a spec that raises is never memoized.
@@ -78,15 +84,12 @@ def normalize_pipeline(
     if spec is None:
         return ()
     # Materialize once: a one-shot iterable is both the key and the input.
-    key = spec if isinstance(spec, str) else tuple(str(s) for s in spec)
+    key = spec if isinstance(spec, str) else spec_items(spec)
     memo = manager.normalized_specs
     canonical = memo.get(key)
     if canonical is not None:
         return canonical
-    if isinstance(key, str):
-        specs = [s.strip() for s in key.split(",") if s.strip()]
-    else:
-        specs = [s.strip() for s in key if s.strip()]
+    specs = spec_items(key)
     seen: set[str] = set()
     head: list[str] = []
     middle: list[str] = []
@@ -123,55 +126,46 @@ def normalize_pipeline(
 class PipelineParts:
     """A canonical pipeline, decomposed for the artifact cache.
 
-    ``base`` holds the pre-lowering passes other than ``recompute``
-    (e.g. ``("offload",)``) — the ``passes=`` option of
-    :func:`~repro.schedules.cache.schedule_artifacts`. ``recompute``
-    completes the cache key. ``tail`` is the ``lower_p2p``/``fuse_comm``
-    suffix, which selects the entry's derived form rather than keying a
-    new entry.
+    ``base`` is the pre-lowering part, ``recompute`` at its head (e.g.
+    ``("recompute", "offload")``) — the ``passes=`` option of
+    :func:`~repro.schedules.cache.schedule_artifacts`, which keys a
+    cache entry. ``tail`` is the ``lower_p2p``/``fuse_comm`` suffix,
+    which selects the entry's derived form rather than keying a new
+    entry.
     """
 
     base: tuple[str, ...] = ()
-    recompute: bool = False
     tail: tuple[str, ...] = ()
+
+    def _names(self, name: str) -> bool:
+        return any(_spec_name(s) == name for s in self.base)
+
+    @property
+    def recompute(self) -> bool:
+        """Does the pipeline include the recompute pass?"""
+        return self._names(RECOMPUTE_PASS)
 
     @property
     def offload(self) -> bool:
         """Does the pipeline include the offload pass?"""
-        return any(_spec_name(s) == OFFLOAD_PASS for s in self.base)
+        return self._names(OFFLOAD_PASS)
 
     def pipeline(self) -> tuple[str, ...]:
         """Reassemble the canonical pipeline tuple."""
-        head = (RECOMPUTE_PASS,) if self.recompute else ()
-        return head + self.base + self.tail
+        return self.base + self.tail
 
     def build_options(self) -> dict[str, object]:
-        """Builder/cache options for the pre-lowering part of the spec.
-
-        Empty ``passes`` are omitted (not passed as ``passes=()``) so
-        the cache key of a pass-less pipeline is exactly the
-        ``recompute=bool`` key.
-        """
-        options: dict[str, object] = {"recompute": self.recompute}
-        if self.base:
-            options["passes"] = self.base
-        return options
+        """Builder/cache options for the pre-lowering part of the spec:
+        ``{"passes": base}``, or ``{}`` when there is no such part (so a
+        pass-less pipeline keys the no-options entry)."""
+        return {"passes": self.base} if self.base else {}
 
 
 def split_pipeline(spec: str | Sequence[str] | None) -> PipelineParts:
     """Decompose a pipeline spec (normalizing it first)."""
-    recompute = False
-    base: list[str] = []
-    tail: list[str] = []
-    for item in normalize_pipeline(spec):
-        name = _spec_name(item)
-        if name == RECOMPUTE_PASS:
-            recompute = True
-        elif name in (LOWER_PASS, FUSE_PASS):
-            tail.append(item)
-        else:
-            base.append(item)
-    return PipelineParts(base=tuple(base), recompute=recompute, tail=tuple(tail))
+    canonical = normalize_pipeline(spec)
+    tail = tuple(s for s in canonical if _spec_name(s) in (LOWER_PASS, FUSE_PASS))
+    return PipelineParts(base=canonical[: len(canonical) - len(tail)], tail=tail)
 
 
 def attempt_pipelines(
@@ -209,8 +203,7 @@ def attempt_pipelines(
     attempts = []
     for r in axes[0]:
         for o in axes[1]:
-            base = parts.base
-            if o and not parts.offload:
-                base += (OFFLOAD_PASS,)
-            attempts.append(replace(parts, base=base, recompute=r).pipeline())
+            head = (RECOMPUTE_PASS,) if r and not parts.recompute else ()
+            added = (OFFLOAD_PASS,) if o and not parts.offload else ()
+            attempts.append(head + parts.base + added + parts.tail)
     return tuple(attempts)

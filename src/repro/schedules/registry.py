@@ -18,17 +18,17 @@ cross-cutting transforms — gradient-sync placement, recomputation,
 bubble filling, lowering, communication fusion — are passes the registry
 composes:
 
-    builder output → default passes → ``recompute`` (if requested)
-                   → caller-requested ``passes``
+    builder output → default passes → caller-requested ``passes``
 
 Two schemes keep scheme-managed synchronization (empty default pipeline):
 PipeDream synchronizes after every micro-batch inside its builder, and
 Chimera's ``eager_opt`` placement needs the merged timeline's bubble
 structure.
 
-Options are split in two: ``recompute`` and ``passes`` address the pass
-pipeline and work for **every** scheme; everything else must be a keyword
-the scheme's builder declares, checked up front — an unknown key raises
+Options are split in two: ``passes``, a pipeline spec such as
+``"recompute,lower_p2p"``, addresses the pass pipeline and works for
+**every** scheme; everything else must be a keyword the scheme's builder
+declares, checked up front — an unknown key raises
 :class:`~repro.common.errors.UnknownOptionError` naming the scheme and
 the key instead of disappearing into ``**options``.
 """
@@ -45,7 +45,8 @@ from repro.schedules.dapple import build_dapple_schedule
 from repro.schedules.gems import build_gems_schedule
 from repro.schedules.gpipe import build_gpipe_schedule
 from repro.schedules.ir import Schedule
-from repro.schedules.passes import SchedulePass, resolve_pipeline
+from repro.schedules.passes import resolve_pipeline
+from repro.schedules.passes.base import spec_items
 from repro.schedules.pipedream import build_pipedream_schedule
 from repro.schedules.pipedream_2bw import build_pipedream_2bw_schedule
 from repro.schedules.placement import StagePlacement
@@ -71,7 +72,7 @@ _BUILDERS: dict[str, Callable[..., Schedule]] = {
 
 #: Options the registry itself consumes; valid for every scheme and never
 #: forwarded to a builder.
-PIPELINE_OPTIONS = ("recompute", "passes")
+PIPELINE_OPTIONS = ("passes",)
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ class SchemeTraits:
         False for the flush-free PipeDream family (stale updates).
     default_passes:
         The pass pipeline :func:`build_schedule` always applies to the
-        builder's output (before any requested ``recompute`` /
-        ``passes``). Empty for schemes whose synchronization is
+        builder's output (before any requested ``passes``). Empty for
+        schemes whose synchronization is
         scheme-managed inside the builder.
     cost_parameterized:
         True when the builder's output depends on more than
@@ -229,8 +230,8 @@ def builder_fingerprint(scheme: str, options: dict) -> object | None:
     """The scheme's canonical builder-parameter fingerprint, or ``None``.
 
     ``None`` means the scheme's output depends only on ``(D, N)`` and the
-    classic cache key suffices. Pipeline options (``recompute``/``passes``)
-    are the cache layer's concern and are stripped before the hook runs.
+    classic cache key suffices. The pipeline option (``passes``) is the
+    cache layer's concern and are stripped before the hook runs.
     """
     hook = _FINGERPRINTS.get(scheme)
     if hook is None:
@@ -283,13 +284,11 @@ def build_schedule(
 ) -> Schedule:
     """Build a schedule by scheme name and run its pass pipeline.
 
-    Universal pipeline options (any scheme):
-
-    * ``recompute=True`` — append the activation-recomputation pass;
-    * ``passes=...`` — extra passes after the defaults: a comma-separated
-      spec string (``"fill_bubbles,lower_p2p,fuse_comm"``), a sequence of
-      specs / :class:`~repro.schedules.passes.SchedulePass` objects, or a
-      pre-built pipeline.
+    ``passes=`` (any scheme) runs extra passes after the scheme's
+    defaults, in the order given: a pipeline spec, either a
+    comma-separated string (``"recompute,fill_bubbles,lower_p2p"``) or a
+    sequence of registered pass specs. A custom pass is registered with
+    :func:`~repro.schedules.passes.register_pass` and named in the spec.
 
     Everything else is forwarded to the scheme's builder (e.g.
     ``concat=``/``num_down_pipelines=``/``sync_mode=`` for Chimera,
@@ -304,17 +303,10 @@ def build_schedule(
         raise ConfigurationError(
             f"unknown scheme {scheme!r}; available: {list(available_schemes())}"
         ) from None
-    recompute = bool(options.pop("recompute", False))
-    passes = options.pop("passes", None)
+    specs = _TRAITS[scheme].default_passes + spec_items(options.pop("passes", None))
     _check_builder_options(scheme, options)
 
     schedule = builder(depth, num_micro_batches, **options)
-
-    specs: list[str | SchedulePass] = list(_TRAITS[scheme].default_passes)
-    if recompute:
-        specs.append("recompute")
-    if passes is not None:
-        specs.extend(resolve_pipeline(passes).passes)
     return resolve_pipeline(specs).run(schedule)
 
 

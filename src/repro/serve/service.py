@@ -42,7 +42,7 @@ DEFAULT_MAX_INFLIGHT = 8
 
 #: Upper bound on the number of requests in one ``plan_many`` payload —
 #: a single batch is one admission slot, so this caps per-call work.
-DEFAULT_MAX_BATCH = 4096
+MAX_BATCH = 4096
 
 _REQUEST_FIELDS = {
     "machine",
@@ -279,7 +279,6 @@ class PlannerService:
         self,
         *,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        max_batch: int = DEFAULT_MAX_BATCH,
         workers: int = 0,
         coalesce_ms: float = 0.0,
     ):
@@ -287,8 +286,6 @@ class PlannerService:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
-        if max_batch < 1:
-            raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
         if coalesce_ms < 0:
@@ -296,7 +293,6 @@ class PlannerService:
                 f"coalesce_ms must be >= 0, got {coalesce_ms}"
             )
         self.max_inflight = max_inflight
-        self.max_batch = max_batch
         self._slots = threading.Semaphore(max_inflight)
         self._lock = threading.Lock()
         self._requests = 0
@@ -365,12 +361,12 @@ class PlannerService:
                 f"batch body must be a JSON array of request objects, got "
                 f"{type(payloads).__name__}"
             )
-        if len(payloads) > self.max_batch:
+        if len(payloads) > MAX_BATCH:
             with self._lock:
                 self._rejected_invalid += 1
             raise ConfigurationError(
                 f"batch of {len(payloads)} exceeds max_batch="
-                f"{self.max_batch}; split the batch"
+                f"{MAX_BATCH}; split the batch"
             )
         try:
             requests = [parse_plan_request(p) for p in payloads]

@@ -40,8 +40,9 @@ a few numpy operations (a row-wise ``cumsum`` adds in op order, so every
 peak is bitwise the float a running total over the ops reaches). The
 machine, workload and micro-batch size change only the model, never the
 profile, so the schedule cache keeps one profile per entry
-(:meth:`repro.schedules.cache.ScheduleArtifacts.memory_profile`): resident
-only, never written to the disk tier.
+(:meth:`repro.schedules.cache.ScheduleArtifacts.memory_profile`), and the
+entry's first disk write carries it, so a restarted process prices the
+stored profile without walking the schedule again.
 
 The schemes' qualitative signatures (GPipe ~ N x Ma; DAPPLE/2BW first-worker
 peak; Chimera balanced in [(D/2+1) Ma, D Ma]; GEMS minimal) all emerge from

@@ -180,7 +180,7 @@ class TestConcatenation:
         ).compute_makespan
         assert doubling < flag_time
         prefetched = simulate(
-            build_schedule("chimera", depth, n, concat="direct", recompute=True),
+            build_schedule("chimera", depth, n, concat="direct", passes="recompute"),
             cost,
         ).compute_makespan
         assert prefetched <= doubling

@@ -42,7 +42,7 @@ def rendered(scheme: str) -> str:
 
 
 def _rendered_recompute() -> str:
-    schedule = build_schedule("dapple", DEPTH, MICRO_BATCHES, recompute=True)
+    schedule = build_schedule("dapple", DEPTH, MICRO_BATCHES, passes="recompute")
     return render_gantt(schedule, cost_model=CostModel.practical()) + "\n"
 
 

@@ -267,7 +267,7 @@ def test_cache_hits_return_same_artifacts():
 def test_cache_distinguishes_options():
     cache = ScheduleCache()
     plain = cache.artifacts("gpipe", 2, 4)
-    recompute = cache.artifacts("gpipe", 2, 4, recompute=True)
+    recompute = cache.artifacts("gpipe", 2, 4, passes="recompute")
     assert plain is not recompute
     assert not any(op.is_recompute for _, op in plain.schedule.all_ops())
     assert any(op.is_recompute for _, op in recompute.schedule.all_ops())
@@ -309,19 +309,17 @@ def test_lowered_artifact_is_mutation_proof_too():
 
 def test_unhashable_options_bypass_cache():
     assert ScheduleCache.key("gpipe", 2, 4, {"bad": ["not", "hashable"]}) is None
-    key = ScheduleCache.key("gpipe", 2, 4, {"recompute": True})
-    assert key == ("gpipe", 2, 4, (("recompute", True),))
+    key = ScheduleCache.key("gpipe", 2, 4, {"passes": "recompute"})
+    assert key == ("gpipe", 2, 4, (("passes", ("recompute",)),))
 
 
-def test_cache_key_normalizes_default_recompute():
-    """Explicit recompute=False and no-options callers share one entry."""
-    assert ScheduleCache.key("gpipe", 2, 4, {"recompute": False}) == ScheduleCache.key(
+def test_cache_key_normalizes_empty_pipeline():
+    """An empty pipeline spec and no-options callers share one entry."""
+    assert ScheduleCache.key("gpipe", 2, 4, {"passes": ()}) == ScheduleCache.key(
         "gpipe", 2, 4, {}
     )
     cache = ScheduleCache()
-    assert cache.artifacts("gpipe", 2, 4, recompute=False) is cache.artifacts(
-        "gpipe", 2, 4
-    )
+    assert cache.artifacts("gpipe", 2, 4, passes="") is cache.artifacts("gpipe", 2, 4)
 
 
 def test_process_wide_cache_roundtrip():

@@ -96,7 +96,7 @@ def pipeline_artifacts(scheme: str, depth: int, n: int, pipeline: str):
     """(schedule, graph) for one named pipeline — always lowered."""
     spec = PIPELINE_SPECS[pipeline]
     arts = schedule_artifacts(
-        scheme, depth, n, recompute=(pipeline == "recompute")
+        scheme, depth, n, passes="recompute" if pipeline == "recompute" else ()
     )
     return arts.schedule_for(spec), arts.graph_for(spec)
 

@@ -43,9 +43,8 @@ DEPTH = 4
 
 def offload_artifacts(scheme, depth, n, *, recompute=False, pipeline=()):
     """(schedule, graph) of the offloaded schedule in ``pipeline``'s form."""
-    arts = schedule_artifacts(
-        scheme, depth, n, recompute=recompute, passes=("offload",)
-    )
+    head = ("recompute",) if recompute else ()
+    arts = schedule_artifacts(scheme, depth, n, passes=head + ("offload",))
     return arts.schedule_for(pipeline), arts.graph_for(pipeline)
 
 
@@ -73,7 +72,9 @@ def test_free_host_channel_is_makespan_neutral(
             host_channel=HostChannel(LinkSpec(alpha=0.0, beta=0.0)),
             offload_message_bytes=4.0,
         )
-    base = schedule_artifacts(scheme, DEPTH, n, recompute=recompute)
+    base = schedule_artifacts(
+        scheme, DEPTH, n, passes=("recompute",) if recompute else ()
+    )
     ref = simulate(base.schedule, cm, graph=base.graph())
     schedule, graph = offload_artifacts(scheme, DEPTH, n, recompute=recompute)
     got = simulate(schedule, cm, graph=graph)
@@ -251,14 +252,12 @@ def test_offloaded_batch_rows_are_engine_exact():
 class TestTwoTierMemory:
     MODEL = MemoryModel(activation_bytes=1.0, weight_bytes=0.5)
 
-    def reports(self, scheme="gpipe", n=8, **options):
+    def reports(self, scheme="gpipe", n=8, passes=()):
         base = analyze_memory(
-            build_schedule(scheme, DEPTH, n, **options), self.MODEL
+            build_schedule(scheme, DEPTH, n, passes=passes), self.MODEL
         )
         off = analyze_memory(
-            build_schedule(
-                scheme, DEPTH, n, passes=("offload",), **options
-            ),
+            build_schedule(scheme, DEPTH, n, passes=passes + ("offload",)),
             self.MODEL,
         )
         return base, off
@@ -285,7 +284,7 @@ class TestTwoTierMemory:
     def test_composes_with_recompute(self):
         """recompute+offload stashes only the stage *input* on the host."""
         _, off = self.reports("dapple", n=8)
-        _, both = self.reports("dapple", n=8, recompute=True)
+        _, both = self.reports("dapple", n=8, passes=("recompute",))
         assert 0.0 < both.host_peak_bytes < off.host_peak_bytes
         assert both.peak_bytes <= off.peak_bytes
 

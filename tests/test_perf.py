@@ -92,7 +92,10 @@ class TestFullModel:
             )
             pred = predict_iteration_time(depth, n, cost, recompute=recompute)
             sim = simulate(
-                build_schedule("chimera", depth, n, recompute=recompute), cost
+                build_schedule(
+                    "chimera", depth, n, passes="recompute" if recompute else ""
+                ),
+                cost,
             )
             ranked_model.append((pred.iteration_time, depth))
             ranked_sim.append((sim.iteration_time, depth))

@@ -80,9 +80,9 @@ class TestNormalizePipeline:
     def test_split_round_trips(self):
         parts = split_pipeline("fuse_comm,offload,recompute,lower_p2p")
         assert parts == PipelineParts(
-            base=("offload",), recompute=True, tail=("lower_p2p", "fuse_comm")
+            base=("recompute", "offload"), tail=("lower_p2p", "fuse_comm")
         )
-        assert parts.offload
+        assert parts.recompute and parts.offload
         assert parts.pipeline() == (
             "recompute",
             "offload",
@@ -91,14 +91,14 @@ class TestNormalizePipeline:
         )
 
     def test_build_options_omit_empty_passes(self):
-        """Cache-key stability: a pass-less pipeline must produce the
-        plain ``recompute`` option dict, no ``passes=()`` key."""
+        """The pre-lowering part, recompute at its head, is the one
+        ``passes`` option; a pipeline without one builds with no options."""
+        assert split_pipeline("lower_p2p").build_options() == {}
         assert split_pipeline("recompute").build_options() == {
-            "recompute": True
+            "passes": ("recompute",)
         }
-        assert split_pipeline("recompute,offload").build_options() == {
-            "recompute": True,
-            "passes": ("offload",),
+        assert split_pipeline("offload,recompute,lower_p2p").build_options() == {
+            "passes": ("recompute", "offload"),
         }
 
 

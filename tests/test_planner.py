@@ -236,6 +236,13 @@ class TestFailureModes:
         with pytest.raises(ConfigurationError, match="mini-batch"):
             plan_configurations(PIZ_DAINT, BERT48, num_workers=8, mini_batch=0)
 
+    def test_unknown_field_is_a_type_error(self):
+        """The keyword surface is PlanRequest's fields and nothing else."""
+        with pytest.raises(TypeError, match="lowered"):
+            plan_configurations(
+                PIZ_DAINT, BERT48, num_workers=8, mini_batch=64, lowered=False
+            )
+
 
 class TestHarnessBudgetThreading:
     def cfg(self, budget):

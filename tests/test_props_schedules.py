@@ -45,7 +45,9 @@ def test_every_schedule_validates(scheme, depth, n):
     recompute=st.booleans(),
 )
 def test_every_schedule_simulates(scheme, depth, n, recompute):
-    schedule = build_schedule(scheme, depth, n, recompute=recompute)
+    schedule = build_schedule(
+        scheme, depth, n, passes="recompute" if recompute else ""
+    )
     result = simulate(schedule, CostModel.practical())
     # Work conservation: total busy time equals the scheduled compute.
     expected = sum(

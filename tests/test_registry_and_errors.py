@@ -58,8 +58,11 @@ class TestRegistry:
             build_schedule("gpipe", 4, 4, concat="halving")
         with pytest.raises(UnknownOptionError, match="dapple.*max_in_flight"):
             build_schedule("dapple", 4, 4, max_in_flight=2)
-        # ...while pipeline options are universal.
-        build_schedule("gpipe", 2, 2, recompute=True, passes="lower_p2p")
+        # ...while the pipeline option is universal, and the only one:
+        # a transform such as recompute is named in the spec.
+        build_schedule("gpipe", 2, 2, passes="recompute,lower_p2p")
+        with pytest.raises(UnknownOptionError, match=r"options \['passes'\]"):
+            build_schedule("gpipe", 2, 2, recompute=True)
 
 
 class TestDynamicRegistration:

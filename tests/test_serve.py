@@ -110,10 +110,12 @@ class TestPlannerService:
             service.plan_batch(GOOD)
         assert service.stats().rejected_invalid == 1
 
-    def test_max_batch_rejected(self):
-        service = PlannerService(max_batch=2)
-        with pytest.raises(ConfigurationError, match="max_batch"):
+    def test_max_batch_rejected(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.service.MAX_BATCH", 2)
+        service = PlannerService()
+        with pytest.raises(ConfigurationError, match="max_batch=2"):
             service.plan_batch([GOOD] * 3)
+        assert service.stats().rejected_invalid == 1
 
     def test_backpressure_sheds_load(self):
         """With the single admission slot held, the next call is shed with
@@ -196,8 +198,6 @@ class TestPlannerService:
     def test_ctor_validation(self):
         with pytest.raises(ConfigurationError, match="max_inflight"):
             PlannerService(max_inflight=0)
-        with pytest.raises(ConfigurationError, match="max_batch"):
-            PlannerService(max_batch=0)
 
 
 @pytest.fixture(scope="class")

@@ -54,7 +54,7 @@ class TestComputeTiming:
     def test_recompute_ratio_applies(self):
         plain = simulate(build_schedule("dapple", 4, 4), CostModel.practical())
         recomp = simulate(
-            build_schedule("dapple", 4, 4, recompute=True), CostModel.practical()
+            build_schedule("dapple", 4, 4, passes="recompute"), CostModel.practical()
         )
         assert recomp.compute_makespan > plain.compute_makespan
 

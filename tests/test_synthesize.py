@@ -277,9 +277,9 @@ class TestCacheKeys:
 
     def test_pipeline_options_still_keyed_alongside_fingerprint(self):
         base = ScheduleCache.key("synthesize", 4, 8, {})
-        recompute = ScheduleCache.key("synthesize", 4, 8, dict(recompute=True))
+        recompute = ScheduleCache.key("synthesize", 4, 8, dict(passes="recompute"))
         assert recompute != base
-        assert ScheduleCache.key("synthesize", 4, 8, dict(recompute=False)) == base
+        assert ScheduleCache.key("synthesize", 4, 8, dict(passes="")) == base
 
     def test_in_process_no_alias(self, tmp_path):
         cache = ScheduleCache(8, disk=DiskScheduleCache(tmp_path / "disk"))

@@ -165,7 +165,7 @@ class TestZeroBubbleSignatures:
     def test_recompute_inserts_explicit_ops(self):
         """The recompute pass precedes each first backward (the Bi half)
         with one RECOMPUTE op; no flags are stamped."""
-        schedule = build_schedule("zb_h1", 4, 4, recompute=True)
+        schedule = build_schedule("zb_h1", 4, 4, passes="recompute")
         assert not any(op.recompute for _, op in schedule.all_ops())
         remats = schedule.count(OpKind.RECOMPUTE)
         assert remats == schedule.count(OpKind.BACKWARD_INPUT)
@@ -262,7 +262,7 @@ class TestMemoryControllable:
 
     @pytest.mark.parametrize("scheme", ["zb_vhalf", "zb_vmin"])
     def test_recompute_inserts_explicit_ops(self, scheme):
-        schedule = build_schedule(scheme, 4, 4, recompute=True)
+        schedule = build_schedule(scheme, 4, 4, passes="recompute")
         assert not any(op.recompute for _, op in schedule.all_ops())
         assert schedule.count(OpKind.RECOMPUTE) == schedule.count(
             OpKind.BACKWARD_INPUT
