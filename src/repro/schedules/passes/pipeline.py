@@ -137,18 +137,18 @@ class PipelineParts:
     base: tuple[str, ...] = ()
     tail: tuple[str, ...] = ()
 
-    def _names(self, name: str) -> bool:
+    def _has(self, name: str) -> bool:
         return any(_spec_name(s) == name for s in self.base)
 
     @property
     def recompute(self) -> bool:
         """Does the pipeline include the recompute pass?"""
-        return self._names(RECOMPUTE_PASS)
+        return self._has(RECOMPUTE_PASS)
 
     @property
     def offload(self) -> bool:
         """Does the pipeline include the offload pass?"""
-        return self._names(OFFLOAD_PASS)
+        return self._has(OFFLOAD_PASS)
 
     def pipeline(self) -> tuple[str, ...]:
         """Reassemble the canonical pipeline tuple."""

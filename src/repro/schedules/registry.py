@@ -94,8 +94,8 @@ class SchemeTraits:
     default_passes:
         The pass pipeline :func:`build_schedule` always applies to the
         builder's output (before any requested ``passes``). Empty for
-        schemes whose synchronization is
-        scheme-managed inside the builder.
+        schemes whose synchronization is scheme-managed inside the
+        builder.
     cost_parameterized:
         True when the builder's output depends on more than
         ``(depth, num_micro_batches)`` — e.g. the ``synthesize`` search,
@@ -231,7 +231,7 @@ def builder_fingerprint(scheme: str, options: dict) -> object | None:
 
     ``None`` means the scheme's output depends only on ``(D, N)`` and the
     classic cache key suffices. The pipeline option (``passes``) is the
-    cache layer's concern and are stripped before the hook runs.
+    cache layer's concern and is stripped before the hook runs.
     """
     hook = _FINGERPRINTS.get(scheme)
     if hook is None:

@@ -83,6 +83,10 @@ class TestManager:
             resolve_pipeline("insert_sync:sometimes")
         with pytest.raises(ConfigurationError, match="bad arguments"):
             resolve_pipeline("lower_p2p:extra")
+        # fill_bubbles has no configuration: it always replays under the
+        # unit reference model, so "fill_bubbles" names all of it.
+        with pytest.raises(ConfigurationError, match="bad arguments"):
+            resolve_pipeline("fill_bubbles:x")
 
     def test_spec_spellings_share_a_signature(self):
         a = resolve_pipeline("recompute,lower_p2p,fuse_comm")
