@@ -18,6 +18,7 @@ from repro.schedules.cache import (
     schedule_artifacts,
     schedule_cache_stats,
 )
+from repro.schedules.passes import attempt_pipelines, split_pipeline
 from repro.schedules.registry import available_schemes, build_schedule
 from repro.sim.cost import CostModel
 from repro.sim.engine import simulate
@@ -320,6 +321,18 @@ def test_cache_key_normalizes_empty_pipeline():
     )
     cache = ScheduleCache()
     assert cache.artifacts("gpipe", 2, 4, passes="") is cache.artifacts("gpipe", 2, 4)
+
+
+def test_cache_key_normalizes_default_recompute():
+    """An attempt with recompute pinned off (the default) keys the
+    no-options entry, like every other pass-less pipeline."""
+    (attempt,) = attempt_pipelines(None, recompute=False, offload=False)
+    options = split_pipeline(attempt).build_options()
+    assert ScheduleCache.key("gpipe", 2, 4, options) == ScheduleCache.key(
+        "gpipe", 2, 4, {}
+    )
+    cache = ScheduleCache()
+    assert cache.artifacts("gpipe", 2, 4, **options) is cache.artifacts("gpipe", 2, 4)
 
 
 def test_process_wide_cache_roundtrip():
