@@ -56,16 +56,17 @@ profile), and every array kernel is written through as it is built, so
 a restarted process (a fresh ``repro plan``, a redeployed ``repro
 serve``) skips schedule builds, passes, graph construction, kernel
 construction and the memory walk. The disk tier stores no dict graph:
-each payload holds one pickled blob of the schedule forms, a
-``kernels`` map keyed by form and the
-:class:`~repro.sim.memory.MemoryProfile`. A restored entry keeps the
-blob as bytes until a schedule form is asked for, so synchronous
-planning, which reads only kernels and profiles, unpickles no
-schedule form. A stored kernel that is not a
+each payload holds one pickled blob of the schedule forms' op tables
+(:meth:`~repro.schedules.ir.Schedule.op_table`; an op an earlier form
+holds is stored as a reference), a ``kernels`` map keyed by form and
+the :class:`~repro.sim.memory.MemoryProfile`. A restored entry keeps
+the blob as bytes until a schedule form is asked for, so synchronous
+planning, which reads only kernels and profiles, rebuilds no schedule
+form. A stored kernel that is not a
 :class:`~repro.sim.kernel.ScheduleKernel` is dropped on load, so that
 form's kernel rebuilds from its schedule. The disk key is exactly the
 LRU key, the format is versioned, and corrupt entries are evicted on
-load, never propagated; a forms blob that fails to unpickle when first
+load, never propagated; a forms blob that fails to decode when first
 used is rebuilt from the builder inputs and written back. With the
 tier absent or disabled an entry never snapshots itself.
 
@@ -80,15 +81,18 @@ from __future__ import annotations
 import pickle
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.common.errors import ReproError
 from repro.common.gcpause import collector_paused
 from repro.schedules.dependencies import DependencyGraph, build_dependency_graph
 from repro.schedules.diskcache import DiskCacheStats, DiskScheduleCache, dumps
-from repro.schedules.ir import Schedule
+from repro.schedules.ir import OpTable, Schedule
 from repro.schedules.lowering import lower_schedule
 from repro.schedules.passes import FuseCommPass, pipeline_signature
 from repro.schedules.passes.pipeline import FUSE_PASS, split_pipeline
@@ -109,6 +113,81 @@ def _freeze(schedule: Schedule) -> Schedule:
     return replace(schedule, metadata=MappingProxyType(dict(schedule.metadata)))
 
 
+#: The op-table columns a forms blob stores per row (a row's worker and
+#: position follow from the form's row lengths).
+_STORED_COLUMNS = tuple(
+    name for name in OpTable.__dataclass_fields__ if name not in ("worker", "pos")
+)
+#: The schedule fields a forms blob stores besides its rows.
+_SCHEDULE_FIELDS = tuple(f.name for f in fields(Schedule) if f.name != "worker_ops")
+
+
+def _narrow(column: np.ndarray) -> np.ndarray:
+    """An integer ``column`` in the smallest dtype that holds its values."""
+    if column.dtype == bool or not len(column):
+        return column
+    low, high = column.min().item(), column.max().item()
+    return column.astype(
+        np.result_type(np.min_scalar_type(low), np.min_scalar_type(high))
+    )
+
+
+def _pack_forms(forms: dict[str, Schedule]) -> dict:
+    """The content of a forms blob (disk format 6): per form, its
+    schedule fields, row lengths and op table. An op an earlier form
+    holds is stored as a reference instead of a row: ``shared`` gives its
+    index among the earlier forms' ops (their rows in turn), ``-1`` for
+    the form's own rows, whose columns ``ops`` holds in row order."""
+    packed = {}
+    index: dict[int, int] = {}  # id(op) -> an index of the op so far
+    offset = 0  # how many ops the earlier forms hold
+    for name, schedule in forms.items():
+        flat = list(chain.from_iterable(schedule.worker_ops))
+        shared = np.fromiter(
+            map(index.get, map(id, flat), repeat(-1)), np.int64, len(flat)
+        )
+        own = schedule.op_table().take(shared < 0)
+        packed[name] = {
+            "schedule": {
+                field: getattr(schedule, field) for field in _SCHEDULE_FIELDS
+            },
+            "rows": _narrow(np.array([len(row) for row in schedule.worker_ops])),
+            "shared": _narrow(shared),
+            "ops": {
+                column: _narrow(getattr(own, column)) for column in _STORED_COLUMNS
+            },
+        }
+        index.update(zip(map(id, flat), range(offset, offset + len(flat))))
+        offset += len(flat)
+    return packed
+
+
+def _unpack_forms(packed: dict) -> dict[str, Schedule]:
+    """The schedule forms :func:`_pack_forms` stored. A reference comes
+    back as the earlier form's op object, and own rows as new objects
+    (:meth:`~repro.schedules.ir.OpTable.operations`)."""
+    forms = {}
+    pool = np.zeros(0, dtype=object)  # every earlier form's ops, in turn
+    for name, form in packed.items():
+        rows = form["rows"].astype(np.int64)
+        shared = form["shared"].astype(np.int64)
+        own = shared < 0
+        worker = np.repeat(np.arange(len(rows)), rows)
+        pos = np.arange(len(shared)) - np.repeat(np.cumsum(rows) - rows, rows)
+        table = OpTable(worker=worker[own], pos=pos[own], **form["ops"])
+        ops = np.empty(len(shared), dtype=object)
+        ops[own] = table.operations()
+        ops[~own] = pool[shared[~own]]
+        pool = np.concatenate((pool, ops))
+        flat = ops.tolist()
+        ends = np.cumsum(rows).tolist()
+        forms[name] = Schedule(
+            worker_ops=tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends)),
+            **form["schedule"],
+        )
+    return forms
+
+
 class ScheduleArtifacts:
     """One cache entry: a schedule plus its lazily derived forms.
 
@@ -124,11 +203,11 @@ class ScheduleArtifacts:
     lowered entry builds one graph, not two), :meth:`kernel_for` drops
     them once its kernel exists, and :meth:`graph_for` rebuilds one on
     demand. The disk payload (:meth:`snapshot`) is one pickled blob of
-    the schedule forms, the kernels keyed by form, and the profile;
-    building a kernel writes the entry through. An entry restored from
-    disk (:meth:`from_snapshot`) keeps the blob as bytes and unpickles
-    it on the first use of a schedule form, so ranking from kernels and
-    profiles unpickles no schedule form.
+    the schedule forms' op tables, the kernels keyed by form, and the
+    profile; building a kernel writes the entry through. An entry
+    restored from disk (:meth:`from_snapshot`) keeps the blob as bytes
+    and decodes it on the first use of a schedule form, so ranking from
+    kernels and profiles rebuilds no schedule form.
     """
 
     __slots__ = (
@@ -145,8 +224,8 @@ class ScheduleArtifacts:
     )
 
     #: Schedule form -> the accessor of its dependency graph. The form
-    #: names are also the keys of the pickled forms blob and of the
-    #: payload's ``kernels`` map.
+    #: names are also the keys of the forms blob and of the payload's
+    #: ``kernels`` map.
     _FORMS = {"schedule": "graph", "lowered": "lowered_graph", "fused": "fused_graph"}
 
     def __init__(
@@ -156,7 +235,7 @@ class ScheduleArtifacts:
         rebuild: Callable[[], Schedule] | None = None,
     ):
         #: Form name -> schedule; None while a restored entry holds only
-        #: the pickled ``_blob`` of its forms.
+        #: the ``_blob`` of its forms.
         self._forms: dict[str, Schedule] | None = (
             {"schedule": _freeze(schedule)} if schedule is not None else None
         )
@@ -170,24 +249,25 @@ class ScheduleArtifacts:
         self._lock = threading.Lock()
         self._persist = persist
         #: Builds the implicit schedule again when a restored blob does
-        #: not unpickle.
+        #: not decode.
         self._rebuild = rebuild
 
     def snapshot(self) -> dict:
-        """The disk payload: ``forms``, one pickle of every schedule form
-        the entry holds (keyed by form name, so ops the forms share are
-        stored once), plus ``memory_profile`` once compiled and
-        ``kernels`` (form name -> kernel) once any exist. A restored
-        entry whose forms were never unpickled reuses its blob. Kernels
-        are sorted by form, so the layout does not depend on the order
-        they were built in."""
+        """The disk payload: ``forms``, one pickle of the op tables of
+        every schedule form the entry holds (keyed by form name; an op
+        an earlier form holds is stored once, see :func:`_pack_forms`),
+        plus ``memory_profile`` once compiled and ``kernels`` (form name
+        -> kernel) once any exist. A restored entry whose forms were
+        never decoded reuses its blob. Kernels are sorted by form, so
+        the layout does not depend on the order they were built in."""
         with self._lock:
             blob = self._blob
             forms = dict(self._forms) if blob is None else None
             profile = self._memory_profile
             kernels = dict(sorted(self._kernels.items()))
         if blob is None:
-            blob = dumps({name: forms[name] for name in self._FORMS if name in forms})
+            held = {name: forms[name] for name in self._FORMS if name in forms}
+            blob = dumps(_pack_forms(held))
         out: dict = {"forms": blob}
         if profile is not None:
             out["memory_profile"] = profile
@@ -204,8 +284,8 @@ class ScheduleArtifacts:
     ) -> "ScheduleArtifacts":
         """Rehydrate an entry from a disk payload (missing forms stay lazy).
 
-        The forms blob stays pickled until a schedule form is asked for;
-        if it then fails to unpickle (say, a pickled class moved),
+        The forms blob stays bytes until a schedule form is asked for;
+        if it then fails to decode (say, a pickled class moved),
         ``rebuild`` builds the implicit schedule again, the other forms
         are derived anew, and ``persist`` overwrites the bad entry.
         A stored kernel that is not a
@@ -236,15 +316,15 @@ class ScheduleArtifacts:
 
     def _held_forms(self) -> dict[str, Schedule]:
         """Form name -> schedule for every form the entry holds; a
-        restored entry unpickles its blob here, all forms at once (or
-        rebuilds its schedule when the blob does not unpickle)."""
+        restored entry decodes its blob here, all forms at once (or
+        rebuilds its schedule when the blob does not decode)."""
         forms = self._forms
         if forms is None:
             repaired = False
             with self._lock, collector_paused():
                 if self._forms is None:
                     try:
-                        forms = pickle.loads(self._blob)
+                        forms = _unpack_forms(pickle.loads(self._blob))
                         if not isinstance(forms.get("schedule"), Schedule):
                             raise TypeError("the forms blob holds no schedule")
                     except Exception:

@@ -34,22 +34,26 @@ the lowered and fused ones); ``kernels``, the array kernel of each form
 that has one; and ``memory_profile``, the schedule's compiled
 :class:`~repro.sim.memory.MemoryProfile`. So a warm process skips
 ``build_schedule``, the passes, graph construction, kernel construction
-and the memory walk. The forms are one blob, not one pickle per form,
-so the ops the implicit and lowered forms share are stored once. The
-blob is unpickled only when something asks for a schedule form
-(:class:`~repro.schedules.cache.ScheduleArtifacts` restores it lazily):
-synchronous planning ranks from kernels and profiles alone, and
-unpickling ``Operation`` objects was most of a warm load. Because the
-blob is opaque bytes until then, the wrapper records its SHA-256
-(``forms_sha256``) and :meth:`DiskScheduleCache.load` checks it, so bit
-rot inside the blob still evicts at load time. A blob that passes its
-digest but fails to unpickle when first used (say, a pickled class was
-moved) makes the entry rebuild its schedule from the builder inputs and
-overwrite the stored entry. Dict dependency graphs are never stored. On the end-to-end benchmark's ``plan_cold`` stream
-this stores 40.7 MB in 372 writes and leaves 206 entries (36.4 MB):
-8.6 MB of forms blobs (10.9 MB when each form is pickled apart), 26.1 MB
-of kernels and 1.8 MB of profiles. The payload bytes do not depend on
-call order (see :meth:`repro.sim.kernel.ScheduleKernel.__getstate__`).
+and the memory walk. The blob stores each form's op table
+(:meth:`~repro.schedules.ir.Schedule.op_table`) in narrow integer
+columns, not pickled ``Operation`` objects, and an op an earlier form
+holds (every implicit op the lowered form keeps, every op the fused
+form keeps) as a reference to it, so shared ops are stored once and
+come back as one object. The blob is decoded only when something asks
+for a schedule form (:class:`~repro.schedules.cache.ScheduleArtifacts`
+restores it lazily): synchronous planning ranks from kernels and
+profiles alone. Because the blob is opaque bytes until then, the
+wrapper records its SHA-256 (``forms_sha256``) and
+:meth:`DiskScheduleCache.load` checks it, so bit rot inside the blob
+still evicts at load time. A blob that passes its digest but fails to
+decode when first used (say, a pickled class was moved) makes the entry
+rebuild its schedule from the builder inputs and overwrite the stored
+entry. Dict dependency graphs are never stored. On the end-to-end
+benchmark's ``plan_cold`` stream (seed 1) this stores 33.0 MB in 372
+writes and leaves 206 entries (30.8 MB): 2.9 MB of forms blobs (8.6 MB
+of pickled ops in format 5), 26.1 MB of kernels and 1.8 MB of profiles.
+The payload bytes do not depend on call order (see
+:meth:`repro.sim.kernel.ScheduleKernel.__getstate__`).
 Frozen schedule metadata (:class:`types.MappingProxyType`) pickles
 through a custom dispatch-table entry and is re-frozen on load.
 """
@@ -85,7 +89,14 @@ from types import MappingProxyType
 #: event tables or value codes, or to what
 #: :func:`~repro.sim.memory.compile_memory_profile` emits needs a bump
 #: too (another test in ``tests/test_diskcache.py`` pins that pair).
-FORMAT_VERSION = 5
+#: v6: the forms blob stores op tables instead of pickled ``Operation``
+#: lists: ``{form: {"schedule": the other Schedule fields, "rows": row
+#: lengths, "shared": per op, its index among the earlier forms' ops
+#: (their rows in turn) or -1, "ops": the op-table columns of the -1
+#: rows}}``, every integer column in the narrowest dtype that holds it.
+#: Fused forms thus re-encode their batched SEND micro-batches as CSR
+#: columns (``mb_ptr``, ``mb``).
+FORMAT_VERSION = 6
 
 #: First bytes of every entry file; a cheap pre-pickle sanity check that
 #: rejects foreign files dropped into the cache directory.

@@ -35,13 +35,23 @@ Design notes
   (the producer's stage for ``SEND``, the consumer's for ``RECV``) so the
   placement invariant — every op runs on the worker hosting its
   ``(replica, stage)`` — holds for comm ops too.
+* :meth:`Schedule.op_table` is the same ops as numpy columns
+  (:class:`OpTable`), filled in one walk per schedule and cached on it.
+  The dependency-graph builder, the memory profile compiler and the
+  simulators' op classification read the columns instead of walking
+  ``Operation`` objects, and the disk tier stores tables, not pickled
+  ops (:meth:`OpTable.operations` rebuilds the objects).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.common.errors import ScheduleError
 from repro.schedules.placement import StagePlacement
@@ -299,6 +309,119 @@ class Operation:
         return replace(self, recompute=recompute)
 
 
+#: Kind codes of :attr:`OpTable.kind` index this tuple (declaration order).
+OP_KINDS: tuple[OpKind, ...] = tuple(OpKind)
+#: Payload codes of :attr:`OpTable.payload` index this tuple.
+PAYLOADS: tuple[str, ...] = ("", "act", "grad", "stash")
+_KIND_CODE = {kind.value: code for code, kind in enumerate(OP_KINDS)}
+_PAYLOAD_CODE = {payload: code for code, payload in enumerate(PAYLOADS)}
+#: An op's fields in declaration order, the order of its ``__dict__``.
+_OP_FIELDS = (
+    "kind", "replica", "stage", "micro_batches", "part", "recompute", "payload"
+)
+#: Reads an op's fields, its kind as the value string (a member hashes
+#: its name in Python; the string hashes in C).
+_read_op = attrgetter("kind._value_", *_OP_FIELDS[1:])
+
+
+@dataclass(frozen=True, eq=False)
+class OpTable:
+    """A schedule's operations as numpy columns (:meth:`Schedule.op_table`).
+
+    Row ``i`` is op id ``i`` of the row-major numbering the dependency
+    graph uses (worker 0's ops first, in program order), at position
+    ``pos[i]`` of worker ``worker[i]``. ``kind`` indexes
+    :data:`OP_KINDS` and ``payload`` :data:`PAYLOADS`. Micro-batches are
+    CSR: row ``i`` covers ``mb[mb_ptr[i]:mb_ptr[i + 1]]``, in the op's
+    order. The columns are narrow (a table stays resident with its
+    schedule), so readers widen them before key arithmetic; a value a
+    column cannot hold raises ``OverflowError`` when the table is built.
+    """
+
+    worker: np.ndarray  # int32 [n]
+    pos: np.ndarray  # int32 [n]
+    kind: np.ndarray  # int8 [n]
+    replica: np.ndarray  # int16 [n]
+    stage: np.ndarray  # int16 [n]
+    mb_ptr: np.ndarray  # int32 [n + 1]
+    mb: np.ndarray  # int32 [mb_ptr[-1]]
+    part_index: np.ndarray  # int16 [n]
+    part_count: np.ndarray  # int16 [n]
+    recompute: np.ndarray  # bool [n]
+    payload: np.ndarray  # int8 [n]
+
+    @classmethod
+    def of(cls, worker_ops: Sequence[Sequence[Operation]]) -> "OpTable":
+        """The table of a schedule's rows, filled in one walk."""
+        lengths = [len(row) for row in worker_ops]
+        flat = list(chain.from_iterable(worker_ops))
+        n = len(flat)
+        columns = list(zip(*map(_read_op, flat))) or [()] * len(_OP_FIELDS)
+        kinds, replicas, stages, mbs, parts, recompute, payloads = columns
+        mb_ptr = np.zeros(n + 1, np.int32)
+        np.cumsum(np.fromiter(map(len, mbs), np.int32, n), out=mb_ptr[1:])
+        part = np.array(parts, np.int16).reshape(n, 2)
+        row_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return cls(
+            worker=np.repeat(np.arange(len(lengths), dtype=np.int32), lengths),
+            pos=(np.arange(n) - row_start).astype(np.int32),
+            kind=np.fromiter(map(_KIND_CODE.__getitem__, kinds), np.int8, n),
+            replica=np.array(replicas, np.int16),
+            stage=np.array(stages, np.int16),
+            mb_ptr=mb_ptr,
+            mb=np.fromiter(chain.from_iterable(mbs), np.int32, int(mb_ptr[-1])),
+            part_index=part[:, 0].copy(),
+            part_count=part[:, 1].copy(),
+            recompute=np.array(recompute, bool),
+            payload=np.fromiter(map(_PAYLOAD_CODE.__getitem__, payloads), np.int8, n),
+        )
+
+    def take(self, rows: np.ndarray) -> "OpTable":
+        """The table of the ``rows`` (a boolean mask), in row order."""
+        counts = np.diff(self.mb_ptr)
+        mb_ptr = np.zeros(int(rows.sum()) + 1, self.mb_ptr.dtype)
+        np.cumsum(counts[rows], out=mb_ptr[1:])
+        return OpTable(
+            **{
+                name: getattr(self, name)[rows]
+                for name in self.__dataclass_fields__
+                if name not in ("mb_ptr", "mb")
+            },
+            mb_ptr=mb_ptr,
+            mb=self.mb[np.repeat(rows, counts)],
+        )
+
+    def operations(self) -> list[Operation]:
+        """The table's ops as new objects, built the way unpickling builds
+        them: ``__new__`` plus the ``__dict__``, no ``__post_init__`` (a
+        table only holds ops that passed it). Equal micro-batch and part
+        tuples are one object."""
+        shared: dict[tuple, tuple] = {}
+        intern = shared.setdefault
+        mb = self.mb.tolist()
+        ptr = self.mb_ptr.tolist()
+        mbs = [intern(t, t) for t in (tuple(mb[a:b]) for a, b in zip(ptr, ptr[1:]))]
+        parts = [
+            intern(p, p)
+            for p in zip(self.part_index.tolist(), self.part_count.tolist())
+        ]
+        new = Operation.__new__
+        ops: list[Operation] = []
+        for values in zip(
+            map(OP_KINDS.__getitem__, self.kind.tolist()),
+            self.replica.tolist(),
+            self.stage.tolist(),
+            mbs,
+            parts,
+            self.recompute.tolist(),
+            map(PAYLOADS.__getitem__, self.payload.tolist()),
+        ):
+            op = new(Operation)
+            op.__dict__.update(zip(_OP_FIELDS, values))
+            ops.append(op)
+        return ops
+
+
 @dataclass(frozen=True)
 class Schedule:
     """A complete static pipeline schedule for one training iteration.
@@ -336,6 +459,26 @@ class Schedule:
             )
         if self.num_micro_batches < 1:
             raise ScheduleError("a schedule must cover at least one micro-batch")
+
+    def __getstate__(self) -> dict:
+        """Pickled state without the cached :meth:`op_table`."""
+        state = dict(self.__dict__)
+        state.pop("_op_table", None)
+        return state
+
+    def op_table(self) -> OpTable:
+        """The ops as numpy columns, built in one walk on first use and
+        cached on the schedule (never pickled; ``replace`` drops it)."""
+        table = self.__dict__.get("_op_table")
+        if table is None:
+            table = OpTable.of(self.worker_ops)
+            object.__setattr__(self, "_op_table", table)
+        return table
+
+    @property
+    def cached_op_table(self) -> OpTable | None:
+        """The :meth:`op_table` if one was built, else None."""
+        return self.__dict__.get("_op_table")
 
     # ------------------------------------------------------------------ views
     @property

@@ -38,10 +38,17 @@ and cache keys without touching any other layer.
 from __future__ import annotations
 
 import abc
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from repro.common.errors import ConfigurationError, ScheduleError
-from repro.schedules.ir import OpKind, Schedule
+from repro.schedules.ir import OP_KINDS, OpKind, Schedule
+
+_BACKWARD = OP_KINDS.index(OpKind.BACKWARD)
+_BACKWARD_INPUT = OP_KINDS.index(OpKind.BACKWARD_INPUT)
+#: An op's kind as its value string (hashed in C, unlike the member).
+_kind_value = attrgetter("kind._value_")
 
 # --------------------------------------------------------------------- facts
 #: Gradient-synchronization ops are present.
@@ -71,13 +78,21 @@ def schedule_facts(schedule: Schedule) -> set[str]:
         facts.add(RECOMPUTE)
     if schedule.metadata.get("offload"):
         facts.add(OFFLOAD)
-    for _, op in schedule.all_ops():
-        if op.kind is OpKind.ALLREDUCE:
-            facts.add(SYNC)
-        elif op.is_recompute or (op.is_backward and op.recompute):
-            facts.add(RECOMPUTE)
-        elif op.is_host_comm:
-            facts.add(OFFLOAD)
+    table = schedule.cached_op_table
+    if table is not None:  # read the columns; never build them for this
+        kinds = {OP_KINDS[code].value for code in set(table.kind.tolist())}
+        backward = (table.kind == _BACKWARD) | (table.kind == _BACKWARD_INPUT)
+        flagged = bool(table.recompute[backward].any())
+    else:
+        ops = list(chain.from_iterable(schedule.worker_ops))
+        kinds = set(map(_kind_value, ops))
+        flagged = any(op.is_backward for op in ops if op.recompute)
+    if OpKind.ALLREDUCE.value in kinds:
+        facts.add(SYNC)
+    if flagged or OpKind.RECOMPUTE.value in kinds:
+        facts.add(RECOMPUTE)
+    if kinds & {OpKind.OFFLOAD.value, OpKind.RELOAD.value}:
+        facts.add(OFFLOAD)
     return facts
 
 

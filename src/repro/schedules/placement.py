@@ -22,7 +22,7 @@ Paper mapping rules (§3.1 and §3.6):
 
 Data parallelism (width ``W``) replicates whole pipeline groups and is
 handled outside the placement — the allreduce *group size* used by the cost
-models is ``replicas_of_stage * W``.
+models is ``num_replicas * W`` (every replica holds a copy of each stage).
 """
 
 from __future__ import annotations
@@ -174,10 +174,6 @@ class StagePlacement:
         the gradients of ``stage``.
         """
         return tuple(sorted({row[stage] for row in self.table}))
-
-    def replicas_of_stage(self, stage: int) -> int:
-        """Number of model replicas holding a copy of ``stage``'s weights."""
-        return self.num_replicas
 
     def first_stage_worker(self, replica: int) -> int:
         return self.table[replica][0]

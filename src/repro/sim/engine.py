@@ -55,6 +55,8 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.common.errors import ScheduleError
 from repro.schedules.dependencies import (
     ACTIVATION,
@@ -62,9 +64,10 @@ from repro.schedules.dependencies import (
     TRANSFER,
     DependencyGraph,
     OpKey,
+    _first_seen,
     build_dependency_graph,
 )
-from repro.schedules.ir import Operation, OpKind, Schedule
+from repro.schedules.ir import OP_KINDS, Operation, OpKind, OpTable, Schedule
 from repro.sim.cost import CostModel
 
 
@@ -199,44 +202,40 @@ def _clear_of_transfers(
 _PLAIN, _ALLREDUCE, _SEND, _RECV = 0, 1, 2, 3
 
 
-def _classify_ops(
-    ops_flat: list[Operation],
-) -> tuple[list[int], list[int], list[tuple]]:
+def _classify_ops(table: OpTable) -> tuple[np.ndarray, ...]:
     """Per-op kind code, host-transfer direction and duration shape.
 
     The one op classification the engine's dense form and the array
-    kernel share. Host ops reuse the ``_SEND`` machinery (both launch a
-    transfer that occupies a channel); the host direction (-1 for network
-    sends and non-sends, 0 for an OFFLOAD's device→host copy, 1 for a
-    RELOAD's host→device copy) tells the wire-parameter setup to price
-    them on the worker's host channel instead of a link. The shape is the
-    duration-memoization key: everything ``compute_time()`` reads.
+    kernel share, read from the schedule's op table. Host ops reuse the
+    ``_SEND`` machinery (both launch a transfer that occupies a channel);
+    the host direction (-1 for network sends and non-sends, 0 for an
+    OFFLOAD's device→host copy, 1 for a RELOAD's host→device copy) tells
+    the wire-parameter setup to price them on the worker's host channel
+    instead of a link. The shape is the duration-memoization class:
+    ops that agree on everything ``compute_time()`` reads (kind, stage,
+    work units, recompute flag) share one, numbered by first appearance.
+    Returns the three per-op arrays and each shape's first op.
     """
-    kind_code: list[int] = []
-    host_dir: list[int] = []
-    shapes: list[tuple] = []
-    for op in ops_flat:
-        # The member's value string hashes in C; the member itself hashes
-        # its name in Python, which dominates a loop this tight.
-        kind = op.kind._value_
-        code, direction = _KIND_CODES.get(kind, _PLAIN_CODES)
-        kind_code.append(code)
-        host_dir.append(direction)
-        # Inlined op.work_units: 0 for every non-_PLAIN (non-compute) op.
-        units = len(op.micro_batches) / op.part[1] if code == _PLAIN else 0.0
-        shapes.append((kind, op.stage, units, op.recompute))
-    return kind_code, host_dir, shapes
+    code = _CODE_OF_KIND[table.kind]
+    # Work units (op.work_units): 0 for every non-_PLAIN (non-compute) op.
+    units = np.where(code == _PLAIN, np.diff(table.mb_ptr) / table.part_count, 0.0)
+    shape, reps = _first_seen(table.kind, table.stage, units, table.recompute)
+    return code, _HOST_DIR_OF_KIND[table.kind], shape, reps
 
 
-#: OpKind value -> (kind code, host direction) of every non-``_PLAIN`` kind.
-_KIND_CODES = {
-    OpKind.ALLREDUCE.value: (_ALLREDUCE, -1),
-    OpKind.SEND.value: (_SEND, -1),
-    OpKind.RECV.value: (_RECV, -1),
-    OpKind.OFFLOAD.value: (_SEND, 0),
-    OpKind.RELOAD.value: (_SEND, 1),
-}
-_PLAIN_CODES = (_PLAIN, -1)
+#: Kind code and host direction of each op kind, indexed like ``OP_KINDS``.
+_CODE_OF_KIND, _HOST_DIR_OF_KIND = np.array(
+    [
+        {
+            OpKind.ALLREDUCE: (_ALLREDUCE, -1),
+            OpKind.SEND: (_SEND, -1),
+            OpKind.RECV: (_RECV, -1),
+            OpKind.OFFLOAD: (_SEND, 0),
+            OpKind.RELOAD: (_SEND, 1),
+        }.get(kind, (_PLAIN, -1))
+        for kind in OP_KINDS
+    ]
+).T
 
 
 class _DenseSchedule:
@@ -271,7 +270,11 @@ class _DenseSchedule:
         total = len(self.ops_flat)
         self.total = total
 
-        self.kind_code, self.host_dir, self.shape = _classify_ops(self.ops_flat)
+        code, host_dir, shape, _ = _classify_ops(schedule.op_table())
+        self.kind_code: list[int] = code.tolist()
+        self.host_dir: list[int] = host_dir.tolist()
+        #: Duration class of each op (see :func:`_classify_ops`).
+        self.shape: list[int] = shape.tolist()
         self.group_of: dict[int, tuple] = {}
         self.sync_group_members: dict[tuple, list[tuple[int, Operation]]] = (
             defaultdict(list)

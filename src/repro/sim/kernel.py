@@ -98,6 +98,7 @@ from repro.schedules.dependencies import (
     GRADIENT,
     TRANSFER,
     DependencyGraph,
+    _first_seen,
     build_dependency_graph,
     levelize,
 )
@@ -138,25 +139,6 @@ OP_DTYPE = np.dtype(
         ("wave", np.int32),
     ]
 )
-
-
-def _first_seen(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of the key columns by first appearance.
-
-    Returns each row's id and, per id, the index of its first row.
-    """
-    order = np.lexsort(keys[::-1])  # stable: equal rows keep row order
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ranked = key[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
-    first = order[new]
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = rank[np.cumsum(new) - 1]
-    return ids, np.sort(first)
 
 
 class ScheduleKernel:
@@ -201,8 +183,7 @@ class ScheduleKernel:
         #: Position of each op in its worker's row (ids are row-major, so
         #: an op's row successor is id + 1).
         self.row_pos = graph.row_pos
-        kind_code, host_dir, shapes = _classify_ops(ops_flat)
-        code = np.array(kind_code, dtype=np.int8)
+        code, op_host_dir, op_shape, reps = _classify_ops(graph.schedule.op_table())
         #: Sync group key -> ids of its ALLREDUCE members, in the engine's
         #: member order (id order).
         groups: dict[tuple, list[int]] = {}
@@ -214,11 +195,8 @@ class ScheduleKernel:
         }
 
         # ---- shape classes (duration memoization across cost models) ----
-        shape_id: dict[tuple, int] = {}
-        op_shape = [shape_id.setdefault(shape, len(shape_id)) for shape in shapes]
-        reps = np.unique(op_shape, return_index=True)[1].tolist()
         self.shape_reps: list[tuple[int, Operation]] = [
-            (kind_code[oid], ops_flat[oid]) for oid in reps
+            (int(code[oid]), ops_flat[oid]) for oid in reps.tolist()
         ]
 
         # ---- combined edge list -----------------------------------------
@@ -249,7 +227,6 @@ class ScheduleKernel:
         # host-channel (OFFLOAD/RELOAD) wire edges, which are priced on
         # the cost model's host link instead of the topology. Class 0 is
         # the zero-delay class shared by program-order and local edges.
-        op_host_dir = np.asarray(host_dir, dtype=np.int64)
         delayed = np.flatnonzero(d_group > 0)
         keys = (
             worker[d_src[delayed]],

@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.common.errors import MemoryModelError
-from repro.schedules.ir import OpKind, Schedule
+from repro.schedules.ir import OP_KINDS, OpKind, Schedule
 from repro.schedules.placement import StagePlacement
 
 
@@ -245,6 +245,19 @@ def device_floor(
     return floor
 
 
+_FWD, _BWD, _BWD_IN, _BWD_W, _REMAT, _OFFLOAD, _RELOAD = (
+    OP_KINDS.index(kind)
+    for kind in (
+        OpKind.FORWARD,
+        OpKind.BACKWARD,
+        OpKind.BACKWARD_INPUT,
+        OpKind.BACKWARD_WEIGHT,
+        OpKind.RECOMPUTE,
+        OpKind.OFFLOAD,
+        OpKind.RELOAD,
+    )
+)
+
 # Value codes of a profile's event tables: which per-stage byte value an
 # event moves. Each is a row of the table :func:`_value_table` builds.
 _NONE = 0  # nothing (padding)
@@ -362,20 +375,32 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
     Raises :class:`~repro.common.errors.MemoryModelError` when an op
     needs a stash its worker does not hold.
     """
-    # Which (replica, stage, mb) triples recompute. Two sources: the
-    # legacy flag on backward ops (rematerialization transient charged at
-    # the backward) and the recompute pass's explicit RECOMPUTE ops
-    # (promotion charged at the op). Either way the forward must know to
-    # stash only the stage input.
-    recompute: set[tuple[int, int, int]] = set()
-    explicit: set[tuple[int, int, int]] = set()
-    for _, op in schedule.all_ops():
-        if op.recompute and op.is_backward:
-            recompute.update((op.replica, op.stage, mb) for mb in op.micro_batches)
-        elif op.kind is OpKind.RECOMPUTE:
-            explicit.update((op.replica, op.stage, mb) for mb in op.micro_batches)
-    stash_only = recompute | explicit
+    table = schedule.op_table()
+    kind, stage, replica = table.kind, table.stage, table.replica
+    counts = np.diff(table.mb_ptr)
+    # (replica, stage, mb) as one int key, one per covered micro-batch.
+    radix_s = int(stage.max(initial=0)) + 1
+    radix_mb = int(table.mb.max(initial=0)) + 1
+    entry_op = np.repeat(np.arange(len(kind)), counts)
+    entry_key = (
+        (replica[entry_op].astype(np.int64) * radix_s + stage[entry_op]) * radix_mb
+        + table.mb
+    )
+    # Which keys recompute. Two sources: the legacy flag on backward ops
+    # (rematerialization transient charged at the backward) and the
+    # recompute pass's explicit RECOMPUTE ops (promotion charged at the
+    # op). Either way the forward must know to stash only the stage input.
+    entry_kind = kind[entry_op]
+    backward = (entry_kind == _BWD) | (entry_kind == _BWD_IN)
+    recompute = set(entry_key[backward & table.recompute[entry_op]].tolist())
+    stash_only = recompute | set(entry_key[entry_kind == _REMAT].tolist())
 
+    keys = entry_key.tolist()
+    ptr = table.mb_ptr.tolist()
+    mbs = table.mb.tolist()
+    op_kind, op_stage = kind.tolist(), stage.tolist()
+    op_parts = table.part_count.tolist()
+    row_end = np.cumsum(np.bincount(table.worker, minlength=schedule.num_workers))
     device = _Events()
     host = _Events()
     transients: list[tuple[int, int, list[tuple[int, int]]]] = []
@@ -387,21 +412,22 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
         device.coef,
         device.checked,
     )
-    for worker in range(schedule.num_workers):
+    first = 0
+    for worker, last in enumerate(row_end.tolist()):
         device.next_worker()
         host.next_worker()
         start = len(stages)
         live_units = 0.0
         peak_units = 0.0
-        remaining_parts: dict[tuple[int, int, int], float] = {}
-        code_of: dict[tuple[int, int, int], int] = {}
-        on_host: set[tuple[int, int, int]] = set()
-        for op in schedule.worker_ops[worker]:
-            kind = op.kind
-            stage = op.stage
-            if kind is OpKind.FORWARD:
-                for mb in op.micro_batches:
-                    key = (op.replica, stage, mb)
+        remaining_parts: dict[int, float] = {}
+        code_of: dict[int, int] = {}
+        on_host: set[int] = set()
+        for oid in range(first, last):
+            kind = op_kind[oid]
+            stage = op_stage[oid]
+            lo, hi = ptr[oid], ptr[oid + 1]
+            if kind == _FWD:
+                for key in keys[lo:hi]:
                     code = _STASH if key in stash_only else _ACT
                     code_of[key] = code
                     remaining_parts[key] = 1.0
@@ -411,27 +437,26 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
                     live_units += 1.0
                 checked.append(len(stages) - 1)
                 peak_units = max(peak_units, live_units)
-            elif kind is OpKind.BACKWARD or kind is OpKind.BACKWARD_WEIGHT:
+            elif kind == _BWD or kind == _BWD_W:
                 # Fused backward or split weight gradient: releases this
                 # part's share of the stash once it completes.
-                fraction = 1.0 / op.part[1]
+                fraction = 1.0 / op_parts[oid]
                 terms = []
-                for mb in op.micro_batches:
-                    key = (op.replica, stage, mb)
+                for e in range(lo, hi):
+                    key = keys[e]
                     if key not in remaining_parts:
                         raise MemoryModelError(
-                            f"backward of micro-batch {mb} at stage {stage} "
+                            f"backward of micro-batch {mbs[e]} at stage {stage} "
                             f"without a live forward stash on worker {worker}"
                         )
-                    if kind is OpKind.BACKWARD and key in recompute:
+                    if kind == _BWD and key in recompute:
                         # Rematerialized activations live only during this op.
                         terms.append((stage, code_of[key]))
                 if terms:
                     transients.append((worker, len(stages) - 1 - start, terms))
                 else:
                     checked.append(len(stages) - 1)
-                for mb in op.micro_batches:
-                    key = (op.replica, stage, mb)
+                for key in keys[lo:hi]:
                     remaining_parts[key] -= fraction
                     stages.append(stage)
                     codes.append(code_of[key])
@@ -439,36 +464,36 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
                     live_units -= fraction
                     if remaining_parts[key] <= 1e-9:
                         del remaining_parts[key]
-            elif kind is OpKind.RECOMPUTE or kind is OpKind.BACKWARD_INPUT:
+            elif kind == _REMAT or kind == _BWD_IN:
                 # Explicit rematerialization promotes the stashed stage
                 # input to the full activations; the releasing backward(s)
                 # free the promoted stash. A split input gradient consumes
                 # the stash without releasing it (the weight-gradient half
                 # still needs the layer inputs), and activations it
                 # rematerializes must survive to W too.
-                explicit_op = kind is OpKind.RECOMPUTE
-                for mb in op.micro_batches:
-                    key = (op.replica, stage, mb)
+                explicit_op = kind == _REMAT
+                for e in range(lo, hi):
+                    key = keys[e]
                     if key not in remaining_parts:
                         what = "RECOMPUTE" if explicit_op else "input gradient"
                         raise MemoryModelError(
-                            f"{what} of micro-batch {mb} at stage {stage} "
+                            f"{what} of micro-batch {mbs[e]} at stage {stage} "
                             f"without a live forward stash on worker {worker}"
                         )
                     if code_of[key] == _STASH and (explicit_op or key in recompute):
                         device.add(stage, _INCREMENT, remaining_parts[key])
                         code_of[key] = _PROMOTED
                 checked.append(len(stages) - 1)
-            elif kind is OpKind.OFFLOAD or kind is OpKind.RELOAD:
+            elif kind == _OFFLOAD or kind == _RELOAD:
                 # Two-tier accounting: an OFFLOAD moves the stash's bytes
                 # out of the device's live set and into the host tier; the
                 # matching RELOAD moves them back. The stash keeps its
                 # identity (remaining_parts/code_of untouched) so the
                 # releasing backward frees it exactly as without offload.
-                for mb in op.micro_batches:
-                    key = (op.replica, stage, mb)
+                for e in range(lo, hi):
+                    key, mb = keys[e], mbs[e]
                     parts = remaining_parts.get(key)
-                    if kind is OpKind.OFFLOAD:
+                    if kind == _OFFLOAD:
                         if parts is None:
                             raise MemoryModelError(
                                 f"OFFLOAD of micro-batch {mb} at stage "
@@ -501,6 +526,7 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
             # Collectives and explicit SEND/RECV (lowered schedules) neither
             # create nor release activation stashes.
         units.append(peak_units)
+        first = last
 
     width = max((len(terms) for _, _, terms in transients), default=0)
     transient_stage = np.zeros((len(transients), width), np.int16)

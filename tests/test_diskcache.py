@@ -82,8 +82,8 @@ class TestDiskRoundTrip:
     def test_snapshot_restores_all_forms_and_kernel(self, tmp_path):
         """Every materialized schedule form, kernel and the memory profile
         round-trip, the payload holds no dependency graph, the forms stay
-        one pickled blob until a form is asked for, and the restored
-        kernel simulates identically."""
+        one pickled blob of op tables until a form is asked for, and the
+        restored kernel simulates identically."""
         disk = DiskScheduleCache(tmp_path)
         arts = ScheduleArtifacts(build_schedule("chimera", 4, 8))
         fused = ("lower_p2p", "fuse_comm")
@@ -96,6 +96,8 @@ class TestDiskRoundTrip:
         payload = arts.snapshot()
         assert set(payload) == {"forms", "kernels", "memory_profile"}
         assert list(pickle.loads(payload["forms"])) == ["schedule", "lowered", "fused"]
+        # The blob holds op tables, not pickled operations.
+        assert b"Operation" not in payload["forms"]
         assert set(payload["kernels"]) == {"lowered", "fused"}
         assert disk.store(key, payload)
         # No graph (nor its OpKey -> Edge dicts) is pickled.
@@ -197,7 +199,7 @@ class TestDiskRoundTrip:
             value_codes,
             digests,
         ) == (
-            5,
+            6,
             [
                 "device", "host", "transient_worker", "transient_after",
                 "transient_stage", "transient_code", "weights",
@@ -317,7 +319,7 @@ class TestKernelPersistence:
         (and then this pin)."""
         _, kernel = cold
         assert (FORMAT_VERSION, sorted(vars(kernel))) == (
-            5,
+            6,
             [
                 "_blocking", "_edge_src_list", "_esrc_fifo_list", "_inc_ptr",
                 "_indeg_list", "_order_list", "_pos_of", "_send_chan_list",
@@ -427,8 +429,8 @@ class TestCorruptionTolerance:
         assert warm.schedule.worker_ops == arts.schedule.worker_ops
         assert warm.lowered().worker_ops == arts.lowered().worker_ops
         assert warm.kernel_for(PIPELINE) is kernel
-        forms = pickle.loads(cache.disk.load(key)["forms"])
-        assert forms["schedule"].worker_ops == arts.schedule.worker_ops
+        written = ScheduleArtifacts.from_snapshot(cache.disk.load(key))
+        assert written.schedule.worker_ops == arts.schedule.worker_ops
 
     def test_key_collision_is_rejected(self, tmp_path):
         """An entry whose embedded key disagrees (hash collision, copied
@@ -583,7 +585,7 @@ for i in range(60):
     elif roll < 0.8:
         payload = disk.load(key)
         if payload is not None:
-            schedule = pickle.loads(payload["forms"])["schedule"]
+            schedule = ScheduleArtifacts.from_snapshot(payload).schedule
             assert (schedule.scheme, schedule.num_stages, schedule.num_micro_batches) == cell, (
                 "structurally wrong payload served"
             )

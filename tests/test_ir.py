@@ -115,3 +115,77 @@ class TestSchedule:
     def test_describe_mentions_scheme_and_shape(self):
         text = self._schedule().describe()
         assert "toy" in text and "D=2" in text and "N=1" in text
+
+
+#: Every schedule form an entry holds, per pre-lowering pipeline.
+PIPELINES = ["", "recompute", "offload"]
+
+
+def _forms(scheme: str, passes: str) -> dict[str, Schedule]:
+    from repro.schedules.cache import ScheduleArtifacts
+    from repro.schedules.registry import build_schedule
+
+    options = {"passes": passes} if passes else {}
+    arts = ScheduleArtifacts(build_schedule(scheme, 4, 8, **options))
+    return {"schedule": arts.schedule, "lowered": arts.lowered(), "fused": arts.fused()}
+
+
+class TestOpTable:
+    """The op table (one walk per form) and the format-6 forms blob
+    built from it rebuild every registered scheme's forms."""
+
+    @pytest.mark.parametrize("passes", PIPELINES, ids=["implicit", *PIPELINES[1:]])
+    def test_table_rebuilds_every_form(self, passes):
+        from repro.schedules.registry import available_schemes
+
+        for scheme in available_schemes():
+            for name, form in _forms(scheme, passes).items():
+                table = form.op_table()
+                assert form.op_table() is table  # one walk per form
+                ops = table.operations()
+                rows = [[] for _ in form.worker_ops]
+                workers, positions = table.worker.tolist(), table.pos.tolist()
+                for op, worker, pos in zip(ops, workers, positions):
+                    assert pos == len(rows[worker])
+                    rows[worker].append(op)
+                assert freeze_worker_ops(rows) == form.worker_ops, (scheme, name)
+                assert [vars(op) for op in ops] == [
+                    vars(op) for row in form.worker_ops for op in row
+                ]
+
+    @pytest.mark.parametrize("passes", PIPELINES, ids=["implicit", *PIPELINES[1:]])
+    def test_forms_blob_round_trips_with_shared_ops(self, passes):
+        from repro.schedules.cache import ScheduleArtifacts
+        from repro.schedules.registry import available_schemes
+
+        for scheme in available_schemes():
+            forms = _forms(scheme, passes)
+            arts = ScheduleArtifacts(forms["schedule"])
+            arts._forms.update(forms)
+            restored = ScheduleArtifacts.from_snapshot(arts.snapshot())
+            back = {
+                "schedule": restored.schedule,
+                "lowered": restored.lowered(),
+                "fused": restored.fused(),
+            }
+            for name, form in forms.items():
+                assert back[name] == form, (scheme, name)
+                assert dict(back[name].metadata) == dict(form.metadata)
+            implicit = {op.key(): op for _, op in back["schedule"].all_ops()}
+            for name in ("lowered", "fused"):
+                shared = [
+                    op for _, op in back[name].all_ops() if op.key() in implicit
+                ]
+                assert len(shared) == len(implicit), (scheme, name)
+                assert all(op is implicit[op.key()] for op in shared)
+
+    def test_table_is_not_pickled(self):
+        import pickle
+
+        from repro.schedules.registry import build_schedule
+
+        schedule = build_schedule("chimera", 4, 8)
+        schedule.op_table()
+        assert schedule.cached_op_table is not None
+        copy = pickle.loads(pickle.dumps(schedule))
+        assert copy == schedule and copy.cached_op_table is None
