@@ -52,11 +52,8 @@ The graph *is* a set of int-id tables. Ops are numbered row-major
 (worker 0's ops first, in program order), so an op's row successor is
 ``id + 1`` and sorting by id sorts by ``(worker, position)``. Incoming
 edges are CSR tables over destination ids (``dep_ptr``, ``dep_src``,
-``dep_kind``, ``dep_units``). The builder reads the schedule's op table
-(:meth:`~repro.schedules.ir.Schedule.op_table`) and matches consumers
-to producers on integer keys of the table's columns, one array pass
-per edge kind; it hashes an op's key only when two ops agree in every
-column but their inner micro-batches. Lowering (which
+``dep_kind``, ``dep_units``). The builder hashes each op's key once, for
+the uniqueness check; everything else indexes by id. Lowering (which
 splices its lowered graph's tables from them instead of rebuilding),
 the engine's dense form, the array kernel and the validator's
 acyclicity check read the tables; this builder stays the reference
@@ -71,13 +68,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.schedules.ir import OP_KINDS, PAYLOADS, Operation, OpKind, Schedule
+from repro.schedules.ir import Operation, OpKind, Schedule
 
 OpKey = tuple
 
@@ -242,92 +238,17 @@ def levelize(
     return level, order, stuck
 
 
-_FWD, _BWD, _BWD_IN, _BWD_W, _REMAT, _ALLREDUCE, _SEND, _RECV, _OFFLOAD, _RELOAD = (
-    OP_KINDS.index(kind)
-    for kind in (
-        OpKind.FORWARD,
-        OpKind.BACKWARD,
-        OpKind.BACKWARD_INPUT,
-        OpKind.BACKWARD_WEIGHT,
-        OpKind.RECOMPUTE,
-        OpKind.ALLREDUCE,
-        OpKind.SEND,
-        OpKind.RECV,
-        OpKind.OFFLOAD,
-        OpKind.RELOAD,
-    )
-)
-_ACT, _GRAD = PAYLOADS.index("act"), PAYLOADS.index("grad")
-
-
-class _Index:
-    """Sorted int keys -> op ids; a repeated key keeps its last id (the
-    producer maps the builder checks for repeats never have one)."""
-
-    def __init__(self, keys: np.ndarray, ids: np.ndarray):
-        order = np.argsort(keys, kind="stable")
-        keys, ids = keys[order], ids[order]
-        last = np.ones(len(keys), dtype=bool)
-        last[:-1] = keys[1:] != keys[:-1]
-        self.keys, self.ids = keys[last], ids[last]
-
-    def get(self, query: np.ndarray) -> np.ndarray:
-        """Each query key's id, ``-1`` where the key is absent."""
-        if not len(self.keys):
-            return np.full(len(query), -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(self.keys, query), len(self.keys) - 1)
-        return np.where(self.keys[at] == query, self.ids[at], -1)
-
-
-def _contains(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Which query keys ``sorted_keys`` holds."""
-    if not len(sorted_keys):
-        return np.zeros(len(query), dtype=bool)
-    at = np.minimum(np.searchsorted(sorted_keys, query), len(sorted_keys) - 1)
-    return sorted_keys[at] == query
-
-
-def _first_seen(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of the key columns by first appearance.
-
-    Returns each row's id and, per id, the index of its first row.
-    """
-    order = np.lexsort(keys[::-1])  # stable: equal rows keep row order
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ranked = key[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
-    first = order[new]
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = rank[np.cumsum(new) - 1]
-    return ids, np.sort(first)
-
-
-def _first_repeat(*columns: np.ndarray) -> int:
-    """Index of the first row whose column values an earlier row has
-    (``-1`` when every row is distinct)."""
-    ids, first = _first_seen(*columns)
-    repeats = np.flatnonzero(first[ids] != np.arange(len(ids)))
-    return int(repeats[0]) if len(repeats) else -1
-
-
-def _segments(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten the ranges ``starts[i]:starts[i] + lengths[i]``: each
-    element's range ``i`` and its index."""
-    seg = np.repeat(np.arange(len(starts)), lengths)
-    offsets = np.cumsum(lengths) - lengths
-    return seg, np.arange(len(seg)) - offsets[seg] + starts[seg]
+def _payload_between(src: Operation, dst: Operation) -> float:
+    """Micro-batch units moved along a producer -> consumer edge."""
+    if src.micro_batches == dst.micro_batches:
+        shared = len(dst.micro_batches)
+    else:
+        shared = len(set(src.micro_batches) & set(dst.micro_batches))
+    return shared / dst.part[1]
 
 
 def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
     """Construct the :class:`DependencyGraph` for ``schedule``.
-
-    Reads the schedule's :meth:`~repro.schedules.ir.Schedule.op_table`
-    and matches consumers to producers on integer-encoded keys, one
-    array pass per edge kind.
 
     Raises
     ------
@@ -336,395 +257,318 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
         backward whose forward was never scheduled, or a ``RECV`` with no
         matching ``SEND``) or an operation appears twice.
     """
-    table = schedule.op_table()
-    ops_flat = list(chain.from_iterable(schedule.worker_ops))
-    n = len(ops_flat)
-    kind = table.kind.astype(np.int64)
-    replica = table.replica.astype(np.int64)
-    stage = table.stage.astype(np.int64)
-    worker = table.worker.astype(np.int64)
-    part_count = table.part_count.astype(np.int64)
-    # (index, num_parts) as one code.
-    part = table.part_index.astype(np.int64) * (int(part_count.max(initial=0)) + 1)
-    part += part_count
-    payload = table.payload.astype(np.int64)
-    ptr = table.mb_ptr
-    counts = np.diff(ptr)
-    # One entry per (op, micro-batch) it covers, in op-id then tuple order.
-    e_op = np.repeat(np.arange(n), counts)
-    e_mb = table.mb.astype(np.int64)
-    m = len(e_mb)
-    e_kind, e_r, e_s, e_part = kind[e_op], replica[e_op], stage[e_op], part[e_op]
-    e_payload = payload[e_op]
-    # Keys (replica, stage, x[, part[, payload]]) in mixed radix; the stage
-    # is shifted by one so a neighbour stage of any op has a key.
-    radix_s = int(stage.max(initial=0)) + 3
-    radix_mb = int(e_mb.max(initial=0)) + 1
-    radix_p = int(part.max(initial=0)) + 1
+    ops_flat: list[Operation] = []
+    op_worker: list[int] = []
+    row_pos: list[int] = []
+    keys: set[OpKey] = set()
+    # Per-micro-batch producer indexes, op key fields -> op id. Forward
+    # doubling means several micro-batches can share one forward op, hence
+    # the per-mb map. Input-gradient producers (fused B or split Bi) and
+    # weight-gradient producers (fused B or split W) are indexed separately
+    # so split and fused backwards compose through the same lookups.
+    fwd_by_mb: dict[tuple[int, int, int], int] = {}  # (replica, stage, mb)
+    grad_by_mb: dict[tuple[int, int, int, tuple[int, int]], int] = {}
+    wgrad_by_mb: dict[tuple[int, int, int, tuple[int, int]], int] = {}
+    # The ALLREDUCE wiring's inputs: each stage replica's weight-gradient
+    # producers as (mb, id) in schedule order, and each replica's forward
+    # micro-batches.
+    wgrad_of_stage: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    fwd_mbs: dict[int, set[int]] = {}
+    # Comm-op indexes (lowered schedules only). Sends are looked up by their
+    # full identity when wiring a RECV's TRANSFER edge; recvs are looked up
+    # per micro-batch when redirecting a consumer's cross-worker edge, and
+    # sends per destination micro-batch for fused schedules (the consumer
+    # takes the TRANSFER edge itself when no RECV exists).
+    send_index: dict[tuple, int] = {}
+    send_by_dst_mb: dict[tuple[int, int, int, tuple[int, int], str], int] = {}
+    recv_by_mb: dict[tuple[int, int, int, tuple[int, int], str], int] = {}
+    remat_mbs: set[tuple[int, int, int]] = set()
+    # Host-tier transfer indexes (offloaded schedules only). Offloads and
+    # reloads pair 1:1 on (replica, stage, micro_batches): the OFFLOAD's
+    # device→host copy feeds exactly one RELOAD's host→device copy, which
+    # in turn delivers to exactly one consuming backward/RECOMPUTE — the
+    # single-valued wiring the simulator's transfer tables rely on.
+    offload_by_mb: dict[tuple[int, int, int], int] = {}
+    reload_by_mb: dict[tuple[int, int, int], int] = {}
+    reloads: list[int] = []
+    row_end: list[int] = []
 
-    def key(r, s, x, p=0, pl=0, radix_x=radix_mb):
-        return (((r * radix_s + s + 1) * radix_x + x) * radix_p + p) * len(
-            PAYLOADS
-        ) + pl
-
-    def entries(*kinds: int) -> np.ndarray:
-        wanted = np.zeros(len(OP_KINDS), dtype=bool)
-        wanted[list(kinds)] = True
-        return np.flatnonzero(wanted[e_kind])
-
-    # Repeats the schedule may not hold: (op id, check, entry, error). The
-    # first in the order a walk of the ops would meet them is raised.
-    repeats: list[tuple[int, int, int, ValidationError]] = []
-    first_mb = np.append(e_mb, -1)[np.where(counts > 0, ptr[:-1], m)]
-    if _first_repeat(kind, replica, stage, part, payload, counts, first_mb) >= 0:
-        # Only ops equal in every column but the inner micro-batches are
-        # candidates; the key set settles it.
-        keys: set[OpKey] = set()
-        for oid, op in enumerate(ops_flat):
+    for worker, row in enumerate(schedule.worker_ops):
+        for pos, op in enumerate(row):
+            oid = len(ops_flat)
             keys.add(op.key())
             if len(keys) == oid:  # the key was already there
-                repeats.append((oid, 0, 0, ValidationError(
+                raise ValidationError(
                     f"operation {op.short()} (replica {op.replica}, stage "
                     f"{op.stage}) scheduled twice"
-                )))
-                break
-    for check, kinds, columns, error in (
-        (1, (_FWD,), (e_r, e_s, e_mb), lambda op, mb: ValidationError(
-            f"micro-batch {mb} has two forwards at stage {op.stage} of "
-            f"replica {op.replica}"
-        )),
-        (2, (_BWD, _BWD_IN), (e_r, e_s, e_mb, e_part), lambda op, mb: ValidationError(
-            f"micro-batch {mb} part {op.part} has two backwards at stage "
-            f"{op.stage} of replica {op.replica}"
-        )),
-        (3, (_BWD, _BWD_W), (e_r, e_s, e_mb, e_part), lambda op, mb: ValidationError(
-            f"micro-batch {mb} part {op.part} has two weight-gradient "
-            f"producers at stage {op.stage} of replica {op.replica}"
-        )),
-        (4, (_REMAT,), (e_r, e_s, e_mb), lambda op, mb: ValidationError(
-            f"micro-batch {mb} has two RECOMPUTE ops at stage {op.stage} of "
-            f"replica {op.replica}"
-        )),
-        (5, (_RECV,), (e_r, e_s, e_mb, e_part, e_payload), lambda op, mb: (
-            ValidationError(
-                f"micro-batch {mb} has two {op.payload} receives at stage "
-                f"{op.stage} of replica {op.replica}"
-            )
-        )),
-        (6, (_OFFLOAD,), (e_r, e_s, e_mb), lambda op, mb: ValidationError(
-            f"micro-batch {mb} has two OFFLOAD ops at stage {op.stage} of "
-            f"replica {op.replica}"
-        )),
-        (7, (_RELOAD,), (e_r, e_s, e_mb), lambda op, mb: ValidationError(
-            f"micro-batch {mb} has two RELOAD ops at stage {op.stage} of "
-            f"replica {op.replica}"
-        )),
-    ):
-        sub = entries(*kinds)
-        at = _first_repeat(*(column[sub] for column in columns))
-        if at >= 0:
-            j = int(sub[at])
-            oid = int(e_op[j])
-            repeats.append((oid, check, j, error(ops_flat[oid], int(e_mb[j]))))
-    if repeats:
-        raise min(repeats, key=lambda repeat: repeat[:3])[3]
+                )
+            ops_flat.append(op)
+            op_worker.append(worker)
+            row_pos.append(pos)
+            kind = op.kind
+            replica, stage, mbs = op.replica, op.stage, op.micro_batches
+            if kind is OpKind.FORWARD:
+                for mb in mbs:
+                    fkey = (replica, stage, mb)
+                    if fkey in fwd_by_mb:
+                        raise ValidationError(
+                            f"micro-batch {mb} has two forwards at stage "
+                            f"{stage} of replica {replica}"
+                        )
+                    fwd_by_mb[fkey] = oid
+                fwd_mbs.setdefault(replica, set()).update(mbs)
+            elif kind is OpKind.BACKWARD or kind is OpKind.BACKWARD_INPUT:
+                for mb in mbs:
+                    bkey = (replica, stage, mb, op.part)
+                    if bkey in grad_by_mb:
+                        raise ValidationError(
+                            f"micro-batch {mb} part {op.part} has two "
+                            f"backwards at stage {stage} of replica {replica}"
+                        )
+                    grad_by_mb[bkey] = oid
+            if kind is OpKind.BACKWARD or kind is OpKind.BACKWARD_WEIGHT:
+                producers = wgrad_of_stage.setdefault((replica, stage), [])
+                for mb in mbs:
+                    bkey = (replica, stage, mb, op.part)
+                    if bkey in wgrad_by_mb:
+                        raise ValidationError(
+                            f"micro-batch {mb} part {op.part} has two "
+                            f"weight-gradient producers at stage {stage} "
+                            f"of replica {replica}"
+                        )
+                    wgrad_by_mb[bkey] = oid
+                    producers.append((mb, oid))
+            elif kind is OpKind.RECOMPUTE:
+                for mb in mbs:
+                    rkey = (replica, stage, mb)
+                    if rkey in remat_mbs:
+                        raise ValidationError(
+                            f"micro-batch {mb} has two RECOMPUTE ops at stage "
+                            f"{stage} of replica {replica}"
+                        )
+                    remat_mbs.add(rkey)
+            elif kind is OpKind.SEND:
+                send_index[(replica, stage, mbs, op.part, op.payload)] = oid
+                for mb in mbs:
+                    send_by_dst_mb[
+                        (replica, op.peer_stage, mb, op.part, op.payload)
+                    ] = oid
+            elif kind is OpKind.RECV:
+                for mb in mbs:
+                    rkey = (replica, stage, mb, op.part, op.payload)
+                    if rkey in recv_by_mb:
+                        raise ValidationError(
+                            f"micro-batch {mb} has two {op.payload} receives "
+                            f"at stage {stage} of replica {replica}"
+                        )
+                    recv_by_mb[rkey] = oid
+            elif kind is OpKind.OFFLOAD:
+                for mb in mbs:
+                    okey = (replica, stage, mb)
+                    if okey in offload_by_mb:
+                        raise ValidationError(
+                            f"micro-batch {mb} has two OFFLOAD ops at stage "
+                            f"{stage} of replica {replica}"
+                        )
+                    offload_by_mb[okey] = oid
+            elif kind is OpKind.RELOAD:
+                for mb in mbs:
+                    okey = (replica, stage, mb)
+                    if okey in reload_by_mb:
+                        raise ValidationError(
+                            f"micro-batch {mb} has two RELOAD ops at stage "
+                            f"{stage} of replica {replica}"
+                        )
+                    reload_by_mb[okey] = oid
+                reloads.append(oid)
+        row_end.append(len(ops_flat))
 
-    # Producer maps. Forward doubling means several micro-batches can
-    # share one forward op, hence one key per micro-batch. Input-gradient
-    # producers (fused B or split Bi) are one map, so split and fused
-    # backwards compose through the same lookups.
-    fwd = entries(_FWD)
-    fwd_of = _Index(key(e_r[fwd], e_s[fwd], e_mb[fwd]), e_op[fwd])
-    grads = entries(_BWD, _BWD_IN)
-    grad_of = _Index(
-        key(e_r[grads], e_s[grads], e_mb[grads], e_part[grads]), e_op[grads]
-    )
-    # Comm-op maps (lowered schedules only): receives per micro-batch,
-    # to redirect a consumer's cross-worker edge, and sends per
-    # destination micro-batch for fused schedules (the consumer takes
-    # the TRANSFER edge itself when no RECV exists).
-    recvs = entries(_RECV)
-    recv_of = _Index(
-        key(e_r[recvs], e_s[recvs], e_mb[recvs], e_part[recvs], e_payload[recvs]),
-        e_op[recvs],
-    )
-    sends = entries(_SEND)
-    send_step = np.where(e_payload[sends] == _ACT, 1, -1)
-    send_to = _Index(
-        key(
-            e_r[sends],
-            e_s[sends] + send_step,
-            e_mb[sends],
-            e_part[sends],
-            e_payload[sends],
-        ),
-        e_op[sends],
-    )
-    # Host-tier maps (offloaded schedules only). Offloads and reloads pair
-    # 1:1 on (replica, stage, micro_batches): the OFFLOAD's device→host
-    # copy feeds exactly one RELOAD's host→device copy, which in turn
-    # delivers to exactly one consuming backward/RECOMPUTE — the
-    # single-valued wiring the simulator's transfer tables rely on.
-    offloads, reloads = entries(_OFFLOAD), entries(_RELOAD)
-    offload_of = _Index(
-        key(e_r[offloads], e_s[offloads], e_mb[offloads]), e_op[offloads]
-    )
-    reload_ids = _Index(
-        key(e_r[reloads], e_s[reloads], e_mb[reloads]), e_op[reloads]
-    ).get(key(e_r[offloads], e_s[offloads], e_mb[offloads]))
-    for j, reload_id in zip(offloads.tolist(), reload_ids.tolist()):
-        off = ops_flat[e_op[j]]
-        if reload_id < 0:
+    for okey, off_id in offload_by_mb.items():
+        reload_id = reload_by_mb.get(okey)
+        if reload_id is None:
             raise ValidationError(
-                f"OFFLOAD of micro-batch {e_mb[j]} at stage {off.stage} "
-                f"(replica {off.replica}) has no matching RELOAD"
+                f"OFFLOAD of micro-batch {okey[2]} at stage {okey[1]} "
+                f"(replica {okey[0]}) has no matching RELOAD"
             )
-        reload = ops_flat[reload_id]
+        off, reload = ops_flat[off_id], ops_flat[reload_id]
         if reload.micro_batches != off.micro_batches:
             raise ValidationError(
                 f"OFFLOAD {off.short()} and RELOAD {reload.short()} cover "
-                f"different micro-batches (replica {off.replica}, stage "
-                f"{off.stage})"
+                f"different micro-batches (replica {okey[0]}, stage {okey[1]})"
             )
     # Each RELOAD delivers to the *first* stash consumer (backward part or
     # RECOMPUTE) that follows it on its worker; later consumers are held
     # behind that one by program order. The consumer holds the host-wire
     # TRANSFER edge directly, like a fused transfer.
-    reload_ops = e_op[reloads]  # sorted: entries follow op ids
-    reload_ops = reload_ops[np.diff(reload_ops, prepend=-1) > 0]
-    consumer = np.zeros(0, dtype=np.int64)
-    if len(reloads):
-        # Stash consumers keyed (replica, stage, mb, worker, op id): the
-        # first key past (..., reload id) is the next consumer of that
-        # micro-batch on the reload's worker, if the prefix matches.
-        place = key(e_r, e_s, e_mb) * len(schedule.worker_ops) + worker[e_op]
-        stash_users = entries(_BWD, _BWD_IN, _REMAT)
-        after = np.sort(place[stash_users] * (n + 1) + e_op[stash_users])
-        found = np.full(len(reloads), n)
-        if len(after):
-            query = place[reloads] * (n + 1) + e_op[reloads] + 1
-            hit = np.minimum(np.searchsorted(after, query), len(after) - 1)
-            same = after[hit] // (n + 1) == place[reloads]
-            found = np.where(same, after[hit] % (n + 1), n)
-        starts = np.searchsorted(e_op[reloads], reload_ops)
-        consumer = np.minimum.reduceat(found, starts)
-        bad = np.flatnonzero(consumer == n)
-        if len(bad):
-            op = ops_flat[reload_ops[bad[0]]]
+    consumer_reloads: dict[int, list[int]] = {}
+    for reload_id in reloads:
+        op = ops_flat[reload_id]
+        worker = op_worker[reload_id]
+        needed = set(op.micro_batches)
+        for later_id in range(reload_id + 1, row_end[worker]):
+            later = ops_flat[later_id]
+            if (
+                (later.is_backward or later.kind is OpKind.RECOMPUTE)
+                and later.replica == op.replica
+                and later.stage == op.stage
+                and not needed.isdisjoint(later.micro_batches)
+            ):
+                consumer_reloads.setdefault(later_id, []).append(reload_id)
+                break
+        else:
             raise ValidationError(
                 f"RELOAD {op.short()} (replica {op.replica}) has no "
                 f"consuming backward or RECOMPUTE after it on worker "
-                f"{worker[reload_ops[bad[0]]]}"
+                f"{worker}"
             )
 
-    # (op id, micro-batch) codes, sorted, for micro-batch overlap tests.
-    op_mb = np.sort(e_op * radix_mb + e_mb)
-
-    def shared_units(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Micro-batch units moved along each producer -> consumer edge:
-        shared micro-batches scaled by the consumer's part split."""
-        seg, entry = _segments(ptr[dst], counts[dst])
-        shared = _contains(op_mb, src[seg] * radix_mb + e_mb[entry])
-        return np.bincount(seg, shared, minlength=len(dst)) / part_count[dst]
-
-    # Incoming edges as columns: destination, sort position within the
-    # destination, source, kind code and payload units. An op's edges
-    # follow its micro-batches (position 2 * entry, plus 1 for a gradient
-    # after its stash), then the host-wire edges of its RELOADs.
-    edges: list[tuple[np.ndarray, ...]] = []
-    # Missing producers: (entry, check, error) of each kind's first.
-    missing: list[tuple[int, int, ValidationError]] = []
-
-    def add(dst, position, src, code, units=0.0) -> None:
-        edges.append(
-            tuple(
-                c if isinstance(c, np.ndarray) else np.full(len(dst), c)
-                for c in (dst, position, src, code, units)
-            )
-        )
-
-    def need(found: np.ndarray, at: np.ndarray, check: int, error) -> None:
-        """Note the first entry of ``at`` whose producer was not found."""
-        bad = np.flatnonzero(found < 0)
-        if len(bad):
-            j = int(at[bad[0]])
-            missing.append((j, check, error(ops_flat[e_op[j]], int(e_mb[j]))))
-
-    def from_neighbour(at, producer, code, flow_payload, check) -> None:
-        """The edge that brings each entry's flow from the neighbouring
+    def stage_edge(producer: int, kind: int, flow: tuple, op: Operation) -> tuple:
+        """The edge that brings ``flow`` to ``op`` from the neighbouring
         stage: from its RECV when lowered, straight from its batched SEND
-        when fused, else the implicit ``code`` edge from ``producer``."""
-        flow = key(e_r[at], e_s[at], e_mb[at], e_part[at], flow_payload)
-        recv, send = recv_of.get(flow), send_to.get(flow)
-        src = np.where(recv >= 0, recv, np.where(send >= 0, send, producer))
-        dst = e_op[at]
-        units = np.where(recv >= 0, 0.0, shared_units(src, dst))
-        code = np.where(recv >= 0, DELIVERY, np.where(send >= 0, TRANSFER, code))
-        add(dst, 2 * at + check, src, code, units)
+        when fused, else the implicit ``kind`` edge from ``producer``."""
+        recv = recv_by_mb.get(flow)
+        if recv is not None:
+            return (recv, DELIVERY, 0.0)
+        send = send_by_dst_mb.get(flow)
+        if send is not None:
+            return (send, TRANSFER, _payload_between(ops_flat[send], op))
+        return (producer, kind, _payload_between(ops_flat[producer], op))
 
     depth = schedule.num_stages
-    at = np.flatnonzero((e_kind == _FWD) & (e_s > 0))
-    producer = fwd_of.get(key(e_r[at], e_s[at] - 1, e_mb[at]))
-    need(producer, at, 0, lambda op, mb: ValidationError(
-        f"forward of micro-batch {mb} at stage {op.stage} (replica "
-        f"{op.replica}) has no stage-{op.stage - 1} producer"
-    ))
-    from_neighbour(at, producer, ACTIVATION, _ACT, 0)
+    dep_ptr = [0]
+    dep_src: list[int] = []
+    dep_kind: list[int] = []
+    dep_units: list[float] = []
 
-    at = entries(_BWD, _BWD_IN)
-    stash = fwd_of.get(key(e_r[at], e_s[at], e_mb[at]))
-    need(stash, at, 0, lambda op, mb: ValidationError(
-        f"backward of micro-batch {mb} at stage {op.stage} (replica "
-        f"{op.replica}) has no matching forward"
-    ))
-    add(e_op[at], 2 * at, stash, STASH)
-    at = at[e_s[at] < depth - 1]
-    producer = grad_of.get(key(e_r[at], e_s[at] + 1, e_mb[at], e_part[at]))
-    need(producer, at, 1, lambda op, mb: ValidationError(
-        f"backward of micro-batch {mb} part {op.part} at stage {op.stage} "
-        f"(replica {op.replica}) has no stage-{op.stage + 1} gradient producer"
-    ))
-    from_neighbour(at, producer, GRADIENT, _GRAD, 1)
-
-    at = entries(_REMAT)
-    stash = fwd_of.get(key(e_r[at], e_s[at], e_mb[at]))
-    need(stash, at, 0, lambda op, mb: ValidationError(
-        f"RECOMPUTE of micro-batch {mb} at stage {op.stage} (replica "
-        f"{op.replica}) has no matching forward"
-    ))
-    add(e_op[at], 2 * at, stash, STASH)
-
-    at = entries(_BWD_W)
-    producer = grad_of.get(key(e_r[at], e_s[at], e_mb[at], e_part[at]))
-    producer[kind[producer] != _BWD_IN] = -1
-    need(producer, at, 0, lambda op, mb: ValidationError(
-        f"weight gradient of micro-batch {mb} part {op.part} at stage "
-        f"{op.stage} (replica {op.replica}) has no matching input-gradient "
-        f"(Bi) producer"
-    ))
-    add(e_op[at], 2 * at, producer, DEFERRAL)
-
-    at = sends
-    producer = np.where(
-        e_payload[at] == _ACT,
-        fwd_of.get(key(e_r[at], e_s[at], e_mb[at])),
-        grad_of.get(key(e_r[at], e_s[at], e_mb[at], e_part[at])),
-    )
-    need(producer, at, 0, lambda op, mb: ValidationError(
-        f"{op.short()} (replica {op.replica}) has no local {op.payload} "
-        f"producer for micro-batch {mb}"
-    ))
-    add(e_op[at], 2 * at, producer, ENQUEUE)
-
-    # A RECV takes the TRANSFER edge of the SEND with its exact identity
-    # (micro-batch tuple included), found by tuple id.
-    comm = np.flatnonzero((kind == _SEND) | (kind == _RECV))
-    if len(comm):
-        width = int(counts[comm].max())
-        padded = np.full((len(comm), width), -1, dtype=np.int64)
-        seg, entry = _segments(ptr[comm], counts[comm])
-        padded[seg, entry - ptr[comm][seg]] = e_mb[entry]
-        tuple_id = np.full(n, -1, dtype=np.int64)
-        tuple_id[comm] = np.unique(padded, axis=0, return_inverse=True)[1].reshape(-1)
-        radix_t = int(tuple_id.max()) + 1
-
-        def comm_key(ops, at_stage):
-            return key(
-                replica[ops], at_stage, tuple_id[ops], part[ops], payload[ops], radix_t
+    for oid, op in enumerate(ops_flat):
+        kind = op.kind
+        replica, stage, mbs = op.replica, op.stage, op.micro_batches
+        # (src id, kind code, payload units), deduplicated below.
+        incoming: list[tuple[int, int, float]] = []
+        if kind is OpKind.FORWARD:
+            if stage > 0:
+                for mb in mbs:
+                    producer = fwd_by_mb.get((replica, stage - 1, mb))
+                    if producer is None:
+                        raise ValidationError(
+                            f"forward of micro-batch {mb} at stage {stage} "
+                            f"(replica {replica}) has no stage-{stage - 1} producer"
+                        )
+                    flow = (replica, stage, mb, op.part, "act")
+                    incoming.append(stage_edge(producer, ACTIVATION, flow, op))
+        elif kind is OpKind.BACKWARD or kind is OpKind.BACKWARD_INPUT:
+            for mb in mbs:
+                fwd = fwd_by_mb.get((replica, stage, mb))
+                if fwd is None:
+                    raise ValidationError(
+                        f"backward of micro-batch {mb} at stage {stage} "
+                        f"(replica {replica}) has no matching forward"
+                    )
+                incoming.append((fwd, STASH, 0.0))
+                if stage < depth - 1:
+                    producer = grad_by_mb.get((replica, stage + 1, mb, op.part))
+                    if producer is None:
+                        raise ValidationError(
+                            f"backward of micro-batch {mb} part {op.part} at "
+                            f"stage {stage} (replica {replica}) has no "
+                            f"stage-{stage + 1} gradient producer"
+                        )
+                    flow = (replica, stage, mb, op.part, "grad")
+                    incoming.append(stage_edge(producer, GRADIENT, flow, op))
+        elif kind is OpKind.RECOMPUTE:
+            for mb in mbs:
+                fwd = fwd_by_mb.get((replica, stage, mb))
+                if fwd is None:
+                    raise ValidationError(
+                        f"RECOMPUTE of micro-batch {mb} at stage "
+                        f"{stage} (replica {replica}) has no "
+                        f"matching forward"
+                    )
+                incoming.append((fwd, STASH, 0.0))
+        elif kind is OpKind.BACKWARD_WEIGHT:
+            for mb in mbs:
+                producer = grad_by_mb.get((replica, stage, mb, op.part))
+                if (
+                    producer is None
+                    or ops_flat[producer].kind is not OpKind.BACKWARD_INPUT
+                ):
+                    raise ValidationError(
+                        f"weight gradient of micro-batch {mb} part {op.part} "
+                        f"at stage {stage} (replica {replica}) has no "
+                        f"matching input-gradient (Bi) producer"
+                    )
+                incoming.append((producer, DEFERRAL, 0.0))
+        elif kind is OpKind.SEND:
+            for mb in mbs:
+                if op.payload == "act":
+                    producer = fwd_by_mb.get((replica, stage, mb))
+                else:
+                    producer = grad_by_mb.get((replica, stage, mb, op.part))
+                if producer is None:
+                    raise ValidationError(
+                        f"{op.short()} (replica {replica}) has no local "
+                        f"{op.payload} producer for micro-batch {mb}"
+                    )
+                incoming.append((producer, ENQUEUE, 0.0))
+        elif kind is OpKind.RECV:
+            src_stage = op.peer_stage
+            send = send_index.get((replica, src_stage, mbs, op.part, op.payload))
+            if send is None:
+                raise ValidationError(
+                    f"{op.short()} (replica {replica}) has no matching "
+                    f"SEND at stage {src_stage}"
+                )
+            incoming.append((send, TRANSFER, len(mbs) / op.part[1]))
+        elif kind is OpKind.OFFLOAD:
+            for mb in mbs:
+                fwd = fwd_by_mb.get((replica, stage, mb))
+                if fwd is None:
+                    raise ValidationError(
+                        f"OFFLOAD of micro-batch {mb} at stage {stage} "
+                        f"(replica {replica}) has no matching forward"
+                    )
+                incoming.append((fwd, ENQUEUE, 0.0))
+        elif kind is OpKind.RELOAD:
+            for mb in mbs:
+                off = offload_by_mb.get((replica, stage, mb))
+                if off is None:
+                    raise ValidationError(
+                        f"RELOAD of micro-batch {mb} at stage {stage} "
+                        f"(replica {replica}) has no matching OFFLOAD"
+                    )
+                incoming.append((off, TRANSFER, _payload_between(ops_flat[off], op)))
+        elif kind is OpKind.ALLREDUCE:
+            targets = mbs or fwd_mbs.get(replica, ())
+            worker = op_worker[oid]
+            for mb, producer in wgrad_of_stage.get((replica, stage), ()):
+                if mb in targets and op_worker[producer] == worker:
+                    incoming.append((producer, SYNC, 0.0))
+        # The first stash consumer after each RELOAD waits for the
+        # host→device copy to arrive (host-wire TRANSFER edge).
+        for reload_id in consumer_reloads.get(oid, ()):
+            reload = ops_flat[reload_id]
+            incoming.append(
+                (reload_id, TRANSFER, len(reload.micro_batches) / reload.part[1])
             )
+        # Deduplicate on (src, kind), keeping the first edge (forward
+        # doubling can produce the same edge twice when both micro-batches
+        # of a chunk share one producer chunk).
+        unique: dict[tuple[int, int], float] = {}
+        for src, code, units in incoming:
+            unique.setdefault((src, code), units)
+        for (src, code), units in unique.items():
+            dep_src.append(src)
+            dep_kind.append(code)
+            dep_units.append(units)
+        dep_ptr.append(len(dep_src))
 
-        ops = np.flatnonzero(kind == _SEND)
-        send_of = _Index(comm_key(ops, stage[ops]), ops)
-        ops = np.flatnonzero(kind == _RECV)
-        send = send_of.get(
-            comm_key(ops, stage[ops] - np.where(payload[ops] == _ACT, 1, -1))
-        )
-        bad = np.flatnonzero(send < 0)
-        if len(bad):
-            op = ops_flat[ops[bad[0]]]
-            missing.append((int(ptr[ops[bad[0]]]), 0, ValidationError(
-                f"{op.short()} (replica {op.replica}) has no matching "
-                f"SEND at stage {op.peer_stage}"
-            )))
-        add(ops, 0, send, TRANSFER, counts[ops] / part_count[ops])
-
-    at = offloads
-    stash = fwd_of.get(key(e_r[at], e_s[at], e_mb[at]))
-    need(stash, at, 0, lambda op, mb: ValidationError(
-        f"OFFLOAD of micro-batch {mb} at stage {op.stage} (replica "
-        f"{op.replica}) has no matching forward"
-    ))
-    add(e_op[at], 2 * at, stash, ENQUEUE)
-
-    at = reloads
-    off = offload_of.get(key(e_r[at], e_s[at], e_mb[at]))
-    need(off, at, 0, lambda op, mb: ValidationError(
-        f"RELOAD of micro-batch {mb} at stage {op.stage} (replica "
-        f"{op.replica}) has no matching OFFLOAD"
-    ))
-    add(e_op[at], 2 * at, off, TRANSFER, shared_units(off, e_op[at]))
-
-    # ALLREDUCE: every local weight-gradient producer (fused B or split W)
-    # of its stage replica on the micro-batches it synchronizes: its own
-    # (per-micro-batch sync, as in PipeDream), or all of the replica's
-    # forwards. Positions keep the producers in schedule order.
-    ops = np.flatnonzero(kind == _ALLREDUCE)
-    if len(ops):
-        wgrads = entries(_BWD, _BWD_W)
-        wgrad_key = key(e_r[wgrads], e_s[wgrads], e_mb[wgrads])
-        by_key = np.argsort(wgrad_key, kind="stable")
-        wgrads, wgrad_key = wgrads[by_key], wgrad_key[by_key]
-
-        def producers(lo_key, hi_key):
-            lo = np.searchsorted(wgrad_key, lo_key)
-            seg, at = _segments(lo, np.searchsorted(wgrad_key, hi_key) - lo)
-            return seg, wgrads[at]
-
-        at = entries(_ALLREDUCE)
-        mb_key = key(e_r[at], e_s[at], e_mb[at])
-        seg, own = producers(mb_key, mb_key + 1)
-        own_dst = e_op[at][seg]
-        whole = ops[counts[ops] == 0]
-        seg, every = producers(
-            key(replica[whole], stage[whole], 0),
-            key(replica[whole], stage[whole] + 1, 0),
-        )
-        forwarded = np.sort(e_r[fwd] * radix_mb + e_mb[fwd])
-        every_dst = whole[seg]
-        synced = _contains(forwarded, replica[every_dst] * radix_mb + e_mb[every])
-        dst = np.concatenate((own_dst, every_dst[synced]))
-        at = np.concatenate((own, every[synced]))
-        keep = worker[e_op[at]] == worker[dst]
-        add(dst[keep], 2 * at[keep], e_op[at[keep]], SYNC)
-
-    if missing:
-        raise min(missing, key=lambda miss: miss[:2])[2]
-    add(
-        consumer,
-        2 * m + reload_ops,
-        reload_ops,
-        TRANSFER,
-        counts[reload_ops] / part_count[reload_ops],
-    )
-
-    dst, position, src, code, units = (np.concatenate(c) for c in zip(*edges))
-    order = np.lexsort((position, dst))
-    dst, src, code, units = dst[order], src[order], code[order], units[order]
-    # Deduplicate on (dst, src, kind), keeping the first edge (forward
-    # doubling can produce the same edge twice when both micro-batches
-    # of a chunk share one producer chunk).
-    keep = np.sort(
-        np.unique((dst * n + src) * len(EDGE_KINDS) + code, return_index=True)[1]
-    )
-    dep_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst[keep], minlength=n), out=dep_ptr[1:])
     return DependencyGraph(
         schedule=schedule,
         ops_flat=ops_flat,
-        op_worker=table.worker.tolist(),
-        row_pos=table.pos.tolist(),
-        dep_ptr=dep_ptr.tolist(),
-        dep_src=src[keep].tolist(),
-        dep_kind=code[keep].tolist(),
-        dep_units=units[keep].astype(np.float64).tolist(),
+        op_worker=op_worker,
+        row_pos=row_pos,
+        dep_ptr=dep_ptr,
+        dep_src=dep_src,
+        dep_kind=dep_kind,
+        dep_units=dep_units,
     )

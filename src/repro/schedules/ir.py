@@ -37,10 +37,10 @@ Design notes
   ``(replica, stage)`` — holds for comm ops too.
 * :meth:`Schedule.op_table` is the same ops as numpy columns
   (:class:`OpTable`), filled in one walk per schedule and cached on it.
-  The dependency-graph builder, the memory profile compiler and the
-  simulators' op classification read the columns instead of walking
-  ``Operation`` objects, and the disk tier stores tables, not pickled
-  ops (:meth:`OpTable.operations` rebuilds the objects).
+  The memory profile compiler and the simulators' op classification
+  read the columns instead of walking ``Operation`` objects, and the
+  disk tier stores tables, not pickled ops (:meth:`OpTable.operations`
+  rebuilds the objects).
 """
 
 from __future__ import annotations
@@ -309,8 +309,21 @@ class Operation:
         return replace(self, recompute=recompute)
 
 
-#: Kind codes of :attr:`OpTable.kind` index this tuple (declaration order).
+#: Kind codes of :attr:`OpTable.kind` index this tuple; the code
+#: constants below follow :class:`OpKind`'s declaration order.
 OP_KINDS: tuple[OpKind, ...] = tuple(OpKind)
+(
+    FORWARD_CODE,
+    BACKWARD_CODE,
+    BACKWARD_INPUT_CODE,
+    BACKWARD_WEIGHT_CODE,
+    RECOMPUTE_CODE,
+    ALLREDUCE_CODE,
+    SEND_CODE,
+    RECV_CODE,
+    OFFLOAD_CODE,
+    RELOAD_CODE,
+) = range(len(OP_KINDS))
 #: Payload codes of :attr:`OpTable.payload` index this tuple.
 PAYLOADS: tuple[str, ...] = ("", "act", "grad", "stash")
 _KIND_CODE = {kind.value: code for code, kind in enumerate(OP_KINDS)}
@@ -474,11 +487,6 @@ class Schedule:
             table = OpTable.of(self.worker_ops)
             object.__setattr__(self, "_op_table", table)
         return table
-
-    @property
-    def cached_op_table(self) -> OpTable | None:
-        """The :meth:`op_table` if one was built, else None."""
-        return self.__dict__.get("_op_table")
 
     # ------------------------------------------------------------------ views
     @property

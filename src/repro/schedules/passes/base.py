@@ -43,10 +43,8 @@ from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from repro.common.errors import ConfigurationError, ScheduleError
-from repro.schedules.ir import OP_KINDS, OpKind, Schedule
+from repro.schedules.ir import OpKind, Schedule
 
-_BACKWARD = OP_KINDS.index(OpKind.BACKWARD)
-_BACKWARD_INPUT = OP_KINDS.index(OpKind.BACKWARD_INPUT)
 #: An op's kind as its value string (hashed in C, unlike the member).
 _kind_value = attrgetter("kind._value_")
 
@@ -78,15 +76,9 @@ def schedule_facts(schedule: Schedule) -> set[str]:
         facts.add(RECOMPUTE)
     if schedule.metadata.get("offload"):
         facts.add(OFFLOAD)
-    table = schedule.cached_op_table
-    if table is not None:  # read the columns; never build them for this
-        kinds = {OP_KINDS[code].value for code in set(table.kind.tolist())}
-        backward = (table.kind == _BACKWARD) | (table.kind == _BACKWARD_INPUT)
-        flagged = bool(table.recompute[backward].any())
-    else:
-        ops = list(chain.from_iterable(schedule.worker_ops))
-        kinds = set(map(_kind_value, ops))
-        flagged = any(op.is_backward for op in ops if op.recompute)
+    ops = list(chain.from_iterable(schedule.worker_ops))
+    kinds = set(map(_kind_value, ops))
+    flagged = any(op.is_backward for op in ops if op.recompute)
     if OpKind.ALLREDUCE.value in kinds:
         facts.add(SYNC)
     if flagged or OpKind.RECOMPUTE.value in kinds:

@@ -64,7 +64,6 @@ from repro.schedules.dependencies import (
     TRANSFER,
     DependencyGraph,
     OpKey,
-    _first_seen,
     build_dependency_graph,
 )
 from repro.schedules.ir import OP_KINDS, Operation, OpKind, OpTable, Schedule
@@ -202,6 +201,25 @@ def _clear_of_transfers(
 _PLAIN, _ALLREDUCE, _SEND, _RECV = 0, 1, 2, 3
 
 
+def first_seen(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of the key columns by first appearance.
+
+    Returns each row's id and, per id, the index of its first row.
+    """
+    order = np.lexsort(keys[::-1])  # stable: equal rows keep row order
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    first = order[new]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, np.sort(first)
+
+
 def _classify_ops(table: OpTable) -> tuple[np.ndarray, ...]:
     """Per-op kind code, host-transfer direction and duration shape.
 
@@ -219,7 +237,7 @@ def _classify_ops(table: OpTable) -> tuple[np.ndarray, ...]:
     code = _CODE_OF_KIND[table.kind]
     # Work units (op.work_units): 0 for every non-_PLAIN (non-compute) op.
     units = np.where(code == _PLAIN, np.diff(table.mb_ptr) / table.part_count, 0.0)
-    shape, reps = _first_seen(table.kind, table.stage, units, table.recompute)
+    shape, reps = first_seen(table.kind, table.stage, units, table.recompute)
     return code, _HOST_DIR_OF_KIND[table.kind], shape, reps
 
 
@@ -365,9 +383,9 @@ def simulate(
     total = dense.total
 
     # ---- per-cost-model arrays ------------------------------------------
-    # Durations memoized by op shape (kind, stage, work units, recompute):
-    # a schedule has thousands of ops but only a handful of shapes.
-    dur_of_shape: dict[tuple, float] = {}
+    # Durations memoized by the op's shape class from _classify_ops: a
+    # schedule has thousands of ops but only a handful of shapes.
+    dur_of_shape: dict[int, float] = {}
     duration = [0.0] * total
     for oid, op in enumerate(ops_flat):
         code = kind_code[oid]

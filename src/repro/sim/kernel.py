@@ -98,7 +98,6 @@ from repro.schedules.dependencies import (
     GRADIENT,
     TRANSFER,
     DependencyGraph,
-    _first_seen,
     build_dependency_graph,
     levelize,
 )
@@ -114,6 +113,7 @@ from repro.sim.engine import (
     TransferRecord,
     _classify_ops,
     _finalize,
+    first_seen,
 )
 
 #: Cap on fixed-point sweeps before the kernel raises
@@ -234,7 +234,7 @@ class ScheduleKernel:
             d_units[delayed],
             np.where(d_group[delayed] == 2, op_host_dir[d_src[delayed]], -1),
         )
-        cls, first = _first_seen(*keys)
+        cls, first = first_seen(*keys)
         self.delay_classes: list[tuple[int, int, float, int]] = list(
             zip(*(key[first].tolist() for key in keys))
         )

@@ -57,7 +57,16 @@ from typing import Sequence
 import numpy as np
 
 from repro.common.errors import MemoryModelError
-from repro.schedules.ir import OP_KINDS, OpKind, Schedule
+from repro.schedules.ir import (
+    BACKWARD_CODE,
+    BACKWARD_INPUT_CODE,
+    BACKWARD_WEIGHT_CODE,
+    FORWARD_CODE,
+    OFFLOAD_CODE,
+    RECOMPUTE_CODE,
+    RELOAD_CODE,
+    Schedule,
+)
 from repro.schedules.placement import StagePlacement
 
 
@@ -245,19 +254,6 @@ def device_floor(
     return floor
 
 
-_FWD, _BWD, _BWD_IN, _BWD_W, _REMAT, _OFFLOAD, _RELOAD = (
-    OP_KINDS.index(kind)
-    for kind in (
-        OpKind.FORWARD,
-        OpKind.BACKWARD,
-        OpKind.BACKWARD_INPUT,
-        OpKind.BACKWARD_WEIGHT,
-        OpKind.RECOMPUTE,
-        OpKind.OFFLOAD,
-        OpKind.RELOAD,
-    )
-)
-
 # Value codes of a profile's event tables: which per-stage byte value an
 # event moves. Each is a row of the table :func:`_value_table` builds.
 _NONE = 0  # nothing (padding)
@@ -391,9 +387,9 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
     # recompute pass's explicit RECOMPUTE ops (promotion charged at the
     # op). Either way the forward must know to stash only the stage input.
     entry_kind = kind[entry_op]
-    backward = (entry_kind == _BWD) | (entry_kind == _BWD_IN)
+    backward = (entry_kind == BACKWARD_CODE) | (entry_kind == BACKWARD_INPUT_CODE)
     recompute = set(entry_key[backward & table.recompute[entry_op]].tolist())
-    stash_only = recompute | set(entry_key[entry_kind == _REMAT].tolist())
+    stash_only = recompute | set(entry_key[entry_kind == RECOMPUTE_CODE].tolist())
 
     keys = entry_key.tolist()
     ptr = table.mb_ptr.tolist()
@@ -426,7 +422,7 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
             kind = op_kind[oid]
             stage = op_stage[oid]
             lo, hi = ptr[oid], ptr[oid + 1]
-            if kind == _FWD:
+            if kind == FORWARD_CODE:
                 for key in keys[lo:hi]:
                     code = _STASH if key in stash_only else _ACT
                     code_of[key] = code
@@ -437,7 +433,7 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
                     live_units += 1.0
                 checked.append(len(stages) - 1)
                 peak_units = max(peak_units, live_units)
-            elif kind == _BWD or kind == _BWD_W:
+            elif kind == BACKWARD_CODE or kind == BACKWARD_WEIGHT_CODE:
                 # Fused backward or split weight gradient: releases this
                 # part's share of the stash once it completes.
                 fraction = 1.0 / op_parts[oid]
@@ -449,7 +445,7 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
                             f"backward of micro-batch {mbs[e]} at stage {stage} "
                             f"without a live forward stash on worker {worker}"
                         )
-                    if kind == _BWD and key in recompute:
+                    if kind == BACKWARD_CODE and key in recompute:
                         # Rematerialized activations live only during this op.
                         terms.append((stage, code_of[key]))
                 if terms:
@@ -464,14 +460,14 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
                     live_units -= fraction
                     if remaining_parts[key] <= 1e-9:
                         del remaining_parts[key]
-            elif kind == _REMAT or kind == _BWD_IN:
+            elif kind == RECOMPUTE_CODE or kind == BACKWARD_INPUT_CODE:
                 # Explicit rematerialization promotes the stashed stage
                 # input to the full activations; the releasing backward(s)
                 # free the promoted stash. A split input gradient consumes
                 # the stash without releasing it (the weight-gradient half
                 # still needs the layer inputs), and activations it
                 # rematerializes must survive to W too.
-                explicit_op = kind == _REMAT
+                explicit_op = kind == RECOMPUTE_CODE
                 for e in range(lo, hi):
                     key = keys[e]
                     if key not in remaining_parts:
@@ -484,7 +480,7 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
                         device.add(stage, _INCREMENT, remaining_parts[key])
                         code_of[key] = _PROMOTED
                 checked.append(len(stages) - 1)
-            elif kind == _OFFLOAD or kind == _RELOAD:
+            elif kind == OFFLOAD_CODE or kind == RELOAD_CODE:
                 # Two-tier accounting: an OFFLOAD moves the stash's bytes
                 # out of the device's live set and into the host tier; the
                 # matching RELOAD moves them back. The stash keeps its
@@ -493,7 +489,7 @@ def compile_memory_profile(schedule: Schedule) -> MemoryProfile:
                 for e in range(lo, hi):
                     key, mb = keys[e], mbs[e]
                     parts = remaining_parts.get(key)
-                    if kind == _OFFLOAD:
+                    if kind == OFFLOAD_CODE:
                         if parts is None:
                             raise MemoryModelError(
                                 f"OFFLOAD of micro-batch {mb} at stage "

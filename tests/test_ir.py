@@ -179,6 +179,12 @@ class TestOpTable:
                 assert len(shared) == len(implicit), (scheme, name)
                 assert all(op is implicit[op.key()] for op in shared)
 
+    def test_kind_code_constants_name_their_kinds(self):
+        from repro.schedules import ir
+
+        for kind in OpKind:
+            assert ir.OP_KINDS[getattr(ir, f"{kind.name}_CODE")] is kind
+
     def test_table_is_not_pickled(self):
         import pickle
 
@@ -186,6 +192,6 @@ class TestOpTable:
 
         schedule = build_schedule("chimera", 4, 8)
         schedule.op_table()
-        assert schedule.cached_op_table is not None
+        assert "_op_table" in vars(schedule)
         copy = pickle.loads(pickle.dumps(schedule))
-        assert copy == schedule and copy.cached_op_table is None
+        assert copy == schedule and "_op_table" not in vars(copy)

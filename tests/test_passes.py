@@ -146,31 +146,6 @@ class TestManager:
         recomputed = build_schedule("dapple", 2, 2, passes="recompute")
         assert "recompute" in schedule_facts(recomputed)
 
-    @pytest.mark.parametrize(
-        "passes", ["", "recompute", "offload", "lower_p2p,fuse_comm"]
-    )
-    def test_facts_read_from_a_cached_op_table_match_the_walk(self, passes):
-        """A schedule with an op table reads its facts from the columns
-        (it never builds one for them); both give the same set, legacy
-        recompute flags included."""
-        from dataclasses import replace
-
-        from repro.schedules.ir import freeze_worker_ops
-
-        schedule = build_schedule("zb_h1", 4, 8, passes=passes)
-        flagged = replace(
-            schedule,
-            worker_ops=freeze_worker_ops(
-                [op.with_recompute() if op.is_backward else op for op in row]
-                for row in schedule.worker_ops
-            ),
-        )
-        for form in (schedule, flagged):
-            walked = schedule_facts(form)
-            assert form.cached_op_table is None
-            form.op_table()
-            assert schedule_facts(form) == walked
-
     def test_pipeline_recorded_in_metadata(self):
         s = build_schedule("gpipe", 2, 2, passes="recompute,lower_p2p")
         # Signatures are canonical: option-bearing passes spell out their
