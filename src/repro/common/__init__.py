@@ -1,4 +1,4 @@
-"""Shared primitives: exceptions, unit helpers, and small utilities.
+"""Shared primitives: exceptions, the GiB unit, and small utilities.
 
 These are deliberately dependency-free so every other subpackage can import
 them without cycles.
@@ -13,15 +13,7 @@ from repro.common.errors import (
     MemoryModelError,
     ConfigurationError,
 )
-from repro.common.units import (
-    KIB,
-    MIB,
-    GIB,
-    bytes_to_gib,
-    gib_to_bytes,
-    format_bytes,
-    format_time,
-)
+from repro.common.units import GIB
 
 __all__ = [
     "ReproError",
@@ -31,11 +23,5 @@ __all__ = [
     "DeadlockError",
     "MemoryModelError",
     "ConfigurationError",
-    "KIB",
-    "MIB",
     "GIB",
-    "bytes_to_gib",
-    "gib_to_bytes",
-    "format_bytes",
-    "format_time",
 ]

@@ -1,25 +1,13 @@
-"""Byte and time unit helpers.
+"""Byte units: the GiB factor and the GiB-size parser.
 
-The simulator works in seconds and bytes internally; these helpers keep the
-conversion factors in one place and provide human-readable formatting used by
-the Gantt renderer and the benchmark harness tables.
+The simulator works in bytes internally; machine specs, budgets and report
+tables state sizes in GiB, so the factor and the parser that validates a
+user-supplied GiB size live here.
 """
 
 from __future__ import annotations
 
-KIB: int = 1024
-MIB: int = 1024**2
 GIB: int = 1024**3
-
-#: Seconds per microsecond; the alpha-beta model parameters in the literature
-#: are usually quoted in microseconds so this constant shows up in machine
-#: specs.
-USEC: float = 1e-6
-
-
-def bytes_to_gib(num_bytes: float) -> float:
-    """Convert a byte count to GiB."""
-    return num_bytes / GIB
 
 
 def parse_gib(value: object, *, field: str = "budget") -> float | None:
@@ -47,40 +35,3 @@ def parse_gib(value: object, *, field: str = "budget") -> float | None:
             f"{field} must be a positive size in GiB, got {value!r}"
         )
     return gib * GIB
-
-
-def gib_to_bytes(gib: float) -> float:
-    """Convert GiB to bytes."""
-    return gib * GIB
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Render a byte count as a short human-readable string.
-
-    >>> format_bytes(3 * GIB)
-    '3.00 GiB'
-    >>> format_bytes(512)
-    '512 B'
-    """
-    if num_bytes >= GIB:
-        return f"{num_bytes / GIB:.2f} GiB"
-    if num_bytes >= MIB:
-        return f"{num_bytes / MIB:.2f} MiB"
-    if num_bytes >= KIB:
-        return f"{num_bytes / KIB:.2f} KiB"
-    return f"{num_bytes:.0f} B"
-
-
-def format_time(seconds: float) -> str:
-    """Render a duration as a short human-readable string.
-
-    >>> format_time(0.0000015)
-    '1.50 us'
-    """
-    if seconds >= 1.0:
-        return f"{seconds:.3f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f} ms"
-    if seconds >= 1e-6:
-        return f"{seconds * 1e6:.2f} us"
-    return f"{seconds * 1e9:.1f} ns"

@@ -26,6 +26,12 @@ from repro.sim.memory import MemoryModel
 #: Distinct argument sets each calibration keeps.
 CALIBRATION_CACHE_SIZE = 1024
 
+#: Model-FLOP utilization at a comfortable micro-batch size; small
+#: micro-batches lose efficiency (``B = 1`` runs at ~70% of it — the
+#: "modern accelerators require a large enough B" effect that drives the
+#: paper's trade-off between bubble ratio and computational efficiency).
+MFU_BASE = 0.55
+
 
 @lru_cache(maxsize=CALIBRATION_CACHE_SIZE, typed=True)
 def calibrate_cost_model(
@@ -38,19 +44,12 @@ def calibrate_cost_model(
     allreduce_algorithm: str = "rabenseifner",
     sync_launch_overhead_fraction: float = 0.03,
     sync_overlap_slowdown: float = 0.3,
-    mfu_base: float = 0.55,
 ) -> CostModel:
-    """Derive the simulation cost model for one configuration.
-
-    ``mfu_base`` is the model-FLOP utilization at a comfortable micro-batch
-    size; small micro-batches lose efficiency (``B = 1`` runs at ~70% of
-    the base MFU — the "modern accelerators require a large enough B"
-    effect that drives the paper's trade-off between bubble ratio and
-    computational efficiency).
-    """
+    """Derive the simulation cost model for one configuration (compute
+    time from :data:`MFU_BASE` scaled by micro-batch efficiency)."""
     profiles = workload.stage_profiles(depth, micro_batch)
     # Micro-batch efficiency: saturating curve, ~0.7x at B=1, ~1x by B>=8.
-    efficiency = mfu_base * (micro_batch / (micro_batch + 0.45))
+    efficiency = MFU_BASE * (micro_batch / (micro_batch + 0.45))
     per_stage_seconds = [
         p.forward_flops / (machine.flops_per_sec * efficiency) for p in profiles
     ]

@@ -191,10 +191,13 @@ def _unpack_forms(packed: dict) -> dict[str, Schedule]:
 class ScheduleArtifacts:
     """One cache entry: a schedule plus its lazily derived forms.
 
-    Each derived form is built at most once per entry while it is held;
-    accessors are idempotent and safe under concurrent use (a rare race
-    builds a duplicate which is immediately discarded in favour of the
-    first).
+    The entry holds up to three schedule forms (:attr:`_FORMS`): the
+    implicit schedule, the lowered one and the fused one. Each form's
+    schedule, dependency graph and kernel is built at most once per entry
+    while it is held, through :meth:`schedule_for`, :meth:`graph_for` and
+    :meth:`kernel_for`; these are idempotent and safe under concurrent use
+    (a rare race builds a duplicate which is immediately discarded in
+    favour of the first).
 
     The resident and persisted forms are the schedule forms, the array
     kernels and the memory profile (:meth:`memory_profile`). Dependency
@@ -213,9 +216,7 @@ class ScheduleArtifacts:
     __slots__ = (
         "_forms",
         "_blob",
-        "_graph",
-        "_lowered_graph",
-        "_fused_graph",
+        "_graphs",
         "_kernels",
         "_memory_profile",
         "_lock",
@@ -223,10 +224,11 @@ class ScheduleArtifacts:
         "_rebuild",
     )
 
-    #: Schedule form -> the accessor of its dependency graph. The form
-    #: names are also the keys of the forms blob and of the payload's
-    #: ``kernels`` map.
-    _FORMS = {"schedule": "graph", "lowered": "lowered_graph", "fused": "fused_graph"}
+    #: The schedule forms in derivation order: lowering derives
+    #: ``lowered`` from ``schedule``, and fuse_comm ``fused`` from
+    #: ``lowered``. The names are also the keys of the forms blob and of
+    #: the payload's ``kernels`` map.
+    _FORMS = ("schedule", "lowered", "fused")
 
     def __init__(
         self,
@@ -240,9 +242,8 @@ class ScheduleArtifacts:
             {"schedule": _freeze(schedule)} if schedule is not None else None
         )
         self._blob: bytes | None = None
-        self._graph: DependencyGraph | None = None
-        self._lowered_graph: DependencyGraph | None = None
-        self._fused_graph: DependencyGraph | None = None
+        #: Form name -> dependency graph, until a kernel exists.
+        self._graphs: dict[str, DependencyGraph] = {}
         #: Form name -> memoized kernel of that form.
         self._kernels: dict[str, object] = {}
         self._memory_profile = None
@@ -339,76 +340,60 @@ class ScheduleArtifacts:
                 self._persist(self)
         return forms
 
-    def _add_form(self, name: str, schedule: Schedule) -> Schedule:
-        """Keep ``schedule`` as form ``name`` (first insert wins)."""
-        with self._lock:
-            return self._forms.setdefault(name, schedule)
+    def _memo(self, table: dict, form: str, build: Callable[[], object]):
+        """``table[form]``, built on first use (first insert wins).
+
+        The build runs with the cyclic collector paused: it allocates only
+        immutable, acyclic structures, so a collection triggered mid-build
+        could only rescan the artifacts already cached.
+        """
+        value = table.get(form)
+        if value is None:
+            with collector_paused():
+                built = build()
+            with self._lock:
+                value = table.setdefault(form, built)
+        return value
 
     @property
     def schedule(self) -> Schedule:
         """The (implicit-communication) schedule."""
         return self._held_forms()["schedule"]
 
-    def _derive(self, attr: str, build: Callable[[], object]):
-        """Slot ``attr``, built on first use (first insert wins).
-
-        The build runs with the cyclic collector paused: it allocates only
-        immutable, acyclic structures, so a collection triggered mid-build
-        could only rescan the artifacts already cached.
-        """
-        value = getattr(self, attr)
-        if value is None:
-            with collector_paused():
-                built = build()
-                with self._lock:
-                    value = getattr(self, attr)
-                    if value is None:
-                        value = built
-                        setattr(self, attr, built)
-        return value
-
-    def graph(self) -> DependencyGraph:
-        """Dependency graph of the (implicit-communication) schedule."""
-        return self._derive("_graph", lambda: build_dependency_graph(self.schedule))
-
-    def lowered(self) -> Schedule:
-        """The schedule with explicit SEND/RECV communication ops."""
-        if "lowered" not in self._held_forms():
-            self.lowered_graph()
-        return self._forms["lowered"]
-
-    def lowered_graph(self) -> DependencyGraph:
-        """Dependency graph of the lowered schedule: the one lowering
-        returns, or rebuilt from a lowered schedule the entry kept or
-        restored without its graph."""
-        lowered = self._held_forms().get("lowered")
-        if lowered is not None:
-            return self._derive(
-                "_lowered_graph", lambda: build_dependency_graph(lowered)
+    def _schedule(self, form: str) -> Schedule:
+        """Schedule form ``form``: ``lowered`` comes with lowering's graph
+        (:meth:`_graph`), ``fused`` is fuse_comm over ``lowered``."""
+        forms = self._held_forms()
+        if form == "fused":
+            return self._memo(
+                forms,
+                form,
+                lambda: _freeze(FuseCommPass().run(self._schedule("lowered"))),
             )
-        graph = self._derive("_lowered_graph", self._lower)
-        self._add_form("lowered", graph.schedule)
+        if form not in forms:
+            self._graph(form)
+        return forms[form]
+
+    def _graph(self, form: str) -> DependencyGraph:
+        """Dependency graph of schedule form ``form``. A lowered form the
+        entry does not hold yet comes from lowering, which returns the
+        lowered schedule with its graph; any other graph is built from
+        its form (after :meth:`kernel_for` dropped it, too)."""
+        if form != "lowered" or form in self._held_forms():
+            return self._memo(
+                self._graphs,
+                form,
+                lambda: build_dependency_graph(self._schedule(form)),
+            )
+
+        def lower() -> DependencyGraph:
+            graph = lower_schedule(self.schedule, graph=self._graph("schedule"))
+            return replace(graph, schedule=_freeze(graph.schedule))
+
+        graph = self._memo(self._graphs, form, lower)
+        with self._lock:
+            self._forms.setdefault(form, graph.schedule)
         return graph
-
-    def _lower(self) -> DependencyGraph:
-        """Lowering's graph, carrying the frozen lowered schedule."""
-        graph = lower_schedule(self.schedule, graph=self.graph())
-        return replace(graph, schedule=_freeze(graph.schedule))
-
-    def fused(self) -> Schedule:
-        """The lowered schedule with SEND/RECV pairs batched (fuse_comm)."""
-        fused = self._held_forms().get("fused")
-        if fused is None:
-            with collector_paused():
-                built = _freeze(FuseCommPass().run(self.lowered()))
-            fused = self._add_form("fused", built)
-        return fused
-
-    def fused_graph(self) -> DependencyGraph:
-        """Dependency graph of the fused schedule."""
-        return self._derive(
-            "_fused_graph", lambda: build_dependency_graph(self.fused())
-        )
 
     def memory_profile(self):
         """The schedule's :class:`~repro.sim.memory.MemoryProfile`, compiled
@@ -419,9 +404,15 @@ class ScheduleArtifacts:
         again. Imported lazily like :meth:`kernel_for`."""
         from repro.sim.memory import compile_memory_profile
 
-        return self._derive(
-            "_memory_profile", lambda: compile_memory_profile(self.schedule)
-        )
+        profile = self._memory_profile
+        if profile is None:
+            with collector_paused():
+                built = compile_memory_profile(self.schedule)
+            with self._lock:
+                if self._memory_profile is None:
+                    self._memory_profile = built
+                profile = self._memory_profile
+        return profile
 
     @staticmethod
     def _form(pipeline: Sequence[str]) -> str:
@@ -437,13 +428,12 @@ class ScheduleArtifacts:
 
     def schedule_for(self, pipeline: Sequence[str] = ()) -> Schedule:
         """The implicit, lowered, or fused schedule ``pipeline`` runs on."""
-        form = self._form(pipeline)
-        return self.schedule if form == "schedule" else getattr(self, form)()
+        return self._schedule(self._form(pipeline))
 
     def graph_for(self, pipeline: Sequence[str] = ()) -> DependencyGraph:
         """The dependency graph of :meth:`schedule_for`'s form (rebuilt
         if :meth:`kernel_for` dropped it)."""
-        return getattr(self, self._FORMS[self._form(pipeline)])()
+        return self._graph(self._form(pipeline))
 
     def kernel_for(self, pipeline: Sequence[str] = ()):
         """The array kernel of :meth:`schedule_for`'s form (levelization,
@@ -464,10 +454,10 @@ class ScheduleArtifacts:
         if kernel is not None:
             return kernel_of(kernel)  # every kernel lookup passes kernel_of
         with collector_paused():
-            built = kernel_of(self.graph_for(pipeline))
+            built = kernel_of(self._graph(form))
             with self._lock:
                 kernel = self._kernels.setdefault(form, built)
-                self._graph = self._lowered_graph = self._fused_graph = None
+                self._graphs.clear()
             if kernel is built and self._persist is not None:
                 self._persist(self)
         return kernel
@@ -566,7 +556,7 @@ class ScheduleCache:
         """The cached artifacts for one builder invocation (LRU-updated).
 
         A miss loads or builds with the cyclic collector paused (see
-        :meth:`ScheduleArtifacts._derive`).
+        :meth:`ScheduleArtifacts._memo`).
         """
         key = self.key(scheme, depth, num_micro_batches, options)
         if key is None:  # unhashable options: build fresh, don't retain

@@ -512,18 +512,6 @@ class Schedule:
             for op in ops:
                 yield worker, op
 
-    def compute_ops(self) -> Iterator[tuple[int, Operation]]:
-        """Yield only FORWARD/BACKWARD operations with their worker."""
-        for worker, op in self.all_ops():
-            if op.is_compute:
-                yield worker, op
-
-    def comm_ops(self) -> Iterator[tuple[int, Operation]]:
-        """Yield only SEND/RECV operations with their worker."""
-        for worker, op in self.all_ops():
-            if op.is_comm:
-                yield worker, op
-
     @property
     def lowered(self) -> bool:
         """True once the lowering pass made p2p communication explicit."""
@@ -536,10 +524,6 @@ class Schedule:
     def count(self, kind: OpKind) -> int:
         """Total number of operations of ``kind`` in the schedule."""
         return sum(1 for _, op in self.all_ops() if op.kind is kind)
-
-    def work_units_on(self, worker: int) -> float:
-        """Total compute work (micro-batch equivalents, F + B) on a worker."""
-        return sum(op.work_units for op in self.worker_ops[worker])
 
     def replicas_hosted_by(self, worker: int) -> tuple[tuple[int, int], ...]:
         """All ``(replica, stage)`` pairs placed on ``worker``."""

@@ -165,18 +165,3 @@ class StagePlacement:
             if host == worker
         ]
         return tuple(sorted(pairs))
-
-    @lru_cache(maxsize=None)
-    def stage_replica_group(self, stage: int) -> tuple[int, ...]:
-        """Sorted distinct workers hosting ``stage`` in any replica.
-
-        This is the (intra-pipeline-group part of the) allreduce group for
-        the gradients of ``stage``.
-        """
-        return tuple(sorted({row[stage] for row in self.table}))
-
-    def first_stage_worker(self, replica: int) -> int:
-        return self.table[replica][0]
-
-    def last_stage_worker(self, replica: int) -> int:
-        return self.table[replica][-1]

@@ -65,7 +65,7 @@ class TestTrace:
         result = simulate(schedule, CostModel.practical())
         events = to_chrome_trace(result)
         compute = [e for e in events if e["cat"] in ("forward", "backward")]
-        assert len(compute) == sum(1 for _, op in schedule.compute_ops())
+        assert len(compute) == sum(op.is_compute for _, op in schedule.all_ops())
 
     def test_events_carry_metadata(self):
         result = simulate(build_schedule("chimera", 4, 4), CostModel.practical())

@@ -114,10 +114,12 @@ class TestDiskRoundTrip:
         )
         assert restored._forms is None  # the profile needs no schedule form
         assert restored.schedule.worker_ops == arts.schedule.worker_ops
-        assert restored.lowered().worker_ops == arts.lowered().worker_ops
-        assert restored.fused().worker_ops == arts.fused().worker_ops
-        assert restored._graph is restored._lowered_graph is None
-        assert restored._fused_graph is None
+        for pipeline in (PIPELINE, fused):
+            assert (
+                restored.schedule_for(pipeline).worker_ops
+                == arts.schedule_for(pipeline).worker_ops
+            )
+        assert not restored._graphs
         # Frozen metadata survives the custom pickling.
         assert dict(restored.schedule.metadata) == dict(arts.schedule.metadata)
         with pytest.raises(TypeError):
@@ -126,7 +128,7 @@ class TestDiskRoundTrip:
         # identically.
         rk = restored.kernel_for(fused)
         assert rk is not kernel and rk.total == kernel.total
-        assert restored._fused_graph is None
+        assert not restored._graphs
         b = simulate_fast(restored.schedule_for(fused), cost, kernel=rk)
         assert a.compute_makespan == b.compute_makespan
         assert a.iteration_time == b.iteration_time
@@ -267,7 +269,7 @@ class TestKernelPersistence:
         assert isinstance(kernel, ScheduleKernel)
         assert kernel is warm.kernel_for(PIPELINE)
         assert count_kernel_builds == []
-        assert warm._graph is warm._lowered_graph is None
+        assert not warm._graphs
 
     @pytest.mark.parametrize("blocking_sync", [False, True])
     @pytest.mark.parametrize(
@@ -279,10 +281,13 @@ class TestKernelPersistence:
         arts, kernel = cold
         warm = fresh_cache(tmp_path).artifacts("chimera", 4, 8)
         a = simulate_fast(
-            arts.lowered(), cost, kernel=kernel, blocking_sync=blocking_sync
+            arts.schedule_for(PIPELINE),
+            cost,
+            kernel=kernel,
+            blocking_sync=blocking_sync,
         )
         b = simulate_fast(
-            warm.lowered(),
+            warm.schedule_for(PIPELINE),
             cost,
             kernel=warm.kernel_for(PIPELINE),
             blocking_sync=blocking_sync,
@@ -305,12 +310,11 @@ class TestKernelPersistence:
         assert len(kernel.shape_reps) < kernel.total
         blob = warm.snapshot()["forms"]
         implicit = {op.key(): op for _, op in warm.schedule.all_ops()}
-        shared = [
-            op for _, op in warm.lowered().all_ops() if op.key() in implicit
-        ]
+        lowered = warm.schedule_for(PIPELINE)
+        shared = [op for _, op in lowered.all_ops() if op.key() in implicit]
         assert len(shared) == len(implicit)
         assert all(op is implicit[op.key()] for op in shared)
-        apart = len(dumps(warm.schedule)) + len(dumps(warm.lowered()))
+        apart = len(dumps(warm.schedule)) + len(dumps(lowered))
         assert len(blob) < apart
 
     def test_kernel_layout_is_pinned_to_the_format_version(self, cold):
@@ -356,8 +360,8 @@ class TestKernelPersistence:
         assert isinstance(rebuilt, ScheduleKernel)
         assert len(count_kernel_builds) == 1
         assert_same_result(
-            simulate_fast(arts.lowered(), CONTENDED, kernel=kernel),
-            simulate_fast(warm.lowered(), CONTENDED, kernel=rebuilt),
+            simulate_fast(arts.schedule_for(PIPELINE), CONTENDED, kernel=kernel),
+            simulate_fast(warm.schedule_for(PIPELINE), CONTENDED, kernel=rebuilt),
         )
         # The rebuild wrote a well-formed kernel back.
         assert isinstance(disk.load(key)["kernels"]["lowered"], ScheduleKernel)
@@ -370,7 +374,8 @@ class TestKernelPersistence:
         disk = DiskScheduleCache(tmp_path / "other")
         assert disk.store(key, arts.snapshot())
         before = disk.entry_path(key).read_bytes()
-        simulate_fast(arts.lowered(), CONTENDED, kernel=kernel, blocking_sync=True)
+        lowered = arts.schedule_for(PIPELINE)
+        simulate_fast(lowered, CONTENDED, kernel=kernel, blocking_sync=True)
         assert kernel._blocking is not None
         assert disk.store(key, arts.snapshot())
         assert disk.entry_path(key).read_bytes() == before
@@ -427,7 +432,8 @@ class TestCorruptionTolerance:
         warm = fresh_cache(tmp_path).artifacts("chimera", 4, 8)
         kernel = warm.kernel_for(PIPELINE)
         assert warm.schedule.worker_ops == arts.schedule.worker_ops
-        assert warm.lowered().worker_ops == arts.lowered().worker_ops
+        lowered = arts.schedule_for(PIPELINE)
+        assert warm.schedule_for(PIPELINE).worker_ops == lowered.worker_ops
         assert warm.kernel_for(PIPELINE) is kernel
         written = ScheduleArtifacts.from_snapshot(cache.disk.load(key))
         assert written.schedule.worker_ops == arts.schedule.worker_ops

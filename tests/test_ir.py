@@ -85,7 +85,7 @@ class TestSchedule:
         assert s.num_replicas == 1
         assert s.count(OpKind.FORWARD) == 2
         assert s.count(OpKind.BACKWARD) == 2
-        assert s.work_units_on(0) == 2.0
+        assert sum(op.work_units for op in s.ops_on(0)) == 2.0
 
     def test_worker_count_mismatch_rejected(self):
         placement = StagePlacement.linear(2)
@@ -119,6 +119,12 @@ class TestSchedule:
 
 #: Every schedule form an entry holds, per pre-lowering pipeline.
 PIPELINES = ["", "recompute", "offload"]
+#: Schedule form -> the comm tail that selects it.
+FORM_PIPELINES = {
+    "schedule": (),
+    "lowered": ("lower_p2p",),
+    "fused": ("lower_p2p", "fuse_comm"),
+}
 
 
 def _forms(scheme: str, passes: str) -> dict[str, Schedule]:
@@ -127,7 +133,7 @@ def _forms(scheme: str, passes: str) -> dict[str, Schedule]:
 
     options = {"passes": passes} if passes else {}
     arts = ScheduleArtifacts(build_schedule(scheme, 4, 8, **options))
-    return {"schedule": arts.schedule, "lowered": arts.lowered(), "fused": arts.fused()}
+    return {form: arts.schedule_for(FORM_PIPELINES[form]) for form in FORM_PIPELINES}
 
 
 class TestOpTable:
@@ -164,9 +170,8 @@ class TestOpTable:
             arts._forms.update(forms)
             restored = ScheduleArtifacts.from_snapshot(arts.snapshot())
             back = {
-                "schedule": restored.schedule,
-                "lowered": restored.lowered(),
-                "fused": restored.fused(),
+                form: restored.schedule_for(pipeline)
+                for form, pipeline in FORM_PIPELINES.items()
             }
             for name, form in forms.items():
                 assert back[name] == form, (scheme, name)

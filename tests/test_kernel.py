@@ -34,6 +34,8 @@ from repro.sim.network import FlatTopology, HierarchicalTopology, LinkSpec
 SETTINGS = settings(max_examples=30, deadline=None)
 
 ATOL = 1e-9
+#: The pipeline that selects an entry's lowered form.
+LOWERED = ("lower_p2p",)
 
 even_depths = st.sampled_from([2, 4, 6])
 micro_batches = st.integers(min_value=1, max_value=10)
@@ -157,10 +159,8 @@ def test_batch_matches_event_engine(scheme, depth, n, f, b, w, pipeline):
 def test_single_model_batch_uses_scalar_pass():
     arts = schedule_artifacts("chimera", 4, 8)
     cm = contention_free_model(1.0, 1.1, 0.9, 0.05)
-    batch = simulate_batch_many(
-        [(kernel_of(arts.graph()), cm)]
-    )
-    ref = simulate(arts.schedule, cm, graph=arts.graph())
+    batch = simulate_batch_many([(kernel_of(arts.graph_for()), cm)])
+    ref = simulate(arts.schedule, cm, graph=arts.graph_for())
     assert batch.used_fast_path == (True,)
     assert batch.iteration_time[0] == pytest.approx(ref.iteration_time, abs=ATOL)
 
@@ -192,8 +192,8 @@ def test_hierarchical_topology_matches():
 def test_lowered_contention_runs_contended_kernel_path():
     """beta > 0 on a lowered schedule: contended routing, results exact."""
     arts = schedule_artifacts("dapple", 4, 6)
-    schedule = arts.lowered()
-    graph = arts.lowered_graph()
+    schedule = arts.schedule_for(LOWERED)
+    graph = arts.graph_for(LOWERED)
     cm = CostModel(
         forward_time=1.0,
         topology=FlatTopology(LinkSpec(alpha=0.05, beta=0.1)),
@@ -208,17 +208,15 @@ def test_lowered_contention_runs_contended_kernel_path():
     )
     # The implicit form routes single-sweep under the same model:
     # contention is a lowered-schedule concept.
-    assert simulate_batch_many(
-        [(kernel_of(arts.graph()), cm)]
-    ).used_fast_path[0]
+    assert simulate_batch_many([(kernel_of(arts.graph_for()), cm)]).used_fast_path[0]
 
 
 def test_blocking_sync_runs_contended_kernel_path():
     arts = schedule_artifacts("pipedream", 4, 8)
     cm = contention_free_model(1.0, 1.0, 1.0, 0.05)
-    ref = simulate(arts.schedule, cm, graph=arts.graph(), blocking_sync=True)
+    ref = simulate(arts.schedule, cm, graph=arts.graph_for(), blocking_sync=True)
     got = simulate_fast(
-        arts.schedule, cm, kernel=kernel_of(arts.graph()), blocking_sync=True
+        arts.schedule, cm, kernel=kernel_of(arts.graph_for()), blocking_sync=True
     )
     assert got.iteration_time == pytest.approx(ref.iteration_time, abs=ATOL)
 
@@ -226,8 +224,8 @@ def test_blocking_sync_runs_contended_kernel_path():
 def test_batch_mixed_routing():
     """Contended rows take the FIFO path; the hint reports the routing."""
     arts = schedule_artifacts("gpipe", 4, 6)
-    schedule = arts.lowered()
-    graph = arts.lowered_graph()
+    schedule = arts.schedule_for(LOWERED)
+    graph = arts.graph_for(LOWERED)
     free = contention_free_model(1.0, 1.2, 0.8, 0.05)
     congested = free.with_(topology=FlatTopology(LinkSpec(alpha=0.05, beta=0.2)))
     models = [free, congested, free]
@@ -249,7 +247,7 @@ def test_batch_rejects_empty_model_list():
 
 def test_kernel_cached_on_graph():
     arts = schedule_artifacts("dapple", 2, 4)
-    graph = arts.graph()
+    graph = arts.graph_for()
     assert kernel_of(graph) is kernel_of(graph)
 
 
@@ -259,8 +257,8 @@ def test_cache_hits_return_same_artifacts():
     first = cache.artifacts("gpipe", 2, 4)
     again = cache.artifacts("gpipe", 2, 4)
     assert first is again
-    assert first.graph() is again.graph()
-    assert first.lowered() is again.lowered()
+    assert first.graph_for() is again.graph_for()
+    assert first.schedule_for(LOWERED) is again.schedule_for(LOWERED)
     stats = cache.stats()
     assert stats.hits == 1 and stats.misses == 1 and stats.entries == 1
 
@@ -302,7 +300,7 @@ def test_mutating_returned_schedule_cannot_poison_cache():
 
 def test_lowered_artifact_is_mutation_proof_too():
     cache = ScheduleCache()
-    lowered = cache.artifacts("chimera", 2, 4).lowered()
+    lowered = cache.artifacts("chimera", 2, 4).schedule_for(LOWERED)
     with pytest.raises(TypeError):
         lowered.metadata["poison"] = True  # type: ignore[index]
     assert lowered.lowered  # the proxy preserves the lowering marker

@@ -66,6 +66,7 @@ PIPELINE_SPECS = {
     "recompute": ("recompute", "lower_p2p"),
 }
 PIPELINES = tuple(PIPELINE_SPECS)
+LOWERED = PIPELINE_SPECS["lowered"]
 
 
 def make_topology(kind: str, duplex: str, alpha: float, beta: float):
@@ -197,8 +198,8 @@ def test_contended_blocking_matches_event_engine(scheme, n, f, b, beta, duplex):
 def test_contended_batch_matches_event_engine():
     """simulate_batch_many mixes contended and free rows, all engine-exact."""
     arts = schedule_artifacts("chimera", 4, 6)
-    schedule = arts.lowered()
-    graph = arts.lowered_graph()
+    schedule = arts.schedule_for(LOWERED)
+    graph = arts.graph_for(LOWERED)
     models = [
         contended_model(1.0, 1.2, 0.8, make_topology("flat", "full", 0.05, 0.2)),
         contended_model(1.3, 0.9, 1.1, make_topology("hier", "half", 0.1, 0.3)),
@@ -258,7 +259,7 @@ def test_batch_many_heterogeneous_shapes():
 def test_channel_fifo_ordering_property(data):
     """Wire starts are FIFO per channel: monotone in enqueue order, with
     no occupancy overlap, and never before the payload is ready."""
-    kernel = kernel_of(schedule_artifacts("dapple", 4, 5).lowered_graph())
+    kernel = kernel_of(schedule_artifacts("dapple", 4, 5).graph_for(LOWERED))
     n = len(kernel.send_oid)
     assert n > 0
     send_end = np.array(
@@ -299,7 +300,8 @@ def test_simulated_transfers_never_overlap_a_channel():
     """End-to-end FIFO: per channel, occupancy intervals are disjoint."""
     arts = schedule_artifacts("gpipe", 4, 8)
     cm = contended_model(1.0, 1.0, 1.0, make_topology("flat", "half", 0.05, 0.4))
-    result = simulate_fast(arts.lowered(), cm, kernel=kernel_of(arts.lowered_graph()))
+    kernel = kernel_of(arts.graph_for(LOWERED))
+    result = simulate_fast(arts.schedule_for(LOWERED), cm, kernel=kernel)
     by_channel: dict[tuple, list] = {}
     for t in result.transfers:
         assert t.channel is not None
@@ -372,7 +374,7 @@ def test_blocking_floors_match_reference_scan(name, data):
     """The kernel's collective start floors equal the O(G x S) scan
     bitwise, under drawn times, queueing delays and occupancies."""
     arts = FLOOR_KERNELS[name]()
-    kernel = kernel_of(arts.lowered_graph())
+    kernel = kernel_of(arts.graph_for(LOWERED))
     aux = kernel.blocking_aux()
     total, n_send = kernel.total, len(kernel.send_oid)
     assert aux.group_keys and n_send
@@ -447,8 +449,8 @@ def test_sweep_cap_raises_distinguished_error(monkeypatch):
     """Hitting the relaxation cap raises KernelConvergenceError — the
     kernel never returns non-converged times."""
     arts = schedule_artifacts("gpipe", 4, 6)
-    schedule = arts.lowered()
-    graph = arts.lowered_graph()
+    schedule = arts.schedule_for(LOWERED)
+    graph = arts.graph_for(LOWERED)
     cm = contended_model(1.0, 1.0, 1.0, make_topology("flat", "half", 0.05, 0.4))
     # Sanity: the real cap converges and matches the engine.
     assert_results_match(
@@ -467,7 +469,7 @@ def test_sweep_cap_raises_in_batch_path(monkeypatch):
     cm = contended_model(1.0, 1.0, 1.0, make_topology("flat", "half", 0.05, 0.4))
     monkeypatch.setattr(kernel_mod, "MAX_RELAXATION_SWEEPS", 1)
     with pytest.raises(KernelConvergenceError):
-        kernel = kernel_of(arts.lowered_graph())
+        kernel = kernel_of(arts.graph_for(LOWERED))
         simulate_batch_many([(kernel, cm), (kernel, cm.with_(forward_time=1.5))])
 
 
@@ -505,7 +507,7 @@ def test_max_send_occupancy_reads_precomputed_table():
     """The occupancy check is O(sends) over the kernel's static SEND
     table — no per-call rescan of the dense op list."""
     arts = schedule_artifacts("dapple", 4, 6)
-    graph = arts.lowered_graph()
+    graph = arts.graph_for(LOWERED)
     kernel = kernel_of(graph)
     cm = contended_model(1.0, 1.0, 1.0, make_topology("flat", "full", 0.05, 0.2))
     expected = kernel.send_tables(cm)[1].copy()

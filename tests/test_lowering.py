@@ -116,7 +116,9 @@ class TestLoweringStructure:
         low = lower_schedule(build_schedule("zb_v", 4, 4)).schedule
         p = 4
         step = {"act": 1, "grad": -1}
-        for _, op in low.comm_ops():
+        for _, op in low.all_ops():
+            if not op.is_comm:
+                continue
             if op.kind is OpKind.SEND:
                 src, dst = op.stage, op.stage + step[op.payload]
             else:
@@ -179,7 +181,7 @@ class TestLoweringValidation:
         low = lower_schedule(schedule).schedule
         donor = next(
             op
-            for _, op in low.comm_ops()
+            for _, op in low.all_ops()
             if op.kind is OpKind.SEND and len(op.micro_batches) > 1
         )
         stray = replace(donor, micro_batches=donor.micro_batches[:1])
@@ -422,7 +424,7 @@ class TestRendering:
         low = lower_schedule(build_schedule("dapple", 2, 2)).schedule
         events = to_chrome_trace(simulate(low, finite_links()))
         compute = [e for e in events if e["cat"] in ("forward", "backward")]
-        assert len(compute) == sum(1 for _ in low.compute_ops())
+        assert len(compute) == sum(op.is_compute for _, op in low.all_ops())
 
 
 class TestRuntimeParity:

@@ -75,7 +75,7 @@ def test_free_host_channel_is_makespan_neutral(
     base = schedule_artifacts(
         scheme, DEPTH, n, passes=("recompute",) if recompute else ()
     )
-    ref = simulate(base.schedule, cm, graph=base.graph())
+    ref = simulate(base.schedule, cm, graph=base.graph_for())
     schedule, graph = offload_artifacts(scheme, DEPTH, n, recompute=recompute)
     got = simulate(schedule, cm, graph=graph)
     assert got.compute_makespan == pytest.approx(

@@ -228,11 +228,49 @@ def test_cached_fused_artifacts_are_shared():
     cache = ScheduleCache()
     arts = cache.artifacts("dapple", 4, 4)
     fused = ("lower_p2p", "fuse_comm")
-    assert arts.schedule_for(fused) is arts.fused()
-    assert arts.graph_for(fused) is arts.fused_graph()
-    assert arts.fused().metadata["fused_comm"]
+    schedule = arts.schedule_for(fused)
+    assert arts.schedule_for("lower_p2p,fuse_comm") is schedule
+    assert arts.graph_for(fused) is arts.graph_for(fused)
+    assert arts.graph_for(fused).schedule is schedule
+    assert schedule.metadata["fused_comm"]
     # Only the comm tail picks the form: pre-lowering passes key the entry.
-    assert arts.schedule_for(("offload", "lower_p2p")) is arts.lowered()
+    lowered = arts.schedule_for(("lower_p2p",))
+    assert arts.schedule_for(("offload", "lower_p2p")) is lowered
+
+
+def test_an_entry_lowers_and_fuses_once(monkeypatch):
+    """"fused" derives from "lowered", and lowering yields the lowered
+    schedule together with its graph: an entry lowers and fuses once. A
+    lowered graph the kernel dropped is rebuilt from the held lowered
+    schedule, not by lowering again."""
+    import repro.schedules.cache as cache_mod
+
+    calls: list[str] = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for attr, name in (
+        ("lower_schedule", "lower"),
+        ("build_dependency_graph", "graph"),
+    ):
+        monkeypatch.setattr(cache_mod, attr, counting(name, getattr(cache_mod, attr)))
+    monkeypatch.setattr(FuseCommPass, "run", counting("fuse", FuseCommPass.run))
+    arts = ScheduleCache().artifacts("dapple", 4, 4)
+    fused, lowered = ("lower_p2p", "fuse_comm"), ("lower_p2p",)
+    arts.graph_for(fused)
+    arts.graph_for(lowered)
+    arts.kernel_for(lowered)
+    assert calls == ["graph", "lower", "fuse", "graph"]
+    assert not arts._graphs  # the kernel dropped them
+    calls.clear()
+    graph = arts.graph_for(lowered)
+    assert calls == ["graph"]
+    assert graph.schedule is arts.schedule_for(lowered)
 
 
 # ----------------------------------------------------------- individual passes

@@ -69,14 +69,14 @@ class TestBidirectional:
     def test_stage_replica_group_symmetry(self):
         p = StagePlacement.bidirectional(8)
         for s in range(8):
-            assert p.stage_replica_group(s) == tuple(sorted({s, 7 - s}))
+            assert {row[s] for row in p.table} == {s, 7 - s}
 
     def test_first_last_stage_workers(self):
         p = StagePlacement.bidirectional(6)
-        assert p.first_stage_worker(0) == 0
-        assert p.last_stage_worker(0) == 5
-        assert p.first_stage_worker(1) == 5
-        assert p.last_stage_worker(1) == 0
+        assert p.worker_of(0, 0) == 0
+        assert p.worker_of(0, 5) == 5
+        assert p.worker_of(1, 0) == 5
+        assert p.worker_of(1, 5) == 0
 
 
 class TestValidation:

@@ -51,7 +51,9 @@ def test_every_schedule_simulates(scheme, depth, n, recompute):
     result = simulate(schedule, CostModel.practical())
     # Work conservation: total busy time equals the scheduled compute.
     expected = sum(
-        result.cost_model.compute_time(op) for _, op in schedule.compute_ops()
+        result.cost_model.compute_time(op)
+        for _, op in schedule.all_ops()
+        if op.is_compute
     )
     total_busy = sum(result.busy_time(w) for w in range(schedule.num_workers))
     assert total_busy == pytest.approx(expected)

@@ -191,7 +191,7 @@ class TestResidency:
     def test_entry_holds_its_kernel_and_no_dict_graph(self, ranked):
         _, _, arts, pipeline = ranked
         assert arts.kernel_for(pipeline) is arts.kernel_for(pipeline)
-        assert arts._graph is arts._lowered_graph is arts._fused_graph is None
+        assert not arts._graphs
 
     def test_kernel_references_no_dense_schedule(self, ranked):
         _, _, arts, pipeline = ranked
