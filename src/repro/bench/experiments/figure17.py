@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.bench.harness import ExperimentConfig, format_table, run_configuration
 from repro.bench.machines import PIZ_DAINT
 from repro.bench.workloads import BERT48
+from repro.common.errors import ConfigurationError, ScheduleError
 
 NUM_WORKERS = 32
 
@@ -35,11 +36,9 @@ def mini_batches(fast: bool) -> tuple[int, ...]:
 def run(fast: bool = True) -> str:
     bbs = mini_batches(fast)
     body = []
-    series_data: dict[str, list[float]] = {}
     for label, (scheme, depth, micro_batch, options) in SERIES.items():
         width = NUM_WORKERS // depth
         row = [label]
-        values = []
         for bb in bbs:
             eff_bb = width * micro_batch if scheme == "pipedream" else bb
             try:
@@ -55,13 +54,9 @@ def run(fast: bool = True) -> str:
                         options=options,
                     )
                 )
-                value = 0.0 if r.oom else r.throughput
                 row.append("OOM" if r.oom else f"{r.throughput:.1f}")
-            except Exception:
-                value = 0.0
+            except (ConfigurationError, ScheduleError):
                 row.append("-")
-            values.append(value)
-        series_data[label] = values
         body.append(row)
     return (
         f"Figure 17 reproduction (Bert-48, {NUM_WORKERS} nodes, large B̂)\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.bench.harness import ExperimentConfig, format_table, run_configuration
 from repro.bench.machines import PIZ_DAINT
 from repro.bench.workloads import GPT2_64
+from repro.common.errors import ConfigurationError, ScheduleError
 
 #: label -> (scheme, depth, micro_batch, options)
 SERIES = {
@@ -47,7 +48,7 @@ def run(fast: bool = True) -> str:
                     )
                 )
                 row.append("OOM" if r.oom else f"{r.throughput:.1f}")
-            except Exception:
+            except (ConfigurationError, ScheduleError):
                 row.append("-")
         body.append(row)
     return (

@@ -10,12 +10,12 @@ to or below DAPPLE's peak; GEMS is the smallest.
 
 from __future__ import annotations
 
-from repro.bench.harness import format_table
+from repro.bench import harness
+from repro.bench.harness import ExperimentConfig, format_table
 from repro.bench.machines import PIZ_DAINT
 from repro.bench.workloads import BERT48, GPT2_32, TransformerSpec
-from repro.perf.calibration import calibrate_memory_model
-from repro.schedules.registry import available_schemes, build_schedule, scheme_traits
-from repro.sim.memory import MemoryReport, analyze_memory
+from repro.schedules.registry import available_schemes, scheme_traits
+from repro.sim.memory import MemoryReport
 
 #: (workload, W, D, B, B̂) — the six panels of Figure 9.
 CONFIGS: tuple[tuple[TransformerSpec, int, int, int, int], ...] = (
@@ -29,16 +29,24 @@ CONFIGS: tuple[tuple[TransformerSpec, int, int, int, int], ...] = (
 
 
 def memory_report(
-    workload: TransformerSpec, width: int, depth: int, micro_batch: int, mini_batch: int, scheme: str
+    workload: TransformerSpec,
+    width: int,
+    depth: int,
+    micro_batch: int,
+    mini_batch: int,
+    scheme: str,
 ) -> MemoryReport:
-    n = mini_batch // (width * micro_batch)
-    schedule = build_schedule(scheme, depth, n)
-    # Calibrate per the schedule's own stage count: the V-shaped
-    # zero-bubble family folds 2D half-size chunks over D workers.
-    model = calibrate_memory_model(
-        PIZ_DAINT, workload, depth=schedule.num_stages, micro_batch=micro_batch
+    """Per-worker memory of one panel's plain schedule on Piz Daint."""
+    cfg = ExperimentConfig(
+        scheme=scheme,
+        machine=PIZ_DAINT,
+        workload=workload,
+        width=width,
+        depth=depth,
+        micro_batch=micro_batch,
+        mini_batch=mini_batch,
     )
-    return analyze_memory(schedule, model)
+    return harness.memory_report(cfg, ())[1]
 
 
 def run(fast: bool = True) -> str:

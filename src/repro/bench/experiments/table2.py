@@ -29,22 +29,6 @@ class Table2Row:
     synchronous: bool
 
 
-def analytic_bubble_ratio(scheme: str, depth: int, n: int) -> float:
-    """Paper Table 2 formulas, under the practical B = 2F workload."""
-    d = depth
-    if scheme in ("gpipe", "dapple"):
-        return (d - 1) / (n + d - 1)
-    if scheme == "gems":
-        return (d - 1) / (d + 0.5)
-    if scheme == "chimera":
-        # Practical schedule before middle-bubble removal (§2):
-        return (d - 2) / (1.5 * n + d - 2)
-    if scheme in ("zb_h1", "zb_v", "zb_vhalf", "zb_vmin"):
-        # Zero-bubble rows: b = w = F, see repro.schedules.analysis.
-        return bubble_ratio_formula(scheme, depth, n)
-    return 0.0  # PipeDream family: ~0 in steady state
-
-
 def rows(depth: int = 8, n: int = 8) -> list[Table2Row]:
     out: list[Table2Row] = []
     cost = CostModel.practical()
@@ -59,7 +43,7 @@ def rows(depth: int = 8, n: int = 8) -> list[Table2Row]:
         out.append(
             Table2Row(
                 scheme=scheme,
-                analytic_bubble=analytic_bubble_ratio(scheme, depth, n),
+                analytic_bubble=bubble_ratio_formula(scheme, depth, n),
                 measured_bubble=bubble_ratio(result),
                 act_units_min=min(units),
                 act_units_max=max(units),

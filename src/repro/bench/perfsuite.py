@@ -303,8 +303,9 @@ def batch_cost_models(
     return models
 
 
-def calibration_score(*, repeats: int = 3) -> float:
-    """Machine-speed proxy: steps/second of a fixed relaxation-shaped loop.
+def calibration_score() -> float:
+    """Machine-speed proxy: steps/second of a fixed relaxation-shaped loop
+    (the best of three timed runs).
 
     Deliberately independent of the library under test (a regression in
     the simulator must not slow the yardstick down with it): a pure-Python
@@ -314,7 +315,7 @@ def calibration_score(*, repeats: int = 3) -> float:
     steps = 200_000
     src = [(i * 7919) % 1000 for i in range(1000)]
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(3):
         end = [0.0] * 1000
         t0 = time.perf_counter()
         for i in range(steps):

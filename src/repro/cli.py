@@ -77,7 +77,7 @@ from repro.bench.perfsuite import (
     write_bench_json,
 )
 from repro.bench.workloads import WORKLOADS
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ScheduleError
 from repro.common.units import parse_gib
 from repro.perf.planner import format_plan, plan_configurations
 from repro.perf.planner import select_configuration
@@ -373,7 +373,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             continue
         try:
             other = cached_build_schedule(scheme, args.depth, args.micro_batches)
-        except Exception:
+        except (ConfigurationError, ScheduleError):
             continue  # scheme structurally invalid at this (D, N)
         rows.append((scheme, other, peak_stash_units(other)))
     batch = simulate_batch_many(

@@ -32,6 +32,11 @@ CALIBRATION_CACHE_SIZE = 1024
 #: paper's trade-off between bubble ratio and computational efficiency).
 MFU_BASE = 0.55
 
+#: Compute slowdown per second of overlapped gradient synchronization:
+#: GLOO progresses collectives on host threads that contend with the
+#: training process, so overlapped communication is not free (§3.2).
+SYNC_OVERLAP_SLOWDOWN = 0.3
+
 
 @lru_cache(maxsize=CALIBRATION_CACHE_SIZE, typed=True)
 def calibrate_cost_model(
@@ -43,10 +48,10 @@ def calibrate_cost_model(
     data_parallel_width: int = 1,
     allreduce_algorithm: str = "rabenseifner",
     sync_launch_overhead_fraction: float = 0.03,
-    sync_overlap_slowdown: float = 0.3,
 ) -> CostModel:
     """Derive the simulation cost model for one configuration (compute
-    time from :data:`MFU_BASE` scaled by micro-batch efficiency)."""
+    time from :data:`MFU_BASE` scaled by micro-batch efficiency, overlapped
+    synchronization slowed by :data:`SYNC_OVERLAP_SLOWDOWN`)."""
     profiles = workload.stage_profiles(depth, micro_batch)
     # Micro-batch efficiency: saturating curve, ~0.7x at B=1, ~1x by B>=8.
     efficiency = MFU_BASE * (micro_batch / (micro_batch + 0.45))
@@ -67,9 +72,7 @@ def calibrate_cost_model(
         data_parallel_width=data_parallel_width,
         allreduce_algorithm=allreduce_algorithm,
         sync_launch_overhead=sync_launch_overhead_fraction * base,
-        # GLOO progresses collectives on host threads that contend with the
-        # training process: overlapped communication is not free (§3.2).
-        sync_overlap_slowdown=sync_overlap_slowdown,
+        sync_overlap_slowdown=SYNC_OVERLAP_SLOWDOWN,
         # Host↔device copy engine for OFFLOAD/RELOAD; the stash payload
         # defaults to the boundary activation (offload_message_bytes=None).
         host_channel=machine.host_channel(),

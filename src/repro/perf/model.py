@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
-from repro.schedules.chimera import ConcatStrategy, build_chimera_schedule
+from repro.schedules.chimera import build_chimera_schedule
 from repro.schedules.passes import RecomputePass
 from repro.sim.cost import CostModel
 from repro.sim.kernel import simulate_fast
@@ -103,11 +103,11 @@ def predict_iteration_time(
     cost_model: CostModel,
     *,
     recompute: bool = False,
-    concat: ConcatStrategy | str = ConcatStrategy.DIRECT,
-    num_down_pipelines: int = 1,
-    sync_mode: str = "eager_opt",
 ) -> PerfPrediction:
     """Full Equation (1) prediction for a Chimera configuration.
+
+    The schedule is the Chimera builder's default: one down pipeline,
+    direct concatenation and eager-opt gradient synchronization.
 
     The compute term uses the closed-form critical path with ``F_t``
     measured at the *bottleneck* stage (the paper measures F_t by micro
@@ -133,13 +133,7 @@ def predict_iteration_time(
     )
     forward_time = cost_model.forward_time * bottleneck
     homogeneous = cost_model.with_(stage_scale=None, forward_time=forward_time)
-    schedule = build_chimera_schedule(
-        depth,
-        num_micro_batches,
-        num_down_pipelines=num_down_pipelines,
-        concat=concat,
-        sync_mode=sync_mode,
-    )
+    schedule = build_chimera_schedule(depth, num_micro_batches)
     if recompute:
         schedule = RecomputePass().run(schedule)
     result = simulate_fast(schedule, homogeneous)
@@ -169,8 +163,7 @@ def predict_iteration_time(
     # Direct concatenation keeps intermediate bubbles between basic units
     # (paper §3.5 / Figure 7b); our list scheduler's measured law is
     # (D - 3) forward-units per extra unit (see tests/test_chimera.py).
-    strategy = ConcatStrategy(concat) if isinstance(concat, str) else concat
-    if strategy is ConcatStrategy.DIRECT and num_micro_batches > depth:
+    if num_micro_batches > depth:
         extra_units = num_micro_batches / depth - 1
         # Bubble slots are idle time at base stage width (the balanced
         # stages), not at the bottleneck pair.

@@ -850,9 +850,9 @@ def greedy_micro_batch(
     width: int,
     depth: int,
     mini_batch: int,
-    max_micro_batch: int = 512,
 ) -> tuple[int, bool] | None:
-    """Largest power-of-two ``B`` that fits memory, preferring no recompute.
+    """Largest power-of-two ``B`` up to :data:`DEFAULT_MAX_MICRO_BATCH` that
+    fits memory, preferring no recompute.
 
     The greedy half of the paper's §3.4 procedure: Chimera's bubbles are
     few enough that the largest fitting micro-batch wins outright.
@@ -863,7 +863,7 @@ def greedy_micro_batch(
     """
     best: tuple[int, bool] | None = None
     b = 1
-    while b <= max_micro_batch and width * b <= mini_batch:
+    while b <= DEFAULT_MAX_MICRO_BATCH and width * b <= mini_batch:
         if mini_batch % (width * b) == 0:
             cfg = ExperimentConfig(
                 scheme="chimera",
@@ -887,12 +887,11 @@ def select_configuration(
     *,
     num_workers: int,
     mini_batch: int,
-    min_depth: int = 2,
 ) -> list[ConfigCandidate]:
     """Rank all valid Chimera (W, D) factorizations by the §3.4 model.
 
-    Valid depths are even (bidirectional merge), at least ``min_depth``,
-    divide both ``P`` and the workload's layer count, and admit at least one
+    Valid depths are even (bidirectional merge), at least 2, divide both
+    ``P`` and the workload's layer count, and admit at least one
     micro-batch per pipeline group. For the scheme-agnostic search use
     :func:`plan_configurations`.
     """
@@ -901,7 +900,7 @@ def select_configuration(
     if num_workers < 2:
         raise ConfigurationError("need at least two workers for a pipeline")
     candidates: list[ConfigCandidate] = []
-    for depth in range(min_depth, num_workers + 1, 2):
+    for depth in range(2, num_workers + 1, 2):
         if num_workers % depth or workload.num_layers % depth:
             continue
         width = num_workers // depth

@@ -58,8 +58,6 @@ class PipelineExecutor:
     width:
         ``W`` — data-parallel pipeline groups (each runs the same schedule
         on its own micro-batches).
-    backend:
-        Message/collective transport; a fresh one is created if omitted.
     weight_stashing:
         PipeDream-style: snapshot weights at each forward, run the backward
         against the snapshot (version consistency across an update that
@@ -75,14 +73,14 @@ class PipelineExecutor:
         stages: StageMap,
         *,
         width: int = 1,
-        backend: InProcessBackend | None = None,
         weight_stashing: bool = False,
         on_sync_complete: Callable[[int, tuple, list], None] | None = None,
     ) -> None:
         self.schedule = schedule
         self.stages = dict(stages)
         self.width = width
-        self.backend = backend or InProcessBackend()
+        #: Message/collective transport of this executor's iterations.
+        self.backend = InProcessBackend()
         self.weight_stashing = weight_stashing
         self.on_sync_complete = on_sync_complete
         self.lowered = schedule.lowered

@@ -176,11 +176,12 @@ class PipelineTrainer:
             module.zero_grads()
 
     # ------------------------------------------------------------ inspection
-    def full_model_layers(self, *, group: int = 0, replica: int = 0) -> list[Layer]:
-        """The layers of one model copy in forward order (for comparisons)."""
+    def full_model_layers(self) -> list[Layer]:
+        """The layers of group 0's replica 0 in forward order (for
+        comparisons; :meth:`replicas_in_sync` checks the other copies)."""
         layers: list[Layer] = []
         for stage in range(self.schedule.num_stages):
-            layers.extend(self.stages[(group, replica, stage)].layers)
+            layers.extend(self.stages[(0, 0, stage)].layers)
         return layers
 
     def replicas_in_sync(self, atol: float = 0.0) -> bool:

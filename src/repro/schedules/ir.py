@@ -304,9 +304,9 @@ class Operation:
             return f"R{mbs}s{self.stage}{suffix}"
         return f"{self.kind.value}{mbs}{suffix}"
 
-    def with_recompute(self, recompute: bool = True) -> "Operation":
+    def with_recompute(self) -> "Operation":
         """Return a copy with the recompute flag set."""
-        return replace(self, recompute=recompute)
+        return replace(self, recompute=True)
 
 
 #: Kind codes of :attr:`OpTable.kind` index this tuple; the code

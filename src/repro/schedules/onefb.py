@@ -92,10 +92,8 @@ def gpipe_stage_order(
     stage: int,
     depth: int,
     micro_batches: Sequence[int],
-    *,
-    replica: int = 0,
 ) -> list[Operation]:
-    """GPipe order: all forwards, then all backwards.
+    """GPipe order: all forwards, then all backwards (replica 0).
 
     GPipe injects every micro-batch into the pipeline before any backward
     starts, so the activation footprint is proportional to ``N``
@@ -104,16 +102,11 @@ def gpipe_stage_order(
     if not 0 <= stage < depth:
         raise ScheduleError(f"stage {stage} outside pipeline of depth {depth}")
     mbs = list(micro_batches)
-    ops = [
-        Operation(OpKind.FORWARD, replica, stage, micro_batches=(mb,)) for mb in mbs
-    ]
+    ops = [Operation(OpKind.FORWARD, 0, stage, micro_batches=(mb,)) for mb in mbs]
     # Backwards drain in reverse arrival order at the last stage in classic
     # GPipe diagrams; using forward order keeps the same bubble count and is
     # what Figure 2 of the paper shows (backward of micro-batch 0 first).
-    ops.extend(
-        Operation(OpKind.BACKWARD, replica, stage, micro_batches=(mb,))
-        for mb in mbs
-    )
+    ops.extend(Operation(OpKind.BACKWARD, 0, stage, micro_batches=(mb,)) for mb in mbs)
     return ops
 
 
@@ -125,7 +118,6 @@ def expanded_onefb_stage_order(
     replica: int = 0,
     mode: str,
     warmup_cap: int | None = None,
-    steady_backward_first: bool = False,
 ) -> list[Operation]:
     """1F1B over *units* whose backward expands into two operations.
 
@@ -161,7 +153,6 @@ def expanded_onefb_stage_order(
     warmup = min(depth - 1 - stage, num_units)
     if warmup_cap is not None:
         warmup = min(warmup, warmup_cap)
-    steady_backward_first = steady_backward_first and warmup >= 1
 
     def forward_of(unit: tuple[int, ...]) -> Operation:
         return Operation(OpKind.FORWARD, replica, stage, micro_batches=unit)
@@ -190,12 +181,8 @@ def expanded_onefb_stage_order(
     for i in range(warmup):
         ops.append(forward_of(units[i]))
     for i in range(warmup, num_units):
-        if steady_backward_first:
-            ops.extend(backwards_of(units[i - warmup]))
-            ops.append(forward_of(units[i]))
-        else:
-            ops.append(forward_of(units[i]))
-            ops.extend(backwards_of(units[i - warmup]))
+        ops.append(forward_of(units[i]))
+        ops.extend(backwards_of(units[i - warmup]))
     for i in range(num_units - warmup, num_units):
         ops.extend(backwards_of(units[i]))
     return ops

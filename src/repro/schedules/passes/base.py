@@ -185,14 +185,14 @@ class PassPipeline:
             facts |= p.provides
             facts -= p.invalidates
 
-    def run(self, schedule: Schedule, *, validate: bool = True) -> Schedule:
-        """Apply every pass in order; returns the transformed schedule."""
+    def run(self, schedule: Schedule) -> Schedule:
+        """Apply every pass in order, running each pass's check hook on its
+        input and output; returns the transformed schedule."""
         self.validate_order(schedule_facts(schedule))
         current = schedule
         for p in self.passes:
             after = p.run(current)
-            if validate:
-                p.check(current, after)
+            p.check(current, after)
             current = after
         if self.passes:
             applied = tuple(current.metadata.get("passes", ())) + self.signature()

@@ -20,8 +20,9 @@ The pass must run before lowering: eager insertion positions an allreduce
 directly after a producer, and on a lowered schedule that would push the
 producer's ``SEND`` back by the launch overhead.
 
-The placement helpers (:func:`append_lazy_sync`, :func:`insert_eager_sync`)
-live here too, and the Chimera builder calls them for its own modes.
+The placement helper :func:`insert_eager_sync` lives here too; lazy
+placement is its ``eager_pairs=set()`` case, and the Chimera builder calls
+it for its own modes.
 """
 
 from __future__ import annotations
@@ -35,23 +36,6 @@ from repro.schedules.placement import StagePlacement
 
 #: Supported synchronization strategies.
 SYNC_MODES = ("lazy", "eager", "eager_opt")
-
-
-def append_lazy_sync(
-    rows: list[list[Operation]], placement: StagePlacement
-) -> None:
-    """Append one allreduce per hosted stage replica at the end of each worker.
-
-    Stages are appended in increasing gradient-availability order (later
-    pipeline stages finish their backwards first, so their collectives are
-    launched first, mirroring Figure 4a).
-    """
-    for worker, ops in enumerate(rows):
-        hosted = sorted(
-            placement.stages_on_worker(worker), key=lambda rs: -rs[1]
-        )
-        for replica, stage in hosted:
-            ops.append(Operation(OpKind.ALLREDUCE, replica, stage))
 
 
 def insert_eager_sync(
@@ -70,7 +54,11 @@ def insert_eager_sync(
         at the end (this implements ``eager-sync-opt``: middle stages, whose
         gradients only complete at the very end of local computation, gain
         nothing from an eager launch and would only add progression overhead,
-        paper §3.2). ``None`` means *every* hosted pair is eager.
+        paper §3.2). ``None`` means *every* hosted pair is eager; an empty
+        set is lazy sync (Figure 4a).
+
+    Lazy pairs are appended in decreasing stage order: later pipeline
+    stages finish their backwards first, so their collectives launch first.
     """
     for worker, ops in enumerate(rows):
         hosted = placement.stages_on_worker(worker)
@@ -100,8 +88,6 @@ def insert_eager_sync(
             ops.insert(pos, op)
         for replica, stage in sorted(lazy, key=lambda rs: -rs[1]):
             ops.append(Operation(OpKind.ALLREDUCE, replica, stage))
-
-
 
 
 class InsertSyncPass(SchedulePass):
@@ -134,10 +120,8 @@ class InsertSyncPass(SchedulePass):
             [op for op in ops if op.kind is not OpKind.ALLREDUCE]
             for ops in schedule.worker_ops
         ]
-        if self.mode == "lazy":
-            append_lazy_sync(rows, schedule.placement)
-        else:
-            insert_eager_sync(rows, schedule.placement, eager_pairs=None)
+        eager_pairs = set() if self.mode == "lazy" else None
+        insert_eager_sync(rows, schedule.placement, eager_pairs=eager_pairs)
         return replace(schedule, worker_ops=freeze_worker_ops(rows))
 
     def check(self, before: Schedule, after: Schedule) -> None:

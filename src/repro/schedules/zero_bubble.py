@@ -70,9 +70,6 @@ def build_zb_h1_schedule(
     num_micro_batches: int,
     *,
     max_in_flight: int | None = None,
-    f_time: float = 1.0,
-    b_time: float = 1.0,
-    w_time: float = 1.0,
 ) -> Schedule:
     """Build the ZB-H1 schedule (1F1B shape, W ops fill the tail bubbles).
 
@@ -83,10 +80,10 @@ def build_zb_h1_schedule(
     max_in_flight:
         Optional tighter cap on live stashes (forward to ``W``) per stage;
         the default is the 1F1B bound ``D - s`` at stage ``s``.
-    f_time, b_time, w_time:
-        Unit durations the greedy scheduler plans with. The defaults model
-        the zero-bubble paper's ``F = B = W`` assumption (a fused backward
-        costs ``b + w = 2F``, matching the practical cost model).
+
+    The greedy scheduler plans with unit costs ``F = B = W = 1``, the
+    zero-bubble paper's assumption (a fused backward costs ``B + W = 2F``,
+    matching the practical cost model).
     """
     if depth < 1:
         raise ScheduleError("ZB-H1 needs at least one stage")
@@ -100,9 +97,9 @@ def build_zb_h1_schedule(
         placement,
         num_micro_batches,
         caps=caps,
-        f_time=f_time,
-        b_time=b_time,
-        w_time=w_time,
+        f_time=1.0,
+        b_time=1.0,
+        w_time=1.0,
     )
     return Schedule(
         scheme="zb_h1",
@@ -110,10 +107,7 @@ def build_zb_h1_schedule(
         num_micro_batches=num_micro_batches,
         worker_ops=freeze_worker_ops(rows),
         synchronous=True,
-        metadata={
-            "caps": tuple(caps),
-            "unit_times": (f_time, b_time, w_time),
-        },
+        metadata={"caps": tuple(caps)},
     )
 
 
@@ -122,9 +116,6 @@ def build_zb_v_schedule(
     num_micro_batches: int,
     *,
     max_in_flight: int | None = None,
-    f_time: float = 1.0,
-    b_time: float = 1.0,
-    w_time: float = 1.0,
 ) -> Schedule:
     """Build the ZB-V schedule (V-shaped two-chunks-per-worker placement).
 
@@ -150,9 +141,9 @@ def build_zb_v_schedule(
         placement,
         num_micro_batches,
         caps=caps,
-        f_time=f_time,
-        b_time=b_time,
-        w_time=w_time,
+        f_time=1.0,
+        b_time=1.0,
+        w_time=1.0,
     )
     return Schedule(
         scheme="zb_v",
@@ -160,10 +151,7 @@ def build_zb_v_schedule(
         num_micro_batches=num_micro_batches,
         worker_ops=freeze_worker_ops(rows),
         synchronous=True,
-        metadata={
-            "caps": tuple(caps),
-            "unit_times": (f_time, b_time, w_time),
-        },
+        metadata={"caps": tuple(caps)},
     )
 
 

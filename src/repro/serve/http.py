@@ -137,21 +137,17 @@ def serve_forever(
     port: int = 8473,
     *,
     service: PlannerService | None = None,
-    verbose: bool = True,
-    install_signal_handlers: bool = True,
 ) -> None:
-    """Run the planner service until SIGINT/SIGTERM, then drain and exit."""
-    server = PlannerHTTPServer((host, port), service, verbose=verbose)
-    done = threading.Event()
+    """Run the planner service until SIGINT/SIGTERM, then drain and exit
+    (logging requests to stderr)."""
+    server = PlannerHTTPServer((host, port), service, verbose=True)
 
     def _stop(signum: int, frame: object) -> None:
         # shutdown() must not run on the serve_forever thread; hand it off.
         threading.Thread(target=server.shutdown, daemon=True).start()
-        done.set()
 
-    if install_signal_handlers:
-        signal.signal(signal.SIGINT, _stop)
-        signal.signal(signal.SIGTERM, _stop)
+    signal.signal(signal.SIGINT, _stop)
+    signal.signal(signal.SIGTERM, _stop)
     host_shown, port_shown = server.server_address[:2]
     print(f"repro serve: listening on http://{host_shown}:{port_shown}")
     try:
@@ -166,5 +162,4 @@ def serve_forever(
         # server.
         server.service.close()
         server.server_close()
-        if verbose:
-            print("repro serve: drained, bye")
+        print("repro serve: drained, bye")

@@ -275,17 +275,13 @@ class CostModel:
             return float(self.stage_grad_bytes)
         return self.stage_grad_bytes[stage]
 
-    def allreduce_time(
-        self, stage: int, group_workers: Sequence[int], *, fraction: float = 1.0
-    ) -> float:
+    def allreduce_time(self, stage: int, group_workers: Sequence[int]) -> float:
         """Cost of synchronizing ``stage``'s gradients.
 
         ``group_workers`` are the workers holding a replica of the stage
         within one pipeline group; the effective group size is
-        ``len(group_workers) * W``. ``fraction`` scales the payload for
-        per-micro-batch synchronization (PipeDream syncs every backward, so
-        each collective still moves the full gradient — callers pass 1.0 —
-        but the hook exists for accumulation-fraction experiments).
+        ``len(group_workers) * W``. Every collective moves the stage's full
+        gradient, including PipeDream's per-backward synchronization.
         """
         group_size = len(set(group_workers)) * self.data_parallel_width
         if group_size <= 1:
@@ -298,6 +294,6 @@ class CostModel:
             self.allreduce_algorithm,
             link.alpha,
             link.beta,
-            self.grad_bytes(stage) * fraction,
+            self.grad_bytes(stage),
             group_size,
         )

@@ -747,7 +747,6 @@ def simulate_polling(
     schedule: Schedule,
     cost_model: CostModel,
     *,
-    graph: DependencyGraph | None = None,
     blocking_sync: bool = False,
 ) -> SimulationResult:
     """The seed's round-robin polling simulator, kept as a reference.
@@ -769,8 +768,7 @@ def simulate_polling(
             "simulate_polling does not support offloaded schedules; "
             "host-channel contention needs the event queue — use simulate()"
         )
-    if graph is None:
-        graph = build_dependency_graph(schedule)
+    graph = build_dependency_graph(schedule)
 
     num_workers = schedule.num_workers
     pointers = [0] * num_workers

@@ -34,30 +34,30 @@ from repro.sim.cost import CostModel
 from repro.sim.engine import SimulationResult
 from repro.sim.kernel import simulate_fast
 
+#: Characters per time cell of a rendered chart.
+CELL_WIDTH = 4
+
 
 def render_gantt(
     source: Schedule | SimulationResult,
     *,
     cost_model: CostModel | None = None,
-    cell_width: int = 4,
     time_step: float | None = None,
-    comm_lanes: bool | None = None,
 ) -> str:
     """Render a schedule (or a simulation result) as an ASCII Gantt chart.
+
+    Cells are :data:`CELL_WIDTH` characters wide. Per-worker transfer lanes
+    appear exactly when the simulation produced transfers with nonzero wire
+    time (a lowered schedule under a topology with communication costs, or
+    an offloaded one).
 
     Parameters
     ----------
     source:
         A schedule (simulated under ``cost_model`` or the practical default)
         or an existing simulation result.
-    cell_width:
-        Characters per time cell.
     time_step:
         Seconds per cell; defaults to the smallest op duration.
-    comm_lanes:
-        Draw per-worker transfer lanes. Defaults to True exactly when the
-        simulation produced transfers with nonzero wire time (i.e. a
-        lowered schedule under a topology with communication costs).
     """
     if isinstance(source, SimulationResult):
         result = source
@@ -71,8 +71,6 @@ def render_gantt(
         time_step = min(t.duration for t in compute if t.duration > 0)
     horizon = result.compute_makespan
     num_cells = max(1, round(horizon / time_step))
-    if comm_lanes is None:
-        comm_lanes = any(t.duration > 0 for t in result.transfers)
 
     lines = []
     header = f"{result.schedule.describe()}  (1 cell = {time_step:g}s)"
@@ -81,63 +79,58 @@ def render_gantt(
     # row at any worker count.
     tag_width = max(4, len(f"P{result.schedule.num_workers - 1}>"))
     for worker in range(result.schedule.num_workers):
-        cells = ["." * cell_width] * num_cells
+        cells = ["." * CELL_WIDTH] * num_cells
         for t in result.timed_ops_on(worker):
             label = _label(t.op)
             first = min(num_cells - 1, round(t.start / time_step))
             last = max(first, min(num_cells - 1, round(t.end / time_step) - 1))
             for c in range(first, last + 1):
-                cells[c] = label[:cell_width].center(cell_width)
+                cells[c] = label[:CELL_WIDTH].center(CELL_WIDTH)
         lines.append(f"P{worker}".ljust(tag_width) + "|" + "|".join(cells) + "|")
-        if comm_lanes:
-            # Overlapping transfers (only the beta term serializes; alpha
-            # pipelines) stack onto extra lanes instead of overwriting.
-            # Host-channel stash copies get their own lane set (``P0~``):
-            # they occupy the worker's PCIe channel, never the NIC.
-            wire: list[tuple[str, object]] = []
-            host: list[tuple[str, object]] = []
-            for t in result.transfers_from(worker):
-                if t.duration <= 0:
-                    continue
-                if t.payload == "stash":
-                    direction = (
-                        t.channel[2]
-                        if isinstance(t.channel, tuple) and len(t.channel) > 2
-                        else None
-                    )
-                    mark = {"d2h": "v", "h2d": "^"}.get(direction, "~")
-                    mbs = ",".join(str(m) for m in t.micro_batches)
-                    host.append((f"{mbs}{mark}", t))
+        # Overlapping transfers (only the beta term serializes; alpha
+        # pipelines) stack onto extra lanes instead of overwriting.
+        # Host-channel stash copies get their own lane set (``P0~``):
+        # they occupy the worker's PCIe channel, never the NIC.
+        wire: list[tuple[str, object]] = []
+        host: list[tuple[str, object]] = []
+        for t in result.transfers_from(worker):
+            if t.duration <= 0:
+                continue
+            if t.payload == "stash":
+                direction = (
+                    t.channel[2]
+                    if isinstance(t.channel, tuple) and len(t.channel) > 2
+                    else None
+                )
+                mark = {"d2h": "v", "h2d": "^"}.get(direction, "~")
+                mbs = ",".join(str(m) for m in t.micro_batches)
+                host.append((f"{mbs}{mark}", t))
+            else:
+                label = (
+                    f"{'a' if t.payload == 'act' else 'g'}"
+                    f"{','.join(str(m) for m in t.micro_batches)}"
+                    f">{t.dst_worker}"
+                )
+                wire.append((label, t))
+        for tag, group in ((f"P{worker}>", wire), (f"P{worker}~", host)):
+            lanes: list[list[str]] = []
+            lane_free: list[float] = []
+            for label, t in group:
+                for index, free in enumerate(lane_free):
+                    if t.start >= free - 1e-12:
+                        lane = index
+                        break
                 else:
-                    label = (
-                        f"{'a' if t.payload == 'act' else 'g'}"
-                        f"{','.join(str(m) for m in t.micro_batches)}"
-                        f">{t.dst_worker}"
-                    )
-                    wire.append((label, t))
-            for tag, group in ((f"P{worker}>", wire), (f"P{worker}~", host)):
-                lanes: list[list[str]] = []
-                lane_free: list[float] = []
-                for label, t in group:
-                    for index, free in enumerate(lane_free):
-                        if t.start >= free - 1e-12:
-                            lane = index
-                            break
-                    else:
-                        lanes.append([" " * cell_width] * num_cells)
-                        lane_free.append(0.0)
-                        lane = len(lanes) - 1
-                    lane_free[lane] = t.end
-                    first = min(num_cells - 1, round(t.start / time_step))
-                    last = max(
-                        first, min(num_cells - 1, round(t.end / time_step) - 1)
-                    )
-                    for c in range(first, last + 1):
-                        lanes[lane][c] = label[:cell_width].center(cell_width)
-                for row in lanes:
-                    lines.append(
-                        tag.ljust(tag_width) + "|" + "|".join(row) + "|"
-                    )
+                    lanes.append([" " * CELL_WIDTH] * num_cells)
+                    lane_free.append(0.0)
+                    lane = len(lanes) - 1
+                lane_free[lane] = t.end
+                first = min(num_cells - 1, round(t.start / time_step))
+                last = max(first, min(num_cells - 1, round(t.end / time_step) - 1))
+                for c in range(first, last + 1):
+                    lanes[lane][c] = label[:CELL_WIDTH].center(CELL_WIDTH)
+            for row in lanes:
+                lines.append(tag.ljust(tag_width) + "|" + "|".join(row) + "|")
     # Synchronization summary line, in time order (the result lists
     # collectives structurally).
     if result.collectives:

@@ -139,16 +139,6 @@ class HostChannel:
     def __post_init__(self) -> None:
         _check_duplex(self.duplex)
 
-    @staticmethod
-    def from_bandwidth(
-        alpha: float, bandwidth_bytes_per_sec: float, *, duplex: str = "full"
-    ) -> "HostChannel":
-        """Build a host channel from a latency and a bandwidth (bytes/s)."""
-        return HostChannel(
-            LinkSpec.from_bandwidth(alpha, bandwidth_bytes_per_sec),
-            duplex=duplex,
-        )
-
     def channel_key(self, worker: int, direction: str) -> tuple:
         """Tuple channel identity: ``("host", w, dir)`` / ``("host", w)``.
 

@@ -201,6 +201,24 @@ class TestLargeMiniBatchFigures:
         text = figure17.run(fast=True)
         assert "chimera" in text
 
+    def test_figure17_marks_only_invalid_configurations(self, monkeypatch):
+        from repro.common.errors import ConfigurationError
+
+        def broken(cfg):
+            raise RuntimeError("library bug")
+
+        monkeypatch.setattr(figure17, "run_configuration", broken)
+        with pytest.raises(RuntimeError, match="library bug"):
+            figure17.run(fast=True)
+
+        def invalid(cfg):
+            raise ConfigurationError("no such configuration")
+
+        monkeypatch.setattr(figure17, "run_configuration", invalid)
+        rows = figure17.run(fast=True).splitlines()
+        dapple = [row for row in rows if row.lstrip().startswith("dapple")]
+        assert dapple and dapple[0].split()[-3:] == ["-", "-", "-"]
+
     def test_figure18_doubling_beats_direct(self):
         from repro.bench.harness import ExperimentConfig, run_configuration
         from repro.bench.machines import PIZ_DAINT

@@ -51,6 +51,10 @@ class TestCandidateGrid:
             assert b & (b - 1) == 0
             assert 64 % (width * b) == 0
 
+    def test_max_micro_batch_caps_the_scan(self):
+        grid = candidate_grid(8, BERT48, 64, schemes=("dapple",), max_micro_batch=4)
+        assert max(b for *_, b in grid) == 4
+
 
 class TestRanking:
     def test_nonempty_ranked_table_on_both_machines(self):
