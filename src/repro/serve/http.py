@@ -20,12 +20,22 @@ validation failures to 400, oversized bodies to 413, everything else to a
 500 whose body carries the exception type. Shutdown is graceful:
 ``SIGINT``/``SIGTERM`` stop the accept loop and in-flight handlers drain
 before the process exits.
+
+Transport
+---------
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set, and every
+response (head and body) leaves in one write, so a reply never waits on
+the client's delayed ACK. When the server drains, connections waiting
+for their next request are closed; a request already received is still
+answered first.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import signal
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -41,6 +51,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "PlannerHTTPServer"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------- plumbing
     def log_message(self, format: str, *args: object) -> None:
@@ -52,8 +63,31 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would write the head on its own; queuing the body
+        # behind it sends the whole response in one write.
+        if self.request_version == "HTTP/0.9":  # no head at all
+            self.wfile.write(body)
+            return
+        self._headers_buffer += [b"\r\n", body]
+        self.flush_headers()
+
+    # A connection is idle from the start of a request-line read until a
+    # line arrives (``parse_request``) or the handler ends; the server
+    # ends idle connections when it drains. Once it drains, a connection
+    # closes after the request in hand, so it serves at most one more.
+    def handle_one_request(self) -> None:
+        self.server._set_idle(self.connection, True)
+        super().handle_one_request()
+        if self.server._draining:
+            self.close_connection = True
+
+    def parse_request(self) -> bool:
+        self.server._set_idle(self.connection, False)
+        return super().parse_request()
+
+    def finish(self) -> None:
+        self.server._set_idle(self.connection, False)
+        super().finish()
 
     def _read_json(self) -> object:
         length = int(self.headers.get("Content-Length", 0) or 0)
@@ -114,8 +148,12 @@ class PlannerHTTPServer(ThreadingHTTPServer):
     """A :class:`ThreadingHTTPServer` bound to one :class:`PlannerService`.
 
     ``daemon_threads`` is False on purpose: ``shutdown()`` stops the
-    accept loop and then joins in-flight handler threads, so a SIGTERM
-    never truncates a response mid-write.
+    accept loop and ``server_close()`` joins in-flight handler threads, so
+    a SIGTERM never truncates a response mid-write. ``server_close()``
+    first shuts the read side of every keep-alive connection waiting for
+    its next request, so those handlers read EOF and return instead of
+    holding the join open until their clients hang up; a connection busy
+    with a request closes after answering it.
     """
 
     daemon_threads = False
@@ -130,6 +168,35 @@ class PlannerHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.service = service if service is not None else PlannerService()
         self.verbose = verbose
+        self._idle: set[socket.socket] = set()
+        self._idle_lock = threading.Lock()
+        self._draining = False
+
+    def _set_idle(self, conn: socket.socket, idle: bool) -> None:
+        """Track ``conn`` as waiting for a request line, or not. Once the
+        server drains, a connection that starts waiting gets its read side
+        shut at once: a request it already holds is still read and
+        answered, and then the connection closes."""
+        with self._idle_lock:
+            if not idle:
+                self._idle.discard(conn)
+            elif self._draining:
+                _shut_read(conn)
+            else:
+                self._idle.add(conn)
+
+    def server_close(self) -> None:
+        with self._idle_lock:
+            self._draining = True
+            for conn in self._idle:
+                _shut_read(conn)
+            self._idle.clear()
+        super().server_close()
+
+
+def _shut_read(conn: socket.socket) -> None:
+    with contextlib.suppress(OSError):  # the client may be gone already
+        conn.shutdown(socket.SHUT_RD)
 
 
 def serve_forever(
@@ -158,8 +225,8 @@ def serve_forever(
         # everything queued immediately (instead of waiting out the
         # coalescing window) and stops the worker pool, so the
         # handler-thread join inside server_close() — daemon_threads is
-        # False — completes promptly and no child process outlives the
-        # server.
+        # False, and idle keep-alive connections are ended first —
+        # completes promptly and no child process outlives the server.
         server.service.close()
         server.server_close()
         print("repro serve: drained, bye")

@@ -9,10 +9,20 @@ shutdown.
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
+import os
+import pathlib
+import re
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -234,9 +244,56 @@ def _get(url: str):
         return err.code, json.loads(err.read())
 
 
+def _read_response(sock: socket.socket) -> None:
+    """Read one whole response off a keep-alive socket."""
+    data = b""
+    while True:
+        chunk = sock.recv(1 << 20)
+        assert chunk, "server closed the connection mid-response"
+        data += chunk
+        head, sep, body = data.partition(b"\r\n\r\n")
+        if sep and len(body) >= _content_length(head):
+            return
+
+
+def _content_length(head: bytes) -> int:
+    return int(re.search(rb"\r\nContent-Length: (\d+)", head)[1])
+
+
 class TestHTTP:
     def test_healthz(self, http_server):
         assert _get(f"{http_server}/healthz") == (200, {"ok": True})
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, body",
+        [
+            (b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", 200, {"ok": True}),
+            (
+                b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n",
+                404,
+                {"ok": False, "error": "no route /nope"},
+            ),
+        ],
+        ids=["healthz", "404"],
+    )
+    def test_keepalive_response_arrives_whole(
+        self, http_server, request_bytes, status, body
+    ):
+        """Nagle/delayed-ACK regression: on a reused connection, the
+        first ``recv`` after the second request holds the complete
+        response (head plus ``Content-Length`` body bytes). A server that
+        writes the head and the body separately with Nagle on hands back
+        only the head; the body waits for the client's delayed ACK."""
+        url = urllib.parse.urlsplit(http_server)
+        with socket.create_connection((url.hostname, url.port), timeout=60) as sock:
+            sock.sendall(request_bytes)
+            _read_response(sock)
+            sock.sendall(request_bytes)
+            head, sep, rest = sock.recv(1 << 20).partition(b"\r\n\r\n")
+        assert sep, head
+        assert head.startswith(f"HTTP/1.1 {status} ".encode()), head
+        assert len(rest) == _content_length(head)
+        assert json.loads(rest) == body
 
     def test_plan_endpoint(self, http_server):
         status, body = _post(
@@ -474,8 +531,6 @@ class TestGracefulDrainUnderLoad:
         """The satellite scenario: requests queued in the coalescer AND
         in flight in the worker pool when close() lands. Every future
         resolves, the pool joins (no orphan processes), inflight ends 0."""
-        import os
-
         service = PlannerService(workers=1, coalesce_ms=150.0)
         pool_pids = service._pool.pids()
         payloads = [dict(GOOD, top_k=1 + i % 4) for i in range(5)]
@@ -513,46 +568,65 @@ class TestGracefulDrainUnderLoad:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
-    def test_sigterm_drains_real_server_with_pool(self, tmp_path):
+    def test_close_under_keepalive_churn(self):
+        """Stress for the idle-connection tracking: more keep-alive
+        clients than cores hammer ``/healthz`` with a tiny switch
+        interval, then stop sending but hold their connections open while
+        the server drains. ``server_close()`` must return (a connection
+        left waiting unseen would hold its join forever), and every
+        response a client got is whole."""
+        server = PlannerHTTPServer(("127.0.0.1", 0), PlannerService())
+        host, port = server.server_address[:2]
+        accept = threading.Thread(target=server.serve_forever)
+        accept.start()
+        stop, release = threading.Event(), threading.Event()
+        answered = [0] * 8
+        bad: list = []
+
+        def client(i: int) -> None:
+            conn = http.client.HTTPConnection(host, port, timeout=60)
+            try:
+                while not stop.is_set():
+                    conn.request("GET", "/healthz")
+                    reply = conn.getresponse()
+                    body = reply.read()
+                    if (reply.status, body) != (200, b'{"ok": true}'):
+                        bad.append((reply.status, body))
+                    answered[i] += 1
+                release.wait(timeout=60)  # idle, connection held open
+            except (OSError, http.client.HTTPException):
+                pass  # closed at a request boundary by the drain
+            finally:
+                conn.close()
+
+        clients = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in clients:
+                t.start()
+            time.sleep(0.3)
+            stop.set()
+            server.shutdown()
+            accept.join(timeout=30)
+            closer = threading.Thread(target=server.server_close)
+            closer.start()
+            closer.join(timeout=30)
+            assert not closer.is_alive(), "server_close() hung on a connection"
+        finally:
+            sys.setswitchinterval(interval)
+            release.set()
+            for t in clients:
+                t.join(timeout=30)
+        assert not any(t.is_alive() for t in clients)
+        assert not bad and any(answered)
+
+    def test_sigterm_drains_real_server_with_pool(self):
         """End to end over a socket: ``repro serve --workers 1
         --coalesce-ms 100`` gets a concurrent burst, SIGTERM lands while
         it is in flight, every client still receives its full response,
         and the server exits 0 with no orphaned worker process."""
-        import os
-        import pathlib
-        import signal
-        import subprocess
-        import sys
-
-        repo = pathlib.Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(repo / "src")
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-u", "-m", "repro", "serve",
-                "--host", "127.0.0.1", "--port", "0",
-                "--workers", "1", "--coalesce-ms", "100",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-            cwd=repo,
-        )
-        try:
-            banner = proc.stdout.readline()
-            assert "listening on" in banner, banner
-            base = banner.strip().rsplit(" ", 1)[-1]
-            deadline = time.monotonic() + 60
-            while True:
-                try:
-                    if _get(f"{base}/healthz") == (200, {"ok": True}):
-                        break
-                except OSError:
-                    pass
-                assert time.monotonic() < deadline, "server never came up"
-                time.sleep(0.1)
-
+        with _spawn_serve("--workers", "1", "--coalesce-ms", "100") as (proc, base):
             responses: list = [None] * 4
 
             def client(i: int) -> None:
@@ -576,7 +650,79 @@ class TestGracefulDrainUnderLoad:
                 assert len(body["entries"]) == 1 + i
             assert proc.wait(timeout=120) == 0
             assert "drained, bye" in proc.stdout.read()
+
+    def test_sigterm_drains_with_an_idle_keepalive_connection(self):
+        """A client that keeps its connection open after one ``/plan``
+        must not hold the drain: the server ends the idle connection and
+        exits 0. A request in flight on another keep-alive connection
+        when SIGTERM lands still gets its whole response."""
+        with _spawn_serve("--coalesce-ms", "100") as (proc, base):
+            url = urllib.parse.urlsplit(base)
+            idle = http.client.HTTPConnection(url.hostname, url.port, timeout=60)
+            busy = http.client.HTTPConnection(url.hostname, url.port, timeout=60)
+            try:
+                idle.request("POST", "/plan", json.dumps(GOOD))
+                response = idle.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["ok"] is True
+                busy.request("GET", "/healthz")
+                busy.getresponse().read()  # a keep-alive connection too
+                answer: list = []
+
+                def in_flight() -> None:
+                    busy.request("POST", "/plan", json.dumps(dict(GOOD, top_k=2)))
+                    reply = busy.getresponse()
+                    answer.append((reply.status, json.loads(reply.read())))
+
+                thread = threading.Thread(target=in_flight)
+                thread.start()
+                time.sleep(0.03)  # inside the 100 ms coalescing window
+                proc.send_signal(signal.SIGTERM)
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+                assert proc.wait(timeout=60) == 0
+                assert "drained, bye" in proc.stdout.read()
+                [(status, body)] = answer
+                assert status == 200 and len(body["entries"]) == 2
+                assert idle.sock.recv(1) == b""  # the server closed it
+            finally:
+                idle.close()
+                busy.close()
+
+
+@contextlib.contextmanager
+def _spawn_serve(*flags: str):
+    """``python -m repro serve --port 0 FLAGS`` as a child; yields the
+    process and its base URL once ``/healthz`` answers, and kills it on
+    exit if it is still running."""
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(repo / "src")
+    with subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro", "serve",
+            "--host", "127.0.0.1", "--port", "0", *flags,
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        cwd=repo,
+    ) as proc:
+        try:
+            banner = proc.stdout.readline()
+            assert "listening on" in banner, banner
+            base = banner.strip().rsplit(" ", 1)[-1]
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    if _get(f"{base}/healthz") == (200, {"ok": True}):
+                        break
+                except OSError:
+                    pass
+                assert time.monotonic() < deadline, "server never came up"
+                time.sleep(0.1)
+            yield proc, base
         finally:
             if proc.poll() is None:
                 proc.kill()
-                proc.wait(timeout=30)
