@@ -76,7 +76,11 @@ report prices the cache entry's resident
 schedule again either; and every
 synchronous survivor of every request feeds **one**
 :func:`repro.sim.kernel.simulate_batch_many` call, with rows that share a
-``(kernel, cost model)`` pair simulated once. Asynchronous
+``(kernel, cost model)`` pair simulated once. Across calls, a row or a
+memory pricing the process has already done is a lookup: the row memo
+(``_ROW_MEMO``) and ``analyze_memory``'s report memo are weak-keyed on
+the cached kernel or memory profile, so their entries die with the
+schedule-cache entry that owns them. Asynchronous
 schemes keep their steady-state measurement, fanned out over a bounded
 worker pool. Artifacts are pinned for the duration of the call, so a
 batch whose distinct-cell working set exceeds the LRU bound never
@@ -91,6 +95,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import ConfigurationError, ScheduleError
+from repro.common.memo import WeakMemo
 from repro.bench.harness import (
     ExperimentConfig,
     config_label,
@@ -122,6 +127,10 @@ DEFAULT_PLAN_WORKERS = min(8, os.cpu_count() or 1)
 #: The base pipeline of a request that names none: rank with explicit
 #: SEND/RECV communication, so p2p transfers contend for link bandwidth.
 DEFAULT_PLAN_PIPELINE = ("lower_p2p",)
+
+#: Every solved ranking row, per kernel (:func:`_rank_all` passes it to
+#: ``simulate_batch_many``), so a row a later request repeats is a lookup.
+_ROW_MEMO = WeakMemo()
 
 
 @dataclass(frozen=True)
@@ -711,7 +720,10 @@ def _rank_all(
     (:meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for`)
     vectorize together. A row is calibrated from its kernel's stage count
     and reads nothing of the schedule, so an entry restored from the disk
-    tier ranks without unpickling its schedule forms. The default
+    tier ranks without unpickling its schedule forms. The call passes
+    the process-wide row memo (``_ROW_MEMO``), so a row an earlier call
+    solved is read back instead of swept; every distinct row is still a
+    row of the call. The default
     lowered ranking models link contention; the kernel computes
     per-channel FIFO serialization itself, so contended rows stay on the
     array path and nothing falls back to per-model event simulation.
@@ -752,7 +764,7 @@ def _rank_all(
     # ---- one batched kernel call for every synchronous row --------------
     sync_results: dict[tuple, tuple[int, float]] = {}  # row key -> (row, bubble)
     if sync_rows:
-        batch = simulate_batch_many(list(sync_rows.values()))
+        batch = simulate_batch_many(list(sync_rows.values()), memo=_ROW_MEMO)
         for k, key in enumerate(sync_rows):
             sync_results[key] = (k, batch.bubble_ratio(k))
 

@@ -93,6 +93,7 @@ import numpy as np
 
 from repro.common.errors import KernelConvergenceError, ScheduleError
 from repro.common.gcpause import collector_paused
+from repro.common.memo import WeakMemo
 from repro.schedules.dependencies import (
     ACTIVATION,
     GRADIENT,
@@ -1370,6 +1371,8 @@ class BatchResult:
 
 def simulate_batch_many(
     rows: Sequence[tuple[ScheduleKernel, CostModel]],
+    *,
+    memo: WeakMemo | None = None,
 ) -> BatchResult:
     """Evaluate heterogeneous ``(kernel, cost_model)`` rows in one call.
 
@@ -1389,6 +1392,16 @@ def simulate_batch_many(
     exactly as :func:`simulate_fast` runs them. Distinct shapes evaluate
     against their own cached kernels within the same call. This is the
     planner's ranking primitive: all memory-feasible survivors, one call.
+
+    ``memo`` (a :class:`~repro.common.memo.WeakMemo`) keeps each solved
+    row as ``kernel -> {cost model: (makespan, iteration time, busy,
+    contention-free flag)}``: a row found there is not solved again, and
+    a call that raises stores nothing. Rows whose cost model is
+    unhashable are solved every time. Busy arrays a memo holds are
+    read-only, and a call with a memo returns those arrays. The memo is
+    opt-in because ``repro bench`` times this function by repeating
+    identical rows: memoizing every call would turn its batch floors
+    into dictionary lookups. The planner passes its process-wide memo.
     """
     if not rows:
         raise ValueError("simulate_batch_many needs at least one row")
@@ -1404,8 +1417,20 @@ def simulate_batch_many(
     iteration = np.zeros(n)
     busy: list[np.ndarray | None] = [None] * n
     hints = [True] * n
+    solved: list[tuple[ScheduleKernel, CostModel, tuple]] = []
     for group in group_rows.values():
         kernel = kernels[group[0]]
+        if memo is not None:
+            todo = []
+            for k in group:
+                hit = memo.get(kernel, rows[k][1])
+                if hit is None:
+                    todo.append(k)
+                else:
+                    makespan[k], iteration[k], busy[k], hints[k] = hit
+            group = todo
+            if not group:
+                continue
         models = tuple(rows[k][1] for k in group)
         g_mk, g_it, g_busy, g_hints = _batch_rows(kernel, models)
         for j, k in enumerate(group):
@@ -1413,6 +1438,15 @@ def simulate_batch_many(
             iteration[k] = g_it[j]
             busy[k] = g_busy[j]
             hints[k] = g_hints[j]
+            if memo is not None:
+                busy[k] = busy[k].copy()
+                busy[k].flags.writeable = False
+                solved.append(
+                    (kernel, models[j], (g_mk[j], g_it[j], busy[k], g_hints[j]))
+                )
+    if memo is not None:
+        for kernel, model, value in solved:
+            memo.put(kernel, model, value)
     return BatchResult(
         num_micro_batches=tuple(kernel.num_micro_batches for kernel in kernels),
         cost_models=tuple(model for _, model in rows),

@@ -57,6 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.common.errors import MemoryModelError
+from repro.common.memo import WeakMemo
 from repro.schedules.ir import (
     BACKWARD_CODE,
     BACKWARD_INPUT_CODE,
@@ -591,6 +592,11 @@ def _peaks(values: np.ndarray) -> list[float]:
     return [p if p > 0.0 else 0.0 for p in values.tolist()]
 
 
+#: ``MemoryProfile -> {MemoryModel: MemoryReport}`` for :func:`analyze_memory`.
+#: A side table, not an attribute, so stored profiles pickle unchanged.
+_REPORTS = WeakMemo()
+
+
 def analyze_memory(
     schedule: Schedule | MemoryProfile, model: MemoryModel
 ) -> MemoryReport:
@@ -605,12 +611,26 @@ def analyze_memory(
     (:meth:`repro.schedules.cache.ScheduleArtifacts.memory_profile`).
     Each live sum adds the same floats in the same order as a running
     total over the worker's ops, so reports are exact, not approximate.
+
+    A profile keeps its reports, keyed by model value, in a side table
+    weak-keyed on the profile (:data:`_REPORTS`), so pricing a profile
+    again under an equal model returns the same frozen report. A model
+    with an unhashable field (a list) is priced every time, a call that
+    raises stores nothing, and a schedule argument is compiled and
+    priced every time. Unlike :func:`repro.sim.kernel.simulate_batch_many`'s
+    row memo this one needs no switch: nothing times this function.
     """
-    profile = (
-        schedule
-        if isinstance(schedule, MemoryProfile)
-        else compile_memory_profile(schedule)
-    )
+    if not isinstance(schedule, MemoryProfile):
+        return _price(compile_memory_profile(schedule), model)
+    report = _REPORTS.get(schedule, model)
+    if report is None:
+        report = _price(schedule, model)
+        _REPORTS.put(schedule, model, report)
+    return report
+
+
+def _price(profile: MemoryProfile, model: MemoryModel) -> MemoryReport:
+    """Price ``profile`` under ``model`` (:func:`analyze_memory`'s core)."""
     table = _value_table(profile, model)
 
     live = profile.device.live(table)

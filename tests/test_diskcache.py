@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 import repro.schedules.cache as cache_module
+from repro.common.memo import WeakMemo
 from repro.bench.machines import PIZ_DAINT
 from repro.bench.workloads import BERT48
 from repro.perf.planner import PlanRequest, plan_many
@@ -46,7 +47,7 @@ from repro.schedules.ir import Operation
 from repro.schedules.registry import build_schedule
 from repro.sim.cost import CostModel
 from repro.sim import memory
-from repro.sim.kernel import ScheduleKernel, simulate_fast
+from repro.sim.kernel import ScheduleKernel, simulate_batch_many, simulate_fast
 from repro.sim.memory import MemoryModel, analyze_memory
 from repro.sim.network import FlatTopology, LinkSpec
 
@@ -377,6 +378,23 @@ class TestKernelPersistence:
         lowered = arts.schedule_for(PIPELINE)
         simulate_fast(lowered, CONTENDED, kernel=kernel, blocking_sync=True)
         assert kernel._blocking is not None
+        assert disk.store(key, arts.snapshot())
+        assert disk.entry_path(key).read_bytes() == before
+
+    def test_payload_bytes_ignore_memoized_prices(self, tmp_path, cold):
+        """Memory reports and memoized batch rows live in side tables, not
+        on the profile or the kernel: pricing an entry between two writes
+        leaves the stored bytes unchanged."""
+        arts, kernel = cold
+        key = ScheduleCache.key("chimera", 4, 8, {})
+        disk = DiskScheduleCache(tmp_path / "other")
+        assert disk.store(key, arts.snapshot())
+        before = disk.entry_path(key).read_bytes()
+        profile = arts.memory_profile()
+        for activation in (1.0, 2.0):
+            model = MemoryModel(activation_bytes=activation, stash_input_bytes=0.1)
+            assert analyze_memory(profile, model) is analyze_memory(profile, model)
+        simulate_batch_many([(kernel, CONTENDED)], memo=WeakMemo())
         assert disk.store(key, arts.snapshot())
         assert disk.entry_path(key).read_bytes() == before
 

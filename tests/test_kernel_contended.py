@@ -13,6 +13,7 @@ non-convergence, and the precomputed SEND table behind
 ``send_tables``.
 """
 
+import gc
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bench.machines import MACHINES
 from repro.bench.workloads import WORKLOADS
 from repro.common.errors import KernelConvergenceError, ScheduleError
+from repro.common.memo import WeakMemo
 from repro.perf.calibration import calibrate_cost_model
 from repro.schedules.cache import schedule_artifacts
 from repro.schedules.registry import available_schemes
@@ -592,3 +594,109 @@ def test_batch_rows_equal_simulate_fast_bitwise(
         assert batch.compute_makespan[k] == fast.compute_makespan
         contended = bool(kernel.send_tables(cm)[1].any())
         assert batch.used_fast_path[k] == (not contended)
+
+
+# ------------------------------------------------------------- row memo
+def memo_rows() -> list:
+    """Free, contended lowered and offload host-channel rows (two kernels)."""
+    lowered = schedule_artifacts("chimera", 8, 32).kernel_for(LOWERED)
+    offload = schedule_artifacts(
+        "chimera", 8, 32, passes=("offload",)
+    ).kernel_for(LOWERED)
+    rows = [
+        (lowered, bitwise_model(regime, *row))
+        for regime in ("free", "full")
+        for row in BITWISE_ROWS
+    ]
+    return rows + [
+        (offload, bitwise_model("offload", *row)) for row in BITWISE_ROWS
+    ]
+
+
+def assert_batches_identical(got, ref) -> None:
+    assert got.num_micro_batches == ref.num_micro_batches
+    assert got.cost_models == ref.cost_models
+    assert got.compute_makespan.tobytes() == ref.compute_makespan.tobytes()
+    assert got.iteration_time.tobytes() == ref.iteration_time.tobytes()
+    assert [b.tobytes() for b in got.worker_busy] == [
+        b.tobytes() for b in ref.worker_busy
+    ]
+    assert got.used_fast_path == ref.used_fast_path
+
+
+@pytest.fixture
+def solved_rows(monkeypatch):
+    """Spy on ``_batch_rows``: the number of rows each call solves."""
+    calls: list[int] = []
+    solve = kernel_mod._batch_rows
+
+    def spy(kernel, models):
+        calls.append(len(models))
+        return solve(kernel, models)
+
+    monkeypatch.setattr(kernel_mod, "_batch_rows", spy)
+    return calls
+
+
+def test_row_memo_is_bitwise_equal_and_solves_once(solved_rows):
+    rows = memo_rows()
+    ref = simulate_batch_many(rows)
+    assert sum(solved_rows) == len(rows)
+    memo = WeakMemo()
+    for solved in (len(rows), 0):
+        solved_rows.clear()
+        assert_batches_identical(simulate_batch_many(rows, memo=memo), ref)
+        assert sum(solved_rows) == solved
+    # A partly warm memo solves only the misses, still bitwise equal.
+    memo = WeakMemo()
+    simulate_batch_many(rows[::2], memo=memo)
+    solved_rows.clear()
+    assert_batches_identical(simulate_batch_many(rows, memo=memo), ref)
+    assert sum(solved_rows) == len(rows[1::2])
+
+
+def test_row_memo_skips_unhashable_models(solved_rows):
+    kernel, model = memo_rows()[3]
+    listed = model.with_(stage_scale=[1.0] * kernel.num_stages)
+    memo = WeakMemo()
+    ref = simulate_batch_many([(kernel, listed)])
+    for _ in range(2):
+        solved_rows.clear()
+        batch = simulate_batch_many([(kernel, listed)], memo=memo)
+        assert_batches_identical(batch, ref)
+        assert solved_rows == [1]
+    assert len(memo) == 0
+
+
+def test_row_memo_busy_arrays_are_read_only():
+    rows = memo_rows()[:2]
+    memo = WeakMemo()
+    for _ in range(2):  # the solving call and the hit
+        batch = simulate_batch_many(rows, memo=memo)
+        for busy in batch.worker_busy:
+            with pytest.raises(ValueError):
+                busy[0] = 0.0
+
+
+def test_row_memo_caps_models_per_kernel(solved_rows):
+    kernel = schedule_artifacts("gpipe", 2, 2).kernel_for(())
+    cap = WeakMemo.MAX_KEYS_PER_OWNER
+    rows = [(kernel, CostModel(forward_time=1.0 + i / 64)) for i in range(cap + 1)]
+    memo = WeakMemo()
+    simulate_batch_many(rows, memo=memo)
+    assert memo.get(kernel, rows[0][1]) is None  # the oldest is dropped
+    assert all(memo.get(kernel, model) is not None for _, model in rows[1:])
+    solved_rows.clear()
+    simulate_batch_many(rows, memo=memo)
+    assert sum(solved_rows) == 1
+
+
+def test_row_memo_forgets_a_collected_kernel():
+    arts = schedule_artifacts("gpipe", 2, 2)
+    kernel = kernel_mod.ScheduleKernel(arts.graph_for(()))
+    memo = WeakMemo()
+    simulate_batch_many([(kernel, CostModel())], memo=memo)
+    assert len(memo) == 1
+    del kernel
+    gc.collect()
+    assert len(memo) == 0

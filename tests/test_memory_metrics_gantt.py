@@ -190,6 +190,33 @@ class TestMemoryProfile:
             with pytest.raises(MemoryModelError, match=field):
                 analyze_memory(profile, MemoryModel(**{field: (1.0,)}))
 
+    def test_short_sequence_raises_on_every_call(self):
+        """A pricing that raises stores nothing, so it raises again."""
+        profile = compile_memory_profile(build_schedule("dapple", 2, 2))
+        model = MemoryModel(activation_bytes=(1.0,))
+        for _ in range(2):
+            with pytest.raises(MemoryModelError, match="activation_bytes"):
+                analyze_memory(profile, model)
+
+    def test_reports_memoize_per_profile_and_model_value(self):
+        profile = compile_memory_profile(build_schedule("dapple", 4, 4))
+
+        def model(weights):
+            return MemoryModel(stash_input_bytes=0.1, weight_bytes=weights)
+
+        report = analyze_memory(profile, model((1.0, 2.0, 3.0, 4.0)))
+        # An equal model, built separately, returns the same report.
+        assert analyze_memory(profile, model((1.0, 2.0, 3.0, 4.0))) is report
+        # A list field is unhashable: priced every time, never stored.
+        listed = [analyze_memory(profile, model([1.0, 2.0, 3.0, 4.0])) for _ in "ab"]
+        assert listed[0] == listed[1] == report
+        assert listed[0] is not listed[1]
+        # A schedule argument is compiled and priced every time.
+        schedule = build_schedule("dapple", 4, 4)
+        again = analyze_memory(schedule, model((1.0, 2.0, 3.0, 4.0)))
+        assert again == report and again is not report
+        assert analyze_memory(profile, model((1.0, 2.0, 3.0, 4.0))) is report
+
     def test_compact_tables_and_no_host_tier_without_offload(self):
         plain = compile_memory_profile(build_schedule("chimera", 4, 8))
         assert plain.host is None

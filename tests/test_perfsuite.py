@@ -18,6 +18,7 @@ from repro.bench import perfsuite
 from repro.cli import main
 from repro.common.errors import ScheduleError
 from repro.schedules.registry import available_schemes, scheme_traits
+from repro.sim import kernel as kernel_mod
 
 #: The fixed-grid suite covers every scheme with a cost-independent
 #: canonical build; cost-parameterized schemes (synthesize) are compared
@@ -279,6 +280,25 @@ def test_batch_routing_mismatch_raises(monkeypatch):
     case = perfsuite.BenchCase("gpipe", 8, 16, "contended")
     with pytest.raises(ScheduleError, match="routing mismatch on gpipe/D8/N16/"):
         perfsuite.run_case(case, repeats=1, batch_size=2)
+
+
+@pytest.mark.parametrize("mode", ["lowered", "contended"])
+def test_every_timed_batch_repeat_solves_every_row(monkeypatch, mode):
+    """The batch timing measures the kernel, not a memo: the warm-up and
+    each timed repeat solve all of the case's rows (``simulate_batch_many``
+    memoizes only when its caller passes a memo), so the same-run batch
+    floors keep timing sweeps."""
+    solved = []
+    solve = kernel_mod._batch_rows
+
+    def spy(kernel, models):
+        solved.append(len(models))
+        return solve(kernel, models)
+
+    monkeypatch.setattr(kernel_mod, "_batch_rows", spy)
+    case = perfsuite.BenchCase("gpipe", 8, 16, mode)
+    perfsuite.run_case(case, repeats=3, batch_size=4)
+    assert solved == [4] * (1 + 3)
 
 
 def test_fused_parity_violation_raises(monkeypatch):

@@ -11,14 +11,17 @@ seams on small grids.
 from __future__ import annotations
 
 import gc
+import sys
+import threading
 
 import pytest
 
 from repro.bench import harness
 from repro.bench.machines import PIZ_DAINT, V100_CLUSTER
-from repro.bench.workloads import BERT48, GPT2_32
+from repro.bench.workloads import BERT48, GPT2_32, GPT2_64
 from repro.common.errors import ConfigurationError
 from repro.perf import planner
+from repro.sim import kernel as kernel_mod
 from repro.sim import memory
 from repro.sim.memory import MemoryProfile
 from repro.perf.planner import (
@@ -238,9 +241,10 @@ class TestDedup:
         assert outcomes[1].entries == outcomes[0].entries[:1]
 
     def test_memory_profiles_compile_once_per_cache_entry(self, monkeypatch):
-        """Memory reports are memoized per call only, so a later call
-        prices them again, but on the cache entries' resident profiles:
-        the schedules are not walked again, whatever the machine."""
+        """The call context memoizes memory reports per call only, so a
+        later call asks ``analyze_memory`` again, but for the cache
+        entries' resident profiles: the schedules are not walked again,
+        whatever the machine."""
         compiled = []
         priced = []
         compile_profile = memory.compile_memory_profile
@@ -265,6 +269,89 @@ class TestDedup:
         assert again.entries == first.entries and v100.ok
         assert priced and not compiled
 
+
+class TestPlannerMemo:
+    """A row or memory pricing the process already did is a lookup, and
+    every answer equals the one planned over emptied memos."""
+
+    HOT = dict(num_workers=8, mini_batch=32, schemes=("dapple", "chimera"))
+    HOT_SET = (
+        (PIZ_DAINT, BERT48, 32),
+        (V100_CLUSTER, GPT2_32, 32),
+        (PIZ_DAINT, GPT2_64, 64),
+        (V100_CLUSTER, BERT48, 64),
+    )
+
+    @staticmethod
+    def answer(outcome: PlanOutcome):
+        return outcome.entries if outcome.ok else str(outcome.error)
+
+    def cold(self, req: PlanRequest):
+        planner._ROW_MEMO.clear()
+        memory._REPORTS.clear()
+        return self.answer(plan_many([req], max_workers=1)[0])
+
+    def test_hits_answer_like_emptied_memos(self, monkeypatch):
+        solved = []
+        solve = kernel_mod._batch_rows
+
+        def spy(kernel, models):
+            solved.append(len(models))
+            return solve(kernel, models)
+
+        monkeypatch.setattr(kernel_mod, "_batch_rows", spy)
+        hot = request(**self.HOT)
+        variants = [
+            hot,
+            hot,
+            request(**self.HOT, memory_budget_bytes=6 * GIB),
+            request(**{**self.HOT, "schemes": ("chimera",)}),
+        ]
+        warm, rows = [], []
+        for req in variants:
+            del solved[:]
+            warm.append(self.answer(plan_many([req], max_workers=1)[0]))
+            rows.append(sum(solved))
+        # The repeat and the chimera subset only repeat rows, the 6 GiB
+        # variant mixes hits with new rows.
+        assert rows[1] == rows[3] == 0 and rows[2] > 0
+        for req, got in zip(variants, warm):
+            assert got == self.cold(req)
+
+    def test_concurrent_planners_agree(self):
+        requests = [
+            request(**{**self.HOT, "mini_batch": mini_batch}, machine=m, workload=w)
+            for m, w, mini_batch in self.HOT_SET
+        ]
+        want = [self.cold(req) for req in requests]
+        planner._ROW_MEMO.clear()
+        memory._REPORTS.clear()
+        got: list = []
+        errors: list = []
+
+        def client(offset: int) -> None:
+            try:
+                for i in range(len(requests)):
+                    k = (i + offset) % len(requests)
+                    [outcome] = plan_many([requests[k]], max_workers=1)
+                    got.append((k, self.answer(outcome)))
+            except Exception as err:  # pragma: no cover - reported below
+                errors.append(err)
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(got) == 8 * len(requests)
+        assert all(answer == want[k] for k, answer in got)
 
 
 class TestRequestSurface:
