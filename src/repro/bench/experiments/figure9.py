@@ -14,6 +14,7 @@ from repro.bench import harness
 from repro.bench.harness import ExperimentConfig, format_table
 from repro.bench.machines import PIZ_DAINT
 from repro.bench.workloads import BERT48, GPT2_32, TransformerSpec
+from repro.schedules.passes.pipeline import PipelineParts
 from repro.schedules.registry import available_schemes, scheme_traits
 from repro.sim.memory import MemoryReport
 
@@ -46,7 +47,7 @@ def memory_report(
         micro_batch=micro_batch,
         mini_batch=mini_batch,
     )
-    return harness.memory_report(cfg, ())[1]
+    return harness.memory_report(cfg, PipelineParts())[1]
 
 
 def run(fast: bool = True) -> str:

@@ -23,6 +23,7 @@ from repro.bench.workloads import TransformerSpec
 from repro.perf.calibration import calibrate_cost_model, calibrate_memory_model
 from repro.schedules.cache import ScheduleArtifacts, schedule_artifacts
 from repro.schedules.passes.pipeline import (
+    PipelineParts,
     attempt_pipelines,
     normalize_pipeline,
     split_pipeline,
@@ -58,8 +59,9 @@ class ExperimentConfig:
     #: ordered pipeline spec (comma string or sequence of pass names,
     #: validated against the pass registry; see
     #: :mod:`repro.schedules.passes.pipeline`), e.g. ``"offload,lower_p2p"``.
-    #: The recompute axis composes on top (see :meth:`attempt_pipelines`);
-    #: offload is on exactly when the pipeline names it.
+    #: The recompute axis composes on top (see
+    #: :func:`~repro.schedules.passes.pipeline.attempt_pipelines`); offload
+    #: is on exactly when the pipeline names it.
     pipeline: str | tuple[str, ...] = ()
     #: Host-tier (CPU RAM) budget for offloaded stashes; the check uses
     #: ``min(machine.host_memory_bytes, host_memory_budget_bytes)``.
@@ -81,23 +83,9 @@ class ExperimentConfig:
                 f"{self.host_memory_budget_bytes}"
             )
         object.__setattr__(self, "pipeline", normalize_pipeline(self.pipeline))
-        self.attempt_pipelines()  # rejects recompute=False against a named pass
-
-    # ------------------------------------------------------------- pipeline
-    def attempt_pipelines(self) -> tuple[tuple[str, ...], ...]:
-        """Pipelines to try in order until one fits memory.
-
-        The shared rule of
-        :func:`~repro.schedules.passes.pipeline.attempt_pipelines`, with
-        the offload axis pinned to whether ``pipeline`` names the pass:
-        the default ``recompute=None`` tries the pipeline plain first,
-        then with recomputation.
-        """
-        return attempt_pipelines(
-            self.pipeline,
-            recompute=self.recompute,
-            offload=split_pipeline(self.pipeline).offload,
-        )
+        # Only recompute=False can contradict the pipeline: the rule raises.
+        if self.recompute is False:
+            attempt_pipelines(self.pipeline, recompute=False, offload=None)
 
     @property
     def num_workers(self) -> int:
@@ -164,26 +152,35 @@ class ExperimentResult:
         return not self.oom
 
     def label(self) -> str:
-        return config_label(self.config, self.recompute, self.pipeline)
+        return config_label(self.config, split_pipeline(self.pipeline))
 
 
-def config_label(
-    cfg: ExperimentConfig, recompute: bool, pipeline: tuple[str, ...] = ()
-) -> str:
+def config_label(cfg: ExperimentConfig, parts: PipelineParts) -> str:
     """``scheme(W=, D=, B=[, R][, O])`` — the shared result/plan label.
 
     ``cfg`` is anything with ``scheme``, ``width``, ``depth`` and
-    ``micro_batch`` attributes: a config, or a planner's ``PlanEntry``.
+    ``micro_batch`` attributes: a config, or a planner's ``PlanEntry``;
+    ``parts`` is the pipeline it ran (or failed) under.
     """
-    r = ", R" if recompute else ""
-    o = ", O" if split_pipeline(pipeline).offload else ""
+    r = ", R" if parts.recompute else ""
+    o = ", O" if parts.offload else ""
     return (
         f"{cfg.scheme}(W={cfg.width}, D={cfg.depth}, B={cfg.micro_batch}{r}{o})"
     )
 
 
+def _invocation(
+    cfg: ExperimentConfig, parts: PipelineParts
+) -> tuple[str, int, int, dict[str, object]]:
+    """``(scheme, D, N, options)``: the schedule-cache invocation of one
+    attempt. Both :func:`config_artifacts` and the planner's call-scoped
+    memo key on it (:meth:`~repro.schedules.cache.ScheduleCache.key`)."""
+    options = {**parts.build_options(), **dict(cfg.options)}
+    return cfg.scheme, cfg.depth, cfg.num_micro_batches(), options
+
+
 def config_artifacts(
-    cfg: ExperimentConfig, pipeline: tuple[str, ...]
+    cfg: ExperimentConfig, parts: PipelineParts
 ) -> ScheduleArtifacts:
     """The memoized schedule artifacts for one pipeline attempt.
 
@@ -192,23 +189,17 @@ def config_artifacts(
     that revisit the same ``(scheme, D, N, pipeline)`` point — which is
     most of them, since ``W`` and ``B`` only change the cost model —
     reuse the schedule, its dependency graph, and the lowered forms.
-    Only the pre-lowering part of ``pipeline`` keys the entry; lowering
+    Only the pre-lowering part (``parts.base``) keys the entry; lowering
     and fusion are the cached derived forms of
     :meth:`~repro.schedules.cache.ScheduleArtifacts.schedule_for`.
     """
-    parts = split_pipeline(pipeline)
-    return schedule_artifacts(
-        cfg.scheme,
-        cfg.depth,
-        cfg.num_micro_batches(),
-        **parts.build_options(),
-        **dict(cfg.options),
-    )
+    scheme, depth, n, options = _invocation(cfg, parts)
+    return schedule_artifacts(scheme, depth, n, **options)
 
 
 def memory_report(
     cfg: ExperimentConfig,
-    pipeline: tuple[str, ...],
+    parts: PipelineParts,
     arts: ScheduleArtifacts | None = None,
 ) -> tuple[ScheduleArtifacts, MemoryReport]:
     """Analyze the memory of ``cfg``'s schedule under one attempt pipeline.
@@ -221,7 +212,7 @@ def memory_report(
     entry restored from the disk tier never unpickles a schedule form.
     """
     if arts is None:
-        arts = config_artifacts(cfg, pipeline)
+        arts = config_artifacts(cfg, parts)
     profile = arts.memory_profile()
     memory_model = calibrate_memory_model(
         cfg.machine,
@@ -234,14 +225,15 @@ def memory_report(
 
 def first_fit(
     cfg: ExperimentConfig,
-    attempts: Sequence[tuple[str, ...]],
+    attempts: Sequence[PipelineParts],
     report: Callable[
-        [ExperimentConfig, tuple[str, ...]], tuple[ScheduleArtifacts, MemoryReport]
+        [ExperimentConfig, PipelineParts], tuple[ScheduleArtifacts, MemoryReport]
     ] = memory_report,
-) -> tuple[tuple[str, ...], ScheduleArtifacts, MemoryReport, bool]:
+) -> tuple[PipelineParts, ScheduleArtifacts, MemoryReport, bool]:
     """The paper's retry-with-``R`` rule: the first attempt that fits.
 
-    Tries each attempt pipeline in order against ``cfg``'s device and
+    Tries each attempt pipeline (as split by the caller, once per
+    request or configuration) in order against ``cfg``'s device and
     host budgets and returns ``(attempt, artifacts, report, fits)`` for
     the first one that fits, else for the last one tried. ``report`` is
     the per-attempt :func:`memory_report` (the planner passes its
@@ -259,8 +251,11 @@ def first_fit(
 def run_configuration(cfg: ExperimentConfig) -> ExperimentResult:
     """Simulate one configuration end to end (see module docstring)."""
     n = cfg.num_micro_batches()
-    used, arts, report, fits = first_fit(cfg, cfg.attempt_pipelines())
-    schedule = arts.schedule_for(used)
+    offload = split_pipeline(cfg.pipeline).offload  # on exactly when named
+    attempts = attempt_pipelines(cfg.pipeline, recompute=cfg.recompute, offload=offload)
+    used, arts, report, fits = first_fit(cfg, tuple(map(split_pipeline, attempts)))
+    pipeline = used.pipeline()
+    schedule = arts.schedule_for(pipeline)
     cost_model = calibrate_cost_model(
         cfg.machine,
         cfg.workload,
@@ -276,7 +271,7 @@ def run_configuration(cfg: ExperimentConfig) -> ExperimentResult:
     result = simulate_fast(
         schedule,
         cost_model,
-        kernel=arts.kernel_for(used),
+        kernel=arts.kernel_for(pipeline),
         blocking_sync=(cfg.scheme == "pipedream"),
     )
     if schedule.synchronous:
@@ -291,14 +286,14 @@ def run_configuration(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         config=cfg,
         num_micro_batches=n,
-        recompute=split_pipeline(used).recompute,
+        recompute=used.recompute,
         oom=not fits,
         iteration_time=result.iteration_time,
         throughput=throughput if fits else 0.0,
         bubble_ratio=bubble_ratio(result),
         peak_memory_bytes=report.peak_bytes,
         min_memory_bytes=report.min_bytes,
-        pipeline=used,
+        pipeline=pipeline,
         host_peak_memory_bytes=report.host_peak_bytes,
     )
 
@@ -311,7 +306,7 @@ ASYNC_SYNC_OVERLAP = 0.5
 
 
 def _steady_state_throughput(
-    cfg: ExperimentConfig, pipeline: tuple[str, ...], cost_model
+    cfg: ExperimentConfig, parts: PipelineParts, cost_model
 ) -> float:
     """Samples/second of an asynchronous scheme's steady state.
 
@@ -321,14 +316,13 @@ def _steady_state_throughput(
     that margin, while PipeDream-2BW additionally pays the non-overlapped
     residue of its once-per-window gradient synchronization.
     """
-    parts = split_pipeline(pipeline)
+    pipeline = parts.pipeline()
+    options = _invocation(cfg, parts)[3]
     n1 = 2 * cfg.depth
     n2 = 4 * cfg.depth
     sims = []
     for n in (n1, n2):
-        arts = schedule_artifacts(
-            cfg.scheme, cfg.depth, n, **parts.build_options(), **dict(cfg.options)
-        )
+        arts = schedule_artifacts(cfg.scheme, cfg.depth, n, **options)
         sims.append(
             simulate_fast(
                 arts.schedule_for(pipeline),

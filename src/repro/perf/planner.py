@@ -98,6 +98,7 @@ from repro.common.errors import ConfigurationError, ScheduleError
 from repro.common.memo import WeakMemo
 from repro.bench.harness import (
     ExperimentConfig,
+    _invocation,
     config_label,
     first_fit,
     format_table,
@@ -105,6 +106,7 @@ from repro.bench.harness import (
     rank_by_throughput,
 )
 from repro.schedules.passes.pipeline import (
+    PipelineParts,
     attempt_pipelines,
     normalize_pipeline,
     split_pipeline,
@@ -158,7 +160,7 @@ class PlanEntry:
         return split_pipeline(self.pipeline).offload
 
     def label(self) -> str:
-        return config_label(self, self.recompute, self.pipeline)
+        return config_label(self, split_pipeline(self.pipeline))
 
 
 def candidate_grid(
@@ -250,21 +252,17 @@ class PlanRequest:
             object.__setattr__(self, "schemes", tuple(self.schemes))
         pipeline = DEFAULT_PLAN_PIPELINE if self.pipeline is None else self.pipeline
         object.__setattr__(self, "pipeline", normalize_pipeline(pipeline))
-        self.attempt_pipelines()  # rejects an axis pinned off against its pass
+        _attempts(self)  # rejects an axis pinned off against its pass
 
-    def attempt_pipelines(self) -> tuple[tuple[str, ...], ...]:
-        """Pipelines to try per candidate, in order, until one fits.
 
-        The shared rule of
-        :func:`~repro.schedules.passes.pipeline.attempt_pipelines`: the
-        recompute and offload axes span plain → offload → recompute →
-        offload+recompute (cheapest relief first: offload keeps backward
-        at its un-recomputed cost) on top of ``pipeline``, each axis
-        pinned on by naming its pass or pinned by a boolean.
-        """
-        return attempt_pipelines(
-            self.pipeline, recompute=self.recompute, offload=self.offload
-        )
+def _attempts(request: PlanRequest) -> tuple[PipelineParts, ...]:
+    """The request's attempt pipelines (the one rule of
+    :func:`~repro.schedules.passes.pipeline.attempt_pipelines` over its
+    ``pipeline``, ``recompute`` and ``offload`` fields), split once."""
+    attempts = attempt_pipelines(
+        request.pipeline, recompute=request.recompute, offload=request.offload
+    )
+    return tuple(map(split_pipeline, attempts))
 
 
 @dataclass(frozen=True)
@@ -299,27 +297,19 @@ class _PlanContext:
         self.artifacts: dict[tuple, ScheduleArtifacts] = {}
         self.reports: dict[tuple, MemoryReport] = {}
 
-    @staticmethod
-    def _akey(cfg: ExperimentConfig, pipeline: tuple[str, ...]) -> tuple | None:
-        return ScheduleCache.key(
-            cfg.scheme,
-            cfg.depth,
-            cfg.num_micro_batches(),
-            {**split_pipeline(pipeline).build_options(), **dict(cfg.options)},
-        )
-
     def memory_report(
-        self, cfg: ExperimentConfig, pipeline: tuple[str, ...]
+        self, cfg: ExperimentConfig, parts: PipelineParts
     ) -> tuple[ScheduleArtifacts, MemoryReport]:
-        """:func:`repro.bench.harness.memory_report`, memoized and pinned."""
-        akey = self._akey(cfg, pipeline)
+        """:func:`repro.bench.harness.memory_report`, memoized and pinned
+        on the schedule-cache key the harness builds through."""
+        akey = ScheduleCache.key(*_invocation(cfg, parts))
         if akey is None:  # unhashable options: nothing to key on
-            return memory_report(cfg, pipeline)
+            return memory_report(cfg, parts)
         rkey = (akey, cfg.machine, cfg.workload, cfg.micro_batch)
         arts = self.artifacts.get(akey)
         report = self.reports.get(rkey)
         if report is None:
-            arts, report = memory_report(cfg, pipeline, arts)
+            arts, report = memory_report(cfg, parts, arts)
             self.artifacts[akey] = arts
             self.reports[rkey] = report
         return arts, report
@@ -327,9 +317,11 @@ class _PlanContext:
 
 @dataclass
 class _Survivor:
-    """One memory-feasible candidate, with its pinned artifacts."""
+    """One memory-feasible candidate: its grid point's config, the attempt
+    that fits, and that attempt's report and pinned artifacts."""
 
     cfg: ExperimentConfig
+    attempt: PipelineParts
     report: MemoryReport
     arts: ScheduleArtifacts
 
@@ -339,7 +331,7 @@ class _Pruned:
     """A validated, pruned request awaiting ranking."""
 
     request: PlanRequest
-    attempts: tuple[tuple[str, ...], ...] = ()
+    attempts: tuple[PipelineParts, ...] = ()
     survivors: list[_Survivor] = field(default_factory=list)
     #: The closest built rejection: (overshoot bytes, grid index, label).
     closest: tuple[float, int, str] | None = None
@@ -555,7 +547,7 @@ def _prune_request(request: PlanRequest, ctx: _PlanContext) -> _Pruned:
             f"count or min_depth"
         )
 
-    pruned = _Pruned(request=request, attempts=request.attempt_pipelines())
+    pruned = _Pruned(request=request, attempts=_attempts(request))
     for index, (scheme, width, depth, micro_batch) in enumerate(grid):
         options: dict[str, object] = {}
         if scheme_traits(scheme).cost_parameterized:
@@ -563,8 +555,8 @@ def _prune_request(request: PlanRequest, ctx: _PlanContext) -> _Pruned:
                 request, scheme, width, depth, micro_batch
             )
         # The pipeline stays at its default here: the per-attempt
-        # pipeline is passed explicitly, and the winning one is pinned on
-        # the survivor's config below.
+        # pipeline is passed explicitly, and the winning one rides beside
+        # the config on the survivor.
         cfg = ExperimentConfig(
             scheme=scheme,
             machine=request.machine,
@@ -596,9 +588,7 @@ def _prune_request(request: PlanRequest, ctx: _PlanContext) -> _Pruned:
             rejected = _rejection(cfg, index, attempt, report)
             pruned.closest = _nearer(pruned.closest, rejected)
             continue
-        pruned.survivors.append(
-            _Survivor(cfg=replace(cfg, pipeline=attempt), report=report, arts=arts)
-        )
+        pruned.survivors.append(_Survivor(cfg, attempt, report, arts))
     return pruned
 
 
@@ -616,7 +606,7 @@ def _device_floor(cfg: ExperimentConfig) -> float | None:
 
 
 def _rejection(
-    cfg: ExperimentConfig, index: int, attempt: tuple[str, ...], report: MemoryReport
+    cfg: ExperimentConfig, index: int, attempt: PipelineParts, report: MemoryReport
 ) -> tuple[float, int, str]:
     """``(overshoot bytes, grid index, label)`` of a point no attempt fits,
     as its last attempt (``report``) misses the device or host budget."""
@@ -624,8 +614,7 @@ def _rejection(
         report.peak_bytes - cfg.capacity_bytes,
         report.host_peak_bytes - cfg.host_capacity_bytes,
     )
-    label = config_label(cfg, split_pipeline(attempt).recompute, attempt)
-    return overshoot, index, label
+    return overshoot, index, config_label(cfg, attempt)
 
 
 def _nearer(best, rejected):
@@ -684,8 +673,9 @@ def _finalize(
     return entries
 
 
-def _steady_cfg_key(cfg: ExperimentConfig) -> tuple:
-    """Dedup identity of one asynchronous steady-state measurement."""
+def _steady_cfg_key(cfg: ExperimentConfig, pipeline: tuple[str, ...]) -> tuple:
+    """Dedup identity of one asynchronous steady-state measurement: a
+    grid point's config under its winning attempt ``pipeline``."""
     try:
         options = tuple(sorted(dict(cfg.options).items()))
         hash(options)
@@ -700,7 +690,7 @@ def _steady_cfg_key(cfg: ExperimentConfig) -> tuple:
         cfg.micro_batch,
         cfg.mini_batch,
         cfg.recompute,
-        cfg.pipeline,
+        pipeline,
         cfg.memory_budget_bytes,
         cfg.host_memory_budget_bytes,
         options,
@@ -744,12 +734,14 @@ def _rank_all(
     row_of_survivor: dict[int, tuple] = {}
     for pruned in pruneds:
         for survivor in pruned.survivors:
-            cfg, arts = survivor.cfg, survivor.arts
+            cfg, pipeline = survivor.cfg, survivor.attempt.pipeline()
             if not scheme_traits(cfg.scheme).synchronous:
-                row_of_survivor[id(survivor)] = _steady_cfg_key(cfg)
-                async_cfgs.setdefault(row_of_survivor[id(survivor)], cfg)
+                key = _steady_cfg_key(cfg, pipeline)
+                row_of_survivor[id(survivor)] = key
+                if key not in async_cfgs:  # the measurement runs this config
+                    async_cfgs[key] = replace(cfg, pipeline=pipeline)
                 continue
-            kernel = arts.kernel_for(cfg.pipeline)
+            kernel = survivor.arts.kernel_for(pipeline)
             model = calibrate_cost_model(
                 cfg.machine,
                 cfg.workload,
@@ -784,31 +776,22 @@ def _rank_all(
     for pruned in pruneds:
         entries: list[PlanEntry] = []
         for survivor in pruned.survivors:
-            cfg, report = survivor.cfg, survivor.report
+            cfg, attempt, report = survivor.cfg, survivor.attempt, survivor.report
             key = row_of_survivor[id(survivor)]
-            if not scheme_traits(cfg.scheme).synchronous:
+            if scheme_traits(cfg.scheme).synchronous:
+                k, bubble = sync_results[key]
+                iteration_time = float(batch.iteration_time[k])
+                throughput = batch.throughput(
+                    k, micro_batch=cfg.micro_batch, width=cfg.width
+                )
+            else:
+                # The measurement re-runs the survivor's memory fit under
+                # its winning attempt, so only its timings are new here.
                 result = async_results[key]
                 if result is None:
                     continue
-                entries.append(
-                    PlanEntry(
-                        scheme=cfg.scheme,
-                        width=cfg.width,
-                        depth=cfg.depth,
-                        micro_batch=cfg.micro_batch,
-                        num_micro_batches=result.num_micro_batches,
-                        recompute=result.recompute,
-                        iteration_time=result.iteration_time,
-                        throughput=result.throughput,
-                        bubble_ratio=result.bubble_ratio,
-                        peak_memory_bytes=result.peak_memory_bytes,
-                        pipeline=result.pipeline,
-                        host_peak_memory_bytes=result.host_peak_memory_bytes,
-                    )
-                )
-                continue
-            k, bubble = sync_results[key]
-            pipeline = cfg.pipeline
+                iteration_time, throughput = result.iteration_time, result.throughput
+                bubble = result.bubble_ratio
             entries.append(
                 PlanEntry(
                     scheme=cfg.scheme,
@@ -816,14 +799,12 @@ def _rank_all(
                     depth=cfg.depth,
                     micro_batch=cfg.micro_batch,
                     num_micro_batches=cfg.num_micro_batches(),
-                    recompute=split_pipeline(pipeline).recompute,
-                    iteration_time=float(batch.iteration_time[k]),
-                    throughput=batch.throughput(
-                        k, micro_batch=cfg.micro_batch, width=cfg.width
-                    ),
+                    recompute=attempt.recompute,
+                    iteration_time=iteration_time,
+                    throughput=throughput,
                     bubble_ratio=bubble,
                     peak_memory_bytes=report.peak_bytes,
-                    pipeline=pipeline,
+                    pipeline=attempt.pipeline(),
                     host_peak_memory_bytes=report.host_peak_bytes,
                 )
             )
@@ -873,6 +854,9 @@ def greedy_micro_batch(
     Returns ``(B, recompute)`` or ``None`` if nothing fits (even ``B = 1``
     with recomputation).
     """
+    attempts = tuple(
+        map(split_pipeline, attempt_pipelines(None, recompute=None, offload=False))
+    )
     best: tuple[int, bool] | None = None
     b = 1
     while b <= DEFAULT_MAX_MICRO_BATCH and width * b <= mini_batch:
@@ -886,9 +870,9 @@ def greedy_micro_batch(
                 micro_batch=b,
                 mini_batch=mini_batch,
             )
-            attempt, _, _, fits = first_fit(cfg, cfg.attempt_pipelines())
+            attempt, _, _, fits = first_fit(cfg, attempts)
             if fits:
-                best = (b, split_pipeline(attempt).recompute)
+                best = (b, attempt.recompute)
         b *= 2
     return best
 

@@ -30,7 +30,9 @@ form.
 shared by the harness and the planner: the pipeline is the *base*, a
 pass it names pins that axis on, an axis pinned ``False`` against a
 named pass is a :class:`~repro.common.errors.ConfigurationError`, and a
-``None`` axis is explored (plain → offload → recompute → both).
+``None`` axis is explored (plain → offload → recompute → both). Callers
+split the attempts once (per request or configuration) and pass the
+:class:`PipelineParts` down.
 """
 
 from __future__ import annotations

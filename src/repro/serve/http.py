@@ -157,6 +157,8 @@ class PlannerHTTPServer(ThreadingHTTPServer):
     """
 
     daemon_threads = False
+    #: Listen backlog (``socketserver``'s 5 resets a burst of connects).
+    request_queue_size = 128
 
     def __init__(
         self,

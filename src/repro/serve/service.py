@@ -374,11 +374,13 @@ class PlannerService:
             with self._lock:
                 self._rejected_invalid += 1
             raise
-        if not self._slots.acquire(blocking=False):
+        if self._closed or not self._slots.acquire(blocking=False):
             with self._lock:
                 self._rejected_overload += 1
             raise ServiceOverloadError(
-                f"planner at capacity ({self.max_inflight} in-flight "
+                "service is draining for shutdown; no new requests"
+                if self._closed
+                else f"planner at capacity ({self.max_inflight} in-flight "
                 f"requests); retry with backoff"
             )
         # Everything after a successful acquire sits inside one try/finally:
@@ -428,8 +430,10 @@ class PlannerService:
     def close(self, timeout: float | None = 60.0) -> None:
         """Graceful drain: the coalescer dispatches everything already
         queued (every blocked caller's future resolves), then the worker
-        pool finishes in-flight shards and its processes join. New
-        submissions are shed during the drain. Idempotent."""
+        pool finishes in-flight shards and its processes join. From the
+        start of the drain on, new :meth:`plan` and :meth:`plan_batch`
+        calls are shed (HTTP 503, counted in ``rejected_overload``).
+        Idempotent."""
         self._closed = True
         if self._coalescer is not None:
             self._coalescer.close(timeout)

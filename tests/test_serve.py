@@ -244,8 +244,8 @@ def _get(url: str):
         return err.code, json.loads(err.read())
 
 
-def _read_response(sock: socket.socket) -> None:
-    """Read one whole response off a keep-alive socket."""
+def _read_response(sock: socket.socket) -> bytes:
+    """Read one whole response off a keep-alive socket; return its head."""
     data = b""
     while True:
         chunk = sock.recv(1 << 20)
@@ -253,7 +253,7 @@ def _read_response(sock: socket.socket) -> None:
         data += chunk
         head, sep, body = data.partition(b"\r\n\r\n")
         if sep and len(body) >= _content_length(head):
-            return
+            return head
 
 
 def _content_length(head: bytes) -> int:
@@ -381,6 +381,71 @@ class TestHTTP:
             server.shutdown()
             thread.join(timeout=10)
             server.server_close()
+
+
+@contextlib.contextmanager
+def _serving(server: PlannerHTTPServer):
+    """Run ``server``'s accept loop for the block; the caller closes it."""
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+
+
+class TestShedAfterClose:
+    """A closed service sheds every new call with 503, in process and
+    with a worker pool (whose stopped pool would otherwise surface as a
+    500 ``WorkerCrashError``)."""
+
+    @pytest.mark.parametrize("workers", [0, 1], ids=["in-process", "workers=1"])
+    def test_closed_service_sheds_plan_and_plan_many(self, workers):
+        service = PlannerService(workers=workers)
+        service.close()
+        with pytest.raises(ServiceOverloadError, match="draining"):
+            service.plan(GOOD)
+        with pytest.raises(ServiceOverloadError, match="draining"):
+            service.plan_batch([GOOD])
+        server = PlannerHTTPServer(("127.0.0.1", 0), service)
+        host, port = server.server_address[:2]
+        try:
+            with _serving(server):
+                for route, body in (("plan", GOOD), ("plan_many", [GOOD])):
+                    status, reply = _post(
+                        f"http://{host}:{port}/{route}", json.dumps(body).encode()
+                    )
+                    assert status == 503, reply
+                    assert "draining" in reply["error"]
+        finally:
+            server.server_close()
+        stats = service.stats()
+        assert stats.rejected_overload == 4
+        assert stats.requests == 0 and stats.inflight == 0
+
+
+class TestListenBacklog:
+    def test_connection_burst_before_accept_loop(self):
+        """32 clients connect before the accept loop runs: every one
+        connects, and once serving starts every one is answered. With
+        ``socketserver``'s default backlog of 5 the overflow connections
+        time out or are reset."""
+        server = PlannerHTTPServer(("127.0.0.1", 0), PlannerService())
+        address = server.server_address[:2]
+        with contextlib.ExitStack() as stack:
+            stack.callback(server.server_close)
+            socks = [
+                stack.enter_context(socket.create_connection(address, timeout=3))
+                for _ in range(32)
+            ]
+            with _serving(server):
+                for sock in socks:
+                    sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                for sock in socks:
+                    assert _read_response(sock).startswith(b"HTTP/1.1 200 ")
+                for sock in socks:
+                    sock.close()
 
 
 def _burst(service: PlannerService, payloads: list) -> list:
