@@ -70,13 +70,15 @@ class ExperimentConfig:
     options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
+        # Spelled ``not (budget > 0)`` so that a NaN budget fails too.
+        if self.memory_budget_bytes is not None and not (
+            self.memory_budget_bytes > 0
+        ):
             raise ConfigurationError(
                 f"memory budget must be positive, got {self.memory_budget_bytes}"
             )
-        if (
-            self.host_memory_budget_bytes is not None
-            and self.host_memory_budget_bytes <= 0
+        if self.host_memory_budget_bytes is not None and not (
+            self.host_memory_budget_bytes > 0
         ):
             raise ConfigurationError(
                 f"host memory budget must be positive, got "
@@ -386,11 +388,19 @@ def rank_by_throughput(items: Sequence[_Ranked]) -> list[_Ranked]:
             cluster[0].throughput - item.throughput
             > TIE_RTOL * cluster[0].throughput
         ):
-            ranked.extend(sorted(cluster, key=lambda r: r.label()))
+            ranked.extend(_by_label(cluster))
             cluster = []
         cluster.append(item)
-    ranked.extend(sorted(cluster, key=lambda r: r.label()))
+    ranked.extend(_by_label(cluster))
     return ranked
+
+
+def _by_label(cluster: list[_Ranked]) -> list[_Ranked]:
+    """A tie cluster in label order. A lone item is returned as is:
+    ``label()`` is not free for a plan entry."""
+    if len(cluster) < 2:
+        return cluster
+    return sorted(cluster, key=lambda r: r.label())
 
 
 def best_result(results: Sequence[ExperimentResult]) -> ExperimentResult | None:

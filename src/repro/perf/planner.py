@@ -80,7 +80,8 @@ synchronous survivor of every request feeds **one**
 memory pricing the process has already done is a lookup: the row memo
 (``_ROW_MEMO``) and ``analyze_memory``'s report memo are weak-keyed on
 the cached kernel or memory profile, so their entries die with the
-schedule-cache entry that owns them. Asynchronous
+schedule-cache entry that owns them. So is a grid point's device floor,
+from a bounded LRU like the calibrations it reads. Asynchronous
 schemes keep their steady-state measurement, fanned out over a bounded
 worker pool. Artifacts are pinned for the duration of the call, so a
 batch whose distinct-cell working set exceeds the LRU bound never
@@ -92,7 +93,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.common.errors import ConfigurationError, ScheduleError
 from repro.common.memo import WeakMemo
@@ -113,11 +115,16 @@ from repro.schedules.passes.pipeline import (
 )
 from repro.bench.machines import MachineSpec
 from repro.bench.workloads import TransformerSpec
-from repro.perf.calibration import calibrate_cost_model, calibrate_memory_model
+from repro.perf.calibration import (
+    CALIBRATION_CACHE_SIZE,
+    calibrate_cost_model,
+    calibrate_memory_model,
+)
 from repro.schedules.cache import ScheduleArtifacts, ScheduleCache
+from repro.schedules.placement import StagePlacement
 from repro.schedules.registry import available_schemes, scheme_traits
 from repro.sim.kernel import simulate_batch_many
-from repro.sim.memory import MemoryReport, device_floor, exceeds
+from repro.sim.memory import MemoryModel, MemoryReport, device_floor, exceeds
 
 #: Largest micro-batch size the enumeration considers (power-of-two scan).
 DEFAULT_MAX_MICRO_BATCH = 512
@@ -594,15 +601,41 @@ def _prune_request(request: PlanRequest, ctx: _PlanContext) -> _Pruned:
 
 def _device_floor(cfg: ExperimentConfig) -> float | None:
     """:func:`~repro.sim.memory.device_floor` of one grid point, or
-    ``None`` when its placement is only known after building."""
-    placement = scheme_traits(cfg.scheme).placement
-    if placement is None:
+    ``None`` when its placement is only known after building.
+
+    A floor the process has already derived is a lookup
+    (:func:`_placed_floor`); a memory model that cannot be hashed (a
+    list field) is priced every time and never stored.
+    """
+    traits = scheme_traits(cfg.scheme)
+    if traits.placement is None:
         return None
-    layout = placement(cfg.depth)
     model = calibrate_memory_model(
-        cfg.machine, cfg.workload, depth=layout.num_stages, micro_batch=cfg.micro_batch
+        cfg.machine,
+        cfg.workload,
+        depth=traits.stage_count(cfg.depth),
+        micro_batch=cfg.micro_batch,
     )
-    return device_floor(cfg.scheme, layout, model, cfg.num_micro_batches())
+    key = (cfg.scheme, traits.placement, cfg.depth, model, cfg.num_micro_batches())
+    try:
+        return _placed_floor(*key)
+    except TypeError:  # unhashable model
+        return _placed_floor.__wrapped__(*key)
+
+
+@lru_cache(maxsize=CALIBRATION_CACHE_SIZE)
+def _placed_floor(
+    scheme: str,
+    placement: Callable[[int], StagePlacement],
+    depth: int,
+    model: MemoryModel,
+    num_micro_batches: int,
+) -> float:
+    """The floor of ``scheme`` on ``placement(depth)``, kept in an LRU as
+    large as the calibration caches. The placement callable is part of
+    the key, so a scheme re-registered with another placement never
+    reads a stale floor."""
+    return device_floor(scheme, placement(depth), model, num_micro_batches)
 
 
 def _rejection(

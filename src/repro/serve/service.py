@@ -122,6 +122,12 @@ def parse_plan_request(payload: object) -> PlanRequest:
             raise ConfigurationError(
                 f"field '{key}' must be a number or null, got {budgets[key]!r}"
             )
+        # json.loads accepts a NaN literal, and NaN fails every comparison.
+        if budgets[key] is not None and not (budgets[key] > 0):
+            raise ConfigurationError(
+                f"field '{key}' must be a positive byte count or null, "
+                f"got {budgets[key]!r}"
+            )
 
     schemes = payload.get("schemes")
     if schemes is not None:

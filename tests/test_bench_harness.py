@@ -9,6 +9,7 @@ from repro.bench.harness import (
     ExperimentConfig,
     best_result,
     format_table,
+    rank_by_throughput,
     run_configuration,
     sweep,
 )
@@ -142,6 +143,33 @@ class TestHarness:
         # A real gap still wins on throughput.
         gap = [replace(result, throughput=1.0), replace(dapple, throughput=1.1)]
         assert best_result(gap).config.scheme == "dapple"
+
+    @pytest.mark.parametrize(
+        "field", ["memory_budget_bytes", "host_memory_budget_bytes"]
+    )
+    @pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0])
+    def test_nan_or_non_positive_budget_rejected(self, field, budget):
+        """A NaN budget passes ``budget <= 0``; let through, it would make
+        ``capacity_bytes`` ``min(usable, nan)``: the device capacity."""
+        with pytest.raises(ConfigurationError, match="budget must be positive"):
+            self._cfg(**{field: budget})
+
+    def test_lone_items_rank_without_a_label(self):
+        """Only a tie cluster of two or more is ordered by ``label()``."""
+
+        class Item:
+            def __init__(self, throughput, label=None):
+                self.throughput = throughput
+                self._label = label
+
+            def label(self):
+                assert self._label is not None, "label() of a lone item"
+                return self._label
+
+        tied = [Item(1.0, "b"), Item(math.nextafter(1.0, 0.0), "a")]
+        items = [Item(0.5), *tied, Item(2.0)]
+        ranked = rank_by_throughput(items)
+        assert ranked == [items[3], tied[1], tied[0], items[0]]
 
     def test_chimera_options_forwarded(self):
         r = run_configuration(

@@ -77,6 +77,14 @@ class TestParseValidation:
             ({**GOOD, "lowered": True}, "'pipeline'"),
             ({**GOOD, "recompute": "yes"}, "'recompute' must be a boolean"),
             ({**GOOD, "top_k": 1.5}, "'top_k' must be an integer"),
+            # NaN passes a ``<= 0`` check; both budgets must be positive.
+            ({**GOOD, "memory_budget_bytes": float("nan")},
+             "'memory_budget_bytes' must be a positive"),
+            ({**GOOD, "memory_budget_bytes": 0}, "'memory_budget_bytes'"),
+            ({**GOOD, "host_memory_budget_bytes": float("nan")},
+             "'host_memory_budget_bytes' must be a positive"),
+            ({**GOOD, "host_memory_budget_bytes": -1.0},
+             "'host_memory_budget_bytes'"),
         ],
     )
     def test_rejections_name_the_problem(self, payload, fragment):
@@ -113,6 +121,16 @@ class TestPlannerService:
         oks = [r["ok"] for r in response["results"]]
         assert oks == [True, False, True]
         assert response["results"][0] == response["results"][2]
+
+    def test_nan_budget_rejected_not_ignored(self):
+        """A NaN budget used to plan as if there were none."""
+        service = PlannerService()
+        payload = json.loads(
+            json.dumps(GOOD)[:-1] + ', "memory_budget_bytes": NaN}'
+        )
+        with pytest.raises(ConfigurationError, match="'memory_budget_bytes'"):
+            service.plan(payload)
+        assert service.stats().rejected_invalid == 1
 
     def test_non_array_batch_rejected(self):
         service = PlannerService()
@@ -317,6 +335,12 @@ class TestHTTP:
         )
         assert status == 400
         assert "available machines" in body["error"]
+
+    def test_nan_budget_maps_to_400(self, http_server):
+        body = json.dumps(GOOD)[:-1] + ', "memory_budget_bytes": NaN}'
+        status, body = _post(f"{http_server}/plan", body.encode())
+        assert status == 400
+        assert "memory_budget_bytes" in body["error"]
 
     def test_bad_json_maps_to_400(self, http_server):
         status, body = _post(f"{http_server}/plan", b"{not json")
