@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from repro.common.errors import ConfigurationError, ScheduleError
 from repro.bench.machines import MachineSpec
@@ -175,8 +175,8 @@ def _invocation(
     cfg: ExperimentConfig, parts: PipelineParts
 ) -> tuple[str, int, int, dict[str, object]]:
     """``(scheme, D, N, options)``: the schedule-cache invocation of one
-    attempt. Both :func:`config_artifacts` and the planner's call-scoped
-    memo key on it (:meth:`~repro.schedules.cache.ScheduleCache.key`)."""
+    attempt, shared by :func:`config_artifacts` and the steady-state
+    measurement."""
     options = {**parts.build_options(), **dict(cfg.options)}
     return cfg.scheme, cfg.depth, cfg.num_micro_batches(), options
 
@@ -200,21 +200,18 @@ def config_artifacts(
 
 
 def memory_report(
-    cfg: ExperimentConfig,
-    parts: PipelineParts,
-    arts: ScheduleArtifacts | None = None,
+    cfg: ExperimentConfig, parts: PipelineParts
 ) -> tuple[ScheduleArtifacts, MemoryReport]:
     """Analyze the memory of ``cfg``'s schedule under one attempt pipeline.
 
-    Returns ``(artifacts, MemoryReport)`` with no simulation. ``arts``
-    are the attempt's artifacts when the caller already holds them
-    (default: :func:`config_artifacts`). The memory model is calibrated
-    per the entry's memory profile's stage count (ZB-V splits the model
-    into 2D chunks over D workers, so each chunk is half a stage), so an
-    entry restored from the disk tier never unpickles a schedule form.
+    Returns ``(artifacts, MemoryReport)`` with no simulation. The memory
+    model is calibrated per the entry's memory profile's stage count
+    (ZB-V splits the model into 2D chunks over D workers, so each chunk
+    is half a stage), so an entry restored from the disk tier never
+    unpickles a schedule form. ``analyze_memory`` memoizes the report on
+    the entry's profile, so a repeated fit is a lookup.
     """
-    if arts is None:
-        arts = config_artifacts(cfg, parts)
+    arts = config_artifacts(cfg, parts)
     profile = arts.memory_profile()
     memory_model = calibrate_memory_model(
         cfg.machine,
@@ -226,25 +223,20 @@ def memory_report(
 
 
 def first_fit(
-    cfg: ExperimentConfig,
-    attempts: Sequence[PipelineParts],
-    report: Callable[
-        [ExperimentConfig, PipelineParts], tuple[ScheduleArtifacts, MemoryReport]
-    ] = memory_report,
+    cfg: ExperimentConfig, attempts: Sequence[PipelineParts]
 ) -> tuple[PipelineParts, ScheduleArtifacts, MemoryReport, bool]:
     """The paper's retry-with-``R`` rule: the first attempt that fits.
 
     Tries each attempt pipeline (as split by the caller, once per
     request or configuration) in order against ``cfg``'s device and
-    host budgets and returns ``(attempt, artifacts, report, fits)`` for
-    the first one that fits, else for the last one tried. ``report`` is
-    the per-attempt :func:`memory_report` (the planner passes its
-    memoized one). Every memory-fit decision in the stack runs here:
+    host budgets through :func:`memory_report`, and returns ``(attempt,
+    artifacts, report, fits)`` for the first one that fits, else for the
+    last one tried. Every memory-fit decision in the stack runs here:
     :func:`run_configuration`, the planner's pruning and the §3.4
     selector's micro-batch choice.
     """
     for attempt in attempts:
-        arts, rep = report(cfg, attempt)
+        arts, rep = memory_report(cfg, attempt)
         if rep.fits(cfg.capacity_bytes, cfg.host_capacity_bytes):
             return attempt, arts, rep, True
     return attempt, arts, rep, False

@@ -67,26 +67,25 @@ Batch planning (planner-as-a-service)
 :func:`plan_many` evaluates a whole batch of heterogeneous
 :class:`PlanRequest` queries as one unit of work — the primitive behind
 ``repro serve`` and ``repro plan``, and what the ``benchmarks/e2e``
-planning workloads measure. It deduplicates at three levels: identical
-requests collapse to one computation; memory
-reports are memoized on the schedule-cache key (``W`` and ``B`` vary far
-more often than the underlying ``(scheme, D, N)`` schedule), and each
-report prices the cache entry's resident
-:class:`~repro.sim.memory.MemoryProfile`, so later calls do not walk the
-schedule again either; and every
-synchronous survivor of every request feeds **one**
-:func:`repro.sim.kernel.simulate_batch_many` call, with rows that share a
-``(kernel, cost model)`` pair simulated once. Across calls, a row or a
-memory pricing the process has already done is a lookup: the row memo
-(``_ROW_MEMO``) and ``analyze_memory``'s report memo are weak-keyed on
-the cached kernel or memory profile, so their entries die with the
-schedule-cache entry that owns them. So is a grid point's device floor,
-from a bounded LRU like the calibrations it reads. Asynchronous
-schemes keep their steady-state measurement, fanned out over a bounded
-worker pool. Artifacts are pinned for the duration of the call, so a
-batch whose distinct-cell working set exceeds the LRU bound never
-rebuilds a schedule mid-call. Per-request results are bit-identical to
-calling :func:`plan_configurations` once per request.
+planning workloads measure. Within a batch, identical requests collapse
+to one computation, and every synchronous survivor of every request
+feeds **one** :func:`repro.sim.kernel.simulate_batch_many` call, with
+rows that share a ``(kernel, cost model)`` pair simulated once. All other
+sharing is process-wide, so it serves a batch's second request and the
+next call alike: each cached schedule keeps its
+:class:`~repro.sim.memory.MemoryProfile`, and ``analyze_memory``'s report
+memo and the row memo (``_ROW_MEMO``) are weak-keyed on the cached
+profile or kernel, so their entries die with the schedule-cache entry
+that owns them. A grid point's device floor comes from a bounded LRU
+like the calibrations it reads. Asynchronous schemes keep their
+steady-state measurement, fanned out over a bounded worker pool. Nothing
+is pinned for the call, so an entry the LRU evicts mid-batch is built
+again: with the disk tier off, the six plan-stream requests of
+``benchmarks/e2e`` planned as one batch build 229 schedules for 206
+distinct keys (22 rebuilds in the steady-state measurement, one in the
+prune step), and with the disk tier on they build 206. Per-request
+results are bit-identical to calling :func:`plan_configurations` once
+per request.
 """
 
 from __future__ import annotations
@@ -100,11 +99,9 @@ from repro.common.errors import ConfigurationError, ScheduleError
 from repro.common.memo import WeakMemo
 from repro.bench.harness import (
     ExperimentConfig,
-    _invocation,
     config_label,
     first_fit,
     format_table,
-    memory_report,
     rank_by_throughput,
 )
 from repro.schedules.passes.pipeline import (
@@ -120,7 +117,7 @@ from repro.perf.calibration import (
     calibrate_cost_model,
     calibrate_memory_model,
 )
-from repro.schedules.cache import ScheduleArtifacts, ScheduleCache
+from repro.schedules.cache import ScheduleArtifacts
 from repro.schedules.placement import StagePlacement
 from repro.schedules.registry import available_schemes, scheme_traits
 from repro.sim.kernel import simulate_batch_many
@@ -291,41 +288,11 @@ class PlanOutcome:
         return list(self.entries)
 
 
-class _PlanContext:
-    """Call-scoped memoization shared by the requests of one batch.
-
-    Pins every touched :class:`ScheduleArtifacts` for the duration of the
-    call (so an LRU working set larger than the process cache never
-    rebuilds mid-batch) and memoizes memory reports on the schedule-cache
-    key plus the calibration inputs.
-    """
-
-    def __init__(self) -> None:
-        self.artifacts: dict[tuple, ScheduleArtifacts] = {}
-        self.reports: dict[tuple, MemoryReport] = {}
-
-    def memory_report(
-        self, cfg: ExperimentConfig, parts: PipelineParts
-    ) -> tuple[ScheduleArtifacts, MemoryReport]:
-        """:func:`repro.bench.harness.memory_report`, memoized and pinned
-        on the schedule-cache key the harness builds through."""
-        akey = ScheduleCache.key(*_invocation(cfg, parts))
-        if akey is None:  # unhashable options: nothing to key on
-            return memory_report(cfg, parts)
-        rkey = (akey, cfg.machine, cfg.workload, cfg.micro_batch)
-        arts = self.artifacts.get(akey)
-        report = self.reports.get(rkey)
-        if report is None:
-            arts, report = memory_report(cfg, parts, arts)
-            self.artifacts[akey] = arts
-            self.reports[rkey] = report
-        return arts, report
-
-
 @dataclass
 class _Survivor:
     """One memory-feasible candidate: its grid point's config, the attempt
-    that fits, and that attempt's report and pinned artifacts."""
+    that fits, and that attempt's report and artifacts (ranking reads the
+    kernels the prune step priced)."""
 
     cfg: ExperimentConfig
     attempt: PipelineParts
@@ -382,14 +349,15 @@ def plan_many(
     in the outcome instead of aborting the batch; results are exactly
     what :func:`plan_configurations` returns for the same request.
 
-    Shared work is paid once: identical requests collapse, memory
-    reports memoize across requests, every synchronous survivor of every
-    request ranks through a single
+    Shared work is paid once: identical requests collapse, every
+    synchronous survivor of every request ranks through a single
     :func:`~repro.sim.kernel.simulate_batch_many` call (rows sharing a
-    kernel and cost model are simulated once), and the
-    asynchronous schemes' steady-state measurements fan out to the
-    shared default *process* pool sized ``max_workers`` (sequential when
-    there is at most one measurement or ``max_workers == 1``).
+    kernel and cost model are simulated once), and the asynchronous
+    schemes' steady-state measurements fan out to the shared default
+    *process* pool sized ``max_workers`` (sequential when there is at
+    most one measurement or ``max_workers == 1``). Memory reports,
+    ranking rows, floors and calibrations come from process-wide memos,
+    which a batch shares like consecutive calls do.
 
     Passing ``pool`` (a :class:`~repro.perf.workers.PlannerWorkerPool`)
     escapes the GIL entirely: distinct requests are sharded round-robin
@@ -404,18 +372,17 @@ def plan_many(
         raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
     if pool is not None:
         return _plan_many_pooled(requests, pool)
-    ctx = _PlanContext()
 
     # Captured errors drop their tracebacks: a traceback holds this frame,
-    # whose locals hold the error again, and that cycle would keep ``ctx``
-    # (every pinned artifact and memory report) alive until a full
-    # collection for as long as a caller keeps the outcome.
+    # whose locals hold the error again, and that cycle would keep every
+    # pruned request (its survivors' artifacts and memory reports) alive
+    # until a full collection for as long as a caller keeps the outcome.
     unique: dict[PlanRequest, _Pruned | ConfigurationError] = {}
     for request in requests:
         if request in unique:
             continue
         try:
-            unique[request] = _prune_request(request, ctx)
+            unique[request] = _prune_request(request)
         except ConfigurationError as err:
             unique[request] = err.with_traceback(None)
 
@@ -428,7 +395,7 @@ def plan_many(
             outcomes[request] = PlanOutcome(request=request, error=state)
             continue
         try:
-            entries = _finalize(state, ranked[id(state)], ctx)
+            entries = _finalize(state, ranked[id(state)])
         except ConfigurationError as err:
             outcomes[request] = PlanOutcome(
                 request=request, error=err.with_traceback(None)
@@ -513,7 +480,7 @@ def _parameterized_options(
     return options
 
 
-def _prune_request(request: PlanRequest, ctx: _PlanContext) -> _Pruned:
+def _prune_request(request: PlanRequest) -> _Pruned:
     """Validate one request and prune its grid by the memory model."""
     if request.num_workers < 2:
         raise ConfigurationError(
@@ -523,6 +490,10 @@ def _prune_request(request: PlanRequest, ctx: _PlanContext) -> _Pruned:
         raise ConfigurationError(
             f"mini-batch must be positive, got {request.mini_batch}"
         )
+    for name in ("min_depth", "max_micro_batch", "top_k"):
+        value = getattr(request, name)
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
     schemes = request.schemes
     if schemes is None:
         schemes = tuple(available_schemes())
@@ -586,9 +557,7 @@ def _prune_request(request: PlanRequest, ctx: _PlanContext) -> _Pruned:
         # Prune before ranking: the memory verdict needs no simulation, so
         # OOM candidates never pay the simulation cost.
         try:
-            attempt, arts, report, fits = first_fit(
-                cfg, pruned.attempts, ctx.memory_report
-            )
+            attempt, arts, report, fits = first_fit(cfg, pruned.attempts)
         except (ConfigurationError, ScheduleError):
             continue  # structurally invalid corner (e.g. N < 1)
         if not fits:
@@ -655,7 +624,7 @@ def _nearer(best, rejected):
     return rejected if best is None or rejected[:2] < best[:2] else best
 
 
-def _closest(pruned: _Pruned, ctx: _PlanContext) -> tuple[float, int, str] | None:
+def _closest(pruned: _Pruned) -> tuple[float, int, str] | None:
     """The rejected candidate with the smallest overshoot (earliest on ties).
 
     Points the floor skipped build here, in ``(floor overshoot, grid
@@ -667,18 +636,14 @@ def _closest(pruned: _Pruned, ctx: _PlanContext) -> tuple[float, int, str] | Non
         if best is not None and bound > best[0]:
             break
         try:
-            attempt, _, report, _ = first_fit(
-                cfg, pruned.attempts, ctx.memory_report
-            )
+            attempt, _, report, _ = first_fit(cfg, pruned.attempts)
         except (ConfigurationError, ScheduleError):
             continue
         best = _nearer(best, _rejection(cfg, index, attempt, report))
     return best
 
 
-def _finalize(
-    pruned: _Pruned, entries: list[PlanEntry], ctx: _PlanContext
-) -> list[PlanEntry]:
+def _finalize(pruned: _Pruned, entries: list[PlanEntry]) -> list[PlanEntry]:
     """Sort/truncate one request's entries, raising if nothing survived."""
     request = pruned.request
     if not entries:
@@ -687,7 +652,7 @@ def _finalize(
             if request.memory_budget_bytes is not None
             else request.machine.usable_memory_bytes
         ) / 2**30
-        closest = _closest(pruned, ctx)
+        closest = _closest(pruned)
         detail = (
             f"; closest candidate {closest[2]} overshoots by "
             f"{closest[0] / 2**30:.2f} GiB"

@@ -77,6 +77,17 @@ class CoalesceStats:
     p99_ms: float
 
 
+def _check_window(coalesce_ms: float) -> None:
+    """Reject a coalescing window the dispatcher cannot wait on: negative,
+    NaN, or longer than ``threading.TIMEOUT_MAX`` (``Condition.wait``
+    raises ``OverflowError`` above it)."""
+    limit_ms = threading.TIMEOUT_MAX * 1e3
+    if not (0 <= coalesce_ms <= limit_ms):
+        raise ConfigurationError(
+            f"coalesce_ms must be in [0, {limit_ms:g}], got {coalesce_ms}"
+        )
+
+
 class RequestCoalescer:
     """Bounded micro-batching queue in front of a batched dispatch.
 
@@ -88,10 +99,7 @@ class RequestCoalescer:
     """
 
     def __init__(self, dispatch: Callable[[list], list], *, coalesce_ms: float):
-        if coalesce_ms < 0:
-            raise ConfigurationError(
-                f"coalesce_ms must be >= 0, got {coalesce_ms}"
-            )
+        _check_window(coalesce_ms)
         self._dispatch = dispatch
         self._window_s = coalesce_ms / 1e3
         self._cond = threading.Condition()

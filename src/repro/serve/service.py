@@ -34,6 +34,7 @@ from repro.schedules.registry import available_schemes
 from repro.serve.coalesce import (
     LATENCY_WINDOW,
     RequestCoalescer,
+    _check_window,
     percentile,
 )
 
@@ -294,10 +295,7 @@ class PlannerService:
             )
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        if coalesce_ms < 0:
-            raise ConfigurationError(
-                f"coalesce_ms must be >= 0, got {coalesce_ms}"
-            )
+        _check_window(coalesce_ms)
         self.max_inflight = max_inflight
         self._slots = threading.Semaphore(max_inflight)
         self._lock = threading.Lock()

@@ -123,6 +123,11 @@ class TestErrors:
             (dict(mini_batch=0), "mini-batch must be positive"),
             (dict(schemes=()), "empty scheme list"),
             (dict(min_depth=5), "no valid (W, D) factorization"),
+            (dict(min_depth=0), "min_depth must be >= 1, got 0"),
+            (dict(min_depth=-2), "min_depth must be >= 1, got -2"),
+            (dict(max_micro_batch=0), "max_micro_batch must be >= 1, got 0"),
+            (dict(top_k=0), "top_k must be >= 1, got 0"),
+            (dict(top_k=-1), "top_k must be >= 1, got -1"),
             (
                 dict(memory_budget_bytes=0.05 * GIB),
                 "fits the 0.05 GiB memory budget",
@@ -172,8 +177,9 @@ class TestErrors:
     )
     def test_captured_error_does_not_pin_the_call_context(self, overrides, fragment):
         """A captured error carries no traceback, so dropping the outcome
-        frees the call's context (and every artifact it pinned) by
-        reference counting alone, without a cyclic collection."""
+        frees the call's pruned requests (and the artifacts their
+        survivors hold) by reference counting alone, without a cyclic
+        collection."""
         req = request(**overrides)
         gc.collect()
         gc.disable()
@@ -184,7 +190,7 @@ class TestErrors:
             with pytest.raises(ConfigurationError, match=fragment):
                 outcome.raise_or_entries()
             del outcome
-            live = [o for o in gc.get_objects() if isinstance(o, planner._PlanContext)]
+            live = [o for o in gc.get_objects() if isinstance(o, planner._Pruned)]
             assert live == []
         finally:
             gc.enable()
@@ -195,9 +201,9 @@ class TestDedup:
         calls = []
         orig = planner._prune_request
 
-        def counting(req, ctx):
+        def counting(req):
             calls.append(req)
-            return orig(req, ctx)
+            return orig(req)
 
         monkeypatch.setattr(planner, "_prune_request", counting)
         req = request()
@@ -210,9 +216,9 @@ class TestDedup:
         calls = []
         orig = planner._prune_request
 
-        def counting(req, ctx):
+        def counting(req):
             calls.append(req)
-            return orig(req, ctx)
+            return orig(req)
 
         monkeypatch.setattr(planner, "_prune_request", counting)
         plan_many([request(), request()])
@@ -241,9 +247,8 @@ class TestDedup:
         assert outcomes[1].entries == outcomes[0].entries[:1]
 
     def test_memory_profiles_compile_once_per_cache_entry(self, monkeypatch):
-        """The call context memoizes memory reports per call only, so a
-        later call asks ``analyze_memory`` again, but for the cache
-        entries' resident profiles: the schedules are not walked again,
+        """Every fit asks ``analyze_memory`` for the cache entries'
+        resident profiles, so a later call walks no schedule again,
         whatever the machine."""
         compiled = []
         priced = []
@@ -268,6 +273,32 @@ class TestDedup:
         )
         assert again.entries == first.entries and v100.ok
         assert priced and not compiled
+
+    def test_batch_prices_each_profile_once(self, monkeypatch):
+        """Two requests sharing schedule cells in one batch price each
+        (profile, memory model) pair once: ``analyze_memory``'s process-
+        wide report memo serves the second request's repeats."""
+        priced = []
+        price = memory._price
+
+        def counting(profile, model):
+            priced.append((profile, model))  # holds the profile: ids stay unique
+            return price(profile, model)
+
+        def pairs(requests):
+            memory._REPORTS.clear()
+            del priced[:]
+            outcomes = plan_many(requests, max_workers=1)
+            assert all(o.ok for o in outcomes)
+            return [(id(profile), model) for profile, model in priced]
+
+        monkeypatch.setattr(memory, "_price", counting)
+        loose, tight = request(), request(memory_budget_bytes=6 * GIB)
+        alone = [set(pairs([loose])), set(pairs([tight]))]
+        assert alone[0] & alone[1]  # the requests share cells
+        batch = pairs([loose, tight])
+        assert len(batch) == len(set(batch))
+        assert set(batch) == alone[0] | alone[1]
 
 
 class TestPlannerMemo:

@@ -151,7 +151,7 @@ def gpipe_twin():
 def test_equal_overshoots_name_the_earlier_grid_point(gpipe_twin, first):
     second = "gpipe" if first == gpipe_twin else gpipe_twin
     request = PlanRequest(**{**NO_FIT, "schemes": (first, second)})
-    pruned = planner._prune_request(request, planner._PlanContext())
+    pruned = planner._prune_request(request)
     assert not pruned.survivors and pruned.closest is None
     assert {cfg.scheme for _, _, cfg in pruned.skipped} == {first, second}
     (outcome,) = plan_many([request], max_workers=1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
+import math
 import os
 import pathlib
 import re
@@ -31,7 +32,7 @@ from repro.common.errors import ConfigurationError, ServiceOverloadError
 from repro.perf.planner import PlanRequest, plan_configurations
 from repro.bench.machines import PIZ_DAINT
 from repro.bench.workloads import BERT48
-from repro.serve import PlannerHTTPServer, PlannerService
+from repro.serve import PlannerHTTPServer, PlannerService, RequestCoalescer
 from repro.serve.service import parse_plan_request
 
 GOOD = {
@@ -328,6 +329,17 @@ class TestHTTP:
         assert status == 200
         assert [r["ok"] for r in body["results"]] == [True, False]
 
+    def test_plan_many_isolates_out_of_range_bounds(self, http_server):
+        """A search bound below 1 fails its own request, not the batch."""
+        status, body = _post(
+            f"{http_server}/plan_many",
+            json.dumps([GOOD, {**GOOD, "min_depth": 0}]).encode(),
+        )
+        assert status == 200
+        good, bad = body["results"]
+        assert good["ok"] and good["entries"][0]["throughput"] > 0
+        assert not bad["ok"] and "min_depth" in bad["error"]
+
     def test_validation_maps_to_400(self, http_server):
         status, body = _post(
             f"{http_server}/plan",
@@ -574,8 +586,22 @@ class TestCoalescing:
     def test_ctor_validation(self):
         with pytest.raises(ConfigurationError, match="workers"):
             PlannerService(workers=-1)
+
+    @pytest.mark.parametrize("coalesce_ms", [-0.5, math.nan, math.inf, 1e15])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda ms: PlannerService(coalesce_ms=ms),
+            lambda ms: RequestCoalescer(list, coalesce_ms=ms),
+        ],
+        ids=["service", "coalescer"],
+    )
+    def test_unwaitable_window_rejected(self, make, coalesce_ms):
+        """A window ``Condition.wait`` cannot take (above
+        ``threading.TIMEOUT_MAX`` seconds, or infinite) would kill the
+        dispatcher on the first request; NaN would disable coalescing."""
         with pytest.raises(ConfigurationError, match="coalesce_ms"):
-            PlannerService(coalesce_ms=-0.5)
+            make(coalesce_ms)
 
 
 class TestMultiprocessService:

@@ -116,11 +116,11 @@ class TestParity:
         """The raw steady-state task kind the async fan-out uses: a
         pooled ``run_configuration`` equals the local call."""
         from repro.bench.harness import run_configuration
-        from repro.perf.planner import _PlanContext, _prune_request
+        from repro.perf.planner import _prune_request
         from repro.schedules.registry import scheme_traits
 
         req = request(schemes=("pipedream", "chimera"), mini_batch=8)
-        pruned = _prune_request(req, _PlanContext())
+        pruned = _prune_request(req)
         cfgs = [
             s.cfg
             for s in pruned.survivors
