@@ -64,28 +64,24 @@ bubble ratios to 1e-9.
 
 Batch planning (planner-as-a-service)
 -------------------------------------
-:func:`plan_many` evaluates a whole batch of heterogeneous
-:class:`PlanRequest` queries as one unit of work — the primitive behind
-``repro serve`` and ``repro plan``, and what the ``benchmarks/e2e``
-planning workloads measure. Within a batch, identical requests collapse
-to one computation, and every synchronous survivor of every request
-feeds **one** :func:`repro.sim.kernel.simulate_batch_many` call, with
-rows that share a ``(kernel, cost model)`` pair simulated once. All other
-sharing is process-wide, so it serves a batch's second request and the
-next call alike: each cached schedule keeps its
-:class:`~repro.sim.memory.MemoryProfile`, and ``analyze_memory``'s report
-memo and the row memo (``_ROW_MEMO``) are weak-keyed on the cached
-profile or kernel, so their entries die with the schedule-cache entry
-that owns them. A grid point's device floor comes from a bounded LRU
-like the calibrations it reads. Asynchronous schemes keep their
+:func:`plan_many` evaluates a batch of heterogeneous
+:class:`PlanRequest` queries — the primitive behind ``repro serve`` and
+``repro plan``, and what the ``benchmarks/e2e`` planning workloads
+measure. Identical requests collapse to one computation; every distinct
+request is then planned on its own (prune, rank, finalize), so a batch
+holds only the survivors of the request being planned. Everything else a
+batch shares, consecutive calls share too: each cached schedule keeps
+its :class:`~repro.sim.memory.MemoryProfile`, and ``analyze_memory``'s
+report memo and the row memo (``_ROW_MEMO``) are weak-keyed on the
+cached profile or kernel, so their entries die with the schedule-cache
+entry that owns them. A grid point's device floor comes from a bounded
+LRU like the calibrations it reads. Asynchronous schemes keep their
 steady-state measurement, fanned out over a bounded worker pool. Nothing
-is pinned for the call, so an entry the LRU evicts mid-batch is built
-again: with the disk tier off, the six plan-stream requests of
-``benchmarks/e2e`` planned as one batch build 229 schedules for 206
-distinct keys (22 rebuilds in the steady-state measurement, one in the
-prune step), and with the disk tier on they build 206. Per-request
-results are bit-identical to calling :func:`plan_configurations` once
-per request.
+is pinned for the call, so an entry the LRU evicts is built again: with
+the disk tier off, the six plan-stream requests of ``benchmarks/e2e``
+planned as one batch build 207 schedules for 206 distinct keys, and with
+the disk tier on they build 206. Per-request results are bit-identical
+to calling :func:`plan_configurations` once per request.
 """
 
 from __future__ import annotations
@@ -134,8 +130,9 @@ DEFAULT_PLAN_WORKERS = min(8, os.cpu_count() or 1)
 #: SEND/RECV communication, so p2p transfers contend for link bandwidth.
 DEFAULT_PLAN_PIPELINE = ("lower_p2p",)
 
-#: Every solved ranking row, per kernel (:func:`_rank_all` passes it to
-#: ``simulate_batch_many``), so a row a later request repeats is a lookup.
+#: Every solved ranking row, per kernel (:func:`_rank` passes it to
+#: ``simulate_batch_many``), so a row a later request repeats is a lookup,
+#: whether it comes in the same batch or a later call.
 _ROW_MEMO = WeakMemo()
 
 
@@ -182,10 +179,13 @@ def candidate_grid(
     scheme's parity trait, and the workload's layers split evenly into the
     schedule's stage count (``2D`` for the V-shaped family). Micro-batch
     sizes scan powers of two with ``W * B`` dividing the mini-batch.
+    Depths stop at the layer count: a deeper schedule has more stages than
+    layers, so the scan stays short for a huge ``P``.
     """
+    max_depth = min(num_workers, workload.num_layers)
     for scheme in schemes:
         traits = scheme_traits(scheme)
-        for depth in range(min_depth, num_workers + 1):
+        for depth in range(min_depth, max_depth + 1):
             if num_workers % depth:
                 continue
             if traits.requires_even_depth and depth % 2:
@@ -252,6 +252,11 @@ class PlanRequest:
     host_memory_budget_bytes: float | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.schemes, str):
+            raise ConfigurationError(
+                f"schemes must be a sequence of scheme names, got the string "
+                f"{self.schemes!r}; pass ({self.schemes!r},) to plan over one"
+            )
         if self.schemes is not None and not isinstance(self.schemes, tuple):
             object.__setattr__(self, "schemes", tuple(self.schemes))
         pipeline = DEFAULT_PLAN_PIPELINE if self.pipeline is None else self.pipeline
@@ -342,67 +347,55 @@ def plan_many(
     max_workers: int = DEFAULT_PLAN_WORKERS,
     pool: "object | None" = None,
 ) -> list[PlanOutcome]:
-    """Plan a batch of heterogeneous requests as one unit of work.
+    """Plan a batch of heterogeneous requests, one distinct request at a time.
 
     Returns one :class:`PlanOutcome` per request, in order. Per-request
     failures (empty search space, nothing fits the budget) are captured
     in the outcome instead of aborting the batch; results are exactly
     what :func:`plan_configurations` returns for the same request.
 
-    Shared work is paid once: identical requests collapse, every
-    synchronous survivor of every request ranks through a single
-    :func:`~repro.sim.kernel.simulate_batch_many` call (rows sharing a
-    kernel and cost model are simulated once), and the asynchronous
-    schemes' steady-state measurements fan out to the shared default
-    *process* pool sized ``max_workers`` (sequential when there is at
-    most one measurement or ``max_workers == 1``). Memory reports,
-    ranking rows, floors and calibrations come from process-wide memos,
-    which a batch shares like consecutive calls do.
+    Identical requests collapse to one computation. Each distinct request
+    ranks its synchronous survivors through one
+    :func:`~repro.sim.kernel.simulate_batch_many` call, and fans its
+    asynchronous schemes' steady-state measurements out to the shared
+    default *process* pool sized ``max_workers`` (sequential when the
+    request has at most one measurement or ``max_workers == 1``). Memory
+    reports, ranking rows, floors and calibrations come from process-wide
+    memos, which a batch's requests share like consecutive calls do.
 
     Passing ``pool`` (a :class:`~repro.perf.workers.PlannerWorkerPool`)
     escapes the GIL entirely: distinct requests are sharded round-robin
     across its worker processes, each planning its shard in-process with
     its own warm caches. Per-request outcomes are independent of their
-    batchmates — cross-request sharing is purely a cost optimization —
-    so results are bit-identical to in-process planning, including
-    exact error messages.
+    batchmates, so results are bit-identical to in-process planning,
+    including exact error messages.
     """
     requests = list(requests)
     if max_workers < 1:
         raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
     if pool is not None:
         return _plan_many_pooled(requests, pool)
-
-    # Captured errors drop their tracebacks: a traceback holds this frame,
-    # whose locals hold the error again, and that cycle would keep every
-    # pruned request (its survivors' artifacts and memory reports) alive
-    # until a full collection for as long as a caller keeps the outcome.
-    unique: dict[PlanRequest, _Pruned | ConfigurationError] = {}
-    for request in requests:
-        if request in unique:
-            continue
-        try:
-            unique[request] = _prune_request(request)
-        except ConfigurationError as err:
-            unique[request] = err.with_traceback(None)
-
-    pruned = [p for p in unique.values() if isinstance(p, _Pruned)]
-    ranked = _rank_all(pruned, max_workers=max_workers)
-
     outcomes: dict[PlanRequest, PlanOutcome] = {}
-    for request, state in unique.items():
-        if isinstance(state, ConfigurationError):
-            outcomes[request] = PlanOutcome(request=request, error=state)
-            continue
-        try:
-            entries = _finalize(state, ranked[id(state)])
-        except ConfigurationError as err:
-            outcomes[request] = PlanOutcome(
-                request=request, error=err.with_traceback(None)
-            )
-            continue
-        outcomes[request] = PlanOutcome(request=request, entries=tuple(entries))
+    for request in requests:
+        if request not in outcomes:
+            outcomes[request] = _plan_one(request, max_workers)
     return [outcomes[request] for request in requests]
+
+
+def _plan_one(request: PlanRequest, max_workers: int) -> PlanOutcome:
+    """Prune, rank and finalize one request; a :class:`ConfigurationError`
+    becomes the outcome's error."""
+    # Captured errors drop their tracebacks: a traceback holds this frame,
+    # whose locals hold the error again and the pruned request (its
+    # survivors' artifacts and memory reports), and that cycle would keep
+    # them alive until a full collection for as long as a caller keeps
+    # the outcome.
+    try:
+        pruned = _prune_request(request)
+        entries = _finalize(pruned, _rank(pruned.survivors, max_workers=max_workers))
+    except ConfigurationError as err:
+        return PlanOutcome(request=request, error=err.with_traceback(None))
+    return PlanOutcome(request=request, entries=tuple(entries))
 
 
 def _plan_many_pooled(
@@ -671,143 +664,96 @@ def _finalize(pruned: _Pruned, entries: list[PlanEntry]) -> list[PlanEntry]:
     return entries
 
 
-def _steady_cfg_key(cfg: ExperimentConfig, pipeline: tuple[str, ...]) -> tuple:
-    """Dedup identity of one asynchronous steady-state measurement: a
-    grid point's config under its winning attempt ``pipeline``."""
-    try:
-        options = tuple(sorted(dict(cfg.options).items()))
-        hash(options)
-    except TypeError:
-        options = (id(cfg),)  # unhashable options: never deduplicated
-    return (
-        cfg.scheme,
-        cfg.machine,
-        cfg.workload,
-        cfg.width,
-        cfg.depth,
-        cfg.micro_batch,
-        cfg.mini_batch,
-        cfg.recompute,
-        pipeline,
-        cfg.memory_budget_bytes,
-        cfg.host_memory_budget_bytes,
-        options,
-    )
-
-
-def _rank_all(
-    pruneds: Sequence[_Pruned], *, max_workers: int
-) -> dict[int, list[PlanEntry]]:
-    """Simulate every pruned request's survivors, shared across requests.
+def _rank(survivors: Sequence[_Survivor], *, max_workers: int) -> list[PlanEntry]:
+    """Simulate one request's survivors; unsorted entries for :func:`_finalize`.
 
     Synchronous schemes rank through **one**
-    :func:`repro.sim.kernel.simulate_batch_many` call covering all
-    requests: every distinct ``(kernel, cost model)`` pair is a row, rows
-    carry heterogeneous shapes — ``(scheme, D, N, recompute, pipeline)``
-    as well as ``(W, B)``/topology — and rows sharing a cached kernel
+    :func:`repro.sim.kernel.simulate_batch_many` call: each survivor is a
+    ``(kernel, cost model)`` row with its own shape — ``(scheme, D, N,
+    recompute, pipeline)`` as well as ``(W, B)``/topology — and rows
+    sharing a cached kernel
     (:meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for`)
     vectorize together. A row is calibrated from its kernel's stage count
     and reads nothing of the schedule, so an entry restored from the disk
     tier ranks without unpickling its schedule forms. The call passes
-    the process-wide row memo (``_ROW_MEMO``), so a row an earlier call
-    solved is read back instead of swept; every distinct row is still a
-    row of the call. The default
-    lowered ranking models link contention; the kernel computes
-    per-channel FIFO serialization itself, so contended rows stay on the
-    array path and nothing falls back to per-model event simulation.
+    the process-wide row memo (``_ROW_MEMO``), so a row an earlier
+    request solved is read back instead of swept. The default lowered
+    ranking models link contention; the kernel computes per-channel FIFO
+    serialization itself, so contended rows stay on the array path and
+    nothing falls back to per-model event simulation.
     Asynchronous schemes keep the steady-state measurement of
     :func:`~repro.bench.harness.run_configuration` (their throughput is a
     marginal rate between two window sizes, not one iteration time),
-    deduplicated and fanned out over the shared default **process pool**
-    sized ``max_workers``: the measurements are CPU-bound, so a thread
-    pool would buy no speedup under the GIL. A single measurement — or
+    fanned out over the shared default **process pool** sized
+    ``max_workers``: the measurements are CPU-bound, so a thread pool
+    would buy no speedup under the GIL. A single measurement — or
     ``max_workers == 1``, which is how a pool worker plans its shard —
     stays sequential.
-
-    Returns ``id(pruned) -> unsorted entries`` for :func:`_finalize`.
     """
-    # ---- collect distinct work items across every request ---------------
-    sync_rows: dict[tuple, tuple] = {}  # row key -> (kernel, model)
-    async_cfgs: dict[tuple, ExperimentConfig] = {}
-    row_of_survivor: dict[int, tuple] = {}
-    for pruned in pruneds:
-        for survivor in pruned.survivors:
-            cfg, pipeline = survivor.cfg, survivor.attempt.pipeline()
-            if not scheme_traits(cfg.scheme).synchronous:
-                key = _steady_cfg_key(cfg, pipeline)
-                row_of_survivor[id(survivor)] = key
-                if key not in async_cfgs:  # the measurement runs this config
-                    async_cfgs[key] = replace(cfg, pipeline=pipeline)
-                continue
-            kernel = survivor.arts.kernel_for(pipeline)
-            model = calibrate_cost_model(
-                cfg.machine,
-                cfg.workload,
-                depth=kernel.num_stages,
-                micro_batch=cfg.micro_batch,
-                data_parallel_width=cfg.width,
-            )
-            row_key = (id(kernel), model)
-            sync_rows.setdefault(row_key, (kernel, model))
-            row_of_survivor[id(survivor)] = row_key
-
-    # ---- one batched kernel call for every synchronous row --------------
-    sync_results: dict[tuple, tuple[int, float]] = {}  # row key -> (row, bubble)
-    if sync_rows:
-        batch = simulate_batch_many(list(sync_rows.values()), memo=_ROW_MEMO)
-        for k, key in enumerate(sync_rows):
-            sync_results[key] = (k, batch.bubble_ratio(k))
-
-    # ---- process-pool fan-out for the async steady-state paths ----------
     from repro.perf.workers import get_default_pool, run_steady
 
-    items = list(async_cfgs.items())
-    if len(items) > 1 and max_workers > 1:
+    synchronous = [scheme_traits(s.cfg.scheme).synchronous for s in survivors]
+    rows = []
+    steady_cfgs = []
+    for survivor, sync in zip(survivors, synchronous):
+        cfg, pipeline = survivor.cfg, survivor.attempt.pipeline()
+        if not sync:
+            steady_cfgs.append(replace(cfg, pipeline=pipeline))
+            continue
+        kernel = survivor.arts.kernel_for(pipeline)
+        model = calibrate_cost_model(
+            cfg.machine,
+            cfg.workload,
+            depth=kernel.num_stages,
+            micro_batch=cfg.micro_batch,
+            data_parallel_width=cfg.width,
+        )
+        rows.append((kernel, model))
+    if rows:
+        batch = simulate_batch_many(rows, memo=_ROW_MEMO)
+    if len(steady_cfgs) > 1 and max_workers > 1:
         steady_pool = get_default_pool(max_workers)
-        futures = [(key, steady_pool.submit_steady(cfg)) for key, cfg in items]
-        async_results = {key: future.result() for key, future in futures}
+        futures = [steady_pool.submit_steady(cfg) for cfg in steady_cfgs]
+        steady = [future.result() for future in futures]
     else:
-        async_results = {key: run_steady(cfg) for key, cfg in items}
+        steady = [run_steady(cfg) for cfg in steady_cfgs]
 
-    # ---- assemble per-request entries from the shared results -----------
-    out: dict[int, list[PlanEntry]] = {}
-    for pruned in pruneds:
-        entries: list[PlanEntry] = []
-        for survivor in pruned.survivors:
-            cfg, attempt, report = survivor.cfg, survivor.attempt, survivor.report
-            key = row_of_survivor[id(survivor)]
-            if scheme_traits(cfg.scheme).synchronous:
-                k, bubble = sync_results[key]
-                iteration_time = float(batch.iteration_time[k])
-                throughput = batch.throughput(
-                    k, micro_batch=cfg.micro_batch, width=cfg.width
-                )
-            else:
-                # The measurement re-runs the survivor's memory fit under
-                # its winning attempt, so only its timings are new here.
-                result = async_results[key]
-                if result is None:
-                    continue
-                iteration_time, throughput = result.iteration_time, result.throughput
-                bubble = result.bubble_ratio
-            entries.append(
-                PlanEntry(
-                    scheme=cfg.scheme,
-                    width=cfg.width,
-                    depth=cfg.depth,
-                    micro_batch=cfg.micro_batch,
-                    num_micro_batches=cfg.num_micro_batches(),
-                    recompute=attempt.recompute,
-                    iteration_time=iteration_time,
-                    throughput=throughput,
-                    bubble_ratio=bubble,
-                    peak_memory_bytes=report.peak_bytes,
-                    pipeline=attempt.pipeline(),
-                    host_peak_memory_bytes=report.host_peak_bytes,
-                )
+    rows_left, steady_left = iter(range(len(rows))), iter(steady)
+    entries: list[PlanEntry] = []
+    for survivor, sync in zip(survivors, synchronous):
+        cfg, attempt, report = survivor.cfg, survivor.attempt, survivor.report
+        if sync:
+            k = next(rows_left)
+            iteration_time = float(batch.iteration_time[k])
+            throughput = batch.throughput(
+                k, micro_batch=cfg.micro_batch, width=cfg.width
             )
-        out[id(pruned)] = entries
-    return out
+            bubble = batch.bubble_ratio(k)
+        else:
+            # The measurement re-runs the survivor's memory fit under its
+            # winning attempt, so only its timings are new here.
+            result = next(steady_left)
+            if result is None:
+                continue
+            iteration_time, throughput = result.iteration_time, result.throughput
+            bubble = result.bubble_ratio
+        entries.append(
+            PlanEntry(
+                scheme=cfg.scheme,
+                width=cfg.width,
+                depth=cfg.depth,
+                micro_batch=cfg.micro_batch,
+                num_micro_batches=cfg.num_micro_batches(),
+                recompute=attempt.recompute,
+                iteration_time=iteration_time,
+                throughput=throughput,
+                bubble_ratio=bubble,
+                peak_memory_bytes=report.peak_bytes,
+                pipeline=attempt.pipeline(),
+                host_peak_memory_bytes=report.host_peak_bytes,
+            )
+        )
+    return entries
 
 
 # --------------------------------------------------------------------------
@@ -894,7 +840,8 @@ def select_configuration(
     if num_workers < 2:
         raise ConfigurationError("need at least two workers for a pipeline")
     candidates: list[ConfigCandidate] = []
-    for depth in range(2, num_workers + 1, 2):
+    max_depth = min(num_workers, workload.num_layers)  # deeper never divides
+    for depth in range(2, max_depth + 1, 2):
         if num_workers % depth or workload.num_layers % depth:
             continue
         width = num_workers // depth

@@ -24,11 +24,12 @@ Design notes
 * **Whole-shard tasks.** The unit of work is a list of
   :class:`~repro.perf.planner.PlanRequest` objects executed by the
   worker's own in-process :func:`~repro.perf.planner.plan_many`
-  (``max_workers=1`` — a worker never nests a pool). Per-request
-  outcomes are independent of their batchmates (cross-request sharing
-  is purely a cost optimization), so sharding preserves bit-identical
-  results, including exact ``ConfigurationError`` messages; the bench
-  harness asserts this parity per entry at 1e-9.
+  (``max_workers=1`` — a worker never nests a pool), which plans the
+  shard's distinct requests one at a time. Per-request outcomes are
+  independent of their batchmates (a shard shares only the worker's
+  process-wide memos, as consecutive calls do), so sharding preserves
+  bit-identical results, including exact ``ConfigurationError``
+  messages; the bench harness asserts this parity per entry at 1e-9.
 * **Crash containment.** Every task is tagged before execution; when a
   worker dies mid-task (or the whole pool is down with tasks queued),
   the affected futures fail with :class:`WorkerCrashError` instead of

@@ -1,11 +1,12 @@
 """Dynamic request coalescing: the micro-batching front-end of ``/plan``.
 
 A burst of K independent single-request clients used to cost K separate
-planner invocations, each paying admission, context setup, and a
-one-request :func:`~repro.perf.planner.plan_many` — while ``plan_many``
-exists precisely to amortize that work across a batch (identical
-requests collapse outright; distinct ones share memory reports and one
-kernel call). :class:`RequestCoalescer` closes the gap the way
+planner invocations, each paying admission and a one-request
+:func:`~repro.perf.planner.plan_many` — while one ``plan_many`` call
+over the burst pays admission once and collapses identical requests
+outright (distinct ones are planned one after another and share the
+process-wide memos, as consecutive calls do).
+:class:`RequestCoalescer` closes the gap the way
 production inference servers do (dynamic batching): concurrent callers
 enqueue and block on a per-call future, a single dispatcher thread
 drains up to :data:`DEFAULT_COALESCE_BATCH` requests once the **oldest**

@@ -122,6 +122,7 @@ class TestErrors:
             (dict(num_workers=1), "at least two workers"),
             (dict(mini_batch=0), "mini-batch must be positive"),
             (dict(schemes=()), "empty scheme list"),
+            (dict(schemes="chimera"), "schemes must be a sequence"),
             (dict(min_depth=5), "no valid (W, D) factorization"),
             (dict(min_depth=0), "min_depth must be >= 1, got 0"),
             (dict(min_depth=-2), "min_depth must be >= 1, got -2"),
@@ -135,7 +136,17 @@ class TestErrors:
         ],
     )
     def test_error_parity_with_sequential(self, overrides, fragment):
-        req = request(**overrides)
+        try:
+            req = request(**overrides)
+        except ConfigurationError as err:
+            # Rejected as the request is built: plan_configurations, which
+            # builds the same request, raises the same message.
+            assert fragment in str(err)
+            fields = {**request().__dict__, **overrides}
+            with pytest.raises(ConfigurationError) as reference:
+                plan_configurations(**fields)
+            assert str(reference.value) == str(err)
+            return
         [outcome] = plan_many([req])
         reference = sequential(req)
         assert not outcome.ok
@@ -226,25 +237,55 @@ class TestDedup:
 
     def test_shared_sync_rows_simulated_once(self, monkeypatch):
         """Two requests over the same machine/workload share kernel rows:
-        the batched call sees each distinct (graph, cost model) row once,
-        not once per request."""
-        seen = []
-        orig = planner.simulate_batch_many
+        the batch solves each distinct (kernel, cost model) row once, as
+        many rows as its first request alone (the second request's rows
+        are row-memo hits)."""
+        solved = []
+        solve = kernel_mod._batch_rows
 
-        def counting(items, **kwargs):
-            seen.append(len(items))
-            return orig(items, **kwargs)
+        def spy(kernel, models):
+            solved.append(len(models))
+            return solve(kernel, models)
 
-        monkeypatch.setattr(planner, "simulate_batch_many", counting)
+        def rows_solved(requests):
+            planner._ROW_MEMO.clear()
+            del solved[:]
+            outcomes = plan_many(requests, max_workers=1)
+            assert all(o.ok for o in outcomes)
+            return sum(solved), outcomes
+
+        monkeypatch.setattr(kernel_mod, "_batch_rows", spy)
         base = request()
-        [solo] = plan_many([base])
-        solo_rows = seen.pop()
+        solo_rows, _ = rows_solved([base])
         # top_k differs -> distinct requests, but identical survivor cells.
-        outcomes = plan_many([base, request(top_k=1)])
-        assert len(seen) == 1  # ONE simulate_batch_many call for the batch
-        assert seen[0] == solo_rows  # ... with no duplicated rows
-        assert outcomes[0].ok and outcomes[1].ok
+        batch_rows, outcomes = rows_solved([base, request(top_k=1)])
+        assert solo_rows > 0
+        assert batch_rows == solo_rows
         assert outcomes[1].entries == outcomes[0].entries[:1]
+
+    def test_batch_keeps_only_the_planned_requests_survivors(self, monkeypatch):
+        """A batch plans one request at a time: while the second request
+        prunes, no survivor of the first is alive (gc disabled, so
+        nothing is freed behind the count's back)."""
+        seen = []
+        prune = planner._prune_request
+
+        def spy(req):
+            live = [o for o in gc.get_objects() if isinstance(o, planner._Survivor)]
+            seen.append(len(live))
+            return prune(req)
+
+        monkeypatch.setattr(planner, "_prune_request", spy)
+        gc.collect()
+        gc.disable()
+        try:
+            first, second = plan_many(
+                [request(), request(mini_batch=32)], max_workers=1
+            )
+        finally:
+            gc.enable()
+        assert first.ok and first.entries and second.ok
+        assert seen == [0, 0]
 
     def test_memory_profiles_compile_once_per_cache_entry(self, monkeypatch):
         """Every fit asks ``analyze_memory`` for the cache entries'

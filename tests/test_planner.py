@@ -11,7 +11,7 @@ from repro.bench.harness import (
     run_configuration,
 )
 from repro.bench.machines import PIZ_DAINT, V100_CLUSTER
-from repro.bench.workloads import BERT48
+from repro.bench.workloads import BERT48, GPT2_32
 from repro.common.errors import ConfigurationError
 from repro.common.units import GIB
 from repro.perf.planner import (
@@ -19,7 +19,9 @@ from repro.perf.planner import (
     candidate_grid,
     format_plan,
     plan_configurations,
+    select_configuration,
 )
+from repro.schedules.registry import available_schemes, scheme_traits
 
 #: Small synchronous scenario used throughout: P=8, B̂=64 keeps every
 #: simulation tiny while still admitting several (scheme, W, D, B) cells.
@@ -54,6 +56,40 @@ class TestCandidateGrid:
     def test_max_micro_batch_caps_the_scan(self):
         grid = candidate_grid(8, BERT48, 64, schemes=("dapple",), max_micro_batch=4)
         assert max(b for *_, b in grid) == 4
+
+    @pytest.mark.parametrize("workload", [BERT48, GPT2_32], ids=lambda w: w.name)
+    def test_depth_bound_keeps_the_grid(self, workload):
+        """Stopping the depth scan at the layer count drops no point: the
+        grid equals the scan over every depth up to ``P``."""
+
+        def unbounded(num_workers, scheme):
+            traits = scheme_traits(scheme)
+            for depth in range(2, num_workers + 1):
+                if num_workers % depth or (traits.requires_even_depth and depth % 2):
+                    continue
+                if workload.num_layers % traits.stage_count(depth):
+                    continue
+                width = num_workers // depth
+                b = 1
+                while b <= 512 and width * b <= 128:
+                    if 128 % (width * b) == 0:
+                        yield scheme, width, depth, b
+                    b *= 2
+
+        for num_workers in range(2, 65):
+            for scheme in available_schemes():
+                got = candidate_grid(num_workers, workload, 128, schemes=(scheme,))
+                assert list(got) == list(unbounded(num_workers, scheme))
+
+    def test_huge_worker_count_scans_only_layer_depths(self):
+        """A prime ``P`` far above the layer count has no factorization,
+        and finding that out does not scan ``P`` depths."""
+        huge = 2**31 - 1
+        assert list(candidate_grid(huge, BERT48, 64, schemes=("dapple",))) == []
+        with pytest.raises(ConfigurationError, match="no valid \\(W, D\\)"):
+            plan_configurations(PIZ_DAINT, BERT48, num_workers=huge, mini_batch=64)
+        with pytest.raises(ConfigurationError, match="no feasible"):
+            select_configuration(PIZ_DAINT, BERT48, num_workers=huge, mini_batch=64)
 
 
 class TestRanking:

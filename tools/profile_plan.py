@@ -56,7 +56,7 @@ FUNCTIONS = (
     "device_floor",
     "_weight_bytes",
     "first_fit",
-    "_rank_all",
+    "_rank",
     "rank_by_throughput",
     "label",
     "split_pipeline",
