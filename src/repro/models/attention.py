@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.models import functional as F
 from repro.models.layers import Layer, Linear
+
+
+@functools.lru_cache(maxsize=64)
+def _causal_mask(seq: int) -> np.ndarray:
+    """``True`` above the diagonal: the keys each query may not see.
+
+    One read-only array per sequence length, shared by every call.
+    """
+    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 class CausalSelfAttention(Layer):
@@ -40,14 +53,13 @@ class CausalSelfAttention(Layer):
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         b, s, _ = x.shape
         qkv, qkv_cache = self.qkv.forward(x)
-        q, k, v = np.split(qkv, 3, axis=-1)
-        q = self._split_heads(q)
-        k = self._split_heads(k)
-        v = self._split_heads(v)
+        d = self.dim
+        q = self._split_heads(qkv[..., :d])
+        k = self._split_heads(qkv[..., d : 2 * d])
+        v = self._split_heads(qkv[..., 2 * d :])
         scale = 1.0 / np.sqrt(self.head_dim)
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        mask = np.triu(np.ones((s, s), dtype=bool), k=1)
-        scores = np.where(mask, -1e30, scores)
+        scores = np.where(_causal_mask(s), -1e30, scores)
         attn = F.softmax(scores, axis=-1)
         context = attn @ v
         merged = self._merge_heads(context)

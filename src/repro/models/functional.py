@@ -4,6 +4,15 @@ Every function returns ``(output, cache)`` and has a matching ``*_backward``
 taking ``(grad_output, cache)``. Kernels avoid Python-level loops and
 unnecessary copies (views where possible), per the scientific-Python
 optimization guidance this project follows.
+
+Two arithmetic rules keep a train step at the speed of its matmuls:
+
+* No array ``**`` with an integer exponent other than 2: NumPy squares
+  ``x**2`` itself but sends every other power to libm ``pow``, which on
+  float64 costs tens of times as much as products (write ``x * x * x``).
+* A mean over the last axis is spelled ``x.sum(-1, keepdims=True) / n``,
+  which is NumPy's own ``mean`` bit for bit (``add.reduce``, then a true
+  divide by the count), so a centred array is formed once and reused.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Tanh-approximation GELU (the transformer standard)."""
-    u = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
+    u = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))
     t = np.tanh(u)
     y = 0.5 * x * (1.0 + t)
     return y, (x, t)
@@ -34,10 +43,11 @@ def layernorm(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
 ) -> tuple[np.ndarray, tuple]:
     """LayerNorm over the last axis."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
+    xhat = xc * inv
     y = xhat * gamma + beta
     return y, (xhat, inv, gamma)
 
@@ -54,8 +64,8 @@ def layernorm_backward(
     n = xhat.shape[-1]
     dx = (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - dxhat.sum(axis=-1, keepdims=True) / n
+        - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / n)
     ) * inv
     return dx, dgamma, dbeta
 

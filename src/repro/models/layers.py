@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.common.errors import ConfigurationError
 from repro.models import functional as F
 
 
@@ -142,7 +143,17 @@ class Embedding(Layer):
         self.register("pos", (rng.standard_normal((max_seq, dim)) * 0.02).astype(dtype))
 
     def forward(self, tokens: np.ndarray) -> tuple[np.ndarray, object]:
+        vocab, max_seq = len(self.params["tok"]), len(self.params["pos"])
         seq = tokens.shape[1]
+        if seq > max_seq:
+            raise ConfigurationError(
+                f"sequence length {seq} exceeds the embedding's max_seq {max_seq}"
+            )
+        bad = tokens[(tokens < 0) | (tokens >= vocab)]
+        if bad.size:
+            raise ConfigurationError(
+                f"token id {bad[0]} is outside the vocabulary [0, {vocab})"
+            )
         y = self.params["tok"][tokens] + self.params["pos"][:seq]
         return y, (tokens, seq)
 

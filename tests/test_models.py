@@ -1,10 +1,13 @@
 """NumPy model layers: gradient checks against finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.models import functional as Fn
-from repro.models.attention import CausalSelfAttention
+from repro.models.attention import CausalSelfAttention, _causal_mask
 from repro.models.layers import GELU, Embedding, LayerNorm, Linear, Sequential
 from repro.models.loss import softmax_cross_entropy
 from repro.models.transformer import (
@@ -173,6 +176,23 @@ class TestLayers:
             expected = numeric_grad(loss, layer.params[name])
             np.testing.assert_allclose(layer.grads[name], expected, atol=1e-5)
 
+    @pytest.mark.parametrize(
+        "token, bad",
+        [(-1, "token id -1 "), (11, "token id 11 ")],
+        ids=["negative", "vocab"],
+    )
+    def test_embedding_rejects_token_outside_vocab(self, token, bad):
+        layer = Embedding(11, 6, 4, rng=RNG)
+        tokens = RNG.integers(0, 11, (2, 5))
+        tokens[1, 3] = token
+        with pytest.raises(ConfigurationError, match=bad + r"is outside .*\[0, 11\)"):
+            layer.forward(tokens)
+
+    def test_embedding_rejects_sequence_past_max_seq(self):
+        layer = Embedding(11, 6, 4, rng=RNG)
+        with pytest.raises(ConfigurationError, match="length 7 exceeds .*max_seq 6"):
+            layer.forward(RNG.integers(0, 11, (2, 7)))
+
     def test_sequential_composition(self):
         seq = Sequential([Linear(4, 4, rng=RNG), GELU(), Linear(4, 2, rng=RNG)])
         check_input_grad(seq, RNG.standard_normal((3, 4)))
@@ -225,6 +245,132 @@ class TestLayers:
         np.testing.assert_allclose(np.concatenate([dx0, dx1]), full_dx)
         for k in full_grads:
             np.testing.assert_allclose(layer.grads[k], full_grads[k], atol=1e-12)
+
+
+def _gelu_pow(x):
+    """GELU with the cube spelled ``x**3`` (libm ``pow``)."""
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+
+
+def _layernorm_mean_var(x, gamma, beta, eps=1e-5):
+    """LayerNorm spelled with ``x.mean``/``x.var``."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    return xhat * gamma + beta, (xhat, inv, gamma)
+
+
+def _layernorm_backward_mean(dy, cache):
+    xhat, inv, gamma = cache
+    axes = tuple(range(dy.ndim - 1))
+    dxhat = dy * gamma
+    dx = (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    ) * inv
+    return dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+
+
+def _attention_split_triu(layer, x):
+    """``CausalSelfAttention.forward`` with ``np.split`` and a fresh mask."""
+    s = x.shape[1]
+    qkv, qkv_cache = layer.qkv.forward(x)
+    q, k, v = (layer._split_heads(part) for part in np.split(qkv, 3, axis=-1))
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(layer.head_dim))
+    scores = np.where(np.triu(np.ones((s, s), dtype=bool), k=1), -1e30, scores)
+    attn = Fn.softmax(scores, axis=-1)
+    out, proj_cache = layer.proj.forward(layer._merge_heads(attn @ v))
+    return out, (qkv_cache, q, k, v, attn, proj_cache, s)
+
+
+class TestKernelSpellings:
+    """The products, single-centring and cached-mask spellings of the
+    kernels against the spellings they replaced: bitwise where the
+    arithmetic is the same, within a stated ulp bound for GELU's cube."""
+
+    def test_gelu_cube_within_two_ulp_of_pow(self):
+        mag = np.logspace(-8, 3, 4001)
+        x = np.concatenate([-mag, [0.0, -0.0], mag])
+        y, _ = Fn.gelu(x)
+        ref = _gelu_pow(x)
+        # On the negative side 1 + tanh(u) cancels, so one ulp of tanh is
+        # many ulps of the output; the input's ulp is the bound's scale.
+        assert np.all(np.abs(y - ref) <= 2 * np.spacing(np.abs(x)))
+        pos = x > 0
+        assert np.all(np.abs(y - ref)[pos] <= 2 * np.spacing(ref[pos]))
+        assert np.array_equal(np.signbit(y[x == 0]), np.signbit(x[x == 0]))
+
+    def test_gelu_overflowing_cube_unchanged(self):
+        with np.errstate(over="ignore"):
+            y, _ = Fn.gelu(np.array([1e120, -1e120]))
+        assert y[0] == 1e120
+        assert y[1] == 0.0 and np.signbit(y[1])
+
+    def test_gelu_backward_unchanged(self):
+        x = RNG.standard_normal((2, 3, 16)) * 3
+        dy = RNG.standard_normal(x.shape)
+        _, cache = Fn.gelu(x)
+        t = cache[1]
+        du = math.sqrt(2.0 / math.pi) * (1.0 + 3 * 0.044715 * x**2)
+        want = dy * (0.5 * (1.0 + t) + 0.5 * x * ((1.0 - t**2) * du))
+        assert np.array_equal(Fn.gelu_backward(dy, cache), want)
+
+    def test_layernorm_bitwise(self):
+        x = RNG.standard_normal((3, 5, 24)) * 4 + 2
+        gamma, beta = RNG.standard_normal(24), RNG.standard_normal(24)
+        y, cache = Fn.layernorm(x, gamma, beta)
+        want_y, want_cache = _layernorm_mean_var(x, gamma, beta)
+        assert np.array_equal(y, want_y)
+        for got, want in zip(cache, want_cache):
+            assert np.array_equal(got, want)
+        dy = RNG.standard_normal(x.shape)
+        for got, want in zip(
+            Fn.layernorm_backward(dy, cache), _layernorm_backward_mean(dy, cache)
+        ):
+            assert np.array_equal(got, want)
+
+    def test_layernorm_row_slice_backward_bitwise(self):
+        layer = LayerNorm(24)
+        layer.params["gamma"][...] = RNG.standard_normal(24)
+        x = RNG.standard_normal((4, 5, 24))
+        _, cache = layer.forward(x)
+        dy = RNG.standard_normal((2, 5, 24))
+        layer.zero_grads()
+        dx = layer.backward(dy, cache, row_slice=slice(1, 3))
+        xhat, inv, gamma = cache
+        want_dx, want_dgamma, want_dbeta = _layernorm_backward_mean(
+            dy, (xhat[1:3], inv[1:3], gamma)
+        )
+        assert np.array_equal(dx, want_dx)
+        assert np.array_equal(layer.grads["gamma"], want_dgamma)
+        assert np.array_equal(layer.grads["beta"], want_dbeta)
+
+    @pytest.mark.parametrize("seq", [5, 12])
+    def test_attention_bitwise(self, seq):
+        layer = CausalSelfAttention(16, 4, rng=RNG)
+        x = RNG.standard_normal((2, seq, 16))
+        out, cache = layer.forward(x)
+        want_out, want_cache = _attention_split_triu(layer, x)
+        assert np.array_equal(out, want_out)
+        dy = RNG.standard_normal(out.shape)
+        results = []
+        for c in (cache, want_cache):
+            layer.zero_grads()
+            dx = layer.backward(dy, c)
+            results.append((dx, {k: g.copy() for k, g in layer.grads.items()}))
+        (dx, grads), (want_dx, want_grads) = results
+        assert np.array_equal(dx, want_dx)
+        for key in want_grads:
+            assert np.array_equal(grads[key], want_grads[key])
+
+    def test_causal_mask_cached_and_read_only(self):
+        mask = _causal_mask(7)
+        assert _causal_mask(7) is mask
+        assert np.array_equal(mask, np.triu(np.ones((7, 7), dtype=bool), k=1))
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
 
 
 class TestLoss:
