@@ -10,11 +10,13 @@ from repro.models import functional as F
 from repro.models.layers import Layer, Linear
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def _causal_mask(seq: int) -> np.ndarray:
     """``True`` above the diagonal: the keys each query may not see.
 
-    One read-only array per sequence length, shared by every call.
+    One read-only array, shared by every call. A model trains at one
+    sequence length, so the cache holds one mask; a call at another
+    length builds a fresh one, which replaces it.
     """
     mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
     mask.flags.writeable = False

@@ -36,6 +36,27 @@ def _sliced(cache_entry, row_slice):
     return cache_entry[row_slice]
 
 
+def check_ids(ids: np.ndarray, vocab: int, what: str) -> None:
+    """Raise :class:`ConfigurationError` naming the first of ``ids`` outside
+    ``[0, vocab)``; indexing would read row ``vocab - k`` for id ``-k``."""
+    bad = ids[(ids < 0) | (ids >= vocab)]
+    if bad.size:
+        raise ConfigurationError(
+            f"{what} id {bad[0]} is outside the vocabulary [0, {vocab})"
+        )
+
+
+def check_tokens(tokens: np.ndarray, vocab: int, max_seq: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``tokens`` (batch, seq) has
+    at most ``max_seq`` positions and every id in ``[0, vocab)``."""
+    seq = tokens.shape[1]
+    if seq > max_seq:
+        raise ConfigurationError(
+            f"sequence length {seq} exceeds the embedding's max_seq {max_seq}"
+        )
+    check_ids(tokens, vocab, "token")
+
+
 class Layer:
     """Base class: parameter registry plus the forward/backward contract."""
 
@@ -143,17 +164,8 @@ class Embedding(Layer):
         self.register("pos", (rng.standard_normal((max_seq, dim)) * 0.02).astype(dtype))
 
     def forward(self, tokens: np.ndarray) -> tuple[np.ndarray, object]:
-        vocab, max_seq = len(self.params["tok"]), len(self.params["pos"])
+        check_tokens(tokens, len(self.params["tok"]), len(self.params["pos"]))
         seq = tokens.shape[1]
-        if seq > max_seq:
-            raise ConfigurationError(
-                f"sequence length {seq} exceeds the embedding's max_seq {max_seq}"
-            )
-        bad = tokens[(tokens < 0) | (tokens >= vocab)]
-        if bad.size:
-            raise ConfigurationError(
-                f"token id {bad[0]} is outside the vocabulary [0, {vocab})"
-            )
         y = self.params["tok"][tokens] + self.params["pos"][:seq]
         return y, (tokens, seq)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.functional import softmax
+from repro.models.layers import check_ids
 
 
 def softmax_cross_entropy(
@@ -15,10 +16,12 @@ def softmax_cross_entropy(
     ``logits``: (batch, seq, vocab); ``targets``: (batch, seq) int ids.
     The mean is over ``batch * seq`` tokens, so gradients from differently
     sized micro-batch *parts* (backward halving) compose by weighting with
-    their token counts — the runtime handles that scaling.
+    their token counts — the runtime handles that scaling. A target id
+    outside ``[0, vocab)`` raises :class:`ConfigurationError`.
     """
+    b, s, vocab = logits.shape
+    check_ids(targets, vocab, "target")
     probs = softmax(logits, axis=-1)
-    b, s, _ = logits.shape
     flat = probs.reshape(b * s, -1)
     idx = targets.reshape(-1)
     picked = np.clip(flat[np.arange(b * s), idx], 1e-300, None)

@@ -8,7 +8,15 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.models.attention import CausalSelfAttention
-from repro.models.layers import GELU, Embedding, Layer, LayerNorm, Linear
+from repro.models.layers import (
+    GELU,
+    Embedding,
+    Layer,
+    LayerNorm,
+    Linear,
+    check_ids,
+    check_tokens,
+)
 
 
 class TransformerBlock(Layer):
@@ -115,6 +123,21 @@ def build_transformer_layers(config: TransformerLMConfig) -> list[Layer]:
     )
     layers.append(LMHead(config.dim, config.vocab, rng=rng, dtype=config.dtype))
     return layers
+
+
+def check_micro_batch(
+    config: TransformerLMConfig, tokens: np.ndarray, targets: np.ndarray
+) -> None:
+    """Raise :class:`ConfigurationError` unless the model ``config`` builds
+    can train on ``(tokens, targets)``: what ``Embedding.forward`` and
+    ``softmax_cross_entropy`` would reject, checked before any layer runs."""
+    check_tokens(tokens, config.vocab, config.seq)
+    if targets.shape != tokens.shape:
+        raise ConfigurationError(
+            f"targets of shape {targets.shape} do not match tokens of shape "
+            f"{tokens.shape}"
+        )
+    check_ids(targets, config.vocab, "target")
 
 
 def partition_layers(layers: list[Layer], depth: int) -> list[list[Layer]]:

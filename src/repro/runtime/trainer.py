@@ -26,6 +26,7 @@ from repro.models.layers import Layer
 from repro.models.transformer import (
     TransformerLMConfig,
     build_transformer_layers,
+    check_micro_batch,
     partition_layers,
 )
 from repro.runtime.executor import PipelineExecutor
@@ -128,6 +129,11 @@ class PipelineTrainer:
             raise ReproError(
                 f"expected {n * self.width} micro-batches, got {len(micro_batches)}"
             )
+        # Every micro-batch is checked before any weight moves: pipedream
+        # updates after each micro-batch, so a late bad one would otherwise
+        # leave the step half applied.
+        for tokens, targets in micro_batches:
+            check_micro_batch(self.model_config, tokens, targets)
         data = [micro_batches[g * n : (g + 1) * n] for g in range(self.width)]
 
         if self.scheme == "pipedream_2bw":

@@ -395,6 +395,17 @@ class TestLoss:
         loss, _ = softmax_cross_entropy(logits, targets)
         assert loss < 1e-6
 
+    @pytest.mark.parametrize(
+        "target, bad",
+        [(-1, "target id -1 "), (7, "target id 7 ")],
+        ids=["negative", "vocab"],
+    )
+    def test_rejects_target_outside_vocab(self, target, bad):
+        targets = RNG.integers(0, 7, (2, 3))
+        targets[1, 2] = target
+        with pytest.raises(ConfigurationError, match=bad + r"is outside .*\[0, 7\)"):
+            softmax_cross_entropy(RNG.standard_normal((2, 3, 7)), targets)
+
     def test_uniform_logits_log_vocab(self):
         loss, _ = softmax_cross_entropy(
             np.zeros((2, 3, 8)), RNG.integers(0, 8, (2, 3))

@@ -181,6 +181,67 @@ def test_trainer_rejects_wrong_micro_batch_count(tiny_config):
         trainer.train_step(make_micro_batches(tiny_config, 3, 2))
 
 
+def _corrupt_tokens(tokens, targets):
+    tokens[1, 2] = -1
+    return tokens, targets
+
+
+def _corrupt_targets(tokens, targets):
+    targets[0, 3] = 19
+    return tokens, targets
+
+
+def _lengthen(tokens, targets):
+    return np.concatenate([tokens, tokens[:, :1]], 1), np.concatenate(
+        [targets, targets[:, :1]], 1
+    )
+
+
+def _misshape_targets(tokens, targets):
+    return tokens, targets[:, :-1]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_corrupt_tokens, r"token id -1 is outside the vocabulary \[0, 19\)"),
+        (_corrupt_targets, r"target id 19 is outside the vocabulary \[0, 19\)"),
+        (_lengthen, "sequence length 7 exceeds the embedding's max_seq 6"),
+        (_misshape_targets, r"targets of shape \(2, 5\) do not match"),
+    ],
+    ids=["token", "target", "length", "shape"],
+)
+def test_pipedream_bad_micro_batch_moves_no_weight(tiny_config, corrupt, message):
+    """PipeDream updates after each micro-batch; a bad last micro-batch is
+    rejected before the first update, so the step is not half applied."""
+    from repro.common.errors import ConfigurationError
+
+    trainer = PipelineTrainer(
+        tiny_config,
+        scheme="pipedream",
+        depth=4,
+        num_micro_batches=4,
+        optimizer_factory=lambda: SGD(0.05),
+    )
+    mbs = make_micro_batches(tiny_config, 4, 2)
+    mbs[-1] = corrupt(*mbs[-1])
+    before = [
+        value.copy()
+        for module in trainer.stages.values()
+        for layer in module.layers
+        for value in layer.params.values()
+    ]
+    with pytest.raises(ConfigurationError, match=message):
+        trainer.train_step(mbs)
+    after = [
+        value
+        for module in trainer.stages.values()
+        for layer in module.layers
+        for value in layer.params.values()
+    ]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
 # ---------------------------------------------------------------- pass layer
 @pytest.mark.parametrize(
     "scheme", ["gpipe", "dapple", "chimera", "zb_v", "zb_vmin"]

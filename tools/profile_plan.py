@@ -12,17 +12,19 @@ timed rounds of ``--requests`` requests each, one line per round:
 Then, unless ``--no-profile`` is given, one more ``--requests``
 requests run under cProfile, and each profiled function whose name is
 given with ``--function`` (default: :data:`FUNCTIONS`) prints its call
-count and cumulative seconds, one line per definition:
+count, self seconds and cumulative seconds, one line per definition,
+largest self time first:
 
-    calls  cumulative_s  function  file:line
+    calls  self_s  cumulative_s  function  file:line
 
 cProfile does not see a hit of a ``functools.lru_cache`` function (the
 calibrations, the planner's floor memo): only a miss runs Python code.
 
 ``REPRO_CACHE_DISABLE=1`` is set before ``repro`` is imported, so the
 schedule cache has no disk tier. The payloads come from
-``benchmarks/e2e/streams.py`` (imported, never modified). Standard
-library only; not run by CI. From the repository root:
+``benchmarks/e2e/streams.py`` (imported, never modified). The driver is
+``tools/profile_driver.py``. Standard library only; not run by CI. From
+the repository root:
 
     python tools/profile_plan.py
     python tools/profile_plan.py --requests 600 --rounds 4 --no-profile
@@ -32,11 +34,9 @@ library only; not run by CI. From the repository root:
 from __future__ import annotations
 
 import argparse
-import cProfile
 import itertools
 import os
 import pathlib
-import pstats
 import sys
 import time
 
@@ -45,6 +45,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "benchmarks" / "e2e"))
 os.environ["REPRO_CACHE_DISABLE"] = "1"
 
+import profile_driver  # noqa: E402
 import streams  # noqa: E402
 from repro.serve import PlannerService  # noqa: E402
 
@@ -74,23 +75,6 @@ def run(service: PlannerService, payloads, count: int) -> float:
     return time.perf_counter() - start
 
 
-def report(profile: cProfile.Profile, names: set[str]) -> None:
-    """Print calls and cumulative seconds of every function named ``names``."""
-    rows = [
-        (calls, cumulative, name, f"{pathlib.Path(path).name}:{line}")
-        for (path, line, name), (_, calls, _, cumulative, _) in pstats.Stats(
-            profile
-        ).stats.items()
-        if name in names
-    ]
-    print(f"{'calls':>8}  {'cumulative_s':>12}  function  file:line")
-    for calls, cumulative, name, where in sorted(rows, key=lambda r: -r[1]):
-        print(f"{calls:>8}  {cumulative:>12.4f}  {name}  {where}")
-    missing = names - {row[2] for row in rows}
-    if missing:
-        print(f"not called: {', '.join(sorted(missing))}")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--warmup", type=int, default=12, help="untimed requests")
@@ -108,23 +92,20 @@ def main() -> None:
 
     service = PlannerService()
     payloads = itertools.cycle(streams.hot_payloads())
-    run(service, payloads, args.warmup)
-    print("round  requests  ms/request")
-    for k in range(args.rounds):
-        wall = run(service, payloads, args.requests)
-        print(f"{k:>5}  {args.requests:>8}  {1e3 * wall / args.requests:>10.3f}")
-    if args.no_profile:
-        return
-    profile = cProfile.Profile()
-    profile.enable()
-    wall = run(service, payloads, args.requests)
-    profile.disable()
-    print(
-        f"\nprofiled {args.requests} requests: "
-        f"{1e3 * wall / args.requests:.3f} ms/request under cProfile"
+    profiler = profile_driver.drive(
+        lambda count: run(service, payloads, count),
+        unit="request",
+        warmup=args.warmup,
+        count=args.requests,
+        rounds=args.rounds,
+        profile=not args.no_profile,
     )
-    report(profile, set(args.function or FUNCTIONS))
-
+    if profiler is None:
+        return
+    names = set(args.function or FUNCTIONS)
+    missing = names - profile_driver.report(profiler, lambda _, name: name in names)
+    if missing:
+        print(f"not called: {', '.join(sorted(missing))}")
 
 if __name__ == "__main__":
     main()

@@ -3,36 +3,32 @@
 
 Builds the ``train`` workload's model and pipelines (chimera and dapple,
 the settings in ``benchmarks/e2e/streams.py``, imported, never modified)
-and runs ``PipelineTrainer.train_step`` on its seeded token batches, the
+and runs ``PipelineTrainer.train_step`` on its seed-1 token batches, the
 schemes alternating on each batch as in the workload: ``--warmup`` steps
-first, then ``--rounds`` timed rounds of ``--steps`` steps each, one
-line per round:
+first, then one timed round of ``--steps`` steps:
 
     round  steps  ms/step
 
-Then, unless ``--no-profile`` is given, ``--steps`` more steps run under
-cProfile, and every profiled function defined in ``src/repro/models/``
-(the layers and their NumPy kernels) prints its call count, self seconds
-and cumulative seconds, largest self time first:
+Then ``--steps`` more steps run under cProfile, and every profiled
+function defined in ``src/repro/models/`` (the layers and their NumPy
+kernels) prints its call count, self seconds and cumulative seconds,
+largest self time first:
 
     calls  self_s  cumulative_s  function  file:line
 
 cProfile charges array operators and ufunc calls to the Python function
 that runs them, so a kernel's self time is mostly the elementwise
 arithmetic it spells; array methods such as ``sum`` are entries of their
-own and are not listed. Standard library and NumPy only. From the
-repository root:
+own and are not listed. The driver is ``tools/profile_driver.py``.
+Standard library and NumPy only. From the repository root:
 
     python tools/profile_train.py
-    python tools/profile_train.py --steps 80 --rounds 4 --no-profile
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
 import pathlib
-import pstats
 import sys
 import time
 
@@ -40,6 +36,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "benchmarks" / "e2e"))
 
+import profile_driver  # noqa: E402
 import streams  # noqa: E402
 from repro.models.transformer import TransformerLMConfig  # noqa: E402
 from repro.runtime.optimizers import SGD  # noqa: E402
@@ -49,9 +46,9 @@ MODELS = REPO / "src" / "repro" / "models"
 
 
 class Steps:
-    """The workload's trainers and batches, one train step at a time."""
+    """The workload's trainers and seed-1 batches, one train step at a time."""
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self) -> None:
         config = TransformerLMConfig(**streams.TRAIN_MODEL)
         self.trainers = [
             PipelineTrainer(
@@ -63,7 +60,7 @@ class Steps:
             )
             for scheme in streams.TRAIN_SCHEMES
         ]
-        self.batches = streams.train_batches(seed)
+        self.batches = streams.train_batches(1)
         self.batch = None
         self.index = 0
 
@@ -79,49 +76,18 @@ class Steps:
         return time.perf_counter() - start
 
 
-def report(profile: cProfile.Profile) -> None:
-    """Print calls, self and cumulative seconds of the models' functions."""
-    rows = [
-        (calls, own, cumulative, name, f"{pathlib.Path(path).name}:{line}")
-        for (path, line, name), (_, calls, own, cumulative, _) in pstats.Stats(
-            profile
-        ).stats.items()
-        if pathlib.Path(path).resolve().parent == MODELS
-    ]
-    print(f"{'calls':>8}  {'self_s':>8}  {'cumulative_s':>12}  function  file:line")
-    for calls, own, cumulative, name, where in sorted(rows, key=lambda r: -r[1]):
-        print(f"{calls:>8}  {own:>8.4f}  {cumulative:>12.4f}  {name}  {where}")
-    print(f"{'':>8}  {sum(row[1] for row in rows):>8.4f}  total self time")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=1, help="token batch seed")
     parser.add_argument("--warmup", type=int, default=4, help="untimed steps")
-    parser.add_argument("--steps", type=int, default=40, help="steps per round")
-    parser.add_argument("--rounds", type=int, default=1, help="timed rounds")
-    parser.add_argument(
-        "--no-profile", action="store_true", help="skip the cProfile pass"
-    )
+    parser.add_argument("--steps", type=int, default=40, help="steps per pass")
     args = parser.parse_args()
 
-    steps = Steps(args.seed)
-    steps.run(args.warmup)
-    print("round  steps  ms/step")
-    for k in range(args.rounds):
-        wall = steps.run(args.steps)
-        print(f"{k:>5}  {args.steps:>5}  {1e3 * wall / args.steps:>7.3f}")
-    if args.no_profile:
-        return
-    profile = cProfile.Profile()
-    profile.enable()
-    wall = steps.run(args.steps)
-    profile.disable()
-    print(
-        f"\nprofiled {args.steps} steps: "
-        f"{1e3 * wall / args.steps:.3f} ms/step under cProfile"
+    profiler = profile_driver.drive(
+        Steps().run, unit="step", warmup=args.warmup, count=args.steps
     )
-    report(profile)
+    profile_driver.report(
+        profiler, lambda path, _: pathlib.Path(path).resolve().parent == MODELS
+    )
 
 
 if __name__ == "__main__":
