@@ -29,7 +29,18 @@ before entering the key, so equivalent spellings — a comma string, a
 list, ``insert_sync`` for ``insert_sync:lazy`` — share one entry, and
 two processes derive identical keys for identical pipelines. A spec
 names a pass's whole configuration, so equal keys build equal
-schedules.
+schedules. A builder option passed at its declared default shares the
+entry that leaving it out keys.
+
+A pass variant derives from its base entry: an entry whose key names
+passes builds nothing itself but looks up the entry of the same builder
+invocation without ``passes`` and runs only the extra passes over that
+schedule (:func:`~repro.schedules.registry.run_passes`), so one grid
+point's builder runs once per process. ``build_schedule(..., passes=p)``
+is the same composition, and a pipeline writes ``"passes"`` as the last
+metadata key, so a derived variant equals a one-shot build in its ops,
+its metadata and its key order, and its disk payload has the same
+bytes.
 
 Safety
 ------
@@ -96,7 +107,12 @@ from repro.schedules.ir import OpTable, Schedule
 from repro.schedules.lowering import lower_schedule
 from repro.schedules.passes import FuseCommPass, pipeline_signature
 from repro.schedules.passes.pipeline import FUSE_PASS, split_pipeline
-from repro.schedules.registry import build_schedule, builder_fingerprint
+from repro.schedules.registry import (
+    build_schedule,
+    builder_fingerprint,
+    is_builder_default,
+    run_passes,
+)
 
 #: Default bound on retained entries (LRU eviction beyond it). A cached
 #: entry holds its schedule forms plus their kernels (and, until a
@@ -516,7 +532,8 @@ class ScheduleCache:
         pipeline keys the no-options entry. A spec that does not resolve
         (an unknown pass name, an item that is not a spec string) makes
         the invocation uncacheable: the build itself raises the real
-        error.
+        error. A builder option passed at its declared default (same type,
+        equal value) is dropped, so it shares the no-options entry.
 
         Cost-parameterized schemes (``synthesize``) extend the key with
         their registered ``builder_fingerprint``: the fingerprint
@@ -541,6 +558,8 @@ class ScheduleCache:
                     v = sig
                 elif fingerprint is not None:
                     continue  # builder option: the fingerprint covers it
+                elif is_builder_default(scheme, k, v):
+                    continue  # builds what leaving it out builds
                 normalized[k] = v
             items = tuple(sorted(normalized.items()))
             hash((items, fingerprint))
@@ -601,7 +620,7 @@ class ScheduleCache:
         """
 
         def rebuild() -> Schedule:
-            return build_schedule(scheme, depth, num_micro_batches, **options)
+            return self._build(scheme, depth, num_micro_batches, options)
 
         disk = self.disk
         if disk is None or not disk.enabled:
@@ -627,6 +646,20 @@ class ScheduleCache:
             pass  # raised again when the profile is asked for
         persist(entry)
         return entry
+
+    def _build(
+        self, scheme: str, depth: int, num_micro_batches: int, options: dict
+    ) -> Schedule:
+        """The schedule of one cacheable builder invocation: the builder
+        and its default passes, or, for a pass variant, only its extra
+        passes over its base entry's schedule (looked up here, so a grid
+        point's builder runs once however many variants it has)."""
+        if not pipeline_signature(options.get("passes")):
+            return build_schedule(scheme, depth, num_micro_batches, **options)
+        builder_options = dict(options)
+        passes = builder_options.pop("passes")
+        base = self.artifacts(scheme, depth, num_micro_batches, **builder_options)
+        return run_passes(base.schedule, passes)
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""

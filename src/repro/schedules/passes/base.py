@@ -38,6 +38,7 @@ and cache keys without touching any other layer.
 from __future__ import annotations
 
 import abc
+from dataclasses import replace
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -140,8 +141,9 @@ class PassPipeline:
     The pipeline validates its ordering against the input schedule's
     facts before running, executes each pass (with its ``check`` hook when
     ``validate`` is on), and stamps the accumulated pass signatures into
-    ``metadata["passes"]`` so any schedule self-describes how it was
-    produced.
+    ``metadata["passes"]``, always the last metadata key, so any schedule
+    self-describes how it was produced and a pipeline run in two parts
+    leaves the same metadata as one run.
     """
 
     def __init__(self, passes: Sequence[SchedulePass]):
@@ -195,8 +197,11 @@ class PassPipeline:
             p.check(current, after)
             current = after
         if self.passes:
-            applied = tuple(current.metadata.get("passes", ())) + self.signature()
-            current = current.with_metadata(passes=applied)
+            # "passes" is always the last key, so passes run in two steps
+            # leave the same metadata, in the same order, as in one.
+            metadata = dict(current.metadata)
+            metadata["passes"] = tuple(metadata.pop("passes", ())) + self.signature()
+            current = replace(current, metadata=metadata)
         return current
 
 

@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Sequence
 
 from repro.common.errors import ConfigurationError, UnknownOptionError
 from repro.schedules.chimera import build_chimera_schedule
@@ -249,22 +251,34 @@ def scheme_traits(scheme: str) -> SchemeTraits:
         ) from None
 
 
-def builder_options(scheme: str) -> tuple[str, ...]:
-    """The keyword options a scheme's builder declares (sorted)."""
+def _builder(scheme: str) -> Callable[..., Schedule]:
     try:
-        builder = _BUILDERS[scheme]
+        return _BUILDERS[scheme]
     except KeyError:
         raise ConfigurationError(
             f"unknown scheme {scheme!r}; available: {list(available_schemes())}"
         ) from None
-    params = inspect.signature(builder).parameters
-    return tuple(
-        sorted(
-            name
-            for name, p in params.items()
-            if p.kind is inspect.Parameter.KEYWORD_ONLY
-        )
+
+
+@lru_cache(maxsize=None)
+def _keyword_defaults(builder: Callable[..., Schedule]) -> MappingProxyType:
+    params = inspect.signature(builder).parameters.values()
+    return MappingProxyType(
+        {p.name: p.default for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
     )
+
+
+def builder_options(scheme: str) -> tuple[str, ...]:
+    """The keyword options a scheme's builder declares (sorted)."""
+    return tuple(sorted(_keyword_defaults(_builder(scheme))))
+
+
+def is_builder_default(scheme: str, option: str, value: object) -> bool:
+    """True when ``value`` is the declared default of the scheme's builder
+    option ``option`` (same type, equal value), so passing it builds the
+    same schedule as leaving it out."""
+    default = _keyword_defaults(_builder(scheme)).get(option, inspect.Parameter.empty)
+    return type(value) is type(default) and value == default
 
 
 def _check_builder_options(scheme: str, options: dict) -> None:
@@ -279,16 +293,31 @@ def _check_builder_options(scheme: str, options: dict) -> None:
             )
 
 
+def run_passes(schedule: Schedule, passes: str | Sequence[str] | None) -> Schedule:
+    """Run the pipeline spec ``passes`` over ``schedule`` (an empty spec
+    returns it unchanged).
+
+    A pass variant is this over its base schedule: ``build_schedule(...,
+    passes=p)`` is ``run_passes(build_schedule(...), p)``, and the
+    schedule cache derives a variant entry from its base entry the same
+    way.
+    """
+    specs = spec_items(passes)
+    return resolve_pipeline(specs).run(schedule) if specs else schedule
+
+
 def build_schedule(
     scheme: str, depth: int, num_micro_batches: int, **options: object
 ) -> Schedule:
     """Build a schedule by scheme name and run its pass pipeline.
 
-    ``passes=`` (any scheme) runs extra passes after the scheme's
-    defaults, in the order given: a pipeline spec, either a
-    comma-separated string (``"recompute,fill_bubbles,lower_p2p"``) or a
-    sequence of registered pass specs. A custom pass is registered with
-    :func:`~repro.schedules.passes.register_pass` and named in the spec.
+    The builder's output always runs through the scheme's default passes.
+    ``passes=`` (any scheme) then runs extra passes over that base
+    schedule (:func:`run_passes`), in the order given: a pipeline spec,
+    either a comma-separated string (``"recompute,fill_bubbles,lower_p2p"``)
+    or a sequence of registered pass specs. A custom pass is registered
+    with :func:`~repro.schedules.passes.register_pass` and named in the
+    spec.
 
     Everything else is forwarded to the scheme's builder (e.g.
     ``concat=``/``num_down_pipelines=``/``sync_mode=`` for Chimera,
@@ -297,17 +326,12 @@ def build_schedule(
     :class:`~repro.common.errors.UnknownOptionError` naming the scheme
     and the key.
     """
-    try:
-        builder = _BUILDERS[scheme]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scheme {scheme!r}; available: {list(available_schemes())}"
-        ) from None
-    specs = _TRAITS[scheme].default_passes + spec_items(options.pop("passes", None))
+    builder = _builder(scheme)
+    specs = spec_items(options.pop("passes", None))
     _check_builder_options(scheme, options)
-
     schedule = builder(depth, num_micro_batches, **options)
-    return resolve_pipeline(specs).run(schedule)
+    schedule = resolve_pipeline(_TRAITS[scheme].default_passes).run(schedule)
+    return run_passes(schedule, specs)
 
 
 # The synthesized scheme registers itself through the public path: it is

@@ -59,8 +59,9 @@ timing, so the simulated makespans have exact closed forms
 from __future__ import annotations
 
 from collections import deque
+from numbers import Integral
 
-from repro.common.errors import ScheduleError
+from repro.common.errors import ConfigurationError, ScheduleError
 from repro.schedules.ir import Operation, OpKind, Schedule, freeze_worker_ops
 from repro.schedules.placement import StagePlacement
 
@@ -92,7 +93,8 @@ def build_zb_h1_schedule(
     placement = StagePlacement.linear(depth)
     caps = [depth - s for s in range(depth)]
     if max_in_flight is not None:
-        caps = [max(1, min(cap, max_in_flight)) for cap in caps]
+        cap = _checked_max_in_flight(max_in_flight)
+        caps = [min(c, cap) for c in caps]
     rows = _greedy_split_backward_rows(
         placement,
         num_micro_batches,
@@ -135,7 +137,9 @@ def build_zb_v_schedule(
     if num_micro_batches < 1:
         raise ScheduleError("ZB-V needs at least one micro-batch")
     placement = StagePlacement.vshaped(depth)
-    cap = 2 * depth if max_in_flight is None else max(1, max_in_flight)
+    cap = 2 * depth
+    if max_in_flight is not None:
+        cap = _checked_max_in_flight(max_in_flight)
     caps = [cap] * depth
     rows = _greedy_split_backward_rows(
         placement,
@@ -153,6 +157,17 @@ def build_zb_v_schedule(
         synchronous=True,
         metadata={"caps": tuple(caps)},
     )
+
+
+def _checked_max_in_flight(value: object) -> int:
+    """``max_in_flight`` as an ``int``; anything but a positive integer
+    (a bool, a float, zero, a negative) raises."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ConfigurationError(
+            f"max_in_flight must be a positive integer (or None for the "
+            f"default cap), got {value!r}"
+        )
+    return int(value)
 
 
 def build_zb_vhalf_schedule(depth: int, num_micro_batches: int) -> Schedule:
@@ -326,6 +341,10 @@ def _greedy_split_backward_rows(
     from the forward until the *weight-gradient* releases them — matching
     :func:`repro.sim.memory.analyze_memory`'s liveness accounting, so the
     cap is a genuine bound on the schedule's activation peak.
+
+    Each worker keeps its smallest candidate key; after an op only the
+    keys of the workers the op changed are recomputed, so a step scans
+    at most two workers' stages instead of every worker's.
     """
     num_stages = placement.num_stages
     num_workers = placement.num_workers
@@ -370,31 +389,36 @@ def _greedy_split_backward_rows(
             return None
         return (producer, mb)
 
+    def worker_key(w: int) -> tuple | None:
+        """Smallest ``(start, rank, -stage, worker, stage, mb)`` among the
+        ops worker ``w`` could start now under its cap, or None."""
+        best = None
+        for s in hosted[w]:
+            cand = b_candidate(s)
+            if cand is not None:
+                key = (max(free[w], cand[0]), 0, -s, w, s, cand[1])
+                if best is None or key < best:
+                    best = key
+            if in_flight[w] < caps[w]:
+                cand = f_candidate(s)
+                if cand is not None:
+                    key = (max(free[w], cand[0]), 1, -s, w, s, cand[1])
+                    if best is None or key < best:
+                        best = key
+        if pending_w[w]:
+            s, mb = pending_w[w][0]
+            key = (free[w], 2, -s, w, s, mb)
+            if best is None or key < best:
+                best = key
+        return best
+
+    # Each worker's smallest key; an op changes only its own worker's
+    # keys and its neighbour stage's (see the dirty set below).
+    keys = [worker_key(w) for w in range(num_workers)]
     total = 3 * num_stages * n
     done = 0
     while done < total:
-        # (start, type_rank, -stage, worker, stage, mb)
-        best: tuple | None = None
-        for w in range(num_workers):
-            for s in hosted[w]:
-                cand = b_candidate(s)
-                if cand is not None:
-                    start = max(free[w], cand[0])
-                    key = (start, 0, -s, w, s, cand[1])
-                    if best is None or key < best:
-                        best = key
-                if in_flight[w] < caps[w]:
-                    cand = f_candidate(s)
-                    if cand is not None:
-                        start = max(free[w], cand[0])
-                        key = (start, 1, -s, w, s, cand[1])
-                        if best is None or key < best:
-                            best = key
-            if pending_w[w]:
-                s, mb = pending_w[w][0]
-                key = (free[w], 2, -s, w, s, mb)
-                if best is None or key < best:
-                    best = key
+        best = min((key for key in keys if key is not None), default=None)
         if best is None:
             # Caps alone block every forward (possible when one worker
             # hosts both early and late chunks): relax the cap for the
@@ -436,4 +460,11 @@ def _greedy_split_backward_rows(
             )
         free[w] = end
         done += 1
+        # A Bi unblocks the upstream stage's Bi, an F the downstream
+        # stage's F; every other change is local to worker w.
+        keys[w] = worker_key(w)
+        if rank == 0 and s > 0:
+            keys[worker_of[s - 1]] = worker_key(worker_of[s - 1])
+        elif rank == 1 and s < num_stages - 1:
+            keys[worker_of[s + 1]] = worker_key(worker_of[s + 1])
     return rows

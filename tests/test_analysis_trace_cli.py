@@ -194,6 +194,14 @@ class TestCLI:
                 ]
             )
 
+    @pytest.mark.parametrize("command", ["show", "trace"])
+    def test_max_in_flight_zero_is_rejected(self, command, tmp_path):
+        argv = [command, "--scheme", "zb_h1", "--max-in-flight", "0"]
+        if command == "trace":
+            argv += ["-o", str(tmp_path / "trace.json")]
+        with pytest.raises(ConfigurationError, match="max_in_flight"):
+            cli_main(argv)
+
     def test_module_entry_point_reports_repro_errors(self, tmp_path):
         """``python -m repro`` turns a ReproError into a one-line usage
         error with exit status 2, not a traceback."""

@@ -15,11 +15,16 @@ the system leans on:
   (recomputed / filled / lowered / fused) schedules.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.schedules.registry as registry
+
 from repro.common.errors import ConfigurationError, ScheduleError
-from repro.schedules.cache import ScheduleCache
+from repro.schedules.cache import ScheduleArtifacts, ScheduleCache
+from repro.schedules.diskcache import DiskScheduleCache
 from repro.schedules.ir import OpKind, Operation
 from repro.schedules.passes import (
     DEFAULT_PASS_MANAGER,
@@ -222,6 +227,88 @@ def test_equal_keys_build_equal_schedules(scheme, depth, n, a, b, respell):
         assert key_a == key_b
     if key_a == key_b:
         assert _built_ops(scheme, depth, n, a) == _built_ops(scheme, depth, n, other)
+
+
+@pytest.mark.parametrize(
+    "scheme,options",
+    [
+        ("chimera", {"num_down_pipelines": 1}),
+        ("chimera", {"sync_mode": "eager_opt", "slot_model": "practical"}),
+        ("zb_h1", {"max_in_flight": None}),
+        ("zb_v", {"max_in_flight": None, "passes": ""}),
+    ],
+)
+def test_options_at_their_defaults_share_the_plain_entry(tmp_path, scheme, options):
+    """A builder option passed at its declared default keys the entry
+    (memory and disk) that leaving it out keys."""
+    cache = ScheduleCache(disk=DiskScheduleCache(tmp_path))
+    plain = cache.artifacts(scheme, 4, 8)
+    assert cache.artifacts(scheme, 4, 8, **options) is plain
+    assert cache.stats().entries == 1
+    assert len(list(tmp_path.rglob("*.pkl"))) == 1
+
+
+def test_options_off_their_defaults_key_their_own_entries():
+    key = ScheduleCache.key
+    plain = key("chimera", 4, 8, {})
+    assert key("chimera", 4, 8, {"num_down_pipelines": 2}) != plain
+    # Equal but of another type is not the declared default.
+    assert key("chimera", 4, 8, {"num_down_pipelines": True}) != plain
+    assert key("zb_h1", 4, 8, {"max_in_flight": 2}) != key("zb_h1", 4, 8, {})
+
+
+#: The planner's attempt pipelines, alone and with a lowered tail.
+VARIANT_PIPELINES = tuple(
+    base + tail
+    for base in ("recompute", "offload", "recompute,offload")
+    for tail in ("", ",lower_p2p")
+)
+
+
+@pytest.mark.parametrize("passes", VARIANT_PIPELINES)
+@pytest.mark.parametrize("scheme", available_schemes())
+def test_pass_variant_equals_one_shot_build(tmp_path, scheme, passes):
+    """A variant the cache derives from its base entry is the schedule a
+    one-shot ``build_schedule(..., passes=p)`` returns: same ops, same
+    metadata in the same key order, and a disk file with the same bytes
+    as an entry made from the one-shot build."""
+    cache = ScheduleCache(disk=DiskScheduleCache(tmp_path / "derived"))
+    cache.artifacts(scheme, 4, 6)  # the base entry, asked first as in planning
+    variant = cache.artifacts(scheme, 4, 6, passes=passes).schedule
+    built = build_schedule(scheme, 4, 6, passes=passes)
+    assert variant.worker_ops == built.worker_ops
+    assert list(variant.metadata.items()) == list(built.metadata.items())
+    assert list(variant.metadata)[-1] == "passes"
+
+    key = ScheduleCache.key(scheme, 4, 6, {"passes": passes})
+    one_shot = ScheduleArtifacts(built)
+    one_shot.memory_profile()  # the cache's first write carries it too
+    disk = DiskScheduleCache(tmp_path / "one_shot")
+    assert disk.store(key, one_shot.snapshot())
+    derived = cache.disk.entry_path(key).read_bytes()
+    assert derived == disk.entry_path(key).read_bytes()
+
+
+def test_pass_variant_miss_runs_the_builder_once(monkeypatch):
+    """On an empty memory tier, a variant miss builds its base entry and
+    runs only its extra passes on it; later variants and the base itself
+    are served without running the builder again."""
+    builder = registry._BUILDERS["dapple"]
+    runs = []
+
+    @functools.wraps(builder)
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return builder(*args, **kwargs)
+
+    monkeypatch.setitem(registry._BUILDERS, "dapple", counting)
+    cache = ScheduleCache()
+    cache.artifacts("dapple", 4, 6, passes="recompute,offload")
+    assert runs == [(4, 6)]
+    cache.artifacts("dapple", 4, 6, passes="offload")
+    cache.artifacts("dapple", 4, 6)
+    assert runs == [(4, 6)]
+    assert cache.stats().entries == 3
 
 
 def test_cached_fused_artifacts_are_shared():

@@ -1,10 +1,12 @@
 """Zero-bubble schedules (ZB-H1/ZB-V and the memory-controllable
 ZB-vhalf/ZB-vmin): signatures, regression vs DAPPLE, training parity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.common.errors import ScheduleError
+from repro.common.errors import ConfigurationError, ScheduleError
 from repro.models.reference import SequentialTrainer
 from repro.models.transformer import build_transformer_layers
 from repro.runtime.optimizers import SGD
@@ -25,6 +27,7 @@ from repro.schedules.zero_bubble import (
     build_zb_vhalf_schedule,
     build_zb_vmin_schedule,
     stable_pattern,
+    _greedy_split_backward_rows,
 )
 from repro.sim.cost import CostModel
 from repro.sim.engine import simulate
@@ -146,6 +149,19 @@ class TestZeroBubbleSignatures:
             report = analyze_memory(schedule, MemoryModel(activation_bytes=1.0))
             assert max(w.activation_peak_units for w in report.workers) <= cap
 
+    @pytest.mark.parametrize("scheme", ["zb_h1", "zb_v"])
+    @pytest.mark.parametrize("bad", [0, -3, True, 2.5, "2"])
+    def test_max_in_flight_must_be_a_positive_integer(self, scheme, bad):
+        """A cap that is not a positive integer is an error naming the
+        option, not a silent cap of 1 or float caps in the metadata."""
+        with pytest.raises(ConfigurationError, match="max_in_flight"):
+            build_schedule(scheme, 4, 8, max_in_flight=bad)
+
+    def test_max_in_flight_numpy_integer_gives_int_caps(self):
+        schedule = build_schedule("zb_h1", 4, 8, max_in_flight=np.int64(2))
+        assert schedule.metadata["caps"] == (2, 2, 2, 1)
+        assert {type(cap) for cap in schedule.metadata["caps"]} == {int}
+
     def test_zb_v_cap_is_best_effort_at_the_turn(self):
         """ZB-V's worker 0 hosts both ends of the V; a cap below the round
         trip is relaxed just enough to keep the pipeline deadlock-free."""
@@ -170,6 +186,61 @@ class TestZeroBubbleSignatures:
         remats = schedule.count(OpKind.RECOMPUTE)
         assert remats == schedule.count(OpKind.BACKWARD_INPUT)
         validate_schedule(schedule)
+
+
+#: Greedy-scheduler digest grid: every depth 1-16 at nine micro-batch
+#: counts up to 64 with the builders' default caps and unit costs, then a
+#: sparser grid with tightened caps (the V's ``[1] * D`` forces the
+#: relaxed-cap fallback) and non-unit ``(f, b, w)`` costs.
+_DIGEST_MBS = (1, 2, 3, 5, 8, 13, 24, 40, 64)
+_SPARSE_DEPTHS = (1, 2, 3, 5, 8, 11, 16)
+_SPARSE_MBS = (1, 4, 9, 17, 33, 64)
+_UNIT = (1.0, 1.0, 1.0)
+
+
+def _greedy_cases():
+    """``(placement, n, caps, (f, b, w))`` for every digested call."""
+    for d in range(1, 17):
+        for n in _DIGEST_MBS:
+            yield "linear", d, n, [d - s for s in range(d)], _UNIT
+            yield "vshaped", d, n, [2 * d] * d, _UNIT
+    for d in _SPARSE_DEPTHS:
+        for n in _SPARSE_MBS:
+            tight = max(1, d // 2)
+            yield "linear", d, n, [min(d - s, tight) for s in range(d)], _UNIT
+            yield "vshaped", d, n, [d] * d, _UNIT
+            yield "vshaped", d, n, [1] * d, _UNIT
+            for costs in ((1.0, 2.0, 0.5), (1.5, 1.0, 1.25)):
+                yield "linear", d, n, [d - s for s in range(d)], costs
+                yield "vshaped", d, n, [2 * d] * d, costs
+
+
+class TestGreedyDigest:
+    def test_rows_match_recorded_digest(self):
+        """The greedy scheduler's rows over the whole grid hash to the
+        digest recorded from the full-rescan scheduler (582 calls): any
+        change to an op's order, kind, stage or micro-batch moves it."""
+        digest = hashlib.sha256()
+        calls = 0
+        for kind, d, n, caps, (f, b, w) in _greedy_cases():
+            rows = _greedy_split_backward_rows(
+                getattr(StagePlacement, kind)(d),
+                n,
+                caps=caps,
+                f_time=f,
+                b_time=b,
+                w_time=w,
+            )
+            ops = [
+                [(op.kind.value, op.stage, op.micro_batches) for op in row]
+                for row in rows
+            ]
+            digest.update(repr(ops).encode())
+            calls += 1
+        assert calls == 582
+        assert digest.hexdigest() == (
+            "cbc6b9f667244f24127b16c2f98dff82a342302ab0145a1367698f0611a0a453"
+        )
 
 
 class TestMemoryControllable:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Time and profile hot ``/plan`` requests in process.
+"""Time and profile ``/plan`` requests in process: hot, or a cold stream.
 
-Plans the ``serve_hot`` payloads through an in-process
+By default plans the ``serve_hot`` payloads through an in-process
 :class:`repro.serve.PlannerService` (no sockets, no worker processes),
 cycling through the hot set in order: ``--warmup`` requests first, so
 the schedule cache and the planner's memos are warm, then ``--rounds``
@@ -17,18 +17,30 @@ largest self time first:
 
     calls  self_s  cumulative_s  function  file:line
 
+With ``--cold``, each round instead plans the first ``--requests``
+requests of the ``plan_cold`` stream (default: all of it) through
+``repro.perf.planner.plan_many``, as ``plan_cold`` does, from empty
+tiers: the schedule cache's memory tier and a private disk tier are
+emptied, and so are the planner's row and memory-report memos. The
+profile then reports the build layers (:func:`build_layer`): every
+function of ``repro.schedules`` (the builders, the passes, lowering,
+dependency graphs, the cache and its disk tier), kernel construction
+and the memory-profile compile.
+
 cProfile does not see a hit of a ``functools.lru_cache`` function (the
 calibrations, the planner's floor memo): only a miss runs Python code.
 
 ``REPRO_CACHE_DISABLE=1`` is set before ``repro`` is imported, so the
-schedule cache has no disk tier. The payloads come from
-``benchmarks/e2e/streams.py`` (imported, never modified). The driver is
-``tools/profile_driver.py``. Standard library only; not run by CI. From
-the repository root:
+hot mode's schedule cache has no disk tier; ``--cold`` enables one in a
+temporary directory. The payloads come from ``benchmarks/e2e/streams.py``
+(imported, never modified). The driver is ``tools/profile_driver.py``.
+Standard library only. CI's lint job runs ``--cold --requests 1`` as a
+smoke. From the repository root:
 
     python tools/profile_plan.py
     python tools/profile_plan.py --requests 600 --rounds 4 --no-profile
     python tools/profile_plan.py --function device_floor --function label
+    python tools/profile_plan.py --cold
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ import itertools
 import os
 import pathlib
 import sys
+import tempfile
 import time
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -47,7 +60,11 @@ os.environ["REPRO_CACHE_DISABLE"] = "1"
 
 import profile_driver  # noqa: E402
 import streams  # noqa: E402
+from repro.perf import planner  # noqa: E402
+from repro.schedules.cache import clear_schedule_cache  # noqa: E402
 from repro.serve import PlannerService  # noqa: E402
+from repro.serve.service import parse_plan_request  # noqa: E402
+from repro.sim import memory  # noqa: E402
 
 #: Functions reported by default: the planner's layers on a hot request.
 FUNCTIONS = (
@@ -65,6 +82,35 @@ FUNCTIONS = (
 )
 
 
+SCHEDULES = REPO / "src" / "repro" / "schedules"
+
+#: Build-layer functions outside ``repro.schedules`` (file name, function).
+BUILD_FUNCTIONS = {
+    ("kernel.py", "kernel_of"),
+    ("kernel.py", "__init__"),  # ScheduleKernel and its blocking tables
+    ("memory.py", "compile_memory_profile"),
+}
+
+
+def build_layer(path: str, name: str) -> bool:
+    """True for the functions ``--cold`` reports (see the module doc)."""
+    where = pathlib.Path(path)
+    return SCHEDULES in where.parents or (where.name, name) in BUILD_FUNCTIONS
+
+
+def run_cold(payloads: list[dict], count: int) -> float:
+    """Plan the first ``count`` payloads from empty tiers and memos;
+    return the wall in seconds (emptying the tiers is not timed)."""
+    clear_schedule_cache(disk=True)
+    planner._ROW_MEMO.clear()
+    memory._REPORTS.clear()
+    requests = [parse_plan_request(payload) for payload in payloads[:count]]
+    start = time.perf_counter()
+    for request in requests:
+        planner.plan_many([request], max_workers=1)  # an error is an answer
+    return time.perf_counter() - start
+
+
 def run(service: PlannerService, payloads, count: int) -> float:
     """Plan the next ``count`` payloads; return the wall in seconds."""
     start = time.perf_counter()
@@ -77,8 +123,19 @@ def run(service: PlannerService, payloads, count: int) -> float:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--warmup", type=int, default=12, help="untimed requests")
-    parser.add_argument("--requests", type=int, default=40, help="requests per round")
+    parser.add_argument(
+        "--cold",
+        action="store_true",
+        help="plan the plan_cold stream from empty tiers; report build layers",
+    )
+    parser.add_argument(
+        "--warmup", type=int, help="untimed requests (default: 12; 0 with --cold)"
+    )
+    parser.add_argument(
+        "--requests",
+        type=int,
+        help="requests per round (default: 40; the whole stream with --cold)",
+    )
     parser.add_argument("--rounds", type=int, default=1, help="timed rounds")
     parser.add_argument(
         "--function",
@@ -90,22 +147,40 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    service = PlannerService()
-    payloads = itertools.cycle(streams.hot_payloads())
+    if args.cold:
+        stream = streams.plan_payloads()
+        count = len(stream) if args.requests is None else args.requests
+        if not 1 <= count <= len(stream):
+            parser.error(f"--cold plans 1 to {len(stream)} requests")
+        os.environ.pop("REPRO_CACHE_DISABLE")
+        tier = tempfile.TemporaryDirectory(prefix="profile_plan-")
+        os.environ["REPRO_CACHE_DIR"] = tier.name
+        work = lambda count: run_cold(stream, count)  # noqa: E731
+        warmup = args.warmup or 0
+    else:
+        service = PlannerService()
+        payloads = itertools.cycle(streams.hot_payloads())
+        count = 40 if args.requests is None else args.requests
+        work = lambda count: run(service, payloads, count)  # noqa: E731
+        warmup = 12 if args.warmup is None else args.warmup
     profiler = profile_driver.drive(
-        lambda count: run(service, payloads, count),
+        work,
         unit="request",
-        warmup=args.warmup,
-        count=args.requests,
+        warmup=warmup,
+        count=count,
         rounds=args.rounds,
         profile=not args.no_profile,
     )
     if profiler is None:
         return
+    if args.cold and not args.function:
+        profile_driver.report(profiler, build_layer)
+        return
     names = set(args.function or FUNCTIONS)
     missing = names - profile_driver.report(profiler, lambda _, name: name in names)
     if missing:
         print(f"not called: {', '.join(sorted(missing))}")
+
 
 if __name__ == "__main__":
     main()
