@@ -1,11 +1,10 @@
-"""Engine benchmark: event queue vs the seed polling loop, lowered and not.
+"""Engine benchmark: the event-queue engine, lowered and not.
 
 Simulates chimera and ZB-V at D=16, N=64 (thousands of operations per
-schedule) three ways — the event-queue engine on the implicit schedule,
-the event-queue engine on the lowered schedule (explicit SEND/RECV with
-link contention), and the seed's polling reference on the implicit
-schedule — asserting that the event queue beats the polling loop it
-replaced while both produce identical makespans.
+schedule) two ways — the event-queue engine on the implicit schedule and
+on the lowered schedule (explicit SEND/RECV with link contention) — and
+reports the time per simulation. Nothing here asserts a timing, so the
+script runs the same on any host.
 
 Runs under pytest-benchmark like every other bench target, and doubles as
 a plain script for the CI smoke step::
@@ -20,7 +19,7 @@ from repro.schedules.dependencies import build_dependency_graph
 from repro.schedules.lowering import lower_schedule
 from repro.schedules.registry import build_schedule
 from repro.sim.cost import CostModel
-from repro.sim.engine import simulate, simulate_polling
+from repro.sim.engine import simulate
 from repro.sim.network import FlatTopology, LinkSpec
 
 DEPTH, MICRO_BATCHES = 16, 64
@@ -37,26 +36,25 @@ def _cost_model() -> CostModel:
 
 
 def _cases(scheme: str):
-    """(label, engine, schedule, graph) benchmark variants for a scheme."""
+    """(label, schedule, graph) benchmark variants for a scheme."""
     schedule = build_schedule(scheme, DEPTH, MICRO_BATCHES)
     graph = build_dependency_graph(schedule)
     lowered_graph = lower_schedule(schedule, graph=graph)
     lowered = lowered_graph.schedule
     return [
-        ("event", simulate, schedule, graph),
-        ("event+lowered", simulate, lowered, lowered_graph),
-        ("polling (seed)", simulate_polling, schedule, graph),
+        ("event", schedule, graph),
+        ("event+lowered", lowered, lowered_graph),
     ]
 
 
-def _time_once(fn, schedule, graph, *, repeat: int = 3) -> tuple[float, float]:
+def _time_once(schedule, graph, *, repeat: int = 3) -> tuple[float, float]:
     """(best seconds per run, iteration_time) with a warm dense cache."""
     cm = _cost_model()
-    result = fn(schedule, cm, graph=graph)  # warm-up / cache build
+    result = simulate(schedule, cm, graph=graph)  # warm-up / cache build
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        result = fn(schedule, cm, graph=graph)
+        result = simulate(schedule, cm, graph=graph)
         best = min(best, time.perf_counter() - t0)
     return best, result.iteration_time
 
@@ -65,40 +63,27 @@ def run() -> str:
     """Run every case once and render the comparison table."""
     rows = []
     for scheme in ("chimera", "zb_v"):
-        times = {}
-        for label, fn, schedule, graph in _cases(scheme):
-            seconds, iteration = _time_once(fn, schedule, graph)
-            times[label] = seconds
+        for label, schedule, graph in _cases(scheme):
+            seconds, iteration = _time_once(schedule, graph)
             ops = sum(len(r) for r in schedule.worker_ops)
             rows.append(
                 [scheme, label, ops, f"{seconds * 1e3:.2f}", f"{iteration:.2f}"]
             )
-        speedup = times["polling (seed)"] / times["event"]
-        rows.append([scheme, "-> speedup event vs polling", "",
-                     f"{speedup:.2f}x", ""])
     return format_table(
         rows, ["scheme", "engine", "ops", "ms/simulate", "iteration(s)"]
     )
 
 
-def test_simulate_chimera_event_vs_polling(benchmark, report):
-    """Event engine must beat the seed polling loop on D=16, N=64 chimera."""
+def test_simulate_chimera_event(benchmark, report):
+    """The event engine on D=16, N=64 chimera."""
     schedule = build_schedule("chimera", DEPTH, MICRO_BATCHES)
     graph = build_dependency_graph(schedule)
-    cm = _cost_model()
-    result = benchmark(simulate, schedule, cm, graph=graph)
-    event_t, event_iter = _time_once(simulate, schedule, graph)
-    poll_t, poll_iter = _time_once(simulate_polling, schedule, graph)
-    assert event_iter == poll_iter
-    assert event_t < poll_t, (
-        f"event queue ({event_t * 1e3:.2f} ms) not faster than polling "
-        f"({poll_t * 1e3:.2f} ms)"
-    )
-    report(
-        f"chimera D={DEPTH} N={MICRO_BATCHES}: event {event_t * 1e3:.2f} ms, "
-        f"polling {poll_t * 1e3:.2f} ms ({poll_t / event_t:.2f}x)"
-    )
+    result = benchmark(simulate, schedule, _cost_model(), graph=graph)
     assert result.iteration_time > 0
+    report(
+        f"chimera D={DEPTH} N={MICRO_BATCHES}: "
+        f"iteration {result.iteration_time:.2f}s, {len(result.timed)} ops"
+    )
 
 
 def test_simulate_zb_v_lowered(benchmark, report):

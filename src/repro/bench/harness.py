@@ -70,6 +70,10 @@ class ExperimentConfig:
     options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("width", "micro_batch", "mini_batch"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ConfigurationError(f"{name} must be at least 1, got {value}")
         # Spelled ``not (budget > 0)`` so that a NaN budget fails too.
         if self.memory_budget_bytes is not None and not (
             self.memory_budget_bytes > 0
@@ -115,13 +119,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"mini-batch {self.mini_batch} not divisible by W*B={denom}"
             )
-        n = self.mini_batch // denom
-        if n < 1:
-            raise ConfigurationError(
-                f"mini-batch {self.mini_batch} too small for W={self.width}, "
-                f"B={self.micro_batch}"
-            )
-        return n
+        return self.mini_batch // denom
 
     def describe(self) -> str:
         return (

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
@@ -284,10 +285,23 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # Validate the flags and the baseline before the multi-minute suite
+    # runs, so a bad value fails in milliseconds with guidance. Spelled as
+    # ranges that a NaN fails: repeats=0 times nothing, a zero slowdown
+    # divides by zero, and a tolerance of 1 or more passes every case.
+    if args.repeats < 1:
+        raise ConfigurationError(f"--repeats must be at least 1, got {args.repeats}")
+    if not 0 < args.inject_slowdown < math.inf:
+        raise ConfigurationError(
+            f"--inject-slowdown must be a finite factor above 0, got "
+            f"{args.inject_slowdown}"
+        )
+    if not 0 <= args.tolerance < 1:
+        raise ConfigurationError(
+            f"--tolerance must be in [0, 1), got {args.tolerance}"
+        )
     baseline = None
     if args.check_against:
-        # Validate the baseline before the multi-minute suite runs, so a
-        # missing or corrupt file fails in milliseconds with guidance.
         path = pathlib.Path(args.check_against)
         if not path.is_file():
             print(

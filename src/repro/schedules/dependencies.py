@@ -60,7 +60,7 @@ acyclicity check read the tables; this builder stays the reference
 that the splice is tested against. The ``OpKey``-keyed
 ``location``/``deps`` dicts and the :class:`Edge` iterators are views,
 built on first use, for the readers that think in op keys: the
-bubble-filling pass, the polling simulator and the tests.
+bubble-filling pass and the tests.
 """
 
 from __future__ import annotations

@@ -24,9 +24,8 @@ their stash copies on per-worker host channels.
 
 The heap-based event queue (:func:`repro.sim.engine.simulate`) defines
 the same timing model one event at a time. It is the oracle the kernel's
-differential batteries compare against to 1e-9, not a user path; the
-seed's polling loop (:func:`repro.sim.engine.simulate_polling`) is in
-turn the engine's independent check.
+differential batteries compare against to 1e-9, not a user path. The
+two are the only timing implementations, each the other's check.
 """
 
 from repro.sim.cost import CostModel

@@ -41,12 +41,10 @@ schedule with E dependency edges. It is the **oracle**, not a user path:
 :func:`~repro.sim.kernel.simulate_fast`, and the kernel's differential
 batteries compare against this engine to 1e-9. Only tests, the ``event``
 baseline that ``repro bench`` times, and the kernel/engine benchmark
-scripts call it. The seed's round-robin polling loop is preserved as
-:func:`simulate_polling`, the engine's own check: it reads the graph's
-``OpKey``-keyed ``deps``/``location`` views instead of the graph's
-int-id tables that the engine's ``_DenseSchedule`` and the array kernel
-are built from, so it independently checks that translation. It re-scans
-every worker per round, O(workers x rounds).
+scripts call it. The kernel is in turn the engine's check: it builds
+its arrays from the graph's int-id tables, never from the engine's
+``_DenseSchedule``, and the two agree in every regime (implicit,
+lowered, contended, blocking, offload).
 """
 
 from __future__ import annotations
@@ -629,14 +627,14 @@ def _finalize(
     transfers: list[TransferRecord],
     *,
     blocking_sync: bool,
-    compute_makespan: float | None = None,
+    compute_makespan: float,
     resolved: dict[tuple, tuple[float, float]] | None = None,
 ) -> SimulationResult:
     """Resolve collectives and assemble the :class:`SimulationResult`.
 
-    Shared by the event-queue engine and the polling reference so both
+    Shared by the event-queue engine and the kernel's per-op path so both
     apply identical collective-overlap semantics. ``resolved`` carries the
-    blocking collectives the event loop already timed (start, end) — those
+    blocking collectives the solver already timed (start, end) — those
     are recorded verbatim, because the member workers were released from
     exactly those times; re-deriving them here could contradict the
     compute timeline.
@@ -650,10 +648,6 @@ def _finalize(
     """
     num_workers = schedule.num_workers
     resolved = resolved or {}
-    if compute_makespan is None:
-        compute_makespan = max(
-            (t.end for t in timed.values() if t.op.is_compute), default=0.0
-        )
 
     # Per-worker interface busy intervals from explicit p2p transfers: a
     # collective cannot start while a message is still serializing on a
@@ -742,147 +736,3 @@ def _finalize(
         transfers=tuple(transfers),
     )
 
-
-def simulate_polling(
-    schedule: Schedule,
-    cost_model: CostModel,
-    *,
-    blocking_sync: bool = False,
-) -> SimulationResult:
-    """The seed's round-robin polling simulator, kept as a reference.
-
-    Semantically identical to :func:`simulate` for implicit-communication
-    schedules (the differential tests assert this); it re-scans every
-    worker per round — O(workers x rounds) — which is what the event queue
-    replaces. Lowered schedules are rejected: link-channel contention needs
-    the event queue.
-    """
-    if schedule.lowered:
-        raise ScheduleError(
-            "simulate_polling does not support lowered schedules; use simulate()"
-        )
-    if schedule.metadata.get("offload") or any(
-        op.is_host_comm for _, op in schedule.all_ops()
-    ):
-        raise ScheduleError(
-            "simulate_polling does not support offloaded schedules; "
-            "host-channel contention needs the event queue — use simulate()"
-        )
-    graph = build_dependency_graph(schedule)
-
-    num_workers = schedule.num_workers
-    pointers = [0] * num_workers
-    cursor = [0.0] * num_workers  # when the worker becomes free
-    end_of: dict[OpKey, float] = {}
-    timed: dict[OpKey, TimedOp] = {}
-
-    sync_group_members: dict[tuple, list[tuple[int, Operation]]] = defaultdict(list)
-    for worker, op in schedule.all_ops():
-        if op.kind is OpKind.ALLREDUCE:
-            sync_group_members[(op.stage, op.micro_batches)].append((worker, op))
-    sync_launches: dict[tuple, dict[int, float]] = defaultdict(dict)
-    collective_end_cache: dict[tuple, float] = {}
-
-    def deps_ready_time(worker: int, op: Operation) -> float | None:
-        """Earliest start permitted by data dependencies, or None if a
-        dependency has not been timed yet."""
-        ready = 0.0
-        for edge in graph.deps[op.key()]:
-            src_end = end_of.get(edge.src)
-            if src_end is None:
-                return None
-            if edge.is_p2p_candidate:
-                src_worker = graph.location[edge.src][0]
-                src_end = src_end + cost_model.p2p_time(
-                    src_worker, worker, edge.payload_units
-                )
-            ready = max(ready, src_end)
-        return ready
-
-    def collective_blocking_end(group_key: tuple) -> float | None:
-        """Completion time of a blocking collective, once all launched."""
-        members = sync_group_members[group_key]
-        launches = sync_launches[group_key]
-        if len(launches) < len(members):
-            return None
-        if group_key not in collective_end_cache:
-            stage, _ = group_key
-            workers = tuple(w for w, _ in members)
-            start = max(launches.values())
-            cost = cost_model.allreduce_time(stage, workers)
-            collective_end_cache[group_key] = start + cost
-        return collective_end_cache[group_key]
-
-    total = sum(len(ops) for ops in schedule.worker_ops)
-    done = 0
-    # Ops whose timing is deferred because a blocking collective is waiting
-    # for other members: (worker, group_key).
-    blocked_on_collective: dict[int, tuple] = {}
-
-    while done < total:
-        progressed = False
-        for worker in range(num_workers):
-            while pointers[worker] < len(schedule.worker_ops[worker]):
-                op = schedule.worker_ops[worker][pointers[worker]]
-                key = op.key()
-
-                if worker in blocked_on_collective:
-                    group_key = blocked_on_collective[worker]
-                    end = collective_blocking_end(group_key)
-                    if end is None:
-                        break
-                    cursor[worker] = max(cursor[worker], end)
-                    del blocked_on_collective[worker]
-                    # fall through to time the current op
-
-                if op.kind is OpKind.ALLREDUCE:
-                    group_key = (op.stage, op.micro_batches)
-                    launch = cursor[worker]
-                    sync_launches[group_key][worker] = launch
-                    cursor[worker] = launch + cost_model.sync_launch_overhead
-                    end_of[key] = cursor[worker]
-                    timed[key] = TimedOp(op, worker, launch, cursor[worker])
-                    pointers[worker] += 1
-                    done += 1
-                    progressed = True
-                    if blocking_sync:
-                        blocked_on_collective[worker] = group_key
-                        # Cannot proceed past a blocking collective until all
-                        # members have launched.
-                        end = collective_blocking_end(group_key)
-                        if end is None:
-                            break
-                        cursor[worker] = max(cursor[worker], end)
-                        del blocked_on_collective[worker]
-                    continue
-
-                ready = deps_ready_time(worker, op)
-                if ready is None:
-                    break
-                start = max(cursor[worker], ready)
-                end = start + cost_model.compute_time(op)
-                timed[key] = TimedOp(op, worker, start, end)
-                end_of[key] = end
-                cursor[worker] = end
-                pointers[worker] += 1
-                done += 1
-                progressed = True
-        if not progressed:
-            stuck = [
-                (w, schedule.worker_ops[w][pointers[w]].short())
-                for w in range(num_workers)
-                if pointers[w] < len(schedule.worker_ops[w])
-            ]
-            raise ScheduleError(
-                f"simulation deadlock; {total - done} ops pending, heads: {stuck[:8]}"
-            )
-
-    return _finalize(
-        schedule,
-        cost_model,
-        timed,
-        sync_group_members,
-        sync_launches,
-        [],
-        blocking_sync=blocking_sync,
-    )

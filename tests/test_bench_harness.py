@@ -15,6 +15,7 @@ from repro.bench.harness import (
 )
 from repro.bench.machines import PIZ_DAINT, V100_CLUSTER
 from repro.bench.workloads import BERT48, GPT2_32, GPT2_64
+from repro.cli import main as cli_main
 from repro.common.errors import ConfigurationError
 from repro.sim.network import FlatTopology, HierarchicalTopology
 
@@ -153,6 +154,22 @@ class TestHarness:
         ``capacity_bytes`` ``min(usable, nan)``: the device capacity."""
         with pytest.raises(ConfigurationError, match="budget must be positive"):
             self._cfg(**{field: budget})
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--width", "0"], "width"),
+            (["--micro-batch", "0"], "micro_batch"),
+            (["--mini-batch", "0"], "mini_batch"),
+            (["--width", "-2"], "width"),
+            (["--width", "-2", "--micro-batch", "-4"], "width"),
+        ],
+    )
+    def test_sizes_below_one_rejected(self, flags, field):
+        """``repro simulate`` names the bad size instead of dividing by
+        zero in ``num_micro_batches`` or blaming a derived quantity."""
+        with pytest.raises(ConfigurationError, match=f"^{field} must be at least 1"):
+            cli_main(["simulate", *flags])
 
     def test_lone_items_rank_without_a_label(self):
         """Only a tie cluster of two or more is ordered by ``label()``."""

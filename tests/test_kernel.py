@@ -86,18 +86,21 @@ def assert_results_match(ref, got):
 
 
 # --------------------------------------------------------------- fast path
-@SETTINGS
+@settings(max_examples=70, deadline=None)
 @given(
     scheme=st.sampled_from(available_schemes()),
-    depth=even_depths,
-    n=micro_batches,
+    depth=st.sampled_from([2, 4, 6, 8]),
+    n=st.integers(min_value=1, max_value=12),
     f=cost_units,
     b=cost_units,
     w=cost_units,
-    alpha=st.floats(min_value=0.0, max_value=0.5),
+    alpha=st.floats(min_value=0.0, max_value=1.0),
     pipeline=pipelines,
 )
 def test_fast_path_matches_event_engine(scheme, depth, n, f, b, w, alpha, pipeline):
+    """Every op's start/end, every collective and transfer within 1e-9,
+    for random schemes, shapes, f/b/w costs and latencies, implicit and
+    lowered: the engine and the kernel check each other."""
     arts = schedule_artifacts(scheme, depth, n)
     schedule = arts.schedule_for(pipeline)
     graph = arts.graph_for(pipeline)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench import perfsuite
 from repro.cli import main
-from repro.common.errors import ScheduleError
+from repro.common.errors import ConfigurationError, ScheduleError
 from repro.schedules.registry import available_schemes, scheme_traits
 from repro.sim import kernel as kernel_mod
 
@@ -354,3 +354,27 @@ def test_zero_repeats_rejected():
     """repeats=0 would bake an unfailable (ops/sec 0, NaN) baseline."""
     with pytest.raises(ValueError, match="repeats"):
         perfsuite.run_suite(fast=True, schemes=("gpipe",), repeats=0)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--repeats", "0"),
+        ("--inject-slowdown", "0"),
+        ("--inject-slowdown", "-1"),
+        ("--inject-slowdown", "nan"),
+        ("--tolerance", "-0.1"),
+        ("--tolerance", "1"),
+        ("--tolerance", "nan"),
+    ],
+)
+def test_cli_bench_rejects_bad_flags_before_the_suite(flag, value, monkeypatch):
+    """A zero slowdown would divide by zero after the first case, and a
+    tolerance of 1 or more (or NaN) would let every throughput case pass."""
+
+    def suite_ran(**kw):
+        raise AssertionError("the suite ran before the flags were checked")
+
+    monkeypatch.setattr("repro.cli.run_suite", suite_ran)
+    with pytest.raises(ConfigurationError, match=f"^{flag} must be"):
+        main(["bench", "--fast", flag, value])

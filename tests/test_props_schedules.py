@@ -13,21 +13,15 @@ from repro.schedules.chimera import ConcatStrategy, build_chimera_schedule
 from repro.schedules.registry import available_schemes, build_schedule
 from repro.schedules.validate import validate_schedule
 from repro.sim.cost import CostModel
-from repro.sim.engine import simulate, simulate_polling
+from repro.sim.engine import simulate
 from repro.sim.memory import MemoryModel, analyze_memory
 from repro.sim.metrics import bubble_ratio
-from repro.sim.network import FlatTopology, LinkSpec
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
 even_depths = st.sampled_from([2, 4, 6, 8, 10, 12])
 any_depths = st.integers(min_value=1, max_value=12)
 micro_batches = st.integers(min_value=1, max_value=24)
-#: Unit-cost multipliers for the differential engine test; bounded away
-#: from zero so durations stay positive and well-conditioned.
-cost_units = st.floats(
-    min_value=0.1, max_value=4.0, allow_nan=False, allow_infinity=False
-)
 
 
 @SETTINGS
@@ -58,48 +52,6 @@ def test_every_schedule_simulates(scheme, depth, n, recompute):
     total_busy = sum(result.busy_time(w) for w in range(schedule.num_workers))
     assert total_busy == pytest.approx(expected)
     assert 0.0 <= bubble_ratio(result) < 1.0
-
-
-@SETTINGS
-@given(
-    scheme=st.sampled_from(available_schemes()),
-    depth=st.sampled_from([2, 4, 6, 8]),
-    n=st.integers(min_value=1, max_value=12),
-    f=cost_units,
-    b=cost_units,
-    w=cost_units,
-    alpha=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-)
-def test_event_engine_matches_polling_reference(scheme, depth, n, f, b, w, alpha):
-    """Differential test: for every registered scheme and random (D, N,
-    f/b/w costs), the heap-based event engine and the seed's round-robin
-    polling loop produce identical timings on the implicit-communication
-    path — every op's start/end within 1e-9, not just the makespan.
-    (Blocking-sync parity is covered at safe shapes in
-    ``tests/test_sim_engine.py``; an eager mid-schedule collective can
-    legitimately deadlock under blocking semantics at shallow depths.)"""
-    schedule = build_schedule(scheme, depth, n)
-    cost = CostModel(
-        forward_time=f,
-        backward_input_ratio=b / f,
-        backward_weight_ratio=w / f,
-        topology=FlatTopology(LinkSpec(alpha=alpha, beta=0.0)),
-        activation_message_bytes=1.0,
-        stage_grad_bytes=25.0,
-        data_parallel_width=2,
-        sync_launch_overhead=0.01,
-    )
-    fast = simulate(schedule, cost)
-    reference = simulate_polling(schedule, cost)
-    assert fast.iteration_time == pytest.approx(
-        reference.iteration_time, abs=1e-9
-    )
-    assert fast.compute_makespan == pytest.approx(
-        reference.compute_makespan, abs=1e-9
-    )
-    for key, timed in fast.timed.items():
-        assert timed.start == pytest.approx(reference.timed[key].start, abs=1e-9)
-        assert timed.end == pytest.approx(reference.timed[key].end, abs=1e-9)
 
 
 @SETTINGS

@@ -9,11 +9,10 @@ import pathlib
 
 import pytest
 
-from repro.common.errors import ScheduleError
-from repro.schedules.lowering import lower_schedule
 from repro.schedules.registry import available_schemes, build_schedule
 from repro.sim.cost import CostModel
-from repro.sim.engine import simulate, simulate_polling
+from repro.sim.engine import simulate
+from repro.sim.kernel import simulate_fast
 from repro.sim.network import FlatTopology, HierarchicalTopology, LinkSpec
 
 
@@ -147,9 +146,9 @@ class TestSync:
         assert slowed.iteration_time >= base.iteration_time
 
 
-class TestEventQueueMatchesPolling:
-    """Differential: the event-queue engine must reproduce the seed's
-    polling loop exactly for every implicit-communication schedule."""
+class TestEventQueueMatchesKernel:
+    """Differential: the event-queue engine and the array kernel time
+    every implicit-communication schedule identically, blocking or not."""
 
     def _cost_models(self):
         topo = FlatTopology(LinkSpec(alpha=0.1, beta=1e-3))
@@ -170,7 +169,7 @@ class TestEventQueueMatchesPolling:
         s = build_schedule(scheme, 4, 8)
         for cm in self._cost_models():
             a = simulate(s, cm)
-            b = simulate_polling(s, cm)
+            b = simulate_fast(s, cm)
             assert a.iteration_time == pytest.approx(b.iteration_time, abs=1e-12)
             assert a.compute_makespan == pytest.approx(
                 b.compute_makespan, abs=1e-12
@@ -184,15 +183,10 @@ class TestEventQueueMatchesPolling:
         s = build_schedule(scheme, 4, 8)
         for cm in self._cost_models():
             a = simulate(s, cm, blocking_sync=True)
-            b = simulate_polling(s, cm, blocking_sync=True)
+            b = simulate_fast(s, cm, blocking_sync=True)
             assert a.iteration_time == pytest.approx(b.iteration_time, abs=1e-12)
             for key, timed in a.timed.items():
                 assert timed.start == pytest.approx(b.timed[key].start, abs=1e-12)
-
-    def test_polling_rejects_lowered_schedules(self):
-        low = lower_schedule(build_schedule("dapple", 2, 2)).schedule
-        with pytest.raises(ScheduleError):
-            simulate_polling(low, CostModel.practical())
 
     def test_dense_cache_reused_across_cost_models(self):
         from repro.schedules.dependencies import build_dependency_graph
@@ -320,7 +314,7 @@ class TestEngineIsTheOracle:
                 found |= {
                     alias.name
                     for alias in node.names
-                    if alias.name in ("simulate", "simulate_polling")
+                    if alias.name == "simulate"
                 }
         return found
 
