@@ -28,6 +28,7 @@ from repro.schedules.passes.pipeline import (
     normalize_pipeline,
     split_pipeline,
 )
+from repro.sim.engine import SimulationResult
 from repro.sim.kernel import simulate_fast
 from repro.sim.memory import MemoryReport, analyze_memory
 from repro.sim.metrics import bubble_ratio, throughput_samples_per_sec
@@ -333,13 +334,21 @@ def _steady_state_throughput(
     if marginal <= 0:
         return float("inf")
     n_window = cfg.num_micro_batches()
-    sync_per_worker = [0.0] * cfg.depth
-    for record in sims[0].collectives:
-        for w in record.workers:
-            sync_per_worker[w] += record.cost
+    sync_per_worker = _sync_per_worker(sims[0], cfg.depth)
     residue = (1.0 - ASYNC_SYNC_OVERLAP) * max(sync_per_worker, default=0.0)
     period = n_window * marginal + residue
     return n_window * cfg.micro_batch * cfg.width / period
+
+
+def _sync_per_worker(result: SimulationResult, depth: int) -> list[float]:
+    """Gradient-synchronization seconds per worker: each collective's
+    ``end - start``, summed in ``(stage, micro_batches)`` order from the
+    result's spans, so no collective record is built."""
+    sync = [0.0] * depth
+    for _, _, workers, start, end in result.sync_spans():
+        for w in workers:
+            sync[w] += end - start
+    return sync
 
 
 def sweep(configs: Iterable[ExperimentConfig]) -> list[ExperimentResult]:

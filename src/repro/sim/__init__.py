@@ -5,7 +5,10 @@ The simulator executes a :class:`~repro.schedules.ir.Schedule` against a
 point-to-point links, and collective (allreduce) cost models — producing a
 :class:`~repro.sim.engine.SimulationResult` with per-operation start/end
 times, per-worker busy/bubble accounting, and gradient-synchronization
-overlap. This substitutes for the paper's 2,048-node Piz Daint runs: every
+overlap. The kernel's results take their scalars (makespan, iteration
+time, busy and bubble time, collective spans) from the solve's arrays and
+build the per-op records (``timed``, ``collectives``, ``transfers``)
+only when one is read; the event engine builds them eagerly. This substitutes for the paper's 2,048-node Piz Daint runs: every
 quantity the paper reports (bubble ratio, throughput, peak memory, the
 performance-model error) is a deterministic function of the schedule
 structure and these cost models.

@@ -49,9 +49,11 @@ lowered, contended, blocking, offload).
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -125,20 +127,78 @@ class TransferRecord:
         return self.end - self.start
 
 
-@dataclass
 class SimulationResult:
-    """Timed schedule plus the derived iteration-level quantities."""
+    """Timed schedule plus the derived iteration-level quantities.
 
-    schedule: Schedule
-    cost_model: CostModel
-    timed: dict[OpKey, TimedOp]
-    collectives: list[CollectiveRecord]
-    #: Last compute (forward/backward) completion across all workers.
-    compute_makespan: float
-    #: Iteration time including non-overlapped gradient synchronization.
-    iteration_time: float
-    #: Explicit p2p transfers (lowered schedules only; empty otherwise).
-    transfers: tuple[TransferRecord, ...] = ()
+    ``compute_makespan`` and ``iteration_time`` are plain attributes, and
+    :meth:`busy_time`, :meth:`compute_window` and :meth:`sync_spans` read
+    the solve's arrays: per-op start and end times indexed by the
+    dependency graph's row-major op ids, and per-collective spans. The
+    per-op records — ``timed``, ``collectives`` and ``transfers`` — are
+    built on first read and kept: the event engine passes them built, the
+    array kernel passes a function that builds them, so a caller that
+    reads only scalars and those methods never pays for them.
+    """
+
+    def __init__(
+        self,
+        schedule: Schedule,
+        cost_model: CostModel,
+        *,
+        compute_makespan: float,
+        iteration_time: float,
+        start: list[float],
+        end: list[float],
+        compute_rows: tuple[np.ndarray, np.ndarray],
+        sync_spans: list[tuple],
+        records: tuple | Callable[[], tuple],
+    ):
+        self.schedule = schedule
+        self.cost_model = cost_model
+        #: Last compute (forward/backward) completion across all workers.
+        self.compute_makespan = compute_makespan
+        #: Iteration time including non-overlapped gradient synchronization.
+        self.iteration_time = iteration_time
+        self._start = start
+        self._end = end
+        #: Compute op ids grouped by worker in row order, and per-worker
+        #: offsets into them.
+        self._compute_rows = compute_rows
+        #: ``(stage, micro_batches, workers, start, end)`` per collective.
+        self._sync_spans = sync_spans
+        #: ``(timed, collectives, transfers)``, or the function building it.
+        self._records = records
+
+    def _built(self) -> tuple:
+        if callable(self._records):
+            self._records = self._records()
+        return self._records
+
+    @functools.cached_property
+    def timed(self) -> dict[OpKey, TimedOp]:
+        """Every op's :class:`TimedOp`, keyed by ``op.key()``."""
+        return self._built()[0]
+
+    @functools.cached_property
+    def collectives(self) -> list[CollectiveRecord]:
+        """Collective records in ``(stage, micro_batches)`` order."""
+        return self._built()[1]
+
+    @functools.cached_property
+    def transfers(self) -> tuple[TransferRecord, ...]:
+        """Explicit p2p transfers (lowered schedules only; empty otherwise)."""
+        return self._built()[2]
+
+    @functools.cached_property
+    def _compute_columns(
+        self,
+    ) -> tuple[list[int], list[float], list[float], list[float]]:
+        """Per-worker offsets, then each compute op's start, end and
+        ``end - start``, grouped by worker in row order."""
+        ids, ptr = self._compute_rows
+        start = np.asarray(self._start)[ids]
+        end = np.asarray(self._end)[ids]
+        return ptr.tolist(), start.tolist(), end.tolist(), (end - start).tolist()
 
     def timed_ops_on(self, worker: int) -> list[TimedOp]:
         """This worker's timed compute ops, in execution order."""
@@ -156,8 +216,17 @@ class SimulationResult:
         )
 
     def busy_time(self, worker: int) -> float:
-        """Total compute seconds on ``worker``."""
-        return sum(t.duration for t in self.timed_ops_on(worker))
+        """Total compute seconds on ``worker``: each compute op's
+        ``end - start``, summed in row order."""
+        ptr, _, _, spans = self._compute_columns
+        return sum(spans[ptr[worker] : ptr[worker + 1]])
+
+    def compute_window(self, worker: int) -> tuple[float, float] | None:
+        """``(first compute start, last compute end)`` on ``worker``, or
+        None for a worker without compute."""
+        ptr, start, end, _ = self._compute_columns
+        lo, hi = ptr[worker], ptr[worker + 1]
+        return (start[lo], end[hi - 1]) if lo < hi else None
 
     def bubble_time(self, worker: int) -> float:
         """Idle compute time on ``worker`` within the compute makespan."""
@@ -168,8 +237,14 @@ class SimulationResult:
         return self.iteration_time - self.compute_makespan
 
     def worker_compute_end(self, worker: int) -> float:
-        ops = self.timed_ops_on(worker)
-        return ops[-1].end if ops else 0.0
+        window = self.compute_window(worker)
+        return window[1] if window else 0.0
+
+    def sync_spans(self) -> list[tuple]:
+        """``(stage, micro_batches, workers, start, end)`` of every
+        collective, in ``(stage, micro_batches)`` order: the collective
+        records' fields, read without building the records."""
+        return sorted(self._sync_spans, key=lambda span: (span[0], span[1]))
 
 
 def _clear_of_transfers(
@@ -288,6 +363,16 @@ class _DenseSchedule:
 
         code, host_dir, shape, _ = _classify_ops(schedule.op_table())
         self.kind_code: list[int] = code.tolist()
+        compute = np.flatnonzero(code == _PLAIN)
+        #: Compute op ids (row-major, so grouped by worker) and per-worker
+        #: offsets into them: :attr:`SimulationResult._compute_rows`.
+        self.compute_rows = (
+            compute,
+            np.searchsorted(
+                np.asarray(self.op_worker)[compute],
+                np.arange(schedule.num_workers + 1),
+            ),
+        )
         self.host_dir: list[int] = host_dir.tolist()
         #: Duration class of each op (see :func:`_classify_ops`).
         self.shape: list[int] = shape.tolist()
@@ -605,7 +690,7 @@ def simulate(
         default=0.0,
     )
 
-    return _finalize(
+    collectives, compute_makespan, iteration_time = _finalize(
         schedule,
         cost_model,
         timed,
@@ -615,6 +700,19 @@ def simulate(
         blocking_sync=blocking_sync,
         compute_makespan=compute_makespan,
         resolved=loop_resolved,
+    )
+    return SimulationResult(
+        schedule,
+        cost_model,
+        compute_makespan=compute_makespan,
+        iteration_time=iteration_time,
+        start=start_of,
+        end=end_of_id,
+        compute_rows=dense.compute_rows,
+        sync_spans=[
+            (c.stage, c.micro_batches, c.workers, c.start, c.end) for c in collectives
+        ],
+        records=(timed, collectives, tuple(transfers)),
     )
 
 
@@ -629,22 +727,25 @@ def _finalize(
     blocking_sync: bool,
     compute_makespan: float,
     resolved: dict[tuple, tuple[float, float]] | None = None,
-) -> SimulationResult:
-    """Resolve collectives and assemble the :class:`SimulationResult`.
+) -> tuple[list[CollectiveRecord], float, float]:
+    """Resolve collectives: ``(collectives, compute_makespan, iteration_time)``.
 
-    Shared by the event-queue engine and the kernel's per-op path so both
-    apply identical collective-overlap semantics. ``resolved`` carries the
+    Shared by the event-queue engine and the kernel's record builder so
+    both apply identical collective-overlap semantics. Sorts
+    ``transfers`` in place into the canonical record order. ``resolved`` carries the
     blocking collectives the solver already timed (start, end) — those
     are recorded verbatim, because the member workers were released from
     exactly those times; re-deriving them here could contradict the
     compute timeline.
 
-    The array kernel's batch path re-implements the non-blocking subset of
-    these rules on flat arrays (:func:`repro.sim.kernel._iteration_time`)
-    to avoid materializing per-op records; any change to the collective
+    The array kernel re-implements these rules on flat arrays
+    (:func:`repro.sim.kernel._iteration_time`) to take its scalars
+    without materializing per-op records; any change to the collective
     ordering, link-serialization, or overlap-slowdown semantics here must
     be mirrored there (the kernel differential tests and every
-    ``repro bench`` run assert the two stay within 1e-9).
+    ``repro bench`` run assert the two stay within 1e-9, and
+    ``tests/test_kernel.py`` checks the kernel's scalars against its own
+    records with ``==``).
     """
     num_workers = schedule.num_workers
     resolved = resolved or {}
@@ -726,13 +827,5 @@ def _finalize(
     # unique per (stage, micro-batches), a transfer per issuing op.
     collectives.sort(key=lambda c: (c.stage, c.micro_batches))
     transfers.sort(key=lambda t: (t.src_worker, t.op_index))
-    return SimulationResult(
-        schedule=schedule,
-        cost_model=cost_model,
-        timed=timed,
-        collectives=collectives,
-        compute_makespan=compute_makespan,
-        iteration_time=iteration_time,
-        transfers=tuple(transfers),
-    )
+    return collectives, compute_makespan, iteration_time
 

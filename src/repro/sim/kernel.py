@@ -63,7 +63,8 @@ Public surface:
   :func:`repro.simulate`): a full :class:`~repro.sim.engine.SimulationResult`
   for one cost model. One scalar pass when contention-free; inline FIFO
   serialization or the fixed-point relaxation when contended or
-  blocking.
+  blocking. Its scalars come from the solve's arrays; its per-op records
+  are built only when first read (:func:`_records`).
 * :func:`simulate_batch_many` — the batch API: ``(kernel, cost_model)``
   rows that may differ in schedule shape ``(D, N)`` and pass pipeline as
   well as in cost model and topology, returning iteration-level
@@ -76,11 +77,13 @@ Public surface:
   whether the row's own channel occupancy is all zero (not which sweep
   ran: a contended full-duplex row also takes one sweep).
 
-Both paths end in the engine's own ``_finalize`` semantics for
-collective resolution and overlap accounting, so results match the event
-engine to floating-point equality (the differential suites assert 1e-9)
-— the kernel is a faster evaluator of the same model, never a second
-model.
+Both paths end in one epilogue, :func:`_iteration_time`: the engine's
+own ``_finalize`` rules for collective resolution and overlap accounting
+on arrays, so results match the event engine to floating-point equality
+(the differential suites assert 1e-9) — the kernel is a faster evaluator
+of the same model, never a second model. The records a
+:func:`simulate_fast` result builds on demand go through ``_finalize``
+itself.
 """
 
 from __future__ import annotations
@@ -109,6 +112,7 @@ from repro.sim.engine import (
     _PLAIN,
     _RECV,
     _SEND,
+    CollectiveRecord,
     SimulationResult,
     TimedOp,
     TransferRecord,
@@ -822,13 +826,16 @@ def simulate_fast(
 ) -> SimulationResult:
     """Simulate one iteration on the array kernel (:func:`repro.simulate`).
 
-    Produces a full :class:`~repro.sim.engine.SimulationResult` (timed
-    ops, transfers, collectives) identical to the event engine's for
-    every registered scheme × pass pipeline × cost model — contended
-    lowered schedules and blocking collectives stay on the kernel
-    (:func:`_solve_row` picks the row's sweep) instead of falling back
-    to the event engine. ``kernel``
-    is ``schedule``'s kernel (e.g. from
+    Produces a :class:`~repro.sim.engine.SimulationResult` identical to
+    the event engine's for every registered scheme × pass pipeline × cost
+    model — contended lowered schedules and blocking collectives stay on
+    the kernel (:func:`_solve_row` picks the row's sweep) instead of
+    falling back to the event engine. ``compute_makespan`` and
+    ``iteration_time`` come straight from the solve's arrays through the
+    batch path's epilogue (:func:`_iteration_time`); the per-op records
+    (``timed``, ``collectives``, ``transfers``) are built by
+    :func:`_records` only when first read. ``kernel`` is ``schedule``'s
+    kernel (e.g. from
     :meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for`); it is
     built from a fresh dependency graph when absent.
     """
@@ -839,18 +846,39 @@ def simulate_fast(
         kernel, cost_model, kernel.durations(cost_model), tables, blocking_sync
     )
     wire, occupancy, chan = tables
-    return _assemble_result(
+    comp = kernel.compute_ids
+    makespan = float(np.asarray(end)[comp].max()) if comp.size else 0.0
+    iteration, makespan, spans = _iteration_time(
         kernel,
-        schedule,
         cost_model,
         start,
         end,
-        wire_start=wire_start,
-        wire_time=wire,
-        occupancy=occupancy,
-        chan=chan,
+        makespan,
+        wire=(wire_start, occupancy) if (occupancy > 0.0).any() else None,
         resolved=resolved,
-        blocking_sync=blocking_sync,
+    )
+    return SimulationResult(
+        schedule,
+        cost_model,
+        compute_makespan=makespan,
+        iteration_time=iteration,
+        start=start,
+        end=end,
+        compute_rows=(kernel.compute_by_worker, kernel.worker_ptr),
+        sync_spans=spans,
+        records=lambda: _records(
+            kernel,
+            schedule,
+            cost_model,
+            start,
+            end,
+            wire_start=wire_start,
+            wire_time=wire,
+            occupancy=occupancy,
+            chan=chan,
+            resolved=resolved,
+            blocking_sync=blocking_sync,
+        ),
     )
 
 
@@ -1249,7 +1277,7 @@ def _solve_scalar(
     )
 
 
-def _assemble_result(
+def _records(
     kernel: ScheduleKernel,
     schedule: Schedule,
     cost_model: CostModel,
@@ -1262,8 +1290,10 @@ def _assemble_result(
     chan: np.ndarray,
     resolved: dict | None,
     blocking_sync: bool,
-) -> SimulationResult:
-    """Build the full result from kernel times via the engine's finalizer."""
+) -> tuple[dict, list[CollectiveRecord], tuple[TransferRecord, ...]]:
+    """``(timed, collectives, transfers)`` from kernel times, the
+    collectives resolved by the engine's finalizer: what a
+    :func:`simulate_fast` result builds on first read of a record."""
     # Op ids are row-major: id order is the schedule's worker rows in turn.
     ops_flat = [op for row in schedule.worker_ops for op in row]
     op_worker = kernel.op_worker
@@ -1308,11 +1338,9 @@ def _assemble_result(
             )
         )
 
-    compute_makespan = 0.0
-    for oid in kernel.compute_ids.tolist():
-        if end[oid] > compute_makespan:
-            compute_makespan = end[oid]
-    return _finalize(
+    # The result's scalars came from _iteration_time; only the records of
+    # the finalizer are kept, and they do not read the makespan.
+    collectives, _, _ = _finalize(
         schedule,
         cost_model,
         timed,
@@ -1320,9 +1348,10 @@ def _assemble_result(
         sync_launches,
         transfers,
         blocking_sync=blocking_sync,
-        compute_makespan=compute_makespan,
+        compute_makespan=0.0,
         resolved=resolved,
     )
+    return timed, collectives, tuple(transfers)
 
 
 @dataclass(frozen=True)
@@ -1498,7 +1527,7 @@ def _batch_rows(
         busy_rows = csum[:, wptr[1:]] - csum[:, wptr[:-1]]
         for row, k in enumerate(rows):
             busy[k] = busy_rows[row]
-            iteration[k], makespan[k] = _iteration_time(
+            iteration[k], makespan[k], _ = _iteration_time(
                 kernel,
                 models[k],
                 start[row],
@@ -1662,22 +1691,29 @@ def _clear_sorted(
 def _iteration_time(
     kernel: ScheduleKernel,
     cost_model: CostModel,
-    start: np.ndarray,
-    end: np.ndarray,
+    start: Sequence[float],
+    end: Sequence[float],
     compute_makespan: float,
     *,
     wire: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, float]:
-    """(iteration time, compute makespan): the finalizer's collective rules.
+    resolved: dict | None = None,
+) -> tuple[float, float, list[tuple]]:
+    """``(iteration time, compute makespan, spans)``: ``_finalize``'s rules.
 
-    Replicates ``_finalize``'s non-blocking path on arrays — collectives
+    The one epilogue of every kernel row, :func:`simulate_fast`'s and
+    :func:`simulate_batch_many`'s: the engine finalizer's collective rules
+    replicated on arrays. ``resolved`` holds the blocking solver's
+    collectives (group key -> ``(start, end)``), taken verbatim as the
+    finalizer takes them; ``None`` means non-blocking. Other collectives
     sharing a worker are serviced serially in ready-time order, each one
     pushed past in-flight transfer occupancy on its members' interfaces
     (``wire``: the row's wire starts and occupancies, present for
     contended rows; only transfers still busy at the earliest ready time
-    enter the busy runs), and the overlap-slowdown
+    enter the busy runs). For non-blocking rows the overlap-slowdown
     penalty extends worker finish times (and with them the compute
-    makespan) in the same collective order.
+    makespan) in the same collective order. ``spans`` is each
+    collective's ``(stage, micro_batches, workers, start, end)``, in
+    ready-time order.
     """
     op_worker = kernel.op_worker
     pending = []
@@ -1696,38 +1732,42 @@ def _iteration_time(
 
     iteration = compute_makespan
     link_free: dict[int, float] = {}
-    spans: list[tuple[float, float, tuple[int, ...]]] = []
+    spans: list[tuple] = []
     nic_busy = None
     if wire is not None and pending:
         nic_busy = _busy_runs(kernel, *wire, after=pending[0][0])
-    for ready, _stage, _mbs, workers, cost in pending:
-        begin = ready
+    for ready, stage, mbs, workers, cost in pending:
+        if resolved is not None and (stage, mbs) in resolved:
+            begin, finish = resolved[(stage, mbs)]
+        else:
+            begin = ready
+            for w in workers:
+                free = link_free.get(w, 0.0)
+                if free > begin:
+                    begin = free
+            if nic_busy:
+                begin = _clear_sorted(begin, workers, nic_busy)
+            finish = begin + cost
         for w in workers:
-            free = link_free.get(w, 0.0)
-            if free > begin:
-                begin = free
-        if nic_busy:
-            begin = _clear_sorted(begin, workers, nic_busy)
-        finish = begin + cost
-        for w in workers:
-            link_free[w] = finish
-        spans.append((begin, finish, workers))
+            if finish > link_free.get(w, 0.0):
+                link_free[w] = finish
+        spans.append((stage, mbs, workers, begin, finish))
         if finish > iteration:
             iteration = finish
 
-    if cost_model.sync_overlap_slowdown > 0 and spans:
+    if cost_model.sync_overlap_slowdown > 0 and spans and resolved is None:
         worker_end = _worker_compute_end(kernel, end)
-        for begin, finish, workers in spans:
+        for _, _, workers, begin, finish in spans:
             for w in workers:
                 overlap = max(0.0, min(finish, worker_end[w]) - begin)
                 worker_end[w] += cost_model.sync_overlap_slowdown * overlap
         slowed = max(worker_end) if worker_end else 0.0
         compute_makespan = max(compute_makespan, slowed)
         iteration = max(iteration, compute_makespan)
-    return iteration, compute_makespan
+    return iteration, compute_makespan, spans
 
 
-def _worker_compute_end(kernel: ScheduleKernel, end: np.ndarray) -> list[float]:
+def _worker_compute_end(kernel: ScheduleKernel, end: Sequence[float]) -> list[float]:
     """Last compute completion per worker from one kernel row (0.0 for a
     worker without compute)."""
     worker_end = np.zeros(kernel.num_workers)
@@ -1735,6 +1775,6 @@ def _worker_compute_end(kernel: ScheduleKernel, end: np.ndarray) -> list[float]:
     filled = wptr[1:] > wptr[:-1]
     if filled.any():
         worker_end[filled] = np.maximum.reduceat(
-            end[kernel.compute_by_worker], wptr[:-1][filled]
+            np.asarray(end)[kernel.compute_by_worker], wptr[:-1][filled]
         )
     return worker_end.tolist()

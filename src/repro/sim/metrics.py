@@ -26,18 +26,20 @@ def bubble_ratio(result: SimulationResult, *, steady_state: bool | None = None) 
     family): the idle fraction is measured within each worker's
     [first-start, last-end] window. Synchronous schedules measure against
     the full compute makespan (pipeline flush at the end of the iteration).
+    Reads the result's per-op times (:meth:`SimulationResult.busy_time`,
+    :meth:`SimulationResult.compute_window`), never its records.
     """
     schedule = result.schedule
     if steady_state is None:
         steady_state = not schedule.synchronous
     ratios: list[float] = []
     for worker in range(schedule.num_workers):
-        timed = result.timed_ops_on(worker)
-        busy = sum(t.duration for t in timed)
+        busy = result.busy_time(worker)
         if steady_state:
-            if not timed:
+            window = result.compute_window(worker)
+            if window is None:
                 continue
-            span = timed[-1].end - timed[0].start
+            span = window[1] - window[0]
         else:
             span = result.compute_makespan
         if span <= 0:

@@ -27,6 +27,15 @@ function of ``repro.schedules`` (the builders, the passes, lowering,
 dependency graphs, the cache and its disk tier), kernel construction
 and the memory-profile compile.
 
+With ``--warm``, the stream is first planned once, untimed, as
+``--cold`` plans it, into a temporary disk tier; each round then empties
+the memory tier and the planner's memos (not the disk tier) and plans
+the first ``--requests`` requests again, which is ``plan_warm`` in
+process: disk loads and kernel rebuilds, no schedule builds. The profile
+then reports the simulation and ranking layers (:func:`warm_layer`):
+every function of ``repro.sim``, ``repro.perf`` and
+``repro.bench.harness``, and the schedule cache's two tiers.
+
 cProfile does not see a hit of a ``functools.lru_cache`` function (the
 calibrations, the planner's floor memo): only a miss runs Python code.
 
@@ -34,13 +43,14 @@ calibrations, the planner's floor memo): only a miss runs Python code.
 hot mode's schedule cache has no disk tier; ``--cold`` enables one in a
 temporary directory. The payloads come from ``benchmarks/e2e/streams.py``
 (imported, never modified). The driver is ``tools/profile_driver.py``.
-Standard library only. CI's lint job runs ``--cold --requests 1`` as a
-smoke. From the repository root:
+Standard library only. CI's lint job runs ``--cold --requests 1`` and
+``--warm --requests 1`` as smokes. From the repository root:
 
     python tools/profile_plan.py
     python tools/profile_plan.py --requests 600 --rounds 4 --no-profile
     python tools/profile_plan.py --function device_floor --function label
     python tools/profile_plan.py --cold
+    python tools/profile_plan.py --warm --rounds 3
 """
 
 from __future__ import annotations
@@ -98,10 +108,29 @@ def build_layer(path: str, name: str) -> bool:
     return SCHEDULES in where.parents or (where.name, name) in BUILD_FUNCTIONS
 
 
-def run_cold(payloads: list[dict], count: int) -> float:
-    """Plan the first ``count`` payloads from empty tiers and memos;
-    return the wall in seconds (emptying the tiers is not timed)."""
-    clear_schedule_cache(disk=True)
+SRC = REPO / "src" / "repro"
+
+#: Files outside ``repro.sim`` and ``repro.perf`` that ``--warm`` reports.
+WARM_FILES = {
+    SRC / "bench" / "harness.py",
+    SCHEDULES / "cache.py",
+    SCHEDULES / "diskcache.py",
+}
+
+
+def warm_layer(path: str, name: str) -> bool:
+    """True for the functions ``--warm`` reports (see the module doc)."""
+    where = pathlib.Path(path)
+    return where in WARM_FILES or any(
+        SRC / package in where.parents for package in ("sim", "perf")
+    )
+
+
+def run_stream(payloads: list[dict], count: int, *, disk: bool) -> float:
+    """Plan the first ``count`` payloads from an empty memory tier and
+    empty memos, and an empty disk tier too if ``disk``; return the wall
+    in seconds (emptying the tiers is not timed)."""
+    clear_schedule_cache(disk=disk)
     planner._ROW_MEMO.clear()
     memory._REPORTS.clear()
     requests = [parse_plan_request(payload) for payload in payloads[:count]]
@@ -129,12 +158,21 @@ def main() -> None:
         help="plan the plan_cold stream from empty tiers; report build layers",
     )
     parser.add_argument(
-        "--warmup", type=int, help="untimed requests (default: 12; 0 with --cold)"
+        "--warm",
+        action="store_true",
+        help="plan the plan_cold stream over the disk tier a first pass "
+        "filled; report simulation and ranking layers",
+    )
+    parser.add_argument(
+        "--warmup",
+        type=int,
+        help="untimed requests (default: 12; 0 with --cold or --warm)",
     )
     parser.add_argument(
         "--requests",
         type=int,
-        help="requests per round (default: 40; the whole stream with --cold)",
+        help="requests per round (default: 40; the whole stream with "
+        "--cold or --warm)",
     )
     parser.add_argument("--rounds", type=int, default=1, help="timed rounds")
     parser.add_argument(
@@ -147,15 +185,19 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    if args.cold:
+    if args.cold and args.warm:
+        parser.error("--cold and --warm are exclusive")
+    if args.cold or args.warm:
         stream = streams.plan_payloads()
         count = len(stream) if args.requests is None else args.requests
         if not 1 <= count <= len(stream):
-            parser.error(f"--cold plans 1 to {len(stream)} requests")
+            parser.error(f"--cold/--warm plan 1 to {len(stream)} requests")
         os.environ.pop("REPRO_CACHE_DISABLE")
         tier = tempfile.TemporaryDirectory(prefix="profile_plan-")
         os.environ["REPRO_CACHE_DIR"] = tier.name
-        work = lambda count: run_cold(stream, count)  # noqa: E731
+        if args.warm:
+            run_stream(stream, len(stream), disk=True)  # fills the disk tier
+        work = lambda count: run_stream(stream, count, disk=args.cold)  # noqa: E731
         warmup = args.warmup or 0
     else:
         service = PlannerService()
@@ -173,8 +215,8 @@ def main() -> None:
     )
     if profiler is None:
         return
-    if args.cold and not args.function:
-        profile_driver.report(profiler, build_layer)
+    if (args.cold or args.warm) and not args.function:
+        profile_driver.report(profiler, build_layer if args.cold else warm_layer)
         return
     names = set(args.function or FUNCTIONS)
     missing = names - profile_driver.report(profiler, lambda _, name: name in names)
