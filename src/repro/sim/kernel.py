@@ -90,7 +90,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -343,10 +343,10 @@ class ScheduleKernel:
         self.tr_edge_pos = np.flatnonzero(edge_send >= 0)
         self.tr_edge_send = edge_send[self.tr_edge_pos]
         # edge_src with TRANSFER edges remapped to virtual wire slots
-        # (total + send index): the scalar FIFO sweep extends its end
+        # (total + send index): the contended sweeps extend their end
         # list with one slot per SEND holding that SEND's wire start, so
-        # its inner loop is the branch-free one-add-per-edge body of
-        # relax_scalar_delays.
+        # an arrival is wire_start + wire and the inner loop is the
+        # branch-free one-add-per-edge body of relax_scalar.
         esrc_fifo = self.edge_src.copy()
         esrc_fifo[self.tr_edge_pos] = total + self.tr_edge_send
         self._esrc_fifo_list = esrc_fifo.tolist()
@@ -500,24 +500,14 @@ class ScheduleKernel:
 
         Materializes the per-edge delay list up front (one vectorized
         gather) so the interpreter loop never touches the class table.
+        The edge cursor ``e`` advances linearly (edges are sorted by
+        destination position), and the in-degree dispatch runs
+        straight-line bodies for the dominant degree-1/2/3 ops — roughly
+        a quarter off the interpreter cost per op versus a ``range``
+        inner loop.
         """
-        edl = delays[self.edge_cls]
-        return self.relax_scalar_delays(durations.tolist(), edl.tolist())
-
-    def relax_scalar_delays(
-        self, dur: list[float], edge_delay: list[float]
-    ) -> tuple[list[float], list[float]]:
-        """Scalar pass with a fully materialized per-edge delay list.
-
-        The contended sweep: transfer edges carry their class delay plus
-        the current per-SEND queueing delay, everything else is as
-        :meth:`relax_scalar`. The edge cursor ``e`` advances linearly
-        (edges are sorted by destination position), and the in-degree
-        dispatch runs straight-line bodies for the dominant degree-1/2/3
-        ops — roughly a quarter off the interpreter cost per op versus a
-        ``range`` inner loop.
-        """
-        edl = edge_delay
+        dur = durations.tolist()
+        edl = delays[self.edge_cls].tolist()
         esrc = self._edge_src_list
         start = [0.0] * self.total
         end = [0.0] * self.total
@@ -563,6 +553,7 @@ class ScheduleKernel:
         delays: np.ndarray,
         wire: np.ndarray,
         occupancy: np.ndarray,
+        wire_at: Callable[[int, float], float] | None = None,
     ) -> tuple[list[float], list[float], np.ndarray]:
         """Single-model contended sweep with inline FIFO serialization.
 
@@ -572,7 +563,13 @@ class ScheduleKernel:
         completes — one sweep, no fixed point. Transfer edges read their
         SEND's wire start through the virtual slots appended to ``end``
         (``_esrc_fifo_list``), keeping the inner loop branch-free: one
-        indexed add per edge. Returns ``(start, end, wire_start)``.
+        indexed add per edge, so an arrival is ``wire_start + wire``, as
+        in the engine. Returns ``(start, end, wire_start)``.
+
+        With ``wire_at`` (:meth:`_SweepSends.wire_at`), a SEND's wire
+        start is ``wire_at(send index, send end)`` instead of a channel
+        cursor: one sweep of the fixed point (:func:`_solve_scalar`),
+        valid under any duplex.
         """
         dur = durations.tolist()
         edge_delay = delays[self.edge_cls]
@@ -624,10 +621,13 @@ class ScheduleKernel:
             end[oid] = end_t
             sidx = send_of_op[oid]
             if sidx >= 0:
-                c = chan_idx[sidx]
-                free = chan_free[c]
-                wire_t = end_t if end_t >= free else free
-                chan_free[c] = wire_t + occ_l[sidx]
+                if wire_at is not None:
+                    wire_t = wire_at(sidx, end_t)
+                else:
+                    c = chan_idx[sidx]
+                    free = chan_free[c]
+                    wire_t = end_t if end_t >= free else free
+                    chan_free[c] = wire_t + occ_l[sidx]
                 end[total + sidx] = wire_t
         return start, end[:total], np.asarray(end[total:])
 
@@ -908,7 +908,7 @@ def _solve_row(
             durations, kernel.class_delays(cost_model), wire, occupancy
         )
         return start, end, wire_start, None
-    return _solve_scalar(kernel, cost_model, durations, occupancy, chan, blocking_sync)
+    return _solve_scalar(kernel, cost_model, durations, tables, blocking_sync)
 
 
 def _inline_fifo_ok(kernel: ScheduleKernel, cost_model: CostModel) -> bool:
@@ -1028,57 +1028,66 @@ def _blocking_floors(
 
 
 class _SweepSends:
-    """What a blocking sweep knows of the NIC-busy transfers.
+    """What a fixed-point sweep knows of the transfers.
 
     The static send table, plus the previous sweep's send ends, wire
-    starts and queueing delays (:meth:`observe`), so a sweep can put each
-    busy transfer on the wire the moment its SEND completes
-    (:func:`_sweep_blocking`). Only workers with a collective collect
-    transfers.
+    starts and queueing delays (:meth:`observe`), so a sweep puts each
+    transfer on the wire the moment its SEND completes (:meth:`wire_at`)
+    and its RECV reads ``wire_start + wire``, the engine's arrival. A
+    blocking sweep also lists the NIC-busy transfers on their endpoints
+    (:meth:`put_on_wire`); only workers with a collective collect them.
     """
 
     def __init__(
-        self, kernel: ScheduleKernel, aux: _BlockingAux, occupancy: np.ndarray
+        self,
+        kernel: ScheduleKernel,
+        aux: _BlockingAux | None,
+        occupancy: np.ndarray,
     ):
-        busy = _busy_sends(kernel, occupancy)
-        #: Send-table index of each op that is a busy SEND (-1 otherwise).
-        self.send_of = [-1] * kernel.total
-        for k, oid in zip(busy.tolist(), kernel.send_oid[busy].tolist()):
-            self.send_of[oid] = k
+        n = len(kernel.send_oid)
+        busy = np.zeros(n, dtype=bool)
+        busy[_busy_sends(kernel, occupancy)] = True
+        #: Per send: whether it occupies a NIC (:func:`_busy_sends`).
+        self.busy = busy.tolist()
+        self.any_busy = bool(busy.any())
         self.worker = kernel.send_worker.tolist()
         self.dst = kernel.send_dst_w.tolist()
         self.row_pos = kernel.send_row_pos.tolist()
         self.occupancy = occupancy.tolist()
-        self.members = {w for workers in aux.group_workers for w in workers}
-        n = len(self.worker)
+        self.members = (
+            set() if aux is None else {w for ws in aux.group_workers for w in ws}
+        )
         # No sweep yet: no end matches, so every transfer starts unqueued.
         self.send_end = [float("nan")] * n
         self.wire_start = [0.0] * n
         self.extras = [0.0] * n
 
-    def observe(
-        self, send_end: np.ndarray, wire_start: np.ndarray, extras: np.ndarray
-    ) -> None:
-        """Record one sweep's send ends, wire starts and queueing delays."""
+    def observe(self, send_end: np.ndarray, wire_start: np.ndarray) -> None:
+        """Record one sweep's send ends and serialized wire starts."""
         self.send_end = send_end.tolist()
         self.wire_start = wire_start.tolist()
-        self.extras = extras.tolist()
+        self.extras = (wire_start - send_end).tolist()
+
+    def wire_at(self, k: int, end: float) -> float:
+        """Send ``k``'s wire start when its SEND completes at ``end``.
+
+        The previous sweep's if ``end`` did not move, so at the fixed
+        point it is the serialized one bitwise; else the previous
+        queueing delay carries over.
+        """
+        if end == self.send_end[k]:
+            return self.wire_start[k]
+        return end + self.extras[k]
 
     def on_wire(self) -> dict[int, list]:
         """Empty per-worker transfer lists for a new sweep."""
         return {w: [] for w in self.members}
 
-    def put_on_wire(self, k: int, end: float, on_wire: dict[int, list]) -> None:
-        """Put busy send ``k``, completed at ``end``, on its endpoints' lists.
-
-        Its wire start is the previous sweep's if ``end`` did not move,
-        so at the fixed point it is the serialized one bitwise; else the
-        previous queueing delay carries over.
-        """
-        if end == self.send_end[k]:
-            ws = self.wire_start[k]
-        else:
-            ws = end + self.extras[k]
+    def put_on_wire(
+        self, k: int, end: float, ws: float, on_wire: dict[int, list]
+    ) -> None:
+        """Put busy send ``k``, completed at ``end`` and on the wire from
+        ``ws``, on its endpoints' lists."""
         item = ((end, self.worker[k], self.row_pos[k]), ws, ws + self.occupancy[k])
         for w in (self.worker[k], self.dst[k]):
             if w in on_wire:
@@ -1092,9 +1101,9 @@ def _sweep_blocking(
     edge_delay: list[float],
     floors: list[float],
     ar_cost: list[float],
-    sends: _SweepSends | None = None,
+    sends: _SweepSends,
 ) -> tuple[
-    list[float], list[float], list[float], list[float], list[float]
+    list[float], list[float], np.ndarray, list[float], list[float], list[float]
 ]:
     """One longest-path sweep that resolves blocking collectives inline.
 
@@ -1102,20 +1111,25 @@ def _sweep_blocking(
     member is processed every launch time is known: the collective starts
     at ``max(max launch start, floor)`` (the floor carries the
     transfer-contention push from the outer fixed point) and its end
-    releases the members' successors.
+    releases the members' successors. Each SEND goes on the wire as it
+    completes (:meth:`_SweepSends.wire_at`), and its RECV reads the wire
+    start from the virtual slots appended to ``end``
+    (``_esrc_fifo_list``), as in :meth:`ScheduleKernel.relax_scalar_fifo`.
 
-    With ``sends`` (contended rows), each busy SEND the sweep completes
-    goes on the wire at once (:meth:`_SweepSends.put_on_wire`), and a
-    resolving group is also pushed past the transfers already visible to
-    it in pop order (:func:`_clear_on_wire`). A push from one collective
-    then reaches the next in the same sweep instead of one sweep later.
-    At the fixed point those wire starts are the serialized ones and the
-    visible set is a subset of :func:`_blocking_floors`' set, so the push
-    never exceeds the exact floor and the fixed point is unchanged.
+    On contended rows each busy SEND also goes on its endpoints' lists
+    (:meth:`_SweepSends.put_on_wire`), and a resolving group is pushed
+    past the transfers already visible to it in pop order
+    (:func:`_clear_on_wire`). A push from one collective then reaches the
+    next in the same sweep instead of one sweep later. At the fixed point
+    those wire starts are the serialized ones and the visible set is a
+    subset of :func:`_blocking_floors`' set, so the push never exceeds
+    the exact floor and the fixed point is unchanged. Returns ``(start,
+    end, wire_start, g_start, g_end, launch_max)``.
     """
-    esrc = kernel._edge_src_list
+    esrc = kernel._esrc_fifo_list
     inc_ptr = kernel._inc_ptr
     pos_of = kernel._pos_of
+    send_of = kernel._send_of_op
     member_group = aux.member_group
     release_groups = aux.release_groups
     remaining = list(aux.member_counts)
@@ -1123,12 +1137,13 @@ def _sweep_blocking(
     launch_max = [0.0] * g_count
     g_start = [0.0] * g_count
     g_end = [0.0] * g_count
-    start = [0.0] * kernel.total
-    end = [0.0] * kernel.total
-    send_of = None if sends is None else sends.send_of
+    total = kernel.total
+    start = [0.0] * total
+    end = [0.0] * (total + len(kernel.send_oid))
+    busy = sends.busy if sends.any_busy else None
     #: Per member worker: (pop key, wire start, wire end) of the busy
     #: transfers on its interface that may still push a collective.
-    on_wire: dict[int, list] = {} if sends is None else sends.on_wire()
+    on_wire = sends.on_wire()
     for oid in aux.order:
         pos = pos_of[oid]
         ready = 0.0
@@ -1144,8 +1159,11 @@ def _sweep_blocking(
         start[oid] = ready
         finish = ready + dur[oid]
         end[oid] = finish
-        if send_of is not None and send_of[oid] >= 0:
-            sends.put_on_wire(send_of[oid], finish, on_wire)
+        k = send_of[oid]
+        if k >= 0:
+            ws = end[total + k] = sends.wire_at(k, finish)
+            if busy is not None and busy[k]:
+                sends.put_on_wire(k, finish, ws, on_wire)
         g = member_group[oid]
         if g >= 0:
             if ready > launch_max[g]:
@@ -1153,11 +1171,11 @@ def _sweep_blocking(
             remaining[g] -= 1
             if remaining[g] == 0:
                 s = launch_max[g] if launch_max[g] > floors[g] else floors[g]
-                if send_of is not None:
+                if busy is not None:
                     s = _clear_on_wire(kernel, aux, g, start, end, on_wire, s)
                 g_start[g] = s
                 g_end[g] = s + ar_cost[g]
-    return start, end, g_start, g_end, launch_max
+    return start, end[:total], np.asarray(end[total:]), g_start, g_end, launch_max
 
 
 def _clear_on_wire(
@@ -1194,55 +1212,45 @@ def _solve_scalar(
     kernel: ScheduleKernel,
     cost_model: CostModel,
     durations: np.ndarray,
-    occupancy: np.ndarray,
-    chan: np.ndarray,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
     blocking_sync: bool,
 ) -> tuple[list[float], list[float], np.ndarray, dict | None]:
     """Fixed-point relaxation for one cost model (contended/blocking).
 
-    Iterates [sweep with current queueing delays and collective floors]
+    Iterates [sweep with the previous wire starts and collective floors]
     -> [re-serialize channels, re-resolve collectives] until both are
     exactly stable, then returns ``(start, end, wire_start, resolved)``.
-    Raises :class:`KernelConvergenceError` at the sweep cap.
+    A sweep's RECVs read ``wire_start + wire`` (:class:`_SweepSends`), so
+    at the fixed point every arrival is the engine's bitwise. Raises
+    :class:`KernelConvergenceError` at the sweep cap.
     """
-    dur = durations.tolist()
-    base_edge = kernel.class_delays(cost_model)[kernel.edge_cls]
-    tr_pos = kernel.tr_edge_pos
-    tr_send = kernel.tr_edge_send
+    wire, occupancy, chan = tables
+    delays = kernel.class_delays(cost_model)
     n_send = len(kernel.send_oid)
-    extras = np.zeros(n_send)
     aux = kernel.blocking_aux() if blocking_sync else None
-    sends = None
+    sends = _SweepSends(kernel, aux, occupancy)
     if aux is not None:
+        dur = durations.tolist()
+        # Transfer edges carry the wire time: they read the wire start.
+        edl = delays[kernel.edge_cls].tolist()
         ar_cost = [
             cost_model.allreduce_time(aux.group_stage[g], aux.group_workers[g])
             for g in range(len(aux.group_keys))
         ]
         floors = np.zeros(len(aux.group_keys))
-        if _busy_sends(kernel, occupancy).size:
-            sends = _SweepSends(kernel, aux, occupancy)
     moved_starts = 0
     for _ in range(MAX_RELAXATION_SWEEPS):
-        edge_delay = base_edge.copy()
-        if n_send:
-            edge_delay[tr_pos] += extras[tr_send]
-        edl = edge_delay.tolist()
         if aux is not None:
-            start, end, g_start, g_end, launch_max = _sweep_blocking(
+            start, end, swept, g_start, g_end, launch_max = _sweep_blocking(
                 kernel, aux, dur, edl, floors.tolist(), ar_cost, sends
             )
         else:
-            start, end = kernel.relax_scalar_delays(dur, edl)
-            g_start = g_end = launch_max = None
-        if n_send:
-            send_end = np.asarray(end)[kernel.send_oid]
-            wire_start = _serialize_channels(kernel, send_end, occupancy, chan)
-            new_extras = wire_start - send_end
-        else:
-            send_end = np.zeros(0)
-            wire_start = np.zeros(0)
-            new_extras = extras
-        moved_delays = int(np.count_nonzero(new_extras != extras))
+            start, end, swept = kernel.relax_scalar_fifo(
+                durations, delays, wire, occupancy, wire_at=sends.wire_at
+            )
+        send_end = np.asarray(end)[kernel.send_oid]
+        wire_start = _serialize_channels(kernel, send_end, occupancy, chan)
+        moved_delays = int(np.count_nonzero(wire_start != swept))
         if aux is not None and len(aux.group_keys):
             new_floors = _blocking_floors(
                 kernel, aux, start, end, send_end, wire_start, occupancy
@@ -1266,9 +1274,7 @@ def _solve_scalar(
         elif not moved_delays:
             resolved = {} if blocking_sync else None
             return start, end, wire_start, resolved
-        extras = new_extras
-        if sends is not None:
-            sends.observe(send_end, wire_start, extras)
+        sends.observe(send_end, wire_start)
     raise KernelConvergenceError(
         f"fixed-point relaxation did not converge within "
         f"{MAX_RELAXATION_SWEEPS} sweeps ({kernel.total} ops, "

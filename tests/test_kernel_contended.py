@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bench.machines import MACHINES
 from repro.bench.workloads import WORKLOADS
@@ -144,6 +144,21 @@ def assert_results_match(ref, got):
     topo_kind=st.sampled_from(["flat", "hier"]),
     duplex=st.sampled_from(["full", "half"]),
     pipeline=st.sampled_from(PIPELINES),
+)
+# A 1-ulp tie: an arrival spelled send_end + (wire + queueing delay)
+# instead of the engine's wire_start + wire ended worker 2's next forward
+# 1 ulp late and flipped the FIFO order on the half-duplex channel (2, 3).
+@example(
+    scheme="zb_h1",
+    n=2,
+    f=0.43872637112527796,
+    b=1.0,
+    w=4.0,
+    alpha=0.0,
+    beta=0.43872637112527796,
+    topo_kind="hier",
+    duplex="half",
+    pipeline="lowered",
 )
 def test_contended_matches_event_engine(
     scheme, n, f, b, w, alpha, beta, topo_kind, duplex, pipeline
