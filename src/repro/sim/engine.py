@@ -236,10 +236,6 @@ class SimulationResult:
         """Non-overlapped synchronization time appended after compute."""
         return self.iteration_time - self.compute_makespan
 
-    def worker_compute_end(self, worker: int) -> float:
-        window = self.compute_window(worker)
-        return window[1] if window else 0.0
-
     def sync_spans(self) -> list[tuple]:
         """``(stage, micro_batches, workers, start, end)`` of every
         collective, in ``(stage, micro_batches)`` order: the collective
@@ -731,12 +727,12 @@ def _finalize(
     """Resolve collectives: ``(collectives, compute_makespan, iteration_time)``.
 
     Shared by the event-queue engine and the kernel's record builder so
-    both apply identical collective-overlap semantics. Sorts
-    ``transfers`` in place into the canonical record order. ``resolved`` carries the
-    blocking collectives the solver already timed (start, end) — those
-    are recorded verbatim, because the member workers were released from
-    exactly those times; re-deriving them here could contradict the
-    compute timeline.
+    both apply identical collective-overlap semantics; sorts
+    ``transfers`` in place into the canonical record order. ``resolved``
+    carries the blocking collectives the solver already timed (start,
+    end) — those are recorded verbatim, because the member workers were
+    released from exactly those times; re-deriving them here could
+    contradict the compute timeline.
 
     The array kernel re-implements these rules on flat arrays
     (:func:`repro.sim.kernel._iteration_time`) to take its scalars
@@ -744,8 +740,8 @@ def _finalize(
     ordering, link-serialization, or overlap-slowdown semantics here must
     be mirrored there (the kernel differential tests and every
     ``repro bench`` run assert the two stay within 1e-9, and
-    ``tests/test_kernel.py`` checks the kernel's scalars against its own
-    records with ``==``).
+    ``tests/test_sim_records.py`` checks the kernel's scalars against its
+    own records with ``==``).
     """
     num_workers = schedule.num_workers
     resolved = resolved or {}

@@ -152,12 +152,13 @@ def run(service: PlannerService, payloads, count: int) -> float:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--cold",
         action="store_true",
         help="plan the plan_cold stream from empty tiers; report build layers",
     )
-    parser.add_argument(
+    mode.add_argument(
         "--warm",
         action="store_true",
         help="plan the plan_cold stream over the disk tier a first pass "
@@ -185,8 +186,6 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    if args.cold and args.warm:
-        parser.error("--cold and --warm are exclusive")
     if args.cold or args.warm:
         stream = streams.plan_payloads()
         count = len(stream) if args.requests is None else args.requests
