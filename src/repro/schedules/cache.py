@@ -18,10 +18,14 @@ form) materialize lazily. What stays resident is schedules, kernels and
 the schedule's memory profile (:meth:`ScheduleArtifacts.memory_profile`,
 which every memory model the entry is analyzed under prices): dict
 dependency graphs are transient build inputs, dropped once a form's
-kernel exists and rebuilt on demand. The cache is a bounded
-LRU keyed on ``(scheme, depth, num_micro_batches, sorted(options))`` —
-the options map covers chunking/variant knobs such as Chimera's
-``concat`` and ``num_down_pipelines`` and the zero-bubble
+kernel exists and rebuilt on demand. The lowered form stays lowering's
+:class:`~repro.schedules.ir.SplicedSchedule`, its op table, until a
+caller asks for it as a schedule (:meth:`ScheduleArtifacts.schedule_for`
+or :meth:`~ScheduleArtifacts.graph_for`): building its kernel and
+writing the entry to disk make no SEND/RECV ``Operation``. The cache is
+a bounded LRU keyed on ``(scheme, depth, num_micro_batches,
+sorted(options))`` — the options map covers chunking/variant knobs such
+as Chimera's ``concat`` and ``num_down_pipelines`` and the zero-bubble
 ``max_in_flight``. The ``passes`` option (a pipeline spec, see
 :mod:`repro.schedules.passes`) is the only way to name a transform such
 as ``recompute``; it is normalized to the pipeline's stable *signature*
@@ -69,7 +73,8 @@ serve``) skips schedule builds, passes, graph construction, kernel
 construction and the memory walk. The disk tier stores no dict graph:
 each payload holds one pickled blob of the schedule forms' op tables
 (:meth:`~repro.schedules.ir.Schedule.op_table`; an op an earlier form
-holds is stored as a reference), a ``kernels`` map keyed by form and
+holds is stored as a reference, and a lowered form still held as its
+table packs from it), a ``kernels`` map keyed by form and
 the :class:`~repro.sim.memory.MemoryProfile`. A restored entry keeps
 the blob as bytes until a schedule form is asked for, so synchronous
 planning, which reads only kernels and profiles, rebuilds no schedule
@@ -103,7 +108,7 @@ from repro.common.errors import ReproError
 from repro.common.gcpause import collector_paused
 from repro.schedules.dependencies import DependencyGraph, build_dependency_graph
 from repro.schedules.diskcache import DiskCacheStats, DiskScheduleCache, dumps
-from repro.schedules.ir import OpTable, Schedule
+from repro.schedules.ir import OpTable, Schedule, SplicedSchedule
 from repro.schedules.lowering import lower_schedule
 from repro.schedules.passes import FuseCommPass, pipeline_signature
 from repro.schedules.passes.pipeline import FUSE_PASS, split_pipeline
@@ -148,33 +153,51 @@ def _narrow(column: np.ndarray) -> np.ndarray:
     )
 
 
-def _pack_forms(forms: dict[str, Schedule]) -> dict:
-    """The content of a forms blob (disk format 6): per form, its
+def _pack_forms(forms: dict[str, Schedule | SplicedSchedule]) -> dict:
+    """The content of a forms blob (disk formats 6 and 7): per form, its
     schedule fields, row lengths and op table. An op an earlier form
     holds is stored as a reference instead of a row: ``shared`` gives its
     index among the earlier forms' ops (their rows in turn), ``-1`` for
-    the form's own rows, whose columns ``ops`` holds in row order."""
+    the form's own rows, whose columns ``ops`` holds in row order. A
+    :class:`~repro.schedules.ir.SplicedSchedule` packs from its table:
+    its reused rows reference its source form's ops, and only a form
+    packed after it makes its ops."""
     packed = {}
     index: dict[int, int] = {}  # id(op) -> an index of the op so far
+    start: dict[int, int] = {}  # id(form) -> the index of its first op
     offset = 0  # how many ops the earlier forms hold
-    for name, schedule in forms.items():
-        flat = list(chain.from_iterable(schedule.worker_ops))
-        shared = np.fromiter(
-            map(index.get, map(id, flat), repeat(-1)), np.int64, len(flat)
-        )
-        own = schedule.op_table().take(shared < 0)
+    last = len(forms) - 1
+    for position, (name, form) in enumerate(forms.items()):
+        table = form.op_table()
+        if isinstance(form, SplicedSchedule):
+            described, flat = form.source, None
+            shared = np.full(len(form.reused), -1, dtype=np.int64)
+            shared[form.reused] = start[id(form.source)] + np.arange(
+                int(form.reused.sum())
+            )
+        else:
+            described, flat = form, list(chain.from_iterable(form.worker_ops))
+            shared = np.fromiter(
+                map(index.get, map(id, flat), repeat(-1)), np.int64, len(flat)
+            )
+        own = table.take(shared < 0)
         packed[name] = {
             "schedule": {
-                field: getattr(schedule, field) for field in _SCHEDULE_FIELDS
+                **{field: getattr(described, field) for field in _SCHEDULE_FIELDS},
+                "metadata": form.metadata,
             },
-            "rows": _narrow(np.array([len(row) for row in schedule.worker_ops])),
+            "rows": _narrow(np.bincount(table.worker, minlength=form.num_workers)),
             "shared": _narrow(shared),
             "ops": {
                 column: _narrow(getattr(own, column)) for column in _STORED_COLUMNS
             },
         }
-        index.update(zip(map(id, flat), range(offset, offset + len(flat))))
-        offset += len(flat)
+        start[id(form)] = offset
+        if position < last:  # a later form may hold this form's ops
+            if flat is None:
+                flat = list(chain.from_iterable(form.schedule.worker_ops))
+            index.update(zip(map(id, flat), range(offset, offset + len(flat))))
+        offset += len(shared)
     return packed
 
 
@@ -216,14 +239,18 @@ class ScheduleArtifacts:
     favour of the first).
 
     The resident and persisted forms are the schedule forms, the array
-    kernels and the memory profile (:meth:`memory_profile`). Dependency
-    graphs are transient: lowering and kernel construction read them
-    (lowering returns the lowered graph with the lowered schedule, so a
-    lowered entry builds one graph, not two), :meth:`kernel_for` drops
-    them once its kernel exists, and :meth:`graph_for` rebuilds one on
-    demand. The disk payload (:meth:`snapshot`) is one pickled blob of
-    the schedule forms' op tables, the kernels keyed by form, and the
-    profile; building a kernel writes the entry through. An entry
+    kernels and the memory profile (:meth:`memory_profile`). The lowered
+    form is held as lowering's
+    :class:`~repro.schedules.ir.SplicedSchedule` and made into a
+    schedule when :meth:`schedule_for` or :meth:`graph_for` first asks
+    for it. Dependency graphs are transient: lowering and kernel
+    construction read them (lowering returns the lowered graph with the
+    lowered form, so a lowered entry builds one graph, not two),
+    :meth:`kernel_for` drops them once its kernel exists, and
+    :meth:`graph_for` rebuilds one on demand. The disk payload
+    (:meth:`snapshot`) is one pickled blob of the schedule forms' op
+    tables, the kernels keyed by form, and the profile; building a
+    kernel writes the entry through. An entry
     restored from disk (:meth:`from_snapshot`) keeps the blob as bytes
     and decodes it on the first use of a schedule form, so ranking from
     kernels and profiles rebuilds no schedule form.
@@ -252,9 +279,10 @@ class ScheduleArtifacts:
         persist: "Callable[[ScheduleArtifacts], None] | None" = None,
         rebuild: Callable[[], Schedule] | None = None,
     ):
-        #: Form name -> schedule; None while a restored entry holds only
-        #: the ``_blob`` of its forms.
-        self._forms: dict[str, Schedule] | None = (
+        #: Form name -> schedule (the lowered one as lowering's
+        #: :class:`~repro.schedules.ir.SplicedSchedule` until read); None
+        #: while a restored entry holds only the ``_blob`` of its forms.
+        self._forms: dict[str, Schedule | SplicedSchedule] | None = (
             {"schedule": _freeze(schedule)} if schedule is not None else None
         )
         self._blob: bytes | None = None
@@ -331,7 +359,7 @@ class ScheduleArtifacts:
             arts._memory_profile = profile
         return arts
 
-    def _held_forms(self) -> dict[str, Schedule]:
+    def _held_forms(self) -> dict[str, Schedule | SplicedSchedule]:
         """Form name -> schedule for every form the entry holds; a
         restored entry decodes its blob here, all forms at once (or
         rebuilds its schedule when the blob does not decode)."""
@@ -388,7 +416,8 @@ class ScheduleArtifacts:
             )
         if form not in forms:
             self._graph(form)
-        return forms[form]
+        held = forms[form]
+        return held if isinstance(held, Schedule) else held.schedule
 
     def _graph(self, form: str) -> DependencyGraph:
         """Dependency graph of schedule form ``form``. A lowered form the
@@ -403,12 +432,11 @@ class ScheduleArtifacts:
             )
 
         def lower() -> DependencyGraph:
-            graph = lower_schedule(self.schedule, graph=self._graph("schedule"))
-            return replace(graph, schedule=_freeze(graph.schedule))
+            return lower_schedule(self.schedule, graph=self._graph("schedule"))
 
         graph = self._memo(self._graphs, form, lower)
         with self._lock:
-            self._forms.setdefault(form, graph.schedule)
+            self._forms.setdefault(form, graph.form)
         return graph
 
     def memory_profile(self):

@@ -54,13 +54,14 @@ The graph *is* a set of int-id tables. Ops are numbered row-major
 edges are CSR tables over destination ids (``dep_ptr``, ``dep_src``,
 ``dep_kind``, ``dep_units``). The builder hashes each op's key once, for
 the uniqueness check; everything else indexes by id. Lowering (which
-splices its lowered graph's tables from them instead of rebuilding),
-the engine's dense form, the array kernel and the validator's
-acyclicity check read the tables; this builder stays the reference
-that the splice is tested against. The ``OpKey``-keyed
+splices its lowered graph's tables, and its op table, from them instead
+of rebuilding), the engine's dense form, the array kernel and the
+validator's acyclicity check read the tables; this builder stays the
+reference that the splice is tested against. The ``OpKey``-keyed
 ``location``/``deps`` dicts and the :class:`Edge` iterators are views,
 built on first use, for the readers that think in op keys: the
-bubble-filling pass and the tests.
+bubble-filling pass and the tests. A lowered graph's ``schedule`` and
+``ops_flat`` are views too, so its SEND/RECV ops exist only once read.
 """
 
 from __future__ import annotations
@@ -68,12 +69,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.schedules.ir import Operation, OpKind, Schedule
+from repro.schedules.ir import Operation, OpKind, OpTable, Schedule, SplicedSchedule
 
 OpKey = tuple
 
@@ -136,35 +138,71 @@ ACTIVATION, GRADIENT, STASH, DEFERRAL, SYNC, ENQUEUE, TRANSFER, DELIVERY = range
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class DependencyGraph:
     """The schedule's data-dependency DAG as int-id tables.
 
     Attributes
     ----------
-    schedule:
-        The schedule the graph was built from.
-    ops_flat / op_worker / row_pos:
-        The op table: op id ``i`` is ``ops_flat[i]``, running at position
-        ``row_pos[i]`` of worker ``op_worker[i]``. Ids are row-major.
+    form:
+        The schedule the graph describes: the :class:`Schedule` it was
+        built from, or lowering's :class:`~repro.schedules.ir.
+        SplicedSchedule`, which holds the lowered schedule as its op
+        table until :attr:`schedule` is read.
+    op_worker / row_pos:
+        Op id ``i`` runs at position ``row_pos[i]`` of worker
+        ``op_worker[i]``. Ids are row-major; row ``i`` of :attr:`table`
+        is op id ``i``.
     dep_ptr / dep_src / dep_kind / dep_units:
         Incoming edges in CSR form: op ``i``'s edges are slots
         ``dep_ptr[i]:dep_ptr[i + 1]``, each with its source id, its kind
         (an index into :data:`EDGE_KINDS`) and its payload units.
 
-    ``==`` compares the tables. :attr:`location`, :attr:`deps`,
-    :meth:`edges` and :meth:`transfer_edges` are ``OpKey``-keyed views,
-    built on first use.
+    ``==`` compares the schedules, their ops and the tables.
+    :attr:`schedule`, :attr:`ops_flat`, :attr:`location`, :attr:`deps`,
+    :meth:`edges` and :meth:`transfer_edges` are views, built on first
+    use; a lowered graph makes its SEND/RECV ops only then.
     """
 
-    schedule: Schedule
-    ops_flat: list[Operation]
+    form: Schedule | SplicedSchedule
     op_worker: list[int]
     row_pos: list[int]
     dep_ptr: list[int]
     dep_src: list[int]
     dep_kind: list[int]
     dep_units: list[float]
+
+    @property
+    def table(self) -> OpTable:
+        """The ops as numpy columns, row ``i`` op id ``i``."""
+        return self.form.op_table()
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        form = self.form
+        return form if isinstance(form, Schedule) else form.schedule
+
+    @cached_property
+    def ops_flat(self) -> list[Operation]:
+        """Op id ``i`` is ``ops_flat[i]``."""
+        return list(chain.from_iterable(self.schedule.worker_ops))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DependencyGraph):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def _compared(self) -> tuple:
+        return (
+            self.schedule,
+            self.ops_flat,
+            self.op_worker,
+            self.row_pos,
+            self.dep_ptr,
+            self.dep_src,
+            self.dep_kind,
+            self.dep_units,
+        )
 
     @cached_property
     def location(self) -> dict[OpKey, tuple[int, int]]:
@@ -563,8 +601,7 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
         dep_ptr.append(len(dep_src))
 
     return DependencyGraph(
-        schedule=schedule,
-        ops_flat=ops_flat,
+        form=schedule,
         op_worker=op_worker,
         row_pos=row_pos,
         dep_ptr=dep_ptr,

@@ -49,7 +49,7 @@ still evicts at load time. A blob that passes its digest but fails to
 decode when first used (say, a pickled class was moved) makes the entry
 rebuild its schedule from the builder inputs and overwrite the stored
 entry. Dict dependency graphs are never stored. On the end-to-end
-benchmark's ``plan_cold`` stream (seed 1) this stores 33.0 MB in 372
+benchmark's ``plan_cold`` stream (seed 1) this stores 32.9 MB in 372
 writes and leaves 206 entries (30.8 MB): 2.9 MB of forms blobs (8.6 MB
 of pickled ops in format 5), 26.1 MB of kernels and 1.8 MB of profiles.
 The payload bytes do not depend on call order (see
@@ -96,7 +96,10 @@ from types import MappingProxyType
 #: rows}}``, every integer column in the narrowest dtype that holds it.
 #: Fused forms thus re-encode their batched SEND micro-batches as CSR
 #: columns (``mb_ptr``, ``mb``).
-FORMAT_VERSION = 6
+#: v7: kernels make their shape representatives from op-table rows
+#: (:meth:`~repro.schedules.ir.OpTable.operations`), so equal
+#: micro-batch and part tuples are one object and pickle once.
+FORMAT_VERSION = 7
 
 #: First bytes of every entry file; a cheap pre-pickle sanity check that
 #: rejects foreign files dropped into the cache directory.
@@ -305,19 +308,26 @@ class DiskScheduleCache:
             self._evictions += 1
 
     # --------------------------------------------------------------- admin
-    def _entry_files(self) -> list[pathlib.Path]:
+    def _entry_files(self, pattern: str = "*/*.pkl") -> list[pathlib.Path]:
         root = self._entries_dir()
         if not root.is_dir():
             return []
-        return [p for p in root.glob("*/*.pkl") if p.is_file()]
+        return [p for p in root.glob(pattern) if p.is_file()]
 
     def clear(self) -> int:
-        """Delete every entry; returns how many files were removed."""
+        """Delete every entry, and every temp file a store killed before
+        its ``os.replace`` left behind; returns how many entries were
+        removed."""
         removed = 0
         for path in self._entry_files():
             try:
                 path.unlink()
                 removed += 1
+            except OSError:
+                continue
+        for path in self._entry_files("*/*.pkl.*.tmp"):
+            try:
+                path.unlink()
             except OSError:
                 continue
         with self._lock:

@@ -551,6 +551,68 @@ class Schedule:
         )
 
 
+class SplicedSchedule:
+    """A schedule held as its op table until something reads its ops.
+
+    Rows ``reused`` (a boolean mask) of ``table`` are ``source``'s ops,
+    in ``source``'s row-major order; every other row is an op of this
+    schedule alone. Lowering returns one (the source's ops plus SEND/RECV
+    rows). It answers what kernels and the disk tier read, the table and
+    the schedule's counts, without making an op. :attr:`schedule` is the
+    :class:`Schedule`, built on first read: ``source``'s fields with
+    ``metadata``, ``source``'s ops reused by identity, the other rows made
+    by :meth:`OpTable.operations`, and :meth:`Schedule.op_table` already
+    holding ``table``.
+    """
+
+    def __init__(
+        self,
+        source: Schedule,
+        table: OpTable,
+        reused: np.ndarray,
+        metadata: Mapping[str, object],
+    ):
+        self.source = source
+        self.table = table
+        self.reused = reused
+        self.metadata = metadata
+
+    def op_table(self) -> OpTable:
+        return self.table
+
+    @property
+    def num_micro_batches(self) -> int:
+        return self.source.num_micro_batches
+
+    @property
+    def num_stages(self) -> int:
+        return self.source.num_stages
+
+    @property
+    def num_workers(self) -> int:
+        return self.source.num_workers
+
+    @property
+    def schedule(self) -> Schedule:
+        """The schedule, built once (a racing build is dropped)."""
+        schedule = self.__dict__.get("_schedule")
+        if schedule is None:
+            ops = np.empty(len(self.reused), dtype=object)
+            ops[self.reused] = list(chain.from_iterable(self.source.worker_ops))
+            ops[~self.reused] = self.table.take(~self.reused).operations()
+            flat = ops.tolist()
+            ends = np.cumsum(np.bincount(self.table.worker, minlength=self.num_workers))
+            bounds = zip([0, *ends[:-1].tolist()], ends.tolist())
+            built = replace(
+                self.source,
+                worker_ops=tuple(tuple(flat[a:b]) for a, b in bounds),
+                metadata=self.metadata,
+            )
+            object.__setattr__(built, "_op_table", self.table)
+            schedule = self.__dict__.setdefault("_schedule", built)
+        return schedule
+
+
 def freeze_worker_ops(rows: Sequence[Iterable[Operation]]) -> tuple[tuple[Operation, ...], ...]:
     """Convert mutable per-worker op lists to the immutable IR form."""
     return tuple(tuple(row) for row in rows)

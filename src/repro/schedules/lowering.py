@@ -44,11 +44,19 @@ keeps its kind and units, with its source renumbered. The result equals
 lowered schedule table for table (``tests/test_dependency_parity.py``
 pins it), so the builder stays the reference and lowering reuses its
 own edge scan.
+
+The lowered ops are spliced the same way, into the implicit schedule's
+:class:`~repro.schedules.ir.OpTable` under the same renumbering, and no
+``Operation`` is made for them: the graph's ``form`` is a
+:class:`~repro.schedules.ir.SplicedSchedule`, and its ``schedule``
+(the implicit ops reused by identity, the comm ops made from their
+table rows) is built only when something reads it. Kernel construction
+and the disk tier read the table alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,7 +70,16 @@ from repro.schedules.dependencies import (
     DependencyGraph,
     build_dependency_graph,
 )
-from repro.schedules.ir import Operation, OpKind, Schedule, freeze_worker_ops
+from repro.schedules.ir import (
+    PAYLOADS,
+    RECV_CODE,
+    SEND_CODE,
+    OpTable,
+    Schedule,
+    SplicedSchedule,
+)
+
+_ACT, _GRAD = PAYLOADS.index("act"), PAYLOADS.index("grad")
 
 
 def is_lowered(schedule: Schedule) -> bool:
@@ -87,8 +104,10 @@ def lower_schedule(
     -------
     DependencyGraph
         The lowered schedule's dependency graph. Its ``schedule`` is the
-        lowered schedule: the same compute ops in the same order, comm
-        ops inserted, and ``metadata["lowered"] = True``.
+        lowered schedule, built on first read: the same compute ops in
+        the same order, comm ops inserted, and ``metadata["lowered"] =
+        True`` (read-only when ``schedule``'s metadata is). Its
+        ``table`` is the lowered op table, spliced without making an op.
 
     Raises
     ------
@@ -103,8 +122,7 @@ def lower_schedule(
     if graph is None:
         graph = build_dependency_graph(schedule)
 
-    ops_flat = graph.ops_flat
-    total = len(ops_flat)
+    total = len(graph.op_worker)
     ptr = np.asarray(graph.dep_ptr, dtype=np.int64)
     src = np.asarray(graph.dep_src, dtype=np.int64)
     kind = np.asarray(graph.dep_kind, dtype=np.int64)
@@ -136,44 +154,11 @@ def lower_schedule(
     recv_rank[by_dst] = rank - np.searchsorted(c_dst[by_dst], c_dst[by_dst])
     recv_id = new_id[c_dst] - num_recvs[c_dst] + recv_rank
 
-    sends: list[Operation] = []
-    recvs: list[Operation] = []
-    recv_units: list[float] = []
-    for s, d, k in zip(c_src.tolist(), c_dst.tolist(), kind[cross].tolist()):
-        src_op = ops_flat[s]
-        dst_op = ops_flat[d]
-        payload = "act" if k == ACTIVATION else "grad"
-        shared = dst_op.micro_batches
-        if len(shared) > 1 or shared != src_op.micro_batches:
-            shared = tuple(sorted(set(src_op.micro_batches) & set(shared)))
-        sends.append(
-            Operation(
-                OpKind.SEND,
-                dst_op.replica,
-                src_op.stage,
-                micro_batches=shared,
-                part=dst_op.part,
-                payload=payload,
-            )
-        )
-        recvs.append(
-            Operation(
-                OpKind.RECV,
-                dst_op.replica,
-                dst_op.stage,
-                micro_batches=shared,
-                part=dst_op.part,
-                payload=payload,
-            )
-        )
-        recv_units.append(len(shared) / dst_op.part[1])
-
-    # The lowered op table.
+    # The lowered op table. Comm rows take the consumer's replica and
+    # part, the producer's stage (SEND) or the consumer's (RECV), and the
+    # consumer's micro-batches that the producer covers, in sorted order.
+    table = schedule.op_table()
     size = total + 2 * num
-    ops = np.empty(size, dtype=object)
-    ops[new_id] = ops_flat
-    ops[send_id] = sends
-    ops[recv_id] = recvs
     op_worker = np.empty(size, dtype=np.int64)
     op_worker[new_id] = worker
     op_worker[send_id] = worker[c_src]
@@ -181,6 +166,59 @@ def lower_schedule(
     row_len = np.bincount(op_worker, minlength=schedule.num_workers)
     row_end = np.cumsum(row_len)
     row_pos = np.arange(size) - (row_end - row_len)[op_worker]
+
+    mb_ptr = table.mb_ptr.astype(np.int64)
+    mb_len = np.diff(mb_ptr)
+    # Each message's candidate micro-batches: the consumer's, kept where
+    # the producer covers them too.
+    edge = np.repeat(np.arange(num), mb_len[c_dst])
+    taken = _expand(mb_ptr[c_dst], mb_len[c_dst])
+    shared = table.mb[taken].astype(np.int64)
+    span = int(table.mb.max(initial=0)) + 1
+    covered = np.repeat(np.arange(num), mb_len[c_src]) * span + table.mb[
+        _expand(mb_ptr[c_src], mb_len[c_src])
+    ]
+    keep = np.isin(edge * span + shared, covered)
+    edge, shared = edge[keep], shared[keep]
+    by_edge = np.lexsort((shared, edge))
+    edge, shared = edge[by_edge], shared[by_edge]
+    shared_len = np.bincount(edge, minlength=num)
+
+    comm = np.concatenate((send_id, recv_id))
+    consumer = np.concatenate((c_dst, c_dst))
+    length = np.zeros(size, dtype=np.int64)
+    length[new_id] = mb_len
+    length[comm] = np.concatenate((shared_len, shared_len))
+    new_mb_ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(length, out=new_mb_ptr[1:])
+    new_mb = np.empty(int(new_mb_ptr[-1]), dtype=np.int32)
+    new_mb[_expand(new_mb_ptr[new_id], mb_len)] = table.mb
+    new_mb[_expand(new_mb_ptr[comm], length[comm])] = np.concatenate((shared, shared))
+
+    def column(values: np.ndarray, comm_values: np.ndarray) -> np.ndarray:
+        out = np.empty(size, dtype=values.dtype)
+        out[new_id] = values
+        out[comm] = comm_values
+        return out
+
+    payload = np.where(kind[cross] == ACTIVATION, _ACT, _GRAD).astype(np.int8)
+    lowered_table = OpTable(
+        worker=op_worker.astype(np.int32),
+        pos=row_pos.astype(np.int32),
+        kind=column(
+            table.kind,
+            np.repeat(np.array([SEND_CODE, RECV_CODE], dtype=np.int8), num),
+        ),
+        replica=column(table.replica, table.replica[consumer]),
+        stage=column(table.stage, table.stage[np.concatenate((c_src, c_dst))]),
+        mb_ptr=new_mb_ptr.astype(np.int32),
+        mb=new_mb,
+        part_index=column(table.part_index, table.part_index[consumer]),
+        part_count=column(table.part_count, table.part_count[consumer]),
+        recompute=column(table.recompute, np.zeros(2 * num, dtype=bool)),
+        payload=column(table.payload, np.concatenate((payload, payload))),
+    )
+    recv_units = shared_len / table.part_count[c_dst]
 
     # The lowered CSR tables: every op keeps its edge slots in order (a
     # cross-worker edge turns into the DELIVERY from its RECV), each SEND
@@ -210,16 +248,13 @@ def lower_schedule(
     new_kind[wired] = TRANSFER
     new_units[wired] = recv_units
 
-    ops_list = ops.tolist()
-    bounds = zip((row_end - row_len).tolist(), row_end.tolist())
-    lowered = replace(
-        schedule,
-        worker_ops=freeze_worker_ops([ops_list[a:b] for a, b in bounds]),
-        metadata={**dict(schedule.metadata), "lowered": True},
-    )
+    metadata = {**schedule.metadata, "lowered": True}
+    if isinstance(schedule.metadata, MappingProxyType):
+        metadata = MappingProxyType(metadata)  # read-only stays read-only
+    reused = np.zeros(size, dtype=bool)
+    reused[new_id] = True
     return DependencyGraph(
-        schedule=lowered,
-        ops_flat=ops_list,
+        form=SplicedSchedule(schedule, lowered_table, reused, metadata),
         op_worker=op_worker.tolist(),
         row_pos=row_pos.tolist(),
         dep_ptr=new_ptr.tolist(),
@@ -227,3 +262,9 @@ def lower_schedule(
         dep_kind=new_kind.tolist(),
         dep_units=new_units.tolist(),
     )
+
+
+def _expand(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The indices ``start[i] + j`` for ``j < length[i]``, run after run."""
+    offsets = np.cumsum(length) - length
+    return np.repeat(start - offsets, length) + np.arange(int(length.sum()))

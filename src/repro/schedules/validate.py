@@ -384,7 +384,7 @@ def _check_acyclic(graph: DependencyGraph) -> None:
     Runs on the graph's op ids: program order is ``id -> id + 1`` within
     a worker's row (ids are row-major).
     """
-    total = len(graph.ops_flat)
+    total = len(graph.op_worker)
     worker = np.asarray(graph.op_worker, dtype=np.int64)
     chain = np.flatnonzero(worker[1:] == worker[:-1])
     dst = np.repeat(np.arange(total), np.diff(graph.dep_ptr))

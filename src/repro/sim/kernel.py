@@ -173,36 +173,42 @@ class ScheduleKernel:
     and keeps nothing of the graph or the engine's dense form: only the
     per-op ``op_worker`` and ``row_pos`` lists, the ids of each sync
     group's members (``sync_groups``), one representative op per
-    duration shape (``shape_reps``), and the schedule's stage and
-    micro-batch counts, so it outlives the dependency graph it was built
-    from and ranking reads nothing of the schedule.
+    duration shape (``shape_reps``, made from its table row), and the
+    schedule's stage and micro-batch counts, so it outlives the
+    dependency graph it was built from and ranking reads nothing of the
+    schedule. It makes no other ``Operation``: a lowered graph's SEND and
+    RECV ops stay table rows.
     """
 
     def __init__(self, graph: DependencyGraph):
-        ops_flat = graph.ops_flat
-        total = len(ops_flat)
+        form, table = graph.form, graph.table
+        total = len(table.kind)
         self.total = total
-        self.num_stages = graph.schedule.num_stages
-        self.num_micro_batches = graph.schedule.num_micro_batches
+        self.num_stages = form.num_stages
+        self.num_micro_batches = form.num_micro_batches
         self.op_worker = graph.op_worker
         #: Position of each op in its worker's row (ids are row-major, so
         #: an op's row successor is id + 1).
         self.row_pos = graph.row_pos
-        code, op_host_dir, op_shape, reps = _classify_ops(graph.schedule.op_table())
+        code, op_host_dir, op_shape, reps = _classify_ops(table)
         #: Sync group key -> ids of its ALLREDUCE members, in the engine's
         #: member order (id order).
         groups: dict[tuple, list[int]] = {}
-        for oid in np.flatnonzero(code == _ALLREDUCE).tolist():
-            op = ops_flat[oid]
-            groups.setdefault((op.stage, op.micro_batches), []).append(oid)
+        syncs = np.flatnonzero(code == _ALLREDUCE)
+        starts, ends = table.mb_ptr[syncs].tolist(), table.mb_ptr[syncs + 1].tolist()
+        stages = table.stage[syncs].tolist()
+        for oid, stage, a, b in zip(syncs.tolist(), stages, starts, ends):
+            groups.setdefault((stage, tuple(table.mb[a:b].tolist())), []).append(oid)
         self.sync_groups: dict[tuple, tuple[int, ...]] = {
             key: tuple(ids) for key, ids in groups.items()
         }
 
         # ---- shape classes (duration memoization across cost models) ----
-        self.shape_reps: list[tuple[int, Operation]] = [
-            (int(code[oid]), ops_flat[oid]) for oid in reps.tolist()
-        ]
+        rep_rows = np.zeros(total, dtype=bool)
+        rep_rows[reps] = True
+        self.shape_reps: list[tuple[int, Operation]] = list(
+            zip(code[reps].tolist(), table.take(rep_rows).operations())
+        )
 
         # ---- combined edge list -----------------------------------------
         # Worker-order chains first, then the graph's edges ordered by
@@ -277,7 +283,7 @@ class ScheduleKernel:
         # (half-duplex host channels route to the fixed point instead; see
         # :func:`_inline_fifo_ok`) — which keeps a worker's OFFLOADs off
         # the worker-pair diagonal id a network send would use.
-        num_workers = graph.schedule.num_workers
+        num_workers = form.num_workers
         chan_full = self.send_worker * num_workers + self.send_dst_w
         if self.has_host_sends:
             host = self.send_host_dir >= 0
@@ -397,7 +403,7 @@ class ScheduleKernel:
         comp_worker = ops["worker"][self.compute_ids]
         by_worker = np.argsort(comp_worker, kind="stable")
         self.compute_by_worker = self.compute_ids[by_worker]
-        self.num_workers = graph.schedule.num_workers
+        self.num_workers = form.num_workers
         self.worker_ptr = np.searchsorted(
             comp_worker[by_worker], np.arange(self.num_workers + 1)
         )

@@ -15,7 +15,9 @@ Each case pins two sha256 digests (first 16 hex digits each):
   bitwise the one recorded.
 
 The PipeDream cases also pin the visit order of the kernel's blocking-
-collective levelization (:data:`EXPECTED_BLOCKING_ORDER`).
+collective levelization (:data:`EXPECTED_BLOCKING_ORDER`), and the
+splice battery (:data:`SPLICE_CASES`) checks that the op table lowering
+splices is the table of the lowered schedule's ops, column for column.
 
 If a change to a *builder* or *pass* is intended to reshape schedules,
 regenerate the table with ``_digest``/``_kernel_digest`` and review the
@@ -26,10 +28,13 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.schedules.dependencies import build_dependency_graph
+from repro.schedules.ir import Operation, OpKind, OpTable, Schedule
 from repro.schedules.lowering import lower_schedule
+from repro.schedules.placement import StagePlacement
 from repro.schedules.registry import available_schemes, build_schedule
 from repro.sim.kernel import ScheduleKernel
 
@@ -314,3 +319,71 @@ def test_lowering_graph_equals_rebuilt_graph(scheme, d, n, passes, options):
     case = f"{scheme}-{d}x{n}-{passes + ',' if passes else ''}lower_p2p"
     if case in EXPECTED and not options:
         assert _kernel_digest(graph) == EXPECTED[case][1]
+
+
+#: The splice battery: every scheme under each pre-lowering pipeline
+#: (pipedream's per-micro-batch collectives admit no ``insert_sync``),
+#: plus Chimera's forward doubling.
+SPLICE_CASES = [
+    (scheme, d, n, passes, {})
+    for scheme in available_schemes()
+    for passes in (None, "recompute", "offload", "insert_sync:eager")
+    if not (scheme == "pipedream" and passes == "insert_sync:eager")
+    for d, n in ((2, 1), *SHAPES, (8, 16))
+] + [("chimera", d, n, None, {"concat": "doubling"}) for d, n in ((2, 1), *SHAPES, (8, 16))]
+
+
+@pytest.mark.parametrize(
+    "scheme,d,n,passes,options",
+    SPLICE_CASES,
+    ids=[
+        f"{scheme}-{d}x{n}-{passes or 'implicit'}{'-doubling' if options else ''}"
+        for scheme, d, n, passes, options in SPLICE_CASES
+    ],
+)
+def test_spliced_table_equals_the_lowered_schedules_table(
+    scheme, d, n, passes, options
+):
+    """Lowering's op table, spliced from the implicit schedule's, is the
+    table of the lowered schedule's ops column for column (dtypes too),
+    and the lowered graph is the builder's graph of that schedule."""
+    graph = lower_schedule(build_schedule(scheme, d, n, passes=passes, **options))
+    spliced = graph.table
+    walked = OpTable.of(graph.schedule.worker_ops)
+    for name in OpTable.__dataclass_fields__:
+        column = getattr(spliced, name)
+        assert column.dtype == getattr(walked, name).dtype, name
+        np.testing.assert_array_equal(column, getattr(walked, name), err_msg=name)
+    assert graph.schedule.op_table() is spliced
+    assert graph == build_dependency_graph(graph.schedule)
+
+
+def test_splice_keeps_the_micro_batches_each_producer_covers():
+    """A consumer covering two micro-batches fed by one producer each:
+    each message carries the consumer's micro-batches that its producer
+    covers, in sorted order (no builder emits this today)."""
+    F, B = OpKind.FORWARD, OpKind.BACKWARD
+    schedule = Schedule(
+        scheme="hand",
+        placement=StagePlacement.linear(2),
+        num_micro_batches=2,
+        worker_ops=(
+            (
+                Operation(F, 0, 0, (1,)),
+                Operation(F, 0, 0, (0,)),
+                Operation(B, 0, 0, (0,)),
+                Operation(B, 0, 0, (1,)),
+            ),
+            (Operation(F, 0, 1, (1, 0)), Operation(B, 0, 1, (0,)), Operation(B, 0, 1, (1,))),
+        ),
+    )
+    graph = lower_schedule(schedule)
+    sends = [op for op in graph.schedule.ops_on(0) if op.kind is OpKind.SEND]
+    assert [(op.payload, op.micro_batches) for op in sends] == [
+        ("act", (1,)),
+        ("act", (0,)),
+    ]
+    walked = OpTable.of(graph.schedule.worker_ops)
+    for name in OpTable.__dataclass_fields__:
+        np.testing.assert_array_equal(getattr(graph.table, name), getattr(walked, name))
+    assert graph == build_dependency_graph(graph.schedule)

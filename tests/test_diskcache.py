@@ -43,7 +43,8 @@ from repro.schedules.diskcache import (
     default_cache_dir,
     dumps,
 )
-from repro.schedules.ir import Operation
+from repro.schedules.ir import Operation, OpTable
+from repro.schedules.lowering import lower_schedule
 from repro.schedules.registry import build_schedule
 from repro.sim.cost import CostModel
 from repro.sim import memory
@@ -202,7 +203,7 @@ class TestDiskRoundTrip:
             value_codes,
             digests,
         ) == (
-            6,
+            7,
             [
                 "device", "host", "transient_worker", "transient_after",
                 "transient_stage", "transient_code", "weights",
@@ -324,7 +325,7 @@ class TestKernelPersistence:
         (and then this pin)."""
         _, kernel = cold
         assert (FORMAT_VERSION, sorted(vars(kernel))) == (
-            6,
+            7,
             [
                 "_blocking", "_edge_src_list", "_esrc_fifo_list", "_inc_ptr",
                 "_indeg_list", "_order_list", "_pos_of", "_send_chan_list",
@@ -483,6 +484,60 @@ class TestCorruptionTolerance:
         _ArtifactPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(wrapper)
         disk.entry_path(key).write_bytes(buf.getvalue())
         assert disk.load(key) is None
+
+    def test_clear_removes_orphaned_temp_files(self, tmp_path):
+        """A store killed between its write and its ``os.replace`` leaves
+        ``<digest>.pkl.<pid>.<tid>.tmp`` beside the entries: ``clear``
+        deletes those too, and counts only the entries it removed."""
+        disk = DiskScheduleCache(tmp_path)
+        key = ScheduleCache.key("gpipe", 2, 4, {})
+        assert disk.store(key, ScheduleArtifacts(build_schedule("gpipe", 2, 4)).snapshot())
+        stored = disk.entry_path(key)
+        never = disk.entry_path(ScheduleCache.key("gpipe", 4, 4, {}))
+        never.parent.mkdir(parents=True, exist_ok=True)
+        orphans = [
+            stored.with_name(f"{stored.name}.4242.17.tmp"),
+            never.with_name(f"{never.name}.4243.18.tmp"),
+        ]
+        for orphan in orphans:
+            orphan.write_bytes(stored.read_bytes()[:64])
+        assert disk.clear() == 1
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+FUSED = ("lower_p2p", "fuse_comm")
+
+#: ``(scheme, D, N, options, kernels built, sha256 prefix of
+#: snapshot()["forms"])``, recorded when lowering still built its
+#: SEND/RECV ops one by one: packing a lowered form from its table
+#: writes the same bytes.
+FORMS_BLOBS = [
+    ("chimera", 4, 8, {}, [PIPELINE], "0ef4eb7c6b5bb65e"),
+    ("chimera", 4, 4, {"concat": "doubling"}, [PIPELINE], "11fa82f71d00634f"),
+    ("gpipe", 4, 4, {}, [PIPELINE], "fcbbf26acac4cfd6"),
+    ("dapple", 4, 8, {"passes": "recompute"}, [PIPELINE], "02ea19e4bd0ce3f0"),
+    ("pipedream", 4, 4, {}, [PIPELINE], "316701ffd2f5e0a2"),
+    ("zb_v", 4, 4, {}, [PIPELINE], "52d264ff41fc78cd"),
+    ("gems", 4, 8, {"passes": "offload"}, [PIPELINE], "7cd73236542e70d4"),
+    (
+        "chimera", 4, 4, {"passes": "insert_sync:eager"}, [PIPELINE, FUSED],
+        "ae088b57339bafb2",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "scheme,depth,n,options,pipelines,digest",
+    FORMS_BLOBS,
+    ids=[f"{row[0]}-{row[1]}x{row[2]}-{len(row[4])}" for row in FORMS_BLOBS],
+)
+def test_forms_blob_bytes_are_pinned(
+    tmp_path, scheme, depth, n, options, pipelines, digest
+):
+    arts = fresh_cache(tmp_path).artifacts(scheme, depth, n, **options)
+    for pipeline in pipelines:
+        arts.kernel_for(pipeline)
+    assert hashlib.sha256(arts.snapshot()["forms"]).hexdigest()[:16] == digest
 
 
 class TestConcurrentHammer:
@@ -784,6 +839,98 @@ print(json.dumps({
     "throughput": entries[0].throughput,
 }))
 """
+
+
+class TestLoweredFormOnDemand:
+    """Lowering splices the lowered form's op table: building its kernel,
+    writing it to disk and ranking from it make no SEND/RECV op beyond
+    the kernel's shape representatives. Reading the lowered schedule
+    makes the comm ops from the table, once."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every ``Operation`` made: through ``__post_init__`` and as rows
+        of ``OpTable.operations``; and the ``OpTable.of`` walks."""
+        made = {"validated": [], "rows": [], "walks": 0}
+        post_init, operations, of = (
+            Operation.__post_init__, OpTable.operations, OpTable.of.__func__
+        )
+
+        def counted_post_init(op):
+            made["validated"].append(op)
+            post_init(op)
+
+        def counted_operations(table):
+            ops = operations(table)
+            made["rows"].extend(ops)
+            return ops
+
+        def counted_of(cls, worker_ops):
+            made["walks"] += 1
+            return of(cls, worker_ops)
+
+        monkeypatch.setattr(Operation, "__post_init__", counted_post_init)
+        monkeypatch.setattr(OpTable, "operations", counted_operations)
+        monkeypatch.setattr(OpTable, "of", classmethod(counted_of))
+        return made
+
+    @staticmethod
+    def comm(ops) -> list[Operation]:
+        return [op for op in ops if op.is_comm]
+
+    @staticmethod
+    def comm_reps(kernels) -> list[Operation]:
+        return [op for k in kernels for _, op in k.shape_reps if op.is_comm]
+
+    def test_kernel_then_schedule(self, tmp_path, made):
+        arts = fresh_cache(tmp_path).artifacts("chimera", 4, 8)
+        kernel = arts.kernel_for(PIPELINE)
+        assert self.comm(made["validated"]) == []
+        reps = self.comm_reps([kernel])
+        assert 0 < len(reps) <= 2 * 4  # one per (kind, stage), not per row
+        assert self.comm(made["rows"]) == reps
+        del made["validated"][:], made["rows"][:]
+        made["walks"] = 0
+
+        lowered = arts.schedule_for(PIPELINE)
+        assert self.comm(made["validated"]) == []
+        made_comm = self.comm(made["rows"])
+        assert made_comm == self.comm(op for _, op in lowered.all_ops())
+        assert len(made["rows"]) == len(made_comm)  # implicit ops reused
+        assert arts.schedule_for(PIPELINE) is lowered
+        table = lowered.op_table()
+        assert made["walks"] == 0
+        # test_dependency_parity pins this schedule's ops.
+        reference = lower_schedule(build_schedule("chimera", 4, 8)).schedule
+        assert lowered.worker_ops == reference.worker_ops
+        assert lowered.metadata == reference.metadata
+        walked = OpTable.of(lowered.worker_ops)
+        for name in OpTable.__dataclass_fields__:
+            assert getattr(table, name).dtype == getattr(walked, name).dtype
+            np.testing.assert_array_equal(getattr(table, name), getattr(walked, name))
+
+    def test_sync_plan_makes_no_comm_op(self, tmp_path, monkeypatch, made):
+        cache = fresh_cache(tmp_path)
+        monkeypatch.setattr(cache_module, "SCHEDULE_CACHE", cache)
+        request = PlanRequest(
+            machine=PIZ_DAINT,
+            workload=BERT48,
+            num_workers=4,
+            mini_batch=32,
+            schemes=("chimera", "dapple"),
+        )
+        [plan] = plan_many([request], max_workers=1)
+        assert plan.ok
+        kernels = [
+            kernel
+            for arts in cache._entries.values()
+            for kernel in arts._kernels.values()
+        ]
+        assert any(arts._forms and "lowered" in arts._forms
+                   for arts in cache._entries.values())
+        assert self.comm(made["validated"]) == []
+        reps = {id(op) for op in self.comm_reps(kernels)}
+        assert {id(op) for op in self.comm(made["rows"])} <= reps
 
 
 class TestColdStartAcceptance:

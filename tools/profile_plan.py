@@ -25,13 +25,20 @@ emptied, and so are the planner's row and memory-report memos. The
 profile then reports the build layers (:func:`build_layer`): every
 function of ``repro.schedules`` (the builders, the passes, lowering,
 dependency graphs, the cache and its disk tier), kernel construction
-and the memory-profile compile.
+and the memory-profile compile, and then one line counting the
+``Operation`` objects the profiled pass made: validated ones
+(``Operation.__post_init__`` calls) and rows made from op tables
+(:meth:`~repro.schedules.ir.OpTable.operations`, which skips
+``__post_init__``):
+
+    operations  <total>  (<n> __post_init__, <m> from tables)
 
 With ``--warm``, the stream is first planned once, untimed, as
 ``--cold`` plans it, into a temporary disk tier; each round then empties
 the memory tier and the planner's memos (not the disk tier) and plans
 the first ``--requests`` requests again, which is ``plan_warm`` in
-process: disk loads and kernel rebuilds, no schedule builds. The profile
+process: disk loads of kernels and memory profiles, no schedule builds.
+The profile
 then reports the simulation and ranking layers (:func:`warm_layer`):
 every function of ``repro.sim``, ``repro.perf`` and
 ``repro.bench.harness``, and the schedule cache's two tiers.
@@ -59,6 +66,7 @@ import argparse
 import itertools
 import os
 import pathlib
+import pstats
 import sys
 import tempfile
 import time
@@ -72,6 +80,7 @@ import profile_driver  # noqa: E402
 import streams  # noqa: E402
 from repro.perf import planner  # noqa: E402
 from repro.schedules.cache import clear_schedule_cache  # noqa: E402
+from repro.schedules.ir import Operation, OpTable  # noqa: E402
 from repro.serve import PlannerService  # noqa: E402
 from repro.serve.service import parse_plan_request  # noqa: E402
 from repro.sim import memory  # noqa: E402
@@ -126,11 +135,38 @@ def warm_layer(path: str, name: str) -> bool:
     )
 
 
+#: Rows :meth:`OpTable.operations` made during the latest
+#: :func:`run_stream` (see :func:`count_table_rows`).
+TABLE_ROWS = [0]
+
+
+def count_table_rows() -> None:
+    """Make :meth:`OpTable.operations` add the rows it builds to
+    :data:`TABLE_ROWS`."""
+    operations = OpTable.operations
+
+    def counted(table: OpTable) -> list[Operation]:
+        ops = operations(table)
+        TABLE_ROWS[0] += len(ops)
+        return ops
+
+    OpTable.operations = counted
+
+
+def post_init_calls(profiler) -> int:
+    """``Operation.__post_init__`` calls the profile recorded."""
+    code = Operation.__post_init__.__code__
+    where = (code.co_filename, code.co_firstlineno, code.co_name)
+    stats = pstats.Stats(profiler).stats
+    return stats[where][1] if where in stats else 0
+
+
 def run_stream(payloads: list[dict], count: int, *, disk: bool) -> float:
     """Plan the first ``count`` payloads from an empty memory tier and
     empty memos, and an empty disk tier too if ``disk``; return the wall
     in seconds (emptying the tiers is not timed)."""
     clear_schedule_cache(disk=disk)
+    TABLE_ROWS[0] = 0
     planner._ROW_MEMO.clear()
     memory._REPORTS.clear()
     requests = [parse_plan_request(payload) for payload in payloads[:count]]
@@ -196,6 +232,8 @@ def main() -> None:
         os.environ["REPRO_CACHE_DIR"] = tier.name
         if args.warm:
             run_stream(stream, len(stream), disk=True)  # fills the disk tier
+        else:
+            count_table_rows()
         work = lambda count: run_stream(stream, count, disk=args.cold)  # noqa: E731
         warmup = args.warmup or 0
     else:
@@ -216,6 +254,12 @@ def main() -> None:
         return
     if (args.cold or args.warm) and not args.function:
         profile_driver.report(profiler, build_layer if args.cold else warm_layer)
+        if args.cold:
+            validated, from_tables = post_init_calls(profiler), TABLE_ROWS[0]
+            print(
+                f"operations  {validated + from_tables}  ({validated} "
+                f"__post_init__, {from_tables} from tables)"
+            )
         return
     names = set(args.function or FUNCTIONS)
     missing = names - profile_driver.report(profiler, lambda _, name: name in names)
