@@ -28,7 +28,11 @@ their stash copies on per-worker host channels.
 The heap-based event queue (:func:`repro.sim.engine.simulate`) defines
 the same timing model one event at a time. It is the oracle the kernel's
 differential batteries compare against to 1e-9, not a user path. The
-two are the only timing implementations, each the other's check.
+two are the only timing implementations, each the other's check. Both
+end in one collective epilogue (:mod:`repro.sim.epilogue`: collective
+ordering, link serialization, clearance past transfers, the overlap
+slowdown); its oracle is the dict-based reference finalizer in
+``tests/reference_collectives.py``.
 """
 
 from repro.sim.cost import CostModel

@@ -44,7 +44,10 @@ baseline that ``repro bench`` times, and the kernel/engine benchmark
 scripts call it. The kernel is in turn the engine's check: it builds
 its arrays from the graph's int-id tables, never from the engine's
 ``_DenseSchedule``, and the two agree in every regime (implicit,
-lowered, contended, blocking, offload).
+lowered, contended, blocking, offload). The engine is the oracle for op
+and wire times; the background-collective rules after the loop are the
+one epilogue both simulators run (:mod:`repro.sim.epilogue`), whose
+oracle is the reference finalizer in ``tests/reference_collectives.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import functools
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,6 +71,7 @@ from repro.schedules.dependencies import (
 )
 from repro.schedules.ir import OP_KINDS, Operation, OpKind, OpTable, Schedule
 from repro.sim.cost import CostModel
+from repro.sim.epilogue import _iteration_time
 
 
 @dataclass(frozen=True)
@@ -250,10 +254,12 @@ def _clear_of_transfers(
 ) -> float:
     """Push ``start`` past in-flight transfer occupancy on any member.
 
-    The single implementation of the collective-vs-p2p contention rule: a
-    collective cannot start while a message is still serializing on a
-    member's interface. Used both when resolving blocking collectives in
-    the event loop and when recording background collectives afterwards.
+    A collective cannot start while a message is still serializing on a
+    member's interface. The event loop applies it when it resolves a
+    blocking collective, over the transfers already on the wire; the
+    test references apply it too. Background collectives are cleared by
+    the shared epilogue (:func:`repro.sim.epilogue._clear_sorted`, which
+    reaches the same value over merged busy runs).
     """
     moved = True
     while moved:
@@ -334,8 +340,10 @@ class _DenseSchedule:
     ``op.key()`` tuples. Built once per graph and cached on it —
     repeated simulations of one schedule under many cost models
     (calibration sweeps, ablations) pay only the per-cost-model arrays.
-    Only the engine reads it; the array kernel builds its own arrays
-    from the same tables.
+    It is also the layout the collective epilogue reads
+    (:mod:`repro.sim.epilogue`), under the attribute names the kernel
+    uses. Only the engine builds it; the array kernel builds its own
+    arrays from the same tables.
     """
 
     def __init__(self, graph: DependencyGraph):
@@ -359,31 +367,25 @@ class _DenseSchedule:
 
         code, host_dir, shape, _ = _classify_ops(schedule.op_table())
         self.kind_code: list[int] = code.tolist()
-        compute = np.flatnonzero(code == _PLAIN)
+        self.num_workers = schedule.num_workers
         #: Compute op ids (row-major, so grouped by worker) and per-worker
-        #: offsets into them: :attr:`SimulationResult._compute_rows`.
-        self.compute_rows = (
-            compute,
-            np.searchsorted(
-                np.asarray(self.op_worker)[compute],
-                np.arange(schedule.num_workers + 1),
-            ),
+        #: offsets into them.
+        self.compute_by_worker = np.flatnonzero(code == _PLAIN)
+        self.worker_ptr = np.searchsorted(
+            np.asarray(self.op_worker)[self.compute_by_worker],
+            np.arange(self.num_workers + 1),
         )
         self.host_dir: list[int] = host_dir.tolist()
         #: Duration class of each op (see :func:`_classify_ops`).
         self.shape: list[int] = shape.tolist()
-        self.group_of: dict[int, tuple] = {}
-        self.sync_group_members: dict[tuple, list[tuple[int, Operation]]] = (
-            defaultdict(list)
-        )
-        for oid, code in enumerate(self.kind_code):
-            if code == _ALLREDUCE:
-                op = self.ops_flat[oid]
-                group_key = (op.stage, op.micro_batches)
-                self.sync_group_members[group_key].append(
-                    (self.op_worker[oid], op)
-                )
-                self.group_of[oid] = group_key
+        groups: dict[tuple, list[int]] = defaultdict(list)
+        for oid in np.flatnonzero(code == _ALLREDUCE).tolist():
+            op = self.ops_flat[oid]
+            groups[op.stage, op.micro_batches].append(oid)
+        #: Sync group key ``(stage, micro_batches)`` -> ids of its
+        #: ALLREDUCE members, in id order; and each member's key.
+        self.sync_groups = {key: tuple(ids) for key, ids in groups.items()}
+        self.group_of = {m: key for key, ids in groups.items() for m in ids}
 
         ptr = graph.dep_ptr
         dep_src, dep_kind, dep_units = graph.dep_src, graph.dep_kind, graph.dep_units
@@ -417,6 +419,15 @@ class _DenseSchedule:
                     )
                 else:
                     self.out_local[src].append(dst)
+        # The send table, in id order: the epilogue reads its columns, and
+        # the event loop records each wire start at the send's index.
+        self.send_info = dict(sorted(self.send_info.items()))
+        sends = list(self.send_info)
+        self.send_worker = np.asarray(op_worker, dtype=np.int64)[sends]
+        self.send_dst_w = np.array(
+            [dst_w for dst_w, _ in self.send_info.values()], dtype=np.int64
+        )
+        self.send_host_dir = host_dir[sends]
 
 
 def _dense_of(graph: DependencyGraph) -> _DenseSchedule:
@@ -493,8 +504,10 @@ def simulate(
         return d
 
     host_dir = dense.host_dir
-    send_wire: dict[int, tuple[int, float, float, tuple | None]] = {}
-    for oid, (dst_w, units) in dense.send_info.items():
+    #: SEND id -> (send index, dst_worker, wire time, occupancy, channel).
+    send_wire: dict[int, tuple[int, int, float, float, tuple | None]] = {}
+    occupancy = [0.0] * len(dense.send_info)
+    for k, (oid, (dst_w, units)) in enumerate(dense.send_info.items()):
         src_w = op_worker[oid]
         hd = host_dir[oid]
         if hd >= 0:
@@ -502,6 +515,7 @@ def simulate(
             # channel — host-link alpha-beta time, contending only with
             # this worker's other host transfers (never with p2p links).
             send_wire[oid] = (
+                k,
                 dst_w,
                 cost_model.host_time(units),
                 cost_model.host_occupancy(units),
@@ -509,18 +523,20 @@ def simulate(
             )
         else:
             send_wire[oid] = (
+                k,
                 dst_w,
                 p2p_delay(src_w, dst_w, units),
                 cost_model.p2p_occupancy(src_w, dst_w, units),
                 cost_model.p2p_channel(src_w, dst_w),
             )
+        occupancy[k] = send_wire[oid][3]
+    wire_start_of = [0.0] * len(occupancy)
 
-    sync_group_members = dense.sync_group_members
+    sync_groups = dense.sync_groups
     group_of = dense.group_of
-    sync_launches: dict[tuple, dict[int, float]] = defaultdict(dict)
     group_waiters: dict[tuple, list[int]] = defaultdict(list)
     #: Blocking collectives resolved during the loop: group -> (start, end).
-    #: _finalize records these verbatim so the released workers and the
+    #: The epilogue takes these verbatim so the released workers and the
     #: collective records can never contradict each other.
     loop_resolved: dict[tuple, tuple[float, float]] = {}
 
@@ -576,10 +592,12 @@ def simulate(
         background path. Contention-free links (zero occupancy) leave the
         start at ``max(launches)``, preserving lowered/implicit parity.
         """
-        launches = sync_launches[group_key]
+        mids = sync_groups[group_key]
         stage, _ = group_key
-        workers = tuple(w for w, _ in sync_group_members[group_key])
-        start = _clear_of_transfers(max(launches.values()), workers, nic_busy_loop)
+        workers = tuple(op_worker[m] for m in mids)
+        start = _clear_of_transfers(
+            max(start_of[m] for m in mids), workers, nic_busy_loop
+        )
         end = start + cost_model.allreduce_time(stage, workers)
         loop_resolved[group_key] = (start, end)
         for waiter in group_waiters.pop(group_key, []):
@@ -600,29 +618,27 @@ def simulate(
         done += 1
 
         code = kind_code[oid]
-        if code == _ALLREDUCE:
+        if code == _ALLREDUCE and blocking_sync:
             group_key = group_of[oid]
-            sync_launches[group_key][worker] = start_of[oid]
-            if blocking_sync:
-                blocked[worker] = True
-                group_waiters[group_key].append(worker)
-                if len(sync_launches[group_key]) == len(
-                    sync_group_members[group_key]
-                ):
-                    resolve_group(group_key)
+            blocked[worker] = True
+            waiters = group_waiters[group_key]
+            waiters.append(worker)
+            if len(waiters) == len(sync_groups[group_key]):
+                resolve_group(group_key)
         elif code == _SEND and oid in send_wire:
             op = ops_flat[oid]
-            dst_w, wire_time, occupancy, channel = send_wire[oid]
+            k, dst_w, wire_time, occ, channel = send_wire[oid]
             wire_start = end
             if channel is not None:
                 if channel_free[channel] > wire_start:
                     wire_start = channel_free[channel]
-                channel_free[channel] = wire_start + occupancy
+                channel_free[channel] = wire_start + occ
+            wire_start_of[k] = wire_start
             arrival = wire_start + wire_time
-            if occupancy > 0 and host_dir[oid] < 0:
+            if occ > 0 and host_dir[oid] < 0:
                 # Host copies ride PCIe, not the NIC: they never block a
-                # collective's interface (mirrored in _finalize/kernel).
-                interval = (wire_start, wire_start + occupancy)
+                # collective's interface (the epilogue's _busy_sends rule).
+                interval = (wire_start, wire_start + occ)
                 nic_busy_loop[worker].append(interval)
                 nic_busy_loop[dst_w].append(interval)
             transfers.append(
@@ -634,7 +650,7 @@ def simulate(
                     part=op.part,
                     start=wire_start,
                     end=arrival,
-                    occupancy=occupancy,
+                    occupancy=occ,
                     channel=channel,
                     op_index=dense.row_pos[oid],
                 )
@@ -677,26 +693,20 @@ def simulate(
         timed[op.key()] = TimedOp(
             op, op_worker[oid], start_of[oid], end_of_id[oid]
         )
-    compute_makespan = max(
-        (
-            end_of_id[oid]
-            for oid in range(total)
-            if kind_code[oid] == _PLAIN
-        ),
-        default=0.0,
-    )
-
-    collectives, compute_makespan, iteration_time = _finalize(
-        schedule,
+    comp = dense.compute_by_worker
+    compute_makespan = float(np.asarray(end_of_id)[comp].max()) if comp.size else 0.0
+    iteration_time, compute_makespan, spans = _iteration_time(
+        dense,
         cost_model,
-        timed,
-        sync_group_members,
-        sync_launches,
-        transfers,
-        blocking_sync=blocking_sync,
-        compute_makespan=compute_makespan,
-        resolved=loop_resolved,
+        start_of,
+        end_of_id,
+        compute_makespan,
+        wire=(np.asarray(wire_start_of), np.asarray(occupancy)),
+        resolved=loop_resolved if blocking_sync else None,
     )
+    # Canonical transfer order: the structural key the kernel's send
+    # table has, so both list the same records in the same order.
+    transfers.sort(key=lambda t: (t.src_worker, t.op_index))
     return SimulationResult(
         schedule,
         cost_model,
@@ -704,124 +714,39 @@ def simulate(
         iteration_time=iteration_time,
         start=start_of,
         end=end_of_id,
-        compute_rows=dense.compute_rows,
-        sync_spans=[
-            (c.stage, c.micro_batches, c.workers, c.start, c.end) for c in collectives
-        ],
-        records=(timed, collectives, tuple(transfers)),
+        compute_rows=(comp, dense.worker_ptr),
+        sync_spans=spans,
+        records=(
+            timed,
+            _collective_records(dense, spans, start_of),
+            tuple(transfers),
+        ),
     )
 
 
-def _finalize(
-    schedule: Schedule,
-    cost_model: CostModel,
-    timed: dict[OpKey, TimedOp],
-    sync_group_members: dict[tuple, list[tuple[int, Operation]]],
-    sync_launches: dict[tuple, dict[int, float]],
-    transfers: list[TransferRecord],
-    *,
-    blocking_sync: bool,
-    compute_makespan: float,
-    resolved: dict[tuple, tuple[float, float]] | None = None,
-) -> tuple[list[CollectiveRecord], float, float]:
-    """Resolve collectives: ``(collectives, compute_makespan, iteration_time)``.
+def _collective_records(
+    layout, spans: list[tuple], start: Sequence[float]
+) -> list[CollectiveRecord]:
+    """The :class:`CollectiveRecord` of each epilogue span, in ``(stage,
+    micro_batches)`` order, with each member's launch start.
 
-    Shared by the event-queue engine and the kernel's record builder so
-    both apply identical collective-overlap semantics; sorts
-    ``transfers`` in place into the canonical record order. ``resolved``
-    carries the blocking collectives the solver already timed (start,
-    end) — those are recorded verbatim, because the member workers were
-    released from exactly those times; re-deriving them here could
-    contradict the compute timeline.
-
-    The array kernel re-implements these rules on flat arrays
-    (:func:`repro.sim.kernel._iteration_time`) to take its scalars
-    without materializing per-op records; any change to the collective
-    ordering, link-serialization, or overlap-slowdown semantics here must
-    be mirrored there (the kernel differential tests and every
-    ``repro bench`` run assert the two stay within 1e-9, and
-    ``tests/test_sim_records.py`` checks the kernel's scalars against its
-    own records with ``==``).
+    The one builder of collective records: the engine's and the kernel's
+    (``layout`` is their ``_DenseSchedule`` or ``ScheduleKernel``). The
+    order reads no float time, so both list the same records in the same
+    order even where their times differ by an ulp; a collective is
+    unique per ``(stage, micro_batches)``.
     """
-    num_workers = schedule.num_workers
-    resolved = resolved or {}
-
-    # Per-worker interface busy intervals from explicit p2p transfers: a
-    # collective cannot start while a message is still serializing on a
-    # member's link (transfers scheduled first win the channel; traffic
-    # launched after the collective's start is not re-queued behind it).
-    # Blocking collectives saw the same rule inside the event loop.
-    nic_busy: dict[int, list[tuple[float, float]]] = defaultdict(list)
-    for t in transfers:
-        if t.occupancy > 0 and t.payload != "stash":
-            interval = (t.start, t.start + t.occupancy)
-            nic_busy[t.src_worker].append(interval)
-            nic_busy[t.dst_worker].append(interval)
-
-    # Resolve collective completions (non-blocking case; for blocking they
-    # are already folded into the cursors, but recording them is useful).
-    # Collectives sharing a worker are serviced serially — one network
-    # interface per node — in ready-time order.
-    pending = []
-    for group_key, members in sync_group_members.items():
-        stage, micro_batches = group_key
-        launches = sync_launches[group_key]
-        workers = tuple(w for w, _ in members)
-        ready = max(launches.values())
-        cost = cost_model.allreduce_time(stage, workers)
-        pending.append((ready, stage, micro_batches, workers, launches, cost))
-    pending.sort(key=lambda t: (t[0], t[1], t[2]))
-
-    collectives: list[CollectiveRecord] = []
-    iteration_time = compute_makespan
-    link_free = [0.0] * num_workers
-    for ready, stage, micro_batches, workers, launches, cost in pending:
-        if (stage, micro_batches) in resolved:
-            start, end = resolved[(stage, micro_batches)]
-        else:
-            start = max([ready] + [link_free[w] for w in workers])
-            start = _clear_of_transfers(start, workers, nic_busy)
-            end = start + cost
-        for w in workers:
-            link_free[w] = max(link_free[w], end)
-        collectives.append(
-            CollectiveRecord(
-                stage=stage,
-                micro_batches=micro_batches,
-                workers=workers,
-                launch_times=tuple(launches[w] for w in workers),
-                start=start,
-                end=end,
-            )
+    groups = layout.sync_groups
+    return [
+        CollectiveRecord(
+            stage=stage,
+            micro_batches=mbs,
+            workers=workers,
+            launch_times=tuple(start[m] for m in groups[(stage, mbs)]),
+            start=begin,
+            end=finish,
         )
-        iteration_time = max(iteration_time, end)
-
-    # Progression contention: a collective in flight slows the compute it
-    # overlaps with (§3.2). Charged per worker proportionally to the
-    # overlapped span; extends both that worker's effective finish and the
-    # iteration.
-    if cost_model.sync_overlap_slowdown > 0 and collectives and not blocking_sync:
-        worker_compute_end = [0.0] * num_workers
-        for t in timed.values():
-            if t.op.is_compute:
-                worker_compute_end[t.worker] = max(
-                    worker_compute_end[t.worker], t.end
-                )
-        for record in collectives:
-            for w in record.workers:
-                overlap = max(
-                    0.0, min(record.end, worker_compute_end[w]) - record.start
-                )
-                penalty = cost_model.sync_overlap_slowdown * overlap
-                worker_compute_end[w] += penalty
-        compute_makespan = max(compute_makespan, max(worker_compute_end))
-        iteration_time = max(iteration_time, compute_makespan)
-
-    # Canonical record order: structural keys that read no float time,
-    # so the engine and the kernel list the same records in the same
-    # order even where their times differ by an ulp. A collective is
-    # unique per (stage, micro-batches), a transfer per issuing op.
-    collectives.sort(key=lambda c: (c.stage, c.micro_batches))
-    transfers.sort(key=lambda t: (t.src_worker, t.op_index))
-    return collectives, compute_makespan, iteration_time
-
+        for stage, mbs, workers, begin, finish in sorted(
+            spans, key=lambda span: (span[0], span[1])
+        )
+    ]

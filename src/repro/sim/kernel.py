@@ -41,12 +41,11 @@ floors after a sweep come from one pass in pop order
 (:func:`_blocking_floors`), and the sweep stops only when they agree.
 
 Collectives never start while a transfer occupies a member's interface
-(NIC). Every clearance in this module reads one structure: per-worker
-merged busy runs, binary-searched by :func:`_clear_sorted`. The
+(NIC). Every clearance reads one structure: per-worker merged busy
+runs, binary-searched by :func:`~repro.sim.epilogue._clear_sorted`. The
 blocking floors grow them one transfer at a time as transfers become
-visible (:func:`_add_busy`); non-blocking batch rows build them in one
-vectorized pass (:func:`_busy_runs`) from the transfers still busy at
-the row's earliest collective ready time.
+visible (:func:`~repro.sim.epilogue._add_busy`); non-blocking rows build
+them in the epilogue's one vectorized pass.
 
 Public surface:
 
@@ -77,18 +76,18 @@ Public surface:
   whether the row's own channel occupancy is all zero (not which sweep
   ran: a contended full-duplex row also takes one sweep).
 
-Both paths end in one epilogue, :func:`_iteration_time`: the engine's
-own ``_finalize`` rules for collective resolution and overlap accounting
-on arrays, so results match the event engine to floating-point equality
-(the differential suites assert 1e-9) — the kernel is a faster evaluator
-of the same model, never a second model. The records a
-:func:`simulate_fast` result builds on demand go through ``_finalize``
-itself.
+Both paths end in the collective epilogue the event engine also runs,
+:func:`repro.sim.epilogue._iteration_time`: collective resolution and
+overlap accounting have one implementation, so results match the event
+engine to floating-point equality (the differential suites assert 1e-9)
+— the kernel is a faster evaluator of the same model, never a second
+model. The records a :func:`simulate_fast` result builds on demand take
+their collectives from the epilogue's spans
+(:func:`~repro.sim.engine._collective_records`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -117,8 +116,14 @@ from repro.sim.engine import (
     TimedOp,
     TransferRecord,
     _classify_ops,
-    _finalize,
+    _collective_records,
     first_seen,
+)
+from repro.sim.epilogue import (
+    _add_busy,
+    _busy_sends,
+    _clear_sorted,
+    _iteration_time,
 )
 
 #: Cap on fixed-point sweeps before the kernel raises
@@ -838,10 +843,10 @@ def simulate_fast(
     the kernel (:func:`_solve_row` picks the row's sweep) instead of
     falling back to the event engine. ``compute_makespan`` and
     ``iteration_time`` come straight from the solve's arrays through the
-    batch path's epilogue (:func:`_iteration_time`); the per-op records
-    (``timed``, ``collectives``, ``transfers``) are built by
-    :func:`_records` only when first read. ``kernel`` is ``schedule``'s
-    kernel (e.g. from
+    collective epilogue (:func:`~repro.sim.epilogue._iteration_time`);
+    the per-op records (``timed``, ``collectives``, ``transfers``) are
+    built by :func:`_records` only when first read. ``kernel`` is
+    ``schedule``'s kernel (e.g. from
     :meth:`~repro.schedules.cache.ScheduleArtifacts.kernel_for`); it is
     built from a fresh dependency graph when absent.
     """
@@ -878,12 +883,11 @@ def simulate_fast(
             cost_model,
             start,
             end,
+            spans=spans,
             wire_start=wire_start,
             wire_time=wire,
             occupancy=occupancy,
             chan=chan,
-            resolved=resolved,
-            blocking_sync=blocking_sync,
         ),
     )
 
@@ -1296,28 +1300,22 @@ def _records(
     start: Sequence[float],
     end: Sequence[float],
     *,
+    spans: list[tuple],
     wire_start: np.ndarray,
     wire_time: np.ndarray,
     occupancy: np.ndarray,
     chan: np.ndarray,
-    resolved: dict | None,
-    blocking_sync: bool,
 ) -> tuple[dict, list[CollectiveRecord], tuple[TransferRecord, ...]]:
-    """``(timed, collectives, transfers)`` from kernel times, the
-    collectives resolved by the engine's finalizer: what a
-    :func:`simulate_fast` result builds on first read of a record."""
+    """``(timed, collectives, transfers)`` from kernel times and the
+    epilogue's collective ``spans``: what a :func:`simulate_fast` result
+    builds on first read of a record. The send table is in op-id order,
+    which is the ``(src_worker, op_index)`` record order."""
     # Op ids are row-major: id order is the schedule's worker rows in turn.
     ops_flat = [op for row in schedule.worker_ops for op in row]
     op_worker = kernel.op_worker
     timed = {}
     for oid, op in enumerate(ops_flat):
         timed[op.key()] = TimedOp(op, op_worker[oid], start[oid], end[oid])
-
-    sync_members: dict[tuple, list[tuple[int, Operation]]] = {}
-    sync_launches: dict[tuple, dict[int, float]] = {}
-    for group_key, mids in kernel.sync_groups.items():
-        sync_members[group_key] = [(op_worker[m], ops_flat[m]) for m in mids]
-        sync_launches[group_key] = {op_worker[m]: start[m] for m in mids}
 
     num_workers = kernel.num_workers
     transfers: list[TransferRecord] = []
@@ -1349,21 +1347,7 @@ def _records(
                 op_index=kernel.row_pos[oid],
             )
         )
-
-    # The result's scalars came from _iteration_time; only the records of
-    # the finalizer are kept, and they do not read the makespan.
-    collectives, _, _ = _finalize(
-        schedule,
-        cost_model,
-        timed,
-        sync_members,
-        sync_launches,
-        transfers,
-        blocking_sync=blocking_sync,
-        compute_makespan=0.0,
-        resolved=resolved,
-    )
-    return timed, collectives, tuple(transfers)
+    return timed, _collective_records(kernel, spans, start), tuple(transfers)
 
 
 @dataclass(frozen=True)
@@ -1519,14 +1503,14 @@ def _batch_rows(
     makespan = np.zeros(k_total)
     iteration = np.zeros(k_total)
     busy = np.zeros((k_total, kernel.num_workers))
-    #: Per-row wire starts, for the NIC busy runs the finalizer's
+    #: Per-row wire starts, for the NIC busy runs the epilogue's
     #: collective-contention rule reads (contended rows only).
     wire_starts: list[np.ndarray | None] = [None] * k_total
 
     def _fill(rows: list[int], start: "np.ndarray | list", end: np.ndarray) -> None:
         # ``start`` is only ever indexed per row, so the per-row solves
-        # pass their Python lists straight through (row lists also index
-        # faster than ndarrays in _iteration_time's genexprs).
+        # pass their Python lists straight through (the epilogue reads
+        # only the collective members' starts).
         comp = kernel.compute_ids
         makespan_rows = (
             end[:, comp].max(axis=1) if comp.size else np.zeros(len(rows))
@@ -1588,205 +1572,3 @@ def _batch_rows(
 
     return makespan, iteration, busy, tuple(not c for c in contended)
 
-
-def _busy_sends(kernel: ScheduleKernel, occupancy: np.ndarray) -> np.ndarray:
-    """Indices of the sends that occupy a NIC: nonzero occupancy, no host.
-
-    Host transfers ride PCIe, not the NIC, so they never block a
-    collective (the engine's ``nic_busy`` applies the same rule).
-    """
-    return np.flatnonzero((occupancy > 0.0) & (kernel.send_host_dir < 0))
-
-
-def _add_busy(
-    runs: dict[int, tuple[list[float], list[float]]], w: int, s: float, e: float
-) -> None:
-    """Add interval ``[s, e)`` to worker ``w``'s merged busy runs.
-
-    A worker's runs are two sorted lists (starts, ends) of disjoint runs
-    that do not touch, so :func:`_clear_sorted` can binary-search them;
-    the new interval absorbs every run it overlaps or touches.
-    """
-    run = runs.get(w)
-    if run is None:
-        runs[w] = ([s], [e])
-        return
-    starts, ends = run
-    lo = bisect_left(ends, s)
-    hi = bisect_right(starts, e, lo)
-    if lo == hi:
-        starts.insert(lo, s)
-        ends.insert(lo, e)
-        return
-    if starts[lo] < s:
-        s = starts[lo]
-    if ends[hi - 1] > e:
-        e = ends[hi - 1]
-    starts[lo:hi] = [s]
-    ends[lo:hi] = [e]
-
-
-def _busy_runs(
-    kernel: ScheduleKernel,
-    wire_start: np.ndarray,
-    occupancy: np.ndarray,
-    after: float,
-) -> dict[int, tuple[list[float], list[float]]]:
-    """Per-worker merged busy runs of one row's transfers ending after ``after``.
-
-    The runs :func:`_add_busy` builds one interval at a time, built here
-    from one sorted pass: a row's transfers are all known up front, so
-    a vectorized filter keeps the live ones and a lexsort orders them by
-    (worker, start); one Python pass then coalesces each worker's
-    intervals (a per-worker numpy merge costs more than the few live
-    intervals it merges). Each transfer occupies both endpoints'
-    interfaces. A transfer that ends at or before ``after`` (the row's
-    earliest collective ready time) can never push a collective, so it
-    is left out.
-    """
-    busy = _busy_sends(kernel, occupancy)
-    s_one = wire_start[busy]
-    e_one = s_one + occupancy[busy]
-    live = e_one > after
-    busy, s_one, e_one = busy[live], s_one[live], e_one[live]
-    runs: dict[int, tuple[list[float], list[float]]] = {}
-    if not busy.size:
-        return runs
-    workers = np.concatenate([kernel.send_worker[busy], kernel.send_dst_w[busy]])
-    starts = np.concatenate([s_one, s_one])
-    ends = np.concatenate([e_one, e_one])
-    order = np.lexsort((starts, workers))
-    current = None
-    for w, s, e in zip(
-        workers[order].tolist(), starts[order].tolist(), ends[order].tolist()
-    ):
-        if w != current:
-            current = w
-            run_starts, run_ends = runs[w] = ([s], [e])
-        # Coalesce: an interval starting at or before the run's end joins
-        # it (closed intervals, touching merges).
-        elif s > run_ends[-1]:
-            run_starts.append(s)
-            run_ends.append(e)
-        elif e > run_ends[-1]:
-            run_ends[-1] = e
-    return runs
-
-
-def _clear_sorted(
-    start: float,
-    workers,
-    nic: dict[int, tuple[list[float], list[float]]],
-) -> float:
-    """The least time >= ``start`` clear of every member's busy runs.
-
-    The engine's ``_clear_of_transfers`` rescans each transfer interval
-    until none covers ``start``; its answer is the least time not covered
-    by the union of the members' intervals, so binary-searching each
-    worker's merged runs (:func:`_add_busy`) reaches the same value.
-    """
-    moved = True
-    while moved:
-        moved = False
-        for w in workers:
-            iv = nic.get(w)
-            if iv is None:
-                continue
-            starts, ends = iv
-            i = bisect_right(starts, start) - 1
-            if i >= 0 and start < ends[i]:
-                start = ends[i]
-                moved = True
-    return start
-
-
-def _iteration_time(
-    kernel: ScheduleKernel,
-    cost_model: CostModel,
-    start: Sequence[float],
-    end: Sequence[float],
-    compute_makespan: float,
-    *,
-    wire: tuple[np.ndarray, np.ndarray] | None = None,
-    resolved: dict | None = None,
-) -> tuple[float, float, list[tuple]]:
-    """``(iteration time, compute makespan, spans)``: ``_finalize``'s rules.
-
-    The one epilogue of every kernel row, :func:`simulate_fast`'s and
-    :func:`simulate_batch_many`'s: the engine finalizer's collective rules
-    replicated on arrays. ``resolved`` holds the blocking solver's
-    collectives (group key -> ``(start, end)``), taken verbatim as the
-    finalizer takes them; ``None`` means non-blocking. Other collectives
-    sharing a worker are serviced serially in ready-time order, each one
-    pushed past in-flight transfer occupancy on its members' interfaces
-    (``wire``: the row's wire starts and occupancies, present for
-    contended rows; only transfers still busy at the earliest ready time
-    enter the busy runs). For non-blocking rows the overlap-slowdown
-    penalty extends worker finish times (and with them the compute
-    makespan) in the same collective order. ``spans`` is each
-    collective's ``(stage, micro_batches, workers, start, end)``, in
-    ready-time order.
-    """
-    op_worker = kernel.op_worker
-    pending = []
-    ar_cache: dict[tuple, float] = {}
-    for group_key, mids in kernel.sync_groups.items():
-        stage, micro_batches = group_key
-        workers = tuple(op_worker[m] for m in mids)
-        ready = max(start[m] for m in mids)
-        ckey = (stage, workers)
-        cost = ar_cache.get(ckey)
-        if cost is None:
-            cost = cost_model.allreduce_time(stage, workers)
-            ar_cache[ckey] = cost
-        pending.append((ready, stage, micro_batches, workers, cost))
-    pending.sort(key=lambda t: (t[0], t[1], t[2]))
-
-    iteration = compute_makespan
-    link_free: dict[int, float] = {}
-    spans: list[tuple] = []
-    nic_busy = None
-    if wire is not None and pending:
-        nic_busy = _busy_runs(kernel, *wire, after=pending[0][0])
-    for ready, stage, mbs, workers, cost in pending:
-        if resolved is not None and (stage, mbs) in resolved:
-            begin, finish = resolved[(stage, mbs)]
-        else:
-            begin = ready
-            for w in workers:
-                free = link_free.get(w, 0.0)
-                if free > begin:
-                    begin = free
-            if nic_busy:
-                begin = _clear_sorted(begin, workers, nic_busy)
-            finish = begin + cost
-        for w in workers:
-            if finish > link_free.get(w, 0.0):
-                link_free[w] = finish
-        spans.append((stage, mbs, workers, begin, finish))
-        if finish > iteration:
-            iteration = finish
-
-    if cost_model.sync_overlap_slowdown > 0 and spans and resolved is None:
-        worker_end = _worker_compute_end(kernel, end)
-        for _, _, workers, begin, finish in spans:
-            for w in workers:
-                overlap = max(0.0, min(finish, worker_end[w]) - begin)
-                worker_end[w] += cost_model.sync_overlap_slowdown * overlap
-        slowed = max(worker_end) if worker_end else 0.0
-        compute_makespan = max(compute_makespan, slowed)
-        iteration = max(iteration, compute_makespan)
-    return iteration, compute_makespan, spans
-
-
-def _worker_compute_end(kernel: ScheduleKernel, end: Sequence[float]) -> list[float]:
-    """Last compute completion per worker from one kernel row (0.0 for a
-    worker without compute)."""
-    worker_end = np.zeros(kernel.num_workers)
-    wptr = kernel.worker_ptr
-    filled = wptr[1:] > wptr[:-1]
-    if filled.any():
-        worker_end[filled] = np.maximum.reduceat(
-            np.asarray(end)[kernel.compute_by_worker], wptr[:-1][filled]
-        )
-    return worker_end.tolist()

@@ -30,10 +30,9 @@ from repro.schedules.registry import available_schemes
 from repro.sim import kernel as kernel_mod
 from repro.sim.cost import CostModel
 from repro.sim.engine import _clear_of_transfers, _dense_of, simulate
+from repro.sim.epilogue import _add_busy, _busy_runs
 from repro.sim.kernel import (
-    _add_busy,
     _blocking_floors,
-    _busy_runs,
     _serialize_channels,
     kernel_of,
     simulate_batch_many,
@@ -45,6 +44,7 @@ from repro.sim.network import (
     HostChannel,
     LinkSpec,
 )
+from tests.reference_collectives import reference_collectives
 
 ATOL = 1e-9
 
@@ -104,8 +104,19 @@ def pipeline_artifacts(scheme: str, depth: int, n: int, pipeline: str):
     return arts.schedule_for(spec), arts.graph_for(spec)
 
 
-def assert_results_match(ref, got):
-    """Full SimulationResult equivalence to ATOL, transfers included."""
+def assert_results_match(ref, got, *, blocking_sync=False):
+    """Full SimulationResult equivalence to ATOL, transfers included.
+
+    ``ref`` is the event engine's result. Its collectives and scalars
+    must also equal, bitwise, the reference finalizer's run over its
+    own records: both simulators share one collective epilogue, so the
+    comparison with ``got`` alone would not check those rules.
+    """
+    assert reference_collectives(ref, blocking_sync=blocking_sync) == (
+        ref.collectives,
+        ref.compute_makespan,
+        ref.iteration_time,
+    )
     assert got.compute_makespan == pytest.approx(ref.compute_makespan, abs=ATOL)
     assert got.iteration_time == pytest.approx(ref.iteration_time, abs=ATOL)
     assert set(got.timed) == set(ref.timed)
@@ -208,7 +219,9 @@ def test_contended_blocking_matches_event_engine(scheme, n, f, b, beta, duplex):
             simulate_fast(schedule, cm, kernel=kernel_of(graph), blocking_sync=True)
         return
     assert_results_match(
-        ref, simulate_fast(schedule, cm, kernel=kernel_of(graph), blocking_sync=True)
+        ref,
+        simulate_fast(schedule, cm, kernel=kernel_of(graph), blocking_sync=True),
+        blocking_sync=True,
     )
 
 
@@ -516,7 +529,7 @@ def test_chained_blocking_collectives_converge(monkeypatch):
     assert [(c.start, c.end) for c in got.collectives] == [
         (c.start, c.end) for c in ref.collectives
     ]
-    assert_results_match(ref, got)
+    assert_results_match(ref, got, blocking_sync=True)
 
 
 # ----------------------------------------------------- SEND-table telemetry

