@@ -176,7 +176,9 @@ def _invocation(
     """``(scheme, D, N, options)``: the schedule-cache invocation of one
     attempt, shared by :func:`config_artifacts` and the steady-state
     measurement."""
-    options = {**parts.build_options(), **dict(cfg.options)}
+    options = parts.build_options()
+    if cfg.options:
+        options.update(cfg.options)
     return cfg.scheme, cfg.depth, cfg.num_micro_batches(), options
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
+from repro.common.memo import hash_once
 from repro.common.units import GIB
 from repro.sim.network import (
     FlatTopology,
@@ -28,6 +29,7 @@ from repro.sim.network import (
 )
 
 
+@hash_once
 @dataclass(frozen=True)
 class MachineSpec:
     """One accelerator-per-worker cluster model.

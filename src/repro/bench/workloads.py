@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
+from repro.common.memo import hash_once
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,7 @@ class StageProfile:
     weight_state_bytes: float
 
 
+@hash_once
 @dataclass(frozen=True)
 class TransformerSpec:
     """A repetitive-structure transformer language model (paper §3.1).

@@ -12,6 +12,12 @@ list field) is never looked up or stored, so its caller computes it
 every time. Stored values are shared between callers and must be
 immutable. A lock guards every table, so the server's concurrent
 handler threads may share one memo.
+
+The value types those keys are made of (cost and memory models, machine
+and workload specs, links and topologies) hash once per instance
+(:func:`hash_once`): a hot request looks each of them up many times, and
+their generated ``__hash__`` would otherwise recurse through every field
+on every lookup.
 """
 
 from __future__ import annotations
@@ -19,6 +25,43 @@ from __future__ import annotations
 import threading
 import weakref
 from typing import Any, Hashable
+
+
+#: Instance attribute holding a :func:`hash_once` instance's hash.
+_HASH = "_hash_once"
+
+
+def hash_once(cls: type) -> type:
+    """Class decorator: cache the value of ``cls.__hash__`` per instance.
+
+    The hash is the one ``cls`` already defines (a frozen dataclass's
+    generated hash, or a ``_key()`` hash), taken on the first ``hash()``
+    and kept in the instance's ``__dict__``. It is not a field, so
+    ``==``, ``repr``, ``dataclasses.fields``/``asdict``/``replace`` never
+    see it. An instance with an unhashable field raises ``TypeError`` on
+    every call and caches nothing. Pickling drops it: string hashes are
+    salted per process (the planner's spawned workers each have their
+    own seed), so an unpickled instance hashes afresh.
+    """
+    compute = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__[_HASH]
+        except KeyError:
+            value = self.__dict__[_HASH] = compute(self)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if _HASH in state:
+            state = dict(state)
+            del state[_HASH]
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
 
 
 def _hashable(key: object) -> bool:

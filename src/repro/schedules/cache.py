@@ -111,7 +111,7 @@ from repro.schedules.diskcache import DiskCacheStats, DiskScheduleCache, dumps
 from repro.schedules.ir import OpTable, Schedule, SplicedSchedule
 from repro.schedules.lowering import lower_schedule
 from repro.schedules.passes import FuseCommPass, pipeline_signature
-from repro.schedules.passes.pipeline import FUSE_PASS, split_pipeline
+from repro.schedules.passes.pipeline import split_pipeline
 from repro.schedules.registry import (
     build_schedule,
     builder_fingerprint,
@@ -465,10 +465,7 @@ class ScheduleArtifacts:
         Only the pipeline's ``lower_p2p``/``fuse_comm`` tail selects the
         form; its pre-lowering passes are part of the entry's key.
         """
-        tail = split_pipeline(pipeline).tail
-        if FUSE_PASS in tail:
-            return "fused"
-        return "lowered" if tail else "schedule"
+        return split_pipeline(pipeline).form
 
     def schedule_for(self, pipeline: Sequence[str] = ()) -> Schedule:
         """The implicit, lowered, or fused schedule ``pipeline`` runs on."""

@@ -41,10 +41,13 @@ import abc
 from dataclasses import replace
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.common.errors import ConfigurationError, ScheduleError
 from repro.schedules.ir import OpKind, Schedule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.schedules.passes.pipeline import PipelineParts
 
 #: An op's kind as its value string (hashed in C, unlike the member).
 _kind_value = attrgetter("kind._value_")
@@ -218,12 +221,13 @@ class PassManager:
 
     def __init__(self) -> None:
         self._factories: dict[str, Callable[..., SchedulePass]] = {}
-        #: Pipeline specs already validated against this registry, keyed
-        #: by the spec as given (see
-        #: :func:`~repro.schedules.passes.pipeline.normalize_pipeline`).
+        #: Pipeline specs already validated against this registry: the
+        #: :class:`~repro.schedules.passes.pipeline.PipelineParts` of each,
+        #: keyed by the spec as given and by its canonical tuple (see
+        #: :func:`~repro.schedules.passes.pipeline.split_pipeline`).
         #: :meth:`register` clears it: a new factory can change which
         #: specs are valid.
-        self.normalized_specs: dict[object, tuple[str, ...]] = {}
+        self.normalized_specs: dict[object, PipelineParts] = {}
 
     def register(
         self,

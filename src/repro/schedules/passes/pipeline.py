@@ -24,7 +24,9 @@ mirroring unknown-scheme errors).
 part, ``recompute`` included, is the ``passes`` option of
 :func:`~repro.schedules.cache.schedule_artifacts` that keys a cache
 entry, and the ``lower_p2p``/``fuse_comm`` tail selects its derived
-form.
+form (:attr:`PipelineParts.form`). Both functions read one memo on the
+pass manager, which maps each spec to its parts, so a spec the process
+has seen is validated, ordered and split once.
 
 :func:`attempt_pipelines` is the one rule for the memory-relief axes,
 shared by the harness and the planner: the pipeline is the *base*, a
@@ -37,7 +39,7 @@ split the attempts once (per request or configuration) and pass the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.common.errors import ConfigurationError
@@ -57,8 +59,8 @@ FUSE_PASS = "fuse_comm"
 #: string, or a sequence of pass specs.
 PipelineSpec = "str | Sequence[str] | None"
 
-#: Distinct specs a pass manager's normalization memo keeps before it
-#: starts over.
+#: Keys a pass manager's spec memo keeps before it starts over (each
+#: spec keys it as given and as its canonical tuple).
 SPEC_MEMO_SIZE = 1024
 
 
@@ -79,19 +81,91 @@ def normalize_pipeline(
     ones), bad pass arguments, duplicates, or ``fuse_comm`` without
     ``lower_p2p``.
 
-    The canonical form of each spec is memoized on ``manager`` (bounded
-    at :data:`SPEC_MEMO_SIZE`); a spec that raises is never memoized.
+    Reads the same memo as :func:`split_pipeline`.
+    """
+    return split_pipeline(spec, manager=manager).pipeline()
+
+
+@dataclass(frozen=True)
+class PipelineParts:
+    """A canonical pipeline, decomposed for the artifact cache.
+
+    ``base`` is the pre-lowering part, ``recompute`` at its head (e.g.
+    ``("recompute", "offload")``) — the ``passes=`` option of
+    :func:`~repro.schedules.cache.schedule_artifacts`, which keys a
+    cache entry. ``tail`` is the ``lower_p2p``/``fuse_comm`` suffix,
+    which selects the entry's derived form rather than keying a new
+    entry. The other fields derive from those two when the parts are
+    made, and take no part in ``==`` or ``repr``.
+    """
+
+    base: tuple[str, ...] = ()
+    tail: tuple[str, ...] = ()
+    #: Does the pipeline include the recompute pass?
+    recompute: bool = field(init=False, repr=False, compare=False)
+    #: Does the pipeline include the offload pass?
+    offload: bool = field(init=False, repr=False, compare=False)
+    #: The schedule form the pipeline runs on: ``"schedule"`` (implicit
+    #: communication), ``"lowered"`` or ``"fused"``.
+    form: str = field(init=False, repr=False, compare=False)
+    _canonical: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names = {_spec_name(s) for s in self.base}
+        if FUSE_PASS in self.tail:
+            form = "fused"
+        else:
+            form = "lowered" if self.tail else "schedule"
+        object.__setattr__(self, "recompute", RECOMPUTE_PASS in names)
+        object.__setattr__(self, "offload", OFFLOAD_PASS in names)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "_canonical", self.base + self.tail)
+
+    def pipeline(self) -> tuple[str, ...]:
+        """The canonical pipeline tuple."""
+        return self._canonical
+
+    def build_options(self) -> dict[str, object]:
+        """Builder/cache options for the pre-lowering part of the spec:
+        ``{"passes": base}``, or ``{}`` when there is no such part (so a
+        pass-less pipeline keys the no-options entry)."""
+        return {"passes": self.base} if self.base else {}
+
+
+def split_pipeline(
+    spec: str | Sequence[str] | None, *, manager: PassManager | None = None
+) -> PipelineParts:
+    """Validate and decompose a pipeline spec (see :func:`normalize_pipeline`).
+
+    The parts of each spec are memoized on ``manager``
+    (``manager.normalized_specs``, bounded at :data:`SPEC_MEMO_SIZE` keys
+    and cleared by :meth:`~repro.schedules.passes.base.PassManager.register`),
+    keyed by the spec as given and by its canonical tuple: every spelling
+    of one pipeline shares one :class:`PipelineParts`. A spec that raises
+    is never memoized.
     """
     manager = manager or DEFAULT_PASS_MANAGER
     if spec is None:
-        return ()
+        spec = ()
     # Materialize once: a one-shot iterable is both the key and the input.
-    key = spec if isinstance(spec, str) else spec_items(spec)
+    key = spec if isinstance(spec, (str, tuple)) else spec_items(spec)
     memo = manager.normalized_specs
-    canonical = memo.get(key)
-    if canonical is not None:
-        return canonical
-    specs = spec_items(key)
+    try:
+        parts = memo.get(key)
+    except TypeError:  # an unhashable item: _split names it
+        parts = None
+    if parts is None:
+        parts = _split(key, manager)
+        parts = memo.get(parts.pipeline(), parts)
+        if len(memo) >= SPEC_MEMO_SIZE - 1:
+            memo.clear()
+        memo[key] = memo[parts.pipeline()] = parts
+    return parts
+
+
+def _split(spec: str | tuple[str, ...], manager: PassManager) -> PipelineParts:
+    """Validate ``spec`` against ``manager`` and split its canonical form."""
+    specs = spec_items(spec)
     seen: set[str] = set()
     head: list[str] = []
     middle: list[str] = []
@@ -117,57 +191,7 @@ def normalize_pipeline(
             f"creates)"
         )
     tail.sort(key=lambda item: _spec_name(item) == FUSE_PASS)
-    canonical = tuple(head + middle + tail)
-    if len(memo) >= SPEC_MEMO_SIZE:
-        memo.clear()
-    memo[key] = canonical
-    return canonical
-
-
-@dataclass(frozen=True)
-class PipelineParts:
-    """A canonical pipeline, decomposed for the artifact cache.
-
-    ``base`` is the pre-lowering part, ``recompute`` at its head (e.g.
-    ``("recompute", "offload")``) — the ``passes=`` option of
-    :func:`~repro.schedules.cache.schedule_artifacts`, which keys a
-    cache entry. ``tail`` is the ``lower_p2p``/``fuse_comm`` suffix,
-    which selects the entry's derived form rather than keying a new
-    entry.
-    """
-
-    base: tuple[str, ...] = ()
-    tail: tuple[str, ...] = ()
-
-    def _has(self, name: str) -> bool:
-        return any(_spec_name(s) == name for s in self.base)
-
-    @property
-    def recompute(self) -> bool:
-        """Does the pipeline include the recompute pass?"""
-        return self._has(RECOMPUTE_PASS)
-
-    @property
-    def offload(self) -> bool:
-        """Does the pipeline include the offload pass?"""
-        return self._has(OFFLOAD_PASS)
-
-    def pipeline(self) -> tuple[str, ...]:
-        """Reassemble the canonical pipeline tuple."""
-        return self.base + self.tail
-
-    def build_options(self) -> dict[str, object]:
-        """Builder/cache options for the pre-lowering part of the spec:
-        ``{"passes": base}``, or ``{}`` when there is no such part (so a
-        pass-less pipeline keys the no-options entry)."""
-        return {"passes": self.base} if self.base else {}
-
-
-def split_pipeline(spec: str | Sequence[str] | None) -> PipelineParts:
-    """Decompose a pipeline spec (normalizing it first)."""
-    canonical = normalize_pipeline(spec)
-    tail = tuple(s for s in canonical if _spec_name(s) in (LOWER_PASS, FUSE_PASS))
-    return PipelineParts(base=canonical[: len(canonical) - len(tail)], tail=tail)
+    return PipelineParts(base=tuple(head + middle), tail=tuple(tail))
 
 
 def attempt_pipelines(

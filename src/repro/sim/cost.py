@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.common.errors import ConfigurationError
+from repro.common.memo import hash_once
 from repro.schedules.ir import Operation, OpKind
 from repro.sim.collectives import allreduce_cost
 from repro.sim.network import (
@@ -28,6 +29,7 @@ from repro.sim.network import (
 Topology = FlatTopology | HierarchicalTopology
 
 
+@hash_once
 @dataclass(frozen=True)
 class CostModel:
     """Durations and communication costs for one simulated configuration.

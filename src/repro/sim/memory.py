@@ -51,13 +51,13 @@ this accounting — Figure 9 is regenerated from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from repro.common.errors import MemoryModelError
-from repro.common.memo import WeakMemo
+from repro.common.memo import WeakMemo, hash_once
 from repro.schedules.ir import (
     BACKWARD_CODE,
     BACKWARD_INPUT_CODE,
@@ -82,6 +82,7 @@ def _per_stage(value: Sequence[float] | float, stage: int, what: str) -> float:
         ) from None
 
 
+@hash_once
 @dataclass(frozen=True)
 class MemoryModel:
     """Byte sizes per stage.
@@ -145,28 +146,33 @@ class WorkerMemory:
 
 @dataclass(frozen=True)
 class MemoryReport:
-    """Per-worker memory plus distribution summaries (Figure 9)."""
+    """Per-worker memory plus distribution summaries (Figure 9).
+
+    The summaries are taken once, when the report is made: reports are
+    memoized and shared (:func:`analyze_memory`), and every memory-fit
+    decision reads them. They take no part in ``==`` or ``repr``.
+    """
 
     workers: tuple[WorkerMemory, ...]
+    #: Largest device-tier total across workers.
+    peak_bytes: float = field(init=False, repr=False, compare=False)
+    #: Smallest device-tier total across workers.
+    min_bytes: float = field(init=False, repr=False, compare=False)
+    #: Largest host-tier peak across workers (0 without offload).
+    host_peak_bytes: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def peak_bytes(self) -> float:
-        return max(w.total_bytes for w in self.workers)
-
-    @property
-    def min_bytes(self) -> float:
-        return min(w.total_bytes for w in self.workers)
+    def __post_init__(self) -> None:
+        totals = [w.total_bytes for w in self.workers]
+        object.__setattr__(self, "peak_bytes", max(totals))
+        object.__setattr__(self, "min_bytes", min(totals))
+        host = max(w.host_peak_bytes for w in self.workers)
+        object.__setattr__(self, "host_peak_bytes", host)
 
     @property
     def imbalance(self) -> float:
         """max / min total memory across workers (1.0 = perfectly balanced)."""
         lo = self.min_bytes
         return self.peak_bytes / lo if lo > 0 else float("inf")
-
-    @property
-    def host_peak_bytes(self) -> float:
-        """Largest host-tier peak across workers (0 without offload)."""
-        return max(w.host_peak_bytes for w in self.workers)
 
     def fits(
         self, capacity_bytes: float, host_capacity_bytes: float | None = None

@@ -35,11 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.memo import hash_once
 
 #: Valid values for a topology's ``duplex`` mode.
 DUPLEX_MODES = ("full", "half")
 
 
+@hash_once
 @dataclass(frozen=True)
 class LinkSpec:
     """One link class in the alpha-beta model.
@@ -112,6 +114,7 @@ def _channel_id_array(
     return src * num_workers + dst
 
 
+@hash_once
 @dataclass(frozen=True)
 class HostChannel:
     """One worker's host↔device copy engine (PCIe-class link).
@@ -169,6 +172,7 @@ class HostChannel:
         return ("host", worker, "h2d" if code else "d2h")
 
 
+@hash_once
 class FlatTopology:
     """All worker pairs share one link class.
 
@@ -229,6 +233,7 @@ class FlatTopology:
         return self.link
 
 
+@hash_once
 class HierarchicalTopology:
     """Fast intra-node links, slower inter-node links.
 

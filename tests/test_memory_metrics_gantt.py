@@ -77,6 +77,30 @@ class TestMemoryModel:
         assert report.fits(report.peak_bytes)
         assert not report.fits(report.peak_bytes - 0.5)
 
+    def test_summaries_are_taken_when_the_report_is_made(self):
+        """A report's peaks are fields filled at construction (reports are
+        memoized and shared, so each is summarized once), equal to the
+        per-worker max/min, and invisible to ``==`` and ``repr``."""
+        from dataclasses import replace
+
+        from repro.sim.memory import MemoryReport
+
+        report = analyze_memory(
+            build_schedule("chimera", 4, 8, passes="offload"),
+            MemoryModel(activation_bytes=1.0, weight_bytes=0.5),
+        )
+        totals = [w.total_bytes for w in report.workers]
+        assert vars(report)["peak_bytes"] == max(totals)
+        assert vars(report)["min_bytes"] == min(totals)
+        assert vars(report)["host_peak_bytes"] == max(
+            w.host_peak_bytes for w in report.workers
+        )
+        assert report.host_peak_bytes > 0
+        assert report == MemoryReport(workers=report.workers)
+        assert repr(report) == f"MemoryReport(workers={report.workers!r})"
+        first = replace(report, workers=report.workers[:1])
+        assert first.peak_bytes == first.workers[0].total_bytes
+
     def test_fits_absorbs_float_accumulation_drift(self):
         """A peak assembled by float additions must not be rejected against
         an exactly-equal budget: 0.1 + 0.2 > 0.3 in binary floats, and the

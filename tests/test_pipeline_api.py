@@ -19,9 +19,13 @@ from repro.cli import main as cli_main
 from repro.common.errors import ConfigurationError
 from repro.common.units import GIB, parse_gib
 from repro.perf.planner import PlanRequest, plan_configurations, plan_many
-from repro.schedules.cache import ScheduleCache, schedule_artifacts
+from repro.schedules.cache import ScheduleArtifacts, ScheduleCache, schedule_artifacts
 from repro.schedules.passes import FillBubblesPass, resolve_pipeline
-from repro.schedules.passes.base import PassManager, SchedulePass
+from repro.schedules.passes.base import (
+    PassManager,
+    SchedulePass,
+    pipeline_signature,
+)
 from repro.schedules.passes.pipeline import (
     SPEC_MEMO_SIZE,
     PipelineParts,
@@ -154,6 +158,86 @@ class TestNormalizeMemo:
         for i in range(SPEC_MEMO_SIZE + 10):
             assert normalize_pipeline(f"tag:{i}", manager=manager) == (f"tag:{i}",)
         assert len(manager.normalized_specs) <= SPEC_MEMO_SIZE
+
+
+class TestSpecMemo:
+    """One memo per pass manager maps a spec to its :class:`PipelineParts`
+    (canonical form, recompute/offload, schedule form), computed once."""
+
+    def test_equal_spellings_share_one_parts(self):
+        spellings = (
+            "offload, lower_p2p,recompute",
+            ["lower_p2p", "offload", "recompute"],
+            ("recompute", "offload", "lower_p2p"),
+            iter(["offload", "recompute", "lower_p2p"]),
+        )
+        parts = {id(split_pipeline(spec)) for spec in spellings}
+        assert len(parts) == 1
+        (one,) = {split_pipeline(spec) for spec in spellings[:3]}
+        assert normalize_pipeline(spellings[0]) is one.pipeline()
+        assert (one.recompute, one.offload, one.form) == (True, True, "lowered")
+
+    def test_pass_arguments_are_part_of_the_spelling(self):
+        """``insert_sync`` and ``insert_sync:lazy`` build the same schedule
+        and key one cache entry (their pass signatures agree), but the
+        canonical form keeps the spec as written, so each has its own
+        parts, shared by its own spellings."""
+        bare, lazy = split_pipeline("insert_sync"), split_pipeline("insert_sync:lazy")
+        assert bare.pipeline() == ("insert_sync",)
+        assert lazy.pipeline() == ("insert_sync:lazy",)
+        assert split_pipeline(["insert_sync"]) is bare
+        assert split_pipeline(("insert_sync:lazy",)) is lazy
+        assert pipeline_signature(bare.base) == pipeline_signature(lazy.base)
+
+    @pytest.mark.parametrize(
+        "spec, form",
+        [
+            ((), "schedule"),
+            ("recompute", "schedule"),
+            ("lower_p2p", "lowered"),
+            ("offload,lower_p2p,fuse_comm", "fused"),
+        ],
+    )
+    def test_derived_fields(self, spec, form):
+        parts = split_pipeline(spec)
+        assert parts.form == form == ScheduleArtifacts._form(spec)
+        assert parts.recompute == ("recompute" in parts.base)
+        assert parts.offload == ("offload" in parts.base)
+        assert parts == PipelineParts(base=parts.base, tail=parts.tail)
+        assert repr(parts) == (
+            f"PipelineParts(base={parts.base!r}, tail={parts.tail!r})"
+        )
+
+    def test_none_is_the_empty_pipeline(self):
+        assert split_pipeline(None) is split_pipeline(()) is split_pipeline("")
+
+    def test_register_clears_the_memo(self):
+        manager = PassManager()
+        manager.register("tag", TagPass)
+        first = split_pipeline("tag:x", manager=manager)
+        assert split_pipeline("tag:x", manager=manager) is first
+        manager.register("other", TagPass)
+        assert manager.normalized_specs == {}
+        again = split_pipeline("tag:x", manager=manager)
+        assert again == first and again is not first
+
+    def test_a_spec_that_raises_is_not_stored(self):
+        manager = PassManager()
+        manager.register("tag", PlainTagPass)
+        for spec in ("tag:x", ["tag", "tag"], ("bogus",), "tag,bogus", (["tag"],)):
+            with pytest.raises(ConfigurationError):
+                split_pipeline(spec, manager=manager)
+        assert manager.normalized_specs == {}
+
+    def test_memo_stays_within_its_size(self):
+        manager = PassManager()
+        manager.register("tag", TagPass)
+        split_pipeline(("tag",), manager=manager)  # canonical: one key
+        for i in range(SPEC_MEMO_SIZE + 10):
+            # A string spelling keys the memo twice: as given and canonical.
+            parts = split_pipeline(f"tag:{i}", manager=manager)
+            assert split_pipeline((f"tag:{i}",), manager=manager) is parts
+            assert len(manager.normalized_specs) <= SPEC_MEMO_SIZE
 
 
 # ------------------------------------------------------- one spelling

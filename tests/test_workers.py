@@ -78,6 +78,28 @@ class TestParity:
             assert got.ok == want.ok
             assert got.entries == want.entries
 
+    def test_equal_requests_collapse_across_processes(self, pool, monkeypatch):
+        """Requests reach the workers pickled, and the machine and workload
+        specs in them cache their hashes; the cache stays behind, so a
+        worker's memo lookups see its own hashes. Equal requests (equal,
+        not identical, objects) still collapse to one planned request."""
+        submitted = []
+        submit = pool.submit_plan
+
+        def spy(shard):
+            submitted.extend(shard)
+            return submit(shard)
+
+        monkeypatch.setattr(pool, "submit_plan", spy)
+        requests = [request(), request(mini_batch=32), request(), request()]
+        for req in requests:
+            hash(req.machine), hash(req.workload)
+        pooled = plan_many(requests, pool=pool)
+        assert submitted == [request(), request(mini_batch=32)]
+        assert pooled[0] is pooled[2] is pooled[3]
+        reference = plan_many(requests, max_workers=1)
+        assert [o.entries for o in pooled] == [o.entries for o in reference]
+
     def test_error_messages_match_exactly(self, pool):
         requests = [
             request(num_workers=1),

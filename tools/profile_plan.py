@@ -50,12 +50,13 @@ calibrations, the planner's floor memo): only a miss runs Python code.
 hot mode's schedule cache has no disk tier; ``--cold`` enables one in a
 temporary directory. The payloads come from ``benchmarks/e2e/streams.py``
 (imported, never modified). The driver is ``tools/profile_driver.py``.
-Standard library only. CI's lint job runs ``--cold --requests 1`` and
-``--warm --requests 1`` as smokes. From the repository root:
+Standard library only. CI's lint job runs ``--warmup 2 --requests 4``,
+``--cold --requests 1`` and ``--warm --requests 1`` as smokes. From the
+repository root:
 
     python tools/profile_plan.py
     python tools/profile_plan.py --requests 600 --rounds 4 --no-profile
-    python tools/profile_plan.py --function device_floor --function label
+    python tools/profile_plan.py --function split_pipeline --function label
     python tools/profile_plan.py --cold
     python tools/profile_plan.py --warm --rounds 3
 """
@@ -85,18 +86,23 @@ from repro.serve import PlannerService  # noqa: E402
 from repro.serve.service import parse_plan_request  # noqa: E402
 from repro.sim import memory  # noqa: E402
 
-#: Functions reported by default: the planner's layers on a hot request.
+#: Functions reported by default: the planner's layers on a hot request,
+#: and the lookups each candidate makes (spec memo, memory report,
+#: schedule-cache key, kernel).
 FUNCTIONS = (
     "plan_many",
     "_prune_request",
     "_device_floor",
-    "device_floor",
-    "_weight_bytes",
     "first_fit",
+    "memory_report",
+    "config_artifacts",
+    "key",
+    "kernel_for",
     "_rank",
     "rank_by_throughput",
     "label",
     "split_pipeline",
+    "normalize_pipeline",
     "entry_to_json",
 )
 
