@@ -18,11 +18,13 @@ form) materialize lazily. What stays resident is schedules, kernels and
 the schedule's memory profile (:meth:`ScheduleArtifacts.memory_profile`,
 which every memory model the entry is analyzed under prices): dict
 dependency graphs are transient build inputs, dropped once a form's
-kernel exists and rebuilt on demand. The lowered form stays lowering's
-:class:`~repro.schedules.ir.SplicedSchedule`, its op table, until a
-caller asks for it as a schedule (:meth:`ScheduleArtifacts.schedule_for`
-or :meth:`~ScheduleArtifacts.graph_for`): building its kernel and
-writing the entry to disk make no SEND/RECV ``Operation``. The cache is
+kernel exists and rebuilt on demand. The lowered form, and a pass
+variant's schedule when its passes only insert ops (``recompute``,
+``offload``), are table-backed
+(:meth:`~repro.schedules.ir.Schedule.from_table`) until a caller reads
+their ops (:meth:`ScheduleArtifacts.graph_for` does): compiling the
+memory profile, building a lowered kernel and writing the entry to disk
+make no inserted ``Operation``. The cache is
 a bounded LRU keyed on ``(scheme, depth, num_micro_batches,
 sorted(options))`` — the options map covers chunking/variant knobs such
 as Chimera's ``concat`` and ``num_down_pipelines`` and the zero-bubble
@@ -97,8 +99,8 @@ from __future__ import annotations
 import pickle
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields, replace
-from itertools import chain, repeat
+from dataclasses import dataclass, fields
+from itertools import chain, count, repeat
 from types import MappingProxyType
 from typing import Callable, Sequence
 
@@ -108,7 +110,7 @@ from repro.common.errors import ReproError
 from repro.common.gcpause import collector_paused
 from repro.schedules.dependencies import DependencyGraph, build_dependency_graph
 from repro.schedules.diskcache import DiskCacheStats, DiskScheduleCache, dumps
-from repro.schedules.ir import OpTable, Schedule, SplicedSchedule
+from repro.schedules.ir import OpTable, Schedule
 from repro.schedules.lowering import lower_schedule
 from repro.schedules.passes import FuseCommPass, pipeline_signature
 from repro.schedules.passes.pipeline import split_pipeline
@@ -128,10 +130,11 @@ DEFAULT_MAX_ENTRIES = 128
 
 
 def _freeze(schedule: Schedule) -> Schedule:
-    """Return ``schedule`` with a read-only metadata mapping."""
+    """Return ``schedule`` with a read-only metadata mapping (a
+    table-backed schedule stays table-backed)."""
     if isinstance(schedule.metadata, MappingProxyType):
         return schedule
-    return replace(schedule, metadata=MappingProxyType(dict(schedule.metadata)))
+    return schedule.restamp(MappingProxyType(dict(schedule.metadata)))
 
 
 #: The op-table columns a forms blob stores per row (a row's worker and
@@ -153,37 +156,42 @@ def _narrow(column: np.ndarray) -> np.ndarray:
     )
 
 
-def _pack_forms(forms: dict[str, Schedule | SplicedSchedule]) -> dict:
+def _pack_forms(forms: dict[str, Schedule]) -> dict:
     """The content of a forms blob (disk formats 6 and 7): per form, its
     schedule fields, row lengths and op table. An op an earlier form
     holds is stored as a reference instead of a row: ``shared`` gives its
     index among the earlier forms' ops (their rows in turn), ``-1`` for
-    the form's own rows, whose columns ``ops`` holds in row order. A
-    :class:`~repro.schedules.ir.SplicedSchedule` packs from its table:
-    its reused rows reference its source form's ops, and only a form
-    packed after it makes its ops."""
+    the form's own rows, whose columns ``ops`` holds in row order. A form
+    spliced from an earlier one (its ``splice``) packs from its table,
+    its reused rows referencing that form's ops; only a form made from
+    rows, after an earlier form, makes the earlier forms' ops to find
+    the ones it shares."""
     packed = {}
+    held = list(forms.values())
     index: dict[int, int] = {}  # id(op) -> an index of the op so far
+    indexed = 0  # how many of the held forms ``index`` covers
     start: dict[int, int] = {}  # id(form) -> the index of its first op
     offset = 0  # how many ops the earlier forms hold
-    last = len(forms) - 1
     for position, (name, form) in enumerate(forms.items()):
         table = form.op_table()
-        if isinstance(form, SplicedSchedule):
-            described, flat = form.source, None
-            shared = np.full(len(form.reused), -1, dtype=np.int64)
-            shared[form.reused] = start[id(form.source)] + np.arange(
-                int(form.reused.sum())
-            )
-        else:
-            described, flat = form, list(chain.from_iterable(form.worker_ops))
+        shared = np.full(len(table.kind), -1, dtype=np.int64)
+        splice = form.splice
+        if splice is not None and id(splice[0]) in start:
+            source, reused = splice
+            shared[reused] = start[id(source)] + np.arange(int(reused.sum()))
+        elif position:
+            for earlier in held[indexed:position]:
+                flat = chain.from_iterable(earlier.worker_ops)
+                index.update(zip(map(id, flat), count(start[id(earlier)])))
+            indexed = position
+            flat = list(chain.from_iterable(form.worker_ops))
             shared = np.fromiter(
                 map(index.get, map(id, flat), repeat(-1)), np.int64, len(flat)
             )
         own = table.take(shared < 0)
         packed[name] = {
             "schedule": {
-                **{field: getattr(described, field) for field in _SCHEDULE_FIELDS},
+                **{field: getattr(form, field) for field in _SCHEDULE_FIELDS},
                 "metadata": form.metadata,
             },
             "rows": _narrow(np.bincount(table.worker, minlength=form.num_workers)),
@@ -193,10 +201,6 @@ def _pack_forms(forms: dict[str, Schedule | SplicedSchedule]) -> dict:
             },
         }
         start[id(form)] = offset
-        if position < last:  # a later form may hold this form's ops
-            if flat is None:
-                flat = list(chain.from_iterable(form.schedule.worker_ops))
-            index.update(zip(map(id, flat), range(offset, offset + len(flat))))
         offset += len(shared)
     return packed
 
@@ -240,10 +244,9 @@ class ScheduleArtifacts:
 
     The resident and persisted forms are the schedule forms, the array
     kernels and the memory profile (:meth:`memory_profile`). The lowered
-    form is held as lowering's
-    :class:`~repro.schedules.ir.SplicedSchedule` and made into a
-    schedule when :meth:`schedule_for` or :meth:`graph_for` first asks
-    for it. Dependency graphs are transient: lowering and kernel
+    form is lowering's table-backed schedule, whose ops are made when a
+    caller of :meth:`schedule_for` or :meth:`graph_for` first reads
+    them. Dependency graphs are transient: lowering and kernel
     construction read them (lowering returns the lowered graph with the
     lowered form, so a lowered entry builds one graph, not two),
     :meth:`kernel_for` drops them once its kernel exists, and
@@ -279,10 +282,9 @@ class ScheduleArtifacts:
         persist: "Callable[[ScheduleArtifacts], None] | None" = None,
         rebuild: Callable[[], Schedule] | None = None,
     ):
-        #: Form name -> schedule (the lowered one as lowering's
-        #: :class:`~repro.schedules.ir.SplicedSchedule` until read); None
-        #: while a restored entry holds only the ``_blob`` of its forms.
-        self._forms: dict[str, Schedule | SplicedSchedule] | None = (
+        #: Form name -> schedule; None while a restored entry holds only
+        #: the ``_blob`` of its forms.
+        self._forms: dict[str, Schedule] | None = (
             {"schedule": _freeze(schedule)} if schedule is not None else None
         )
         self._blob: bytes | None = None
@@ -359,7 +361,7 @@ class ScheduleArtifacts:
             arts._memory_profile = profile
         return arts
 
-    def _held_forms(self) -> dict[str, Schedule | SplicedSchedule]:
+    def _held_forms(self) -> dict[str, Schedule]:
         """Form name -> schedule for every form the entry holds; a
         restored entry decodes its blob here, all forms at once (or
         rebuilds its schedule when the blob does not decode)."""
@@ -416,8 +418,7 @@ class ScheduleArtifacts:
             )
         if form not in forms:
             self._graph(form)
-        held = forms[form]
-        return held if isinstance(held, Schedule) else held.schedule
+        return forms[form]
 
     def _graph(self, form: str) -> DependencyGraph:
         """Dependency graph of schedule form ``form``. A lowered form the
@@ -436,7 +437,7 @@ class ScheduleArtifacts:
 
         graph = self._memo(self._graphs, form, lower)
         with self._lock:
-            self._forms.setdefault(form, graph.form)
+            self._forms.setdefault(form, graph.schedule)
         return graph
 
     def memory_profile(self):

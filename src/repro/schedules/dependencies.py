@@ -60,8 +60,9 @@ validator's acyclicity check read the tables; this builder stays the
 reference that the splice is tested against. The ``OpKey``-keyed
 ``location``/``deps`` dicts and the :class:`Edge` iterators are views,
 built on first use, for the readers that think in op keys: the
-bubble-filling pass and the tests. A lowered graph's ``schedule`` and
-``ops_flat`` are views too, so its SEND/RECV ops exist only once read.
+bubble-filling pass and the tests. A lowered graph's ``schedule`` is
+table-backed, so its SEND/RECV ops exist only once its ops (or
+``ops_flat``) are read.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.schedules.ir import Operation, OpKind, OpTable, Schedule, SplicedSchedule
+from repro.schedules.ir import Operation, OpKind, OpTable, Schedule
 
 OpKey = tuple
 
@@ -144,11 +145,9 @@ class DependencyGraph:
 
     Attributes
     ----------
-    form:
-        The schedule the graph describes: the :class:`Schedule` it was
-        built from, or lowering's :class:`~repro.schedules.ir.
-        SplicedSchedule`, which holds the lowered schedule as its op
-        table until :attr:`schedule` is read.
+    schedule:
+        The schedule the graph describes (lowering's is table-backed, see
+        :meth:`~repro.schedules.ir.Schedule.from_table`).
     op_worker / row_pos:
         Op id ``i`` runs at position ``row_pos[i]`` of worker
         ``op_worker[i]``. Ids are row-major; row ``i`` of :attr:`table`
@@ -159,12 +158,13 @@ class DependencyGraph:
         (an index into :data:`EDGE_KINDS`) and its payload units.
 
     ``==`` compares the schedules, their ops and the tables.
-    :attr:`schedule`, :attr:`ops_flat`, :attr:`location`, :attr:`deps`,
-    :meth:`edges` and :meth:`transfer_edges` are views, built on first
-    use; a lowered graph makes its SEND/RECV ops only then.
+    :attr:`ops_flat`, :attr:`location`, :attr:`deps`, :meth:`edges` and
+    :meth:`transfer_edges` are views, built on first use; a lowered
+    graph makes its SEND/RECV ops only when one of them, or the
+    schedule's ops, are read.
     """
 
-    form: Schedule | SplicedSchedule
+    schedule: Schedule
     op_worker: list[int]
     row_pos: list[int]
     dep_ptr: list[int]
@@ -175,12 +175,7 @@ class DependencyGraph:
     @property
     def table(self) -> OpTable:
         """The ops as numpy columns, row ``i`` op id ``i``."""
-        return self.form.op_table()
-
-    @cached_property
-    def schedule(self) -> Schedule:
-        form = self.form
-        return form if isinstance(form, Schedule) else form.schedule
+        return self.schedule.op_table()
 
     @cached_property
     def ops_flat(self) -> list[Operation]:
@@ -601,7 +596,7 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
         dep_ptr.append(len(dep_src))
 
     return DependencyGraph(
-        form=schedule,
+        schedule=schedule,
         op_worker=op_worker,
         row_pos=row_pos,
         dep_ptr=dep_ptr,

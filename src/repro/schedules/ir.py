@@ -41,12 +41,17 @@ Design notes
   read the columns instead of walking ``Operation`` objects, and the
   disk tier stores tables, not pickled ops (:meth:`OpTable.operations`
   rebuilds the objects).
+* A schedule can also be made from a table (:meth:`Schedule.from_table`):
+  the passes that only insert ops (recompute, offload) and lowering
+  splice their rows into the input's table (:meth:`OpTable.insert`) and
+  return such a *table-backed* schedule, whose ``worker_ops`` are built
+  on first read, reusing the input's ops by identity.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -404,6 +409,45 @@ class OpTable:
             mb=self.mb[np.repeat(rows, counts)],
         )
 
+    def insert(
+        self, before: np.ndarray, added: "OpTable"
+    ) -> tuple["OpTable", np.ndarray]:
+        """This table with ``added``'s rows inserted, and the mask of this
+        table's rows in the result.
+
+        Row ``j`` of ``added`` goes to worker ``added.worker[j]``, just
+        before this table's row ``before[j]``, or after the worker's last
+        row when ``before[j]`` is a later worker's row (or ``len(self)``).
+        Rows inserted at one place keep their order in ``added``;
+        ``added.pos`` is not read.
+        """
+        n, m = len(self.kind), len(added.kind)
+        # Row i sits in slot 2i + 1 of its worker, an added row in the
+        # slot just before its row: 2 * before[j].
+        slot = np.concatenate((2 * np.arange(n) + 1, 2 * np.asarray(before, np.int64)))
+        worker = np.concatenate((self.worker, added.worker))
+        order = np.argsort(worker * np.int64(2 * n + 2) + slot, kind="stable")
+
+        def merged(name: str) -> np.ndarray:
+            return np.concatenate((getattr(self, name), getattr(added, name)))[order]
+
+        worker = worker[order]
+        row_len = np.bincount(worker)
+        counts = np.concatenate((np.diff(self.mb_ptr), np.diff(added.mb_ptr)))[order]
+        starts = np.concatenate((self.mb_ptr[:-1], added.mb_ptr[:-1] + len(self.mb)))
+        mb_ptr = np.zeros(n + m + 1, np.int32)
+        np.cumsum(counts, out=mb_ptr[1:])
+        table = OpTable(
+            **{name: merged(name) for name in _ROW_COLUMNS},
+            worker=worker,
+            pos=(np.arange(n + m) - (np.cumsum(row_len) - row_len)[worker]).astype(
+                np.int32
+            ),
+            mb_ptr=mb_ptr,
+            mb=np.concatenate((self.mb, added.mb))[expand_runs(starts[order], counts)],
+        )
+        return table, order < n
+
     def operations(self) -> list[Operation]:
         """The table's ops as new objects, built the way unpickling builds
         them: ``__new__`` plus the ``__dict__``, no ``__post_init__`` (a
@@ -435,6 +479,50 @@ class OpTable:
         return ops
 
 
+#: The per-row columns of an :class:`OpTable` besides its row's place
+#: (``worker``, ``pos``) and its micro-batches (``mb_ptr``, ``mb``).
+_ROW_COLUMNS = (
+    "kind", "replica", "stage", "part_index", "part_count", "recompute", "payload"
+)
+
+
+def whole_rows(
+    kind: np.ndarray,
+    worker: np.ndarray,
+    replica: np.ndarray,
+    stage: np.ndarray,
+    mb_len: np.ndarray,
+    mb: np.ndarray,
+    payload: int = 0,
+) -> OpTable:
+    """The table of new whole-micro-batch ops (part ``(0, 1)``, no
+    recompute flag, one ``payload`` code), for :meth:`OpTable.insert`:
+    row ``i`` has kind code ``kind[i]`` and the next ``mb_len[i]``
+    micro-batches of ``mb``. Positions are left zero."""
+    n = len(kind)
+    mb_ptr = np.zeros(n + 1, np.int32)
+    np.cumsum(mb_len, out=mb_ptr[1:])
+    return OpTable(
+        worker=np.asarray(worker, np.int32),
+        pos=np.zeros(n, np.int32),
+        kind=np.asarray(kind, np.int8),
+        replica=np.asarray(replica, np.int16),
+        stage=np.asarray(stage, np.int16),
+        mb_ptr=mb_ptr,
+        mb=np.asarray(mb, np.int32),
+        part_index=np.zeros(n, np.int16),
+        part_count=np.ones(n, np.int16),
+        recompute=np.zeros(n, bool),
+        payload=np.full(n, payload, np.int8),
+    )
+
+
+def expand_runs(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The indices ``start[i] + j`` for ``j < length[i]``, run after run."""
+    offsets = np.cumsum(length) - length
+    return np.repeat(start - offsets, length) + np.arange(int(length.sum()))
+
+
 @dataclass(frozen=True)
 class Schedule:
     """A complete static pipeline schedule for one training iteration.
@@ -455,6 +543,12 @@ class Schedule:
         for the asynchronous PipeDream family.
     metadata:
         Builder-specific annotations (e.g. concatenation strategy).
+
+    A schedule is made from its rows (builders) or from an op table
+    (:meth:`from_table`: the passes that only insert ops, and lowering).
+    A table-backed schedule answers :meth:`op_table`, :meth:`count` and
+    every field but :attr:`worker_ops` without making an op, and builds
+    :attr:`worker_ops` on first read.
     """
 
     scheme: str
@@ -473,11 +567,75 @@ class Schedule:
         if self.num_micro_batches < 1:
             raise ScheduleError("a schedule must cover at least one micro-batch")
 
+    @classmethod
+    def from_table(
+        cls,
+        table: OpTable,
+        like: "Schedule",
+        metadata: Mapping[str, object],
+        *,
+        reused: np.ndarray | None = None,
+    ) -> "Schedule":
+        """A schedule held as ``table`` until its ops are read.
+
+        It has ``like``'s scheme, placement, micro-batch count and
+        synchrony, and ``metadata``. Rows ``reused`` (a boolean mask) of
+        ``table`` are ``like``'s ops in row-major order; :attr:`worker_ops`,
+        built on first read, reuses those ops by identity and makes every
+        other row with :meth:`OpTable.operations`. Without ``reused``
+        every row is made. The table must describe a valid schedule: it
+        is not checked again.
+        """
+        schedule = object.__new__(cls)
+        schedule.__dict__.update(
+            {name: getattr(like, name) for name in _LIKE_FIELDS},
+            metadata=metadata,
+            _op_table=table,
+        )
+        if reused is not None:
+            schedule.__dict__.update(_source=like, _reused=reused)
+        return schedule
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: a table-backed
+        # schedule's ops before their first read.
+        state = self.__dict__
+        if name != "worker_ops" or "_op_table" not in state:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        table = state["_op_table"]
+        reused = state.get("_reused")
+        if reused is None:
+            flat = table.operations()
+        else:
+            ops = np.empty(len(reused), dtype=object)
+            ops[reused] = list(chain.from_iterable(state["_source"].worker_ops))
+            ops[~reused] = table.take(~reused).operations()
+            flat = ops.tolist()
+        ends = np.cumsum(np.bincount(table.worker, minlength=self.num_workers)).tolist()
+        rows = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends[:-1]], ends))
+        return state.setdefault("worker_ops", rows)  # a racing build is dropped
+
+    @property
+    def splice(self) -> tuple["Schedule", np.ndarray] | None:
+        """``(source, reused)`` of a schedule :meth:`from_table` made with
+        a reused-row mask (``source`` is its ``like``), else None."""
+        state = self.__dict__
+        return (state["_source"], state["_reused"]) if "_reused" in state else None
+
     def __getstate__(self) -> dict:
-        """Pickled state without the cached :meth:`op_table`."""
-        state = dict(self.__dict__)
-        state.pop("_op_table", None)
-        return state
+        """Pickled state: the fields, ops built, without the cached
+        :meth:`op_table` or a table-backed schedule's source."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def restamp(self, metadata: Mapping[str, object]) -> "Schedule":
+        """A copy with ``metadata`` that shares this schedule's ops, its
+        cached :meth:`op_table` and, while its ops are unbuilt, its
+        table backing."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, metadata=metadata)
+        return copy
 
     def op_table(self) -> OpTable:
         """The ops as numpy columns, built in one walk on first use and
@@ -523,7 +681,7 @@ class Schedule:
 
     def count(self, kind: OpKind) -> int:
         """Total number of operations of ``kind`` in the schedule."""
-        return sum(1 for _, op in self.all_ops() if op.kind is kind)
+        return int(np.count_nonzero(self.op_table().kind == _KIND_CODE[kind.value]))
 
     def replicas_hosted_by(self, worker: int) -> tuple[tuple[int, int], ...]:
         """All ``(replica, stage)`` pairs placed on ``worker``."""
@@ -531,9 +689,7 @@ class Schedule:
 
     def with_metadata(self, **extra: object) -> "Schedule":
         """Return a copy with ``extra`` merged into :attr:`metadata`."""
-        merged = dict(self.metadata)
-        merged.update(extra)
-        return replace(self, metadata=merged)
+        return self.restamp({**self.metadata, **extra})
 
     def describe(self) -> str:
         """One-line summary used in harness tables and error messages.
@@ -551,66 +707,8 @@ class Schedule:
         )
 
 
-class SplicedSchedule:
-    """A schedule held as its op table until something reads its ops.
-
-    Rows ``reused`` (a boolean mask) of ``table`` are ``source``'s ops,
-    in ``source``'s row-major order; every other row is an op of this
-    schedule alone. Lowering returns one (the source's ops plus SEND/RECV
-    rows). It answers what kernels and the disk tier read, the table and
-    the schedule's counts, without making an op. :attr:`schedule` is the
-    :class:`Schedule`, built on first read: ``source``'s fields with
-    ``metadata``, ``source``'s ops reused by identity, the other rows made
-    by :meth:`OpTable.operations`, and :meth:`Schedule.op_table` already
-    holding ``table``.
-    """
-
-    def __init__(
-        self,
-        source: Schedule,
-        table: OpTable,
-        reused: np.ndarray,
-        metadata: Mapping[str, object],
-    ):
-        self.source = source
-        self.table = table
-        self.reused = reused
-        self.metadata = metadata
-
-    def op_table(self) -> OpTable:
-        return self.table
-
-    @property
-    def num_micro_batches(self) -> int:
-        return self.source.num_micro_batches
-
-    @property
-    def num_stages(self) -> int:
-        return self.source.num_stages
-
-    @property
-    def num_workers(self) -> int:
-        return self.source.num_workers
-
-    @property
-    def schedule(self) -> Schedule:
-        """The schedule, built once (a racing build is dropped)."""
-        schedule = self.__dict__.get("_schedule")
-        if schedule is None:
-            ops = np.empty(len(self.reused), dtype=object)
-            ops[self.reused] = list(chain.from_iterable(self.source.worker_ops))
-            ops[~self.reused] = self.table.take(~self.reused).operations()
-            flat = ops.tolist()
-            ends = np.cumsum(np.bincount(self.table.worker, minlength=self.num_workers))
-            bounds = zip([0, *ends[:-1].tolist()], ends.tolist())
-            built = replace(
-                self.source,
-                worker_ops=tuple(tuple(flat[a:b]) for a, b in bounds),
-                metadata=self.metadata,
-            )
-            object.__setattr__(built, "_op_table", self.table)
-            schedule = self.__dict__.setdefault("_schedule", built)
-        return schedule
+#: The fields :meth:`Schedule.from_table` takes from its ``like``.
+_LIKE_FIELDS = ("scheme", "placement", "num_micro_batches", "synchronous")
 
 
 def freeze_worker_ops(rows: Sequence[Iterable[Operation]]) -> tuple[tuple[Operation, ...], ...]:

@@ -47,11 +47,11 @@ own edge scan.
 
 The lowered ops are spliced the same way, into the implicit schedule's
 :class:`~repro.schedules.ir.OpTable` under the same renumbering, and no
-``Operation`` is made for them: the graph's ``form`` is a
-:class:`~repro.schedules.ir.SplicedSchedule`, and its ``schedule``
-(the implicit ops reused by identity, the comm ops made from their
-table rows) is built only when something reads it. Kernel construction
-and the disk tier read the table alone.
+``Operation`` is made for them: the graph's ``schedule`` is
+table-backed (:meth:`~repro.schedules.ir.Schedule.from_table`), and
+its ops (the implicit ops reused by identity, the comm ops made from
+their table rows) are built only when something reads them. Kernel
+construction and the disk tier read the table alone.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from repro.schedules.ir import (
     SEND_CODE,
     OpTable,
     Schedule,
-    SplicedSchedule,
+    expand_runs,
 )
 
 _ACT, _GRAD = PAYLOADS.index("act"), PAYLOADS.index("grad")
@@ -104,10 +104,11 @@ def lower_schedule(
     -------
     DependencyGraph
         The lowered schedule's dependency graph. Its ``schedule`` is the
-        lowered schedule, built on first read: the same compute ops in
-        the same order, comm ops inserted, and ``metadata["lowered"] =
-        True`` (read-only when ``schedule``'s metadata is). Its
-        ``table`` is the lowered op table, spliced without making an op.
+        lowered schedule, table-backed (its ops are built on first
+        read): the same compute ops in the same order, comm ops
+        inserted, and ``metadata["lowered"] = True`` (read-only when
+        ``schedule``'s metadata is). Its ``table`` is the lowered op
+        table, spliced without making an op.
 
     Raises
     ------
@@ -172,11 +173,11 @@ def lower_schedule(
     # Each message's candidate micro-batches: the consumer's, kept where
     # the producer covers them too.
     edge = np.repeat(np.arange(num), mb_len[c_dst])
-    taken = _expand(mb_ptr[c_dst], mb_len[c_dst])
+    taken = expand_runs(mb_ptr[c_dst], mb_len[c_dst])
     shared = table.mb[taken].astype(np.int64)
     span = int(table.mb.max(initial=0)) + 1
     covered = np.repeat(np.arange(num), mb_len[c_src]) * span + table.mb[
-        _expand(mb_ptr[c_src], mb_len[c_src])
+        expand_runs(mb_ptr[c_src], mb_len[c_src])
     ]
     keep = np.isin(edge * span + shared, covered)
     edge, shared = edge[keep], shared[keep]
@@ -192,8 +193,10 @@ def lower_schedule(
     new_mb_ptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(length, out=new_mb_ptr[1:])
     new_mb = np.empty(int(new_mb_ptr[-1]), dtype=np.int32)
-    new_mb[_expand(new_mb_ptr[new_id], mb_len)] = table.mb
-    new_mb[_expand(new_mb_ptr[comm], length[comm])] = np.concatenate((shared, shared))
+    new_mb[expand_runs(new_mb_ptr[new_id], mb_len)] = table.mb
+    new_mb[expand_runs(new_mb_ptr[comm], length[comm])] = np.concatenate(
+        (shared, shared)
+    )
 
     def column(values: np.ndarray, comm_values: np.ndarray) -> np.ndarray:
         out = np.empty(size, dtype=values.dtype)
@@ -254,7 +257,7 @@ def lower_schedule(
     reused = np.zeros(size, dtype=bool)
     reused[new_id] = True
     return DependencyGraph(
-        form=SplicedSchedule(schedule, lowered_table, reused, metadata),
+        schedule=Schedule.from_table(lowered_table, schedule, metadata, reused=reused),
         op_worker=op_worker.tolist(),
         row_pos=row_pos.tolist(),
         dep_ptr=new_ptr.tolist(),
@@ -263,8 +266,3 @@ def lower_schedule(
         dep_units=new_units.tolist(),
     )
 
-
-def _expand(start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The indices ``start[i] + j`` for ``j < length[i]``, run after run."""
-    offsets = np.cumsum(length) - length
-    return np.repeat(start - offsets, length) + np.arange(int(length.sum()))

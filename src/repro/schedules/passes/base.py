@@ -38,13 +38,14 @@ and cache keys without touching any other layer.
 from __future__ import annotations
 
 import abc
-from dataclasses import replace
 from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError, ScheduleError
-from repro.schedules.ir import OpKind, Schedule
+from repro.schedules.ir import RECV_CODE, OpKind, OpTable, Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedules.passes.pipeline import PipelineParts
@@ -92,6 +93,36 @@ def schedule_facts(schedule: Schedule) -> set[str]:
     return facts
 
 
+def mb_entries(
+    table: OpTable, *, per_worker: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One entry per micro-batch an op covers, in row order: the op's
+    row, the micro-batch, and one int64 key of the op's ``(replica,
+    stage)`` and the micro-batch (and of the op's worker before them
+    when ``per_worker``). The table-reading passes match stashes by it."""
+    row = np.repeat(np.arange(len(table.kind)), np.diff(table.mb_ptr))
+    mb = table.mb.astype(np.int64)
+    stages = int(table.stage.max(initial=0)) + 1
+    span = int(mb.max(initial=0)) + 1
+    key = (table.replica[row].astype(np.int64) * stages + table.stage[row]) * span
+    key += mb
+    if per_worker:
+        replicas = int(table.replica.max(initial=0)) + 1
+        key += table.worker[row].astype(np.int64) * (replicas * stages * span)
+    return row, mb, key
+
+
+def before_recvs(table: OpTable, rows: np.ndarray) -> np.ndarray:
+    """For each of ``rows``, the first row of the run of ``RECV`` rows
+    directly in front of it on its worker, or the row itself when there
+    is none: an op inserted there precedes the row's just-in-time
+    receives (if lowering already ran)."""
+    ids = np.arange(len(table.kind))
+    last_other = np.maximum.accumulate(np.where(table.kind != RECV_CODE, ids, -1))
+    previous = np.concatenate(([-1], last_other[:-1]))
+    return np.maximum(previous[rows] + 1, rows - table.pos[rows])
+
+
 class SchedulePass(abc.ABC):
     """One ``Schedule -> Schedule`` transform with declared ordering facts.
 
@@ -116,7 +147,8 @@ class SchedulePass(abc.ABC):
         return ()
 
     def signature(self) -> str:
-        """Stable identity string: ``name`` or ``name:k=v,...``.
+        """Stable identity string: ``name`` or ``name:k=v[:k2=v2...]``,
+        itself a spec that :meth:`PassManager.create` accepts.
 
         Depends only on the pass's configuration, never on runtime state,
         so it is safe inside cache keys.
@@ -124,7 +156,7 @@ class SchedulePass(abc.ABC):
         params = self.params()
         if not params:
             return self.name
-        opts = ",".join(f"{k}={v}" for k, v in sorted(params))
+        opts = ":".join(f"{k}={v}" for k, v in sorted(params))
         return f"{self.name}:{opts}"
 
     @abc.abstractmethod
@@ -202,9 +234,10 @@ class PassPipeline:
         if self.passes:
             # "passes" is always the last key, so passes run in two steps
             # leave the same metadata, in the same order, as in one.
+            # A restamp keeps a table-backed schedule table-backed.
             metadata = dict(current.metadata)
             metadata["passes"] = tuple(metadata.pop("passes", ())) + self.signature()
-            current = replace(current, metadata=metadata)
+            current = current.restamp(metadata)
         return current
 
 
@@ -247,7 +280,15 @@ class PassManager:
         return tuple(sorted(self._factories))
 
     def create(self, spec: str) -> SchedulePass:
-        """Instantiate one pass from its spec string."""
+        """Instantiate one pass from its spec string.
+
+        A spec is the pass name, then colon-separated arguments, each a
+        value (``insert_sync:eager``, passed in order) or ``name=value``
+        (``offload:min_gap=3``, passed by keyword), so a pass's
+        :meth:`~SchedulePass.signature` is a spec. The factory gets the
+        values as strings. An argument the factory rejects raises
+        :class:`~repro.common.errors.ConfigurationError` naming the spec.
+        """
         name, _, rest = spec.strip().partition(":")
         factory = self._factories.get(name)
         if factory is None:
@@ -255,12 +296,19 @@ class PassManager:
                 f"unknown schedule pass {name!r}; available: "
                 f"{list(self.available())}"
             )
-        args = [a for a in rest.split(":") if a] if rest else []
+        args: list[str] = []
+        kwargs: dict[str, str] = {}
+        for arg in filter(None, rest.split(":")):
+            key, eq, value = arg.partition("=")
+            if eq:
+                kwargs[key.strip()] = value.strip()
+            else:
+                args.append(arg)
         try:
-            return factory(*args)
-        except TypeError:
+            return factory(*args, **kwargs)
+        except (TypeError, ValueError, ScheduleError) as err:
             raise ConfigurationError(
-                f"bad arguments for pass {name!r} in spec {spec!r}"
+                f"bad arguments for pass {name!r} in spec {spec!r}: {err}"
             ) from None
 
     def pipeline(self, specs: str | Sequence[str] | None) -> PassPipeline:

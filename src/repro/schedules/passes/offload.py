@@ -40,20 +40,47 @@ reloads the stashed stage *input* before the RECOMPUTE op; offload-then-
 recompute inserts the RECOMPUTE between the RELOAD and the backward
 (recompute's insertion skips only RECVs). Run it before ``lower_p2p`` /
 ``fuse_comm`` — the canonical pipeline position (see ``docs/passes.md``).
+
+Like the recompute pass, it plans and inserts on the input's op table
+and returns a table-backed schedule: a stash consumer is a column mask,
+and the OFFLOAD/RELOAD ops exist only once something reads the output's
+ops. ``tests/reference_passes.py`` keeps the object-based form.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import numpy as np
 
 from repro.common.errors import ScheduleError
-from repro.schedules.ir import Operation, OpKind, Schedule, freeze_worker_ops
-from repro.schedules.passes.base import OFFLOAD, SchedulePass
+from repro.schedules.ir import (
+    BACKWARD_CODE,
+    BACKWARD_INPUT_CODE,
+    BACKWARD_WEIGHT_CODE,
+    FORWARD_CODE,
+    OFFLOAD_CODE,
+    PAYLOADS,
+    RECOMPUTE_CODE,
+    RELOAD_CODE,
+    OpKind,
+    OpTable,
+    Schedule,
+    whole_rows,
+)
+from repro.schedules.passes.base import (
+    OFFLOAD,
+    SchedulePass,
+    before_recvs,
+    mb_entries,
+)
 
-
-def _is_stash_consumer(op: Operation) -> bool:
-    """Ops that need the stash resident on the device."""
-    return op.is_backward or op.is_backward_weight or op.is_recompute
+#: Kind codes of the ops that need the stash resident on the device.
+_STASH_CONSUMERS = (
+    BACKWARD_CODE,
+    BACKWARD_INPUT_CODE,
+    BACKWARD_WEIGHT_CODE,
+    RECOMPUTE_CODE,
+)
+_STASH = PAYLOADS.index("stash")
 
 
 class OffloadPass(SchedulePass):
@@ -74,92 +101,59 @@ class OffloadPass(SchedulePass):
             return ()
         return (("min_gap", self.min_gap),)
 
-    def _plan(
-        self, schedule: Schedule
-    ) -> tuple[dict[tuple, list[int]], dict[tuple, list[int]]]:
-        """Insertion plan: micro-batches to offload after each forward and
-        to reload before each first consumer (keyed by ``op.key()``)."""
-        # Stashes already offloaded: idempotence.
-        covered: set[tuple[int, int, int]] = set()
-        for _, op in schedule.all_ops():
-            if op.is_offload:
-                for mb in op.micro_batches:
-                    covered.add((op.replica, op.stage, mb))
-
-        offload_after: dict[tuple, list[int]] = {}
-        reload_before: dict[tuple, list[int]] = {}
-        for ops in schedule.worker_ops:
-            fwd_at: dict[tuple[int, int, int], tuple[int, Operation]] = {}
-            first_use: dict[tuple[int, int, int], tuple[int, Operation]] = {}
-            for pos, op in enumerate(ops):
-                if op.is_forward:
-                    for mb in op.micro_batches:
-                        fwd_at[(op.replica, op.stage, mb)] = (pos, op)
-                elif _is_stash_consumer(op):
-                    for mb in op.micro_batches:
-                        key = (op.replica, op.stage, mb)
-                        if key not in first_use:
-                            first_use[key] = (pos, op)
-            for key, (fpos, fwd) in fwd_at.items():
-                if key in covered or key not in first_use:
-                    continue
-                cpos, consumer = first_use[key]
-                if cpos - fpos - 1 < self.min_gap:
-                    continue  # back-to-back: offloading saves nothing
-                offload_after.setdefault(fwd.key(), []).append(key[2])
-                reload_before.setdefault(consumer.key(), []).append(key[2])
-        return offload_after, reload_before
+    def _plan(self, table: OpTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Insertion plan, one entry per offloaded stash: the row of its
+        (last) forward, the row of its first consumer on the worker, and
+        its micro-batch."""
+        row, mb, key = mb_entries(table, per_worker=True)
+        kind = table.kind[row]
+        forward = np.flatnonzero(kind == FORWARD_CODE)[::-1]
+        consumer = np.flatnonzero(np.isin(kind, _STASH_CONSUMERS))
+        fwd_keys, last = np.unique(key[forward], return_index=True)
+        use_keys, first = np.unique(key[consumer], return_index=True)
+        keys, f, c = np.intersect1d(
+            fwd_keys, use_keys, assume_unique=True, return_indices=True
+        )
+        fwd_entry = forward[last[f]]
+        fwd, use = row[fwd_entry], row[consumer[first[c]]]
+        # Stashes already offloaded: idempotence. A back-to-back pair
+        # would save nothing.
+        keep = ~np.isin(keys, key[kind == OFFLOAD_CODE])
+        keep &= use - fwd - 1 >= self.min_gap
+        return fwd[keep], use[keep], mb[fwd_entry[keep]]
 
     def run(self, schedule: Schedule) -> Schedule:
-        offload_after, reload_before = self._plan(schedule)
-        rows: list[list[Operation]] = []
-        for ops in schedule.worker_ops:
-            row: list[Operation] = []
-            for op in ops:
-                for mb in sorted(reload_before.get(op.key(), ())):
-                    reload = Operation(
-                        OpKind.RELOAD,
-                        op.replica,
-                        op.stage,
-                        micro_batches=(mb,),
-                        payload="stash",
-                    )
-                    # Slot the reload before the consumer's just-in-time
-                    # RECVs (if lowering already ran), mirroring the
-                    # recompute pass's insertion idiom.
-                    at = len(row)
-                    while at > 0 and row[at - 1].kind is OpKind.RECV:
-                        at -= 1
-                    row.insert(at, reload)
-                row.append(op)
-                for mb in sorted(offload_after.get(op.key(), ())):
-                    row.append(
-                        Operation(
-                            OpKind.OFFLOAD,
-                            op.replica,
-                            op.stage,
-                            micro_batches=(mb,),
-                            payload="stash",
-                        )
-                    )
-            rows.append(row)
-        return replace(
+        table = schedule.op_table()
+        fwd, use, mb = self._plan(table)
+        # Offloads right after their forward, then reloads before their
+        # consumer's just-in-time RECVs (if lowering already ran); at one
+        # place, in micro-batch order.
+        by_fwd, by_use = np.lexsort((mb, fwd)), np.lexsort((mb, use))
+        hosts = np.concatenate((fwd[by_fwd], use[by_use]))
+        added = whole_rows(
+            np.repeat([OFFLOAD_CODE, RELOAD_CODE], len(mb)),
+            table.worker[hosts],
+            table.replica[hosts],
+            table.stage[hosts],
+            np.ones(len(hosts), np.int64),
+            np.concatenate((mb[by_fwd], mb[by_use])),
+            payload=_STASH,
+        )
+        before = np.concatenate((fwd[by_fwd] + 1, before_recvs(table, use[by_use])))
+        spliced, reused = table.insert(before, added)
+        return Schedule.from_table(
+            spliced,
             schedule,
-            worker_ops=freeze_worker_ops(rows),
-            metadata={**dict(schedule.metadata), "offload": True},
+            {**dict(schedule.metadata), "offload": True},
+            reused=reused,
         )
 
     def check(self, before: Schedule, after: Schedule) -> None:
-        offload_after, reload_before = self._plan(before)
-        wanted = sum(len(mbs) for mbs in offload_after.values())
+        wanted = len(self._plan(before.op_table())[2])
         offloads = after.count(OpKind.OFFLOAD) - before.count(OpKind.OFFLOAD)
         reloads = after.count(OpKind.RELOAD) - before.count(OpKind.RELOAD)
         if offloads != wanted or reloads != wanted:
             raise ScheduleError(
                 f"offload pass planned {wanted} stash offload(s) but "
                 f"inserted {offloads} OFFLOAD / {reloads} RELOAD op(s)"
-            )
-        if wanted and sum(len(m) for m in reload_before.values()) != wanted:
-            raise ScheduleError(
-                "offload pass planned mismatched offload/reload sets"
             )

@@ -29,15 +29,34 @@ builder. Insertion skips backwards any contiguous run of ``RECV`` ops
 directly in front of the backward, which makes the pass commute *exactly*
 (op-for-op) with ``lower_p2p`` and ``fuse_comm``; the property tests
 assert it.
+
+The pass plans and inserts on the input's op table
+(:meth:`~repro.schedules.ir.Schedule.op_table`) and returns a
+table-backed schedule (:meth:`~repro.schedules.ir.Schedule.from_table`):
+it makes no ``Operation``, and the RECOMPUTE ops exist only once
+something reads the output's ops. ``tests/reference_passes.py`` keeps
+the object-based form of the pass that the parity tests compare
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import numpy as np
 
 from repro.common.errors import ScheduleError
-from repro.schedules.ir import Operation, OpKind, Schedule, freeze_worker_ops
-from repro.schedules.passes.base import RECOMPUTE, SchedulePass
+from repro.schedules.ir import (
+    BACKWARD_CODE,
+    BACKWARD_INPUT_CODE,
+    RECOMPUTE_CODE,
+    Schedule,
+    whole_rows,
+)
+from repro.schedules.passes.base import (
+    RECOMPUTE,
+    SchedulePass,
+    before_recvs,
+    mb_entries,
+)
 
 
 class RecomputePass(SchedulePass):
@@ -47,76 +66,55 @@ class RecomputePass(SchedulePass):
     provides = frozenset({RECOMPUTE})
 
     def run(self, schedule: Schedule) -> Schedule:
+        table = schedule.op_table()
+        row, mb, key = mb_entries(table)
+        kind = table.kind[row]
+        backward = (kind == BACKWARD_CODE) | (kind == BACKWARD_INPUT_CODE)
         # Micro-batches already rematerialized (explicit op) or charged
         # in-op (flag): idempotence and composition with flag-based
         # builders both fall out of skipping them.
-        covered: set[tuple[int, int, int]] = set()
-        for _, op in schedule.all_ops():
-            if op.is_recompute or (op.is_backward and op.recompute):
-                for mb in op.micro_batches:
-                    covered.add((op.replica, op.stage, mb))
-
+        covered = key[(kind == RECOMPUTE_CODE) | (backward & table.recompute[row])]
         # The first backward part of each (replica, stage, mb) hosts the
-        # insertion; group mbs per target op so a multi-micro-batch
-        # backward gets one covering RECOMPUTE.
-        seen: set[tuple[int, int, int]] = set()
-        mbs_for: dict[tuple, list[int]] = {}
-        for _, ops in enumerate(schedule.worker_ops):
-            for op in ops:
-                if not op.is_backward:
-                    continue
-                for mb in op.micro_batches:
-                    key = (op.replica, op.stage, mb)
-                    if key in seen or key in covered:
-                        continue
-                    seen.add(key)
-                    mbs_for.setdefault(op.key(), []).append(mb)
-
-        rows: list[list[Operation]] = []
-        for ops in schedule.worker_ops:
-            row: list[Operation] = []
-            for op in ops:
-                mbs = mbs_for.get(op.key())
-                if mbs:
-                    remat = Operation(
-                        OpKind.RECOMPUTE,
-                        op.replica,
-                        op.stage,
-                        micro_batches=tuple(mbs),
-                    )
-                    # Slot the rematerialization before the backward's
-                    # just-in-time RECVs (if lowering already ran) so
-                    # recompute∘lower == lower∘recompute op-for-op.
-                    at = len(row)
-                    while at > 0 and row[at - 1].kind is OpKind.RECV:
-                        at -= 1
-                    row.insert(at, remat)
-                row.append(op)
-            rows.append(row)
-        return replace(
+        # insertion; a multi-micro-batch backward gets one covering
+        # RECOMPUTE, its micro-batches in the op's order.
+        candidates = np.flatnonzero(backward & ~np.isin(key, covered))
+        _, first = np.unique(key[candidates], return_index=True)
+        chosen = np.sort(candidates[first])
+        hosts, mb_len = np.unique(row[chosen], return_counts=True)
+        added = whole_rows(
+            np.full(len(hosts), RECOMPUTE_CODE),
+            table.worker[hosts],
+            table.replica[hosts],
+            table.stage[hosts],
+            mb_len,
+            mb[chosen],
+        )
+        # Slot the rematerialization before the backward's just-in-time
+        # RECVs (if lowering already ran) so recompute∘lower ==
+        # lower∘recompute op-for-op.
+        spliced, reused = table.insert(before_recvs(table, hosts), added)
+        return Schedule.from_table(
+            spliced,
             schedule,
-            worker_ops=freeze_worker_ops(rows),
-            metadata={**dict(schedule.metadata), "recompute": True},
+            {**dict(schedule.metadata), "recompute": True},
+            reused=reused,
         )
 
     def check(self, before: Schedule, after: Schedule) -> None:
-        needed: set[tuple[int, int, int]] = set()
-        have: set[tuple[int, int, int]] = set()
-        for _, op in after.all_ops():
-            if op.is_backward:
-                for mb in op.micro_batches:
-                    key = (op.replica, op.stage, mb)
-                    if op.recompute:
-                        have.add(key)
-                    else:
-                        needed.add(key)
-            elif op.is_recompute:
-                for mb in op.micro_batches:
-                    have.add((op.replica, op.stage, mb))
-        uncovered = needed - have
-        if uncovered:
+        table = after.op_table()
+        row, mb, key = mb_entries(table)
+        kind = table.kind[row]
+        backward = (kind == BACKWARD_CODE) | (kind == BACKWARD_INPUT_CODE)
+        flagged = table.recompute[row]
+        have = key[(kind == RECOMPUTE_CODE) | (backward & flagged)]
+        uncovered = np.flatnonzero(backward & ~flagged & ~np.isin(key, have))
+        if len(uncovered):
+            example = min(
+                (int(table.replica[row[i]]), int(table.stage[row[i]]), int(mb[i]))
+                for i in uncovered
+            )
+            count = len(np.unique(key[uncovered]))
             raise ScheduleError(
-                f"recompute pass left {len(uncovered)} backward(s) without "
-                f"rematerialization, e.g. (replica, stage, mb) = "
-                f"{sorted(uncovered)[0]}"
+                f"recompute pass left {count} backward(s) without "
+                f"rematerialization, e.g. (replica, stage, mb) = {example}"
             )

@@ -186,11 +186,11 @@ class ScheduleKernel:
     """
 
     def __init__(self, graph: DependencyGraph):
-        form, table = graph.form, graph.table
+        schedule, table = graph.schedule, graph.table
         total = len(table.kind)
         self.total = total
-        self.num_stages = form.num_stages
-        self.num_micro_batches = form.num_micro_batches
+        self.num_stages = schedule.num_stages
+        self.num_micro_batches = schedule.num_micro_batches
         self.op_worker = graph.op_worker
         #: Position of each op in its worker's row (ids are row-major, so
         #: an op's row successor is id + 1).
@@ -288,7 +288,7 @@ class ScheduleKernel:
         # (half-duplex host channels route to the fixed point instead; see
         # :func:`_inline_fifo_ok`) — which keeps a worker's OFFLOADs off
         # the worker-pair diagonal id a network send would use.
-        num_workers = form.num_workers
+        num_workers = schedule.num_workers
         chan_full = self.send_worker * num_workers + self.send_dst_w
         if self.has_host_sends:
             host = self.send_host_dir >= 0
@@ -408,7 +408,7 @@ class ScheduleKernel:
         comp_worker = ops["worker"][self.compute_ids]
         by_worker = np.argsort(comp_worker, kind="stable")
         self.compute_by_worker = self.compute_ids[by_worker]
-        self.num_workers = form.num_workers
+        self.num_workers = schedule.num_workers
         self.worker_ptr = np.searchsorted(
             comp_worker[by_worker], np.arange(self.num_workers + 1)
         )

@@ -893,9 +893,11 @@ class TestLoweredFormOnDemand:
         made["walks"] = 0
 
         lowered = arts.schedule_for(PIPELINE)
+        assert made["rows"] == []  # table-backed: its ops are made when read
+        ops = [op for _, op in lowered.all_ops()]
         assert self.comm(made["validated"]) == []
         made_comm = self.comm(made["rows"])
-        assert made_comm == self.comm(op for _, op in lowered.all_ops())
+        assert made_comm == self.comm(ops)
         assert len(made["rows"]) == len(made_comm)  # implicit ops reused
         assert arts.schedule_for(PIPELINE) is lowered
         table = lowered.op_table()

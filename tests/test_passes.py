@@ -84,7 +84,9 @@ class TestManager:
             resolve_pipeline("no_such_pass")
 
     def test_bad_pass_args(self):
-        with pytest.raises(ScheduleError, match="lazy.*eager"):
+        with pytest.raises(
+            ConfigurationError, match="'insert_sync:sometimes'.*lazy.*eager"
+        ):
             resolve_pipeline("insert_sync:sometimes")
         with pytest.raises(ConfigurationError, match="bad arguments"):
             resolve_pipeline("lower_p2p:extra")
@@ -92,6 +94,43 @@ class TestManager:
         # unit reference model, so "fill_bubbles" names all of it.
         with pytest.raises(ConfigurationError, match="bad arguments"):
             resolve_pipeline("fill_bubbles:x")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *DEFAULT_PASS_MANAGER.available(),
+            "insert_sync:eager",
+            "insert_sync:mode=eager",
+            "offload:3",
+            "offload:min_gap=3",
+        ],
+    )
+    def test_signature_round_trips_through_create(self, spec):
+        made = DEFAULT_PASS_MANAGER.create(spec)
+        again = DEFAULT_PASS_MANAGER.create(made.signature())
+        assert type(again) is type(made)
+        assert again.signature() == made.signature()
+
+    def test_recorded_passes_feed_back(self):
+        s = build_schedule("gpipe", 2, 3, passes="offload:min_gap=2")
+        assert s.metadata["passes"] == ("insert_sync:mode=lazy", "offload:min_gap=2")
+        again = build_schedule("gpipe", 2, 3, passes=s.metadata["passes"][1:])
+        assert again.worker_ops == s.worker_ops
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "offload:x",
+            "offload:0",
+            "offload:min_gap=0",
+            "offload:gap=3",
+            "insert_sync:mode=sometimes",
+            "insert_sync:eager:mode=lazy",
+        ],
+    )
+    def test_bad_values_name_the_spec(self, spec):
+        with pytest.raises(ConfigurationError, match=f"in spec {spec!r}"):
+            resolve_pipeline(spec)
 
     def test_spec_spellings_share_a_signature(self):
         a = resolve_pipeline("recompute,lower_p2p,fuse_comm")

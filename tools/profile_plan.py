@@ -25,13 +25,15 @@ emptied, and so are the planner's row and memory-report memos. The
 profile then reports the build layers (:func:`build_layer`): every
 function of ``repro.schedules`` (the builders, the passes, lowering,
 dependency graphs, the cache and its disk tier), kernel construction
-and the memory-profile compile, and then one line counting the
-``Operation`` objects the profiled pass made: validated ones
-(``Operation.__post_init__`` calls) and rows made from op tables
+and the memory-profile compile, and then the ``Operation`` objects the
+profiled pass made: validated ones (``Operation.__post_init__`` calls)
+and rows made from op tables
 (:meth:`~repro.schedules.ir.OpTable.operations`, which skips
-``__post_init__``):
+``__post_init__``), in total and then per :class:`OpKind`:
 
     operations  <total>  (<n> __post_init__, <m> from tables)
+      kind  validated  from tables
+      <KIND>  <n>  <m>
 
 With ``--warm``, the stream is first planned once, untimed, as
 ``--cold`` plans it, into a temporary disk tier; each round then empties
@@ -67,10 +69,10 @@ import argparse
 import itertools
 import os
 import pathlib
-import pstats
 import sys
 import tempfile
 import time
+from collections import Counter
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -81,7 +83,7 @@ import profile_driver  # noqa: E402
 import streams  # noqa: E402
 from repro.perf import planner  # noqa: E402
 from repro.schedules.cache import clear_schedule_cache  # noqa: E402
-from repro.schedules.ir import Operation, OpTable  # noqa: E402
+from repro.schedules.ir import Operation, OpKind, OpTable  # noqa: E402
 from repro.serve import PlannerService  # noqa: E402
 from repro.serve.service import parse_plan_request  # noqa: E402
 from repro.sim import memory  # noqa: E402
@@ -141,30 +143,42 @@ def warm_layer(path: str, name: str) -> bool:
     )
 
 
-#: Rows :meth:`OpTable.operations` made during the latest
-#: :func:`run_stream` (see :func:`count_table_rows`).
-TABLE_ROWS = [0]
+#: ``Operation``\ s made during the latest :func:`run_stream`, per kind:
+#: validated ones (``__post_init__`` calls) and rows made by
+#: :meth:`OpTable.operations` (see :func:`count_operations`).
+VALIDATED: Counter = Counter()
+TABLE_ROWS: Counter = Counter()
 
 
-def count_table_rows() -> None:
-    """Make :meth:`OpTable.operations` add the rows it builds to
+def count_operations() -> None:
+    """Make ``Operation.__post_init__`` and :meth:`OpTable.operations`
+    count the ops they make, by kind, into :data:`VALIDATED` and
     :data:`TABLE_ROWS`."""
-    operations = OpTable.operations
+    post_init, operations = Operation.__post_init__, OpTable.operations
 
-    def counted(table: OpTable) -> list[Operation]:
+    def counted_post_init(op: Operation) -> None:
+        VALIDATED[op.kind] += 1
+        post_init(op)
+
+    def counted_operations(table: OpTable) -> list[Operation]:
         ops = operations(table)
-        TABLE_ROWS[0] += len(ops)
+        TABLE_ROWS.update(op.kind for op in ops)
         return ops
 
-    OpTable.operations = counted
+    Operation.__post_init__ = counted_post_init
+    OpTable.operations = counted_operations
 
 
-def post_init_calls(profiler) -> int:
-    """``Operation.__post_init__`` calls the profile recorded."""
-    code = Operation.__post_init__.__code__
-    where = (code.co_filename, code.co_firstlineno, code.co_name)
-    stats = pstats.Stats(profiler).stats
-    return stats[where][1] if where in stats else 0
+def print_operations() -> None:
+    """The ``operations`` lines: the total, then one line per kind."""
+    validated, rows = sum(VALIDATED.values()), sum(TABLE_ROWS.values())
+    print(
+        f"operations  {validated + rows}  ({validated} __post_init__, "
+        f"{rows} from tables)"
+    )
+    print(f"  {'kind':<16}{'validated':>11}{'from tables':>13}")
+    for kind in OpKind:
+        print(f"  {kind.name:<16}{VALIDATED[kind]:>11}{TABLE_ROWS[kind]:>13}")
 
 
 def run_stream(payloads: list[dict], count: int, *, disk: bool) -> float:
@@ -172,7 +186,8 @@ def run_stream(payloads: list[dict], count: int, *, disk: bool) -> float:
     empty memos, and an empty disk tier too if ``disk``; return the wall
     in seconds (emptying the tiers is not timed)."""
     clear_schedule_cache(disk=disk)
-    TABLE_ROWS[0] = 0
+    VALIDATED.clear()
+    TABLE_ROWS.clear()
     planner._ROW_MEMO.clear()
     memory._REPORTS.clear()
     requests = [parse_plan_request(payload) for payload in payloads[:count]]
@@ -239,7 +254,7 @@ def main() -> None:
         if args.warm:
             run_stream(stream, len(stream), disk=True)  # fills the disk tier
         else:
-            count_table_rows()
+            count_operations()
         work = lambda count: run_stream(stream, count, disk=args.cold)  # noqa: E731
         warmup = args.warmup or 0
     else:
@@ -261,11 +276,7 @@ def main() -> None:
     if (args.cold or args.warm) and not args.function:
         profile_driver.report(profiler, build_layer if args.cold else warm_layer)
         if args.cold:
-            validated, from_tables = post_init_calls(profiler), TABLE_ROWS[0]
-            print(
-                f"operations  {validated + from_tables}  ({validated} "
-                f"__post_init__, {from_tables} from tables)"
-            )
+            print_operations()
         return
     names = set(args.function or FUNCTIONS)
     missing = names - profile_driver.report(profiler, lambda _, name: name in names)
