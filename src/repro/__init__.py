@@ -71,120 +71,70 @@ the array kernel; rows sharing a cached kernel vectorize together, and
     batch = simulate_batch_many([(kernel, m) for m in models])
 """
 
-from repro.schedules import (
-    ConcatStrategy,
-    Operation,
-    OpKind,
-    Schedule,
-    StagePlacement,
-    DEFAULT_PASS_MANAGER,
-    FillBubblesPass,
-    FuseCommPass,
-    InsertSyncPass,
-    LowerP2PPass,
-    PassManager,
-    PassPipeline,
-    RecomputePass,
-    SchedulePass,
-    available_schemes,
-    build_chimera_schedule,
-    build_dapple_schedule,
-    build_gems_schedule,
-    build_gpipe_schedule,
-    build_pipedream_2bw_schedule,
-    build_pipedream_schedule,
-    build_schedule,
-    build_zb_h1_schedule,
-    build_zb_v_schedule,
-    build_zb_vhalf_schedule,
-    build_zb_vmin_schedule,
-    is_lowered,
-    lower_schedule,
-    pipeline_signature,
-    register_pass,
-    resolve_pipeline,
-    schedule_artifacts,
-    scheme_traits,
-    validate_schedule,
-)
-from repro.sim import (
-    BatchResult,
-    CostModel,
-    MemoryModel,
-    SimulationResult,
-    TransferRecord,
-    analyze_memory,
-    bubble_ratio,
-    render_gantt,
-    simulate,
-    simulate_batch_many,
-)
-from repro.perf import (
-    PlanEntry,
-    plan_configurations,
-    predict_closed_form,
-    predict_iteration_time,
-    select_configuration,
-)
-from repro.models import TransformerLMConfig
-from repro.runtime import PipelineTrainer, SGD, Adam, Momentum
+from repro.common.exports import lazy_exports
 
+#: The package version; it keys every disk-tier content address, and
+#: ``pyproject.toml`` reads the project version from here.
 __version__ = "1.0.0"
 
-__all__ = [
-    "ConcatStrategy",
-    "Operation",
-    "OpKind",
-    "Schedule",
-    "StagePlacement",
-    "available_schemes",
-    "build_chimera_schedule",
-    "build_dapple_schedule",
-    "build_gems_schedule",
-    "build_gpipe_schedule",
-    "build_pipedream_2bw_schedule",
-    "build_pipedream_schedule",
-    "build_schedule",
-    "build_zb_h1_schedule",
-    "build_zb_v_schedule",
-    "build_zb_vhalf_schedule",
-    "build_zb_vmin_schedule",
-    "scheme_traits",
-    "is_lowered",
-    "lower_schedule",
-    "DEFAULT_PASS_MANAGER",
-    "PassManager",
-    "PassPipeline",
-    "SchedulePass",
-    "InsertSyncPass",
-    "RecomputePass",
-    "FillBubblesPass",
-    "LowerP2PPass",
-    "FuseCommPass",
-    "pipeline_signature",
-    "register_pass",
-    "resolve_pipeline",
-    "schedule_artifacts",
-    "validate_schedule",
-    "BatchResult",
-    "CostModel",
-    "MemoryModel",
-    "SimulationResult",
-    "TransferRecord",
-    "analyze_memory",
-    "bubble_ratio",
-    "render_gantt",
-    "simulate",
-    "simulate_batch_many",
-    "PlanEntry",
-    "plan_configurations",
-    "predict_closed_form",
-    "predict_iteration_time",
-    "select_configuration",
-    "TransformerLMConfig",
-    "PipelineTrainer",
-    "SGD",
-    "Adam",
-    "Momentum",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.schedules.ir": ("Operation", "OpKind", "Schedule"),
+        "repro.schedules.placement": ("StagePlacement",),
+        "repro.schedules.chimera": ("ConcatStrategy", "build_chimera_schedule"),
+        "repro.schedules.registry": (
+            "available_schemes",
+            "build_schedule",
+            "scheme_traits",
+        ),
+        "repro.schedules.dapple": ("build_dapple_schedule",),
+        "repro.schedules.gems": ("build_gems_schedule",),
+        "repro.schedules.gpipe": ("build_gpipe_schedule",),
+        "repro.schedules.pipedream": ("build_pipedream_schedule",),
+        "repro.schedules.pipedream_2bw": ("build_pipedream_2bw_schedule",),
+        "repro.schedules.zero_bubble": (
+            "build_zb_h1_schedule",
+            "build_zb_v_schedule",
+            "build_zb_vhalf_schedule",
+            "build_zb_vmin_schedule",
+        ),
+        "repro.schedules.lowering": ("is_lowered", "lower_schedule"),
+        "repro.schedules.passes.base": (
+            "DEFAULT_PASS_MANAGER",
+            "PassManager",
+            "PassPipeline",
+            "SchedulePass",
+            "pipeline_signature",
+            "register_pass",
+            "resolve_pipeline",
+        ),
+        "repro.schedules.passes.sync": ("InsertSyncPass",),
+        "repro.schedules.passes.recompute": ("RecomputePass",),
+        "repro.schedules.passes.bubbles": ("FillBubblesPass",),
+        "repro.schedules.passes.lower": ("LowerP2PPass",),
+        "repro.schedules.passes.fuse": ("FuseCommPass",),
+        "repro.schedules.cache": ("schedule_artifacts",),
+        "repro.schedules.validate": ("validate_schedule",),
+        "repro.sim.kernel": (
+            "BatchResult",
+            "simulate_fast as simulate",
+            "simulate_batch_many",
+        ),
+        "repro.sim.cost": ("CostModel",),
+        "repro.sim.memory": ("MemoryModel", "analyze_memory"),
+        "repro.sim.engine": ("SimulationResult", "TransferRecord"),
+        "repro.sim.metrics": ("bubble_ratio",),
+        "repro.sim.gantt": ("render_gantt",),
+        "repro.perf.planner": (
+            "PlanEntry",
+            "plan_configurations",
+            "select_configuration",
+        ),
+        "repro.perf.model": ("predict_closed_form", "predict_iteration_time"),
+        "repro.models.transformer": ("TransformerLMConfig",),
+        "repro.runtime.trainer": ("PipelineTrainer",),
+        "repro.runtime.optimizers": ("SGD", "Adam", "Momentum"),
+    },
+)
+__all__.append("__version__")

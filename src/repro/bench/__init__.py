@@ -6,31 +6,20 @@ top-level ``benchmarks/`` directory call into these drivers and print the
 reproduced rows.
 """
 
-from repro.bench.machines import MachineSpec, PIZ_DAINT, V100_CLUSTER
-from repro.bench.workloads import TransformerSpec, BERT48, GPT2_64, GPT2_32
-from repro.bench.harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_configuration,
-    sweep,
-    format_table,
-)
-from repro.bench.perfsuite import check_against, run_suite, suite_cases
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "MachineSpec",
-    "PIZ_DAINT",
-    "V100_CLUSTER",
-    "TransformerSpec",
-    "BERT48",
-    "GPT2_64",
-    "GPT2_32",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_configuration",
-    "sweep",
-    "format_table",
-    "check_against",
-    "run_suite",
-    "suite_cases",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bench.machines": ("MachineSpec", "PIZ_DAINT", "V100_CLUSTER"),
+        "repro.bench.workloads": ("TransformerSpec", "BERT48", "GPT2_64", "GPT2_32"),
+        "repro.bench.harness": (
+            "ExperimentConfig",
+            "ExperimentResult",
+            "run_configuration",
+            "sweep",
+            "format_table",
+        ),
+        "repro.bench.perfsuite": ("check_against", "run_suite", "suite_cases"),
+    },
+)

@@ -7,42 +7,28 @@ for the assertions in the test suite. ``fast=True`` trims sweep sizes so
 the full suite stays interactive; the shapes are identical.
 """
 
-from repro.bench.experiments import (
-    figure1,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-    figure16,
-    figure17,
-    figure18,
-    figure19,
-    planner_table,
-    table2,
-    table3,
-    table4,
-    zero_bubble_table,
-)
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "figure1",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
-    "figure13",
-    "figure14",
-    "figure15",
-    "figure16",
-    "figure17",
-    "figure18",
-    "figure19",
-    "planner_table",
-    "table2",
-    "table3",
-    "table4",
-    "zero_bubble_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {},
+    submodules=(
+        "figure1",
+        "figure9",
+        "figure10",
+        "figure11",
+        "figure12",
+        "figure13",
+        "figure14",
+        "figure15",
+        "figure16",
+        "figure17",
+        "figure18",
+        "figure19",
+        "planner_table",
+        "table2",
+        "table3",
+        "table4",
+        "zero_bubble_table",
+    ),
+)

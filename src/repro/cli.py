@@ -56,6 +56,10 @@ axis on. ``show``/``trace`` take the link model from
 ``--link-alpha``/``--link-beta`` (in forward-time units; both default to
 0, i.e. free links — set them to see transfers on the wire), while
 ``simulate`` derives it from ``--machine``.
+
+The parser reads only the scheme registry and the machine and workload
+tables; each command imports the modules it runs, so ``repro serve``
+loads no figure driver, training or bench-suite module.
 """
 
 from __future__ import annotations
@@ -67,32 +71,14 @@ import pathlib
 import sys
 
 from repro.bench import experiments
-from repro.bench.harness import ExperimentConfig, run_configuration
 from repro.bench.machines import MACHINES
-from repro.bench.perfsuite import (
-    DEFAULT_TOLERANCE,
-    check_against,
-    default_output_name,
-    format_suite,
-    run_suite,
-    write_bench_json,
-)
 from repro.bench.workloads import WORKLOADS
 from repro.common.errors import ConfigurationError, ScheduleError
 from repro.common.units import parse_gib
-from repro.perf.planner import format_plan, plan_configurations
-from repro.perf.planner import select_configuration
 from repro.schedules.passes.pipeline import normalize_pipeline
 from repro.schedules.registry import available_schemes, build_schedule
 from repro.sim.cost import CostModel
-from repro.sim.gantt import render_gantt
-from repro.sim.kernel import simulate_fast
 from repro.sim.network import FlatTopology, HostChannel, LinkSpec
-from repro.sim.trace import write_chrome_trace
-FIGURES = {
-    name: getattr(experiments, name)
-    for name in experiments.__all__
-}
 
 
 def _schedule_args(parser: argparse.ArgumentParser) -> None:
@@ -205,11 +191,16 @@ def _build(args: argparse.Namespace):
 
 
 def cmd_show(args: argparse.Namespace) -> int:
+    from repro.sim.gantt import render_gantt
+
     print(render_gantt(_build(args), cost_model=_cost_model(args)))
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.sim.kernel import simulate_fast
+    from repro.sim.trace import write_chrome_trace
+
     result = simulate_fast(_build(args), _cost_model(args))
     write_chrome_trace(result, args.output)
     print(f"wrote {args.output} (open in chrome://tracing or Perfetto)")
@@ -217,6 +208,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.bench.harness import ExperimentConfig, run_configuration
+
     cfg = ExperimentConfig(
         scheme=args.scheme,
         machine=MACHINES[args.machine],
@@ -247,6 +240,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    from repro.perf.planner import select_configuration
+
     ranked = select_configuration(
         MACHINES[args.machine],
         WORKLOADS[args.workload],
@@ -260,6 +255,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from repro.perf.planner import format_plan, plan_configurations
+
     entries = plan_configurations(
         MACHINES[args.machine],
         WORKLOADS[args.workload],
@@ -285,6 +282,16 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from repro.bench.perfsuite import (
+        DEFAULT_TOLERANCE,
+        check_against,
+        default_output_name,
+        format_suite,
+        run_suite,
+        write_bench_json,
+    )
+
+    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
     # Validate the flags and the baseline before the multi-minute suite
     # runs, so a bad value fails in milliseconds with guidance. Spelled as
     # ranges that a NaN fails: repeats=0 times nothing, a zero slowdown
@@ -296,10 +303,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"--inject-slowdown must be a finite factor above 0, got "
             f"{args.inject_slowdown}"
         )
-    if not 0 <= args.tolerance < 1:
-        raise ConfigurationError(
-            f"--tolerance must be in [0, 1), got {args.tolerance}"
-        )
+    if not 0 <= tolerance < 1:
+        raise ConfigurationError(f"--tolerance must be in [0, 1), got {tolerance}")
     baseline = None
     if args.check_against:
         path = pathlib.Path(args.check_against)
@@ -325,7 +330,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(format_suite(payload))
     print(f"wrote {out}")
     if baseline is not None:
-        violations = check_against(payload, baseline, tolerance=args.tolerance)
+        violations = check_against(payload, baseline, tolerance=tolerance)
         if violations:
             print(
                 f"FAIL: {len(violations)} regression(s) against "
@@ -336,7 +341,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 1
         print(
             f"OK: no regressions against {args.check_against} "
-            f"(tolerance {args.tolerance * 100:.0f}%)"
+            f"(tolerance {tolerance * 100:.0f}%)"
         )
     return 0
 
@@ -347,6 +352,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     from repro.schedules.synthesize import peak_stash_units, synthesis_cost_model
     from repro.schedules.validate import validate_synthesized_schedule
     from repro.schedules.dependencies import build_dependency_graph
+    from repro.sim.gantt import render_gantt
     from repro.sim.kernel import kernel_of, simulate_batch_many
 
     options: dict = {
@@ -405,12 +411,13 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    print(FIGURES[args.name].run(fast=not args.full))
+    print(getattr(experiments, args.name).run(fast=not args.full))
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import PlannerService, serve_forever
+    from repro.serve.http import serve_forever
+    from repro.serve.service import PlannerService
 
     service = PlannerService(
         max_inflight=args.max_inflight,
@@ -611,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tolerance",
         type=float,
-        default=DEFAULT_TOLERANCE,
+        default=None,
         help="allowed relative throughput drop (default 0.20)",
     )
     p.add_argument(
@@ -629,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("figure", help="regenerate a paper table/figure")
-    p.add_argument("name", choices=sorted(FIGURES))
+    p.add_argument("name", choices=sorted(experiments.__all__))
     p.add_argument("--full", action="store_true", help="paper-scale sweep")
     p.set_defaults(func=cmd_figure)
 

@@ -11,36 +11,27 @@ All layer caches are batch-first, which lets backward-halving run a
 backward over a row slice of a cached forward.
 """
 
-from repro.models.layers import (
-    Layer,
-    Linear,
-    LayerNorm,
-    GELU,
-    Embedding,
-    Sequential,
-)
-from repro.models.attention import CausalSelfAttention
-from repro.models.transformer import (
-    TransformerBlock,
-    TransformerLMConfig,
-    build_transformer_layers,
-    partition_layers,
-)
-from repro.models.loss import softmax_cross_entropy
-from repro.models.reference import SequentialTrainer
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "Layer",
-    "Linear",
-    "LayerNorm",
-    "GELU",
-    "Embedding",
-    "Sequential",
-    "CausalSelfAttention",
-    "TransformerBlock",
-    "TransformerLMConfig",
-    "build_transformer_layers",
-    "partition_layers",
-    "softmax_cross_entropy",
-    "SequentialTrainer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.models.layers": (
+            "Layer",
+            "Linear",
+            "LayerNorm",
+            "GELU",
+            "Embedding",
+            "Sequential",
+        ),
+        "repro.models.attention": ("CausalSelfAttention",),
+        "repro.models.transformer": (
+            "TransformerBlock",
+            "TransformerLMConfig",
+            "build_transformer_layers",
+            "partition_layers",
+        ),
+        "repro.models.loss": ("softmax_cross_entropy",),
+        "repro.models.reference": ("SequentialTrainer",),
+    },
+)

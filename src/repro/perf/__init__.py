@@ -16,39 +16,28 @@
   spec and a workload spec (the stand-in for the paper's micro-benchmarks).
 """
 
-from repro.perf.model import (
-    PerfPrediction,
-    chimera_critical_path,
-    predict_closed_form,
-    predict_iteration_time,
-)
-from repro.perf.planner import (
-    ConfigCandidate,
-    PlanEntry,
-    PlanOutcome,
-    PlanRequest,
-    format_plan,
-    greedy_micro_batch,
-    plan_configurations,
-    plan_many,
-    select_configuration,
-)
-from repro.perf.calibration import calibrate_cost_model, calibrate_memory_model
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "PerfPrediction",
-    "chimera_critical_path",
-    "predict_closed_form",
-    "predict_iteration_time",
-    "PlanEntry",
-    "PlanOutcome",
-    "PlanRequest",
-    "format_plan",
-    "plan_configurations",
-    "plan_many",
-    "ConfigCandidate",
-    "greedy_micro_batch",
-    "select_configuration",
-    "calibrate_cost_model",
-    "calibrate_memory_model",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.perf.model": (
+            "PerfPrediction",
+            "chimera_critical_path",
+            "predict_closed_form",
+            "predict_iteration_time",
+        ),
+        "repro.perf.planner": (
+            "PlanEntry",
+            "PlanOutcome",
+            "PlanRequest",
+            "format_plan",
+            "plan_configurations",
+            "plan_many",
+            "ConfigCandidate",
+            "greedy_micro_batch",
+            "select_configuration",
+        ),
+        "repro.perf.calibration": ("calibrate_cost_model", "calibrate_memory_model"),
+    },
+)

@@ -95,10 +95,12 @@ from repro.common.errors import ConfigurationError, ScheduleError
 from repro.common.memo import WeakMemo
 from repro.bench.harness import (
     ExperimentConfig,
+    ExperimentResult,
     config_label,
     first_fit,
     format_table,
     rank_by_throughput,
+    run_configuration,
 )
 from repro.schedules.passes.pipeline import (
     PipelineParts,
@@ -664,6 +666,19 @@ def _finalize(pruned: _Pruned, entries: list[PlanEntry]) -> list[PlanEntry]:
     return entries
 
 
+def run_steady(cfg: ExperimentConfig) -> ExperimentResult | None:
+    """One async-scheme steady-state measurement, in a worker or in process.
+
+    :func:`~repro.bench.harness.run_configuration`, except that a
+    structurally invalid corner returns ``None`` (the planner drops the
+    candidate); anything else propagates.
+    """
+    try:
+        return run_configuration(cfg)
+    except (ConfigurationError, ScheduleError):
+        return None
+
+
 def _rank(survivors: Sequence[_Survivor], *, max_workers: int) -> list[PlanEntry]:
     """Simulate one request's survivors; unsorted entries for :func:`_finalize`.
 
@@ -690,8 +705,6 @@ def _rank(survivors: Sequence[_Survivor], *, max_workers: int) -> list[PlanEntry
     ``max_workers == 1``, which is how a pool worker plans its shard —
     stays sequential.
     """
-    from repro.perf.workers import get_default_pool, run_steady
-
     synchronous = [scheme_traits(s.cfg.scheme).synchronous for s in survivors]
     rows = []
     steady_cfgs = []
@@ -712,6 +725,8 @@ def _rank(survivors: Sequence[_Survivor], *, max_workers: int) -> list[PlanEntry
     if rows:
         batch = simulate_batch_many(rows, memo=_ROW_MEMO)
     if len(steady_cfgs) > 1 and max_workers > 1:
+        from repro.perf.workers import get_default_pool
+
         steady_pool = get_default_pool(max_workers)
         futures = [steady_pool.submit_steady(cfg) for cfg in steady_cfgs]
         steady = [future.result() for future in futures]

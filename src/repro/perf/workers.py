@@ -72,22 +72,6 @@ def _picklable_error(err: BaseException) -> BaseException:
         return RuntimeError(f"{type(err).__name__}: {err}")
 
 
-def run_steady(cfg) -> object | None:
-    """One async-scheme steady-state measurement, in a worker or in process.
-
-    :func:`~repro.bench.harness.run_configuration`, except that a
-    structurally invalid corner returns ``None`` (the planner drops the
-    candidate); anything else propagates.
-    """
-    from repro.bench.harness import run_configuration
-    from repro.common.errors import ConfigurationError, ScheduleError
-
-    try:
-        return run_configuration(cfg)
-    except (ConfigurationError, ScheduleError):
-        return None
-
-
 def _worker_main(worker_id: int, tasks, results, env: dict) -> None:
     """Worker process entry point: warm up, then execute tasks until the
     stop sentinel arrives."""
@@ -99,7 +83,7 @@ def _worker_main(worker_id: int, tasks, results, env: dict) -> None:
     # Warm import: the full planner stack (schedule builders, kernel,
     # calibration) loads before the worker reports ready, so the first
     # task pays planning cost, not import cost.
-    from repro.perf.planner import plan_many
+    from repro.perf.planner import plan_many, run_steady
 
     results.put(("ready", worker_id, os.getpid()))
     while True:

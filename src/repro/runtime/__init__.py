@@ -12,27 +12,20 @@ right thing" half of the reproduction:
   SGD) while remaining version-consistent and convergent.
 """
 
-from repro.runtime.optimizers import SGD, Adam, Momentum, Optimizer
-from repro.runtime.backend import InProcessBackend
-from repro.runtime.collective_algorithms import (
-    CollectiveStats,
-    rabenseifner_allreduce,
-    ring_allreduce,
-)
-from repro.runtime.stage_module import StageModule
-from repro.runtime.executor import PipelineExecutor
-from repro.runtime.trainer import PipelineTrainer
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Momentum",
-    "Adam",
-    "InProcessBackend",
-    "CollectiveStats",
-    "rabenseifner_allreduce",
-    "ring_allreduce",
-    "StageModule",
-    "PipelineExecutor",
-    "PipelineTrainer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.runtime.optimizers": ("Optimizer", "SGD", "Momentum", "Adam"),
+        "repro.runtime.backend": ("InProcessBackend",),
+        "repro.runtime.collective_algorithms": (
+            "CollectiveStats",
+            "rabenseifner_allreduce",
+            "ring_allreduce",
+        ),
+        "repro.runtime.stage_module": ("StageModule",),
+        "repro.runtime.executor": ("PipelineExecutor",),
+        "repro.runtime.trainer": ("PipelineTrainer",),
+    },
+)

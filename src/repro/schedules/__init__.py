@@ -29,119 +29,75 @@ explicit ``SEND``/``RECV`` communication ops, enabling link-contention
 simulation and comm-lane rendering.
 """
 
-from repro.schedules.ir import Operation, OpKind, Schedule
-from repro.schedules.placement import StagePlacement
-from repro.schedules.chimera import build_chimera_schedule, ConcatStrategy
-from repro.schedules.gpipe import build_gpipe_schedule
-from repro.schedules.dapple import build_dapple_schedule
-from repro.schedules.gems import build_gems_schedule
-from repro.schedules.pipedream import build_pipedream_schedule
-from repro.schedules.pipedream_2bw import build_pipedream_2bw_schedule
-from repro.schedules.zero_bubble import (
-    build_zb_h1_schedule,
-    build_zb_v_schedule,
-    build_zb_vhalf_schedule,
-    build_zb_vmin_schedule,
-    stable_pattern,
-)
-from repro.schedules.registry import (
-    SchemeTraits,
-    available_schemes,
-    build_schedule,
-    builder_fingerprint,
-    register_scheme,
-    scheme_traits,
-    unregister_scheme,
-)
-from repro.schedules.synthesize import (
-    build_synthesize_schedule,
-    peak_stash_units,
-    synthesis_cost_model,
-)
-from repro.schedules.lowering import is_lowered, lower_schedule
-from repro.schedules.passes import (
-    DEFAULT_PASS_MANAGER,
-    FillBubblesPass,
-    FuseCommPass,
-    InsertSyncPass,
-    LowerP2PPass,
-    PassManager,
-    PassPipeline,
-    RecomputePass,
-    SchedulePass,
-    pipeline_signature,
-    register_pass,
-    resolve_pipeline,
-    schedule_facts,
-)
-from repro.schedules.cache import (
-    ScheduleArtifacts,
-    ScheduleCache,
-    cached_build_schedule,
-    clear_schedule_cache,
-    schedule_artifacts,
-    schedule_cache_stats,
-)
-from repro.schedules.validate import validate_schedule, validate_synthesized_schedule
-from repro.schedules.analysis import (
-    bubble_ratio_formula,
-    activation_interval_formula,
-    weight_copies_formula,
-    scheme_properties,
-)
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "Operation",
-    "OpKind",
-    "Schedule",
-    "StagePlacement",
-    "ConcatStrategy",
-    "build_chimera_schedule",
-    "build_gpipe_schedule",
-    "build_dapple_schedule",
-    "build_gems_schedule",
-    "build_pipedream_schedule",
-    "build_pipedream_2bw_schedule",
-    "build_zb_h1_schedule",
-    "build_zb_v_schedule",
-    "build_zb_vhalf_schedule",
-    "build_zb_vmin_schedule",
-    "stable_pattern",
-    "build_schedule",
-    "build_synthesize_schedule",
-    "peak_stash_units",
-    "synthesis_cost_model",
-    "available_schemes",
-    "SchemeTraits",
-    "scheme_traits",
-    "register_scheme",
-    "unregister_scheme",
-    "builder_fingerprint",
-    "lower_schedule",
-    "is_lowered",
-    "DEFAULT_PASS_MANAGER",
-    "PassManager",
-    "PassPipeline",
-    "SchedulePass",
-    "InsertSyncPass",
-    "RecomputePass",
-    "FillBubblesPass",
-    "LowerP2PPass",
-    "FuseCommPass",
-    "pipeline_signature",
-    "register_pass",
-    "resolve_pipeline",
-    "schedule_facts",
-    "ScheduleArtifacts",
-    "ScheduleCache",
-    "cached_build_schedule",
-    "clear_schedule_cache",
-    "schedule_artifacts",
-    "schedule_cache_stats",
-    "validate_schedule",
-    "validate_synthesized_schedule",
-    "bubble_ratio_formula",
-    "activation_interval_formula",
-    "weight_copies_formula",
-    "scheme_properties",
-]
+# Importing any pass module runs ``repro.schedules.passes``, which
+# registers the built-in passes; that package stays eager.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.schedules.ir": ("Operation", "OpKind", "Schedule"),
+        "repro.schedules.placement": ("StagePlacement",),
+        "repro.schedules.chimera": ("ConcatStrategy", "build_chimera_schedule"),
+        "repro.schedules.gpipe": ("build_gpipe_schedule",),
+        "repro.schedules.dapple": ("build_dapple_schedule",),
+        "repro.schedules.gems": ("build_gems_schedule",),
+        "repro.schedules.pipedream": ("build_pipedream_schedule",),
+        "repro.schedules.pipedream_2bw": ("build_pipedream_2bw_schedule",),
+        "repro.schedules.zero_bubble": (
+            "build_zb_h1_schedule",
+            "build_zb_v_schedule",
+            "build_zb_vhalf_schedule",
+            "build_zb_vmin_schedule",
+            "stable_pattern",
+        ),
+        "repro.schedules.registry": (
+            "build_schedule",
+            "available_schemes",
+            "SchemeTraits",
+            "scheme_traits",
+            "register_scheme",
+            "unregister_scheme",
+            "builder_fingerprint",
+        ),
+        "repro.schedules.synthesize": (
+            "build_synthesize_schedule",
+            "peak_stash_units",
+            "synthesis_cost_model",
+        ),
+        "repro.schedules.lowering": ("lower_schedule", "is_lowered"),
+        "repro.schedules.passes.base": (
+            "DEFAULT_PASS_MANAGER",
+            "PassManager",
+            "PassPipeline",
+            "SchedulePass",
+            "pipeline_signature",
+            "register_pass",
+            "resolve_pipeline",
+            "schedule_facts",
+        ),
+        "repro.schedules.passes.sync": ("InsertSyncPass",),
+        "repro.schedules.passes.recompute": ("RecomputePass",),
+        "repro.schedules.passes.bubbles": ("FillBubblesPass",),
+        "repro.schedules.passes.lower": ("LowerP2PPass",),
+        "repro.schedules.passes.fuse": ("FuseCommPass",),
+        "repro.schedules.cache": (
+            "ScheduleArtifacts",
+            "ScheduleCache",
+            "cached_build_schedule",
+            "clear_schedule_cache",
+            "schedule_artifacts",
+            "schedule_cache_stats",
+        ),
+        "repro.schedules.validate": (
+            "validate_schedule",
+            "validate_synthesized_schedule",
+        ),
+        "repro.schedules.analysis": (
+            "bubble_ratio_formula",
+            "activation_interval_formula",
+            "weight_copies_formula",
+            "scheme_properties",
+        ),
+    },
+)

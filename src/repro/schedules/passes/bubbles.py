@@ -27,23 +27,33 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from functools import cache
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ScheduleError
 from repro.schedules.dependencies import build_dependency_graph
 from repro.schedules.ir import Operation, Schedule, freeze_worker_ops
 from repro.schedules.passes.base import LOWERED, SchedulePass
-from repro.sim.cost import CostModel
+
+if TYPE_CHECKING:
+    from repro.sim.cost import CostModel
 
 
-#: The zero-bubble planning model the replay runs under: F = Bi = W = 1,
-#: fused B = 2. It is fixed, so the spec ``fill_bubbles`` names the
-#: pass's whole configuration.
-REFERENCE_COST_MODEL = CostModel(
-    forward_time=1.0,
-    backward_ratio=2.0,
-    backward_input_ratio=1.0,
-    backward_weight_ratio=1.0,
-)
+@cache
+def reference_cost_model() -> CostModel:
+    """The zero-bubble planning model the replay runs under: F = Bi = W = 1,
+    fused B = 2. It is fixed, so the spec ``fill_bubbles`` names the
+    pass's whole configuration. Built on first use, so registering the
+    pass loads no simulator module.
+    """
+    from repro.sim.cost import CostModel
+
+    return CostModel(
+        forward_time=1.0,
+        backward_ratio=2.0,
+        backward_input_ratio=1.0,
+        backward_weight_ratio=1.0,
+    )
 
 
 class FillBubblesPass(SchedulePass):
@@ -56,7 +66,7 @@ class FillBubblesPass(SchedulePass):
         if not any(op.is_backward_weight for _, op in schedule.all_ops()):
             return schedule
         graph = build_dependency_graph(schedule)
-        cm = REFERENCE_COST_MODEL
+        cm = reference_cost_model()
         num_workers = schedule.num_workers
 
         nonw: list[list[Operation]] = []
@@ -153,8 +163,8 @@ class FillBubblesPass(SchedulePass):
                 )
         from repro.sim.kernel import simulate_fast
 
-        was = simulate_fast(before, REFERENCE_COST_MODEL).compute_makespan
-        now = simulate_fast(after, REFERENCE_COST_MODEL).compute_makespan
+        was = simulate_fast(before, reference_cost_model()).compute_makespan
+        now = simulate_fast(after, reference_cost_model()).compute_makespan
         if now > was + 1e-9:
             raise ScheduleError(
                 f"fill_bubbles regressed the reference makespan "

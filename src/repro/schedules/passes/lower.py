@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.common.errors import ScheduleError
 from repro.schedules.ir import Schedule
-from repro.schedules.lowering import lower_schedule
 from repro.schedules.passes.base import LOWERED, SchedulePass
 
 
@@ -26,6 +25,10 @@ class LowerP2PPass(SchedulePass):
     provides = frozenset({LOWERED})
 
     def run(self, schedule: Schedule) -> Schedule:
+        # Registering the pass must not load lowering (the trainer never
+        # lowers); the schedule cache imports it for every planning process.
+        from repro.schedules.lowering import lower_schedule
+
         return lower_schedule(schedule).schedule
 
     def check(self, before: Schedule, after: Schedule) -> None:

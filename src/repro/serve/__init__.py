@@ -13,15 +13,13 @@ Both are dependency-free beyond the standard library, like the rest of
 the repo.
 """
 
-from repro.serve.service import PlannerService, ServiceStats
-from repro.serve.coalesce import CoalesceStats, RequestCoalescer
-from repro.serve.http import PlannerHTTPServer, serve_forever
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "PlannerService",
-    "ServiceStats",
-    "RequestCoalescer",
-    "CoalesceStats",
-    "PlannerHTTPServer",
-    "serve_forever",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.service": ("PlannerService", "ServiceStats"),
+        "repro.serve.coalesce": ("RequestCoalescer", "CoalesceStats"),
+        "repro.serve.http": ("PlannerHTTPServer", "serve_forever"),
+    },
+)

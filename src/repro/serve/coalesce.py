@@ -33,11 +33,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.errors import ConfigurationError, ServiceOverloadError
+
+if TYPE_CHECKING:  # a service without coalescing never loads it
+    from concurrent.futures import Future
 
 #: Cap on one coalesced dispatch.
 DEFAULT_COALESCE_BATCH = 64
@@ -125,6 +127,8 @@ class RequestCoalescer:
             When the queue is at :data:`DEFAULT_MAX_QUEUE` (retry with
             backoff) or the coalescer is draining for shutdown.
         """
+        from concurrent.futures import Future
+
         future: Future = Future()
         with self._cond:
             if self._closed:

@@ -28,7 +28,6 @@ from repro.perf.planner import (
     PlanRequest,
     plan_many,
 )
-from repro.perf.workers import PlannerWorkerPool
 from repro.schedules.passes.pipeline import normalize_pipeline
 from repro.schedules.registry import available_schemes
 from repro.serve.coalesce import (
@@ -309,9 +308,11 @@ class PlannerService:
         self._batch_walls: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._started = time.monotonic()
         self._closed = False
-        self._pool = (
-            PlannerWorkerPool(workers, name="serve") if workers > 0 else None
-        )
+        self._pool = None
+        if workers > 0:
+            from repro.perf.workers import PlannerWorkerPool
+
+            self._pool = PlannerWorkerPool(workers, name="serve")
         self._coalescer = (
             RequestCoalescer(self._dispatch_coalesced, coalesce_ms=coalesce_ms)
             if coalesce_ms > 0

@@ -35,58 +35,44 @@ slowdown); its oracle is the dict-based reference finalizer in
 ``tests/reference_collectives.py``.
 """
 
-from repro.sim.cost import CostModel
-from repro.sim.network import LinkSpec, FlatTopology, HierarchicalTopology
-from repro.sim.collectives import (
-    allreduce_cost,
-    rabenseifner_cost,
-    ring_cost,
-    recursive_doubling_cost,
-)
-from repro.sim.engine import (
-    CollectiveRecord,
-    SimulationResult,
-    TimedOp,
-    TransferRecord,
-)
-from repro.sim.kernel import (
-    BatchResult,
-    ScheduleKernel,
-    kernel_of,
-    simulate_batch_many,
-    simulate_fast as simulate,
-)
-from repro.sim.memory import MemoryModel, MemoryReport, WorkerMemory, analyze_memory
-from repro.sim.metrics import bubble_ratio, throughput_samples_per_sec, worker_busy_times
-from repro.sim.gantt import render_gantt
-from repro.sim.trace import to_chrome_trace, write_chrome_trace
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "LinkSpec",
-    "FlatTopology",
-    "HierarchicalTopology",
-    "allreduce_cost",
-    "rabenseifner_cost",
-    "ring_cost",
-    "recursive_doubling_cost",
-    "SimulationResult",
-    "TimedOp",
-    "CollectiveRecord",
-    "TransferRecord",
-    "simulate",
-    "BatchResult",
-    "ScheduleKernel",
-    "kernel_of",
-    "simulate_batch_many",
-    "MemoryModel",
-    "MemoryReport",
-    "WorkerMemory",
-    "analyze_memory",
-    "bubble_ratio",
-    "throughput_samples_per_sec",
-    "worker_busy_times",
-    "render_gantt",
-    "to_chrome_trace",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.cost": ("CostModel",),
+        "repro.sim.network": ("LinkSpec", "FlatTopology", "HierarchicalTopology"),
+        "repro.sim.collectives": (
+            "allreduce_cost",
+            "rabenseifner_cost",
+            "ring_cost",
+            "recursive_doubling_cost",
+        ),
+        "repro.sim.engine": (
+            "SimulationResult",
+            "TimedOp",
+            "CollectiveRecord",
+            "TransferRecord",
+        ),
+        "repro.sim.kernel": (
+            "simulate_fast as simulate",
+            "BatchResult",
+            "ScheduleKernel",
+            "kernel_of",
+            "simulate_batch_many",
+        ),
+        "repro.sim.memory": (
+            "MemoryModel",
+            "MemoryReport",
+            "WorkerMemory",
+            "analyze_memory",
+        ),
+        "repro.sim.metrics": (
+            "bubble_ratio",
+            "throughput_samples_per_sec",
+            "worker_busy_times",
+        ),
+        "repro.sim.gantt": ("render_gantt",),
+        "repro.sim.trace": ("to_chrome_trace", "write_chrome_trace"),
+    },
+)

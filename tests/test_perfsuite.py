@@ -375,6 +375,6 @@ def test_cli_bench_rejects_bad_flags_before_the_suite(flag, value, monkeypatch):
     def suite_ran(**kw):
         raise AssertionError("the suite ran before the flags were checked")
 
-    monkeypatch.setattr("repro.cli.run_suite", suite_ran)
+    monkeypatch.setattr("repro.bench.perfsuite.run_suite", suite_ran)
     with pytest.raises(ConfigurationError, match=f"^{flag} must be"):
         main(["bench", "--fast", flag, value])
