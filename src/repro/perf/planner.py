@@ -115,7 +115,7 @@ from repro.perf.calibration import (
     calibrate_cost_model,
     calibrate_memory_model,
 )
-from repro.schedules.cache import ScheduleArtifacts
+from repro.schedules.cache import ScheduleArtifacts, write_back
 from repro.schedules.placement import StagePlacement
 from repro.schedules.registry import available_schemes, scheme_traits
 from repro.sim.kernel import simulate_batch_many
@@ -393,8 +393,11 @@ def _plan_one(request: PlanRequest, max_workers: int) -> PlanOutcome:
     # them alive until a full collection for as long as a caller keeps
     # the outcome.
     try:
-        pruned = _prune_request(request)
-        entries = _finalize(pruned, _rank(pruned.survivors, max_workers=max_workers))
+        with write_back():
+            pruned = _prune_request(request)
+            entries = _finalize(
+                pruned, _rank(pruned.survivors, max_workers=max_workers)
+            )
     except ConfigurationError as err:
         return PlanOutcome(request=request, error=err.with_traceback(None))
     return PlanOutcome(request=request, entries=tuple(entries))

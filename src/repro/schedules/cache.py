@@ -69,11 +69,16 @@ Disk tier
 Beneath the LRU sits a persistent, content-addressed store
 (:mod:`repro.schedules.diskcache`): a memory miss consults the disk before
 building, a built schedule is written through at once (with its memory
-profile), and every array kernel is written through as it is built, so
-a restarted process (a fresh ``repro plan``, a redeployed ``repro
-serve``) skips schedule builds, passes, graph construction, kernel
-construction and the memory walk. The disk tier stores no dict graph:
-each payload holds one pickled blob of the schedule forms' op tables
+profile), and every array kernel is written through as it is built.
+Inside a write-back scope (:func:`write_back`; the planner plans each
+request in one) those writes are deferred instead: each entry the scope
+built or extended is stored once, when the outermost scope exits, so an
+entry whose kernel follows its build in the same request is not written
+twice. Either way a restarted process (a fresh ``repro plan``, a
+redeployed ``repro serve``) skips schedule builds, passes, graph
+construction, kernel construction and the memory walk. The disk tier
+stores no dict graph: each payload holds one pickled blob of the
+schedule forms' op tables
 (:meth:`~repro.schedules.ir.Schedule.op_table`; an op an earlier form
 holds is stored as a reference, and a lowered form still held as its
 table packs from it), a ``kernels`` map keyed by form and
@@ -99,10 +104,11 @@ from __future__ import annotations
 import pickle
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain, count, repeat
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -253,7 +259,8 @@ class ScheduleArtifacts:
     :meth:`graph_for` rebuilds one on demand. The disk payload
     (:meth:`snapshot`) is one pickled blob of the schedule forms' op
     tables, the kernels keyed by form, and the profile; building a
-    kernel writes the entry through. An entry
+    kernel writes the entry through (or, inside :func:`write_back`,
+    once at the scope's exit). An entry
     restored from disk (:meth:`from_snapshot`) keeps the blob as bytes
     and decodes it on the first use of a schedule form, so ranking from
     kernels and profiles rebuilds no schedule form.
@@ -485,7 +492,8 @@ class ScheduleArtifacts:
         Planner ranking, the harness and the bench suite reuse the same
         arrays across every cost model they evaluate. The kernel holds
         everything simulation reads, so once it exists the entry drops
-        its dict graphs and writes itself through to the disk tier.
+        its dict graphs and writes itself to the disk tier: through at
+        once, or at the exit of the thread's :func:`write_back` scope.
         Imported lazily to keep the schedule layer importable without the
         simulation stack.
         """
@@ -503,6 +511,38 @@ class ScheduleArtifacts:
             if kernel is built and self._persist is not None:
                 self._persist(self)
         return kernel
+
+
+#: Per thread: ``pending`` maps ``(disk tier, key)`` to the entry to
+#: store there while a :func:`write_back` scope is open, else is None.
+_WRITE_BACK = threading.local()
+
+
+@contextmanager
+def write_back() -> Iterator[None]:
+    """Store each disk-tier entry the block writes once, at its exit.
+
+    Inside the block an entry's disk write (a new entry's first write, a
+    kernel build's, a repaired forms blob's) records the entry under its
+    key instead of storing it. When the outermost block exits, normally
+    or by an exception, each recorded entry is stored once, from its
+    snapshot at that moment, so the file holds what the last write
+    through would have. Nested blocks fold into the outermost one. The
+    scope is per thread: another thread's writes neither see nor join
+    this thread's pending entries. A recorded entry is held until the
+    exit, so one the memory LRU evicts meanwhile is still stored.
+    """
+    if getattr(_WRITE_BACK, "pending", None) is not None:
+        yield
+        return
+    pending: dict[tuple[DiskScheduleCache, tuple], ScheduleArtifacts] = {}
+    _WRITE_BACK.pending = pending
+    try:
+        yield
+    finally:
+        _WRITE_BACK.pending = None
+        for (disk, key), arts in pending.items():
+            disk.store(key, arts.snapshot())
 
 
 @dataclass(frozen=True)
@@ -527,7 +567,8 @@ class ScheduleCache:
 
     ``disk`` layers a persistent tier beneath the LRU: memory misses
     consult it before building, built entries write through to it as
-    their derived forms materialize. ``disk=None`` runs memory-only.
+    their derived forms materialize, or once per :func:`write_back`
+    scope. ``disk=None`` runs memory-only.
     """
 
     def __init__(
@@ -638,11 +679,13 @@ class ScheduleCache:
         num_micro_batches: int,
         options: dict,
     ) -> ScheduleArtifacts:
-        """Disk-tier lookup, falling back to a fresh build (write-through).
+        """Disk-tier lookup, falling back to a fresh build.
 
-        An entry made while the disk tier is absent or disabled never
-        writes through, so it neither pickles snapshots nor compiles its
-        memory profile ahead of use.
+        The entry's writes go through at once, or, inside the thread's
+        :func:`write_back` scope, are recorded under ``key`` and stored
+        once at the scope's exit. An entry made while the disk tier is
+        absent or disabled never writes, so it neither pickles snapshots
+        nor compiles its memory profile ahead of use.
         """
 
         def rebuild() -> Schedule:
@@ -653,7 +696,11 @@ class ScheduleCache:
             return ScheduleArtifacts(rebuild())
 
         def persist(arts: ScheduleArtifacts) -> None:
-            disk.store(key, arts.snapshot())
+            pending = getattr(_WRITE_BACK, "pending", None)
+            if pending is None:
+                disk.store(key, arts.snapshot())
+            else:
+                pending[disk, key] = arts
 
         payload = disk.load(key)
         if payload is not None:

@@ -52,13 +52,16 @@ The graph *is* a set of int-id tables. Ops are numbered row-major
 (worker 0's ops first, in program order), so an op's row successor is
 ``id + 1`` and sorting by id sorts by ``(worker, position)``. Incoming
 edges are CSR tables over destination ids (``dep_ptr``, ``dep_src``,
-``dep_kind``, ``dep_units``). The builder hashes each op's key once, for
-the uniqueness check; everything else indexes by id. Lowering (which
-splices its lowered graph's tables, and its op table, from them instead
-of rebuilding), the engine's dense form, the array kernel and the
-validator's acyclicity check read the tables; this builder stays the
-reference that the splice is tested against. The ``OpKey``-keyed
-``location``/``deps`` dicts and the :class:`Edge` iterators are views,
+``dep_kind``, ``dep_units``). The builder reads the schedule's op table
+(:meth:`~repro.schedules.ir.Schedule.op_table`) as column lists, so it
+makes no ``Operation`` (one is made from its row only for an error
+message): a duplicate op shows up as a collision in its per-micro-batch
+(or, for ALLREDUCE and SEND, whole-identity) index, and everything else
+indexes by id. Lowering (which splices its lowered graph's tables, and
+its op table, from them instead of rebuilding), the engine's dense form,
+the array kernel and the validator's acyclicity check read the tables;
+this builder stays the reference that the splice is tested against. The
+``OpKey``-keyed ``location``/``deps`` dicts and the :class:`Edge` iterators are views,
 built on first use, for the readers that think in op keys: the
 bubble-filling pass and the tests. A lowered graph's ``schedule`` is
 table-backed, so its SEND/RECV ops exist only once its ops (or
@@ -76,7 +79,23 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.schedules.ir import Operation, OpKind, OpTable, Schedule
+from repro.schedules.ir import (
+    ALLREDUCE_CODE,
+    BACKWARD_CODE,
+    BACKWARD_INPUT_CODE,
+    BACKWARD_WEIGHT_CODE,
+    FORWARD_CODE,
+    OFFLOAD_CODE,
+    PAYLOADS,
+    RECOMPUTE_CODE,
+    RECV_CODE,
+    RELOAD_CODE,
+    SEND_CODE,
+    Operation,
+    OpTable,
+    Schedule,
+    peer_stage,
+)
 
 OpKey = tuple
 
@@ -271,17 +290,18 @@ def levelize(
     return level, order, stuck
 
 
-def _payload_between(src: Operation, dst: Operation) -> float:
-    """Micro-batch units moved along a producer -> consumer edge."""
-    if src.micro_batches == dst.micro_batches:
-        shared = len(dst.micro_batches)
-    else:
-        shared = len(set(src.micro_batches) & set(dst.micro_batches))
-    return shared / dst.part[1]
+def _operation(table: OpTable, row: int) -> Operation:
+    """Row ``row`` of ``table`` as an op, for an error message."""
+    rows = np.zeros(len(table.kind), dtype=bool)
+    rows[row] = True
+    return table.take(rows).operations()[0]
 
 
 def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
     """Construct the :class:`DependencyGraph` for ``schedule``.
+
+    Reads the schedule's op table (:meth:`~repro.schedules.ir.Schedule.op_table`)
+    as column lists, so a table-backed schedule's ops stay unbuilt.
 
     Raises
     ------
@@ -290,10 +310,39 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
         backward whose forward was never scheduled, or a ``RECV`` with no
         matching ``SEND``) or an operation appears twice.
     """
-    ops_flat: list[Operation] = []
-    op_worker: list[int] = []
-    row_pos: list[int] = []
-    keys: set[OpKey] = set()
+    table = schedule.op_table()
+    op_kind = table.kind.tolist()
+    op_replica = table.replica.tolist()
+    op_stage = table.stage.tolist()
+    op_worker = table.worker.tolist()
+    op_payload = [PAYLOADS[code] for code in table.payload.tolist()]
+    op_part = list(zip(table.part_index.tolist(), table.part_count.tolist()))
+    mb, ptr = table.mb.tolist(), table.mb_ptr.tolist()
+    op_mbs = [tuple(mb[a:b]) for a, b in zip(ptr, ptr[1:])]
+    row_len = np.bincount(table.worker, minlength=schedule.num_workers)
+    row_end = np.cumsum(row_len).tolist()
+
+    def identity(oid: int) -> tuple:
+        """The fields :meth:`Operation.key` hashes, of row ``oid``."""
+        return (
+            op_kind[oid],
+            op_replica[oid],
+            op_stage[oid],
+            op_mbs[oid],
+            op_part[oid],
+            op_payload[oid],
+        )
+
+    def not_twice(oid: int, other: int) -> None:
+        """Row ``oid`` collided with row ``other`` in an index: an exact
+        duplicate is reported as such, before the index's own message."""
+        if identity(oid) == identity(other):
+            op = _operation(table, oid)
+            raise ValidationError(
+                f"operation {op.short()} (replica {op.replica}, stage "
+                f"{op.stage}) scheduled twice"
+            )
+
     # Per-micro-batch producer indexes, op key fields -> op id. Forward
     # doubling means several micro-batches can share one forward op, hence
     # the per-mb map. Input-gradient producers (fused B or split Bi) and
@@ -304,9 +353,11 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
     wgrad_by_mb: dict[tuple[int, int, int, tuple[int, int]], int] = {}
     # The ALLREDUCE wiring's inputs: each stage replica's weight-gradient
     # producers as (mb, id) in schedule order, and each replica's forward
-    # micro-batches.
+    # micro-batches. ALLREDUCEs are indexed by their whole identity, for
+    # the duplicate check alone.
     wgrad_of_stage: dict[tuple[int, int], list[tuple[int, int]]] = {}
     fwd_mbs: dict[int, set[int]] = {}
+    sync_index: dict[tuple, int] = {}
     # Comm-op indexes (lowered schedules only). Sends are looked up by their
     # full identity when wiring a RECV's TRANSFER edge; recvs are looked up
     # per micro-batch when redirecting a consumer's cross-worker edge, and
@@ -315,7 +366,7 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
     send_index: dict[tuple, int] = {}
     send_by_dst_mb: dict[tuple[int, int, int, tuple[int, int], str], int] = {}
     recv_by_mb: dict[tuple[int, int, int, tuple[int, int], str], int] = {}
-    remat_mbs: set[tuple[int, int, int]] = set()
+    remat_by_mb: dict[tuple[int, int, int], int] = {}
     # Host-tier transfer indexes (offloaded schedules only). Offloads and
     # reloads pair 1:1 on (replica, stage, micro_batches): the OFFLOAD's
     # device→host copy feeds exactly one RELOAD's host→device copy, which
@@ -324,97 +375,102 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
     offload_by_mb: dict[tuple[int, int, int], int] = {}
     reload_by_mb: dict[tuple[int, int, int], int] = {}
     reloads: list[int] = []
-    row_end: list[int] = []
 
-    for worker, row in enumerate(schedule.worker_ops):
-        for pos, op in enumerate(row):
-            oid = len(ops_flat)
-            keys.add(op.key())
-            if len(keys) == oid:  # the key was already there
-                raise ValidationError(
-                    f"operation {op.short()} (replica {op.replica}, stage "
-                    f"{op.stage}) scheduled twice"
-                )
-            ops_flat.append(op)
-            op_worker.append(worker)
-            row_pos.append(pos)
-            kind = op.kind
-            replica, stage, mbs = op.replica, op.stage, op.micro_batches
-            if kind is OpKind.FORWARD:
-                for mb in mbs:
-                    fkey = (replica, stage, mb)
-                    if fkey in fwd_by_mb:
-                        raise ValidationError(
-                            f"micro-batch {mb} has two forwards at stage "
-                            f"{stage} of replica {replica}"
-                        )
-                    fwd_by_mb[fkey] = oid
-                fwd_mbs.setdefault(replica, set()).update(mbs)
-            elif kind is OpKind.BACKWARD or kind is OpKind.BACKWARD_INPUT:
-                for mb in mbs:
-                    bkey = (replica, stage, mb, op.part)
-                    if bkey in grad_by_mb:
-                        raise ValidationError(
-                            f"micro-batch {mb} part {op.part} has two "
-                            f"backwards at stage {stage} of replica {replica}"
-                        )
-                    grad_by_mb[bkey] = oid
-            if kind is OpKind.BACKWARD or kind is OpKind.BACKWARD_WEIGHT:
-                producers = wgrad_of_stage.setdefault((replica, stage), [])
-                for mb in mbs:
-                    bkey = (replica, stage, mb, op.part)
-                    if bkey in wgrad_by_mb:
-                        raise ValidationError(
-                            f"micro-batch {mb} part {op.part} has two "
-                            f"weight-gradient producers at stage {stage} "
-                            f"of replica {replica}"
-                        )
-                    wgrad_by_mb[bkey] = oid
-                    producers.append((mb, oid))
-            elif kind is OpKind.RECOMPUTE:
-                for mb in mbs:
-                    rkey = (replica, stage, mb)
-                    if rkey in remat_mbs:
-                        raise ValidationError(
-                            f"micro-batch {mb} has two RECOMPUTE ops at stage "
-                            f"{stage} of replica {replica}"
-                        )
-                    remat_mbs.add(rkey)
-            elif kind is OpKind.SEND:
-                send_index[(replica, stage, mbs, op.part, op.payload)] = oid
-                for mb in mbs:
-                    send_by_dst_mb[
-                        (replica, op.peer_stage, mb, op.part, op.payload)
-                    ] = oid
-            elif kind is OpKind.RECV:
-                for mb in mbs:
-                    rkey = (replica, stage, mb, op.part, op.payload)
-                    if rkey in recv_by_mb:
-                        raise ValidationError(
-                            f"micro-batch {mb} has two {op.payload} receives "
-                            f"at stage {stage} of replica {replica}"
-                        )
-                    recv_by_mb[rkey] = oid
-            elif kind is OpKind.OFFLOAD:
-                for mb in mbs:
-                    okey = (replica, stage, mb)
-                    if okey in offload_by_mb:
-                        raise ValidationError(
-                            f"micro-batch {mb} has two OFFLOAD ops at stage "
-                            f"{stage} of replica {replica}"
-                        )
-                    offload_by_mb[okey] = oid
-            elif kind is OpKind.RELOAD:
-                for mb in mbs:
-                    okey = (replica, stage, mb)
-                    if okey in reload_by_mb:
-                        raise ValidationError(
-                            f"micro-batch {mb} has two RELOAD ops at stage "
-                            f"{stage} of replica {replica}"
-                        )
-                    reload_by_mb[okey] = oid
-                reloads.append(oid)
-        row_end.append(len(ops_flat))
+    for oid, (kind, replica, stage, mbs) in enumerate(
+        zip(op_kind, op_replica, op_stage, op_mbs)
+    ):
+        if kind == FORWARD_CODE:
+            for mb in mbs:
+                fkey = (replica, stage, mb)
+                if fkey in fwd_by_mb:
+                    not_twice(oid, fwd_by_mb[fkey])
+                    raise ValidationError(
+                        f"micro-batch {mb} has two forwards at stage "
+                        f"{stage} of replica {replica}"
+                    )
+                fwd_by_mb[fkey] = oid
+            fwd_mbs.setdefault(replica, set()).update(mbs)
+        elif kind == BACKWARD_CODE or kind == BACKWARD_INPUT_CODE:
+            part = op_part[oid]
+            for mb in mbs:
+                bkey = (replica, stage, mb, part)
+                if bkey in grad_by_mb:
+                    not_twice(oid, grad_by_mb[bkey])
+                    raise ValidationError(
+                        f"micro-batch {mb} part {part} has two "
+                        f"backwards at stage {stage} of replica {replica}"
+                    )
+                grad_by_mb[bkey] = oid
+        if kind == BACKWARD_CODE or kind == BACKWARD_WEIGHT_CODE:
+            part = op_part[oid]
+            producers = wgrad_of_stage.setdefault((replica, stage), [])
+            for mb in mbs:
+                bkey = (replica, stage, mb, part)
+                if bkey in wgrad_by_mb:
+                    not_twice(oid, wgrad_by_mb[bkey])
+                    raise ValidationError(
+                        f"micro-batch {mb} part {part} has two "
+                        f"weight-gradient producers at stage {stage} "
+                        f"of replica {replica}"
+                    )
+                wgrad_by_mb[bkey] = oid
+                producers.append((mb, oid))
+        elif kind == RECOMPUTE_CODE:
+            for mb in mbs:
+                rkey = (replica, stage, mb)
+                if rkey in remat_by_mb:
+                    not_twice(oid, remat_by_mb[rkey])
+                    raise ValidationError(
+                        f"micro-batch {mb} has two RECOMPUTE ops at stage "
+                        f"{stage} of replica {replica}"
+                    )
+                remat_by_mb[rkey] = oid
+        elif kind == ALLREDUCE_CODE:
+            skey = (replica, stage, mbs, op_part[oid])
+            if skey in sync_index:
+                not_twice(oid, sync_index[skey])
+            sync_index[skey] = oid
+        elif kind == SEND_CODE:
+            part, payload = op_part[oid], op_payload[oid]
+            skey = (replica, stage, mbs, part, payload)
+            if skey in send_index:
+                not_twice(oid, send_index[skey])
+            send_index[skey] = oid
+            dst_stage = peer_stage(True, stage, payload)
+            for mb in mbs:
+                send_by_dst_mb[(replica, dst_stage, mb, part, payload)] = oid
+        elif kind == RECV_CODE:
+            part, payload = op_part[oid], op_payload[oid]
+            for mb in mbs:
+                rkey = (replica, stage, mb, part, payload)
+                if rkey in recv_by_mb:
+                    not_twice(oid, recv_by_mb[rkey])
+                    raise ValidationError(
+                        f"micro-batch {mb} has two {payload} receives "
+                        f"at stage {stage} of replica {replica}"
+                    )
+                recv_by_mb[rkey] = oid
+        elif kind == OFFLOAD_CODE:
+            for mb in mbs:
+                okey = (replica, stage, mb)
+                if okey in offload_by_mb:
+                    not_twice(oid, offload_by_mb[okey])
+                    raise ValidationError(
+                        f"micro-batch {mb} has two OFFLOAD ops at stage "
+                        f"{stage} of replica {replica}"
+                    )
+                offload_by_mb[okey] = oid
+        elif kind == RELOAD_CODE:
+            for mb in mbs:
+                okey = (replica, stage, mb)
+                if okey in reload_by_mb:
+                    not_twice(oid, reload_by_mb[okey])
+                    raise ValidationError(
+                        f"micro-batch {mb} has two RELOAD ops at stage "
+                        f"{stage} of replica {replica}"
+                    )
+                reload_by_mb[okey] = oid
+            reloads.append(oid)
 
     for okey, off_id in offload_by_mb.items():
         reload_id = reload_by_mb.get(okey)
@@ -423,8 +479,8 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
                 f"OFFLOAD of micro-batch {okey[2]} at stage {okey[1]} "
                 f"(replica {okey[0]}) has no matching RELOAD"
             )
-        off, reload = ops_flat[off_id], ops_flat[reload_id]
-        if reload.micro_batches != off.micro_batches:
+        if op_mbs[reload_id] != op_mbs[off_id]:
+            off, reload = _operation(table, off_id), _operation(table, reload_id)
             raise ValidationError(
                 f"OFFLOAD {off.short()} and RELOAD {reload.short()} cover "
                 f"different micro-batches (replica {okey[0]}, stage {okey[1]})"
@@ -433,39 +489,50 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
     # RECOMPUTE) that follows it on its worker; later consumers are held
     # behind that one by program order. The consumer holds the host-wire
     # TRANSFER edge directly, like a fused transfer.
+    stash_consumers = (BACKWARD_CODE, BACKWARD_INPUT_CODE, RECOMPUTE_CODE)
     consumer_reloads: dict[int, list[int]] = {}
     for reload_id in reloads:
-        op = ops_flat[reload_id]
+        replica, stage = op_replica[reload_id], op_stage[reload_id]
         worker = op_worker[reload_id]
-        needed = set(op.micro_batches)
+        needed = set(op_mbs[reload_id])
         for later_id in range(reload_id + 1, row_end[worker]):
-            later = ops_flat[later_id]
             if (
-                (later.is_backward or later.kind is OpKind.RECOMPUTE)
-                and later.replica == op.replica
-                and later.stage == op.stage
-                and not needed.isdisjoint(later.micro_batches)
+                op_kind[later_id] in stash_consumers
+                and op_replica[later_id] == replica
+                and op_stage[later_id] == stage
+                and not needed.isdisjoint(op_mbs[later_id])
             ):
                 consumer_reloads.setdefault(later_id, []).append(reload_id)
                 break
         else:
+            op = _operation(table, reload_id)
             raise ValidationError(
                 f"RELOAD {op.short()} (replica {op.replica}) has no "
                 f"consuming backward or RECOMPUTE after it on worker "
                 f"{worker}"
             )
 
-    def stage_edge(producer: int, kind: int, flow: tuple, op: Operation) -> tuple:
-        """The edge that brings ``flow`` to ``op`` from the neighbouring
-        stage: from its RECV when lowered, straight from its batched SEND
-        when fused, else the implicit ``kind`` edge from ``producer``."""
+    def units(src: int, dst: int) -> float:
+        """Micro-batch units moved along a producer -> consumer edge."""
+        src_mbs, dst_mbs = op_mbs[src], op_mbs[dst]
+        if src_mbs == dst_mbs:
+            shared = len(dst_mbs)
+        else:
+            shared = len(set(src_mbs) & set(dst_mbs))
+        return shared / op_part[dst][1]
+
+    def stage_edge(producer: int, kind: int, flow: tuple, oid: int) -> tuple:
+        """The edge that brings ``flow`` to op ``oid`` from the
+        neighbouring stage: from its RECV when lowered, straight from its
+        batched SEND when fused, else the implicit ``kind`` edge from
+        ``producer``."""
         recv = recv_by_mb.get(flow)
         if recv is not None:
             return (recv, DELIVERY, 0.0)
         send = send_by_dst_mb.get(flow)
         if send is not None:
-            return (send, TRANSFER, _payload_between(ops_flat[send], op))
-        return (producer, kind, _payload_between(ops_flat[producer], op))
+            return (send, TRANSFER, units(send, oid))
+        return (producer, kind, units(producer, oid))
 
     depth = schedule.num_stages
     dep_ptr = [0]
@@ -473,13 +540,14 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
     dep_kind: list[int] = []
     dep_units: list[float] = []
 
-    for oid, op in enumerate(ops_flat):
-        kind = op.kind
-        replica, stage, mbs = op.replica, op.stage, op.micro_batches
+    for oid, (kind, replica, stage, mbs) in enumerate(
+        zip(op_kind, op_replica, op_stage, op_mbs)
+    ):
         # (src id, kind code, payload units), deduplicated below.
         incoming: list[tuple[int, int, float]] = []
-        if kind is OpKind.FORWARD:
+        if kind == FORWARD_CODE:
             if stage > 0:
+                part = op_part[oid]
                 for mb in mbs:
                     producer = fwd_by_mb.get((replica, stage - 1, mb))
                     if producer is None:
@@ -487,9 +555,10 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
                             f"forward of micro-batch {mb} at stage {stage} "
                             f"(replica {replica}) has no stage-{stage - 1} producer"
                         )
-                    flow = (replica, stage, mb, op.part, "act")
-                    incoming.append(stage_edge(producer, ACTIVATION, flow, op))
-        elif kind is OpKind.BACKWARD or kind is OpKind.BACKWARD_INPUT:
+                    flow = (replica, stage, mb, part, "act")
+                    incoming.append(stage_edge(producer, ACTIVATION, flow, oid))
+        elif kind == BACKWARD_CODE or kind == BACKWARD_INPUT_CODE:
+            part = op_part[oid]
             for mb in mbs:
                 fwd = fwd_by_mb.get((replica, stage, mb))
                 if fwd is None:
@@ -499,16 +568,16 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
                     )
                 incoming.append((fwd, STASH, 0.0))
                 if stage < depth - 1:
-                    producer = grad_by_mb.get((replica, stage + 1, mb, op.part))
+                    producer = grad_by_mb.get((replica, stage + 1, mb, part))
                     if producer is None:
                         raise ValidationError(
-                            f"backward of micro-batch {mb} part {op.part} at "
+                            f"backward of micro-batch {mb} part {part} at "
                             f"stage {stage} (replica {replica}) has no "
                             f"stage-{stage + 1} gradient producer"
                         )
-                    flow = (replica, stage, mb, op.part, "grad")
-                    incoming.append(stage_edge(producer, GRADIENT, flow, op))
-        elif kind is OpKind.RECOMPUTE:
+                    flow = (replica, stage, mb, part, "grad")
+                    incoming.append(stage_edge(producer, GRADIENT, flow, oid))
+        elif kind == RECOMPUTE_CODE:
             for mb in mbs:
                 fwd = fwd_by_mb.get((replica, stage, mb))
                 if fwd is None:
@@ -518,41 +587,41 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
                         f"matching forward"
                     )
                 incoming.append((fwd, STASH, 0.0))
-        elif kind is OpKind.BACKWARD_WEIGHT:
+        elif kind == BACKWARD_WEIGHT_CODE:
+            part = op_part[oid]
             for mb in mbs:
-                producer = grad_by_mb.get((replica, stage, mb, op.part))
-                if (
-                    producer is None
-                    or ops_flat[producer].kind is not OpKind.BACKWARD_INPUT
-                ):
+                producer = grad_by_mb.get((replica, stage, mb, part))
+                if producer is None or op_kind[producer] != BACKWARD_INPUT_CODE:
                     raise ValidationError(
-                        f"weight gradient of micro-batch {mb} part {op.part} "
+                        f"weight gradient of micro-batch {mb} part {part} "
                         f"at stage {stage} (replica {replica}) has no "
                         f"matching input-gradient (Bi) producer"
                     )
                 incoming.append((producer, DEFERRAL, 0.0))
-        elif kind is OpKind.SEND:
+        elif kind == SEND_CODE:
+            part, payload = op_part[oid], op_payload[oid]
             for mb in mbs:
-                if op.payload == "act":
+                if payload == "act":
                     producer = fwd_by_mb.get((replica, stage, mb))
                 else:
-                    producer = grad_by_mb.get((replica, stage, mb, op.part))
+                    producer = grad_by_mb.get((replica, stage, mb, part))
                 if producer is None:
                     raise ValidationError(
-                        f"{op.short()} (replica {replica}) has no local "
-                        f"{op.payload} producer for micro-batch {mb}"
+                        f"{_operation(table, oid).short()} (replica {replica}) "
+                        f"has no local {payload} producer for micro-batch {mb}"
                     )
                 incoming.append((producer, ENQUEUE, 0.0))
-        elif kind is OpKind.RECV:
-            src_stage = op.peer_stage
-            send = send_index.get((replica, src_stage, mbs, op.part, op.payload))
+        elif kind == RECV_CODE:
+            part, payload = op_part[oid], op_payload[oid]
+            src_stage = peer_stage(False, stage, payload)
+            send = send_index.get((replica, src_stage, mbs, part, payload))
             if send is None:
                 raise ValidationError(
-                    f"{op.short()} (replica {replica}) has no matching "
-                    f"SEND at stage {src_stage}"
+                    f"{_operation(table, oid).short()} (replica {replica}) "
+                    f"has no matching SEND at stage {src_stage}"
                 )
-            incoming.append((send, TRANSFER, len(mbs) / op.part[1]))
-        elif kind is OpKind.OFFLOAD:
+            incoming.append((send, TRANSFER, len(mbs) / part[1]))
+        elif kind == OFFLOAD_CODE:
             for mb in mbs:
                 fwd = fwd_by_mb.get((replica, stage, mb))
                 if fwd is None:
@@ -561,7 +630,7 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
                         f"(replica {replica}) has no matching forward"
                     )
                 incoming.append((fwd, ENQUEUE, 0.0))
-        elif kind is OpKind.RELOAD:
+        elif kind == RELOAD_CODE:
             for mb in mbs:
                 off = offload_by_mb.get((replica, stage, mb))
                 if off is None:
@@ -569,8 +638,8 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
                         f"RELOAD of micro-batch {mb} at stage {stage} "
                         f"(replica {replica}) has no matching OFFLOAD"
                     )
-                incoming.append((off, TRANSFER, _payload_between(ops_flat[off], op)))
-        elif kind is OpKind.ALLREDUCE:
+                incoming.append((off, TRANSFER, units(off, oid)))
+        elif kind == ALLREDUCE_CODE:
             targets = mbs or fwd_mbs.get(replica, ())
             worker = op_worker[oid]
             for mb, producer in wgrad_of_stage.get((replica, stage), ()):
@@ -579,26 +648,25 @@ def build_dependency_graph(schedule: Schedule) -> DependencyGraph:
         # The first stash consumer after each RELOAD waits for the
         # host→device copy to arrive (host-wire TRANSFER edge).
         for reload_id in consumer_reloads.get(oid, ()):
-            reload = ops_flat[reload_id]
             incoming.append(
-                (reload_id, TRANSFER, len(reload.micro_batches) / reload.part[1])
+                (reload_id, TRANSFER, len(op_mbs[reload_id]) / op_part[reload_id][1])
             )
         # Deduplicate on (src, kind), keeping the first edge (forward
         # doubling can produce the same edge twice when both micro-batches
         # of a chunk share one producer chunk).
         unique: dict[tuple[int, int], float] = {}
-        for src, code, units in incoming:
-            unique.setdefault((src, code), units)
-        for (src, code), units in unique.items():
+        for src, code, units_moved in incoming:
+            unique.setdefault((src, code), units_moved)
+        for (src, code), units_moved in unique.items():
             dep_src.append(src)
             dep_kind.append(code)
-            dep_units.append(units)
+            dep_units.append(units_moved)
         dep_ptr.append(len(dep_src))
 
     return DependencyGraph(
         schedule=schedule,
         op_worker=op_worker,
-        row_pos=row_pos,
+        row_pos=table.pos.tolist(),
         dep_ptr=dep_ptr,
         dep_src=dep_src,
         dep_kind=dep_kind,

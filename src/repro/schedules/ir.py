@@ -243,20 +243,10 @@ class Operation:
 
     @property
     def peer_stage(self) -> int:
-        """The other endpoint's stage of a comm op.
-
-        Single source of the direction convention: activations flow to
-        ``stage + 1``, gradients to ``stage - 1``, and a ``RECV`` names the
-        consumer's stage so its peer sits on the opposite side. Everything
-        that resolves a comm op's peer worker — the engine, the executor,
-        the validator, the dependency builder — goes through here.
-        """
+        """The other endpoint's stage of a comm op (:func:`peer_stage`)."""
         if not self.is_comm:
             raise ScheduleError(f"peer_stage on non-comm op {self!r}")
-        step = 1 if self.payload == "act" else -1
-        if self.kind is OpKind.SEND:
-            return self.stage + step
-        return self.stage - step
+        return peer_stage(self.kind is OpKind.SEND, self.stage, self.payload)
 
     @property
     def is_compute(self) -> bool:
@@ -312,6 +302,21 @@ class Operation:
     def with_recompute(self) -> "Operation":
         """Return a copy with the recompute flag set."""
         return replace(self, recompute=True)
+
+
+def peer_stage(send: bool, stage: int, payload: str) -> int:
+    """The other endpoint's stage of a comm op at ``stage`` carrying
+    ``payload`` (a ``SEND`` if ``send``, else a ``RECV``).
+
+    Single source of the direction convention: activations flow to
+    ``stage + 1``, gradients to ``stage - 1``, and a ``RECV`` names the
+    consumer's stage so its peer sits on the opposite side. Everything
+    that resolves a comm op's peer worker — the engine, the executor,
+    the validator (through :attr:`Operation.peer_stage`) and the
+    dependency builder, which reads op-table columns — goes through here.
+    """
+    step = 1 if payload == "act" else -1
+    return stage + step if send else stage - step
 
 
 #: Kind codes of :attr:`OpTable.kind` index this tuple; the code

@@ -401,3 +401,25 @@ class TestBuilderCost:
         build_dependency_graph(schedule)
         num_ops = sum(len(row) for row in schedule.worker_ops)
         assert calls["key"] <= num_ops
+
+
+class TestColumnBuilderCost:
+    @pytest.mark.parametrize("passes", ["recompute", "offload"])
+    @pytest.mark.parametrize("scheme", ["pipedream", "chimera"])
+    def test_variant_graph_and_kernel_make_no_ops(self, scheme, passes, monkeypatch):
+        # The builder reads the op table: a table-backed variant's
+        # inserted ops stay unbuilt, and no op identity is hashed.
+        from repro.sim.kernel import kernel_of
+
+        schedule = build_schedule(scheme, 8, 16, passes=passes)
+        calls = {"key": 0}
+        key = Operation.key
+
+        def counted_key(op):
+            calls["key"] += 1
+            return key(op)
+
+        monkeypatch.setattr(Operation, "key", counted_key)
+        kernel_of(build_dependency_graph(schedule))
+        assert "worker_ops" not in schedule.__dict__
+        assert calls["key"] == 0

@@ -35,6 +35,13 @@ and rows made from op tables
       kind  validated  from tables
       <KIND>  <n>  <m>
 
+and last the pass's disk-tier writes: ``DiskScheduleCache.store``
+calls, the bytes of the files they wrote, and the seconds spent
+persisting (``ScheduleArtifacts.snapshot`` plus the store, under
+cProfile):
+
+    disk  <n> stores  <bytes> bytes  <s> s persist (snapshot + store)
+
 With ``--warm``, the stream is first planned once, untimed, as
 ``--cold`` plans it, into a temporary disk tier; each round then empties
 the memory tier and the planner's memos (not the disk tier) and plans
@@ -82,7 +89,11 @@ os.environ["REPRO_CACHE_DISABLE"] = "1"
 import profile_driver  # noqa: E402
 import streams  # noqa: E402
 from repro.perf import planner  # noqa: E402
-from repro.schedules.cache import clear_schedule_cache  # noqa: E402
+from repro.schedules.cache import (  # noqa: E402
+    ScheduleArtifacts,
+    clear_schedule_cache,
+)
+from repro.schedules.diskcache import DiskScheduleCache  # noqa: E402
 from repro.schedules.ir import Operation, OpKind, OpTable  # noqa: E402
 from repro.serve import PlannerService  # noqa: E402
 from repro.serve.service import parse_plan_request  # noqa: E402
@@ -181,6 +192,44 @@ def print_operations() -> None:
         print(f"  {kind.name:<16}{VALIDATED[kind]:>11}{TABLE_ROWS[kind]:>13}")
 
 
+#: The disk-tier writes of the latest :func:`run_stream` (see
+#: :func:`count_disk`): ``stores``, ``bytes`` and ``persist_s``.
+DISK: Counter = Counter()
+
+
+def count_disk() -> None:
+    """Make ``DiskScheduleCache.store`` count its calls and the bytes of
+    the files it wrote, and it and ``ScheduleArtifacts.snapshot`` add
+    their seconds, into :data:`DISK`."""
+    store, snapshot = DiskScheduleCache.store, ScheduleArtifacts.snapshot
+
+    def counted_store(disk: DiskScheduleCache, key: tuple, artifacts: dict) -> bool:
+        start = time.perf_counter()
+        stored = store(disk, key, artifacts)
+        DISK["persist_s"] += time.perf_counter() - start
+        DISK["stores"] += 1
+        if stored:
+            DISK["bytes"] += disk.entry_path(key).stat().st_size
+        return stored
+
+    def timed_snapshot(arts: ScheduleArtifacts) -> dict:
+        start = time.perf_counter()
+        payload = snapshot(arts)
+        DISK["persist_s"] += time.perf_counter() - start
+        return payload
+
+    DiskScheduleCache.store = counted_store
+    ScheduleArtifacts.snapshot = timed_snapshot
+
+
+def print_disk() -> None:
+    """The ``disk`` line."""
+    print(
+        f"disk  {DISK['stores']} stores  {DISK['bytes']} bytes  "
+        f"{DISK['persist_s']:.3f} s persist (snapshot + store)"
+    )
+
+
 def run_stream(payloads: list[dict], count: int, *, disk: bool) -> float:
     """Plan the first ``count`` payloads from an empty memory tier and
     empty memos, and an empty disk tier too if ``disk``; return the wall
@@ -188,6 +237,7 @@ def run_stream(payloads: list[dict], count: int, *, disk: bool) -> float:
     clear_schedule_cache(disk=disk)
     VALIDATED.clear()
     TABLE_ROWS.clear()
+    DISK.clear()
     planner._ROW_MEMO.clear()
     memory._REPORTS.clear()
     requests = [parse_plan_request(payload) for payload in payloads[:count]]
@@ -255,6 +305,7 @@ def main() -> None:
             run_stream(stream, len(stream), disk=True)  # fills the disk tier
         else:
             count_operations()
+            count_disk()
         work = lambda count: run_stream(stream, count, disk=args.cold)  # noqa: E731
         warmup = args.warmup or 0
     else:
@@ -277,6 +328,7 @@ def main() -> None:
         profile_driver.report(profiler, build_layer if args.cold else warm_layer)
         if args.cold:
             print_operations()
+            print_disk()
         return
     names = set(args.function or FUNCTIONS)
     missing = names - profile_driver.report(profiler, lambda _, name: name in names)
